@@ -107,7 +107,7 @@ pub struct EasyScan {
 /// How the scans obtain the availability step function.
 enum Avail<'a> {
     /// Rebuild from the running set on every call (the seed behaviour;
-    /// kept as the measurable baseline for `BENCH_sched.json`).
+    /// kept as the differential tests' oracle).
     Rebuild,
     /// Read the machine's incrementally-maintained [`jobsched_sim::LiveProfile`],
     /// materialising into the given scratch buffer only when the scan

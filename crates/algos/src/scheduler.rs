@@ -23,8 +23,7 @@ use std::collections::BTreeSet;
 /// How the backfilling scans obtain the availability step function.
 ///
 /// Scheduling decisions are bit-identical across modes (the differential
-/// property tests enforce it); only the cost differs, which is what
-/// `BENCH_sched.json` measures.
+/// property tests enforce it); only the cost differs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ProfileMode {
     /// Rebuild the profile from the running set on every decision
@@ -229,8 +228,7 @@ impl ListScheduler {
     /// Choose how the backfilling scans obtain the availability profile.
     /// [`ProfileMode::Rebuild`] restores the rebuild-per-decision seed
     /// behaviour — semantically identical, asymptotically slower; used as
-    /// the baseline in `BENCH_sched.json` and as the oracle in the
-    /// differential tests.
+    /// the oracle in the differential tests.
     pub fn with_profile_mode(mut self, mode: ProfileMode) -> Self {
         self.profile_mode = mode;
         self

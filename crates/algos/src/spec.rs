@@ -101,6 +101,33 @@ impl PolicyKind {
         }
     }
 
+    /// Stable machine-readable tag: what cache keys, JSON records,
+    /// `.scn` scenarios, the daemon's scheduler labels and the CLIs
+    /// spell this row as. Priority rows use their scoring function's
+    /// tag ("sjf", "wfp3", ... — and "p-fcfs", distinct from the legacy
+    /// "fcfs" row).
+    pub fn tag(&self) -> &'static str {
+        match self {
+            PolicyKind::Fcfs => "fcfs",
+            PolicyKind::Psrs => "psrs",
+            PolicyKind::SmartFfia => "smart-ffia",
+            PolicyKind::SmartNfiw => "smart-nfiw",
+            PolicyKind::GareyGraham => "garey-graham",
+            PolicyKind::Priority(s) => s.tag(),
+            PolicyKind::Dfrs => "dfrs",
+            PolicyKind::Moldable => "moldable",
+        }
+    }
+
+    /// Parse a [`PolicyKind::tag`] back. Callers that cannot run the
+    /// time-shared rows check [`PolicyKind::time_shared`] themselves.
+    pub fn from_tag(tag: &str) -> Option<PolicyKind> {
+        PolicyKind::atlas()
+            .into_iter()
+            .chain(PolicyKind::TIME_SHARED)
+            .find(|k| k.tag() == tag)
+    }
+
     /// Materialise the ordering policy under a weight scheme.
     ///
     /// # Panics
@@ -312,6 +339,25 @@ mod tests {
             assert_eq!(s.name(), spec.name());
             assert_eq!(s.queue_len(), 0);
         }
+    }
+
+    #[test]
+    fn tags_round_trip_and_stay_distinct() {
+        let all: Vec<_> = PolicyKind::atlas()
+            .into_iter()
+            .chain(PolicyKind::TIME_SHARED)
+            .collect();
+        for &k in &all {
+            assert_eq!(PolicyKind::from_tag(k.tag()), Some(k));
+        }
+        let tags: std::collections::HashSet<_> = all.iter().map(|k| k.tag()).collect();
+        assert_eq!(tags.len(), all.len());
+        assert_eq!(PolicyKind::from_tag("nope"), None);
+        // The legacy FCFS row and the P-FCFS priority row are distinct.
+        assert_ne!(
+            PolicyKind::Fcfs.tag(),
+            PolicyKind::Priority(ScoreFn::Fcfs).tag()
+        );
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub fn gamma_sweep(scale: Scale, objective: ObjectiveKind, gammas: &[f64]) -> Ve
 
 /// Sweep the §5.4 re-computation trigger (max unordered fraction) for
 /// SMART-FFIA + EASY. Returns `(threshold, cost)` rows; pair with the
-/// scheduler CPU numbers from the Criterion bench to see the trade-off.
+/// scheduler CPU numbers of Tables 7–8 to see the trade-off.
 pub fn reorder_sweep(
     scale: Scale,
     objective: ObjectiveKind,

@@ -43,12 +43,23 @@ impl Scale {
         }
     }
 
-    /// A small scale for integration tests and Criterion benches.
+    /// A small scale for integration tests and smoke runs.
     pub fn quick() -> Self {
         Scale {
             ctc_jobs: 2_500,
             synthetic_jobs: 1_600,
             seed: 1999,
+        }
+    }
+
+    /// Parse a scale name as the binaries' `--scale` flag takes it
+    /// (`quick`, `standard`, `paper`; `full` is an alias of `paper`).
+    pub fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "quick" => Some(Scale::quick()),
+            "standard" => Some(Scale::standard()),
+            "paper" | "full" => Some(Scale::paper()),
+            _ => None,
         }
     }
 }
@@ -464,5 +475,14 @@ mod tests {
         assert!(Scale::standard().ctc_jobs < Scale::paper().ctc_jobs);
         assert_eq!(Scale::paper().ctc_jobs, 79_164);
         assert_eq!(Scale::paper().synthetic_jobs, 50_000);
+    }
+
+    #[test]
+    fn scale_names_parse() {
+        assert_eq!(Scale::from_name("quick"), Some(Scale::quick()));
+        assert_eq!(Scale::from_name("standard"), Some(Scale::standard()));
+        assert_eq!(Scale::from_name("paper"), Some(Scale::paper()));
+        assert_eq!(Scale::from_name("full"), Some(Scale::paper()));
+        assert_eq!(Scale::from_name("bogus"), None);
     }
 }

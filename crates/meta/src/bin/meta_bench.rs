@@ -21,11 +21,11 @@
 use jobsched_algos::spec::PolicyKind;
 use jobsched_algos::view::WeightScheme;
 use jobsched_algos::{BackfillMode, ListScheduler};
+use jobsched_json::Json;
 use jobsched_meta::{ClusterSpec, MetaOutcome, MetaScheduler, RoutingPolicy};
 use jobsched_metrics::{
     AvgBoundedSlowdown, AvgResponseTime, AvgWeightedResponseTime, Objective, Utilization,
 };
-use jobsched_sweep::json::Json;
 use jobsched_workload::ctc::prepared_ctc_workload;
 use jobsched_workload::probabilistic::probabilistic_workload;
 use jobsched_workload::{Workload, TARGET_NODES};
@@ -228,7 +228,7 @@ fn main() {
         ("workloads", Json::Arr(workload_docs)),
     ]);
     let text = doc.to_string_pretty();
-    jobsched_sweep::json::parse(&text).expect("bench JSON must parse");
+    jobsched_json::parse(&text).expect("bench JSON must parse");
     std::fs::write(&args.out, text + "\n").expect("write bench output");
     eprintln!("wrote {} in {:.1}s", args.out, wall_ns as f64 / 1e9);
 

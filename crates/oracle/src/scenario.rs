@@ -10,7 +10,7 @@
 
 use jobsched_algos::scheduler::ProfileMode;
 use jobsched_algos::spec::PolicyKind;
-use jobsched_algos::{BackfillMode, ListScheduler, PriorityScheduler, ScoreFn};
+use jobsched_algos::{BackfillMode, ListScheduler, PriorityScheduler};
 use jobsched_sim::{
     CancelFault, DrainFault, FaultPlan, JobRequest, Machine, PreemptFault, Scheduler,
 };
@@ -303,7 +303,7 @@ impl Scenario {
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("machine {}\n", self.machine_nodes));
-        out.push_str(&format!("policy {}\n", policy_token(self.policy)));
+        out.push_str(&format!("policy {}\n", self.policy.tag()));
         out.push_str(&format!(
             "backfill {}\n",
             match self.backfill {
@@ -405,20 +405,13 @@ impl Scenario {
                     s.machine_nodes = parse_num(&args, 0, &ctx)?;
                 }
                 "policy" => {
-                    s.policy = match args.first().copied() {
-                        Some("fcfs") => PolicyKind::Fcfs,
-                        Some("psrs") => PolicyKind::Psrs,
-                        Some("smart-ffia") => PolicyKind::SmartFfia,
-                        Some("smart-nfiw") => PolicyKind::SmartNfiw,
-                        Some("garey-graham") => PolicyKind::GareyGraham,
-                        // Priority-family rows use the scoring rule's
-                        // stable tag ("sjf", "wfp3", "unicef", …).
-                        Some(tok) => match ScoreFn::from_tag(tok) {
-                            Some(score) => PolicyKind::Priority(score),
-                            None => return Err(ctx(&format!("unknown policy {tok:?}"))),
-                        },
-                        None => return Err(ctx("unknown policy None")),
-                    };
+                    // Scenarios drive rigid schedulers only: the
+                    // time-shared kinds have tags but cannot appear.
+                    let tok = args.first().copied();
+                    s.policy = tok
+                        .and_then(PolicyKind::from_tag)
+                        .filter(|k| !k.time_shared())
+                        .ok_or_else(|| ctx(&format!("unknown policy {tok:?}")))?;
                 }
                 "backfill" => {
                     s.backfill = match args.first().copied() {
@@ -534,21 +527,6 @@ fn parse_node_type(tok: &str) -> Option<NodeType> {
     }
 }
 
-fn policy_token(p: PolicyKind) -> &'static str {
-    match p {
-        PolicyKind::Fcfs => "fcfs",
-        PolicyKind::Psrs => "psrs",
-        PolicyKind::SmartFfia => "smart-ffia",
-        PolicyKind::SmartNfiw => "smart-nfiw",
-        PolicyKind::GareyGraham => "garey-graham",
-        PolicyKind::Priority(s) => s.tag(),
-        // Oracle scenarios drive rigid list schedulers; time-shared
-        // kinds never appear in a scenario header but need a token.
-        PolicyKind::Dfrs => "dfrs",
-        PolicyKind::Moldable => "moldable",
-    }
-}
-
 fn parse_num<T: std::str::FromStr>(
     args: &[&str],
     idx: usize,
@@ -605,6 +583,7 @@ impl Scheduler for LifoScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jobsched_algos::ScoreFn;
 
     fn sample() -> Scenario {
         Scenario {
@@ -714,6 +693,12 @@ mod tests {
             let text = s.to_text();
             assert!(text.contains(&format!("policy {}", score.tag())), "{text}");
             assert_eq!(Scenario::from_text(&text).unwrap(), s);
+            // Unknown and time-shared policy tokens are rejected.
+            for bad in ["nope", "dfrs"] {
+                let broken =
+                    text.replace(&format!("policy {}", score.tag()), &format!("policy {bad}"));
+                assert!(Scenario::from_text(&broken).is_err(), "{bad}");
+            }
         }
         let mutated = Scenario {
             policy: PolicyKind::Priority(ScoreFn::Wfp),

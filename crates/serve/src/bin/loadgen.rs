@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Base seed shared with the paper harness; the probabilistic stream
-/// derives from seed + 1, as in `core::paper` and `sched_bench`.
+/// derives from seed + 1, as in `core::paper`.
 const SEED: u64 = 1999;
 
 struct Args {

@@ -48,7 +48,7 @@ pub mod sys;
 use jobsched_algos::spec::PolicyKind;
 use jobsched_algos::switching::SwitchingScheduler;
 use jobsched_algos::view::WeightScheme;
-use jobsched_algos::{AlgorithmSpec, BackfillMode, ListScheduler, PriorityScheduler, ScoreFn};
+use jobsched_algos::{AlgorithmSpec, BackfillMode, ListScheduler, PriorityScheduler};
 use jobsched_sim::{JobRequest, Machine, Scheduler};
 use jobsched_workload::{JobId, Time};
 use std::time::Duration;
@@ -76,17 +76,10 @@ impl SchedulerSpec {
             Some((p, b)) => (p, b),
             None => (s, "none"),
         };
-        let kind = match policy {
-            "fcfs" => PolicyKind::Fcfs,
-            "psrs" => PolicyKind::Psrs,
-            "smart-ffia" => PolicyKind::SmartFfia,
-            "smart-nfiw" => PolicyKind::SmartNfiw,
-            "garey-graham" => PolicyKind::GareyGraham,
-            other => match ScoreFn::from_tag(other) {
-                Some(score) => PolicyKind::Priority(score),
-                None => return Err(format!("unknown scheduling policy '{other}'")),
-            },
-        };
+        // The time-shared kinds have tags but are not servable.
+        let kind = PolicyKind::from_tag(policy)
+            .filter(|k| !k.time_shared())
+            .ok_or_else(|| format!("unknown scheduling policy '{policy}'"))?;
         let backfill = match backfill {
             "none" => BackfillMode::None,
             "cons" | "conservative" => BackfillMode::Conservative,
@@ -102,18 +95,7 @@ impl SchedulerSpec {
         match self {
             SchedulerSpec::PaperSwitch => "paper-switch".into(),
             SchedulerSpec::List(spec) => {
-                let policy = match spec.kind {
-                    PolicyKind::Fcfs => "fcfs",
-                    PolicyKind::Psrs => "psrs",
-                    PolicyKind::SmartFfia => "smart-ffia",
-                    PolicyKind::SmartNfiw => "smart-nfiw",
-                    PolicyKind::GareyGraham => "garey-graham",
-                    PolicyKind::Priority(score) => score.tag(),
-                    // Time-shared kinds are not servable: `parse` never
-                    // produces them, but checkpoints must still label.
-                    PolicyKind::Dfrs => "dfrs",
-                    PolicyKind::Moldable => "moldable",
-                };
+                let policy = spec.kind.tag();
                 let backfill = match spec.backfill {
                     BackfillMode::None => "none",
                     BackfillMode::Conservative => "cons",
@@ -295,6 +277,8 @@ mod tests {
             SchedulerSpec::List(AlgorithmSpec::reference())
         );
         assert!(SchedulerSpec::parse("lifo").is_err());
+        // Time-shared kinds have a tag but no servable scheduler.
+        assert!(SchedulerSpec::parse("dfrs").is_err());
         assert!(SchedulerSpec::parse("fcfs+optimistic").is_err());
     }
 

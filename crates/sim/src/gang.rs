@@ -18,22 +18,21 @@
 //!   a new context — FCFS in spirit: nobody is reordered, capacity is
 //!   found wherever it exists.
 //!
-//! Context switches are free (the classic idealisation; real gang
-//! schedulers pay a small overhead, which [`GangConfig::switch_overhead`]
-//! can model).
+//! Context switches are free (the classic idealisation).
+//!
+//! The policy is a [`TimeSharedScheduler`] ([`GangFcfsTs`]) on the
+//! segment engine, which owns every clock, span and work account; run it
+//! with [`crate::simulate_time_shared`].
 
 use crate::tshare::{Action, TimeSharedScheduler, TsJobView};
 use crate::Machine;
-use jobsched_workload::{JobId, Time, Workload};
+use jobsched_workload::{JobId, Time};
 
 /// Gang scheduler configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct GangConfig {
     /// Length of one time slice in seconds.
     pub time_slice: Time,
-    /// Cost of a context switch in seconds (added to the slice the
-    /// machine spends without progress).
-    pub switch_overhead: Time,
     /// Multiprogramming level: maximum number of simultaneous contexts.
     /// Each context dilutes every job's share of the machine, so real
     /// gang schedulers keep this small; jobs beyond it wait FCFS.
@@ -44,213 +43,19 @@ impl Default for GangConfig {
     fn default() -> Self {
         GangConfig {
             time_slice: 600,
-            switch_overhead: 0,
             max_contexts: 3,
         }
     }
 }
 
-/// Outcome of a gang-scheduled simulation. Unlike
-/// [`crate::ScheduleRecord`], execution is non-contiguous, so only first
-/// start and completion are recorded.
-#[derive(Clone, Debug)]
-pub struct GangOutcome {
-    /// First time each job received cycles.
-    pub first_start: Vec<Time>,
-    /// Completion time of each job.
-    pub completion: Vec<Time>,
-    /// Number of contexts that existed simultaneously at the peak.
-    pub peak_contexts: usize,
-    /// Total context switches performed.
-    pub context_switches: u64,
-}
-
-impl GangOutcome {
-    /// Average response time over the workload.
-    pub fn avg_response_time(&self, workload: &Workload) -> f64 {
-        if workload.is_empty() {
-            return 0.0;
-        }
-        workload
-            .jobs()
-            .iter()
-            .map(|j| (self.completion[j.id.index()] - j.submit) as f64)
-            .sum::<f64>()
-            / workload.len() as f64
-    }
-
-    /// Latest completion.
-    pub fn makespan(&self) -> Time {
-        self.completion.iter().copied().max().unwrap_or(0)
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-struct GangJob {
-    id: JobId,
-    nodes: u32,
-    remaining: Time,
-    started: bool,
-}
-
-#[derive(Clone, Debug, Default)]
-struct Context {
-    jobs: Vec<GangJob>,
-    used: u32,
-}
-
-impl Context {
-    fn fits(&self, nodes: u32, machine: u32) -> bool {
-        self.used + nodes <= machine
-    }
-    fn push(&mut self, job: GangJob) {
-        self.used += job.nodes;
-        self.jobs.push(job);
-    }
-}
-
-/// Simulate FCFS gang scheduling of a workload on `machine_nodes` nodes.
+/// FCFS gang scheduling over the segment engine: context membership,
+/// first-fit admission, round-robin rotation, and the slice-remainder
+/// inheritance when the active context empties.
 ///
-/// Panics on jobs wider than the machine (validate the workload first).
-pub fn simulate_gang_fcfs(workload: &Workload, config: GangConfig) -> GangOutcome {
-    let machine = workload.machine_nodes();
-    let slice = config.time_slice.max(1);
-    let n = workload.len();
-    let mut first_start = vec![Time::MAX; n];
-    let mut completion = vec![Time::MAX; n];
-    let mut contexts: Vec<Context> = Vec::new();
-    let mut active: usize = 0;
-    let mut peak_contexts = 0usize;
-    let mut switches = 0u64;
-
-    let mut next_submit = 0usize; // index into workload jobs (sorted by submit)
-    let jobs = workload.jobs();
-    let mut t: Time = if jobs.is_empty() { 0 } else { jobs[0].submit };
-    // FCFS backlog of jobs that no context can hold yet (bounded MPL).
-    let mut pending: std::collections::VecDeque<GangJob> = std::collections::VecDeque::new();
-    let max_contexts = config.max_contexts.max(1);
-
-    let mut slice_end = t + slice;
-    loop {
-        // Admit all jobs submitted up to t into the FCFS backlog.
-        while next_submit < n && jobs[next_submit].submit <= t {
-            let j = &jobs[next_submit];
-            assert!(j.nodes <= machine, "job wider than machine");
-            pending.push_back(GangJob {
-                id: j.id,
-                nodes: j.nodes,
-                remaining: j.effective_runtime().max(1),
-                started: false,
-            });
-            next_submit += 1;
-        }
-        // FCFS placement: head joins the first context with room, or a
-        // new context while the multiprogramming level allows one.
-        while let Some(&head) = pending.front() {
-            if let Some(c) = contexts.iter_mut().find(|c| c.fits(head.nodes, machine)) {
-                c.push(head);
-            } else if contexts.len() < max_contexts {
-                let mut c = Context::default();
-                c.push(head);
-                contexts.push(c);
-            } else {
-                break;
-            }
-            pending.pop_front();
-        }
-        peak_contexts = peak_contexts.max(contexts.len());
-
-        if contexts.is_empty() {
-            // Idle: jump to the next submission (or finish).
-            match jobs.get(next_submit) {
-                Some(j) => {
-                    t = j.submit;
-                    slice_end = t + slice;
-                    continue;
-                }
-                None => break,
-            }
-        }
-
-        active = active.min(contexts.len() - 1);
-        // Mark first starts for the active context.
-        for gj in &mut contexts[active].jobs {
-            if !gj.started {
-                gj.started = true;
-                first_start[gj.id.index()] = first_start[gj.id.index()].min(t);
-            }
-        }
-
-        // The next event: earliest completion in the active context, the
-        // slice boundary, or the next submission.
-        let earliest_completion = contexts[active]
-            .jobs
-            .iter()
-            .map(|gj| t + gj.remaining)
-            .min()
-            .expect("active context non-empty");
-        let next_submission = jobs.get(next_submit).map(|j| j.submit);
-        let mut next_t = earliest_completion.min(slice_end);
-        if let Some(s) = next_submission {
-            next_t = next_t.min(s);
-        }
-
-        // Progress the active context by the elapsed span.
-        let elapsed = next_t - t;
-        let ctx = &mut contexts[active];
-        let mut freed = 0u32;
-        ctx.jobs.retain_mut(|gj| {
-            gj.remaining -= elapsed.min(gj.remaining);
-            if gj.remaining == 0 {
-                completion[gj.id.index()] = next_t;
-                freed += gj.nodes;
-                false
-            } else {
-                true
-            }
-        });
-        ctx.used -= freed;
-        t = next_t;
-
-        // Drop empty contexts (keep rotation fair by adjusting `active`).
-        let before = contexts.len();
-        let active_ptr = active;
-        contexts.retain(|c| !c.jobs.is_empty());
-        if contexts.len() < before && active_ptr >= contexts.len() {
-            active = 0;
-        }
-
-        if t >= slice_end && !contexts.is_empty() {
-            // Context switch: rotate, pay the overhead.
-            active = (active + 1) % contexts.len();
-            switches += 1;
-            t += config.switch_overhead;
-            slice_end = t + slice;
-        }
-
-        if contexts.is_empty() && pending.is_empty() && next_submit >= n {
-            break;
-        }
-    }
-
-    GangOutcome {
-        first_start,
-        completion,
-        peak_contexts,
-        context_switches: switches,
-    }
-}
-
-/// The gang policy re-expressed over the segment engine: a
-/// [`TimeSharedScheduler`] whose decisions reproduce
-/// [`simulate_gang_fcfs`] exactly (at zero switch overhead) — context
-/// membership, first-fit admission, round-robin rotation and the
-/// slice-remainder inheritance when the active context empties are all
-/// mirrored, while the engine owns every clock, span and work account.
-///
-/// The pair is a differential baseline in both directions: the
-/// monolithic loop pins the *policy* (per-job first start, completion,
-/// peak contexts), the engine run additionally yields a full
+/// `crates/sim/tests/gang_differential.rs` pins its decisions to a
+/// monolithic reference loop (per-job completion, makespan, peak
+/// contexts); comments below that mention "the monolithic loop" refer
+/// to that reference. The engine run additionally yields a full
 /// [`crate::ScheduleRecord`] whose segment union is auditable with
 /// [`crate::check_segments`].
 #[derive(Debug)]
@@ -272,13 +77,12 @@ pub struct GangFcfsTs {
     /// the system (a drain that leaves a blocked backlog never idles).
     idle_since: Option<Time>,
     ever_busy: bool,
-    /// Largest simultaneous context count (mirrors `peak_contexts`).
+    /// Largest simultaneous context count.
     pub peak_contexts: usize,
 }
 
 impl GangFcfsTs {
-    /// Mirror of [`simulate_gang_fcfs`] under `config`; the overhead
-    /// field is ignored (the engine models context switches as free).
+    /// Gang FCFS under `config`.
     pub fn new(config: GangConfig) -> Self {
         GangFcfsTs {
             slice: config.time_slice.max(1),
@@ -433,7 +237,8 @@ impl TimeSharedScheduler for GangFcfsTs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jobsched_workload::JobBuilder;
+    use crate::{simulate_time_shared, ScheduleRecord};
+    use jobsched_workload::{JobBuilder, Workload};
 
     fn job(submit: Time, nodes: u32, runtime: Time) -> jobsched_workload::Job {
         JobBuilder::new(JobId(0))
@@ -444,37 +249,51 @@ mod tests {
             .build()
     }
 
+    /// Run the default configuration; returns the schedule and the peak
+    /// context count.
+    fn run(w: &Workload) -> (ScheduleRecord, usize) {
+        let mut gang = GangFcfsTs::new(GangConfig::default());
+        let out = simulate_time_shared(w, &mut gang);
+        (out.schedule, gang.peak_contexts)
+    }
+
+    fn first_start(s: &ScheduleRecord, id: u32) -> Time {
+        s.placement(JobId(id)).unwrap().start
+    }
+
+    fn completion(s: &ScheduleRecord, id: u32) -> Time {
+        s.placement(JobId(id)).unwrap().completion
+    }
+
     #[test]
     fn single_job_runs_contiguously() {
         let w = Workload::new("g", 10, vec![job(5, 4, 100)]);
-        let out = simulate_gang_fcfs(&w, GangConfig::default());
-        assert_eq!(out.first_start[0], 5);
-        assert_eq!(out.completion[0], 105);
-        assert_eq!(out.peak_contexts, 1);
+        let (s, peak) = run(&w);
+        assert_eq!(first_start(&s, 0), 5);
+        assert_eq!(completion(&s, 0), 105);
+        assert_eq!(peak, 1);
     }
 
     #[test]
     fn concurrent_jobs_share_one_context() {
         let w = Workload::new("g", 10, vec![job(0, 4, 100), job(0, 4, 100)]);
-        let out = simulate_gang_fcfs(&w, GangConfig::default());
-        assert_eq!(out.completion, vec![100, 100]);
-        assert_eq!(out.peak_contexts, 1);
-        assert_eq!(out.context_switches, 0);
+        let (s, peak) = run(&w);
+        assert_eq!((completion(&s, 0), completion(&s, 1)), (100, 100));
+        assert_eq!(peak, 1);
+        // No context switch: neither job was ever suspended.
+        assert!(s.segments(JobId(0)).is_none() && s.segments(JobId(1)).is_none());
     }
 
     #[test]
     fn overflow_opens_second_context_and_time_shares() {
-        // Two full-machine jobs of 600 s each with a 600 s slice: they
-        // alternate; both finish by ~1800 instead of one waiting 600 under
-        // space sharing... (each accumulates 600 s over 1200 s of wall
-        // time; second finishes at 1800 — same as FCFS for the last job
-        // but the *first* slice of each starts immediately).
+        // Two full-machine jobs of 600 s each with a 600 s slice: the
+        // second gang's first slice starts when the first one's ends.
         let w = Workload::new("g", 10, vec![job(0, 10, 600), job(0, 10, 600)]);
-        let out = simulate_gang_fcfs(&w, GangConfig::default());
-        assert_eq!(out.first_start[0], 0);
-        assert_eq!(out.first_start[1], 600, "second gang's first slice");
-        assert_eq!(out.completion[0], 600);
-        assert_eq!(out.completion[1], 1200);
+        let (s, _) = run(&w);
+        assert_eq!(first_start(&s, 0), 0);
+        assert_eq!(first_start(&s, 1), 600, "second gang's first slice");
+        assert_eq!(completion(&s, 0), 600);
+        assert_eq!(completion(&s, 1), 1200);
     }
 
     #[test]
@@ -482,31 +301,16 @@ mod tests {
         // The [15] effect: a short full-machine job time-shares with a
         // long one instead of waiting for it to finish.
         let w = Workload::new("g", 10, vec![job(0, 10, 100_000), job(1, 10, 600)]);
-        let out = simulate_gang_fcfs(&w, GangConfig::default());
+        let (s, _) = run(&w);
         // Space-shared FCFS would complete it at 100_600; gang completes
         // it within a few slices.
         assert!(
-            out.completion[1] < 3_000,
+            completion(&s, 1) < 3_000,
             "gang completion {}",
-            out.completion[1]
+            completion(&s, 1)
         );
         // The long job still finishes (progress conserved).
-        assert!(out.completion[0] >= 100_000);
-    }
-
-    #[test]
-    fn switch_overhead_stretches_schedule() {
-        let w = Workload::new("g", 10, vec![job(0, 10, 600), job(0, 10, 600)]);
-        let free = simulate_gang_fcfs(&w, GangConfig::default());
-        let costly = simulate_gang_fcfs(
-            &w,
-            GangConfig {
-                time_slice: 600,
-                switch_overhead: 60,
-                max_contexts: 3,
-            },
-        );
-        assert!(costly.makespan() > free.makespan());
+        assert!(completion(&s, 0) >= 100_000);
     }
 
     #[test]
@@ -521,24 +325,21 @@ mod tests {
             })
             .collect();
         let w = Workload::new("g", 10, jobs);
-        let out = simulate_gang_fcfs(&w, GangConfig::default());
-        assert!(out.completion.iter().all(|&c| c != Time::MAX));
-        assert!(out.first_start.iter().all(|&s| s != Time::MAX));
+        let (s, _) = run(&w);
         for j in w.jobs() {
-            assert!(out.first_start[j.id.index()] >= j.submit);
-            assert!(
-                out.completion[j.id.index()]
-                    >= out.first_start[j.id.index()] + j.effective_runtime() - 1
-            );
+            let p = s.placement(j.id).expect("every job completes");
+            assert!(p.start >= j.submit);
+            assert!(p.completion >= p.start + j.effective_runtime());
+            assert_eq!(s.charged_time(j.id), Some(j.effective_runtime()));
         }
     }
 
     #[test]
     fn empty_workload() {
         let w = Workload::new("g", 10, vec![]);
-        let out = simulate_gang_fcfs(&w, GangConfig::default());
-        assert_eq!(out.makespan(), 0);
-        assert_eq!(out.avg_response_time(&w), 0.0);
+        let (s, peak) = run(&w);
+        assert_eq!(s.makespan(), 0);
+        assert_eq!(peak, 0);
     }
 
     #[test]
@@ -554,12 +355,12 @@ mod tests {
             jobs.push(job(1_000 + i * 1_000, 10, 60));
         }
         let w = Workload::new("g", 10, jobs);
-        let gang = simulate_gang_fcfs(&w, GangConfig::default());
+        let (gang, _) = run(&w);
 
         // Plain space-shared FCFS reference (head-blocking greedy).
         let mut free = 10u32;
         let mut running: Vec<(Time, u32)> = Vec::new(); // (end, nodes)
-        let mut completion = vec![0u64; w.len()];
+        let mut fcfs_completion = vec![0u64; w.len()];
         let mut queue: std::collections::VecDeque<&jobsched_workload::Job> =
             w.jobs().iter().collect();
         let mut t = 0;
@@ -569,7 +370,7 @@ mod tests {
                     let j = queue.pop_front().unwrap();
                     free -= j.nodes;
                     let end = t + j.effective_runtime();
-                    completion[j.id.index()] = end;
+                    fcfs_completion[j.id.index()] = end;
                     running.push((end, j.nodes));
                 } else {
                     break;
@@ -592,13 +393,17 @@ mod tests {
                 }
             });
         }
-        let fcfs_art: f64 = w
-            .jobs()
-            .iter()
-            .map(|j| (completion[j.id.index()] - j.submit) as f64)
-            .sum::<f64>()
-            / w.len() as f64;
-        let gang_art = gang.avg_response_time(&w);
+        let gang_completion: Vec<Time> =
+            (0..w.len() as u32).map(|i| completion(&gang, i)).collect();
+        let art = |completion: &[Time]| {
+            w.jobs()
+                .iter()
+                .map(|j| (completion[j.id.index()] - j.submit) as f64)
+                .sum::<f64>()
+                / w.len() as f64
+        };
+        let fcfs_art = art(&fcfs_completion);
+        let gang_art = art(&gang_completion);
         assert!(
             gang_art < fcfs_art,
             "gang ART {gang_art} should beat FCFS ART {fcfs_art}"

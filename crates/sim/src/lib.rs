@@ -56,7 +56,6 @@ pub mod profile;
 pub mod schedule;
 pub mod segment;
 pub mod tshare;
-pub mod typed;
 
 pub use clock::{Clock, SimClock, WallClock};
 pub use engine::{

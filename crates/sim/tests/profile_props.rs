@@ -3,9 +3,8 @@
 //! tries every candidate instant.
 //!
 //! Randomization runs on the crate's own deterministic generators
-//! (`jobsched_workload::rng`) instead of `proptest`, whose feature is a
-//! no-op gate in the offline build — these properties run in every plain
-//! `cargo test`.
+//! (`jobsched_workload::rng`) — the offline build has no `proptest` —
+//! so these properties run in every plain `cargo test`.
 
 use jobsched_sim::Profile;
 use jobsched_workload::rng::{derive_seed, Rng, SmallRng};

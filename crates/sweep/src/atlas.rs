@@ -17,11 +17,11 @@
 //! rank column in `ATLAS.md` orders the rest.
 
 use crate::grid::{backfill_tag, objective_tag, policy_tag, Campaign};
-use crate::json::Json;
 use crate::runner::CampaignOutcome;
 use jobsched_algos::AlgorithmSpec;
 use jobsched_core::experiment::Scale;
 use jobsched_core::objective_select::ObjectiveKind;
+use jobsched_json::Json;
 use jobsched_metrics::pareto::{pareto_front, pareto_ranks, Point};
 
 /// Schema tag written into the JSON artifact (documented in
@@ -435,7 +435,7 @@ mod tests {
         let (campaign, outcome) = smoke_run();
         let report = build_report(&campaign, &outcome, tiny(), true);
         let text = report.json.to_string_pretty();
-        let doc = crate::json::parse(&text).expect("artifact must re-parse");
+        let doc = jobsched_json::parse(&text).expect("artifact must re-parse");
         assert_eq!(doc.get("schema").unwrap().as_str().unwrap(), ATLAS_SCHEMA);
         assert_eq!(
             doc.get("cells").unwrap().as_u64().unwrap(),

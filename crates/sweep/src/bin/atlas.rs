@@ -76,12 +76,7 @@ fn parse_args() -> Args {
             "--scale" => {
                 args.scale_explicit = true;
                 args.scale_name = value(&argv, &mut i);
-                args.scale = match args.scale_name.as_str() {
-                    "quick" => Scale::quick(),
-                    "standard" => Scale::standard(),
-                    "paper" => Scale::paper(),
-                    _ => usage(),
-                };
+                args.scale = Scale::from_name(&args.scale_name).unwrap_or_else(|| usage());
             }
             "--jobs" => {
                 args.jobs = value(&argv, &mut i).parse().unwrap_or_else(|_| usage());
@@ -172,7 +167,7 @@ fn main() -> ExitCode {
     let text = report.json.to_string_pretty();
     // The artifact must stay consumable by the repo's own JSON reader
     // (CI re-checks with json_check).
-    jobsched_sweep::json::parse(&text).expect("atlas JSON must parse");
+    jobsched_json::parse(&text).expect("atlas JSON must parse");
     if let Err(e) = std::fs::write(&args.out, text + "\n") {
         eprintln!("atlas: cannot write {}: {e}", args.out);
         return ExitCode::FAILURE;

@@ -1,5 +1,5 @@
 //! Validate that a file parses with the repo's own JSON reader
-//! (`jobsched_sweep::json`). CI uses this to gate benchmark artifacts:
+//! (`jobsched_json`). CI uses this to gate benchmark artifacts:
 //! anything the sweep subsystem could not re-read later fails the build.
 //!
 //! Usage: `json_check FILE...` — exits non-zero on the first file that is
@@ -21,11 +21,11 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        match jobsched_sweep::json::parse(&text) {
+        match jobsched_json::parse(&text) {
             Ok(doc) => {
                 let kind = match doc {
-                    jobsched_sweep::json::Json::Obj(ref m) => format!("object, {} keys", m.len()),
-                    jobsched_sweep::json::Json::Arr(ref a) => format!("array, {} items", a.len()),
+                    jobsched_json::Json::Obj(ref m) => format!("object, {} keys", m.len()),
+                    jobsched_json::Json::Arr(ref a) => format!("array, {} items", a.len()),
                     _ => "scalar".to_string(),
                 };
                 eprintln!("{path}: ok ({kind})");

@@ -9,11 +9,11 @@
 //! spec exactly once and shares it across cells.
 
 use crate::hash::StableHasher;
-use crate::json::Json;
 use jobsched_algos::spec::PolicyKind;
 use jobsched_algos::{AlgorithmSpec, BackfillMode, ScoreFn};
 use jobsched_core::experiment::Scale;
 use jobsched_core::objective_select::ObjectiveKind;
+use jobsched_json::Json;
 use jobsched_workload::ctc::prepared_ctc_workload;
 use jobsched_workload::exact::with_exact_estimates;
 use jobsched_workload::probabilistic::probabilistic_workload;
@@ -126,28 +126,14 @@ impl WorkloadSpec {
     }
 }
 
-/// Stable tag for a policy kind (cache keys, JSON). Priority rows use
-/// their scoring function's tag ("sjf", "wfp3", ... — and "p-fcfs",
-/// distinct from the legacy "fcfs" row).
+/// Stable tag for a policy kind (cache keys, JSON): [`PolicyKind::tag`].
 pub fn policy_tag(kind: PolicyKind) -> &'static str {
-    match kind {
-        PolicyKind::Fcfs => "fcfs",
-        PolicyKind::Psrs => "psrs",
-        PolicyKind::SmartFfia => "smart-ffia",
-        PolicyKind::SmartNfiw => "smart-nfiw",
-        PolicyKind::GareyGraham => "garey-graham",
-        PolicyKind::Priority(s) => s.tag(),
-        PolicyKind::Dfrs => "dfrs",
-        PolicyKind::Moldable => "moldable",
-    }
+    kind.tag()
 }
 
-/// Parse a [`policy_tag`] back.
+/// Parse a [`policy_tag`] back: [`PolicyKind::from_tag`].
 pub fn parse_policy_tag(tag: &str) -> Option<PolicyKind> {
-    PolicyKind::atlas()
-        .into_iter()
-        .chain(PolicyKind::TIME_SHARED)
-        .find(|&k| policy_tag(k) == tag)
+    PolicyKind::from_tag(tag)
 }
 
 /// Stable tag for a backfill mode (cache keys, JSON).
@@ -759,10 +745,10 @@ mod tests {
 
     #[test]
     fn tags_roundtrip() {
-        for k in PolicyKind::atlas() {
-            assert_eq!(parse_policy_tag(policy_tag(k)), Some(k));
-        }
-        for k in PolicyKind::TIME_SHARED {
+        for k in PolicyKind::atlas()
+            .into_iter()
+            .chain(PolicyKind::TIME_SHARED)
+        {
             assert_eq!(parse_policy_tag(policy_tag(k)), Some(k));
         }
         for m in [
@@ -776,12 +762,6 @@ mod tests {
             assert_eq!(objective_tag(o), tag);
             assert_eq!(parse_objective_tag(tag), Some(o));
         }
-        assert_eq!(parse_policy_tag("nope"), None);
-        // The priority FCFS row must not collide with the paper's row.
-        assert_ne!(
-            policy_tag(PolicyKind::Fcfs),
-            policy_tag(PolicyKind::Priority(ScoreFn::Fcfs))
-        );
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //!   (`<out>/cache/<2hex>/<16hex>.json`), corrupt entries are misses;
 //! * [`manifest`] — the campaign manifest tying records to tables;
 //! * [`hash`] — stable FNV-1a hashing; JSON lives in the shared
-//!   [`jobsched_json`] crate (the build is fully offline: no serde) and
-//!   is re-exported here as [`json`] for the existing callers;
+//!   [`jobsched_json`] crate (the build is fully offline: no serde);
 //! * [`runner`] — [`runner::run_campaign`] gluing it all together;
 //! * [`progress`] — throttled stderr progress reporting;
 //! * [`atlas`] — the scheduler-atlas report: `bench-atlas/1` JSON and
@@ -37,7 +36,6 @@ pub mod atlas;
 pub mod cache;
 pub mod grid;
 pub mod hash;
-pub use jobsched_json as json;
 pub mod manifest;
 pub mod pool;
 pub mod progress;

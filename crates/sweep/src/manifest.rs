@@ -10,8 +10,8 @@
 //! simulated it fresh.
 
 use crate::grid::{backfill_tag, objective_tag, policy_tag, Campaign};
-use crate::json::Json;
 use crate::record::{RunRecord, SCHEMA_VERSION};
+use jobsched_json::Json;
 
 /// Build the manifest document for a finished campaign. `records` and
 /// `cached` run parallel to `campaign.cells`.

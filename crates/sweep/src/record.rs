@@ -19,10 +19,10 @@ use crate::grid::{
     policy_tag, CellSpec,
 };
 use crate::hash::hex;
-use crate::json::{parse, Json};
 use jobsched_algos::AlgorithmSpec;
 use jobsched_core::experiment::{EngineCounts, EvalCell};
 use jobsched_core::objective_select::ObjectiveKind;
+use jobsched_json::{parse, Json};
 use std::time::Duration;
 
 /// Version stamp mixed into every cache key and written into every

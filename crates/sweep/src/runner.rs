@@ -186,8 +186,8 @@ pub fn run_campaign(campaign: &Campaign, opts: &SweepOptions) -> io::Result<Camp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
     use jobsched_core::experiment::Scale;
+    use jobsched_json::parse;
     use std::path::Path;
 
     fn scale() -> Scale {

@@ -13,11 +13,11 @@
 use crate::atlas::AtlasDoc;
 use crate::controller::{Controller, Switch, TunerConfig};
 use crate::fit::Fit;
+use jobsched_json::Json;
 use jobsched_metrics::MetricsSnapshot;
 use jobsched_serve::engine::Engine;
 use jobsched_serve::protocol::Request;
 use jobsched_serve::{SchedulerSpec, ServeConfig};
-use jobsched_sweep::json::Json;
 use jobsched_sweep::WorkloadSpec;
 use jobsched_workload::Time;
 

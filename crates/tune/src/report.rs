@@ -9,7 +9,7 @@ use crate::controller::Switch;
 use crate::demo::DemoOutcome;
 use crate::fit::Fit;
 use crate::significance::Significance;
-use jobsched_sweep::json::Json;
+use jobsched_json::Json;
 
 /// Schema tag of the JSON artifact (documented in `EXPERIMENTS.md`).
 pub const TUNE_SCHEMA: &str = "bench-tune/1";
@@ -391,7 +391,7 @@ mod tests {
         assert!(doc.get("tuner").is_none());
         // Round-trips through the parser.
         let text = doc.to_string_pretty();
-        let back = jobsched_sweep::json::parse(&text).unwrap();
+        let back = jobsched_json::parse(&text).unwrap();
         assert_eq!(
             back.get("schema").and_then(|s| s.as_str()),
             Some("bench-tune/1")

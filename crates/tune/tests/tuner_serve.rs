@@ -13,7 +13,7 @@ use jobsched_tune::{build_json, fit, parse_atlas, run_demo, DemoOptions, FitOpti
 fn committed_atlas() -> jobsched_tune::AtlasDoc {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_atlas.json");
     let text = std::fs::read_to_string(path).expect("committed BENCH_atlas.json present");
-    let doc = jobsched_sweep::json::parse(&text).expect("atlas parses as JSON");
+    let doc = jobsched_json::parse(&text).expect("atlas parses as JSON");
     parse_atlas(&doc).expect("atlas is a well-formed bench-atlas document")
 }
 

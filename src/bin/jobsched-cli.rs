@@ -2,14 +2,15 @@
 //! the paper's algorithms and report the §4 objectives.
 //!
 //! ```text
-//! jobsched-cli simulate --swf trace.swf [--algo fcfs|psrs|smart-ffia|smart-nfiw|gg]
+//! jobsched-cli simulate --swf trace.swf [--algo fcfs|psrs|smart-ffia|smart-nfiw|gg|sjf|wfp3|...]
 //!              [--backfill none|conservative|easy] [--weighted]
 //!              [--nodes N] [--clean]
 //! jobsched-cli generate --out trace.swf [--jobs N] [--seed S]
 //! jobsched-cli stats --swf trace.swf
 //! ```
 //!
-//! `simulate` prepares the trace exactly as §6.1 does when `--nodes` is
+//! `--algo` takes any rigid row's `PolicyKind::tag` (`gg` is short for
+//! `garey-graham`). `simulate` prepares the trace exactly as §6.1 does when `--nodes` is
 //! below the trace's machine (delete wider jobs, retarget), optionally
 //! applies the archive cleaning rules (`--clean`), runs the online
 //! simulation and prints ART, AWRT, utilization, makespan and fairness.
@@ -29,7 +30,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!("usage: jobsched-cli <simulate|generate|stats> [options]");
-    eprintln!("  simulate --swf FILE [--algo fcfs|psrs|smart-ffia|smart-nfiw|gg]");
+    eprintln!("  simulate --swf FILE [--algo fcfs|psrs|smart-ffia|smart-nfiw|gg|sjf|wfp3|...]");
     eprintln!("           [--backfill none|conservative|easy] [--weighted] [--nodes N] [--clean]");
     eprintln!("  generate --out FILE [--jobs N] [--seed S]");
     eprintln!("  stats    --swf FILE");
@@ -80,13 +81,12 @@ fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
     }
     workload.validate().map_err(|e| e.to_string())?;
 
+    // Any rigid row by its tag; the time-shared rows need another engine.
     let kind = match flags.get("algo").map(String::as_str).unwrap_or("fcfs") {
-        "fcfs" => PolicyKind::Fcfs,
-        "psrs" => PolicyKind::Psrs,
-        "smart-ffia" => PolicyKind::SmartFfia,
-        "smart-nfiw" => PolicyKind::SmartNfiw,
-        "gg" | "garey-graham" => PolicyKind::GareyGraham,
-        other => return Err(format!("unknown --algo '{other}'")),
+        "gg" => PolicyKind::GareyGraham,
+        tag => PolicyKind::from_tag(tag)
+            .filter(|k| !k.time_shared())
+            .ok_or_else(|| format!("unknown --algo '{tag}'"))?,
     };
     let backfill = match flags.get("backfill").map(String::as_str).unwrap_or("easy") {
         "none" => BackfillMode::None,
@@ -102,8 +102,8 @@ fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
 
     let spec = AlgorithmSpec::new(kind, backfill);
     eprintln!("# scheduling {} jobs with {}", workload.len(), spec.name());
-    let mut scheduler = spec.build(scheme);
-    let outcome = simulate(&workload, &mut scheduler);
+    let mut scheduler = spec.build_dyn(scheme, true);
+    let outcome = simulate(&workload, scheduler.as_mut());
     assert!(outcome.schedule.validate(&workload).is_empty());
 
     let s = &outcome.schedule;

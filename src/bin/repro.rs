@@ -22,7 +22,6 @@
 //! cache plus a `manifest.json`, and `--resume` serves already-cached
 //! cells from DIR instead of re-simulating them.
 
-use jobsched_bench::{describe, parse_scale};
 use jobsched_core::ablation;
 use jobsched_core::experiment::{EvalTable, Scale};
 use jobsched_core::objective_select::ObjectiveKind;
@@ -54,7 +53,7 @@ fn parse_args() -> Options {
         match arg.as_str() {
             "--scale" => {
                 let name = args.next().unwrap_or_default();
-                scale = parse_scale(&name).unwrap_or_else(|| {
+                scale = Scale::from_name(&name).unwrap_or_else(|| {
                     eprintln!("unknown scale '{name}' (quick|standard|paper)");
                     std::process::exit(2);
                 });
@@ -128,8 +127,8 @@ fn main() {
     let opts = parse_args();
     let wants = |name: &str| opts.items.iter().any(|i| i == name || i == "all");
     println!(
-        "# IPPS'99 scheduling-algorithm evaluation — {}",
-        describe(opts.scale)
+        "# IPPS'99 scheduling-algorithm evaluation — {} CTC-like jobs, {} synthetic jobs, seed {}",
+        opts.scale.ctc_jobs, opts.scale.synthetic_jobs, opts.scale.seed
     );
     println!();
 

@@ -2,9 +2,8 @@
 //! not just the calibrated ones.
 //!
 //! Randomization runs on the repo's own deterministic generators
-//! (`jobsched::workload::rng`) instead of `proptest`, whose feature is a
-//! no-op gate in the offline build — these properties run in every plain
-//! `cargo test -q`.
+//! (`jobsched::workload::rng`) — the offline build has no `proptest` —
+//! so these properties run in every plain `cargo test -q`.
 
 use jobsched::algos::spec::PolicyKind;
 use jobsched::algos::view::WeightScheme;
