@@ -1,5 +1,5 @@
 //! Selection strategies: greedy list scheduling and the two backfilling
-//! variants of §5.2 (Lifka [10], Feitelson & Weil [4]).
+//! variants of §5.2 (Lifka \[10\], Feitelson & Weil \[4\]).
 //!
 //! All strategies take the current priority order of the waiting jobs and
 //! the machine state and return the jobs to start *now*:
@@ -8,7 +8,7 @@
 //!   is started as soon as the necessary resources are available"): start
 //!   from the head until the first job that does not fit.
 //! * [`BackfillMode::Easy`] — "EASY backfill … will not postpone the
-//!   *projected* execution of the next job in the list [but] may increase
+//!   *projected* execution of the next job in the list \[but\] may increase
 //!   the completion time of jobs further down the list": compute the head
 //!   job's shadow time and spare nodes from the projected ends of running
 //!   jobs; backfill any later job that fits now and either ends (by its
@@ -17,6 +17,10 @@
 //!   completion time of a job submitted before the job used for
 //!   backfilling": every queued job gets a reservation in priority order;
 //!   a job starts now only if its earliest reservation is now.
+//!
+//! Every scan covers one node-class pool (`ClassId(0)` of a single-class
+//! machine is the whole machine); the list scheduler runs one per pool
+//! over the jobs resolved to it.
 //!
 //! All reasoning uses user estimates; §5.2's caveat — a running job "may
 //! terminate within the next 5 minutes" instead of its projected 2 hours,
@@ -50,24 +54,15 @@ impl BackfillMode {
     }
 }
 
-/// Greedy head-blocking list schedule: start jobs in priority order until
-/// the first that does not fit.
+/// Greedy head-blocking list schedule over one node-class pool: start
+/// jobs in priority order until the first that does not fit. The order
+/// must contain only jobs resolved to `class`; on a single-class machine
+/// `ClassId(0)` is the whole machine.
 ///
 /// Lazy over the order: stops consuming at the first misfit, so plain
 /// FCFS pays O(started + 1) per decision, not O(queue) — which is what
 /// makes the paper's Table 7 cost relationships (list scheduling far
 /// cheaper than backfilling) measurable.
-pub fn select_head_blocking(
-    order: impl IntoIterator<Item = JobId>,
-    waiting: &Waiting,
-    machine: &Machine,
-) -> Vec<JobId> {
-    select_head_blocking_in(ClassId(0), order, waiting, machine)
-}
-
-/// [`select_head_blocking`] restricted to one node-class pool. The order
-/// must contain only jobs resolved to `class`; on a single-class machine
-/// `ClassId(0)` reproduces the whole-machine scan bit for bit.
 pub fn select_head_blocking_in(
     class: ClassId,
     order: impl IntoIterator<Item = JobId>,
@@ -115,21 +110,12 @@ enum Avail<'a> {
     Live(&'a mut Profile),
 }
 
-/// EASY backfilling (Lifka's original method), full scan. Rebuilds the
-/// availability profile from the running set — the pre-incremental
-/// baseline, kept for the bench comparison and the differential oracle.
-pub fn scan_easy(
-    order: impl IntoIterator<Item = JobId>,
-    waiting: &Waiting,
-    machine: &Machine,
-    now: Time,
-) -> EasyScan {
-    scan_easy_inner(ClassId(0), order, waiting, machine, now, Avail::Rebuild)
-}
-
-/// [`scan_easy`] restricted to one node-class pool: free nodes, the
-/// rebuilt profile, and the shadow computation all read only that pool.
-/// The order must contain only jobs resolved to `class`.
+/// EASY backfilling (Lifka's original method), full scan of one
+/// node-class pool: free nodes, the profile and the shadow computation
+/// all read only that pool, and the order must contain only jobs
+/// resolved to `class`. Rebuilds the availability profile from the
+/// running set — the pre-incremental baseline, kept as the differential
+/// oracle.
 pub fn scan_easy_in(
     class: ClassId,
     order: impl IntoIterator<Item = JobId>,
@@ -140,34 +126,15 @@ pub fn scan_easy_in(
     scan_easy_inner(class, order, waiting, machine, now, Avail::Rebuild)
 }
 
-/// EASY backfilling over the machine's incremental [`jobsched_sim::LiveProfile`].
+/// EASY backfilling over the pool's incremental
+/// [`jobsched_sim::LiveProfile`].
 ///
 /// When phase 1 starts nothing (the usual steady state: the head stays
 /// blocked), the shadow time and spare nodes are answered directly from
 /// the calendar — no step function is materialised at all. Otherwise the
 /// calendar is merged into `scratch` (linear, no sort, reusing its
 /// allocation) and the just-started picks are overlaid as reservations.
-/// Results are bit-identical to [`scan_easy`].
-pub fn scan_easy_live(
-    order: impl IntoIterator<Item = JobId>,
-    waiting: &Waiting,
-    machine: &Machine,
-    now: Time,
-    scratch: &mut Profile,
-) -> EasyScan {
-    scan_easy_inner(
-        ClassId(0),
-        order,
-        waiting,
-        machine,
-        now,
-        Avail::Live(scratch),
-    )
-}
-
-/// [`scan_easy_live`] restricted to one node-class pool, reading the
-/// pool's incremental calendar. The order must contain only jobs resolved
-/// to `class`.
+/// Results are bit-identical to [`scan_easy_in`].
 pub fn scan_easy_live_in(
     class: ClassId,
     order: impl IntoIterator<Item = JobId>,
@@ -274,16 +241,6 @@ fn scan_easy_inner(
     }
 }
 
-/// EASY backfilling: the picks of a full scan.
-pub fn select_easy(
-    order: impl IntoIterator<Item = JobId>,
-    waiting: &Waiting,
-    machine: &Machine,
-    now: Time,
-) -> Vec<JobId> {
-    scan_easy(order, waiting, machine, now).picks
-}
-
 /// Result of a full conservative scan.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConservativeScan {
@@ -295,13 +252,15 @@ pub struct ConservativeScan {
 }
 
 /// Queue depth beyond which the conservative scan switches to the
-/// horizon-truncated fast path (see [`scan_conservative`]). Depths like
+/// horizon-truncated fast path (see [`scan_conservative_in`]). Depths like
 /// this only arise under pathological overload (the §6.3 randomized
 /// workload); the paper-relevant workloads stay on the exact path.
 pub const CONSERVATIVE_TRUNCATION_DEPTH: usize = 512;
 
-/// Conservative backfilling, full scan: build the reservation calendar in
-/// priority order; start exactly the jobs whose reservation is `now`.
+/// Conservative backfilling, full scan of one node-class pool: build the
+/// reservation calendar (covering only that pool's capacity) in priority
+/// order; start exactly the jobs whose reservation is `now`. The order
+/// must contain only jobs resolved to `class`.
 ///
 /// For queues deeper than [`CONSERVATIVE_TRUNCATION_DEPTH`] the scan
 /// truncates the calendar at a horizon of `now + 4 × max requested time`:
@@ -313,19 +272,6 @@ pub const CONSERVATIVE_TRUNCATION_DEPTH: usize = 512;
 /// conservative no-delay guarantee. Without the truncation, each of the
 /// O(queue) reservations scans an O(queue)-breakpoint profile and the
 /// §6.3 stress workload becomes quadratic per event.
-pub fn scan_conservative(
-    order: impl IntoIterator<Item = JobId>,
-    queue_len: usize,
-    waiting: &Waiting,
-    machine: &Machine,
-    now: Time,
-) -> ConservativeScan {
-    scan_conservative_in(ClassId(0), order, queue_len, waiting, machine, now)
-}
-
-/// [`scan_conservative`] restricted to one node-class pool: the
-/// reservation calendar covers only that pool's capacity. The order must
-/// contain only jobs resolved to `class`.
 pub fn scan_conservative_in(
     class: ClassId,
     order: impl IntoIterator<Item = JobId>,
@@ -338,24 +284,11 @@ pub fn scan_conservative_in(
     scan_conservative_over(class, order, queue_len, waiting, machine, now, &mut profile)
 }
 
-/// Conservative backfilling over the machine's incremental
-/// [`jobsched_sim::LiveProfile`]: the calendar is merged into `scratch` (linear, no
-/// sort, reusing its allocation) and the scan books reservations there.
-/// Results are bit-identical to [`scan_conservative`].
-pub fn scan_conservative_live(
-    order: impl IntoIterator<Item = JobId>,
-    queue_len: usize,
-    waiting: &Waiting,
-    machine: &Machine,
-    now: Time,
-    scratch: &mut Profile,
-) -> ConservativeScan {
-    scan_conservative_live_in(ClassId(0), order, queue_len, waiting, machine, now, scratch)
-}
-
-/// [`scan_conservative_live`] restricted to one node-class pool, reading
-/// the pool's incremental calendar. The order must contain only jobs
-/// resolved to `class`.
+/// Conservative backfilling over the pool's incremental
+/// [`jobsched_sim::LiveProfile`]: the calendar is merged into `scratch`
+/// (linear, no sort, reusing its allocation) and the scan books
+/// reservations there. Results are bit-identical to
+/// [`scan_conservative_in`].
 #[allow(clippy::too_many_arguments)]
 pub fn scan_conservative_live_in(
     class: ClassId,
@@ -442,17 +375,6 @@ fn scan_conservative_over(
     }
 }
 
-/// Conservative backfilling: the picks of a full scan over the whole
-/// queue (the order must cover every waiting job).
-pub fn select_conservative(
-    order: impl IntoIterator<Item = JobId>,
-    waiting: &Waiting,
-    machine: &Machine,
-    now: Time,
-) -> Vec<JobId> {
-    scan_conservative(order, waiting.len(), waiting, machine, now).picks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,6 +392,26 @@ mod tests {
         }
     }
 
+    const POOL: ClassId = ClassId(0);
+
+    fn select_easy(
+        order: impl IntoIterator<Item = JobId>,
+        w: &Waiting,
+        m: &Machine,
+        now: Time,
+    ) -> Vec<JobId> {
+        scan_easy_in(POOL, order, w, m, now).picks
+    }
+
+    fn select_conservative(
+        order: impl IntoIterator<Item = JobId>,
+        w: &Waiting,
+        m: &Machine,
+        now: Time,
+    ) -> Vec<JobId> {
+        scan_conservative_in(POOL, order, w.len(), w, m, now).picks
+    }
+
     fn waiting(reqs: &[JobRequest]) -> (Waiting, Vec<JobId>) {
         let mut w = Waiting::new();
         for r in reqs {
@@ -485,7 +427,7 @@ mod tests {
         let (w, order) = waiting(&[req(0, 4, 10), req(1, 8, 10), req(2, 1, 10)]);
         // J1 does not fit after J0; J2 would, but head-blocking stops.
         assert_eq!(
-            select_head_blocking(order.iter().copied(), &w, &m),
+            select_head_blocking_in(POOL, order.iter().copied(), &w, &m),
             vec![JobId(0)]
         );
     }
@@ -590,7 +532,7 @@ mod tests {
             .collect();
         let (w, order) = waiting(&reqs);
         for picks in [
-            select_head_blocking(order.iter().copied(), &w, &m),
+            select_head_blocking_in(POOL, order.iter().copied(), &w, &m),
             select_easy(order.iter().copied(), &w, &m, 0),
             select_conservative(order.iter().copied(), &w, &m, 0),
         ] {
@@ -603,7 +545,7 @@ mod tests {
     fn empty_order_yields_nothing() {
         let m = Machine::new(10);
         let (w, _) = waiting(&[]);
-        assert!(select_head_blocking([], &w, &m).is_empty());
+        assert!(select_head_blocking_in(POOL, [], &w, &m).is_empty());
         assert!(select_easy([], &w, &m, 0).is_empty());
         assert!(select_conservative([], &w, &m, 0).is_empty());
     }

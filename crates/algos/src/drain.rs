@@ -23,7 +23,7 @@
 use crate::scheduler::Waiting;
 use jobsched_sim::{JobRequest, Machine, Scheduler};
 use jobsched_workload::job::{DAY, HOUR, WEEK};
-use jobsched_workload::{JobId, Time};
+use jobsched_workload::{ClassId, JobId, Time};
 
 /// A recurring exclusive window (weekdays only, as in Example 4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -150,23 +150,28 @@ impl Scheduler for DrainingFcfs {
         }
         let window_start = self.window.next_start(now);
         let max_gap = self.window.max_gap();
-        let mut free = machine.free_nodes();
+        // One budget per node-class pool: a job can only take nodes of
+        // the pool it resolved to.
+        let mut free: Vec<u32> = (0..machine.class_count())
+            .map(|c| machine.free_in(ClassId(c as u8)))
+            .collect();
         let mut picks = Vec::new();
         let mut head_passed = false;
         for id in self.waiting.ids() {
-            if free == 0 {
+            if free.iter().all(|&f| f == 0) {
                 break;
             }
             let job = self.waiting.get(id);
+            let pool = &mut free[job.class.index()];
             // A job whose estimate exceeds the widest window-free gap can
             // never comply: the policy rules conflict (§2.1 demands such
             // conflicts be resolved) and we resolve in favour of progress —
             // the job is exempt from the drain rule.
             let clears_window =
                 now + job.requested_time.max(1) <= window_start || job.requested_time > max_gap;
-            let fits = job.nodes <= free;
+            let fits = job.nodes <= *pool;
             if fits && clears_window {
-                free -= job.nodes;
+                *pool -= job.nodes;
                 picks.push(id);
             } else if !head_passed && fits && !clears_window {
                 // Head is blocked purely by the window: later jobs may
@@ -361,6 +366,38 @@ mod tests {
         );
         // The long head waits for the class to end.
         assert_eq!(out.schedule.placement(JobId(0)).unwrap().start, 11 * HOUR);
+    }
+
+    #[test]
+    fn each_node_class_pool_has_its_own_budget() {
+        use jobsched_workload::{MachineLayout, NodeClassSpec, NodeType};
+        // 8 thin + 2 wide nodes. Job 0 fills the thin pool; job 1 (thin,
+        // 2 nodes) must wait for it although 2 *wide* nodes sit free —
+        // budgeting against the summed free count would start it into a
+        // full pool.
+        let pool = |node_type, memory_mb, count| NodeClassSpec {
+            node_type,
+            memory_mb,
+            count,
+        };
+        let layout = MachineLayout::new(vec![
+            pool(NodeType::Thin, 512, 8),
+            pool(NodeType::Wide, 2048, 2),
+        ]);
+        let thin = |submit, nodes| {
+            JobBuilder::new(JobId(0))
+                .submit(submit)
+                .nodes(nodes)
+                .requested(100)
+                .runtime(100)
+                .node_type(NodeType::Thin)
+                .memory_mb(256)
+                .build()
+        };
+        let w = Workload::new("two-class", 10, vec![thin(0, 8), thin(1, 2)]).with_layout(layout);
+        let out = simulate(&w, &mut DrainingFcfs::new(RecurringWindow::example4()));
+        assert!(out.schedule.validate(&w).is_empty());
+        assert_eq!(out.schedule.placement(JobId(1)).unwrap().start, 100);
     }
 
     #[test]

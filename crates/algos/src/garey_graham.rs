@@ -1,4 +1,4 @@
-//! Classical list scheduling by Garey & Graham [6] (§5.3).
+//! Classical list scheduling by Garey & Graham \[6\] (§5.3).
 //!
 //! "The classical list scheduling algorithm … always starts the next job
 //! for which enough resources are available. Ties can be broken in an
@@ -9,7 +9,7 @@
 //! backfilling will be of no benefit for this method."
 //!
 //! We break ties in submission order. The selection logic is
-//! [`select_greedy_any`]; the classical Graham bound (a greedy schedule's
+//! [`select_greedy_any_in`]; the classical Graham bound (a greedy schedule's
 //! makespan is < 2× the lower bound when jobs are available) is asserted
 //! in the integration tests.
 
@@ -17,24 +17,15 @@ use crate::scheduler::Waiting;
 use jobsched_sim::Machine;
 use jobsched_workload::{ClassId, JobId};
 
-/// Start *any* waiting job, in list order, for which enough resources are
-/// available. Lazy over the order: stops once the machine is full.
+/// Start *any* waiting job of one node-class pool, in list order, for
+/// which enough resources are available. Lazy over the order: stops once
+/// the pool is full. The order must contain only jobs resolved to
+/// `class`; on a single-class machine `ClassId(0)` is the whole machine.
 ///
 /// Greedy-any needs only the *instantaneous* free-node count — it never
-/// reasons about the future, so it reads the head of the machine's
+/// reasons about the future, so it reads the head of the pool's
 /// incremental availability calendar ([`jobsched_sim::LiveProfile`])
 /// rather than materialising a step function.
-pub fn select_greedy_any(
-    order: impl IntoIterator<Item = JobId>,
-    waiting: &Waiting,
-    machine: &Machine,
-) -> Vec<JobId> {
-    select_greedy_any_in(ClassId(0), order, waiting, machine)
-}
-
-/// [`select_greedy_any`] restricted to one node-class pool. The order
-/// must contain only jobs resolved to `class`; on a single-class machine
-/// `ClassId(0)` reproduces the whole-machine scan bit for bit.
 pub fn select_greedy_any_in(
     class: ClassId,
     order: impl IntoIterator<Item = JobId>,
@@ -84,7 +75,7 @@ mod tests {
         let order = [JobId(0), JobId(1), JobId(2), JobId(3)];
         // 4 fits (6 left), 8 skipped, 5 fits (1 left), 1 fits (0 left).
         assert_eq!(
-            select_greedy_any(order.iter().copied(), &w, &m),
+            select_greedy_any_in(ClassId(0), order.iter().copied(), &w, &m),
             vec![JobId(0), JobId(2), JobId(3)]
         );
     }
@@ -97,7 +88,7 @@ mod tests {
         // Job 0 can never fit (invalid for machine); select just skips it.
         w.insert(req(0, 11, 10));
         w.insert(req(1, 10, 10));
-        let picks = select_greedy_any([JobId(0), JobId(1)], &w, &m);
+        let picks = select_greedy_any_in(ClassId(0), [JobId(0), JobId(1)], &w, &m);
         assert_eq!(picks, vec![JobId(1)]);
     }
 
@@ -110,7 +101,7 @@ mod tests {
         }
         let order: Vec<JobId> = (0..100).map(JobId).collect();
         assert_eq!(
-            select_greedy_any(order.iter().copied(), &w, &m),
+            select_greedy_any_in(ClassId(0), order.iter().copied(), &w, &m),
             vec![JobId(0)]
         );
     }

@@ -1,8 +1,9 @@
 //! The paper's scheduling algorithms (§5) and backfilling variants.
 //!
-//! All five algorithms are realised as *list schedulers*: an ordering
-//! policy produces a priority order over the waiting jobs, and a selection
-//! strategy decides which ordered jobs start now:
+//! All five algorithms are instances of one list scheduler
+//! ([`scheduler::ListScheduler`]): an ordering policy produces a priority
+//! order over the waiting jobs, and a selection strategy decides which
+//! ordered jobs start now:
 //!
 //! | paper algorithm | ordering ([`order::OrderPolicy`]) | selection |
 //! |---|---|---|
@@ -16,11 +17,13 @@
 //! no benefit to Garey & Graham (§5.3) because it already starts every
 //! fitting job.
 //!
-//! Beyond the paper's rows, [`priority::PriorityScheduler`] generalises
-//! the ordering side into a scoring function over (wait, estimate,
-//! width) — SJF/LJF, smallest/largest-first, WFP, WFP³, UNICEF and
-//! SC'17-style F-combinations ([`priority::ScoreFn`]) — each composing
-//! with the same three selection strategies.
+//! Beyond the paper's rows, [`order::OrderPolicy::Score`] makes the
+//! ordering side a scoring function over (wait, estimate, width) —
+//! SJF/LJF, smallest/largest-first, WFP, WFP³, UNICEF and SC'17-style
+//! F-combinations ([`priority::ScoreFn`]) — re-ranked at every decision
+//! and composing with the same three selection strategies. The §7
+//! day/night combination ([`switching::SwitchingScheduler`]) orders one
+//! queue by two policies and selects through the same scans.
 //!
 //! The offline algorithms are adapted to the online setting exactly as
 //! §5.4/§5.5 describe: they only *order* the wait queue; user estimates
@@ -44,7 +47,7 @@ pub mod view;
 pub use backfill::BackfillMode;
 pub use dfrs::{DfrsScheduler, MoldableScheduler};
 pub use order::OrderPolicy;
-pub use priority::{PriorityScheduler, ScoreFn};
+pub use priority::ScoreFn;
 pub use scheduler::{ListScheduler, ProfileMode};
 pub use smart::SmartVariant;
 pub use spec::AlgorithmSpec;

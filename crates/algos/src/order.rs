@@ -8,7 +8,13 @@
 //! a certain value. In the example a ratio of 2/3 is used." We read this
 //! as: recompute once the *unordered* fraction of the queue exceeds ⅓
 //! (equivalently, the ordered fraction has fallen below ⅔); see DESIGN.md.
+//!
+//! The priority family ([`OrderPolicy::Score`]) is the third kind of
+//! order: a scoring rule over (wait, estimate, width) whose ranking
+//! drifts with the clock, so it is re-ranked at every decision instead
+//! of on the §5.4 trigger.
 
+use crate::priority::ScoreFn;
 use crate::psrs::{psrs_order, PsrsParams};
 use crate::smart::{smart_order, SmartVariant};
 use crate::view::{JobView, WeightScheme};
@@ -37,6 +43,10 @@ pub enum OrderPolicy {
         /// Weight regime.
         scheme: WeightScheme,
     },
+    /// Ascending `(score, id)` under a [`ScoreFn`], re-ranked at every
+    /// decision ([`crate::priority::rank`]): wait-dependent scores
+    /// reorder the queue between events.
+    Score(ScoreFn),
 }
 
 impl OrderPolicy {
@@ -57,15 +67,19 @@ impl OrderPolicy {
         }
     }
 
-    /// Whether the order must be recomputed as the queue evolves.
+    /// Whether the order is an offline algorithm's, recomputed on the
+    /// §5.4 trigger as the queue evolves.
     pub fn is_dynamic(&self) -> bool {
         matches!(self, OrderPolicy::Smart { .. } | OrderPolicy::Psrs { .. })
     }
 
-    /// Weight scheme used by the policy (trivial for FCFS / G&G).
+    /// Weight scheme used by the policy (trivial for FCFS / G&G and
+    /// the scoring rules).
     pub fn scheme(&self) -> WeightScheme {
         match self {
-            OrderPolicy::Fcfs | OrderPolicy::GareyGraham => WeightScheme::Unweighted,
+            OrderPolicy::Fcfs | OrderPolicy::GareyGraham | OrderPolicy::Score(_) => {
+                WeightScheme::Unweighted
+            }
             OrderPolicy::Smart { scheme, .. } | OrderPolicy::Psrs { scheme, .. } => *scheme,
         }
     }
@@ -77,14 +91,16 @@ impl OrderPolicy {
             OrderPolicy::GareyGraham => "Garey&Graham".into(),
             OrderPolicy::Smart { variant, .. } => format!("SMART-{}", variant.label()),
             OrderPolicy::Psrs { .. } => "PSRS".into(),
+            OrderPolicy::Score(score) => score.label().into(),
         }
     }
 
     /// Run the offline ordering algorithm over the given queue snapshot.
-    /// Only meaningful for dynamic policies.
+    /// Only meaningful for dynamic policies; the others (a snapshot
+    /// carries no clock to score against) answer submission order.
     pub fn compute(&self, views: &[JobView], machine_nodes: u32) -> Vec<JobId> {
         match self {
-            OrderPolicy::Fcfs | OrderPolicy::GareyGraham => {
+            OrderPolicy::Fcfs | OrderPolicy::GareyGraham | OrderPolicy::Score(_) => {
                 let mut ids: Vec<JobId> = views.iter().map(|v| v.id).collect();
                 ids.sort_unstable();
                 ids
@@ -147,6 +163,7 @@ mod tests {
     fn dynamic_flags() {
         assert!(!OrderPolicy::Fcfs.is_dynamic());
         assert!(!OrderPolicy::GareyGraham.is_dynamic());
+        assert!(!OrderPolicy::Score(ScoreFn::Wfp).is_dynamic());
         assert!(OrderPolicy::smart(SmartVariant::Ffia, WeightScheme::Unweighted).is_dynamic());
         assert!(OrderPolicy::psrs(WeightScheme::ProjectedArea).is_dynamic());
     }

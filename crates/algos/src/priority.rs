@@ -1,17 +1,21 @@
-//! The priority-policy scheduler family: one composable scheduler
-//! parameterized by a scoring function over (wait, estimate, width).
+//! The priority-policy family: scoring rules over (wait, estimate,
+//! width) that order the wait queue of the one list scheduler.
 //!
 //! This is the family the paper's evaluation (13 combos) leaves out and
 //! the batch-scheduling literature sweeps routinely: SJF/LJF,
 //! smallest/largest-first, the wait-fairness heuristics WFP/WFP³ and
 //! UNICEF, and machine-tuned linear "F" combinations (Carastan-Santos &
 //! de Camargo, SC'17). Each [`ScoreFn`] maps a waiting job to a scalar
-//! score; **smaller score = higher priority**. The scheduler re-ranks
-//! the queue on every decision (wait-dependent scores drift between
-//! events) and feeds the ranked order through exactly the same selection
-//! machinery as [`ListScheduler`](crate::scheduler::ListScheduler):
-//! head-blocking greedy, optionally upgraded with conservative or EASY
-//! backfilling, in both profile modes.
+//! score; **smaller score = higher priority**. As
+//! [`OrderPolicy::Score`](crate::order::OrderPolicy::Score) a rule is an
+//! ordering policy of [`ListScheduler`](crate::scheduler::ListScheduler)
+//! like any other: the queue is re-ranked with [`rank`] on every
+//! decision (wait-dependent scores drift between events) and the ranked
+//! order feeds the same selection machinery — head-blocking greedy,
+//! optionally upgraded with conservative or EASY backfilling, in both
+//! profile modes, per node-class pool on a partitioned machine.
+//! `ScoreFn::Fcfs` is pinned bit-identical to `OrderPolicy::Fcfs` by
+//! `crates/algos/tests/priority_fcfs_identity.rs`.
 //!
 //! # Tie-breaking (normative)
 //!
@@ -26,16 +30,14 @@
 //! # No blocked-state cache
 //!
 //! `ListScheduler`'s incremental blocked-state cache is sound only
-//! because its order between two queue events is static. Wait-dependent
+//! while the order between two queue events is static. Wait-dependent
 //! scores (WFP, UNICEF, …) reorder the queue as time passes with *no*
 //! intervening event, so a cached "nothing can start" conclusion could
-//! hold back a job that meanwhile overtook the blocked head. The
-//! priority family therefore performs a full scan per decision round.
+//! hold back a job that meanwhile overtook the blocked head. A score
+//! order therefore takes a full scan per decision round.
 
-use crate::backfill::BackfillMode;
-use crate::scheduler::{full_scan, ProfileMode, ScanConfig, Waiting};
-use jobsched_sim::{JobRequest, Machine, Profile, Scheduler};
-use jobsched_workload::{ClassId, JobId, Time};
+use jobsched_sim::JobRequest;
+use jobsched_workload::{JobId, Time};
 
 /// A scoring rule over `(wait, runtime estimate, width)`.
 ///
@@ -49,8 +51,8 @@ use jobsched_workload::{ClassId, JobId, Time};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ScoreFn {
     /// First-come-first-serve: score `-wait` (longest-waiting first —
-    /// submission order). Exists to pin the family bit-identical to the
-    /// legacy FCFS `ListScheduler`.
+    /// submission order). Exists to pin the family bit-identical to
+    /// `OrderPolicy::Fcfs`.
     Fcfs,
     /// Shortest job first: score `estimate`.
     Sjf,
@@ -159,7 +161,7 @@ impl ScoreFn {
 /// Rank jobs by `(score at now, id)` ascending — the normative ordering
 /// of the priority family, shared by the scheduler, the oracle's naive
 /// differential and the property tests. `inverted` flips the score sign
-/// (oracle impostor polarity only). Wait is `now − submit`, saturating:
+/// (the oracle's impostor scheduler only). Wait is `now − submit`, saturating:
 /// a driver may deliver the submission batch at an instant its clock
 /// still reports as the submit time.
 pub fn rank<'a, I>(score: ScoreFn, now: Time, jobs: I, inverted: bool) -> Vec<JobId>
@@ -178,149 +180,16 @@ where
     keyed.into_iter().map(|(_, id)| id).collect()
 }
 
-/// A complete priority algorithm: scoring function + backfilling mode.
-///
-/// Composes with every [`BackfillMode`] and both [`ProfileMode`]s; on a
-/// multi-class machine the ranked order is partitioned per node-class
-/// pool exactly like `ListScheduler`. `ScoreFn::Fcfs` is pinned
-/// bit-identical to the legacy FCFS `ListScheduler` by
-/// `crates/algos/tests/priority_fcfs_identity.rs`.
-#[derive(Debug)]
-pub struct PriorityScheduler {
-    score: ScoreFn,
-    backfill: BackfillMode,
-    profile_mode: ProfileMode,
-    waiting: Waiting,
-    /// Reusable step-function buffer for [`ProfileMode::Incremental`].
-    scratch: Profile,
-    /// Rank with the score sign flipped — the deliberately broken
-    /// impostor the oracle's dual-polarity corpus must catch. Never set
-    /// outside oracle self-tests.
-    inverted: bool,
-}
-
-impl PriorityScheduler {
-    /// Build a scheduler from scoring function and backfill mode.
-    pub fn new(score: ScoreFn, backfill: BackfillMode) -> Self {
-        PriorityScheduler {
-            score,
-            backfill,
-            profile_mode: ProfileMode::default(),
-            waiting: Waiting::new(),
-            scratch: Profile::empty(1, 0),
-            inverted: false,
-        }
-    }
-
-    /// Choose how the backfilling scans obtain the availability profile
-    /// (decisions are bit-identical across modes; differential tests
-    /// enforce it).
-    pub fn with_profile_mode(mut self, mode: ProfileMode) -> Self {
-        self.profile_mode = mode;
-        self
-    }
-
-    /// Flip the ranking order — the lying scheduler used to prove the
-    /// oracle's differential checks can catch a broken ordering. Not a
-    /// real policy.
-    pub fn with_inverted_order(mut self, inverted: bool) -> Self {
-        self.inverted = inverted;
-        self
-    }
-
-    /// The scoring function.
-    pub fn score_fn(&self) -> ScoreFn {
-        self.score
-    }
-
-    /// The backfilling mode.
-    pub fn backfill(&self) -> BackfillMode {
-        self.backfill
-    }
-
-    /// How the backfilling scans obtain the availability profile.
-    pub fn profile_mode(&self) -> ProfileMode {
-        self.profile_mode
-    }
-}
-
-impl Scheduler for PriorityScheduler {
-    fn name(&self) -> String {
-        format!("{}+{}", self.score.label(), self.backfill.label())
-    }
-
-    fn submit(&mut self, job: JobRequest, _now: Time) {
-        self.waiting.insert(job);
-    }
-
-    fn cancel(&mut self, id: JobId, _now: Time) {
-        if self.waiting.contains(id) {
-            self.waiting.remove(id);
-        }
-    }
-
-    fn select_starts(&mut self, now: Time, machine: &Machine) -> Vec<JobId> {
-        if machine.free_nodes() == 0 || self.waiting.is_empty() {
-            return Vec::new();
-        }
-        let config = ScanConfig {
-            greedy_any: false,
-            backfill: self.backfill,
-            profile_mode: self.profile_mode,
-        };
-        let order = rank(self.score, now, self.waiting.requests(), self.inverted);
-        let mut picks = Vec::new();
-        if machine.class_count() > 1 {
-            for c in 0..machine.class_count() {
-                let class = ClassId(c as u8);
-                if machine.free_in(class) == 0 {
-                    continue;
-                }
-                // Classes partition the ranked queue: a job picked for an
-                // earlier pool never appears in a later pool's order.
-                let class_order = order
-                    .iter()
-                    .copied()
-                    .filter(|&id| self.waiting.get(id).class == class);
-                let (p, _) = full_scan(
-                    class,
-                    config,
-                    &mut self.scratch,
-                    class_order,
-                    &self.waiting,
-                    machine,
-                    now,
-                );
-                picks.extend(p);
-            }
-        } else {
-            let (p, _) = full_scan(
-                ClassId(0),
-                config,
-                &mut self.scratch,
-                order,
-                &self.waiting,
-                machine,
-                now,
-            );
-            picks = p;
-        }
-        for &id in &picks {
-            self.waiting.remove(id);
-        }
-        picks
-    }
-
-    fn queue_len(&self) -> usize {
-        self.waiting.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jobsched_sim::simulate;
-    use jobsched_workload::{JobBuilder, Workload};
+    use crate::{BackfillMode, ListScheduler, OrderPolicy, ProfileMode};
+    use jobsched_sim::{simulate, Scheduler};
+    use jobsched_workload::{ClassId, JobBuilder, Workload};
+
+    fn scheduler(score: ScoreFn, backfill: BackfillMode) -> ListScheduler {
+        ListScheduler::new(OrderPolicy::Score(score), backfill)
+    }
 
     fn req(id: u32, submit: Time, nodes: u32, requested: Time) -> JobRequest {
         JobRequest {
@@ -420,12 +289,12 @@ mod tests {
                 BackfillMode::Easy,
             ] {
                 for mode in [ProfileMode::Rebuild, ProfileMode::Incremental] {
-                    let mut s = PriorityScheduler::new(score, backfill).with_profile_mode(mode);
+                    let mut s = scheduler(score, backfill).with_profile_mode(mode);
                     let out = simulate(&w, &mut s);
                     assert!(
                         out.schedule.validate(&w).is_empty(),
                         "invalid schedule from {}",
-                        PriorityScheduler::new(score, backfill).name()
+                        s.name()
                     );
                 }
             }
@@ -461,22 +330,16 @@ mod tests {
                 .sum::<f64>()
                 / w.len() as f64
         };
-        let sjf = simulate(
-            &w,
-            &mut PriorityScheduler::new(ScoreFn::Sjf, BackfillMode::None),
-        );
-        let fcfs = simulate(
-            &w,
-            &mut PriorityScheduler::new(ScoreFn::Fcfs, BackfillMode::None),
-        );
+        let sjf = simulate(&w, &mut scheduler(ScoreFn::Sjf, BackfillMode::None));
+        let fcfs = simulate(&w, &mut scheduler(ScoreFn::Fcfs, BackfillMode::None));
         assert!(art(&sjf.schedule) < art(&fcfs.schedule));
     }
 
     #[test]
     fn names_compose_score_and_backfill() {
-        let s = PriorityScheduler::new(ScoreFn::Wfp3, BackfillMode::Easy);
+        let s = scheduler(ScoreFn::Wfp3, BackfillMode::Easy);
         assert_eq!(s.name(), "WFP3+EASY-Backfilling");
-        let s = PriorityScheduler::new(ScoreFn::Unicef, BackfillMode::Conservative);
+        let s = scheduler(ScoreFn::Unicef, BackfillMode::Conservative);
         assert_eq!(s.name(), "UNICEF+Backfilling");
     }
 }

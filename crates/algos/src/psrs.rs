@@ -1,4 +1,4 @@
-//! PSRS — Preemptive Smith-Ratio Scheduling (Schwiegelshohn [13], §5.5)
+//! PSRS — Preemptive Smith-Ratio Scheduling (Schwiegelshohn \[13\], §5.5)
 //! and its conversion to a non-preemptive job order.
 //!
 //! PSRS proper generates *preemptive* schedules:
@@ -68,7 +68,7 @@ pub struct PsrsAllocation {
 }
 
 /// The full PSRS *preemptive* schedule with every job available at
-/// time 0 (the offline setting of [13]), one segment union per job in
+/// time 0 (the offline setting of \[13\]), one segment union per job in
 /// completion order.
 ///
 /// This is the schedule §5.5 only ever observes through its completion

@@ -5,9 +5,10 @@
 //! priority order produced by their offline algorithm over the current
 //! wait queue, re-run per the §5.4 trigger; jobs that arrived since the
 //! last run are appended in submission order until the next run covers
-//! them. Selection is head-blocking greedy, optionally upgraded with
-//! conservative or EASY backfilling (§5.2); Garey & Graham instead starts
-//! anything that fits (§5.3).
+//! them. The priority family ([`OrderPolicy::Score`]) ranks the queue by
+//! a scoring rule at every decision. Selection is head-blocking greedy,
+//! optionally upgraded with conservative or EASY backfilling (§5.2);
+//! Garey & Graham instead starts anything that fits (§5.3).
 
 use crate::backfill::{
     scan_conservative_in, scan_conservative_live_in, scan_easy_in, scan_easy_live_in,
@@ -15,6 +16,7 @@ use crate::backfill::{
 };
 use crate::garey_graham::select_greedy_any_in;
 use crate::order::{OrderPolicy, ReorderTrigger};
+use crate::priority::rank;
 use crate::view::JobView;
 use jobsched_sim::{JobRequest, Machine, Profile, Scheduler};
 use jobsched_workload::{ClassId, JobId, Time};
@@ -114,7 +116,11 @@ impl Waiting {
 /// (starts) and absolute-time projections (the EASY shadow, conservative
 /// reservations) stay valid, so a job rejected once stays rejected and a
 /// later arrival can be judged against the remembered state alone. Any
-/// finish event or priority re-computation invalidates the cache.
+/// finish event or priority re-computation invalidates the cache. A
+/// score order never enters it: wait-dependent scores reorder the queue
+/// as time passes with *no* intervening event, so a remembered "nothing
+/// can start" could hold back a job that has since overtaken the
+/// blocked head.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum BlockedCache {
     /// Head-blocking list schedule: the head does not fit, so nothing
@@ -244,11 +250,6 @@ impl ListScheduler {
         self.profile_mode
     }
 
-    /// The backfilling mode.
-    pub fn backfill(&self) -> BackfillMode {
-        self.backfill
-    }
-
     /// How many times the offline order was recomputed.
     pub fn recomputations(&self) -> u64 {
         self.recomputations
@@ -259,11 +260,31 @@ impl ListScheduler {
         self.arrivals.clear();
     }
 
-    /// Current priority order over the waiting queue.
-    fn effective_order(&mut self, machine_nodes: u32) -> Vec<JobId> {
-        if !self.policy.is_dynamic() {
-            return self.waiting.ids().collect();
+    /// The picks leave the wait queue.
+    fn started(&mut self, picks: &[JobId]) {
+        for &id in picks {
+            self.waiting.remove(id);
+            self.covered.remove(&id);
         }
+    }
+
+    /// The priority order, when the policy has to materialise one: a
+    /// score policy's ranking at `now`, a dynamic policy's offline order.
+    /// `None` for the static policies, whose order is the wait queue's
+    /// own and is iterated lazily (plain FCFS pays O(started + 1) per
+    /// decision).
+    fn explicit_order(&mut self, now: Time, machine_nodes: u32) -> Option<Vec<JobId>> {
+        match self.policy {
+            OrderPolicy::Fcfs | OrderPolicy::GareyGraham => None,
+            OrderPolicy::Score(score) => Some(rank(score, now, self.waiting.requests(), false)),
+            OrderPolicy::Smart { .. } | OrderPolicy::Psrs { .. } => {
+                Some(self.offline_order(machine_nodes))
+            }
+        }
+    }
+
+    /// Current offline order of a dynamic policy over the waiting queue.
+    fn offline_order(&mut self, machine_nodes: u32) -> Vec<JobId> {
         if self.reorder_pending {
             self.reorder_pending = false;
             let views: Vec<JobView> = self
@@ -383,68 +404,57 @@ impl ListScheduler {
         self.cache = Some(updated);
         picks
     }
-
-    /// Decision scan over a multi-class machine: the priority order is
-    /// computed once, then each node-class pool is scanned independently
-    /// over the jobs resolved to it — partitioned scheduling, so a wide
-    /// pick can never consume thin capacity or vice versa. The
-    /// blocked-state cache describes a single pool and is bypassed here
-    /// (`self.cache` stays `None`, so submissions never accumulate
-    /// arrivals against a stale state).
-    fn select_starts_classed(&mut self, now: Time, machine: &Machine) -> Vec<JobId> {
-        debug_assert!(
-            self.cache.is_none(),
-            "blocked cache leaked into classed mode"
-        );
-        let config = ScanConfig {
-            greedy_any: matches!(self.policy, OrderPolicy::GareyGraham),
-            backfill: self.backfill,
-            profile_mode: self.profile_mode,
-        };
-        let order: Vec<JobId> = if self.policy.is_dynamic() {
-            self.effective_order(machine.total_nodes())
-        } else {
-            self.waiting.ids().collect()
-        };
-        let mut picks = Vec::new();
-        for c in 0..machine.class_count() {
-            let class = ClassId(c as u8);
-            if machine.free_in(class) == 0 {
-                continue;
-            }
-            // Classes partition the queue: a job picked for an earlier
-            // pool never appears in a later pool's order.
-            let class_order = order
-                .iter()
-                .copied()
-                .filter(|&id| self.waiting.get(id).class == class);
-            let (p, _) = full_scan(
-                class,
-                config,
-                &mut self.scratch,
-                class_order,
-                &self.waiting,
-                machine,
-                now,
-            );
-            picks.extend(p);
-        }
-        for &id in &picks {
-            self.waiting.remove(id);
-            self.covered.remove(&id);
-        }
-        picks
-    }
 }
 
 /// Selection-strategy configuration of one full decision scan. Shared
-/// between [`ListScheduler`] and [`crate::priority::PriorityScheduler`]:
-/// both dispatch an explicit priority order through [`full_scan`].
+/// between [`ListScheduler`] and
+/// [`SwitchingScheduler`](crate::switching::SwitchingScheduler), which
+/// dispatches each regime's order through [`scan_pools`].
 #[derive(Clone, Copy)]
 pub(crate) struct ScanConfig {
-    pub(crate) greedy_any: bool,
-    pub(crate) backfill: BackfillMode,
-    pub(crate) profile_mode: ProfileMode,
+    greedy_any: bool,
+    backfill: BackfillMode,
+    profile_mode: ProfileMode,
+}
+
+impl ScanConfig {
+    pub(crate) fn new(policy: &OrderPolicy, backfill: BackfillMode, mode: ProfileMode) -> Self {
+        ScanConfig {
+            greedy_any: matches!(policy, OrderPolicy::GareyGraham),
+            backfill,
+            profile_mode: mode,
+        }
+    }
+}
+
+/// One decision round over a partitioned machine: each node-class pool
+/// is scanned independently over the jobs of `order` resolved to it, so
+/// a wide pick can never consume thin capacity or vice versa. On a
+/// single-class machine this is one whole-machine scan.
+pub(crate) fn scan_pools(
+    config: ScanConfig,
+    scratch: &mut Profile,
+    order: &[JobId],
+    waiting: &Waiting,
+    machine: &Machine,
+    now: Time,
+) -> Vec<JobId> {
+    let mut picks = Vec::new();
+    for c in 0..machine.class_count() {
+        let class = ClassId(c as u8);
+        if machine.free_in(class) == 0 {
+            continue;
+        }
+        // Classes partition the queue: a job picked for an earlier
+        // pool never appears in a later pool's order.
+        let class_order = order
+            .iter()
+            .copied()
+            .filter(|&id| waiting.get(id).class == class);
+        let (p, _) = full_scan(class, config, scratch, class_order, waiting, machine, now);
+        picks.extend(p);
+    }
+    picks
 }
 
 /// One full decision scan over one node-class pool: dispatch the order to
@@ -453,7 +463,7 @@ pub(crate) struct ScanConfig {
 /// [`ProfileMode::Incremental`] scans. On a single-class machine
 /// `ClassId(0)` is the whole machine; the blocked state is only cached
 /// then (a multi-class machine would need one cache per pool).
-pub(crate) fn full_scan<I: IntoIterator<Item = JobId>>(
+fn full_scan<I: IntoIterator<Item = JobId>>(
     class: ClassId,
     config: ScanConfig,
     scratch: &mut Profile,
@@ -462,12 +472,7 @@ pub(crate) fn full_scan<I: IntoIterator<Item = JobId>>(
     machine: &Machine,
     now: Time,
 ) -> (Vec<JobId>, BlockedCache) {
-    let ScanConfig {
-        greedy_any,
-        backfill,
-        profile_mode,
-    } = config;
-    if greedy_any {
+    if config.greedy_any {
         let picks = select_greedy_any_in(class, order, waiting, machine);
         let used: u32 = picks.iter().map(|&id| waiting.get(id).nodes).sum();
         return (
@@ -477,7 +482,7 @@ pub(crate) fn full_scan<I: IntoIterator<Item = JobId>>(
             },
         );
     }
-    match backfill {
+    match config.backfill {
         BackfillMode::None => {
             let picks = select_head_blocking_in(class, order, waiting, machine);
             let blocked = if picks.len() < waiting.len() {
@@ -491,7 +496,7 @@ pub(crate) fn full_scan<I: IntoIterator<Item = JobId>>(
             (picks, blocked)
         }
         BackfillMode::Easy => {
-            let scan = match profile_mode {
+            let scan = match config.profile_mode {
                 ProfileMode::Rebuild => scan_easy_in(class, order, waiting, machine, now),
                 ProfileMode::Incremental => {
                     scan_easy_live_in(class, order, waiting, machine, now, scratch)
@@ -507,7 +512,7 @@ pub(crate) fn full_scan<I: IntoIterator<Item = JobId>>(
             )
         }
         BackfillMode::Conservative => {
-            let scan = match profile_mode {
+            let scan = match config.profile_mode {
                 ProfileMode::Rebuild => {
                     scan_conservative_in(class, order, waiting.len(), waiting, machine, now)
                 }
@@ -594,35 +599,42 @@ impl Scheduler for ListScheduler {
             return Vec::new();
         }
 
-        if machine.class_count() > 1 {
-            return self.select_starts_classed(now, machine);
-        }
+        // The blocked-state cache describes one pool under an order that
+        // only events change: a multi-class machine and a score order
+        // (which drifts with the clock) take a full scan per decision,
+        // and `self.cache` stays `None` so submissions never accumulate
+        // arrivals against a stale state.
+        let classed = machine.class_count() > 1;
+        let caching = self.caching && !classed && !matches!(self.policy, OrderPolicy::Score(_));
 
-        if self.caching {
+        if caching {
             if let Some(cache) = self.cache {
                 let picks = self.incremental_starts(now, cache);
                 if self.cache.is_some() {
-                    for &id in &picks {
-                        self.waiting.remove(id);
-                        self.covered.remove(&id);
-                    }
+                    self.started(&picks);
                     return picks;
                 }
                 // Cache invalidated inside: fall through to a full scan.
             }
         }
 
-        // Static policies iterate the wait queue lazily (plain FCFS pays
-        // O(started + 1) per decision); dynamic policies materialise their
-        // priority order first.
-        let config = ScanConfig {
-            greedy_any: matches!(self.policy, OrderPolicy::GareyGraham),
-            backfill: self.backfill,
-            profile_mode: self.profile_mode,
-        };
-        let (picks, blocked) = if self.policy.is_dynamic() {
-            let order = self.effective_order(machine.total_nodes());
-            full_scan(
+        let config = ScanConfig::new(&self.policy, self.backfill, self.profile_mode);
+        let order = self.explicit_order(now, machine.total_nodes());
+        if classed {
+            let order = order.unwrap_or_else(|| self.waiting.ids().collect());
+            let picks = scan_pools(
+                config,
+                &mut self.scratch,
+                &order,
+                &self.waiting,
+                machine,
+                now,
+            );
+            self.started(&picks);
+            return picks;
+        }
+        let (picks, blocked) = match order {
+            Some(order) => full_scan(
                 ClassId(0),
                 config,
                 &mut self.scratch,
@@ -630,9 +642,8 @@ impl Scheduler for ListScheduler {
                 &self.waiting,
                 machine,
                 now,
-            )
-        } else {
-            full_scan(
+            ),
+            None => full_scan(
                 ClassId(0),
                 config,
                 &mut self.scratch,
@@ -640,13 +651,10 @@ impl Scheduler for ListScheduler {
                 &self.waiting,
                 machine,
                 now,
-            )
+            ),
         };
-        for &id in &picks {
-            self.waiting.remove(id);
-            self.covered.remove(&id);
-        }
-        if self.caching {
+        self.started(&picks);
+        if caching {
             // Every full scan is complete: no further job can start until
             // an arrival (judged incrementally against this state) or a
             // finish (which invalidates it). Caching here also makes the

@@ -1,5 +1,5 @@
-//! The SMART shelf algorithm of Turek et al. [21] with the two packing
-//! variants of Schwiegelshohn et al. [14] (§5.4).
+//! The SMART shelf algorithm of Turek et al. \[21\] with the two packing
+//! variants of Schwiegelshohn et al. \[14\] (§5.4).
 //!
 //! SMART builds a shelf schedule in three steps:
 //!
@@ -12,7 +12,7 @@
 //!    * *NFIW* — Next Fit Increasing Width-to-Weight: sort by
 //!      `nodes / weight` ascending, place on the current shelf or open a
 //!      new one.
-//! 3. **Ordering.** All shelves are ordered by Smith's rule [19]: the sum
+//! 3. **Ordering.** All shelves are ordered by Smith's rule \[19\]: the sum
 //!    of job weights on the shelf divided by the longest execution time on
 //!    the shelf; largest ratio first.
 //!

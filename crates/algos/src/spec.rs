@@ -13,7 +13,7 @@
 use crate::backfill::BackfillMode;
 use crate::dfrs::{DfrsScheduler, MoldableScheduler};
 use crate::order::OrderPolicy;
-use crate::priority::{PriorityScheduler, ScoreFn};
+use crate::priority::ScoreFn;
 use crate::psrs::PsrsParams;
 use crate::scheduler::ListScheduler;
 use crate::smart::SmartVariant;
@@ -34,7 +34,8 @@ pub enum PolicyKind {
     SmartNfiw,
     /// Classical list scheduling (§5.3).
     GareyGraham,
-    /// A [`PriorityScheduler`] row keyed by its scoring function.
+    /// A priority-family row ([`OrderPolicy::Score`]) keyed by its
+    /// scoring function.
     Priority(ScoreFn),
     /// DFRS-style time-shared rotation (extension; segment engine).
     Dfrs,
@@ -128,13 +129,14 @@ impl PolicyKind {
             .find(|k| k.tag() == tag)
     }
 
-    /// Materialise the ordering policy under a weight scheme.
+    /// Materialise the ordering policy of a rigid row under a weight
+    /// scheme.
     ///
     /// # Panics
     ///
-    /// Priority rows are not `OrderPolicy` instances (their order is a
-    /// per-decision function of the clock); build them through
-    /// [`AlgorithmSpec::build_dyn`] instead.
+    /// The time-shared rows run on the segment engine and have no
+    /// `OrderPolicy`; build them through
+    /// [`AlgorithmSpec::build_time_shared`].
     pub fn policy(&self, scheme: WeightScheme) -> OrderPolicy {
         match self {
             PolicyKind::Fcfs => OrderPolicy::Fcfs,
@@ -145,14 +147,35 @@ impl PolicyKind {
                 params: PsrsParams::default(),
                 scheme,
             },
-            PolicyKind::Priority(s) => panic!(
-                "priority policy {} has no OrderPolicy; use AlgorithmSpec::build_dyn",
-                s.label()
-            ),
+            PolicyKind::Priority(score) => OrderPolicy::Score(*score),
             PolicyKind::Dfrs | PolicyKind::Moldable => panic!(
                 "time-shared policy {} has no OrderPolicy; use AlgorithmSpec::build_time_shared",
                 self.label()
             ),
+        }
+    }
+}
+
+impl BackfillMode {
+    /// Stable machine-readable tag, the column counterpart of
+    /// [`PolicyKind::tag`] in the one tag table: what cache keys, JSON
+    /// records and `.scn` scenarios spell this mode as.
+    pub fn tag(&self) -> &'static str {
+        match self {
+            BackfillMode::None => "none",
+            BackfillMode::Conservative => "conservative",
+            BackfillMode::Easy => "easy",
+        }
+    }
+
+    /// Parse a [`BackfillMode::tag`] back; also accepts `cons`, the
+    /// short form of the daemon's scheduler labels.
+    pub fn from_tag(tag: &str) -> Option<BackfillMode> {
+        match tag {
+            "none" => Some(BackfillMode::None),
+            "conservative" | "cons" => Some(BackfillMode::Conservative),
+            "easy" => Some(BackfillMode::Easy),
+            _ => None,
         }
     }
 }
@@ -219,29 +242,18 @@ impl AlgorithmSpec {
         out
     }
 
-    /// Build a runnable scheduler under the given weight scheme.
-    ///
-    /// # Panics
-    ///
-    /// Priority rows are not [`ListScheduler`]s; build them through
-    /// [`AlgorithmSpec::build_dyn`].
+    /// Build a runnable scheduler under the given weight scheme. Total
+    /// over the rigid rows (the whole atlas); panics on the time-shared
+    /// rows like [`PolicyKind::policy`].
     pub fn build(&self, scheme: WeightScheme) -> ListScheduler {
         ListScheduler::new(self.kind.policy(scheme), self.backfill)
     }
 
-    /// Build any atlas row as a boxed scheduler. `caching` toggles the
-    /// `ListScheduler` blocked-state cache; the priority family has no
-    /// such cache (its order is wait-dependent), so the flag is a no-op
-    /// there.
+    /// [`AlgorithmSpec::build`], boxed. `caching` toggles the
+    /// blocked-state cache (a no-op on priority rows: a score order
+    /// never enters it).
     pub fn build_dyn(&self, scheme: WeightScheme, caching: bool) -> Box<dyn Scheduler> {
-        match self.kind {
-            PolicyKind::Priority(score) => Box::new(PriorityScheduler::new(score, self.backfill)),
-            PolicyKind::Dfrs | PolicyKind::Moldable => panic!(
-                "{} is not a rigid Scheduler; use AlgorithmSpec::build_time_shared",
-                self.kind.label()
-            ),
-            _ => Box::new(self.build(scheme).with_caching(caching)),
-        }
+        Box::new(self.build(scheme).with_caching(caching))
     }
 
     /// Build a time-shared row for the segment engine
@@ -333,9 +345,9 @@ mod tests {
     }
 
     #[test]
-    fn build_dyn_covers_every_atlas_row() {
+    fn build_is_total_over_the_atlas() {
         for spec in AlgorithmSpec::atlas_matrix() {
-            let s = spec.build_dyn(WeightScheme::Unweighted, true);
+            let s = spec.build(WeightScheme::Unweighted);
             assert_eq!(s.name(), spec.name());
             assert_eq!(s.queue_len(), 0);
         }
@@ -353,6 +365,18 @@ mod tests {
         let tags: std::collections::HashSet<_> = all.iter().map(|k| k.tag()).collect();
         assert_eq!(tags.len(), all.len());
         assert_eq!(PolicyKind::from_tag("nope"), None);
+        for m in [
+            BackfillMode::None,
+            BackfillMode::Conservative,
+            BackfillMode::Easy,
+        ] {
+            assert_eq!(BackfillMode::from_tag(m.tag()), Some(m));
+        }
+        assert_eq!(
+            BackfillMode::from_tag("cons"),
+            Some(BackfillMode::Conservative)
+        );
+        assert_eq!(BackfillMode::from_tag("nope"), None);
         // The legacy FCFS row and the P-FCFS priority row are distinct.
         assert_ne!(
             PolicyKind::Fcfs.tag(),

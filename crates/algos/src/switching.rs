@@ -13,12 +13,12 @@
 //! so a switch only changes how the *backlog* is drained — which is
 //! exactly what the policy rules govern.
 
-use crate::backfill::{select_conservative, select_easy, select_head_blocking, BackfillMode};
-use crate::garey_graham::select_greedy_any;
+use crate::backfill::BackfillMode;
 use crate::order::OrderPolicy;
-use crate::scheduler::Waiting;
+use crate::priority::rank;
+use crate::scheduler::{scan_pools, ProfileMode, ScanConfig, Waiting};
 use crate::view::JobView;
-use jobsched_sim::{JobRequest, Machine, Scheduler};
+use jobsched_sim::{JobRequest, Machine, Profile, Scheduler};
 use jobsched_workload::job::{DAY, HOUR, WEEK};
 use jobsched_workload::{JobId, Time};
 
@@ -72,8 +72,12 @@ impl Regime {
     }
 
     /// Current order over the waiting queue (recompute on the §5.4
-    /// trigger: unordered fraction above ⅓).
-    fn order(&mut self, waiting: &Waiting, machine_nodes: u32) -> Vec<JobId> {
+    /// trigger: unordered fraction above ⅓; a score order is ranked at
+    /// `now`).
+    fn order(&mut self, waiting: &Waiting, now: Time, machine_nodes: u32) -> Vec<JobId> {
+        if let OrderPolicy::Score(score) = self.policy {
+            return rank(score, now, waiting.requests(), false);
+        }
         if !self.policy.is_dynamic() {
             return waiting.ids().collect();
         }
@@ -107,6 +111,8 @@ pub struct SwitchingScheduler {
     day: Regime,
     night: Regime,
     waiting: Waiting,
+    /// Reusable step-function buffer for the backfilling scans.
+    scratch: Profile,
     /// Operator override: `Some(true)` pins the day regime, `Some(false)`
     /// the night regime, `None` follows the clock. A serving daemon
     /// exposes this through its `policy` command.
@@ -125,6 +131,7 @@ impl SwitchingScheduler {
             day: Regime::new(day.0, day.1),
             night: Regime::new(night.0, night.1),
             waiting: Waiting::new(),
+            scratch: Profile::empty(1, 0),
             forced: None,
         }
     }
@@ -206,21 +213,16 @@ impl Scheduler for SwitchingScheduler {
         } else {
             &mut self.night
         };
-        let order = regime.order(&self.waiting, machine.total_nodes());
-        let picks = match (&regime.policy, regime.backfill) {
-            (OrderPolicy::GareyGraham, _) => {
-                select_greedy_any(order.iter().copied(), &self.waiting, machine)
-            }
-            (_, BackfillMode::None) => {
-                select_head_blocking(order.iter().copied(), &self.waiting, machine)
-            }
-            (_, BackfillMode::Easy) => {
-                select_easy(order.iter().copied(), &self.waiting, machine, now)
-            }
-            (_, BackfillMode::Conservative) => {
-                select_conservative(order.iter().copied(), &self.waiting, machine, now)
-            }
-        };
+        let order = regime.order(&self.waiting, now, machine.total_nodes());
+        let config = ScanConfig::new(&regime.policy, regime.backfill, ProfileMode::default());
+        let picks = scan_pools(
+            config,
+            &mut self.scratch,
+            &order,
+            &self.waiting,
+            machine,
+            now,
+        );
         for &id in &picks {
             self.waiting.remove(id);
             self.day.forget(id);
@@ -394,6 +396,42 @@ mod tests {
         let out = simulate(&w, &mut s);
         assert_eq!(out.schedule.completion_ratio(), 1.0);
         assert!(out.schedule.validate(&w).is_empty());
+    }
+
+    #[test]
+    fn picks_respect_node_class_pools() {
+        use jobsched_workload::{JobBuilder, MachineLayout, NodeClassSpec, NodeType, Workload};
+        // 8 thin + 2 wide nodes. Job 0 fills the wide pool; job 1 (wide,
+        // 2 nodes) must wait for it although the thin pool is idle —
+        // scanning the whole queue against pool 0 would start it into a
+        // full pool.
+        let pool = |node_type, memory_mb, count| NodeClassSpec {
+            node_type,
+            memory_mb,
+            count,
+        };
+        let wide = |submit| {
+            JobBuilder::new(JobId(0))
+                .submit(submit)
+                .nodes(2)
+                .requested(100)
+                .runtime(100)
+                .node_type(NodeType::Wide)
+                .memory_mb(1024)
+                .build()
+        };
+        for regime in [true, false] {
+            let layout = MachineLayout::new(vec![
+                pool(NodeType::Thin, 512, 8),
+                pool(NodeType::Wide, 2048, 2),
+            ]);
+            let w = Workload::new("two-class", 10, vec![wide(0), wide(1)]).with_layout(layout);
+            let mut s = SwitchingScheduler::paper_combination();
+            s.force_regime(Some(regime));
+            let out = simulate(&w, &mut s);
+            assert!(out.schedule.validate(&w).is_empty());
+            assert_eq!(out.schedule.placement(JobId(1)).unwrap().start, 100);
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The FCFS pin: `PriorityScheduler` with the `ScoreFn::Fcfs` scoring
-//! rule must be bit-identical to the legacy FCFS `ListScheduler` —
+//! The FCFS pin: `OrderPolicy::Score(ScoreFn::Fcfs)` must be
+//! bit-identical to `OrderPolicy::Fcfs` on the one `ListScheduler` —
 //! every placement, every fault outcome — across every backfill mode,
 //! both profile modes, both engines (batch loop and streaming
 //! pipeline), homogeneous and heterogeneous layouts, with and without
@@ -7,14 +7,14 @@
 //!
 //! This is the compatibility contract the priority family rides on:
 //! score `-wait` with ties broken by ascending id reproduces the
-//! submission order exactly, so feeding it through the shared selection
-//! machinery must reproduce the legacy scheduler's decisions bit for
+//! submission order exactly, so the ranked, never-cached path must
+//! reproduce the lazily iterated, cached one's decisions bit for
 //! bit. Any divergence means the re-ranking path changed selection
 //! semantics.
 
 use jobsched_algos::spec::PolicyKind;
 use jobsched_algos::view::WeightScheme;
-use jobsched_algos::{AlgorithmSpec, BackfillMode, PriorityScheduler, ProfileMode, ScoreFn};
+use jobsched_algos::{AlgorithmSpec, BackfillMode, ProfileMode, ScoreFn};
 use jobsched_sim::{
     simulate_batch_with_faults, simulate_with_faults, CancelFault, DrainFault, FaultPlan,
 };
@@ -122,6 +122,7 @@ fn assert_identical(workload: &Workload, plan: &FaultPlan, what: &str) {
         BackfillMode::Easy,
     ] {
         let legacy_spec = AlgorithmSpec::new(PolicyKind::Fcfs, backfill);
+        let priority_spec = AlgorithmSpec::new(PolicyKind::Priority(ScoreFn::Fcfs), backfill);
         for mode in [ProfileMode::Rebuild, ProfileMode::Incremental] {
             for caching in [false, true] {
                 let legacy = || {
@@ -130,8 +131,11 @@ fn assert_identical(workload: &Workload, plan: &FaultPlan, what: &str) {
                         .with_profile_mode(mode)
                         .with_caching(caching)
                 };
-                let priority =
-                    || PriorityScheduler::new(ScoreFn::Fcfs, backfill).with_profile_mode(mode);
+                let priority = || {
+                    priority_spec
+                        .build(WeightScheme::Unweighted)
+                        .with_profile_mode(mode)
+                };
                 let ctx = format!("{what} / {backfill:?} / {mode:?} / legacy caching={caching}");
 
                 let l = simulate_with_faults(workload, &mut legacy(), plan);

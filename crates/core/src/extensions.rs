@@ -6,7 +6,7 @@
 //!   schedule under *both* regime objectives: ART over daytime-submitted
 //!   jobs (Rule 5's constituency) and AWRT over night/weekend-submitted
 //!   jobs (Rule 6's).
-//! * [`gang_comparison`] — the paper's reference [15]: FCFS with gang
+//! * [`gang_comparison`] — the paper's reference \[15\]: FCFS with gang
 //!   scheduling versus space-shared FCFS, sweeping the time slice. Shows
 //!   what Institution B gives up by buying a machine without time
 //!   sharing.
@@ -163,10 +163,10 @@ impl HeterogeneityComparison {
 
 /// Quantify §6.1's "ignore all additional hardware requests" decision:
 /// schedule the *unprepared* CTC-like trace with plain FCFS, once on the
-/// heterogeneous partition ([`MachineLayout::ctc_sp2`]: every job is
+/// heterogeneous partition (`MachineLayout::ctc_sp2`: every job is
 /// resolved to exactly one node class and never spills into another,
 /// requests no class can host are deleted) and once on the type-blind
-/// machine of the same size ([`MachineLayout::single`]), and compare
+/// machine of the same size (`MachineLayout::single`), and compare
 /// response times. A small relative error is the justification the
 /// paper's administrator assumes ("most nodes of the CTC batch partition
 /// are identical").

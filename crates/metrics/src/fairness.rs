@@ -35,7 +35,7 @@
 //! matter the event order, and the batch wrappers — which [`replay`] the
 //! finished schedule through the same accumulators — agree with the
 //! streaming path bit for bit. The variance accumulator needs Σx² of
-//! Q52 terms, which exceeds `u128`; a minimal 256-bit integer ([`U256`])
+//! Q52 terms, which exceeds `u128`; a minimal 256-bit integer (`U256`)
 //! keeps that sum exact too.
 
 use crate::objective::Objective;
@@ -238,7 +238,7 @@ impl U256 {
 }
 
 /// Online population variance of per-job bounded slowdown. State is the
-/// exact Q52 sum, the exact Q104 sum of squares (in a [`U256`]) and the
+/// exact Q52 sum, the exact Q104 sum of squares (in a `U256`) and the
 /// count; the `E[x²] − E[x]²` combination happens once, at [`cost`]
 /// time, identically for the batch and streaming paths.
 ///

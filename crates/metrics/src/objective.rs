@@ -10,7 +10,7 @@
 //!   weighted response time* "where the weight is identical to the
 //!   resource consumption of a job, that is, the product of the execution
 //!   time and the number of required nodes". For this objective "the order
-//!   of jobs does not matter if no resources are left idle" [16] — which
+//!   of jobs does not matter if no resources are left idle" \[16\] — which
 //!   is why utilization-maximising algorithms shine under it (§7).
 //!
 //! All objectives are **costs**: smaller is better.
@@ -128,7 +128,7 @@ impl Objective for Utilization {
 }
 
 /// Σ wⱼ·Cⱼ — the classical weighted completion time (Smith's criterion
-/// [19]), the off-line objective SMART and PSRS were designed for.
+/// \[19\]), the off-line objective SMART and PSRS were designed for.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SumWeightedCompletion;
 
@@ -145,7 +145,7 @@ impl Objective for SumWeightedCompletion {
 }
 
 /// Average bounded slowdown with the conventional 10-second threshold —
-/// a widely used auxiliary metric (Feitelson & Rudolph [3]); provided for
+/// a widely used auxiliary metric (Feitelson & Rudolph \[3\]); provided for
 /// the extension benches.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AvgBoundedSlowdown;

@@ -3,7 +3,7 @@
 //! The streaming counterpart of [`crate::objective`]: a
 //! [`StreamingObjective`] folds the pipeline's lifecycle events into O(1)
 //! state and produces the schedule cost at any point, without a
-//! [`ScheduleRecord`](jobsched_sim::ScheduleRecord) or the workload in
+//! [`ScheduleRecord`] or the workload in
 //! memory. The batch [`Objective`](crate::objective::Objective) impls are
 //! thin wrappers that [`replay`] a finished schedule through these same
 //! accumulators, so batch and streaming results are **identical by
@@ -21,7 +21,7 @@
 //!   `u64`/`u32` job fields — summed exactly in `u128`;
 //! * bounded-slowdown terms are genuine fractions, but every term is
 //!   ≥ 1.0, so its ulp is ≥ 2⁻⁵²: the term *is* an exact multiple of
-//!   2⁻⁵², and [`q52`] converts it losslessly to Q52 fixed point for an
+//!   2⁻⁵², and `q52` converts it losslessly to Q52 fixed point for an
 //!   exact `u128` sum.
 //!
 //! The single rounding step happens at the end (`u128 → f64`, then one

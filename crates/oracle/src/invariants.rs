@@ -1,7 +1,7 @@
 //! Schedule invariants, checked independently of the scheduler's own
 //! bookkeeping.
 //!
-//! The oracle wraps the scheduler under test in [`OracleScheduler`],
+//! The oracle wraps the scheduler under test in `OracleScheduler`,
 //! which mirrors the queue from the raw engine callbacks (submission,
 //! cancellation, start) and audits every decision round:
 //!

@@ -23,7 +23,7 @@
 //!   engine differential ([`invariants::stream_differential`]: the
 //!   monolithic loop and the streaming pipeline must produce identical
 //!   outcomes on every scenario);
-//! * [`shrink`] — delta-debugging reduction of violating scenarios to
+//! * [`mod@shrink`] — delta-debugging reduction of violating scenarios to
 //!   minimal reproducers.
 //!
 //! The fuzz harness lives in `tests/oracle_fuzz.rs` (budgeted, seed

@@ -8,9 +8,10 @@
 //! committed to `tests/corpus/` and replayed by `cargo test` — the
 //! deterministic-replay half of the oracle contract.
 
+use jobsched_algos::priority::rank;
 use jobsched_algos::scheduler::ProfileMode;
 use jobsched_algos::spec::PolicyKind;
-use jobsched_algos::{BackfillMode, ListScheduler, PriorityScheduler};
+use jobsched_algos::{BackfillMode, ListScheduler, ScoreFn};
 use jobsched_sim::{
     CancelFault, DrainFault, FaultPlan, JobRequest, Machine, PreemptFault, Scheduler,
 };
@@ -88,8 +89,8 @@ pub enum Mutation {
     /// early arrivals, violating the FCFS pick-equality and
     /// start-monotonicity invariants (but never overcommits).
     Lifo,
-    /// A [`PriorityScheduler`] ranking with the score sign flipped: a
-    /// broken WFP (or any scoring rule) that runs the queue backwards.
+    /// Head-blocking over a scoring rule's ranking with the score sign
+    /// flipped: a broken WFP (or any rule) that runs the queue backwards.
     /// Only valid on [`PolicyKind::Priority`] scenarios; the priority
     /// pick-equality differential must catch it.
     InvertedPriority,
@@ -273,24 +274,21 @@ impl Scenario {
     }
 
     /// Build the scheduler under test — the real scheduler for the
-    /// declared configuration, or the mutated impostor. Priority
-    /// configurations ignore the caching flag: the family has no
-    /// blocked-state cache (wait-dependent scores make it unsound), so
-    /// `caching on` is a recorded no-op.
+    /// declared configuration, or the mutated impostor. On priority
+    /// configurations `caching on` is a recorded no-op: a score order
+    /// never enters the blocked-state cache.
     pub fn scheduler(&self) -> Box<dyn Scheduler> {
         match (self.mutation, self.policy) {
-            (Some(Mutation::Lifo), _) => Box::new(LifoScheduler::default()),
-            (Some(Mutation::InvertedPriority), PolicyKind::Priority(score)) => Box::new(
-                PriorityScheduler::new(score, self.backfill)
-                    .with_profile_mode(self.profile_mode)
-                    .with_inverted_order(true),
-            ),
+            (Some(Mutation::Lifo), _) => Box::new(ImpostorScheduler::default()),
+            (Some(Mutation::InvertedPriority), PolicyKind::Priority(score)) => {
+                Box::new(ImpostorScheduler {
+                    inverted: Some(score),
+                    ..Default::default()
+                })
+            }
             (Some(Mutation::InvertedPriority), _) => {
                 unreachable!("validate() rejects inverted-priority on non-priority policies")
             }
-            (None, PolicyKind::Priority(score)) => Box::new(
-                PriorityScheduler::new(score, self.backfill).with_profile_mode(self.profile_mode),
-            ),
             (None, _) => Box::new(
                 ListScheduler::new(self.policy.policy(Default::default()), self.backfill)
                     .with_profile_mode(self.profile_mode)
@@ -304,14 +302,7 @@ impl Scenario {
         let mut out = String::new();
         out.push_str(&format!("machine {}\n", self.machine_nodes));
         out.push_str(&format!("policy {}\n", self.policy.tag()));
-        out.push_str(&format!(
-            "backfill {}\n",
-            match self.backfill {
-                BackfillMode::None => "none",
-                BackfillMode::Conservative => "conservative",
-                BackfillMode::Easy => "easy",
-            }
-        ));
+        out.push_str(&format!("backfill {}\n", self.backfill.tag()));
         out.push_str(&format!(
             "profile {}\n",
             match self.profile_mode {
@@ -414,12 +405,10 @@ impl Scenario {
                         .ok_or_else(|| ctx(&format!("unknown policy {tok:?}")))?;
                 }
                 "backfill" => {
-                    s.backfill = match args.first().copied() {
-                        Some("none") => BackfillMode::None,
-                        Some("conservative") => BackfillMode::Conservative,
-                        Some("easy") => BackfillMode::Easy,
-                        other => return Err(ctx(&format!("unknown backfill {other:?}"))),
-                    };
+                    let tok = args.first().copied();
+                    s.backfill = tok
+                        .and_then(BackfillMode::from_tag)
+                        .ok_or_else(|| ctx(&format!("unknown backfill {tok:?}")))?;
                 }
                 "profile" => {
                     s.profile_mode = match args.first().copied() {
@@ -538,18 +527,24 @@ fn parse_num<T: std::str::FromStr>(
         .map_err(|_| ctx(&format!("unparsable field {idx}")))
 }
 
-/// The [`Mutation::Lifo`] impostor: head-blocking list scheduling over
-/// reversed submission order. Structurally sound (never overcommits,
-/// always drains the queue once the machine empties) but behaviourally
-/// wrong for a scheduler claiming FCFS.
+/// The mutated impostors: head-blocking list scheduling over a wrong
+/// order — reversed submission order ([`Mutation::Lifo`]) or, with
+/// `inverted` set, that scoring rule's ranking with the score sign
+/// flipped ([`Mutation::InvertedPriority`]). Structurally sound (never
+/// overcommits, always drains the queue once the machine empties) but
+/// behaviourally wrong for a scheduler claiming its scenario's policy.
 #[derive(Debug, Default)]
-pub struct LifoScheduler {
+pub struct ImpostorScheduler {
     waiting: Vec<JobRequest>,
+    inverted: Option<ScoreFn>,
 }
 
-impl Scheduler for LifoScheduler {
+impl Scheduler for ImpostorScheduler {
     fn name(&self) -> String {
-        "LIFO (deliberately broken)".into()
+        match self.inverted {
+            None => "LIFO (deliberately broken)".into(),
+            Some(score) => format!("inverted {} (deliberately broken)", score.label()),
+        }
     }
 
     fn submit(&mut self, job: JobRequest, _now: Time) {
@@ -560,16 +555,21 @@ impl Scheduler for LifoScheduler {
         self.waiting.retain(|j| j.id != id);
     }
 
-    fn select_starts(&mut self, _now: Time, machine: &Machine) -> Vec<JobId> {
+    fn select_starts(&mut self, now: Time, machine: &Machine) -> Vec<JobId> {
+        let order: Vec<JobId> = match self.inverted {
+            None => self.waiting.iter().rev().map(|j| j.id).collect(),
+            Some(score) => rank(score, now, &self.waiting, true),
+        };
         let mut free = machine.free_nodes();
         let mut picks = Vec::new();
-        for job in self.waiting.iter().rev() {
-            if job.nodes <= free {
-                free -= job.nodes;
-                picks.push(job.id);
-            } else {
+        for id in order {
+            let job = self.waiting.iter().find(|j| j.id == id);
+            let nodes = job.expect("ordered job waits").nodes;
+            if nodes > free {
                 break;
             }
+            free -= nodes;
+            picks.push(id);
         }
         self.waiting.retain(|j| !picks.contains(&j.id));
         picks
@@ -583,7 +583,6 @@ impl Scheduler for LifoScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jobsched_algos::ScoreFn;
 
     fn sample() -> Scenario {
         Scenario {

@@ -33,7 +33,7 @@
 //! and injected into [`LiveSim`] in key order as their instants mature.
 //! Two clients racing to submit jobs for the same virtual instant
 //! therefore enter the engine in *job-id* order regardless of socket
-//! arrival order — the same order a batch [`Workload`] presents them.
+//! arrival order — the same order a batch `Workload` presents them.
 //!
 //! ## Checkpoint / restore
 //!

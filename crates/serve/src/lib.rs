@@ -48,7 +48,7 @@ pub mod sys;
 use jobsched_algos::spec::PolicyKind;
 use jobsched_algos::switching::SwitchingScheduler;
 use jobsched_algos::view::WeightScheme;
-use jobsched_algos::{AlgorithmSpec, BackfillMode, ListScheduler, PriorityScheduler};
+use jobsched_algos::{AlgorithmSpec, BackfillMode, ListScheduler};
 use jobsched_sim::{JobRequest, Machine, Scheduler};
 use jobsched_workload::{JobId, Time};
 use std::time::Duration;
@@ -80,12 +80,8 @@ impl SchedulerSpec {
         let kind = PolicyKind::from_tag(policy)
             .filter(|k| !k.time_shared())
             .ok_or_else(|| format!("unknown scheduling policy '{policy}'"))?;
-        let backfill = match backfill {
-            "none" => BackfillMode::None,
-            "cons" | "conservative" => BackfillMode::Conservative,
-            "easy" => BackfillMode::Easy,
-            other => return Err(format!("unknown backfill mode '{other}'")),
-        };
+        let backfill = BackfillMode::from_tag(backfill)
+            .ok_or_else(|| format!("unknown backfill mode '{backfill}'"))?;
         Ok(SchedulerSpec::List(AlgorithmSpec::new(kind, backfill)))
     }
 
@@ -96,10 +92,10 @@ impl SchedulerSpec {
             SchedulerSpec::PaperSwitch => "paper-switch".into(),
             SchedulerSpec::List(spec) => {
                 let policy = spec.kind.tag();
+                // Checkpoints store the short `cons`.
                 let backfill = match spec.backfill {
-                    BackfillMode::None => "none",
                     BackfillMode::Conservative => "cons",
-                    BackfillMode::Easy => "easy",
+                    other => other.tag(),
                 };
                 format!("{policy}+{backfill}")
             }
@@ -109,12 +105,7 @@ impl SchedulerSpec {
     /// Materialise the scheduler (unweighted, as in Tables 3–6).
     pub fn build(&self) -> ServeSched {
         match self {
-            SchedulerSpec::List(spec) => match spec.kind {
-                PolicyKind::Priority(score) => {
-                    ServeSched::Priority(PriorityScheduler::new(score, spec.backfill))
-                }
-                _ => ServeSched::List(spec.build(WeightScheme::Unweighted)),
-            },
+            SchedulerSpec::List(spec) => ServeSched::List(spec.build(WeightScheme::Unweighted)),
             SchedulerSpec::PaperSwitch => {
                 ServeSched::Switch(SwitchingScheduler::paper_combination())
             }
@@ -122,16 +113,13 @@ impl SchedulerSpec {
     }
 }
 
-/// The daemon's scheduler: a matrix cell, a priority-family cell, or
-/// the switching combination. A plain enum (not a trait object) so the
-/// engine can reach switching-specific operations (`policy` forcing)
-/// when present.
+/// The daemon's scheduler: an atlas cell or the switching combination.
+/// A plain enum (not a trait object) so the engine can reach
+/// switching-specific operations (`policy` forcing) when present.
 #[derive(Debug)]
 pub enum ServeSched {
     /// A [`ListScheduler`] built from an [`AlgorithmSpec`].
     List(ListScheduler),
-    /// A [`PriorityScheduler`] built from a priority-family spec.
-    Priority(PriorityScheduler),
     /// The day/night [`SwitchingScheduler`].
     Switch(SwitchingScheduler),
 }
@@ -156,7 +144,6 @@ impl ServeSched {
     fn inner(&self) -> &dyn Scheduler {
         match self {
             ServeSched::List(s) => s,
-            ServeSched::Priority(s) => s,
             ServeSched::Switch(s) => s,
         }
     }
@@ -164,7 +151,6 @@ impl ServeSched {
     fn inner_mut(&mut self) -> &mut dyn Scheduler {
         match self {
             ServeSched::List(s) => s,
-            ServeSched::Priority(s) => s,
             ServeSched::Switch(s) => s,
         }
     }

@@ -4,7 +4,7 @@
 //!
 //! A single reactor thread owns every socket: the listener, a loopback
 //! waker, and all client connections, multiplexed through a
-//! level-triggered [`Poller`](crate::sys::Poller) (raw-syscall epoll on
+//! level-triggered [`Poller`] (raw-syscall epoll on
 //! Linux). Each wakeup it drains readable sockets, decodes every
 //! complete line, routes requests through [`crate::router`], and hands
 //! each shard its whole batch in **one** channel send — so a thousand

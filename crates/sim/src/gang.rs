@@ -1,11 +1,11 @@
 //! Gang scheduling: the time-sharing substrate of the paper's reference
-//! [15] (Schwiegelshohn & Yahyapour, *Improving first-come-first-serve
+//! \[15\] (Schwiegelshohn & Yahyapour, *Improving first-come-first-serve
 //! job scheduling by gang scheduling*, JSSPP'98).
 //!
 //! Example 5's machine "does not allow time sharing", which is why the
 //! main evaluation is purely space-shared — but §2 lists gang scheduling
 //! among the validity constraints a target machine may or may not impose,
-//! and [15] shows FCFS improves markedly when the machine *does* support
+//! and \[15\] shows FCFS improves markedly when the machine *does* support
 //! it. This module provides that substrate as an extension experiment:
 //!
 //! * the machine's nodes are time-multiplexed between **contexts** (gangs)

@@ -3,7 +3,7 @@
 //! [`SimPipeline`] is the bounded-memory generalisation of the batch
 //! engine loop: instead of loading a whole [`Workload`] and keeping a
 //! dense per-job record, it *pulls* jobs from a
-//! [`JobSource`](jobsched_workload::JobSource) as simulated time reaches
+//! [`JobSource`] as simulated time reaches
 //! their submission instants, *pushes* lifecycle events
 //! (submitted/started/finished/cancelled) to pluggable [`SimObserver`]
 //! sinks, and retires each job's state the moment it completes. Resident
@@ -12,7 +12,7 @@
 //!
 //! The batch entry points [`simulate`]/[`simulate_with_faults`] are thin
 //! wrappers: an in-memory workload becomes a
-//! [`WorkloadSource`](jobsched_workload::WorkloadSource), a
+//! [`WorkloadSource`], a
 //! [`RecordingObserver`] rebuilds the dense [`ScheduleRecord`], and the
 //! result is the same [`SimOutcome`] as always. The old monolithic loop
 //! survives as [`crate::engine::simulate_batch_with_faults`], kept as a

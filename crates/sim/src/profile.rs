@@ -191,7 +191,7 @@ impl Profile {
     /// Earliest time ≥ `from` at which `nodes` nodes are continuously free
     /// for `duration` seconds.
     ///
-    /// Binary search positions the scan at `from`; [`sweep_earliest`] then
+    /// Binary search positions the scan at `from`; `sweep_earliest` then
     /// runs a single left-to-right pass over the remaining breakpoints
     /// (amortised O(P)). Because projections only ever *over*-state
     /// occupancy, the returned time is a safe (conservative) start for a

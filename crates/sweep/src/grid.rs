@@ -136,24 +136,15 @@ pub fn parse_policy_tag(tag: &str) -> Option<PolicyKind> {
     PolicyKind::from_tag(tag)
 }
 
-/// Stable tag for a backfill mode (cache keys, JSON).
+/// Stable tag for a backfill mode (cache keys, JSON):
+/// [`BackfillMode::tag`].
 pub fn backfill_tag(mode: BackfillMode) -> &'static str {
-    match mode {
-        BackfillMode::None => "none",
-        BackfillMode::Conservative => "conservative",
-        BackfillMode::Easy => "easy",
-    }
+    mode.tag()
 }
 
-/// Parse a [`backfill_tag`] back.
+/// Parse a [`backfill_tag`] back: [`BackfillMode::from_tag`].
 pub fn parse_backfill_tag(tag: &str) -> Option<BackfillMode> {
-    [
-        BackfillMode::None,
-        BackfillMode::Conservative,
-        BackfillMode::Easy,
-    ]
-    .into_iter()
-    .find(|&m| backfill_tag(m) == tag)
+    BackfillMode::from_tag(tag)
 }
 
 /// Stable tag for an objective (cache keys, JSON).

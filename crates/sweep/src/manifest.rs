@@ -1,5 +1,5 @@
 //! The campaign manifest: one JSON document per campaign output
-//! directory tying every cached [`RunRecord`](crate::record::RunRecord)
+//! directory tying every cached [`RunRecord`]
 //! back to the paper table it belongs to.
 //!
 //! The cache itself is content-addressed and table-agnostic (two tables

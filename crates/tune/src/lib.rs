@@ -7,7 +7,7 @@
 //! economics — it measures all 43 policy rows under six objectives at
 //! once — and this crate closes the loop on that data three ways:
 //!
-//! * [`fit`] — **objective learning**: find the scalarization weights
+//! * [`mod@fit`] — **objective learning**: find the scalarization weights
 //!   whose induced total order agrees with the atlas's per-workload
 //!   Pareto ranks (and report the rank pairs no linear weighting can
 //!   separate);

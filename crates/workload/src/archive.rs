@@ -1,7 +1,7 @@
 //! Parallel Workloads Archive conventions: header metadata and trace
 //! cleaning.
 //!
-//! The paper obtains its trace from Feitelson's archive ([1]) and §6.1
+//! The paper obtains its trace from Feitelson's archive (\[1\]) and §6.1
 //! shows the administrator inspecting it before use ("a closer look at
 //! the CTC workload trace reveals…"). Real archive traces carry a
 //! structured comment header and known anomalies that the archive's

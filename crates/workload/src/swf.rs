@@ -1,7 +1,7 @@
 //! Standard Workload Format (SWF) reader/writer.
 //!
 //! The CTC trace the paper uses is distributed through Feitelson's Parallel
-//! Workloads Archive ([1] in the paper) in SWF: one job per line, 18
+//! Workloads Archive (\[1\] in the paper) in SWF: one job per line, 18
 //! whitespace-separated fields, `;` comment lines carrying header metadata.
 //! Implementing the full format means a real archive trace can be swapped in
 //! for the synthetic CTC model with `Workload::from_swf(&text)` and nothing
@@ -338,7 +338,7 @@ impl Workload {
         parse(text, name)
     }
 
-    /// Serialise to SWF (see [`write`]).
+    /// Serialise to SWF (see [`write()`]).
     pub fn to_swf(&self) -> String {
         write(self)
     }

@@ -88,12 +88,9 @@ fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
             .filter(|k| !k.time_shared())
             .ok_or_else(|| format!("unknown --algo '{tag}'"))?,
     };
-    let backfill = match flags.get("backfill").map(String::as_str).unwrap_or("easy") {
-        "none" => BackfillMode::None,
-        "conservative" => BackfillMode::Conservative,
-        "easy" => BackfillMode::Easy,
-        other => return Err(format!("unknown --backfill '{other}'")),
-    };
+    let backfill = flags.get("backfill").map(String::as_str).unwrap_or("easy");
+    let backfill = BackfillMode::from_tag(backfill)
+        .ok_or_else(|| format!("unknown --backfill '{backfill}'"))?;
     let scheme = if flags.contains_key("weighted") {
         WeightScheme::ProjectedArea
     } else {

@@ -9,7 +9,7 @@
 //! Items: `workloads` (Table 1), `table3` … `table8`, `fig1`, `fig2`,
 //! `ablations` (γ / re-computation / PSRS patience / estimate quality /
 //! max-width sweeps), `combined` (the §7 day/night scheduler), `gang`
-//! (FCFS + gang scheduling, ref [15]), `heterogeneity` (the §6.1
+//! (FCFS + gang scheduling, ref \[15\]), `heterogeneity` (the §6.1
 //! hardware-request simplification), `drain` (Example 4's exclusive
 //! window), `replicate` (multi-seed stability; explicit only), `all`
 //! (default, everything except `replicate`). Output is printed in the

@@ -14,9 +14,8 @@
 //! under both profile modes and both blocked-cache settings. Any
 //! divergence means the segment machinery leaked into the rigid path.
 
-use jobsched::algos::spec::PolicyKind;
 use jobsched::algos::view::WeightScheme;
-use jobsched::algos::{AlgorithmSpec, PriorityScheduler, ProfileMode};
+use jobsched::algos::{AlgorithmSpec, ProfileMode};
 use jobsched::metrics::{AvgResponseTime, AvgWeightedResponseTime, Objective};
 use jobsched::sim::{
     simulate_batch_with_faults, simulate_time_shared, simulate_with_faults, FaultPlan,
@@ -27,18 +26,13 @@ use jobsched::workload::Workload;
 
 /// Build one atlas row with explicit profile mode and cache setting.
 /// (`AlgorithmSpec::build_dyn` pins the default mode; the identity must
-/// hold for both, so the row is assembled by hand here.)
+/// hold for both.)
 fn build(spec: &AlgorithmSpec, mode: ProfileMode, caching: bool) -> Box<dyn Scheduler> {
-    match spec.kind {
-        PolicyKind::Priority(score) => {
-            Box::new(PriorityScheduler::new(score, spec.backfill).with_profile_mode(mode))
-        }
-        _ => Box::new(
-            spec.build(WeightScheme::Unweighted)
-                .with_profile_mode(mode)
-                .with_caching(caching),
-        ),
-    }
+    Box::new(
+        spec.build(WeightScheme::Unweighted)
+            .with_profile_mode(mode)
+            .with_caching(caching),
+    )
 }
 
 fn costs(w: &Workload, s: &jobsched::sim::ScheduleRecord) -> (f64, f64) {
