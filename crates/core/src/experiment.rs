@@ -184,67 +184,22 @@ pub fn pct_vs(x: f64, reference: f64) -> f64 {
 }
 
 /// Run the full 13-cell matrix (Tables 3–6 layout) over one workload and
-/// objective. Sequential by design: scheduler CPU times (Tables 7–8) come
-/// from the same runs and must not be distorted by core contention.
+/// objective, serially: the in-process evaluation behind
+/// [`crate::SchedulingSystem::design`]. Campaigns of many matrices run
+/// through `jobsched-sweep`'s `run_campaign`, which distributes the same
+/// [`run_cell`] calls over worker threads.
 pub fn evaluate_matrix(workload: &Workload, objective: ObjectiveKind, title: &str) -> EvalTable {
-    evaluate_specs_with(
-        workload,
-        objective,
-        title,
-        &AlgorithmSpec::paper_matrix(),
-        true,
-    )
-}
-
-/// As [`evaluate_matrix`] but with the schedulers' incremental cache
-/// disabled (full queue scan at every decision). Schedules are identical;
-/// only the *computation-time* columns change — this is the measurement
-/// condition of the paper's Tables 7–8, where scheduler cost tracks the
-/// queue depth each algorithm's own schedule produces.
-pub fn evaluate_matrix_naive(
-    workload: &Workload,
-    objective: ObjectiveKind,
-    title: &str,
-) -> EvalTable {
-    evaluate_specs_with(
-        workload,
-        objective,
-        title,
-        &AlgorithmSpec::paper_matrix(),
-        false,
-    )
-}
-
-/// Run an arbitrary set of specs (used by the ablation benches).
-pub fn evaluate_specs(
-    workload: &Workload,
-    objective: ObjectiveKind,
-    title: &str,
-    specs: &[AlgorithmSpec],
-) -> EvalTable {
-    evaluate_specs_with(workload, objective, title, specs, true)
-}
-
-/// Full-control variant: `caching` toggles the schedulers' incremental
-/// blocked-state cache.
-pub fn evaluate_specs_with(
-    workload: &Workload,
-    objective: ObjectiveKind,
-    title: &str,
-    specs: &[AlgorithmSpec],
-    caching: bool,
-) -> EvalTable {
-    let cells = specs
-        .iter()
-        .map(|&spec| run_cell(workload, objective, spec, caching))
+    let cells = AlgorithmSpec::paper_matrix()
+        .into_iter()
+        .map(|spec| run_cell(workload, objective, spec, true))
         .collect();
     assemble_table(title, workload.name(), objective, cells)
 }
 
 /// Run a single (algorithm × backfill) cell: one full simulation of the
 /// workload under the spec, measured under `objective`. This is the unit
-/// of work the sweep subsystem distributes across worker threads; the
-/// serial `evaluate_*` drivers are thin loops over it.
+/// of work the sweep subsystem distributes across worker threads;
+/// [`evaluate_matrix`] is a serial loop over it.
 ///
 /// Runs as a streaming pipeline: the objective, makespan and utilization
 /// are folded online from the event stream, so evaluation never holds a
@@ -459,11 +414,19 @@ mod tests {
     #[test]
     fn evaluate_specs_subset() {
         let w = prepared_ctc_workload(200, 8);
-        let specs = vec![
-            AlgorithmSpec::new(PolicyKind::Fcfs, BackfillMode::None),
-            AlgorithmSpec::new(PolicyKind::Fcfs, BackfillMode::Easy),
-        ];
-        let t = evaluate_specs(&w, ObjectiveKind::AvgWeightedResponseTime, "sub", &specs);
+        let objective = ObjectiveKind::AvgWeightedResponseTime;
+        let cells = [BackfillMode::None, BackfillMode::Easy]
+            .into_iter()
+            .map(|mode| {
+                run_cell(
+                    &w,
+                    objective,
+                    AlgorithmSpec::new(PolicyKind::Fcfs, mode),
+                    true,
+                )
+            })
+            .collect();
+        let t = assemble_table("sub", w.name(), objective, cells);
         assert_eq!(t.cells.len(), 2);
         // Reference present → second cell has pct 0.
         assert_eq!(t.cells[1].pct, 0.0);

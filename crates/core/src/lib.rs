@@ -1,5 +1,5 @@
-//! The scheduling-system design framework of the paper, plus the complete
-//! §6–§7 experiment suite.
+//! The scheduling-system design framework of the paper, plus the units
+//! its §6–§7 evaluation is built from.
 //!
 //! §2 splits a scheduling system into three components and this crate
 //! mirrors that split:
@@ -14,9 +14,11 @@
 //! 3. **Scheduling algorithm** — provided by `jobsched-algos`; selected by
 //!    evaluation ([`experiment`], [`system`]).
 //!
-//! [`paper`] defines every table and figure of the evaluation example:
-//! Tables 3–6 (ART/AWRT across three workloads plus the exact-runtime
-//! study), Tables 7–8 (scheduler computation time), and Figures 1–6.
+//! The evaluation's tables are not defined here: [`experiment`] holds
+//! the unit every table is made of ([`experiment::run_cell`]) and one
+//! serial 13-cell matrix for the design loop, while the paper's Tables
+//! 3–8, the atlas and the multi-seed replications are `jobsched-sweep`
+//! campaign presets. [`paper`] keeps the two-criteria Figures 1–2.
 //! [`report`] renders results in the paper's layout (scientific-notation
 //! cost plus percentage against the FCFS+EASY reference).
 
@@ -26,7 +28,6 @@ pub mod extensions;
 pub mod objective_select;
 pub mod paper;
 pub mod policy;
-pub mod replication;
 pub mod report;
 pub mod system;
 

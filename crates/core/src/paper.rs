@@ -1,146 +1,24 @@
-//! The complete experiment suite of the paper's evaluation example:
-//! Tables 1–8 and Figures 1–6, each regenerable at a chosen [`Scale`].
+//! Figures 1–2 of the paper: one two-criteria scenario (a priority
+//! group sharing the machine with a lab course's daily exclusive
+//! window), scheduled by every matrix algorithm and ranked by Pareto
+//! dominance.
 //!
 //! | item | content | function |
 //! |---|---|---|
-//! | Table 1 | workload sizes | [`workloads`] |
-//! | Table 2 | randomized generator parameters | `jobsched_workload::randomized` |
-//! | Table 3 / Fig. 3–4 | ART & AWRT on the CTC workload | [`table3`] |
-//! | Table 4 / Fig. 5 | ART & AWRT on the probabilistic workload | [`table4`] |
-//! | Table 5 | ART & AWRT on the randomized workload | [`table5`] |
-//! | Table 6 / Fig. 6 | CTC workload with exact runtimes | [`table6`] |
-//! | Table 7 | scheduler CPU, CTC workload | [`table7`] (from [`table3`]'s runs) |
-//! | Table 8 | scheduler CPU, probabilistic workload | [`table8`] |
 //! | Fig. 1 | Pareto-optimal schedules under two criteria | [`figure1`] |
 //! | Fig. 2 | online vs. offline achievable regions | [`figure2`] |
+//!
+//! Tables 1–8 (and Figures 3–6, which plot them) are not defined here:
+//! every table of the evaluation is a `jobsched-sweep` campaign preset
+//! (`Campaign::paper_tables`) run by `run_campaign`.
 
-use crate::experiment::{evaluate_matrix, EvalTable, Scale};
-use crate::objective_select::ObjectiveKind;
 use jobsched_algos::view::WeightScheme;
 use jobsched_algos::AlgorithmSpec;
 use jobsched_metrics::{pareto_ranks, AvgResponseTime, Objective, Point};
 use jobsched_sim::{simulate, ScheduleRecord};
-use jobsched_workload::ctc::prepared_ctc_workload;
 use jobsched_workload::exact::with_exact_estimates;
 use jobsched_workload::job::{DAY, HOUR};
-use jobsched_workload::probabilistic::probabilistic_workload;
-use jobsched_workload::randomized::randomized_workload;
 use jobsched_workload::{JobBuilder, JobId, Workload};
-
-/// The three §6 workloads at the given scale (Table 1).
-pub struct PaperWorkloads {
-    /// Prepared CTC-like trace (§6.1: retargeted to 256 nodes,
-    /// homogenised).
-    pub ctc: Workload,
-    /// Probability-distribution workload fitted on the CTC trace (§6.2).
-    pub probabilistic: Workload,
-    /// Totally randomized workload (§6.3, Table 2).
-    pub randomized: Workload,
-}
-
-/// Generate all three workloads (Table 1).
-pub fn workloads(scale: Scale) -> PaperWorkloads {
-    let ctc = prepared_ctc_workload(scale.ctc_jobs, scale.seed);
-    let probabilistic = probabilistic_workload(&ctc, scale.synthetic_jobs, scale.seed + 1);
-    let randomized = randomized_workload(scale.synthetic_jobs, scale.seed + 2);
-    PaperWorkloads {
-        ctc,
-        probabilistic,
-        randomized,
-    }
-}
-
-/// A table pair: the unweighted (ART) and weighted (AWRT) sections the
-/// paper stacks in each of Tables 3–6.
-pub struct TablePair {
-    /// Unweighted case (average response time).
-    pub unweighted: EvalTable,
-    /// Weighted case (average weighted response time).
-    pub weighted: EvalTable,
-}
-
-fn table_pair(workload: &Workload, label: &str) -> TablePair {
-    TablePair {
-        unweighted: evaluate_matrix(
-            workload,
-            ObjectiveKind::AvgResponseTime,
-            &format!("{label} (unweighted case)"),
-        ),
-        weighted: evaluate_matrix(
-            workload,
-            ObjectiveKind::AvgWeightedResponseTime,
-            &format!("{label} (weighted case)"),
-        ),
-    }
-}
-
-/// Table 3 (and Figures 3–4): average response time for the CTC workload.
-pub fn table3(scale: Scale) -> TablePair {
-    let w = prepared_ctc_workload(scale.ctc_jobs, scale.seed);
-    table_pair(&w, "Table 3: CTC workload")
-}
-
-/// Table 4 (and Figure 5): the probability-distributed workload.
-pub fn table4(scale: Scale) -> TablePair {
-    let ctc = prepared_ctc_workload(scale.ctc_jobs, scale.seed);
-    let w = probabilistic_workload(&ctc, scale.synthetic_jobs, scale.seed + 1);
-    table_pair(&w, "Table 4: probability-distributed workload")
-}
-
-/// Table 5: the randomized workload.
-pub fn table5(scale: Scale) -> TablePair {
-    let w = randomized_workload(scale.synthetic_jobs, scale.seed + 2);
-    table_pair(&w, "Table 5: randomized workload")
-}
-
-/// Table 6 (and Figure 6): the CTC workload with exact execution times.
-pub fn table6(scale: Scale) -> TablePair {
-    let w = with_exact_estimates(&prepared_ctc_workload(scale.ctc_jobs, scale.seed));
-    table_pair(&w, "Table 6: CTC workload, exact execution times")
-}
-
-/// Table 7: scheduler computation time on the CTC workload.
-///
-/// Measured with the incremental cache disabled: the paper's 1999
-/// implementations re-scan the wait queue at every decision, so their
-/// relative costs track the queue depth each algorithm's own schedule
-/// produces (a better schedule ⇒ shorter queue ⇒ cheaper scheduling).
-/// The schedules — and hence Tables 3–6 — are identical either way (see
-/// the cache differential property test).
-pub fn table7(scale: Scale) -> TablePair {
-    let w = prepared_ctc_workload(scale.ctc_jobs, scale.seed);
-    TablePair {
-        unweighted: crate::experiment::evaluate_matrix_naive(
-            &w,
-            ObjectiveKind::AvgResponseTime,
-            "Table 7: computation time, CTC workload (unweighted)",
-        ),
-        weighted: crate::experiment::evaluate_matrix_naive(
-            &w,
-            ObjectiveKind::AvgWeightedResponseTime,
-            "Table 7: computation time, CTC workload (weighted)",
-        ),
-    }
-}
-
-/// Table 8: scheduler computation time on the probabilistic workload
-/// (same naive-scan measurement conditions as [`table7`]).
-pub fn table8(scale: Scale) -> TablePair {
-    let ctc = prepared_ctc_workload(scale.ctc_jobs, scale.seed);
-    let w = probabilistic_workload(&ctc, scale.synthetic_jobs, scale.seed + 1);
-    TablePair {
-        unweighted: crate::experiment::evaluate_matrix_naive(
-            &w,
-            ObjectiveKind::AvgResponseTime,
-            "Table 8: computation time, probabilistic workload (unweighted)",
-        ),
-        weighted: crate::experiment::evaluate_matrix_naive(
-            &w,
-            ObjectiveKind::AvgWeightedResponseTime,
-            "Table 8: computation time, probabilistic workload (weighted)",
-        ),
-    }
-}
 
 // ---------------------------------------------------------------------
 // Figure 1: Pareto-optimal schedules under two conflicting criteria.
@@ -317,56 +195,9 @@ pub fn figure2() -> Figure2 {
     }
 }
 
-/// Convenience for tests and examples: run one spec over a workload and
-/// return its ART.
-pub fn art_of(workload: &Workload, spec: AlgorithmSpec, scheme: WeightScheme) -> f64 {
-    let mut sched = spec.build(scheme);
-    let out = simulate(workload, &mut sched);
-    AvgResponseTime.cost(workload, &out.schedule)
-}
-
-/// Total number of jobs per workload at a scale, as printed in Table 1.
-pub fn table1(scale: Scale) -> Vec<(String, usize)> {
-    let w = workloads(scale);
-    vec![
-        ("CTC".to_string(), w.ctc.len()),
-        (
-            "Probability distribution".to_string(),
-            w.probabilistic.len(),
-        ),
-        ("Randomized".to_string(), w.randomized.len()),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn workloads_have_requested_sizes() {
-        let scale = Scale {
-            ctc_jobs: 800,
-            synthetic_jobs: 500,
-            seed: 5,
-        };
-        let w = workloads(scale);
-        // retarget() may drop a few >256-node jobs from the CTC trace.
-        assert!(w.ctc.len() >= 790 && w.ctc.len() <= 800, "{}", w.ctc.len());
-        assert_eq!(w.probabilistic.len(), 500);
-        assert_eq!(w.randomized.len(), 500);
-        assert_eq!(w.ctc.machine_nodes(), 256);
-    }
-
-    #[test]
-    fn table1_lists_three_workloads() {
-        let rows = table1(Scale {
-            ctc_jobs: 300,
-            synthetic_jobs: 200,
-            seed: 5,
-        });
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].0, "CTC");
-    }
 
     #[test]
     fn figure_workload_is_deterministic() {

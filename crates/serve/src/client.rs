@@ -1,6 +1,5 @@
 //! A tiny blocking client for the wire protocol — used by the
-//! integration tests, the `loadgen` bench bin, and the daemon's own
-//! `--restore` path. One request, one reply, in order.
+//! integration tests and the daemon's own `--restore` path. One request, one reply, in order.
 
 use jobsched_json::Json;
 use std::io::{BufRead, BufReader, Write};

@@ -25,7 +25,7 @@
 //!   exact-state promotion on failover;
 //! * [`server`] — bind/start/stop lifecycle around the reactor;
 //! * [`client`] — a tiny blocking client used by the tests and the
-//!   `loadgen` bench bin.
+//!   daemon's `--restore` path.
 //!
 //! Determinism: under a virtual clock ([`SimClock`](jobsched_sim::SimClock))
 //! same-instant submissions are admitted in job-id order no matter which

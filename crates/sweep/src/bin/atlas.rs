@@ -2,7 +2,7 @@
 //!
 //! Runs the full atlas campaign — every priority policy × backfill
 //! variant plus the paper matrix, over the CTC and probabilistic
-//! workloads under ART, AWRT and bounded slowdown (258 cells) — and
+//! workloads under the six atlas objectives (516 cells) — and
 //! writes the committed artifacts: the `bench-atlas/1` JSON document
 //! and the `ATLAS.md` markdown report with its Pareto summary. The
 //! schema is documented in `EXPERIMENTS.md`.
@@ -12,7 +12,7 @@
 //!         [--jobs N] [--out FILE] [--report FILE] [--cache DIR]
 //!         [--assert-clean]
 //!
-//! `--smoke` runs the reduced 20-cell CI slice at quick scale instead —
+//! `--smoke` runs the reduced 30-cell CI slice at quick scale instead —
 //! seconds of wall-clock, same artifact schema. `--preempt-smoke` runs
 //! the 16-cell time-shared slice (DFRS and moldable rows against the
 //! rigid FCFS / FCFS+EASY baselines) instead. `--cache DIR` keeps the
@@ -165,8 +165,7 @@ fn main() -> ExitCode {
     }
 
     let text = report.json.to_string_pretty();
-    // The artifact must stay consumable by the repo's own JSON reader
-    // (CI re-checks with json_check).
+    // The artifact must stay consumable by the repo's own JSON reader.
     jobsched_json::parse(&text).expect("atlas JSON must parse");
     if let Err(e) = std::fs::write(&args.out, text + "\n") {
         eprintln!("atlas: cannot write {}: {e}", args.out);

@@ -59,6 +59,47 @@ pub enum WorkloadSpec {
 }
 
 impl WorkloadSpec {
+    /// The §6.1 prepared CTC-like trace at `scale` (Tables 3 and 7).
+    pub fn ctc(scale: Scale) -> Self {
+        WorkloadSpec::Ctc {
+            jobs: scale.ctc_jobs,
+            seed: scale.seed,
+        }
+    }
+
+    /// [`WorkloadSpec::ctc`] with exact execution times (Table 6).
+    pub fn ctc_exact(scale: Scale) -> Self {
+        WorkloadSpec::CtcExact {
+            jobs: scale.ctc_jobs,
+            seed: scale.seed,
+        }
+    }
+
+    /// The §6.2 probabilistic workload fitted on [`WorkloadSpec::ctc`]
+    /// (Tables 4 and 8): draw 0 of [`WorkloadSpec::resampled`].
+    pub fn probabilistic(scale: Scale) -> Self {
+        Self::resampled(scale, 0)
+    }
+
+    /// The `k`-th independent resampling of the probabilistic workload:
+    /// same base trace, same model fit, resampling stream shifted by `k`.
+    pub fn resampled(scale: Scale, k: usize) -> Self {
+        WorkloadSpec::Probabilistic {
+            base_jobs: scale.ctc_jobs,
+            base_seed: scale.seed,
+            jobs: scale.synthetic_jobs,
+            seed: scale.seed + 1 + k as u64,
+        }
+    }
+
+    /// The §6.3 totally randomized workload (Table 5).
+    pub fn randomized(scale: Scale) -> Self {
+        WorkloadSpec::Randomized {
+            jobs: scale.synthetic_jobs,
+            seed: scale.seed + 2,
+        }
+    }
+
     /// Materialise the workload this spec describes.
     pub fn generate(&self) -> Workload {
         match *self {
@@ -291,124 +332,147 @@ impl Campaign {
         }
     }
 
-    /// Append one 13-cell paper matrix as a table.
-    pub fn push_matrix(
-        &mut self,
-        id: impl Into<String>,
-        title: impl Into<String>,
-        workload: WorkloadSpec,
-        objective: ObjectiveKind,
+    /// The one cross-product builder behind every preset: one table per
+    /// (workload row × objective row), each over `specs`. A workload row
+    /// is `(id prefix, title prefix, spec)`, an objective row
+    /// `(id suffix, title suffix, kind)`; a table's id is
+    /// `{prefix}-{suffix}` and its title the two title parts
+    /// concatenated, so the rows carry their own punctuation.
+    fn cross<S: AsRef<str>>(
+        mut self,
+        workloads: &[(S, S, WorkloadSpec)],
+        objectives: &[(&str, &str, ObjectiveKind)],
+        specs: &[AlgorithmSpec],
         caching: bool,
         cpu_table: bool,
-    ) {
-        self.push_specs(
-            id,
-            title,
-            workload,
-            objective,
-            caching,
-            cpu_table,
-            &AlgorithmSpec::paper_matrix(),
-        );
+    ) -> Campaign {
+        for (wid, wtitle, workload) in workloads {
+            for &(oid, otitle, objective) in objectives {
+                self.push_specs(
+                    format!("{}-{oid}", wid.as_ref()),
+                    format!("{}{otitle}", wtitle.as_ref()),
+                    *workload,
+                    objective,
+                    caching,
+                    cpu_table,
+                    specs,
+                );
+            }
+        }
+        self
     }
+
+    /// The unweighted (ART) and weighted (AWRT) sections the paper
+    /// stacks in each of Tables 3–8.
+    const PAPER_PAIR: [(&'static str, &'static str, ObjectiveKind); 2] = [
+        (
+            "unweighted",
+            "(unweighted case)",
+            ObjectiveKind::AvgResponseTime,
+        ),
+        (
+            "weighted",
+            "(weighted case)",
+            ObjectiveKind::AvgWeightedResponseTime,
+        ),
+    ];
+
+    /// Objective rows of the two smoke slices, titled by their tag.
+    const SMOKE_OBJECTIVES: [(&'static str, &'static str, ObjectiveKind); 3] = [
+        ("art", "(art)", ObjectiveKind::AvgResponseTime),
+        ("bsld", "(bsld)", ObjectiveKind::AvgBoundedSlowdown),
+        ("fair-max", "(fair-max)", ObjectiveKind::MaxUserSlowdown),
+    ];
 
     /// The paper's Tables 3–8 for the ids in `wanted` (e.g. `"table3"`),
     /// at the given scale. Each of Tables 3–6 contributes an unweighted
     /// (ART) and a weighted (AWRT) section; Tables 7–8 re-run the CTC and
     /// probabilistic matrices with the schedulers' incremental cache
     /// disabled, which is the paper's computation-time measurement
-    /// condition.
+    /// condition: the 1999 implementations re-scan the wait queue at
+    /// every decision, so their relative costs track the queue depth
+    /// each algorithm's own schedule produces. The schedules are
+    /// identical either way.
     pub fn paper_tables(scale: Scale, wanted: &[&str]) -> Campaign {
-        let ctc = WorkloadSpec::Ctc {
-            jobs: scale.ctc_jobs,
-            seed: scale.seed,
-        };
-        let prob = WorkloadSpec::Probabilistic {
-            base_jobs: scale.ctc_jobs,
-            base_seed: scale.seed,
-            jobs: scale.synthetic_jobs,
-            seed: scale.seed + 1,
-        };
-        let rand = WorkloadSpec::Randomized {
-            jobs: scale.synthetic_jobs,
-            seed: scale.seed + 2,
-        };
-        let exact = WorkloadSpec::CtcExact {
-            jobs: scale.ctc_jobs,
-            seed: scale.seed,
-        };
+        let ctc = WorkloadSpec::ctc(scale);
+        let prob = WorkloadSpec::probabilistic(scale);
+        // (id, title, workload, computation-time table); the latter run
+        // with the schedulers' cache off.
+        let rows = [
+            ("table3", "Table 3: CTC workload ", ctc, false),
+            (
+                "table4",
+                "Table 4: probability-distributed workload ",
+                prob,
+                false,
+            ),
+            (
+                "table5",
+                "Table 5: randomized workload ",
+                WorkloadSpec::randomized(scale),
+                false,
+            ),
+            (
+                "table6",
+                "Table 6: CTC workload, exact execution times ",
+                WorkloadSpec::ctc_exact(scale),
+                false,
+            ),
+            (
+                "table7",
+                "Table 7: computation time, CTC workload ",
+                ctc,
+                true,
+            ),
+            (
+                "table8",
+                "Table 8: computation time, probabilistic workload ",
+                prob,
+                true,
+            ),
+        ];
+        wanted.iter().fold(Campaign::new("paper-tables"), |c, id| {
+            let &(id, title, workload, cpu_table) = rows
+                .iter()
+                .find(|row| row.0 == *id)
+                .unwrap_or_else(|| panic!("unknown table id '{id}'"));
+            c.cross(
+                &[(id, title, workload)],
+                &Self::PAPER_PAIR,
+                &AlgorithmSpec::paper_matrix(),
+                !cpu_table,
+                cpu_table,
+            )
+        })
+    }
 
-        let mut c = Campaign::new("paper-tables");
-        let pair = |c: &mut Campaign, id: &str, title: &str, w, caching, cpu| {
-            for (suffix, obj, case) in [
+    /// The multi-seed replication behind `repro replicate`: the paper
+    /// matrix, unweighted and weighted, over one CTC-like realisation
+    /// per generator seed in `seeds` (seed-major table order). §6.2's
+    /// consistency check and §7's caution against reading too much into
+    /// absolute numbers both call for it: an ordering that survives the
+    /// across-seed spread of each cell's percentage against its own
+    /// seed's FCFS+EASY reference is a property of the workload *model*,
+    /// not of one sample.
+    pub fn replicate(scale: Scale, seeds: &[u64]) -> Campaign {
+        assert!(!seeds.is_empty(), "need at least one seed");
+        let workloads: Vec<(String, String, WorkloadSpec)> = seeds
+            .iter()
+            .map(|&seed| {
                 (
-                    "unweighted",
-                    ObjectiveKind::AvgResponseTime,
-                    "unweighted case",
-                ),
-                (
-                    "weighted",
-                    ObjectiveKind::AvgWeightedResponseTime,
-                    "weighted case",
-                ),
-            ] {
-                c.push_matrix(
-                    format!("{id}-{suffix}"),
-                    format!("{title} ({case})"),
-                    w,
-                    obj,
-                    caching,
-                    cpu,
-                );
-            }
-        };
-        for id in wanted {
-            match *id {
-                "table3" => pair(&mut c, "table3", "Table 3: CTC workload", ctc, true, false),
-                "table4" => pair(
-                    &mut c,
-                    "table4",
-                    "Table 4: probability-distributed workload",
-                    prob,
-                    true,
-                    false,
-                ),
-                "table5" => pair(
-                    &mut c,
-                    "table5",
-                    "Table 5: randomized workload",
-                    rand,
-                    true,
-                    false,
-                ),
-                "table6" => pair(
-                    &mut c,
-                    "table6",
-                    "Table 6: CTC workload, exact execution times",
-                    exact,
-                    true,
-                    false,
-                ),
-                "table7" => pair(
-                    &mut c,
-                    "table7",
-                    "Table 7: computation time, CTC workload",
-                    ctc,
-                    false,
-                    true,
-                ),
-                "table8" => pair(
-                    &mut c,
-                    "table8",
-                    "Table 8: computation time, probabilistic workload",
-                    prob,
-                    false,
-                    true,
-                ),
-                other => panic!("unknown table id '{other}'"),
-            }
-        }
-        c
+                    format!("replicate-s{seed}"),
+                    format!("Replication, CTC workload at seed {seed} "),
+                    WorkloadSpec::ctc(Scale { seed, ..scale }),
+                )
+            })
+            .collect();
+        Campaign::new("replicate").cross(
+            &workloads,
+            &Self::PAPER_PAIR,
+            &AlgorithmSpec::paper_matrix(),
+            true,
+            false,
+        )
     }
 
     /// The six objectives spanning the atlas cost space, with tags and
@@ -453,35 +517,24 @@ impl Campaign {
     /// slowdown and the three fairness criteria) — 516 cells. This is
     /// the mega-sweep behind `ATLAS.md`/`BENCH_atlas.json`.
     pub fn atlas(scale: Scale) -> Campaign {
-        let ctc = WorkloadSpec::Ctc {
-            jobs: scale.ctc_jobs,
-            seed: scale.seed,
-        };
-        let prob = WorkloadSpec::Probabilistic {
-            base_jobs: scale.ctc_jobs,
-            base_seed: scale.seed,
-            jobs: scale.synthetic_jobs,
-            seed: scale.seed + 1,
-        };
-        let matrix = AlgorithmSpec::atlas_matrix();
-        let mut c = Campaign::new("atlas");
-        for (wtag, wtitle, w) in [
-            ("ctc", "CTC workload", ctc),
-            ("prob", "probability-distributed workload", prob),
-        ] {
-            for (otag, otitle, obj) in Self::ATLAS_OBJECTIVES {
-                c.push_specs(
-                    format!("atlas-{wtag}-{otag}"),
-                    format!("Scheduler atlas: {wtitle}, {otitle}"),
-                    w,
-                    obj,
-                    true,
-                    false,
-                    &matrix,
-                );
-            }
-        }
-        c
+        Campaign::new("atlas").cross(
+            &[
+                (
+                    "atlas-ctc",
+                    "Scheduler atlas: CTC workload, ",
+                    WorkloadSpec::ctc(scale),
+                ),
+                (
+                    "atlas-prob",
+                    "Scheduler atlas: probability-distributed workload, ",
+                    WorkloadSpec::probabilistic(scale),
+                ),
+            ],
+            &Self::ATLAS_OBJECTIVES,
+            &AlgorithmSpec::atlas_matrix(),
+            true,
+            false,
+        )
     }
 
     /// The multi-seed significance campaign behind `BENCH_tune.json`:
@@ -493,28 +546,22 @@ impl Campaign {
     /// trace, same model fit, different draw.
     pub fn significance(scale: Scale, seeds: usize) -> Campaign {
         assert!(seeds >= 1, "need at least one seed");
-        let matrix = AlgorithmSpec::atlas_matrix();
-        let mut c = Campaign::new("significance");
-        for k in 0..seeds {
-            let w = WorkloadSpec::Probabilistic {
-                base_jobs: scale.ctc_jobs,
-                base_seed: scale.seed,
-                jobs: scale.synthetic_jobs,
-                seed: scale.seed + 1 + k as u64,
-            };
-            for (otag, otitle, obj) in Self::ATLAS_OBJECTIVES {
-                c.push_specs(
-                    format!("sig-s{k}-{otag}"),
-                    format!("Significance replicate {k}: {otitle}"),
-                    w,
-                    obj,
-                    true,
-                    false,
-                    &matrix,
-                );
-            }
-        }
-        c
+        let workloads: Vec<(String, String, WorkloadSpec)> = (0..seeds)
+            .map(|k| {
+                (
+                    format!("sig-s{k}"),
+                    format!("Significance replicate {k}: "),
+                    WorkloadSpec::resampled(scale, k),
+                )
+            })
+            .collect();
+        Campaign::new("significance").cross(
+            &workloads,
+            &Self::ATLAS_OBJECTIVES,
+            &AlgorithmSpec::atlas_matrix(),
+            true,
+            false,
+        )
     }
 
     /// The CI smoke slice of the atlas: a reduced policy×backfill set
@@ -523,10 +570,6 @@ impl Campaign {
     /// bounded slowdown and the worst-user fairness criterion — 30
     /// cells, seconds of wall-clock.
     pub fn atlas_smoke(scale: Scale) -> Campaign {
-        let ctc = WorkloadSpec::Ctc {
-            jobs: scale.ctc_jobs,
-            seed: scale.seed,
-        };
         let mut specs = vec![AlgorithmSpec::reference()];
         for score in [ScoreFn::Sjf, ScoreFn::Wfp3, ScoreFn::Unicef] {
             for backfill in [
@@ -537,23 +580,17 @@ impl Campaign {
                 specs.push(AlgorithmSpec::new(PolicyKind::Priority(score), backfill));
             }
         }
-        let mut c = Campaign::new("atlas-smoke");
-        for (otag, obj) in [
-            ("art", ObjectiveKind::AvgResponseTime),
-            ("bsld", ObjectiveKind::AvgBoundedSlowdown),
-            ("fair-max", ObjectiveKind::MaxUserSlowdown),
-        ] {
-            c.push_specs(
-                format!("atlas-smoke-{otag}"),
-                format!("Atlas smoke slice ({otag})"),
-                ctc,
-                obj,
-                true,
-                false,
-                &specs,
-            );
-        }
-        c
+        Campaign::new("atlas-smoke").cross(
+            &[(
+                "atlas-smoke",
+                "Atlas smoke slice ",
+                WorkloadSpec::ctc(scale),
+            )],
+            &Self::SMOKE_OBJECTIVES,
+            &specs,
+            true,
+            false,
+        )
     }
 
     /// The preemption smoke: the two time-shared rows (DFRS rotation,
@@ -569,42 +606,32 @@ impl Campaign {
             AlgorithmSpec::new(PolicyKind::Dfrs, BackfillMode::None),
             AlgorithmSpec::new(PolicyKind::Moldable, BackfillMode::None),
         ];
-        let workloads = [
-            (
-                "ctc",
-                WorkloadSpec::Ctc {
-                    jobs: scale.ctc_jobs,
-                    seed: scale.seed,
-                },
-            ),
-            (
-                "prob",
-                WorkloadSpec::Probabilistic {
-                    base_jobs: scale.ctc_jobs,
-                    base_seed: scale.seed,
-                    jobs: scale.ctc_jobs,
-                    seed: scale.seed ^ 1,
-                },
-            ),
-        ];
-        let mut c = Campaign::new("preempt-smoke");
-        for (wtag, workload) in workloads {
-            for (otag, obj) in [
-                ("art", ObjectiveKind::AvgResponseTime),
-                ("bsld", ObjectiveKind::AvgBoundedSlowdown),
-            ] {
-                c.push_specs(
-                    format!("preempt-smoke-{wtag}-{otag}"),
-                    format!("Preemption smoke, {wtag} workload ({otag})"),
-                    workload,
-                    obj,
-                    false,
-                    false,
-                    &specs,
-                );
-            }
-        }
-        c
+        // Its own probabilistic draw, as long as the CTC trace: not one
+        // of the paper's three workloads.
+        let prob = WorkloadSpec::Probabilistic {
+            base_jobs: scale.ctc_jobs,
+            base_seed: scale.seed,
+            jobs: scale.ctc_jobs,
+            seed: scale.seed ^ 1,
+        };
+        Campaign::new("preempt-smoke").cross(
+            &[
+                (
+                    "preempt-smoke-ctc",
+                    "Preemption smoke, ctc workload ",
+                    WorkloadSpec::ctc(scale),
+                ),
+                (
+                    "preempt-smoke-prob",
+                    "Preemption smoke, prob workload ",
+                    prob,
+                ),
+            ],
+            &Self::SMOKE_OBJECTIVES[..2],
+            &specs,
+            false,
+            false,
+        )
     }
 
     /// Distinct workload specs referenced by this campaign, in
@@ -709,6 +736,50 @@ mod tests {
         let keys: std::collections::BTreeSet<String> =
             c.cells.iter().map(|cell| cell.cache_key(1)).collect();
         assert_eq!(keys.len(), c.cells.len());
+    }
+
+    #[test]
+    fn replicate_campaign_runs_the_paper_matrix_per_seed() {
+        let c = Campaign::replicate(scale(), &[31, 32, 33]);
+        assert_eq!(c.tables.len(), 3 * 2, "3 seeds × (unweighted, weighted)");
+        assert_eq!(c.cells.len(), 3 * 2 * 13);
+        assert_eq!(c.tables[0].id, "replicate-s31-unweighted");
+        assert_eq!(c.tables[5].id, "replicate-s33-weighted");
+        // One CTC realisation per seed, at the scale's job count.
+        assert_eq!(
+            c.distinct_workloads(),
+            [31, 32, 33].map(|seed| WorkloadSpec::Ctc { jobs: 100, seed })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one seed")]
+    fn empty_seed_list_rejected() {
+        let _ = Campaign::replicate(scale(), &[]);
+    }
+
+    #[test]
+    fn workloads_have_requested_sizes() {
+        let scale = Scale {
+            ctc_jobs: 800,
+            synthetic_jobs: 500,
+            seed: 5,
+        };
+        let ctc = WorkloadSpec::ctc(scale).generate();
+        // retarget() may drop a few >256-node jobs from the CTC trace.
+        assert!(ctc.len() >= 790 && ctc.len() <= 800, "{}", ctc.len());
+        assert_eq!(ctc.machine_nodes(), 256);
+        assert_eq!(WorkloadSpec::ctc_exact(scale).generate().len(), ctc.len());
+        assert_eq!(WorkloadSpec::probabilistic(scale).generate().len(), 500);
+        assert_eq!(WorkloadSpec::randomized(scale).generate().len(), 500);
+        // The three Table 1 workloads draw from three different streams.
+        let seeds = [
+            WorkloadSpec::ctc(scale),
+            WorkloadSpec::probabilistic(scale),
+            WorkloadSpec::randomized(scale),
+        ]
+        .map(|w| w.seed());
+        assert_eq!(seeds, [5, 6, 7]);
     }
 
     #[test]

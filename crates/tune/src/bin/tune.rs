@@ -245,8 +245,7 @@ fn main() -> ExitCode {
 
     let json = build_json(atlas.scale, &fitted, sig.as_ref(), Some(&demo));
     let text = json.to_string_pretty();
-    // The artifact must stay consumable by the repo's own JSON reader
-    // (CI re-checks with json_check).
+    // The artifact must stay consumable by the repo's own JSON reader.
     jobsched_json::parse(&text).expect("tune JSON must parse");
     if let Err(e) = std::fs::write(&args.out, text + "\n") {
         eprintln!("tune: cannot write {}: {e}", args.out);

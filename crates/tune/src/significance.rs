@@ -16,6 +16,7 @@ use jobsched_core::experiment::{EvalTable, Scale};
 use jobsched_metrics::{pareto_front, Point};
 use jobsched_sweep::grid::{backfill_tag, policy_tag};
 use jobsched_sweep::{run_campaign, Campaign, SweepOptions};
+use jobsched_workload::stats::Summary;
 use std::io;
 
 /// Per-row across-seed statistics.
@@ -64,16 +65,6 @@ impl Significance {
     }
 }
 
-fn mean_ci(samples: &[f64]) -> (f64, f64) {
-    let n = samples.len() as f64;
-    let mean = samples.iter().sum::<f64>() / n;
-    if samples.len() < 2 {
-        return (mean, 0.0);
-    }
-    let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-    (mean, 1.96 * var.sqrt() / n.sqrt())
-}
-
 /// Aggregate the per-seed tables of a finished significance campaign.
 ///
 /// `tables` must be the [`Campaign::significance`] output: seed-major,
@@ -113,12 +104,11 @@ pub fn aggregate(tables: &[EvalTable], seeds: usize, objectives: &[String]) -> S
             let mut mean = Vec::with_capacity(dims);
             let mut ci = Vec::with_capacity(dims);
             for j in 0..dims {
-                let samples: Vec<f64> = (0..seeds)
-                    .map(|k| tables[k * dims + j].cells[r].cost)
-                    .collect();
-                let (m, c) = mean_ci(&samples);
-                mean.push(m);
-                ci.push(c);
+                let samples =
+                    Summary::from_iter((0..seeds).map(|k| tables[k * dims + j].cells[r].cost));
+                mean.push(samples.mean());
+                // 1.96·s/√N with the sample deviation s = σ·√(N/(N−1)).
+                ci.push(1.96 * samples.std_dev() / ((seeds - 1).max(1) as f64).sqrt());
             }
             RowStats {
                 label: format!("{}+{}", policy_tag(spec.kind), backfill_tag(spec.backfill)),
@@ -203,11 +193,27 @@ mod tests {
 
     #[test]
     fn mean_ci_basics() {
-        let (m, c) = mean_ci(&[4.0]);
-        assert_eq!((m, c), (4.0, 0.0));
-        let (m, c) = mean_ci(&[1.0, 3.0]);
-        assert!((m - 2.0).abs() < 1e-12);
+        use jobsched_algos::AlgorithmSpec;
+        use jobsched_core::experiment::{assemble_table, EngineCounts, EvalCell};
+        use jobsched_core::objective_select::ObjectiveKind;
+
+        let one_row = |cost: f64| {
+            let cell = EvalCell::from_parts(
+                AlgorithmSpec::reference(),
+                cost,
+                std::time::Duration::ZERO,
+                0,
+                0.0,
+                EngineCounts::default(),
+            );
+            assemble_table("t", "w", ObjectiveKind::AvgResponseTime, vec![cell])
+        };
+        let objectives = ["art".to_string()];
+        let sig = aggregate(&[one_row(4.0)], 1, &objectives);
+        assert_eq!((sig.rows[0].mean[0], sig.rows[0].ci[0]), (4.0, 0.0));
+        let sig = aggregate(&[one_row(1.0), one_row(3.0)], 2, &objectives);
+        assert!((sig.rows[0].mean[0] - 2.0).abs() < 1e-12);
         // s = sqrt(2), ci = 1.96·sqrt(2)/sqrt(2) = 1.96.
-        assert!((c - 1.96).abs() < 1e-9);
+        assert!((sig.rows[0].ci[0] - 1.96).abs() < 1e-9);
     }
 }

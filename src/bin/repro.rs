@@ -20,15 +20,16 @@
 //! cells on N worker threads (results are bit-identical to `--jobs 1`),
 //! `--out DIR` persists per-run JSON records into a content-addressed
 //! cache plus a `manifest.json`, and `--resume` serves already-cached
-//! cells from DIR instead of re-simulating them.
+//! cells from DIR instead of re-simulating them. `replicate` is a second
+//! campaign under the same flags; its records go to `DIR/replicate`.
 
 use jobsched_core::ablation;
 use jobsched_core::experiment::{EvalTable, Scale};
 use jobsched_core::objective_select::ObjectiveKind;
 use jobsched_core::paper;
 use jobsched_core::report::{render_cpu_table, render_table, to_csv};
-use jobsched_sweep::{run_campaign, Campaign, SweepOptions};
-use jobsched_workload::stats::WorkloadStats;
+use jobsched_sweep::{run_campaign, Campaign, CampaignOutcome, SweepOptions, WorkloadSpec};
+use jobsched_workload::stats::{Summary, WorkloadStats};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -39,6 +40,19 @@ struct Options {
     jobs: usize,
     out: Option<PathBuf>,
     resume: bool,
+}
+
+const USAGE: &str =
+    "repro [--scale quick|standard|paper] [--csv DIR] [--jobs N] [--out DIR] [--resume] [item ...]";
+
+/// The value of `flag`, or usage and exit 2 when the command line ends
+/// before it.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    args.next().unwrap_or_else(|| {
+        eprintln!("{flag} needs a value");
+        eprintln!("usage: {USAGE}");
+        std::process::exit(2);
+    })
 }
 
 fn parse_args() -> Options {
@@ -52,24 +66,24 @@ fn parse_args() -> Options {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
-                let name = args.next().unwrap_or_default();
+                let name = value(&mut args, "--scale");
                 scale = Scale::from_name(&name).unwrap_or_else(|| {
                     eprintln!("unknown scale '{name}' (quick|standard|paper)");
                     std::process::exit(2);
                 });
             }
-            "--csv" => csv_dir = args.next(),
+            "--csv" => csv_dir = Some(value(&mut args, "--csv")),
             "--jobs" => {
-                let n = args.next().unwrap_or_default();
+                let n = value(&mut args, "--jobs");
                 jobs = n.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
                     eprintln!("--jobs wants a positive integer, got '{n}'");
                     std::process::exit(2);
                 });
             }
-            "--out" => out = args.next().map(PathBuf::from),
+            "--out" => out = Some(PathBuf::from(value(&mut args, "--out"))),
             "--resume" => resume = true,
             "--help" | "-h" => {
-                println!("repro [--scale quick|standard|paper] [--csv DIR] [--jobs N] [--out DIR] [--resume] [item ...]");
+                println!("{USAGE}");
                 println!("items: workloads table3 table4 table5 table6 table7 table8 fig1 fig2 ablations combined drain gang heterogeneity replicate all");
                 println!("  --jobs N    simulate campaign cells on N worker threads (default 1)");
                 println!("  --out DIR   persist RunRecords + manifest.json under DIR");
@@ -105,9 +119,38 @@ fn print_table(table: &EvalTable, cpu: bool, csv_dir: &Option<String>, stem: &st
         println!("{}", render_table(table));
     }
     if let Some(dir) = csv_dir {
-        let _ = std::fs::create_dir_all(dir);
-        let _ = std::fs::write(format!("{dir}/{stem}.csv"), to_csv(table));
+        let path = format!("{dir}/{stem}.csv");
+        std::fs::write(&path, to_csv(table)).unwrap_or_else(|e| {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(1);
+        });
     }
+}
+
+/// Run one campaign under the command line's sweep flags: shared
+/// workloads generated once, cells distributed over --jobs workers,
+/// records cached under `out`, cached cells skipped with --resume.
+fn run(campaign: &Campaign, opts: &Options, out: Option<PathBuf>) -> CampaignOutcome {
+    let sweep = SweepOptions {
+        jobs: opts.jobs,
+        out,
+        resume: opts.resume,
+        progress: true,
+    };
+    let t0 = Instant::now();
+    let outcome = run_campaign(campaign, &sweep).unwrap_or_else(|e| {
+        eprintln!("campaign failed: {e}");
+        std::process::exit(1);
+    });
+    eprintln!(
+        "[campaign: {} cells ({} simulated, {} cached) in {:.1?} on {} worker(s)]",
+        outcome.records.len(),
+        outcome.simulated,
+        outcome.cached,
+        t0.elapsed(),
+        opts.jobs
+    );
+    outcome
 }
 
 /// Heading the repro output prints above each paper table.
@@ -126,6 +169,14 @@ fn table_heading(id: &str) -> &'static str {
 fn main() {
     let opts = parse_args();
     let wants = |name: &str| opts.items.iter().any(|i| i == name || i == "all");
+    // Before any simulation: an unusable --csv target must not cost a
+    // campaign first.
+    if let Some(dir) = &opts.csv_dir {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
+            eprintln!("cannot create --csv directory {dir}: {e}");
+            std::process::exit(1);
+        });
+    }
     println!(
         "# IPPS'99 scheduling-algorithm evaluation — {} CTC-like jobs, {} synthetic jobs, seed {}",
         opts.scale.ctc_jobs, opts.scale.synthetic_jobs, opts.scale.seed
@@ -135,41 +186,23 @@ fn main() {
     if wants("workloads") {
         println!("## Table 1: workloads");
         let t0 = Instant::now();
-        let w = paper::workloads(opts.scale);
-        for wl in [&w.ctc, &w.probabilistic, &w.randomized] {
-            println!("{}", WorkloadStats::of(wl));
+        for spec in [
+            WorkloadSpec::ctc(opts.scale),
+            WorkloadSpec::probabilistic(opts.scale),
+            WorkloadSpec::randomized(opts.scale),
+        ] {
+            println!("{}", WorkloadStats::of(&spec.generate()));
         }
         println!("(generated in {:.1?})\n", t0.elapsed());
     }
 
-    // Tables 3–8 run as one sweep campaign: shared workloads generated
-    // once, cells distributed over --jobs workers, records cached under
-    // --out, cached cells skipped with --resume.
     let wanted_tables: Vec<&str> = ["table3", "table4", "table5", "table6", "table7", "table8"]
         .into_iter()
         .filter(|t| wants(t))
         .collect();
     if !wanted_tables.is_empty() {
         let campaign = Campaign::paper_tables(opts.scale, &wanted_tables);
-        let sweep = SweepOptions {
-            jobs: opts.jobs,
-            out: opts.out.clone(),
-            resume: opts.resume,
-            progress: true,
-        };
-        let t0 = Instant::now();
-        let outcome = run_campaign(&campaign, &sweep).unwrap_or_else(|e| {
-            eprintln!("campaign failed: {e}");
-            std::process::exit(1);
-        });
-        eprintln!(
-            "[campaign: {} cells ({} simulated, {} cached) in {:.1?} on {} worker(s)]",
-            outcome.records.len(),
-            outcome.simulated,
-            outcome.cached,
-            t0.elapsed(),
-            opts.jobs
-        );
+        let outcome = run(&campaign, &opts, opts.out.clone());
         // Each paper table contributes an adjacent (unweighted, weighted)
         // pair of campaign tables.
         for (defs, tables) in campaign.tables.chunks(2).zip(outcome.tables.chunks(2)) {
@@ -347,23 +380,30 @@ fn main() {
     // Replication is explicit-only (not part of `all`): it multiplies the
     // whole matrix by the seed count.
     if opts.items.iter().any(|i| i == "replicate") {
+        const SEEDS: [u64; 5] = [101, 102, 103, 104, 105];
         println!("## Replication: mean ± std of pct vs FCFS+EASY over 5 seeds");
         let mut scale = opts.scale;
         scale.ctc_jobs = scale.ctc_jobs.min(8_000);
-        for objective in [
-            ObjectiveKind::AvgResponseTime,
-            ObjectiveKind::AvgWeightedResponseTime,
-        ] {
-            println!("\n{objective:?}:");
-            let cells =
-                jobsched_core::replication::replicate(scale, objective, &[101, 102, 103, 104, 105]);
-            for c in &cells {
+        let campaign = Campaign::replicate(scale, &SEEDS);
+        let out = opts.out.as_ref().map(|dir| dir.join(&campaign.name));
+        let outcome = run(&campaign, &opts, out);
+        // Tables are seed-major: every `sections`-th one is the same
+        // objective on the next seed's trace.
+        let sections = outcome.tables.len() / SEEDS.len();
+        for (j, first) in outcome.tables[..sections].iter().enumerate() {
+            println!("\n{:?}:", first.objective);
+            for (row, cell) in first.cells.iter().enumerate() {
+                let per_seed = outcome.tables.iter().skip(j).step_by(sections);
+                let pct = Summary::from_iter(per_seed.map(|t| t.cells[row].pct));
+                // Distinguishable from the per-seed FCFS+EASY reference
+                // at roughly two standard deviations.
+                let significant = pct.mean().abs() > 2.0 * pct.std_dev().max(1e-9);
                 println!(
                     "  {:36} {:>+8.1}% ± {:>5.1}%{}",
-                    c.spec.name(),
-                    c.mean_pct,
-                    c.std_pct,
-                    if c.significant() {
+                    cell.spec().name(),
+                    pct.mean(),
+                    pct.std_dev(),
+                    if significant {
                         ""
                     } else {
                         "   (not significant)"

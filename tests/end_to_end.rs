@@ -7,9 +7,9 @@ use jobsched::algos::view::WeightScheme;
 use jobsched::algos::{AlgorithmSpec, BackfillMode};
 use jobsched::core::experiment::{evaluate_matrix, Scale};
 use jobsched::core::objective_select::ObjectiveKind;
-use jobsched::core::paper;
 use jobsched::sim::simulate;
 use jobsched::workload::ctc::prepared_ctc_workload;
+use jobsched_sweep::{run_campaign, Campaign, SweepOptions};
 
 fn cell(table: &jobsched::core::EvalTable, kind: PolicyKind, mode: BackfillMode) -> f64 {
     table
@@ -159,15 +159,18 @@ fn exact_estimates_improve_dynamic_algorithms() {
         synthetic_jobs: 400,
         seed: 1999,
     };
-    let estimated = paper::table3(scale);
-    let exact = paper::table6(scale);
+    let campaign = Campaign::paper_tables(scale, &["table3", "table6"]);
+    let out = run_campaign(&campaign, &SweepOptions::default()).unwrap();
+    // Table order follows `wanted`; each table is an (unweighted,
+    // weighted) pair.
+    let (estimated, exact) = (&out.tables[0], &out.tables[2]);
     for kind in [
         PolicyKind::SmartFfia,
         PolicyKind::SmartNfiw,
         PolicyKind::Psrs,
     ] {
-        let est = cell(&estimated.unweighted, kind, BackfillMode::Easy);
-        let exa = cell(&exact.unweighted, kind, BackfillMode::Easy);
+        let est = cell(estimated, kind, BackfillMode::Easy);
+        let exa = cell(exact, kind, BackfillMode::Easy);
         assert!(
             exa < est,
             "{kind:?}: exact runtimes should improve EASY ({exa:.3e} vs {est:.3e})"
@@ -200,19 +203,17 @@ fn table_pairs_cover_all_paper_tables() {
         synthetic_jobs: 250,
         seed: 5,
     };
-    for (pair, label) in [
-        (paper::table3(scale), "t3"),
-        (paper::table4(scale), "t4"),
-        (paper::table5(scale), "t5"),
-        (paper::table6(scale), "t6"),
-    ] {
-        assert_eq!(pair.unweighted.cells.len(), 13, "{label}");
-        assert_eq!(pair.weighted.cells.len(), 13, "{label}");
-        assert_eq!(pair.unweighted.objective, ObjectiveKind::AvgResponseTime);
-        assert_eq!(
-            pair.weighted.objective,
-            ObjectiveKind::AvgWeightedResponseTime
-        );
+    let ids = ["table3", "table4", "table5", "table6", "table7", "table8"];
+    let campaign = Campaign::paper_tables(scale, &ids);
+    let out = run_campaign(&campaign, &SweepOptions::default()).unwrap();
+    assert_eq!(out.tables.len(), 2 * ids.len());
+    for ((defs, pair), id) in campaign.tables.chunks(2).zip(out.tables.chunks(2)).zip(ids) {
+        assert_eq!(defs[0].id, format!("{id}-unweighted"));
+        assert_eq!(defs[1].id, format!("{id}-weighted"));
+        assert_eq!(pair[0].cells.len(), 13, "{id}");
+        assert_eq!(pair[1].cells.len(), 13, "{id}");
+        assert_eq!(pair[0].objective, ObjectiveKind::AvgResponseTime);
+        assert_eq!(pair[1].objective, ObjectiveKind::AvgWeightedResponseTime);
     }
 }
 

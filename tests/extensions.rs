@@ -9,10 +9,11 @@ use jobsched::core::ablation;
 use jobsched::core::experiment::Scale;
 use jobsched::core::extensions::{combined_comparison, gang_comparison, heterogeneity_comparison};
 use jobsched::core::objective_select::ObjectiveKind;
-use jobsched::core::replication::replicate;
 use jobsched::sim::gang::{GangConfig, GangFcfsTs};
 use jobsched::sim::{check_segments, simulate, simulate_time_shared};
 use jobsched::workload::ctc::prepared_ctc_workload;
+use jobsched::workload::stats::Summary;
+use jobsched_sweep::{run_campaign, Campaign, SweepOptions};
 
 fn scale(jobs: usize) -> Scale {
     Scale {
@@ -125,26 +126,38 @@ fn heterogeneity_error_is_small() {
 
 #[test]
 fn replication_keeps_headline_orderings() {
-    let cells = replicate(
-        scale(1_200),
-        ObjectiveKind::AvgWeightedResponseTime,
-        &[31, 32, 33],
-    );
-    let gg = cells
-        .iter()
-        .find(|c| c.spec == AlgorithmSpec::new(PolicyKind::GareyGraham, BackfillMode::None))
-        .unwrap();
-    let fcfs_list = cells
-        .iter()
-        .find(|c| c.spec == AlgorithmSpec::new(PolicyKind::Fcfs, BackfillMode::None))
-        .unwrap();
+    let seeds = [31, 32, 33];
+    let campaign = Campaign::replicate(scale(1_200), &seeds);
+    let out = run_campaign(&campaign, &SweepOptions::default()).unwrap();
+    // Seed-major tables, (unweighted, weighted) per seed: the across-seed
+    // spread of one cell's pct against its own seed's FCFS+EASY.
+    let pct = |weighted: usize, kind, backfill| {
+        let spec = AlgorithmSpec::new(kind, backfill);
+        Summary::from_iter(
+            out.tables
+                .iter()
+                .skip(weighted)
+                .step_by(2)
+                .map(|t| t.cell(spec).expect("matrix cell").pct),
+        )
+    };
+    let reference = pct(0, PolicyKind::Fcfs, BackfillMode::Easy);
+    assert_eq!(reference.count(), seeds.len() as u64);
+    assert_eq!((reference.mean(), reference.std_dev()), (0.0, 0.0));
+    // Unweighted: plain FCFS far above the reference, clear of the
+    // spread — a property of the workload model, not of one sample.
+    let fcfs_art = pct(0, PolicyKind::Fcfs, BackfillMode::None);
+    assert!(fcfs_art.mean() > 50.0, "mean {}", fcfs_art.mean());
+    assert!(fcfs_art.mean() > 2.0 * fcfs_art.std_dev());
     // Weighted case across seeds: G&G below the reference, plain FCFS far
     // above it.
-    assert!(gg.mean_pct < 0.0, "G&G mean pct {}", gg.mean_pct);
+    let gg = pct(1, PolicyKind::GareyGraham, BackfillMode::None);
+    let fcfs_list = pct(1, PolicyKind::Fcfs, BackfillMode::None);
+    assert!(gg.mean() < 0.0, "G&G mean pct {}", gg.mean());
     assert!(
-        fcfs_list.mean_pct > 10.0,
+        fcfs_list.mean() > 10.0,
         "FCFS list mean pct {}",
-        fcfs_list.mean_pct
+        fcfs_list.mean()
     );
 }
 
