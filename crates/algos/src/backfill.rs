@@ -99,42 +99,16 @@ pub struct EasyScan {
     pub free: u32,
 }
 
-/// How the scans obtain the availability step function.
-enum Avail<'a> {
-    /// Rebuild from the running set on every call (the seed behaviour;
-    /// kept as the differential tests' oracle).
-    Rebuild,
-    /// Read the machine's incrementally-maintained [`jobsched_sim::LiveProfile`],
-    /// materialising into the given scratch buffer only when the scan
-    /// must overlay reservations.
-    Live(&'a mut Profile),
-}
-
 /// EASY backfilling (Lifka's original method), full scan of one
-/// node-class pool: free nodes, the profile and the shadow computation
-/// all read only that pool, and the order must contain only jobs
-/// resolved to `class`. Rebuilds the availability profile from the
-/// running set — the pre-incremental baseline, kept as the differential
-/// oracle.
-pub fn scan_easy_in(
-    class: ClassId,
-    order: impl IntoIterator<Item = JobId>,
-    waiting: &Waiting,
-    machine: &Machine,
-    now: Time,
-) -> EasyScan {
-    scan_easy_inner(class, order, waiting, machine, now, Avail::Rebuild)
-}
-
-/// EASY backfilling over the pool's incremental
-/// [`jobsched_sim::LiveProfile`].
+/// node-class pool over its incremental [`jobsched_sim::LiveProfile`]:
+/// free nodes, the profile and the shadow computation all read only that
+/// pool, and the order must contain only jobs resolved to `class`.
 ///
 /// When phase 1 starts nothing (the usual steady state: the head stays
 /// blocked), the shadow time and spare nodes are answered directly from
 /// the calendar — no step function is materialised at all. Otherwise the
 /// calendar is merged into `scratch` (linear, no sort, reusing its
 /// allocation) and the just-started picks are overlaid as reservations.
-/// Results are bit-identical to [`scan_easy_in`].
 pub fn scan_easy_live_in(
     class: ClassId,
     order: impl IntoIterator<Item = JobId>,
@@ -142,17 +116,6 @@ pub fn scan_easy_live_in(
     machine: &Machine,
     now: Time,
     scratch: &mut Profile,
-) -> EasyScan {
-    scan_easy_inner(class, order, waiting, machine, now, Avail::Live(scratch))
-}
-
-fn scan_easy_inner(
-    class: ClassId,
-    order: impl IntoIterator<Item = JobId>,
-    waiting: &Waiting,
-    machine: &Machine,
-    now: Time,
-    avail: Avail<'_>,
 ) -> EasyScan {
     let mut order = order.into_iter();
     let mut free = machine.free_in(class);
@@ -185,32 +148,19 @@ fn scan_easy_inner(
     // at the shadow time once the head job has taken its share.
     let head = waiting.get(head_id);
     let head_duration = head.requested_time.max(1);
-    let (shadow, mut extra) = match avail {
-        Avail::Live(_) if out.is_empty() => {
-            // Nothing started: the live calendar *is* the profile.
-            let live = machine.class_profile(class);
-            let shadow = live.earliest_start(now, head.nodes, head_duration, now);
-            (shadow, live.free_at(now, shadow).saturating_sub(head.nodes))
+    let live = machine.class_profile(class);
+    let (shadow, mut extra) = if out.is_empty() {
+        // Nothing started: the live calendar *is* the profile.
+        let shadow = live.earliest_start(now, head.nodes, head_duration, now);
+        (shadow, live.free_at(now, shadow).saturating_sub(head.nodes))
+    } else {
+        live.snapshot_into(now, scratch);
+        for &id in &out {
+            let j = waiting.get(id);
+            scratch.reserve(j.nodes, now, j.requested_time.max(1));
         }
-        avail => {
-            let mut rebuilt;
-            let profile = match avail {
-                Avail::Rebuild => {
-                    rebuilt = Profile::from_machine_class(machine, class, now);
-                    &mut rebuilt
-                }
-                Avail::Live(scratch) => {
-                    machine.class_profile(class).snapshot_into(now, scratch);
-                    scratch
-                }
-            };
-            for &id in &out {
-                let j = waiting.get(id);
-                profile.reserve(j.nodes, now, j.requested_time.max(1));
-            }
-            let shadow = profile.earliest_start(head.nodes, head_duration, now);
-            (shadow, profile.free_at(shadow).saturating_sub(head.nodes))
-        }
+        let shadow = scratch.earliest_start(head.nodes, head_duration, now);
+        (shadow, scratch.free_at(shadow).saturating_sub(head.nodes))
     };
 
     // Phase 3: backfill later jobs that fit now and do not push the head's
@@ -252,15 +202,17 @@ pub struct ConservativeScan {
 }
 
 /// Queue depth beyond which the conservative scan switches to the
-/// horizon-truncated fast path (see [`scan_conservative_in`]). Depths like
-/// this only arise under pathological overload (the §6.3 randomized
+/// horizon-truncated fast path (see [`scan_conservative_live_in`]). Depths
+/// like this only arise under pathological overload (the §6.3 randomized
 /// workload); the paper-relevant workloads stay on the exact path.
 pub const CONSERVATIVE_TRUNCATION_DEPTH: usize = 512;
 
-/// Conservative backfilling, full scan of one node-class pool: build the
-/// reservation calendar (covering only that pool's capacity) in priority
-/// order; start exactly the jobs whose reservation is `now`. The order
-/// must contain only jobs resolved to `class`.
+/// Conservative backfilling, full scan of one node-class pool: merge the
+/// pool's incremental [`jobsched_sim::LiveProfile`] into `scratch`
+/// (linear, no sort, reusing its allocation), book the reservation
+/// calendar (covering only that pool's capacity) there in priority
+/// order, and start exactly the jobs whose reservation is `now`. The
+/// order must contain only jobs resolved to `class`.
 ///
 /// For queues deeper than [`CONSERVATIVE_TRUNCATION_DEPTH`] the scan
 /// truncates the calendar at a horizon of `now + 4 × max requested time`:
@@ -272,23 +224,6 @@ pub const CONSERVATIVE_TRUNCATION_DEPTH: usize = 512;
 /// conservative no-delay guarantee. Without the truncation, each of the
 /// O(queue) reservations scans an O(queue)-breakpoint profile and the
 /// §6.3 stress workload becomes quadratic per event.
-pub fn scan_conservative_in(
-    class: ClassId,
-    order: impl IntoIterator<Item = JobId>,
-    queue_len: usize,
-    waiting: &Waiting,
-    machine: &Machine,
-    now: Time,
-) -> ConservativeScan {
-    let mut profile = Profile::from_machine_class(machine, class, now);
-    scan_conservative_over(class, order, queue_len, waiting, machine, now, &mut profile)
-}
-
-/// Conservative backfilling over the pool's incremental
-/// [`jobsched_sim::LiveProfile`]: the calendar is merged into `scratch`
-/// (linear, no sort, reusing its allocation) and the scan books
-/// reservations there. Results are bit-identical to
-/// [`scan_conservative_in`].
 #[allow(clippy::too_many_arguments)]
 pub fn scan_conservative_live_in(
     class: ClassId,
@@ -297,22 +232,9 @@ pub fn scan_conservative_live_in(
     waiting: &Waiting,
     machine: &Machine,
     now: Time,
-    scratch: &mut Profile,
-) -> ConservativeScan {
-    machine.class_profile(class).snapshot_into(now, scratch);
-    scan_conservative_over(class, order, queue_len, waiting, machine, now, scratch)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn scan_conservative_over(
-    class: ClassId,
-    order: impl IntoIterator<Item = JobId>,
-    queue_len: usize,
-    waiting: &Waiting,
-    machine: &Machine,
-    now: Time,
     profile: &mut Profile,
 ) -> ConservativeScan {
+    machine.class_profile(class).snapshot_into(now, profile);
     let mut out = Vec::new();
     let mut leftover = machine.free_in(class);
 
@@ -400,7 +322,7 @@ mod tests {
         m: &Machine,
         now: Time,
     ) -> Vec<JobId> {
-        scan_easy_in(POOL, order, w, m, now).picks
+        scan_easy_live_in(POOL, order, w, m, now, &mut Profile::empty(1, 0)).picks
     }
 
     fn select_conservative(
@@ -409,7 +331,7 @@ mod tests {
         m: &Machine,
         now: Time,
     ) -> Vec<JobId> {
-        scan_conservative_in(POOL, order, w.len(), w, m, now).picks
+        scan_conservative_live_in(POOL, order, w.len(), w, m, now, &mut Profile::empty(1, 0)).picks
     }
 
     fn waiting(reqs: &[JobRequest]) -> (Waiting, Vec<JobId>) {

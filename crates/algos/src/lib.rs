@@ -15,7 +15,8 @@
 //! and any head-blocking selection can be upgraded with conservative or
 //! EASY backfilling (§5.2, [`backfill::BackfillMode`]). Backfilling brings
 //! no benefit to Garey & Graham (§5.3) because it already starts every
-//! fitting job.
+//! fitting job. The backfilling scans have one source of availability:
+//! the machine's incrementally maintained [`jobsched_sim::LiveProfile`].
 //!
 //! Beyond the paper's rows, [`order::OrderPolicy::Score`] makes the
 //! ordering side a scoring function over (wait, estimate, width) —
@@ -48,7 +49,7 @@ pub use backfill::BackfillMode;
 pub use dfrs::{DfrsScheduler, MoldableScheduler};
 pub use order::OrderPolicy;
 pub use priority::ScoreFn;
-pub use scheduler::{ListScheduler, ProfileMode};
+pub use scheduler::ListScheduler;
 pub use smart::SmartVariant;
 pub use spec::AlgorithmSpec;
 pub use view::JobView;

@@ -183,7 +183,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BackfillMode, ListScheduler, OrderPolicy, ProfileMode};
+    use crate::{BackfillMode, ListScheduler, OrderPolicy};
     use jobsched_sim::{simulate, Scheduler};
     use jobsched_workload::{ClassId, JobBuilder, Workload};
 
@@ -288,15 +288,13 @@ mod tests {
                 BackfillMode::Conservative,
                 BackfillMode::Easy,
             ] {
-                for mode in [ProfileMode::Rebuild, ProfileMode::Incremental] {
-                    let mut s = scheduler(score, backfill).with_profile_mode(mode);
-                    let out = simulate(&w, &mut s);
-                    assert!(
-                        out.schedule.validate(&w).is_empty(),
-                        "invalid schedule from {}",
-                        s.name()
-                    );
-                }
+                let mut s = scheduler(score, backfill);
+                let out = simulate(&w, &mut s);
+                assert!(
+                    out.schedule.validate(&w).is_empty(),
+                    "invalid schedule from {}",
+                    s.name()
+                );
             }
         }
     }

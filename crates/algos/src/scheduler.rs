@@ -11,8 +11,7 @@
 //! Garey & Graham instead starts anything that fits (§5.3).
 
 use crate::backfill::{
-    scan_conservative_in, scan_conservative_live_in, scan_easy_in, scan_easy_live_in,
-    select_head_blocking_in, BackfillMode,
+    scan_conservative_live_in, scan_easy_live_in, select_head_blocking_in, BackfillMode,
 };
 use crate::garey_graham::select_greedy_any_in;
 use crate::order::{OrderPolicy, ReorderTrigger};
@@ -21,24 +20,6 @@ use crate::view::JobView;
 use jobsched_sim::{JobRequest, Machine, Profile, Scheduler};
 use jobsched_workload::{ClassId, JobId, Time};
 use std::collections::BTreeSet;
-
-/// How the backfilling scans obtain the availability step function.
-///
-/// Scheduling decisions are bit-identical across modes (the differential
-/// property tests enforce it); only the cost differs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum ProfileMode {
-    /// Rebuild the profile from the running set on every decision
-    /// ([`Profile::from_machine`]: collect + sort). The seed behaviour,
-    /// kept as the measurable baseline and the differential oracle.
-    Rebuild,
-    /// Read the machine's incrementally-maintained
-    /// [`jobsched_sim::LiveProfile`] (O(log n) per job event), merging it
-    /// into a reusable scratch buffer only when a scan must overlay
-    /// reservations.
-    #[default]
-    Incremental,
-}
 
 /// The wait queue: requests keyed by job id. Ids are assigned in
 /// submission order by the workload, so ascending-id iteration *is*
@@ -177,10 +158,8 @@ pub struct ListScheduler {
     /// Whether the incremental blocked-state cache is enabled (it is by
     /// default; differential tests run with it off).
     caching: bool,
-    /// How the backfilling scans obtain the availability profile.
-    profile_mode: ProfileMode,
-    /// Reusable step-function buffer for [`ProfileMode::Incremental`]
-    /// scans; overwritten (total and steps) by every snapshot.
+    /// Reusable step-function buffer of the backfilling scans;
+    /// overwritten (total and steps) by every snapshot.
     scratch: Profile,
     cache: Option<BlockedCache>,
     /// Jobs submitted since the cache was established.
@@ -204,7 +183,6 @@ impl ListScheduler {
             covered: BTreeSet::new(),
             recomputations: 0,
             caching: true,
-            profile_mode: ProfileMode::default(),
             scratch: Profile::empty(1, 0),
             cache: None,
             arrivals: Vec::new(),
@@ -231,23 +209,9 @@ impl ListScheduler {
         self
     }
 
-    /// Choose how the backfilling scans obtain the availability profile.
-    /// [`ProfileMode::Rebuild`] restores the rebuild-per-decision seed
-    /// behaviour — semantically identical, asymptotically slower; used as
-    /// the oracle in the differential tests.
-    pub fn with_profile_mode(mut self, mode: ProfileMode) -> Self {
-        self.profile_mode = mode;
-        self
-    }
-
     /// The ordering policy.
     pub fn policy(&self) -> &OrderPolicy {
         &self.policy
-    }
-
-    /// How the backfilling scans obtain the availability profile.
-    pub fn profile_mode(&self) -> ProfileMode {
-        self.profile_mode
     }
 
     /// How many times the offline order was recomputed.
@@ -414,15 +378,13 @@ impl ListScheduler {
 pub(crate) struct ScanConfig {
     greedy_any: bool,
     backfill: BackfillMode,
-    profile_mode: ProfileMode,
 }
 
 impl ScanConfig {
-    pub(crate) fn new(policy: &OrderPolicy, backfill: BackfillMode, mode: ProfileMode) -> Self {
+    pub(crate) fn new(policy: &OrderPolicy, backfill: BackfillMode) -> Self {
         ScanConfig {
             greedy_any: matches!(policy, OrderPolicy::GareyGraham),
             backfill,
-            profile_mode: mode,
         }
     }
 }
@@ -459,8 +421,8 @@ pub(crate) fn scan_pools(
 
 /// One full decision scan over one node-class pool: dispatch the order to
 /// the selection strategy and describe the blocked state it leaves
-/// behind. `scratch` is the reusable profile buffer for
-/// [`ProfileMode::Incremental`] scans. On a single-class machine
+/// behind. `scratch` is the reusable profile buffer of the backfilling
+/// scans. On a single-class machine
 /// `ClassId(0)` is the whole machine; the blocked state is only cached
 /// then (a multi-class machine would need one cache per pool).
 fn full_scan<I: IntoIterator<Item = JobId>>(
@@ -496,12 +458,7 @@ fn full_scan<I: IntoIterator<Item = JobId>>(
             (picks, blocked)
         }
         BackfillMode::Easy => {
-            let scan = match config.profile_mode {
-                ProfileMode::Rebuild => scan_easy_in(class, order, waiting, machine, now),
-                ProfileMode::Incremental => {
-                    scan_easy_live_in(class, order, waiting, machine, now, scratch)
-                }
-            };
+            let scan = scan_easy_live_in(class, order, waiting, machine, now, scratch);
             (
                 scan.picks,
                 BlockedCache::Easy {
@@ -512,20 +469,15 @@ fn full_scan<I: IntoIterator<Item = JobId>>(
             )
         }
         BackfillMode::Conservative => {
-            let scan = match config.profile_mode {
-                ProfileMode::Rebuild => {
-                    scan_conservative_in(class, order, waiting.len(), waiting, machine, now)
-                }
-                ProfileMode::Incremental => scan_conservative_live_in(
-                    class,
-                    order,
-                    waiting.len(),
-                    waiting,
-                    machine,
-                    now,
-                    scratch,
-                ),
-            };
+            let scan = scan_conservative_live_in(
+                class,
+                order,
+                waiting.len(),
+                waiting,
+                machine,
+                now,
+                scratch,
+            );
             (
                 scan.picks,
                 BlockedCache::Conservative {
@@ -618,7 +570,7 @@ impl Scheduler for ListScheduler {
             }
         }
 
-        let config = ScanConfig::new(&self.policy, self.backfill, self.profile_mode);
+        let config = ScanConfig::new(&self.policy, self.backfill);
         let order = self.explicit_order(now, machine.total_nodes());
         if classed {
             let order = order.unwrap_or_else(|| self.waiting.ids().collect());

@@ -16,7 +16,7 @@
 use crate::backfill::BackfillMode;
 use crate::order::OrderPolicy;
 use crate::priority::rank;
-use crate::scheduler::{scan_pools, ProfileMode, ScanConfig, Waiting};
+use crate::scheduler::{scan_pools, ScanConfig, Waiting};
 use crate::view::JobView;
 use jobsched_sim::{JobRequest, Machine, Profile, Scheduler};
 use jobsched_workload::job::{DAY, HOUR, WEEK};
@@ -214,7 +214,7 @@ impl Scheduler for SwitchingScheduler {
             &mut self.night
         };
         let order = regime.order(&self.waiting, now, machine.total_nodes());
-        let config = ScanConfig::new(&regime.policy, regime.backfill, ProfileMode::default());
+        let config = ScanConfig::new(&regime.policy, regime.backfill);
         let picks = scan_pools(
             config,
             &mut self.scratch,

@@ -11,7 +11,7 @@
 
 use jobsched_algos::spec::PolicyKind;
 use jobsched_algos::view::WeightScheme;
-use jobsched_algos::{AlgorithmSpec, BackfillMode, ProfileMode};
+use jobsched_algos::{AlgorithmSpec, BackfillMode};
 use jobsched_sim::{simulate_batch_with_faults, simulate_with_faults, FaultPlan, PreemptFault};
 use jobsched_workload::{JobBuilder, JobId, Workload};
 
@@ -68,23 +68,17 @@ fn cached_and_uncached_agree_under_preemptive_reentry() {
         BackfillMode::Easy,
     ] {
         let spec = AlgorithmSpec::new(PolicyKind::Fcfs, backfill);
-        for mode in [ProfileMode::Rebuild, ProfileMode::Incremental] {
-            let build = |caching: bool| {
-                spec.build(WeightScheme::Unweighted)
-                    .with_profile_mode(mode)
-                    .with_caching(caching)
-            };
-            let ctx = format!("{backfill:?} / {mode:?}");
+        let build = |caching: bool| spec.build(WeightScheme::Unweighted).with_caching(caching);
+        let ctx = format!("{backfill:?}");
 
-            let cached = simulate_batch_with_faults(&workload, &mut build(true), &plan);
-            let plain = simulate_batch_with_faults(&workload, &mut build(false), &plan);
-            assert_eq!(cached.schedule, plain.schedule, "batch schedules: {ctx}");
-            assert_eq!(cached.faults, plain.faults, "batch fault outcomes: {ctx}");
+        let cached = simulate_batch_with_faults(&workload, &mut build(true), &plan);
+        let plain = simulate_batch_with_faults(&workload, &mut build(false), &plan);
+        assert_eq!(cached.schedule, plain.schedule, "batch schedules: {ctx}");
+        assert_eq!(cached.faults, plain.faults, "batch fault outcomes: {ctx}");
 
-            let cached = simulate_with_faults(&workload, &mut build(true), &plan);
-            let plain = simulate_with_faults(&workload, &mut build(false), &plan);
-            assert_eq!(cached.schedule, plain.schedule, "stream schedules: {ctx}");
-            assert_eq!(cached.faults, plain.faults, "stream fault outcomes: {ctx}");
-        }
+        let cached = simulate_with_faults(&workload, &mut build(true), &plan);
+        let plain = simulate_with_faults(&workload, &mut build(false), &plan);
+        assert_eq!(cached.schedule, plain.schedule, "stream schedules: {ctx}");
+        assert_eq!(cached.faults, plain.faults, "stream fault outcomes: {ctx}");
     }
 }

@@ -1,7 +1,7 @@
 //! The FCFS pin: `OrderPolicy::Score(ScoreFn::Fcfs)` must be
 //! bit-identical to `OrderPolicy::Fcfs` on the one `ListScheduler` —
 //! every placement, every fault outcome — across every backfill mode,
-//! both profile modes, both engines (batch loop and streaming
+//! both engines (batch loop and streaming
 //! pipeline), homogeneous and heterogeneous layouts, with and without
 //! fault injection.
 //!
@@ -14,7 +14,7 @@
 
 use jobsched_algos::spec::PolicyKind;
 use jobsched_algos::view::WeightScheme;
-use jobsched_algos::{AlgorithmSpec, BackfillMode, ProfileMode, ScoreFn};
+use jobsched_algos::{AlgorithmSpec, BackfillMode, ScoreFn};
 use jobsched_sim::{
     simulate_batch_with_faults, simulate_with_faults, CancelFault, DrainFault, FaultPlan,
 };
@@ -123,34 +123,27 @@ fn assert_identical(workload: &Workload, plan: &FaultPlan, what: &str) {
     ] {
         let legacy_spec = AlgorithmSpec::new(PolicyKind::Fcfs, backfill);
         let priority_spec = AlgorithmSpec::new(PolicyKind::Priority(ScoreFn::Fcfs), backfill);
-        for mode in [ProfileMode::Rebuild, ProfileMode::Incremental] {
-            for caching in [false, true] {
-                let legacy = || {
-                    legacy_spec
-                        .build(WeightScheme::Unweighted)
-                        .with_profile_mode(mode)
-                        .with_caching(caching)
-                };
-                let priority = || {
-                    priority_spec
-                        .build(WeightScheme::Unweighted)
-                        .with_profile_mode(mode)
-                };
-                let ctx = format!("{what} / {backfill:?} / {mode:?} / legacy caching={caching}");
+        for caching in [false, true] {
+            let legacy = || {
+                legacy_spec
+                    .build(WeightScheme::Unweighted)
+                    .with_caching(caching)
+            };
+            let priority = || priority_spec.build(WeightScheme::Unweighted);
+            let ctx = format!("{what} / {backfill:?} / legacy caching={caching}");
 
-                let l = simulate_with_faults(workload, &mut legacy(), plan);
-                let p = simulate_with_faults(workload, &mut priority(), plan);
-                assert_eq!(l.schedule, p.schedule, "stream placements diverged: {ctx}");
-                assert_eq!(l.faults, p.faults, "fault outcomes diverged: {ctx}");
+            let l = simulate_with_faults(workload, &mut legacy(), plan);
+            let p = simulate_with_faults(workload, &mut priority(), plan);
+            assert_eq!(l.schedule, p.schedule, "stream placements diverged: {ctx}");
+            assert_eq!(l.faults, p.faults, "fault outcomes diverged: {ctx}");
 
-                let lb = simulate_batch_with_faults(workload, &mut legacy(), plan);
-                let pb = simulate_batch_with_faults(workload, &mut priority(), plan);
-                assert_eq!(lb.schedule, pb.schedule, "batch placements diverged: {ctx}");
-                assert_eq!(
-                    l.schedule, pb.schedule,
-                    "batch vs stream placements diverged: {ctx}"
-                );
-            }
+            let lb = simulate_batch_with_faults(workload, &mut legacy(), plan);
+            let pb = simulate_batch_with_faults(workload, &mut priority(), plan);
+            assert_eq!(lb.schedule, pb.schedule, "batch placements diverged: {ctx}");
+            assert_eq!(
+                l.schedule, pb.schedule,
+                "batch vs stream placements diverged: {ctx}"
+            );
         }
     }
 }

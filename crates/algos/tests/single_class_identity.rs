@@ -4,13 +4,12 @@
 //!
 //! This is the compatibility contract the heterogeneous node-class
 //! extension rides on — all 13 paper algorithm/backfill combinations,
-//! in both profile modes and both engines, with fault injection in the
-//! mix, must not move a single start when `MachineLayout::single(n)` is
+//! in both engines, with fault injection in the mix, must not move a single start when `MachineLayout::single(n)` is
 //! attached to the workload. Any divergence means multi-class logic
 //! leaked into the single-class path.
 
 use jobsched_algos::view::WeightScheme;
-use jobsched_algos::{AlgorithmSpec, ProfileMode};
+use jobsched_algos::AlgorithmSpec;
 use jobsched_sim::{
     simulate_batch_with_faults, simulate_with_faults, CancelFault, DrainFault, FaultPlan,
 };
@@ -76,32 +75,23 @@ fn explicit_single_class_layout_changes_no_placement() {
             .with_layout(MachineLayout::single(MACHINE_NODES));
 
         for spec in AlgorithmSpec::paper_matrix() {
-            for mode in [ProfileMode::Rebuild, ProfileMode::Incremental] {
-                for caching in [false, true] {
-                    let build = || {
-                        spec.build(WeightScheme::Unweighted)
-                            .with_profile_mode(mode)
-                            .with_caching(caching)
-                    };
-                    let ctx = format!(
-                        "{} / {mode:?} / caching={caching} / seed {seed}",
-                        spec.name()
-                    );
+            for caching in [false, true] {
+                let build = || spec.build(WeightScheme::Unweighted).with_caching(caching);
+                let ctx = format!("{} / caching={caching} / seed {seed}", spec.name());
 
-                    let base = simulate_with_faults(&plain, &mut build(), &faults());
-                    let single = simulate_with_faults(&layered, &mut build(), &faults());
-                    assert_eq!(
-                        base.schedule, single.schedule,
-                        "stream placements diverged: {ctx}"
-                    );
-                    assert_eq!(base.faults, single.faults, "fault outcomes diverged: {ctx}");
+                let base = simulate_with_faults(&plain, &mut build(), &faults());
+                let single = simulate_with_faults(&layered, &mut build(), &faults());
+                assert_eq!(
+                    base.schedule, single.schedule,
+                    "stream placements diverged: {ctx}"
+                );
+                assert_eq!(base.faults, single.faults, "fault outcomes diverged: {ctx}");
 
-                    let batch = simulate_batch_with_faults(&layered, &mut build(), &faults());
-                    assert_eq!(
-                        base.schedule, batch.schedule,
-                        "batch placements diverged: {ctx}"
-                    );
-                }
+                let batch = simulate_batch_with_faults(&layered, &mut build(), &faults());
+                assert_eq!(
+                    base.schedule, batch.schedule,
+                    "batch placements diverged: {ctx}"
+                );
             }
         }
     }

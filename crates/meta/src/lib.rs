@@ -23,6 +23,11 @@
 //! resubmitted there (at most once per job, so routing mistakes cannot
 //! ping-pong). Response times are always charged against the *original*
 //! submission instant, so forwarding pays for its own queueing detour.
+//!
+//! [`report`] runs the committed single-cluster vs. two-site comparison
+//! (`repro meta` → `BENCH_meta.json`).
+
+pub mod report;
 
 use jobsched_algos::ListScheduler;
 use jobsched_sim::{JobEvent, LiveSim, ScheduleRecord, Scheduler, SimObserver};
@@ -198,7 +203,7 @@ impl MetaScheduler {
 
     /// Route and simulate `workload` to completion. Every job must be
     /// hostable by at least one site (panics otherwise — size the
-    /// workload to the smallest site, as `meta_bench` does).
+    /// workload to the smallest site, as [`report::run`] does).
     pub fn run(mut self, workload: &Workload) -> MetaOutcome {
         let n = workload.len();
         let mut record = ScheduleRecord::new(self.total_nodes(), n);

@@ -10,7 +10,6 @@
 //! the machine under a planned backlog.
 
 use crate::scenario::{CancelSpec, DrainSpec, PreemptSpec, Scenario, ScenarioJob};
-use jobsched_algos::scheduler::ProfileMode;
 use jobsched_algos::spec::{AlgorithmSpec, PolicyKind};
 use jobsched_workload::rng::{derive_seed, Rng, SmallRng};
 use jobsched_workload::{ClassId, MachineLayout, NodeClassSpec, NodeType, Time};
@@ -31,7 +30,6 @@ pub fn random_scenario(base_seed: u64, index: u64) -> Scenario {
         let matrix = AlgorithmSpec::atlas_matrix();
         *pick(&mut rng, &matrix)
     };
-    let profile_mode = *pick(&mut rng, &[ProfileMode::Rebuild, ProfileMode::Incremental]);
     let caching = rng.random_range(0u32..2) == 0;
 
     let n = rng.random_range(20usize..=80);
@@ -151,7 +149,6 @@ pub fn random_scenario(base_seed: u64, index: u64) -> Scenario {
         machine_nodes,
         policy: spec.kind,
         backfill: spec.backfill,
-        profile_mode,
         caching,
         mutation: None,
         classes,
@@ -295,12 +292,6 @@ mod tests {
             scenarios.iter().any(|s| s.preempts.is_empty()),
             "preemption-free scenarios drawn"
         );
-        assert!(scenarios
-            .iter()
-            .any(|s| s.profile_mode == ProfileMode::Rebuild));
-        assert!(scenarios
-            .iter()
-            .any(|s| s.profile_mode == ProfileMode::Incremental));
         assert!(scenarios.iter().any(|s| s.caching));
         assert!(scenarios.iter().any(|s| !s.caching));
         assert!(

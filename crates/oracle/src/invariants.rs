@@ -902,7 +902,6 @@ mod tests {
     use super::*;
     use crate::gen::{broken_scenario, random_scenario};
     use crate::scenario::{CancelSpec, DrainSpec, Mutation, PreemptSpec, ScenarioJob};
-    use jobsched_algos::scheduler::ProfileMode;
     use jobsched_sim::ScheduleRecord;
 
     fn job(submit: Time, nodes: u32, requested: Time, runtime: Time) -> ScenarioJob {
@@ -921,7 +920,6 @@ mod tests {
             machine_nodes: 10,
             policy,
             backfill,
-            profile_mode: ProfileMode::Incremental,
             caching: true,
             mutation: None,
             classes: Vec::new(),

@@ -2,14 +2,13 @@
 //!
 //! A scenario bundles everything needed to reproduce a run bit-for-bit:
 //! the machine size, the algorithm configuration under test (policy ×
-//! backfill × profile mode × caching), the job stream, and the injected
+//! backfill × caching), the job stream, and the injected
 //! faults (cancellations and node drains). Scenarios serialize to a
 //! line-oriented text format so that shrunk counterexamples can be
 //! committed to `tests/corpus/` and replayed by `cargo test` — the
 //! deterministic-replay half of the oracle contract.
 
 use jobsched_algos::priority::rank;
-use jobsched_algos::scheduler::ProfileMode;
 use jobsched_algos::spec::PolicyKind;
 use jobsched_algos::{BackfillMode, ListScheduler, ScoreFn};
 use jobsched_sim::{
@@ -105,8 +104,6 @@ pub struct Scenario {
     pub policy: PolicyKind,
     /// Backfill variant under test.
     pub backfill: BackfillMode,
-    /// Availability-profile implementation under test.
-    pub profile_mode: ProfileMode,
     /// Whether the blocked-state cache is enabled.
     pub caching: bool,
     /// Deliberate defect (None for real-scheduler runs).
@@ -291,7 +288,6 @@ impl Scenario {
             }
             (None, _) => Box::new(
                 ListScheduler::new(self.policy.policy(Default::default()), self.backfill)
-                    .with_profile_mode(self.profile_mode)
                     .with_caching(self.caching),
             ),
         }
@@ -303,13 +299,6 @@ impl Scenario {
         out.push_str(&format!("machine {}\n", self.machine_nodes));
         out.push_str(&format!("policy {}\n", self.policy.tag()));
         out.push_str(&format!("backfill {}\n", self.backfill.tag()));
-        out.push_str(&format!(
-            "profile {}\n",
-            match self.profile_mode {
-                ProfileMode::Rebuild => "rebuild",
-                ProfileMode::Incremental => "incremental",
-            }
-        ));
         out.push_str(&format!(
             "caching {}\n",
             if self.caching { "on" } else { "off" }
@@ -373,7 +362,6 @@ impl Scenario {
             machine_nodes: 0,
             policy: PolicyKind::Fcfs,
             backfill: BackfillMode::None,
-            profile_mode: ProfileMode::default(),
             caching: true,
             mutation: None,
             classes: Vec::new(),
@@ -409,13 +397,6 @@ impl Scenario {
                     s.backfill = tok
                         .and_then(BackfillMode::from_tag)
                         .ok_or_else(|| ctx(&format!("unknown backfill {tok:?}")))?;
-                }
-                "profile" => {
-                    s.profile_mode = match args.first().copied() {
-                        Some("rebuild") => ProfileMode::Rebuild,
-                        Some("incremental") => ProfileMode::Incremental,
-                        other => return Err(ctx(&format!("unknown profile mode {other:?}"))),
-                    };
                 }
                 "caching" => {
                     s.caching = match args.first().copied() {
@@ -589,7 +570,6 @@ mod tests {
             machine_nodes: 256,
             policy: PolicyKind::SmartFfia,
             backfill: BackfillMode::Easy,
-            profile_mode: ProfileMode::Rebuild,
             caching: false,
             mutation: None,
             classes: Vec::new(),

@@ -35,7 +35,9 @@ struct Args {
     restore: Option<String>,
 }
 
-fn usage() -> ! {
+/// Message, usage, exit 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("{msg}");
     eprintln!(
         "usage: jobsched-serve [--listen ADDR] [--nodes N] [--scheduler SPEC] \
          [--time-scale X | --virtual] [--queue-bound N] [--max-connections N] \
@@ -44,60 +46,47 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// `text` as the numeric value of `flag`, accepted by `valid`.
+fn number<T: std::str::FromStr>(flag: &str, text: &str, valid: impl Fn(&T) -> bool) -> T {
+    text.parse()
+        .ok()
+        .filter(valid)
+        .unwrap_or_else(|| usage(&format!("{flag}: '{text}' is not a valid value")))
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         listen: "127.0.0.1:7463".to_string(),
         config: ServeConfig::default(),
         restore: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let value = |i: usize| {
-            argv.get(i + 1).unwrap_or_else(|| {
-                eprintln!("{} needs a value", argv[i]);
-                std::process::exit(2);
-            })
+    let mut argv = std::env::args().skip(1);
+    while let Some(flag) = argv.next() {
+        let mut value = || {
+            argv.next()
+                .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
         };
-        match argv[i].as_str() {
-            "--listen" => args.listen = value(i).clone(),
-            "--nodes" => args.config.machine_nodes = value(i).parse().expect("--nodes N"),
+        let config = &mut args.config;
+        match flag.as_str() {
+            "--listen" => args.listen = value(),
+            "--nodes" => config.machine_nodes = number(&flag, &value(), |&n| n >= 1),
             "--scheduler" => {
-                args.config.scheduler = SchedulerSpec::parse(value(i)).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
+                config.scheduler = SchedulerSpec::parse(&value()).unwrap_or_else(|e| usage(&e))
             }
-            "--time-scale" => args.config.time_scale = value(i).parse().expect("--time-scale X"),
-            "--virtual" => {
-                args.config.virtual_clock = true;
-                i += 1;
-                continue;
+            "--time-scale" => {
+                config.time_scale = number(&flag, &value(), |x: &f64| x.is_finite() && *x > 0.0)
             }
-            "--queue-bound" => args.config.queue_bound = value(i).parse().expect("--queue-bound N"),
-            "--max-connections" => {
-                args.config.max_connections = value(i).parse().expect("--max-connections N")
-            }
+            "--virtual" => config.virtual_clock = true,
+            "--queue-bound" => config.queue_bound = number(&flag, &value(), |_| true),
+            "--max-connections" => config.max_connections = number(&flag, &value(), |_| true),
             "--read-timeout-ms" => {
-                args.config.read_timeout =
-                    Duration::from_millis(value(i).parse().expect("--read-timeout-ms MS"))
+                config.read_timeout = Duration::from_millis(number(&flag, &value(), |_| true))
             }
-            "--restore" => args.restore = Some(value(i).clone()),
-            "--shards" => {
-                args.config.shards = value(i).parse().expect("--shards N");
-                if args.config.shards == 0 {
-                    eprintln!("--shards must be at least 1");
-                    std::process::exit(2);
-                }
-            }
-            "--replica" => {
-                args.config.replica = true;
-                i += 1;
-                continue;
-            }
-            _ => usage(),
+            "--restore" => args.restore = Some(value()),
+            "--shards" => config.shards = number(&flag, &value(), |&n| n >= 1),
+            "--replica" => config.replica = true,
+            other => usage(&format!("unknown argument '{other}'")),
         }
-        i += 2;
     }
     args
 }

@@ -34,7 +34,9 @@
 //!   O(log R) per job event — so backfilling schedulers no longer rebuild
 //!   the step function from the running set on every decision. Scratch
 //!   [`profile::Profile`] snapshots (linear merge, no sort) serve the scans
-//!   that overlay reservations.
+//!   that overlay reservations; the from-scratch
+//!   [`profile::Profile::from_machine`] is the brute-force reference the
+//!   differential tests and the oracle compare the calendar against.
 
 //! * **Streaming pipeline.** [`pipeline::SimPipeline`] is the
 //!   bounded-memory core: it pulls jobs from a

@@ -3,11 +3,13 @@
 //! `ATLAS.md` markdown report with its Pareto summary.
 //!
 //! The campaign itself is declared in [`crate::grid`]
-//! ([`Campaign::atlas`] / [`Campaign::atlas_smoke`]) and executed by
-//! [`crate::runner::run_campaign`]; this module only *renders* the
-//! outcome. Everything here is a pure function of the records, so the
-//! artifacts are bit-reproducible from the manifest: same campaign, same
-//! scale, same report.
+//! ([`Campaign::atlas`] / [`Campaign::atlas_smoke`] /
+//! [`Campaign::preempt_smoke`]) and executed by
+//! [`crate::runner::run_campaign`]; [`run`] strings the three steps
+//! together — simulate, render, gate — for `repro atlas` and
+//! `repro preempt`. The rendering is a pure function of the records, so
+//! the artifacts are bit-reproducible from the manifest: same campaign,
+//! same scale, same report.
 //!
 //! The Pareto summary applies the paper's §2.2 recipe to the atlas
 //! itself: for each workload, every algorithm row becomes a point in
@@ -17,7 +19,7 @@
 //! rank column in `ATLAS.md` orders the rest.
 
 use crate::grid::{backfill_tag, objective_tag, policy_tag, Campaign};
-use crate::runner::CampaignOutcome;
+use crate::runner::{run_campaign, CampaignOutcome, SweepOptions};
 use jobsched_algos::AlgorithmSpec;
 use jobsched_core::experiment::Scale;
 use jobsched_core::objective_select::ObjectiveKind;
@@ -193,35 +195,33 @@ fn markdown(
     outcome: &CampaignOutcome,
     groups: &[ParetoGroup],
     scale: Scale,
-    smoke: bool,
 ) -> String {
     let mut md = String::new();
-    let preempt = campaign.name == "preempt-smoke";
-    if preempt {
-        md.push_str("# Preemption slice\n\n");
-        md.push_str(
-            "The time-shared rows — DFRS slice rotation and the moldable FCFS variant, both \
+    // (heading and lead-in, the `repro` arguments that regenerate it)
+    let (intro, args) = match campaign.name.as_str() {
+        "preempt-smoke" => (
+            "# Preemption slice\n\n\
+             The time-shared rows — DFRS slice rotation and the moldable FCFS variant, both \
              running through the preemptible segment engine — against their rigid FCFS and \
-             FCFS+EASY baselines, over the paper's workload models and objectives. Generated by \
-             `cargo run --release -p jobsched-sweep --bin atlas`",
-        );
-    } else {
-        md.push_str("# Scheduler atlas\n\n");
-        md.push_str(
-            "Every priority policy × backfill variant of the scheduler family, swept over the \
-             paper's workload models and objectives in one campaign. Generated by \
-             `cargo run --release -p jobsched-sweep --bin atlas`",
-        );
-    }
-    if preempt {
-        md.push_str(" `--preempt-smoke`");
-    } else if smoke {
-        md.push_str(" `--smoke`");
-    }
-    md.push_str(
-        "; the run is deterministic, so regenerating at the same scale reproduces this file \
-         byte for byte (see the sweep manifest for the cache keys).\n\n",
-    );
+             FCFS+EASY baselines, over the paper's workload models and objectives.",
+            "preempt",
+        ),
+        name => (
+            "# Scheduler atlas\n\n\
+             Every priority policy × backfill variant of the scheduler family, swept over the \
+             paper's workload models and objectives in one campaign.",
+            if name == "atlas" {
+                "atlas"
+            } else {
+                "--smoke atlas"
+            },
+        ),
+    };
+    md.push_str(&format!(
+        "{intro} Generated by `cargo run --release --bin repro -- {args}`; the run is \
+         deterministic, so regenerating at the same scale reproduces this file byte for byte \
+         (see the sweep manifest for the cache keys).\n\n",
+    ));
     md.push_str(&format!(
         "- campaign: `{}` — {} tables, {} cells\n- scale: {} CTC jobs, {} synthetic jobs, seed {}\n- costs: simulated seconds (lower is better); `% ref` is relative to the FCFS+EASY reference row\n\n",
         campaign.name,
@@ -293,13 +293,10 @@ fn markdown(
     md
 }
 
-/// Render the artifacts of a finished atlas campaign.
-pub fn build_report(
-    campaign: &Campaign,
-    outcome: &CampaignOutcome,
-    scale: Scale,
-    smoke: bool,
-) -> AtlasReport {
+/// Render the artifacts of a finished atlas campaign. The document's
+/// `smoke` field marks the reduced slices: every campaign but
+/// [`Campaign::atlas`] itself.
+pub fn build_report(campaign: &Campaign, outcome: &CampaignOutcome, scale: Scale) -> AtlasReport {
     assert_eq!(
         campaign.tables.len(),
         outcome.tables.len(),
@@ -312,7 +309,7 @@ pub fn build_report(
     let json = Json::obj([
         ("schema", Json::Str(ATLAS_SCHEMA.into())),
         ("campaign", Json::Str(campaign.name.clone())),
-        ("smoke", Json::Bool(smoke)),
+        ("smoke", Json::Bool(campaign.name != "atlas")),
         (
             "scale",
             Json::obj([
@@ -323,12 +320,12 @@ pub fn build_report(
         ),
         // Deliberately no simulated/cached provenance counters: the
         // artifact must be byte-identical whether cells ran fresh or
-        // came from the --cache (those counts go to stderr instead).
+        // came from the cache (those counts go to stderr instead).
         ("cells", Json::UInt(campaign.cells.len() as u64)),
         ("tables", Json::Arr(tables)),
         ("pareto", pareto_json(&groups)),
     ]);
-    let markdown = markdown(campaign, outcome, &groups, scale, smoke);
+    let markdown = markdown(campaign, outcome, &groups, scale);
     AtlasReport {
         json,
         markdown,
@@ -336,12 +333,12 @@ pub fn build_report(
     }
 }
 
-/// The `--assert-clean` gate: structural sanity of a finished atlas run.
+/// The structural gate of a finished atlas run.
 ///
 /// Checks that every cell cost is finite and positive, that every table
 /// carries the FCFS+EASY reference row, and that each workload's Pareto
 /// front is non-empty and only holds rank-1 points. Returns the first
-/// failure as a message; CI fails the build on it.
+/// failure as a message; [`run`] refuses to hand out a report on it.
 pub fn check_clean(
     campaign: &Campaign,
     outcome: &CampaignOutcome,
@@ -402,10 +399,33 @@ pub fn check_clean(
     Ok(())
 }
 
+/// One atlas-family artifact end to end: run `campaign` (the atlas, its
+/// smoke slice or the preemption slice) under `sweep`, render the
+/// report and apply [`check_clean`]. The Pareto fronts go to stderr; a
+/// gate violation is the `Err`.
+pub fn run(campaign: &Campaign, scale: Scale, sweep: &SweepOptions) -> Result<AtlasReport, String> {
+    let outcome = run_campaign(campaign, sweep)
+        .map_err(|e| format!("campaign '{}' failed: {e}", campaign.name))?;
+    let report = build_report(campaign, &outcome, scale);
+    for g in &report.pareto {
+        eprintln!(
+            "{}: {} workload — Pareto front {} of {} configurations",
+            campaign.name,
+            g.workload,
+            g.front.len(),
+            g.points.len()
+        );
+        for &i in &g.front {
+            eprintln!("    ⭐ {}", g.points[i].label);
+        }
+    }
+    check_clean(campaign, &outcome, &report)?;
+    Ok(report)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_campaign, SweepOptions};
 
     fn tiny() -> Scale {
         Scale {
@@ -433,7 +453,7 @@ mod tests {
     #[test]
     fn report_carries_the_schema_and_every_cell() {
         let (campaign, outcome) = smoke_run();
-        let report = build_report(&campaign, &outcome, tiny(), true);
+        let report = build_report(&campaign, &outcome, tiny());
         let text = report.json.to_string_pretty();
         let doc = jobsched_json::parse(&text).expect("artifact must re-parse");
         assert_eq!(doc.get("schema").unwrap().as_str().unwrap(), ATLAS_SCHEMA);
@@ -459,7 +479,7 @@ mod tests {
     #[test]
     fn pareto_groups_span_the_objective_space() {
         let (campaign, outcome) = smoke_run();
-        let report = build_report(&campaign, &outcome, tiny(), true);
+        let report = build_report(&campaign, &outcome, tiny());
         assert_eq!(report.pareto.len(), 1, "smoke runs one workload");
         let g = &report.pareto[0];
         assert_eq!(g.workload, "ctc");
@@ -481,7 +501,7 @@ mod tests {
     #[test]
     fn clean_check_accepts_a_real_run_and_rejects_a_poisoned_one() {
         let (campaign, mut outcome) = smoke_run();
-        let report = build_report(&campaign, &outcome, tiny(), true);
+        let report = build_report(&campaign, &outcome, tiny());
         assert_eq!(check_clean(&campaign, &outcome, &report), Ok(()));
 
         // Poison one cost; the structural gate must trip.
@@ -501,7 +521,7 @@ mod tests {
     #[test]
     fn markdown_report_names_every_configuration() {
         let (campaign, outcome) = smoke_run();
-        let report = build_report(&campaign, &outcome, tiny(), true);
+        let report = build_report(&campaign, &outcome, tiny());
         for cell in &outcome.tables[0].cells {
             assert!(
                 report.markdown.contains(&cell.spec().name()),

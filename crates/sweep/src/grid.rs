@@ -541,8 +541,8 @@ impl Campaign {
     /// the atlas matrix over `seeds` independent resamplings of the
     /// probabilistic workload, under the full six-objective cost space.
     /// Seed index 0 reuses the atlas campaign's resampling seed, so its
-    /// cells share cache entries with [`Campaign::atlas`] at the same
-    /// scale; later seeds shift the resampling stream only — same base
+    /// cells carry [`Campaign::atlas`]'s cache keys at the same scale
+    /// (one entry when both run against one cache directory); later seeds shift the resampling stream only — same base
     /// trace, same model fit, different draw.
     pub fn significance(scale: Scale, seeds: usize) -> Campaign {
         assert!(seeds >= 1, "need at least one seed");

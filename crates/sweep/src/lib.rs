@@ -25,7 +25,7 @@
 //! * [`progress`] — throttled stderr progress reporting;
 //! * [`atlas`] — the scheduler-atlas report: `bench-atlas/1` JSON and
 //!   the `ATLAS.md` Pareto summary rendered from a finished campaign
-//!   (driven by the `atlas` binary).
+//!   (`repro atlas` / `repro preempt` call [`atlas::run`]).
 //!
 //! Determinism contract: for a fixed campaign definition the
 //! deterministic payload of every record — and therefore every

@@ -26,7 +26,8 @@ pub struct SweepOptions {
     /// Serve cells from the cache instead of re-simulating. (Writes to
     /// the cache happen whenever `out` is set, independent of this.)
     pub resume: bool,
-    /// Emit progress lines on stderr.
+    /// Emit progress lines and the closing simulated/cached summary on
+    /// stderr.
     pub progress: bool,
 }
 
@@ -71,6 +72,7 @@ pub struct CampaignOutcome {
 /// records' canonical form — so the deterministic payloads of the
 /// outcome are identical for any `jobs` value.
 pub fn run_campaign(campaign: &Campaign, opts: &SweepOptions) -> io::Result<CampaignOutcome> {
+    let t0 = Instant::now();
     // Materialise each distinct workload once; cells share them by ref.
     let specs = campaign.distinct_workloads();
     let materialised: Vec<(Workload, u64)> = specs
@@ -175,6 +177,15 @@ pub fn run_campaign(campaign: &Campaign, opts: &SweepOptions) -> io::Result<Camp
         std::fs::rename(&tmp, &path)?;
     }
 
+    if opts.progress {
+        eprintln!(
+            "[{}: {n} cells ({simulated} simulated, {} cached) in {:.1?} on {} worker(s)]",
+            campaign.name,
+            n - simulated,
+            t0.elapsed(),
+            opts.jobs
+        );
+    }
     Ok(CampaignOutcome {
         records,
         tables,

@@ -21,36 +21,18 @@ use jobsched_serve::{SchedulerSpec, ServeConfig};
 use jobsched_sweep::WorkloadSpec;
 use jobsched_workload::Time;
 
-/// Demo parameters.
-#[derive(Clone, Debug)]
-pub struct DemoOptions {
-    /// CTC-model jobs to stream through the daemon.
-    pub jobs: usize,
-    /// Workload generator seed.
-    pub seed: u64,
-    /// Metrics polling cadence, simulated seconds.
-    pub poll: Time,
-    /// Scheduler label the daemon starts on (an atlas row — pick a poor
-    /// one to give the tuner something to do).
-    pub initial: String,
-    /// Atlas workload group steering the controller ("ctc").
-    pub workload: String,
-    /// Control-loop parameters.
-    pub tuner: TunerConfig,
-}
+/// Workload generator seed of the demo trace.
+const SEED: u64 = 1999;
 
-impl Default for DemoOptions {
-    fn default() -> Self {
-        DemoOptions {
-            jobs: 300,
-            seed: 1999,
-            poll: 900,
-            initial: "ljf+none".into(),
-            workload: "ctc".into(),
-            tuner: TunerConfig::default(),
-        }
-    }
-}
+/// Metrics polling cadence, simulated seconds.
+const POLL: Time = 900;
+
+/// Scheduler label the daemon starts on: a deliberately poor atlas row,
+/// so the tuner has something to do.
+pub(crate) const INITIAL: &str = "ljf+none";
+
+/// Atlas workload group steering the controller.
+const WORKLOAD: &str = "ctc";
 
 /// One completed daemon run.
 #[derive(Clone, Debug)]
@@ -120,23 +102,18 @@ fn snapshot_of(reply: &Json) -> Result<MetricsSnapshot, String> {
     })
 }
 
-fn run_one(
-    atlas: &AtlasDoc,
-    fit: &Fit,
-    opts: &DemoOptions,
-    adaptive: bool,
-) -> Result<DemoRun, String> {
-    let workload = WorkloadSpec::Ctc {
-        jobs: opts.jobs,
-        seed: opts.seed,
-    }
-    .generate();
-    let mut controller = Controller::new(atlas, fit, &opts.workload, &opts.initial, opts.tuner)?;
+fn controller(atlas: &AtlasDoc, fit: &Fit) -> Result<Controller, String> {
+    Controller::new(atlas, fit, WORKLOAD, INITIAL, TunerConfig::default())
+}
+
+fn run_one(atlas: &AtlasDoc, fit: &Fit, jobs: usize, adaptive: bool) -> Result<DemoRun, String> {
+    let workload = WorkloadSpec::Ctc { jobs, seed: SEED }.generate();
+    let mut controller = controller(atlas, fit)?;
 
     let mut engine = Engine::new(ServeConfig {
         machine_nodes: 430, // the full CTC machine: every trace job fits
-        scheduler: SchedulerSpec::parse(&opts.initial)?,
-        queue_bound: opts.jobs + 16,
+        scheduler: SchedulerSpec::parse(INITIAL)?,
+        queue_bound: jobs + 16,
         virtual_clock: true,
         ..ServeConfig::default()
     });
@@ -168,7 +145,7 @@ fn run_one(
     let mut t = 0;
     let mut snap;
     loop {
-        t += opts.poll;
+        t += POLL;
         handle(Request::Advance { to: Some(t) }, "advance")?;
         let reply = handle(Request::Metrics, "metrics")?;
         snap = snapshot_of(&reply)?;
@@ -217,13 +194,14 @@ fn run_one(
     })
 }
 
-/// Run the tuned and static daemons over the same trace and compare.
-pub fn run_demo(atlas: &AtlasDoc, fit: &Fit, opts: &DemoOptions) -> Result<DemoOutcome, String> {
-    let probe = Controller::new(atlas, fit, &opts.workload, &opts.initial, opts.tuner)?;
+/// Run the tuned and static daemons over the same `jobs`-job CTC trace
+/// and compare.
+pub fn run_demo(atlas: &AtlasDoc, fit: &Fit, jobs: usize) -> Result<DemoOutcome, String> {
+    let probe = controller(atlas, fit)?;
     let objectives = probe.observed_objectives().to_vec();
     let weights = probe.observed_weights().to_vec();
-    let tuned = run_one(atlas, fit, opts, true)?;
-    let baseline = run_one(atlas, fit, opts, false)?;
+    let tuned = run_one(atlas, fit, jobs, true)?;
+    let baseline = run_one(atlas, fit, jobs, false)?;
     let improvement = if baseline.objective > 0.0 {
         (baseline.objective - tuned.objective) / baseline.objective
     } else {

@@ -29,24 +29,12 @@ use crate::atlas::AtlasDoc;
 use jobsched_metrics::pareto::{order_violations, rank_violations, scalarize};
 use jobsched_metrics::Point;
 
-/// Search configuration. The defaults are what the `tune` bin runs.
-#[derive(Clone, Debug)]
-pub struct FitOptions {
-    /// Per-coordinate grid levels seeding the search (the all-zero
-    /// combination is skipped).
-    pub levels: Vec<f64>,
-    /// Maximum coordinate-descent sweeps after the best grid start.
-    pub max_rounds: usize,
-}
+/// Per-coordinate grid levels seeding the search (the all-zero
+/// combination is skipped).
+const GRID_LEVELS: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
 
-impl Default for FitOptions {
-    fn default() -> Self {
-        FitOptions {
-            levels: vec![0.0, 0.25, 0.5, 1.0],
-            max_rounds: 40,
-        }
-    }
-}
+/// Maximum coordinate-descent sweeps after the best grid start.
+const MAX_ROUNDS: usize = 40;
 
 /// One workload group's view of the fitted scalarization.
 #[derive(Clone, Debug)]
@@ -150,7 +138,7 @@ fn grid_starts(levels: &[f64], dims: usize) -> Vec<Vec<f64>> {
 }
 
 /// Learn the scalarization weights for `atlas`.
-pub fn fit(atlas: &AtlasDoc, opts: &FitOptions) -> Fit {
+pub fn fit(atlas: &AtlasDoc) -> Fit {
     let dims = atlas.groups[0].objectives.len();
     let groups = normalised_groups(atlas);
     let ranks: Vec<Vec<usize>> = atlas.groups.iter().map(|g| g.ranks.clone()).collect();
@@ -163,7 +151,7 @@ pub fn fit(atlas: &AtlasDoc, opts: &FitOptions) -> Fit {
     // Phase 1: coarse grid. First-best wins ties (stable order).
     let mut best = vec![1.0; dims];
     let mut best_loss = eval(&best);
-    for w in grid_starts(&opts.levels, dims) {
+    for w in grid_starts(&GRID_LEVELS, dims) {
         let l = eval(&w);
         if l < best_loss {
             best_loss = l;
@@ -174,7 +162,7 @@ pub fn fit(atlas: &AtlasDoc, opts: &FitOptions) -> Fit {
     // Phase 2: coordinate descent on a multiplier ladder; strict
     // improvements only, so the sweep terminates and ties cannot cycle.
     const LADDER: [f64; 6] = [0.25, 0.5, 0.8, 1.25, 2.0, 4.0];
-    for _ in 0..opts.max_rounds {
+    for _ in 0..MAX_ROUNDS {
         if best_loss == 0 {
             break;
         }
@@ -295,7 +283,7 @@ mod tests {
                 vec![4.0, 4.0],
             ],
         )]);
-        let f = fit(&atlas, &FitOptions::default());
+        let f = fit(&atlas);
         assert_eq!(f.violations, 0);
         assert!(f.groups[0].inseparable.is_empty());
         assert_eq!(f.groups[0].order, vec![0, 1, 2, 3]);
@@ -317,7 +305,7 @@ mod tests {
                 vec![20.0, 2.0], // dominated by p1
             ],
         )]);
-        let f = fit(&atlas, &FitOptions::default());
+        let f = fit(&atlas);
         assert_eq!(f.violations, 0, "weights {:?}", f.weights);
         // Both rank-1 points must scalarize below both rank-2 points.
         let g = &f.groups[0];
@@ -346,7 +334,7 @@ mod tests {
                 vec![10.5, 1.5], // rank 2, hugs p1
             ],
         )]);
-        let f = fit(&atlas, &FitOptions::default());
+        let f = fit(&atlas);
         // p0 must beat p3 and p1 must beat p2: w·(1,10) < w·(10.5,1.5)
         // and w·(10,1) < w·(1.5,10.5) ⇒ both differences constrain the
         // weight ratio from opposite sides but remain satisfiable
@@ -374,7 +362,7 @@ mod tests {
                 vec![vec![1.0, 1.0], vec![1.0, 2.0], vec![1.2, 1.5]],
             ),
         ]);
-        let f = fit(&atlas, &FitOptions::default());
+        let f = fit(&atlas);
         // Whatever the outcome, every surviving violation must be
         // listed under its group with valid indices.
         let listed: usize = f.groups.iter().map(|g| g.inseparable.len()).sum();
@@ -399,8 +387,8 @@ mod tests {
                 vec![9.0, 9.0, 9.0],
             ],
         )]);
-        let a = fit(&atlas, &FitOptions::default());
-        let b = fit(&atlas, &FitOptions::default());
+        let a = fit(&atlas);
+        let b = fit(&atlas);
         assert_eq!(a.weights, b.weights);
         assert_eq!(a.violations, b.violations);
         assert_eq!(a.evaluations, b.evaluations);
@@ -418,7 +406,7 @@ mod tests {
         };
         let doc = jobsched_json::parse(&text).expect("committed atlas parses");
         let atlas = parse_atlas(&doc).expect("committed atlas is well-formed");
-        let f = fit(&atlas, &FitOptions::default());
+        let f = fit(&atlas);
         assert_eq!(f.objectives.len(), atlas.groups[0].objectives.len());
         assert!(f.weights.iter().all(|&w| (0.0..=1.0).contains(&w)));
         // Every group's induced order is a permutation.

@@ -24,7 +24,8 @@
 //! [`atlas`] parses the committed `bench-atlas/1` artifact back into
 //! fit input (recomputing ranks — stored ranks are never trusted), and
 //! [`report`] renders everything into the committed `BENCH_tune.json`
-//! (`bench-tune/1`) and `TUNE.md`. The `tune` binary drives all of it.
+//! (`bench-tune/1`) and `TUNE.md`. [`run`] drives all of it for
+//! `repro tune`.
 //!
 //! Everything is deterministic: the fit is a fixed grid + descent
 //! schedule, the significance campaign inherits the sweep runner's
@@ -40,7 +41,63 @@ pub mod significance;
 
 pub use atlas::{parse_atlas, AtlasDoc, AtlasGroup};
 pub use controller::{Controller, Switch, TunerConfig, OBSERVABLE};
-pub use demo::{run_demo, DemoOptions, DemoOutcome, DemoRun};
-pub use fit::{fit, Fit, FitOptions, GroupFit};
+pub use demo::{run_demo, DemoOutcome, DemoRun};
+pub use fit::{fit, Fit, GroupFit};
 pub use report::{build_json, build_markdown, check_clean, TUNE_SCHEMA};
 pub use significance::{run_significance, RowStats, Significance};
+
+use jobsched_core::experiment::Scale;
+use jobsched_json::Json;
+use jobsched_sweep::SweepOptions;
+use std::path::Path;
+
+/// The tune artifacts end to end: fit the scalarization against the
+/// `bench-atlas/1` document at `atlas_path`, replay the atlas grid over
+/// independent workload resamplings at `scale` under `sweep`, serve the
+/// demo trace tuned and static, apply [`check_clean`] and render
+/// `(BENCH_tune.json, TUNE.md)`. `smoke` picks the CI slice (2 seeds, a
+/// 300-job trace) over the committed one (5 seeds, 800 jobs). A gate
+/// violation — the demo must have switched *and* improved — is the `Err`.
+pub fn run(
+    atlas_path: &Path,
+    scale: Scale,
+    smoke: bool,
+    sweep: &SweepOptions,
+) -> Result<(Json, String), String> {
+    let (seeds, demo_jobs) = if smoke { (2, 300) } else { (5, 800) };
+    let shown = atlas_path.display();
+
+    let text =
+        std::fs::read_to_string(atlas_path).map_err(|e| format!("cannot read {shown}: {e}"))?;
+    let doc = jobsched_json::parse(&text).map_err(|e| format!("{shown} is not JSON: {e:?}"))?;
+    let atlas = parse_atlas(&doc).map_err(|e| format!("{shown} is not a usable atlas: {e}"))?;
+    let fitted = fit(&atlas);
+    eprintln!(
+        "tune: learned weights {:.3?} over {:?} — {} rank violation(s), {} evaluations",
+        fitted.weights, fitted.objectives, fitted.violations, fitted.evaluations
+    );
+
+    let sig = run_significance(scale, seeds, sweep)
+        .map_err(|e| format!("significance campaign failed: {e}"))?;
+    eprintln!(
+        "tune: significance over {seeds} seed(s) — {} unstable front row(s)",
+        sig.unstable().len()
+    );
+
+    let demo = run_demo(&atlas, &fitted, demo_jobs)?;
+    eprintln!(
+        "tune: tuner {} → {} in {} switch(es); learned objective {:.4} vs static {:.4} ({:+.1}%)",
+        demo::INITIAL,
+        demo.tuned.final_scheduler,
+        demo.tuned.switches.len(),
+        demo.tuned.objective,
+        demo.baseline.objective,
+        -demo.improvement * 100.0
+    );
+
+    check_clean(&fitted, Some(&sig), Some(&demo))?;
+    Ok((
+        build_json(atlas.scale, &fitted, Some(&sig), Some(&demo)),
+        build_markdown(atlas.scale, &fitted, Some(&sig), Some(&demo)),
+    ))
+}

@@ -128,7 +128,7 @@ fn demo_json(demo: &DemoOutcome) -> Json {
 }
 
 /// Assemble the `bench-tune/1` document. `sig` and `demo` sections are
-/// optional — `tune fit` alone still writes a valid document.
+/// optional — the fit alone still renders a valid document.
 pub fn build_json(
     scale: (u64, u64, u64),
     fit: &Fit,

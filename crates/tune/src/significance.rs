@@ -4,8 +4,8 @@
 //! The atlas measures every algorithm row on a single resampling of the
 //! probabilistic workload. This module replays the same 43-row ×
 //! 6-objective grid across `seeds` independent resamplings (via
-//! [`Campaign::significance`], through the cached sweep runner — cells
-//! already simulated for the atlas are cache hits), then reports per
+//! [`Campaign::significance`], through the cached sweep runner — seed 0
+//! is the atlas's own draw, under the atlas's cache keys), then reports per
 //! (row, objective) the across-seed mean and a normal-approximation
 //! 95% confidence half-width, and per row how often it lands on the
 //! six-dimensional Pareto front. A row on the front in *some* seeds but
@@ -52,10 +52,6 @@ pub struct Significance {
     pub objectives: Vec<String>,
     /// One entry per atlas matrix row, matrix order.
     pub rows: Vec<RowStats>,
-    /// Cells simulated fresh this run.
-    pub simulated: usize,
-    /// Cells served from the result cache.
-    pub cached: usize,
 }
 
 impl Significance {
@@ -124,14 +120,13 @@ pub fn aggregate(tables: &[EvalTable], seeds: usize, objectives: &[String]) -> S
         seeds,
         objectives: objectives.to_vec(),
         rows,
-        simulated: 0,
-        cached: 0,
     }
 }
 
 /// Run the significance campaign at `scale` across `seeds` resamplings
-/// and aggregate it. Heavy: `seeds × 258` simulations at the given
-/// scale, minus whatever the cache already holds.
+/// and aggregate it. Heavy: `seeds × 258` simulations (43 rows × 6
+/// objectives) at the given scale, minus whatever the cache already
+/// holds.
 pub fn run_significance(
     scale: Scale,
     seeds: usize,
@@ -143,10 +138,7 @@ pub fn run_significance(
         .iter()
         .map(|(tag, _, _)| tag.to_string())
         .collect();
-    let mut sig = aggregate(&outcome.tables, seeds, &objectives);
-    sig.simulated = outcome.simulated;
-    sig.cached = outcome.cached;
-    Ok(sig)
+    Ok(aggregate(&outcome.tables, seeds, &objectives))
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! over the identical job stream, and (c) do both bit-reproducibly
 //! under the daemon's virtual clock.
 
-use jobsched_tune::{build_json, fit, parse_atlas, run_demo, DemoOptions, FitOptions, TunerConfig};
+use jobsched_tune::{build_json, fit, parse_atlas, run_demo};
 
 fn committed_atlas() -> jobsched_tune::AtlasDoc {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_atlas.json");
@@ -17,20 +17,14 @@ fn committed_atlas() -> jobsched_tune::AtlasDoc {
     parse_atlas(&doc).expect("atlas is a well-formed bench-atlas document")
 }
 
-fn demo_opts() -> DemoOptions {
-    DemoOptions {
-        jobs: 300,
-        initial: "ljf+none".into(),
-        tuner: TunerConfig::default(),
-        ..DemoOptions::default()
-    }
-}
+/// Demo trace length: the `--smoke` slice's.
+const JOBS: usize = 300;
 
 #[test]
 fn controller_switches_mid_trace_and_improves_the_learned_objective() {
     let atlas = committed_atlas();
-    let fitted = fit(&atlas, &FitOptions::default());
-    let outcome = run_demo(&atlas, &fitted, &demo_opts()).expect("demo runs");
+    let fitted = fit(&atlas);
+    let outcome = run_demo(&atlas, &fitted, JOBS).expect("demo runs");
 
     // (a) At least one live switch, strictly inside the trace.
     assert!(
@@ -81,9 +75,9 @@ fn controller_switches_mid_trace_and_improves_the_learned_objective() {
 #[test]
 fn tuner_demo_is_bit_reproducible() {
     let atlas = committed_atlas();
-    let fitted = fit(&atlas, &FitOptions::default());
-    let a = run_demo(&atlas, &fitted, &demo_opts()).expect("first run");
-    let b = run_demo(&atlas, &fitted, &demo_opts()).expect("second run");
+    let fitted = fit(&atlas);
+    let a = run_demo(&atlas, &fitted, JOBS).expect("first run");
+    let b = run_demo(&atlas, &fitted, JOBS).expect("second run");
     // Rendering to the artifact JSON compares every field — switches,
     // final metrics, objectives — with exact float formatting.
     let render = |o: &jobsched_tune::DemoOutcome| {
@@ -96,8 +90,8 @@ fn tuner_demo_is_bit_reproducible() {
 #[test]
 fn static_run_stays_on_the_initial_row() {
     let atlas = committed_atlas();
-    let fitted = fit(&atlas, &FitOptions::default());
-    let outcome = run_demo(&atlas, &fitted, &demo_opts()).expect("demo runs");
+    let fitted = fit(&atlas);
+    let outcome = run_demo(&atlas, &fitted, JOBS).expect("demo runs");
     assert!(outcome.baseline.switches.is_empty());
     assert_eq!(outcome.baseline.final_scheduler, "LJF+Listscheduler");
 }

@@ -37,20 +37,31 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Parse `args` against a subcommand's flag table of `(name, takes a
+/// value)` rows: an unknown flag, or a value flag at the end of the line
+/// or followed by another flag, is a usage error.
+fn parse_flags(
+    args: &[String],
+    allowed: &[(&str, bool)],
+) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i].trim_start_matches("--").to_string();
-        if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-            flags.insert(key, args[i + 1].clone());
-            i += 2;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let &(key, takes_value) = arg
+            .strip_prefix("--")
+            .and_then(|key| allowed.iter().find(|(name, _)| *name == key))
+            .ok_or_else(|| format!("unknown flag '{arg}'"))?;
+        let value = if takes_value {
+            args.next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{arg} needs a value"))?
+                .clone()
         } else {
-            flags.insert(key, "true".into());
-            i += 1;
-        }
+            "true".into()
+        };
+        flags.insert(key.to_string(), value);
     }
-    flags
+    Ok(flags)
 }
 
 fn load(flags: &HashMap<String, String>) -> Result<Workload, String> {
@@ -162,12 +173,32 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
-    let flags = parse_flags(&args[1..]);
-    let result = match cmd.as_str() {
-        "simulate" => cmd_simulate(flags),
-        "generate" => cmd_generate(flags),
-        "stats" => cmd_stats(flags),
+    type Command = fn(HashMap<String, String>) -> Result<(), String>;
+    let (allowed, run): (&[(&str, bool)], Command) = match cmd.as_str() {
+        "simulate" => (
+            &[
+                ("swf", true),
+                ("algo", true),
+                ("backfill", true),
+                ("weighted", false),
+                ("nodes", true),
+                ("clean", false),
+            ],
+            cmd_simulate,
+        ),
+        "generate" => (
+            &[("out", true), ("jobs", true), ("seed", true)],
+            cmd_generate,
+        ),
+        "stats" => (&[("swf", true)], cmd_stats),
         _ => return usage(),
+    };
+    let result = match parse_flags(&args[1..], allowed) {
+        Ok(flags) => run(flags),
+        Err(e) => {
+            eprintln!("{e}");
+            return usage();
+        }
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -1,9 +1,11 @@
-//! `repro` — regenerate every table and figure of the paper.
+//! `repro` — regenerate every table, figure and committed artifact of
+//! the study: the one experiment binary.
 //!
 //! Usage:
 //!
 //! ```text
-//! repro [--scale quick|standard|paper] [--jobs N] [--out DIR] [--resume] [item ...]
+//! repro [--scale quick|standard|paper] [--csv DIR] [--jobs N] [--out DIR] [--resume]
+//!       [--smoke] [--artifacts DIR] [item ...]
 //! ```
 //!
 //! Items: `workloads` (Table 1), `table3` … `table8`, `fig1`, `fig2`,
@@ -11,26 +13,43 @@
 //! max-width sweeps), `combined` (the §7 day/night scheduler), `gang`
 //! (FCFS + gang scheduling, ref \[15\]), `heterogeneity` (the §6.1
 //! hardware-request simplification), `drain` (Example 4's exclusive
-//! window), `replicate` (multi-seed stability; explicit only), `all`
-//! (default, everything except `replicate`). Output is printed in the
-//! paper's layout; CSV files for the figures are written when
+//! window), `all` (default: everything so far), and the explicit-only
+//! items, never part of `all`: `replicate` (multi-seed stability) and
+//! the four artifact items `atlas`, `preempt`, `tune`, `meta`. Tables are
+//! printed in the paper's layout; CSV files for them are written when
 //! `--csv DIR` is given.
 //!
-//! Tables 3–8 run as one `jobsched-sweep` campaign: `--jobs N` simulates
-//! cells on N worker threads (results are bit-identical to `--jobs 1`),
-//! `--out DIR` persists per-run JSON records into a content-addressed
-//! cache plus a `manifest.json`, and `--resume` serves already-cached
-//! cells from DIR instead of re-simulating them. `replicate` is a second
-//! campaign under the same flags; its records go to `DIR/replicate`.
+//! An artifact item writes its committed files under `--artifacts DIR`
+//! (default `.`): `BENCH_atlas.json` + `ATLAS.md` (the 516-cell
+//! scheduler atlas), `BENCH_preempt.json` + `PREEMPT.md` (the time-shared
+//! slice), `BENCH_tune.json` + `TUNE.md` (objective fit against
+//! `./BENCH_atlas.json`, multi-seed significance, live tuner demo) and
+//! `BENCH_meta.json` (single- vs two-site metasystem; no campaign, so
+//! `--scale` does not apply). Each runs its structural gate first — a
+//! violation exits 1 with nothing of that item written — and every
+//! document is parsed back with `jobsched_json` before it lands on
+//! disk. `--smoke` switches them to the reduced slices CI runs (30-cell
+//! atlas, quick scale unless `--scale` is given, 2 significance seeds,
+//! 300-job demo, 1 500-job meta traces); schemas are unchanged.
+//!
+//! Every matrix runs as a `jobsched-sweep` campaign: `--jobs N`
+//! simulates cells on N worker threads (results are bit-identical to
+//! `--jobs 1`), `--out DIR` persists per-run JSON records into a
+//! content-addressed cache plus a `manifest.json`, and `--resume` serves
+//! already-cached cells instead of re-simulating them. One rule for all
+//! campaigns (`paper-tables`, `replicate`, `atlas` / `atlas-smoke`,
+//! `preempt-smoke`, `significance`): each keeps its cache and manifest
+//! in `DIR/<campaign name>/`, so none overwrites another's.
 
 use jobsched_core::ablation;
 use jobsched_core::experiment::{EvalTable, Scale};
 use jobsched_core::objective_select::ObjectiveKind;
 use jobsched_core::paper;
 use jobsched_core::report::{render_cpu_table, render_table, to_csv};
+use jobsched_json::Json;
 use jobsched_sweep::{run_campaign, Campaign, CampaignOutcome, SweepOptions, WorkloadSpec};
 use jobsched_workload::stats::{Summary, WorkloadStats};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 struct Options {
@@ -40,75 +59,142 @@ struct Options {
     jobs: usize,
     out: Option<PathBuf>,
     resume: bool,
+    smoke: bool,
+    artifacts: PathBuf,
 }
 
-const USAGE: &str =
-    "repro [--scale quick|standard|paper] [--csv DIR] [--jobs N] [--out DIR] [--resume] [item ...]";
+impl Options {
+    /// The command line's sweep flags for the campaign named `campaign`:
+    /// --jobs workers, records cached under `<out>/<campaign>`, cached
+    /// cells skipped with --resume.
+    fn sweep(&self, campaign: &str) -> SweepOptions {
+        SweepOptions {
+            jobs: self.jobs,
+            out: self.out.as_ref().map(|dir| dir.join(campaign)),
+            resume: self.resume,
+            progress: true,
+        }
+    }
 
-/// The value of `flag`, or usage and exit 2 when the command line ends
-/// before it.
-fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    args.next().unwrap_or_else(|| {
-        eprintln!("{flag} needs a value");
-        eprintln!("usage: {USAGE}");
-        std::process::exit(2);
-    })
+    /// Whether `item` was named on the command line.
+    fn names(&self, item: &str) -> bool {
+        self.items.iter().any(|i| i == item)
+    }
+}
+
+const USAGE: &str = "repro [--scale quick|standard|paper] [--csv DIR] [--jobs N] [--out DIR] \
+                     [--resume] [--smoke] [--artifacts DIR] [item ...]";
+
+/// Items `all` expands to.
+const ALL_ITEMS: [&str; 14] = [
+    "workloads",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "table7",
+    "table8",
+    "fig1",
+    "fig2",
+    "ablations",
+    "combined",
+    "drain",
+    "gang",
+    "heterogeneity",
+];
+
+/// Explicit-only items that write committed artifacts.
+const ARTIFACT_ITEMS: [&str; 4] = ["atlas", "preempt", "tune", "meta"];
+
+const FLAG_HELP: &str = "  \
+  --jobs N         simulate campaign cells on N worker threads (default 1)
+  --out DIR        persist RunRecords + manifest.json under DIR/<campaign>
+  --resume         serve cells already cached under DIR instead of re-simulating
+  --smoke          artifact items run their reduced CI slices (quick scale)
+  --artifacts DIR  where artifact items write BENCH_*.json and *.md (default .)
+";
+
+/// Message, usage, exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("usage: {USAGE}");
+    std::process::exit(2);
 }
 
 fn parse_args() -> Options {
-    let mut scale = Scale::standard();
+    let mut scale = None;
     let mut items = Vec::new();
     let mut csv_dir = None;
     let mut jobs = 1;
     let mut out = None;
     let mut resume = false;
+    let mut smoke = false;
+    let mut artifacts = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{arg} needs a value")))
+        };
         match arg.as_str() {
             "--scale" => {
-                let name = value(&mut args, "--scale");
-                scale = Scale::from_name(&name).unwrap_or_else(|| {
-                    eprintln!("unknown scale '{name}' (quick|standard|paper)");
-                    std::process::exit(2);
-                });
+                let name = value();
+                scale = Some(Scale::from_name(&name).unwrap_or_else(|| {
+                    usage_error(&format!("unknown scale '{name}' (quick|standard|paper)"))
+                }));
             }
-            "--csv" => csv_dir = Some(value(&mut args, "--csv")),
+            "--csv" => csv_dir = Some(value()),
             "--jobs" => {
-                let n = value(&mut args, "--jobs");
+                let n = value();
                 jobs = n.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                    eprintln!("--jobs wants a positive integer, got '{n}'");
-                    std::process::exit(2);
+                    usage_error(&format!("--jobs wants a positive integer, got '{n}'"))
                 });
             }
-            "--out" => out = Some(PathBuf::from(value(&mut args, "--out"))),
+            "--out" => out = Some(PathBuf::from(value())),
             "--resume" => resume = true,
+            "--smoke" => smoke = true,
+            "--artifacts" => artifacts = Some(PathBuf::from(value())),
             "--help" | "-h" => {
                 println!("{USAGE}");
-                println!("items: workloads table3 table4 table5 table6 table7 table8 fig1 fig2 ablations combined drain gang heterogeneity replicate all");
-                println!("  --jobs N    simulate campaign cells on N worker threads (default 1)");
-                println!("  --out DIR   persist RunRecords + manifest.json under DIR");
-                println!(
-                    "  --resume    serve cells already in DIR's cache instead of re-simulating"
-                );
+                println!("items: {} all", ALL_ITEMS.join(" "));
+                println!("explicit only: replicate {}", ARTIFACT_ITEMS.join(" "));
+                print!("{FLAG_HELP}");
                 std::process::exit(0);
             }
-            other => items.push(other.to_string()),
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag '{flag}'")),
+            item if ["all", "replicate"].contains(&item)
+                || ALL_ITEMS.contains(&item)
+                || ARTIFACT_ITEMS.contains(&item) =>
+            {
+                items.push(arg)
+            }
+            item => usage_error(&format!("unknown item '{item}'")),
         }
     }
     if items.is_empty() {
         items.push("all".into());
     }
     if resume && out.is_none() {
-        eprintln!("--resume needs --out DIR (the cache to resume from)");
-        std::process::exit(2);
+        usage_error("--resume needs --out DIR (the cache to resume from)");
+    }
+    if (smoke || artifacts.is_some()) && !items.iter().any(|i| ARTIFACT_ITEMS.contains(&&**i)) {
+        usage_error("--smoke and --artifacts need an artifact item (atlas preempt tune meta)");
     }
     Options {
-        scale,
+        // The CI slices default to quick scale; an explicit --scale still
+        // wins so a slice can be stress-tested locally.
+        scale: scale.unwrap_or(if smoke {
+            Scale::quick()
+        } else {
+            Scale::standard()
+        }),
         items,
         csv_dir,
         jobs,
         out,
         resume,
+        smoke,
+        artifacts: artifacts.unwrap_or_else(|| PathBuf::from(".")),
     }
 }
 
@@ -127,30 +213,32 @@ fn print_table(table: &EvalTable, cpu: bool, csv_dir: &Option<String>, stem: &st
     }
 }
 
-/// Run one campaign under the command line's sweep flags: shared
-/// workloads generated once, cells distributed over --jobs workers,
-/// records cached under `out`, cached cells skipped with --resume.
-fn run(campaign: &Campaign, opts: &Options, out: Option<PathBuf>) -> CampaignOutcome {
-    let sweep = SweepOptions {
-        jobs: opts.jobs,
-        out,
-        resume: opts.resume,
-        progress: true,
-    };
-    let t0 = Instant::now();
-    let outcome = run_campaign(campaign, &sweep).unwrap_or_else(|e| {
+/// Run one campaign under the command line's sweep flags.
+fn run(campaign: &Campaign, opts: &Options) -> CampaignOutcome {
+    run_campaign(campaign, &opts.sweep(&campaign.name)).unwrap_or_else(|e| {
         eprintln!("campaign failed: {e}");
         std::process::exit(1);
-    });
-    eprintln!(
-        "[campaign: {} cells ({} simulated, {} cached) in {:.1?} on {} worker(s)]",
-        outcome.records.len(),
-        outcome.simulated,
-        outcome.cached,
-        t0.elapsed(),
-        opts.jobs
-    );
-    outcome
+    })
+}
+
+/// The last step of every artifact item: parse the document back with
+/// the repo's own reader — a file on disk is one `jobsched_json` accepts
+/// — then write `BENCH_<item>.json` and, if the item has one, its
+/// `<ITEM>.md` report under `dir`.
+fn write_artifact(dir: &Path, item: &str, json: &Json, markdown: Option<&str>) {
+    let text = json.to_string_pretty() + "\n";
+    jobsched_json::parse(&text).expect("artifact JSON must parse");
+    let mut files = vec![(dir.join(format!("BENCH_{item}.json")), text.as_str())];
+    if let Some(md) = markdown {
+        files.push((dir.join(format!("{}.md", item.to_uppercase())), md));
+    }
+    for (path, content) in files {
+        std::fs::write(&path, content).unwrap_or_else(|e| {
+            eprintln!("cannot write {}: {e}", path.display());
+            std::process::exit(1);
+        });
+        eprintln!("wrote {}", path.display());
+    }
 }
 
 /// Heading the repro output prints above each paper table.
@@ -168,12 +256,13 @@ fn table_heading(id: &str) -> &'static str {
 
 fn main() {
     let opts = parse_args();
-    let wants = |name: &str| opts.items.iter().any(|i| i == name || i == "all");
-    // Before any simulation: an unusable --csv target must not cost a
-    // campaign first.
-    if let Some(dir) = &opts.csv_dir {
+    let wants = |name: &str| opts.names(name) || opts.names("all");
+    // Before any simulation: an unusable --csv or --artifacts target
+    // must not cost a campaign first.
+    let csv = opts.csv_dir.as_ref().map(|dir| ("--csv", Path::new(dir)));
+    for (flag, dir) in csv.into_iter().chain([("--artifacts", &*opts.artifacts)]) {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-            eprintln!("cannot create --csv directory {dir}: {e}");
+            eprintln!("cannot create {flag} directory {}: {e}", dir.display());
             std::process::exit(1);
         });
     }
@@ -202,7 +291,7 @@ fn main() {
         .collect();
     if !wanted_tables.is_empty() {
         let campaign = Campaign::paper_tables(opts.scale, &wanted_tables);
-        let outcome = run(&campaign, &opts, opts.out.clone());
+        let outcome = run(&campaign, &opts);
         // Each paper table contributes an adjacent (unweighted, weighted)
         // pair of campaign tables.
         for (defs, tables) in campaign.tables.chunks(2).zip(outcome.tables.chunks(2)) {
@@ -379,14 +468,13 @@ fn main() {
     }
     // Replication is explicit-only (not part of `all`): it multiplies the
     // whole matrix by the seed count.
-    if opts.items.iter().any(|i| i == "replicate") {
+    if opts.names("replicate") {
         const SEEDS: [u64; 5] = [101, 102, 103, 104, 105];
         println!("## Replication: mean ± std of pct vs FCFS+EASY over 5 seeds");
         let mut scale = opts.scale;
         scale.ctc_jobs = scale.ctc_jobs.min(8_000);
         let campaign = Campaign::replicate(scale, &SEEDS);
-        let out = opts.out.as_ref().map(|dir| dir.join(&campaign.name));
-        let outcome = run(&campaign, &opts, out);
+        let outcome = run(&campaign, &opts);
         // Tables are seed-major: every `sections`-th one is the same
         // objective on the next seed's trace.
         let sections = outcome.tables.len() / SEEDS.len();
@@ -431,5 +519,33 @@ fn main() {
             (on[0] - off[0]) / on[0] * 100.0
         );
         println!();
+    }
+    // The artifact items, explicit only: each library entry point runs,
+    // gates and renders; atlas before tune, which fits against it.
+    for item in ARTIFACT_ITEMS.into_iter().filter(|item| opts.names(item)) {
+        let rendered = match item {
+            "tune" => jobsched_tune::run(
+                Path::new("BENCH_atlas.json"),
+                opts.scale,
+                opts.smoke,
+                &opts.sweep("significance"),
+            )
+            .map(|(json, markdown)| (json, Some(markdown))),
+            "meta" => jobsched_meta::report::run(opts.smoke).map(|json| (json, None)),
+            _ => {
+                let campaign = match (item, opts.smoke) {
+                    ("atlas", false) => Campaign::atlas(opts.scale),
+                    ("atlas", true) => Campaign::atlas_smoke(opts.scale),
+                    _ => Campaign::preempt_smoke(opts.scale),
+                };
+                jobsched_sweep::atlas::run(&campaign, opts.scale, &opts.sweep(&campaign.name))
+                    .map(|report| (report.json, Some(report.markdown)))
+            }
+        };
+        let (json, markdown) = rendered.unwrap_or_else(|e| {
+            eprintln!("{item}: {e}");
+            std::process::exit(1);
+        });
+        write_artifact(&opts.artifacts, item, &json, markdown.as_deref());
     }
 }

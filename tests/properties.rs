@@ -7,7 +7,7 @@
 
 use jobsched::algos::spec::PolicyKind;
 use jobsched::algos::view::WeightScheme;
-use jobsched::algos::{AlgorithmSpec, BackfillMode, ListScheduler, ProfileMode};
+use jobsched::algos::{AlgorithmSpec, BackfillMode, ListScheduler};
 use jobsched::sim::simulate;
 use jobsched::workload::rng::{derive_seed, Rng, SmallRng};
 use jobsched::workload::{Job, JobBuilder, JobId, Workload};
@@ -193,37 +193,6 @@ fn cache_is_semantically_transparent() {
                         a.schedule.placement(j.id),
                         b.schedule.placement(j.id),
                         "case {case}, {}: cache changed placement of {}",
-                        spec.name(),
-                        j.id
-                    );
-                }
-            }
-        }
-    });
-}
-
-/// Differential test of the incremental availability profile: the
-/// default [`ProfileMode::Incremental`] (live calendar, scratch merges)
-/// and [`ProfileMode::Rebuild`] (the seed's rebuild-per-decision path)
-/// must produce the *identical* schedule for every algorithm — the
-/// end-to-end half of the oracle in `crates/sim/tests/live_profile_diff.rs`.
-#[test]
-fn profile_mode_is_semantically_transparent() {
-    for_each_case(0x9F0F, |case, rng| {
-        let w = Workload::new("prop", MACHINE, arb_jobs(rng, 50));
-        for spec in AlgorithmSpec::paper_matrix() {
-            for scheme in [WeightScheme::Unweighted, WeightScheme::ProjectedArea] {
-                let mut incremental = spec.build(scheme);
-                assert_eq!(incremental.profile_mode(), ProfileMode::Incremental);
-                let mut rebuild = ListScheduler::new(spec.kind.policy(scheme), spec.backfill)
-                    .with_profile_mode(ProfileMode::Rebuild);
-                let a = simulate(&w, &mut incremental);
-                let b = simulate(&w, &mut rebuild);
-                for j in w.jobs() {
-                    assert_eq!(
-                        a.schedule.placement(j.id),
-                        b.schedule.placement(j.id),
-                        "case {case}, {}: profile mode changed placement of {}",
                         spec.name(),
                         j.id
                     );

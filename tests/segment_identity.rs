@@ -11,29 +11,17 @@
 //! * the time-shared engine driving the same rigid scheduler through
 //!   [`RigidAdapter`],
 //!
-//! under both profile modes and both blocked-cache settings. Any
+//! under both blocked-cache settings. Any
 //! divergence means the segment machinery leaked into the rigid path.
 
 use jobsched::algos::view::WeightScheme;
-use jobsched::algos::{AlgorithmSpec, ProfileMode};
+use jobsched::algos::AlgorithmSpec;
 use jobsched::metrics::{AvgResponseTime, AvgWeightedResponseTime, Objective};
 use jobsched::sim::{
-    simulate_batch_with_faults, simulate_time_shared, simulate_with_faults, FaultPlan,
-    RigidAdapter, Scheduler,
+    simulate_batch_with_faults, simulate_time_shared, simulate_with_faults, FaultPlan, RigidAdapter,
 };
 use jobsched::workload::ctc::prepared_ctc_workload;
 use jobsched::workload::Workload;
-
-/// Build one atlas row with explicit profile mode and cache setting.
-/// (`AlgorithmSpec::build_dyn` pins the default mode; the identity must
-/// hold for both.)
-fn build(spec: &AlgorithmSpec, mode: ProfileMode, caching: bool) -> Box<dyn Scheduler> {
-    Box::new(
-        spec.build(WeightScheme::Unweighted)
-            .with_profile_mode(mode)
-            .with_caching(caching),
-    )
-}
 
 fn costs(w: &Workload, s: &jobsched::sim::ScheduleRecord) -> (f64, f64) {
     (
@@ -50,52 +38,49 @@ fn atlas_rows_are_bit_identical_across_engines() {
     assert_eq!(matrix.len(), 43, "atlas matrix changed size");
 
     for spec in &matrix {
-        for mode in [ProfileMode::Rebuild, ProfileMode::Incremental] {
-            for caching in [false, true] {
-                let ctx = format!("{} / {mode:?} / caching={caching}", spec.name());
+        for caching in [false, true] {
+            let ctx = format!("{} / caching={caching}", spec.name());
+            let build = || spec.build_dyn(WeightScheme::Unweighted, caching);
 
-                let batch =
-                    simulate_batch_with_faults(&workload, &mut *build(spec, mode, caching), &plan);
-                let stream =
-                    simulate_with_faults(&workload, &mut *build(spec, mode, caching), &plan);
-                let mut inner = build(spec, mode, caching);
-                let ts = simulate_time_shared(&workload, &mut RigidAdapter::new(&mut *inner));
+            let batch = simulate_batch_with_faults(&workload, &mut *build(), &plan);
+            let stream = simulate_with_faults(&workload, &mut *build(), &plan);
+            let mut inner = build();
+            let ts = simulate_time_shared(&workload, &mut RigidAdapter::new(&mut *inner));
 
-                assert!(
-                    batch.schedule.validate(&workload).is_empty(),
-                    "invalid schedule: {ctx}"
-                );
+            assert!(
+                batch.schedule.validate(&workload).is_empty(),
+                "invalid schedule: {ctx}"
+            );
+            assert_eq!(
+                batch.schedule, stream.schedule,
+                "batch vs streaming schedules diverged: {ctx}"
+            );
+            assert_eq!(
+                batch.schedule, ts.schedule,
+                "batch vs time-shared schedules diverged: {ctx}"
+            );
+            // Rigid runs must stay single-span placements — the
+            // segment union path is reserved for actual preemption.
+            for j in workload.jobs() {
                 assert_eq!(
-                    batch.schedule, stream.schedule,
-                    "batch vs streaming schedules diverged: {ctx}"
-                );
-                assert_eq!(
-                    batch.schedule, ts.schedule,
-                    "batch vs time-shared schedules diverged: {ctx}"
-                );
-                // Rigid runs must stay single-span placements — the
-                // segment union path is reserved for actual preemption.
-                for j in workload.jobs() {
-                    assert_eq!(
-                        ts.schedule.segments(j.id),
-                        None,
-                        "rigid job {} grew a segment union: {ctx}",
-                        j.id
-                    );
-                }
-
-                let base = costs(&workload, &batch.schedule);
-                assert_eq!(
-                    base,
-                    costs(&workload, &stream.schedule),
-                    "stream cost: {ctx}"
-                );
-                assert_eq!(base, costs(&workload, &ts.schedule), "ts cost: {ctx}");
-                assert!(
-                    base.0.is_finite() && base.0 > 0.0 && base.1.is_finite() && base.1 > 0.0,
-                    "degenerate objective: {ctx}"
+                    ts.schedule.segments(j.id),
+                    None,
+                    "rigid job {} grew a segment union: {ctx}",
+                    j.id
                 );
             }
+
+            let base = costs(&workload, &batch.schedule);
+            assert_eq!(
+                base,
+                costs(&workload, &stream.schedule),
+                "stream cost: {ctx}"
+            );
+            assert_eq!(base, costs(&workload, &ts.schedule), "ts cost: {ctx}");
+            assert!(
+                base.0.is_finite() && base.0 > 0.0 && base.1.is_finite() && base.1 > 0.0,
+                "degenerate objective: {ctx}"
+            );
         }
     }
 }
