@@ -24,7 +24,6 @@ pub mod fairness;
 pub mod objective;
 pub mod pareto;
 pub mod streaming;
-pub mod timeseries;
 
 pub use fairness::{
     MaxUserSlowdown, OnlineMaxUserSlowdown, OnlineP95WidthSlowdown, OnlineSlowdownVariance,

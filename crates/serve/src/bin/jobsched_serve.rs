@@ -17,14 +17,15 @@
 //! `garey-graham`) with an optional backfill suffix (`+none`, `+cons`,
 //! `+easy`), or `paper-switch` for the §7 day/night combination.
 //! `--restore` loads a checkpoint file (the `state` object returned by
-//! `checkpoint` or `shutdown --checkpoint`) before accepting traffic.
+//! `checkpoint` or `shutdown --checkpoint`, or the whole reply) of any
+//! size and replays it before the port is bound; a file that does not
+//! decode exits 1.
 //! `--shards N` runs N engine shards (each an independent `--nodes`
 //! machine owning the job ids in its residue class `id % N`); `--replica`
 //! streams every shard's input log to a warm standby so a crashed shard
 //! (see the `crash` op) fails over with exact state.
 
 use jobsched_json::Json;
-use jobsched_serve::client::Client;
 use jobsched_serve::server::Server;
 use jobsched_serve::{SchedulerSpec, ServeConfig};
 use std::time::Duration;
@@ -106,45 +107,35 @@ fn main() {
     } else {
         format!("wall x{}", args.config.time_scale)
     };
-    let server = Server::start(&args.listen, args.config).unwrap_or_else(|e| {
-        eprintln!("cannot listen on {}: {e}", args.listen);
+    let checkpoint: Option<Json> = args.restore.as_ref().map(|path| {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("cannot read checkpoint {path}: {e}");
+            std::process::exit(1);
+        });
+        jobsched_json::parse(text.trim()).unwrap_or_else(|e| {
+            eprintln!("checkpoint {path} is not valid JSON: {e}");
+            std::process::exit(1);
+        })
+    });
+    let started = match &checkpoint {
+        Some(state) => Server::start_restored(&args.listen, args.config, state),
+        None => Server::start(&args.listen, args.config),
+    };
+    let server = started.unwrap_or_else(|e| {
+        match e.kind() {
+            std::io::ErrorKind::InvalidData => eprintln!("restore failed: {e}"),
+            _ => eprintln!("cannot listen on {}: {e}", args.listen),
+        }
         std::process::exit(1);
     });
+    if let Some(path) = &args.restore {
+        eprintln!("jobsched-serve: restored from {path}");
+    }
     eprintln!(
         "jobsched-serve: {label} on {shards} x {nodes}-node shard(s){replica}, \
          {clock} clock, listening on {}",
         server.addr()
     );
-
-    if let Some(path) = args.restore {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read checkpoint {path}: {e}");
-            std::process::exit(1);
-        });
-        let parsed = jobsched_json::parse(text.trim()).unwrap_or_else(|e| {
-            eprintln!("checkpoint {path} is not valid JSON: {e}");
-            std::process::exit(1);
-        });
-        // Accept a bare state object or a reply still wrapping one.
-        let state = parsed.get("state").cloned().unwrap_or(parsed);
-        let mut c = Client::connect(server.addr()).expect("connect to own daemon");
-        match c.expect_ok(Json::obj([
-            ("op", Json::Str("restore".into())),
-            ("state", state),
-        ])) {
-            Ok(r) => eprintln!(
-                "restored {} inputs from {path}, resuming at t={}",
-                r.get("inputs_replayed")
-                    .and_then(|v| v.as_u64())
-                    .unwrap_or(0),
-                r.get("now").and_then(|v| v.as_u64()).unwrap_or(0),
-            ),
-            Err(e) => {
-                eprintln!("restore failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
 
     server.join();
     eprintln!("jobsched-serve: shut down");

@@ -1,5 +1,5 @@
 //! A tiny blocking client for the wire protocol — used by the
-//! integration tests and the daemon's own `--restore` path. One request, one reply, in order.
+//! integration tests. One request, one reply, in order.
 
 use jobsched_json::Json;
 use std::io::{BufRead, BufReader, Write};

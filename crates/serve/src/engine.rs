@@ -21,10 +21,10 @@
 //! ## Time
 //!
 //! The engine never processes an event before its [`Clock`] says the
-//! instant is due. Under a [`WallClock`] it sleeps (via `recv_timeout`)
-//! until the next event matures or a command arrives; under a
-//! [`SimClock`] it blocks indefinitely and time moves only through the
-//! `advance` command — which is what makes served schedules
+//! instant is due. Under [`Clock::Wall`] it sleeps (via `recv_timeout`)
+//! until the next event matures or a command arrives; under
+//! [`Clock::Virtual`] it blocks indefinitely and time moves only through
+//! the `advance` command — which is what makes served schedules
 //! deterministic and bit-comparable to batch simulation.
 //!
 //! ## Determinism
@@ -37,64 +37,31 @@
 //!
 //! ## Checkpoint / restore
 //!
-//! A checkpoint is the *input log*: every admitted submission,
-//! cancellation, and policy override with the simulated instant it was
-//! applied at. Restore replays the log on a virtual clock — the engine
-//! re-derives machine, queue, and scheduler state by running the same
-//! deterministic code path it ran live — then re-anchors the configured
-//! clock at the checkpoint instant. State that is pure *output*
-//! (placements, metrics) is reproduced, not stored.
+//! The engine's history is one [`InputLog`] (see [`crate::log`]): every
+//! admitted submission, cancellation, and policy override with the
+//! simulated instant it was applied at, appended by `Engine::record`
+//! and nowhere else. A checkpoint is that log serialised. Restore takes
+//! a typed log and replays it on a virtual clock — the engine re-derives
+//! machine, queue, and scheduler state by running the same deterministic
+//! code path it ran live, re-recording each input into its own fresh
+//! log — then re-anchors the configured clock at the checkpoint instant.
+//! State that is pure *output* (placements, metrics) is reproduced, not
+//! stored. The log sits behind an `Arc<Mutex<_>>` so the reactor can
+//! hold a second handle on it as the shard's warm standby
+//! ([`crate::replica`]); the engine is the only writer.
 
+use crate::clock::Clock;
+use crate::log::{InputLog, InputOp, InputRecord};
 use crate::protocol::{self, PolicyForce, Request};
-use crate::replica::ReplicaLog;
 use crate::{SchedulerSpec, ServeConfig, ServeSched};
 use jobsched_algos::AlgorithmSpec;
 use jobsched_json::Json;
 use jobsched_metrics::OnlineMetrics;
-use jobsched_sim::{
-    CancelPhase, Clock, JobEvent, LiveSim, Scheduler, SimClock, SimObserver, WallClock,
-};
+use jobsched_sim::{CancelPhase, JobEvent, LiveSim, Scheduler, SimObserver};
 use jobsched_workload::{Job, JobBuilder, JobId, Time};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Checkpoint schema identifier (one engine's input log).
-pub const CHECKPOINT_SCHEMA: &str = "serve-checkpoint/1";
-
-/// The daemon's clock: concrete so restore can swap regimes.
-enum EngineClock {
-    Sim(SimClock),
-    Wall(WallClock),
-}
-
-impl EngineClock {
-    fn as_clock(&self) -> &dyn Clock {
-        match self {
-            EngineClock::Sim(c) => c,
-            EngineClock::Wall(c) => c,
-        }
-    }
-
-    fn now(&self) -> Time {
-        self.as_clock().now()
-    }
-
-    fn is_virtual(&self) -> bool {
-        self.as_clock().is_virtual()
-    }
-
-    fn real_delay_until(&self, t: Time) -> Duration {
-        self.as_clock().real_delay_until(t)
-    }
-
-    fn advance_to(&mut self, t: Time) {
-        match self {
-            EngineClock::Sim(c) => c.advance_to(t),
-            EngineClock::Wall(c) => c.advance_to(t),
-        }
-    }
-}
 
 /// Where `status` finds a job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -210,62 +177,10 @@ impl SimObserver for StatusStore {
     }
 }
 
-/// One replayable input: what happened, and the simulated instant the
-/// engine applied it at.
-#[derive(Clone, Debug)]
-pub(crate) struct InputRecord {
-    pub(crate) at: Time,
-    pub(crate) op: InputOp,
-}
-
-#[derive(Clone, Debug)]
-pub(crate) enum InputOp {
-    Submit(Job),
-    Cancel(JobId),
-    Policy(Option<bool>),
-    /// Live scheduler switch to another atlas row (canonical label).
-    SetScheduler(String),
-}
-
-/// Serialise one input record into its checkpoint form — shared by the
-/// engine's own checkpoints and the replica log's reconstruction.
-pub(crate) fn input_json(rec: &InputRecord) -> Json {
-    let mut pairs = vec![("at", Json::UInt(rec.at))];
-    match &rec.op {
-        InputOp::Submit(job) => {
-            pairs.push(("op", Json::Str("submit".into())));
-            pairs.push(("id", Json::UInt(job.id.0 as u64)));
-            pairs.push(("submit", Json::UInt(job.submit)));
-            pairs.push(("nodes", Json::UInt(job.nodes as u64)));
-            pairs.push(("requested", Json::UInt(job.requested_time)));
-            pairs.push(("runtime", Json::UInt(job.runtime)));
-            pairs.push(("user", Json::UInt(job.user as u64)));
-        }
-        InputOp::Cancel(id) => {
-            pairs.push(("op", Json::Str("cancel".into())));
-            pairs.push(("id", Json::UInt(id.0 as u64)));
-        }
-        InputOp::Policy(forced) => {
-            pairs.push(("op", Json::Str("policy".into())));
-            let f = match forced {
-                Some(true) => "day",
-                Some(false) => "night",
-                None => "auto",
-            };
-            pairs.push(("force", Json::Str(f.into())));
-        }
-        InputOp::SetScheduler(label) => {
-            pairs.push(("op", Json::Str("set-scheduler".into())));
-            pairs.push(("label", Json::Str(label.clone())));
-        }
-    }
-    Json::obj(pairs)
-}
-
 /// The serving engine. See the module docs for the big picture.
 pub struct Engine {
     config: ServeConfig,
-    clock: EngineClock,
+    clock: Clock,
     live: LiveSim,
     scheduler: ServeSched,
     /// Future-dated submissions, keyed `(submit, id)` so same-instant
@@ -275,7 +190,10 @@ pub struct Engine {
     cancelled_presubmit: BTreeSet<JobId>,
     store: StatusStore,
     metrics: OnlineMetrics,
-    inputs: Vec<InputRecord>,
+    /// The shard's history. The engine is the only writer; with
+    /// `config.replica` the reactor holds a second handle and the
+    /// scalars are kept current on every pump.
+    log: Arc<Mutex<InputLog>>,
     draining: bool,
     dirty: bool,
     next_auto_id: u32,
@@ -283,9 +201,6 @@ pub struct Engine {
     /// the shard's residue class. `(0, 1)` for an unsharded engine.
     id_offset: u32,
     id_stride: u32,
-    /// Warm standby: every input record and clock watermark is streamed
-    /// here so a crashed shard can be rebuilt with exact state.
-    replica: Option<Arc<Mutex<ReplicaLog>>>,
     requests: u64,
     rejected: u64,
 }
@@ -307,10 +222,10 @@ impl Engine {
     ) -> Self {
         assert!(shards >= 1 && shard < shards, "shard {shard} of {shards}");
         let clock = if config.virtual_clock {
-            EngineClock::Sim(SimClock::new())
+            Clock::virtual_at(0)
         } else {
             let origin = origin.unwrap_or_else(Instant::now);
-            EngineClock::Wall(WallClock::with_origin(origin, 0, config.time_scale))
+            Clock::wall_with_origin(origin, 0, config.time_scale)
         };
         Engine {
             clock,
@@ -321,24 +236,32 @@ impl Engine {
             cancelled_presubmit: BTreeSet::new(),
             store: StatusStore::new(config.retain_completed),
             metrics: OnlineMetrics::new(config.machine_nodes),
-            inputs: Vec::new(),
+            log: Arc::default(),
             draining: false,
             dirty: false,
             next_auto_id: shard as u32,
             id_offset: shard as u32,
             id_stride: shards as u32,
-            replica: None,
             requests: 0,
             rejected: 0,
             config,
         }
     }
 
-    /// Attach a replica log. Subsequent inputs (and, on restore, the
-    /// replayed log) stream into it, keeping the standby warm.
-    pub(crate) fn with_replica(mut self, log: Arc<Mutex<ReplicaLog>>) -> Self {
-        self.replica = Some(log);
-        self
+    /// A second handle on this engine's input log — the warm standby
+    /// the reactor promotes from when the shard dies.
+    pub(crate) fn log_handle(&self) -> Arc<Mutex<InputLog>> {
+        Arc::clone(&self.log)
+    }
+
+    /// Lock the log with the scalars its records cannot reproduce
+    /// brought up to date.
+    fn synced_log(&self, now: Time) -> MutexGuard<'_, InputLog> {
+        let mut log = self.log.lock().expect("input log lock");
+        log.now = log.now.max(now);
+        log.draining = self.draining;
+        log.next_auto_id = self.next_auto_id;
+        log
     }
 
     /// Current simulated instant.
@@ -382,11 +305,9 @@ impl Engine {
     /// Process every event due at or before the clock's "now".
     pub(crate) fn pump(&mut self) {
         let now = self.clock.now();
-        if let Some(rep) = &self.replica {
-            let mut r = rep.lock().expect("replica lock");
-            r.watermark = r.watermark.max(now);
-            r.draining = self.draining;
-            r.next_auto_id = self.next_auto_id;
+        if self.config.replica {
+            // A standby must be promotable at any instant.
+            drop(self.synced_log(now));
         }
         self.refill(now);
         while self.live.next_event_time().is_some_and(|t| t <= now) {
@@ -427,15 +348,10 @@ impl Engine {
         Ok(())
     }
 
-    /// Append one input to the log (and stream it to the replica): the
-    /// single point through which every replayable mutation passes.
+    /// Append one input to the log: the single point through which
+    /// every replayable mutation passes.
     fn record(&mut self, rec: InputRecord) {
-        if let Some(rep) = &self.replica {
-            let mut r = rep.lock().expect("replica lock");
-            r.watermark = r.watermark.max(rec.at);
-            r.records.push(rec.clone());
-        }
-        self.inputs.push(rec);
+        self.log.lock().expect("input log lock").push(rec);
         self.dirty = true;
     }
 
@@ -493,7 +409,7 @@ impl Engine {
     }
 
     /// Apply a regime override (shared by live handling and replay).
-    fn apply_policy(&mut self, forced: Option<bool>) -> Result<(), String> {
+    fn apply_policy(&mut self, force: PolicyForce) -> Result<(), String> {
         let now = self.clock.now();
         let Some(sw) = self.scheduler.as_switch_mut() else {
             return Err(format!(
@@ -501,10 +417,10 @@ impl Engine {
                 self.scheduler.name()
             ));
         };
-        sw.force_regime(forced);
+        sw.force_regime(force.regime());
         self.record(InputRecord {
             at: now,
-            op: InputOp::Policy(forced),
+            op: InputOp::Policy(force),
         });
         // The flip re-orders the backlog: run a decision round now.
         self.live.request_decision(now);
@@ -739,12 +655,7 @@ impl Engine {
             }
         }
         if let Some(f) = force {
-            let forced = match f {
-                PolicyForce::Day => Some(true),
-                PolicyForce::Night => Some(false),
-                PolicyForce::Auto => None,
-            };
-            if let Err(e) = self.apply_policy(forced) {
+            if let Err(e) = self.apply_policy(f) {
                 return protocol::error("unsupported", e);
             }
         }
@@ -772,23 +683,26 @@ impl Engine {
     }
 
     fn checkpoint_json(&self) -> Json {
-        let inputs: Vec<Json> = self.inputs.iter().map(input_json).collect();
-        Json::obj([
-            ("schema", Json::Str(CHECKPOINT_SCHEMA.into())),
-            ("scheduler", Json::Str(self.config.scheduler.label())),
-            (
-                "machine_nodes",
-                Json::UInt(self.config.machine_nodes as u64),
-            ),
-            ("now", Json::UInt(self.clock.now())),
-            ("draining", Json::Bool(self.draining)),
-            ("next_auto_id", Json::UInt(self.next_auto_id as u64)),
-            ("inputs", Json::Arr(inputs)),
-        ])
+        self.synced_log(self.clock.now()).to_json(&self.config)
     }
 
+    fn require_fresh(&self) -> Result<(), String> {
+        if self.dirty {
+            return Err("restore requires a fresh daemon (no inputs applied yet)".into());
+        }
+        Ok(())
+    }
+
+    /// The wire `restore` op: decode the document, then replay it. One
+    /// request line carries the whole checkpoint, so this path is
+    /// bounded by [`protocol::MAX_LINE`]; a larger checkpoint goes in
+    /// through [`Server::start_restored`](crate::server::Server::start_restored).
     fn handle_restore(&mut self, state: &Json) -> Json {
-        match self.restore(state) {
+        let outcome = self
+            .require_fresh()
+            .and_then(|()| InputLog::from_json(&self.config, state))
+            .and_then(|log| self.restore(log));
+        match outcome {
             Ok(replayed) => protocol::ok([
                 ("now", Json::UInt(self.clock.now())),
                 ("inputs_replayed", Json::UInt(replayed)),
@@ -797,90 +711,36 @@ impl Engine {
         }
     }
 
-    /// Rebuild engine state from a checkpoint by replaying its input
-    /// log. Only a fresh engine may restore. With a replica attached,
-    /// replay re-streams the log into it, re-warming the standby.
-    pub(crate) fn restore(&mut self, state: &Json) -> Result<u64, String> {
-        if self.dirty {
-            return Err("restore requires a fresh daemon (no inputs applied yet)".into());
-        }
-        let schema = state
-            .get("schema")
-            .and_then(|v| v.as_str())
-            .ok_or("checkpoint has no schema")?;
-        if schema != CHECKPOINT_SCHEMA {
-            return Err(format!("unsupported checkpoint schema '{schema}'"));
-        }
-        let scheduler = state
-            .get("scheduler")
-            .and_then(|v| v.as_str())
-            .ok_or("checkpoint has no scheduler")?;
-        if scheduler != self.config.scheduler.label() {
-            return Err(format!(
-                "checkpoint is for scheduler '{scheduler}' but this daemon runs '{}'",
-                self.config.scheduler.label()
-            ));
-        }
-        let nodes = state
-            .get("machine_nodes")
-            .and_then(|v| v.as_u64())
-            .ok_or("checkpoint has no machine_nodes")?;
-        if nodes != self.config.machine_nodes as u64 {
-            return Err(format!(
-                "checkpoint machine has {nodes} nodes, this daemon serves {}",
-                self.config.machine_nodes
-            ));
-        }
-        let now = state
-            .get("now")
-            .and_then(|v| v.as_u64())
-            .ok_or("checkpoint has no now")?;
-        let draining = state
-            .get("draining")
-            .and_then(|v| v.as_bool())
-            .unwrap_or(false);
-        let next_auto_id = state
-            .get("next_auto_id")
-            .and_then(|v| v.as_u64())
-            .unwrap_or(0) as u32;
-        let inputs = state
-            .get("inputs")
-            .and_then(|v| v.as_arr())
-            .ok_or("checkpoint has no inputs")?;
-
-        // Parse the whole log before touching any state.
-        let mut records = Vec::with_capacity(inputs.len());
-        for (i, rec) in inputs.iter().enumerate() {
-            records.push(parse_input(rec).map_err(|e| format!("input {i}: {e}"))?);
-        }
-
+    /// Rebuild engine state by replaying `log`. Only a fresh engine may
+    /// restore. Replay re-records every input into this engine's own
+    /// log, so a restored (or promoted) shard is itself promotable.
+    pub(crate) fn restore(&mut self, log: InputLog) -> Result<u64, String> {
+        self.require_fresh()?;
         // Replay on a virtual clock; re-anchor the real clock after.
-        let wall_scale = match &self.clock {
-            EngineClock::Wall(w) => Some(w.scale()),
-            EngineClock::Sim(_) => None,
-        };
-        self.clock = EngineClock::Sim(SimClock::new());
-        let replayed = records.len() as u64;
-        for rec in records {
+        let wall_scale = self.clock.scale();
+        self.clock = Clock::virtual_at(0);
+        let replayed = log.records.len() as u64;
+        for rec in log.records {
             self.advance(Some(rec.at)).expect("replay clock is virtual");
             match rec.op {
                 InputOp::Submit(job) => self.admit(job),
                 InputOp::Cancel(id) => {
                     self.apply_cancel(id);
                 }
-                InputOp::Policy(forced) => {
-                    self.apply_policy(forced)?;
+                InputOp::Policy(force) => {
+                    self.apply_policy(force)?;
                 }
                 InputOp::SetScheduler(label) => {
                     self.apply_set_scheduler(&label)?;
                 }
             }
         }
-        self.advance(Some(now)).expect("replay clock is virtual");
-        self.draining = draining;
-        self.bump_auto_id(next_auto_id);
+        self.advance(Some(log.now))
+            .expect("replay clock is virtual");
+        self.draining = log.draining;
+        self.bump_auto_id(log.next_auto_id);
         if let Some(scale) = wall_scale {
-            self.clock = EngineClock::Wall(WallClock::starting_at(now, scale));
+            self.clock = Clock::wall_starting_at(log.now, scale);
         }
         Ok(replayed)
     }
@@ -979,62 +839,6 @@ fn rejected(reason: &str, message: impl Into<String>) -> Json {
         ("reason", Json::Str(reason.into())),
         ("message", Json::Str(message.into())),
     ])
-}
-
-fn parse_input(rec: &Json) -> Result<InputRecord, String> {
-    let at = rec
-        .get("at")
-        .and_then(|v| v.as_u64())
-        .ok_or("missing 'at'")?;
-    let op = rec
-        .get("op")
-        .and_then(|v| v.as_str())
-        .ok_or("missing 'op'")?;
-    let u32_of = |key: &str| -> Result<u32, String> {
-        let n = rec
-            .get(key)
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| format!("missing '{key}'"))?;
-        u32::try_from(n).map_err(|_| format!("'{key}' out of range"))
-    };
-    let time_of = |key: &str| -> Result<Time, String> {
-        rec.get(key)
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| format!("missing '{key}'"))
-    };
-    let op = match op {
-        "submit" => InputOp::Submit(
-            JobBuilder::new(JobId(u32_of("id")?))
-                .submit(time_of("submit")?)
-                .nodes(u32_of("nodes")?)
-                .requested(time_of("requested")?)
-                .runtime(time_of("runtime")?)
-                .user(u32_of("user")?)
-                .build(),
-        ),
-        "cancel" => InputOp::Cancel(JobId(u32_of("id")?)),
-        "policy" => {
-            let f = rec
-                .get("force")
-                .and_then(|v| v.as_str())
-                .ok_or("missing 'force'")?;
-            let forced = match f {
-                "day" => Some(true),
-                "night" => Some(false),
-                "auto" => None,
-                other => return Err(format!("unknown force '{other}'")),
-            };
-            InputOp::Policy(forced)
-        }
-        "set-scheduler" => InputOp::SetScheduler(
-            rec.get("label")
-                .and_then(|v| v.as_str())
-                .ok_or("missing 'label'")?
-                .to_string(),
-        ),
-        other => return Err(format!("unknown input op '{other}'")),
-    };
-    Ok(InputRecord { at, op })
 }
 
 #[cfg(test)]

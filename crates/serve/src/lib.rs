@@ -6,13 +6,16 @@
 //! this repo is batch simulation. This crate closes that gap: a daemon
 //! that owns one scheduler thread driving the shared
 //! [`LiveSim`](jobsched_sim::LiveSim) engine behind a
-//! [`Clock`](jobsched_sim::Clock), while clients speak newline-delimited
+//! [`Clock`](clock::Clock), while clients speak newline-delimited
 //! JSON over TCP (hand-rolled on `std::net`; the build stays
 //! dependency-free).
 //!
-//! * [`engine`] — one scheduler shard: virtual or scaled wall-clock
-//!   time, admission control, status/metrics bookkeeping, and
-//!   checkpoint/restore via input-log replay;
+//! * [`engine`] — one scheduler shard: admission control,
+//!   status/metrics bookkeeping, and restore by replaying a typed log;
+//! * [`log`] — the shard's [`InputLog`](log::InputLog): its history,
+//!   its warm standby and its checkpoint as one value, and the only
+//!   `serve-checkpoint/1` encoder/decoder;
+//! * [`clock`] — virtual or scaled wall-clock time as one enum;
 //! * [`protocol`] — request parsing and reply shapes
 //!   (`submit`/`cancel`/`status`/`queue`/`drain`/`policy`/`metrics`/
 //!   `advance`/`checkpoint`/`restore`/`shutdown`/`crash`);
@@ -21,13 +24,13 @@
 //!   dispatch per wakeup across N engine shards;
 //! * [`router`] — the deterministic shard router (`id % shards`) and
 //!   aggregate-reply merging for broadcast operations;
-//! * [`replica`] — warm standby per shard: streamed input logs and
-//!   exact-state promotion on failover;
-//! * [`server`] — bind/start/stop lifecycle around the reactor;
-//! * [`client`] — a tiny blocking client used by the tests and the
-//!   daemon's `--restore` path.
+//! * [`replica`] — warm standby per shard: a second handle on the
+//!   engine's own log and exact-state promotion on failover;
+//! * [`server`] — bind/start/stop lifecycle around the reactor, fresh
+//!   or from a checkpoint of any size;
+//! * [`client`] — a tiny blocking client used by the tests.
 //!
-//! Determinism: under a virtual clock ([`SimClock`](jobsched_sim::SimClock))
+//! Determinism: under a virtual clock ([`Clock::Virtual`](clock::Clock::Virtual))
 //! same-instant submissions are admitted in job-id order no matter which
 //! connection delivered them first, so a served workload's schedule is
 //! bit-identical to a batch [`simulate`](jobsched_sim::simulate) run —
@@ -37,7 +40,9 @@
 //! (or batch run) fed only that residue class.
 
 pub mod client;
+pub mod clock;
 pub mod engine;
+pub mod log;
 pub mod protocol;
 pub mod reactor;
 pub mod replica;

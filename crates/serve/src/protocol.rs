@@ -35,6 +35,16 @@ impl PolicyForce {
         }
     }
 
+    /// The day-regime flag `SwitchingScheduler::force_regime` takes:
+    /// `None` hands control back to the clock.
+    pub fn regime(&self) -> Option<bool> {
+        match self {
+            PolicyForce::Day => Some(true),
+            PolicyForce::Night => Some(false),
+            PolicyForce::Auto => None,
+        }
+    }
+
     /// Parse a wire name.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
@@ -103,7 +113,11 @@ pub enum Request {
     },
     /// Serialize full engine state.
     Checkpoint,
-    /// Load a checkpoint into a fresh daemon.
+    /// Load a checkpoint into a fresh daemon. The whole checkpoint rides
+    /// in this one request line, so over the wire it is bounded by
+    /// [`MAX_LINE`] (≈ 600 jobs); a larger one is loaded at startup
+    /// (`jobsched-serve --restore FILE`,
+    /// [`Server::start_restored`](crate::server::Server::start_restored)).
     Restore {
         /// The checkpoint object, as returned by `checkpoint`.
         state: Json,

@@ -25,17 +25,20 @@
 //!
 //! ## Failover
 //!
-//! With `ServeConfig::replica` set, each shard streams its input log to
-//! a warm [`ReplicaLog`]. A shard that dies (the `crash` chaos op)
-//! drains its channel back to the reactor, which promotes the replica —
-//! an exact input-log replay — spawns a fresh shard thread, re-dispatches
-//! the drained requests, and carries on; clients observe identical
-//! schedules to a run that never crashed. Without a replica the shard's
-//! residue class of jobs answers `unavailable`.
+//! With `ServeConfig::replica` set, the reactor keeps a second handle on
+//! each shard engine's [`InputLog`] — the same allocation the engine
+//! appends to, not a copy. A shard that dies (the `crash` chaos op)
+//! drains its channel back to the reactor, which takes the log out of
+//! the handle and promotes it — an exact typed replay, no JSON in
+//! between — spawns a fresh shard thread, re-dispatches the drained
+//! requests, and carries on; clients observe identical schedules to a
+//! run that never crashed. Without a replica the shard's residue class
+//! of jobs answers `unavailable`.
 
 use crate::engine::Engine;
+use crate::log::InputLog;
 use crate::protocol::{self, Request, MAX_LINE};
-use crate::replica::{self, ReplicaLog};
+use crate::replica;
 use crate::router::{self, AggKind, Dest};
 use crate::sys::{new_poller, Poller};
 use crate::ServeConfig;
@@ -249,11 +252,14 @@ pub(crate) struct ReactorHandle {
 }
 
 /// Build the shard engines and the reactor, and start both. Returns
-/// once all threads are running.
+/// once all threads are running. With `restored` (one log per shard)
+/// every engine replays its log before any thread exists, so the first
+/// connection the reactor accepts already sees the restored state.
 pub(crate) fn start(
     listener: TcpListener,
     config: ServeConfig,
     stop: Arc<AtomicBool>,
+    restored: Option<Vec<InputLog>>,
 ) -> io::Result<ReactorHandle> {
     let shards = config.shards.max(1);
     let origin = Instant::now();
@@ -263,18 +269,24 @@ pub(crate) fn start(
         waker: waker_tx,
     });
 
+    let mut restored = restored.into_iter().flatten();
+    let engines = (0..shards)
+        .map(|shard| {
+            let mut engine = Engine::for_shard(config.clone(), shard, shards, Some(origin));
+            if let Some(log) = restored.next() {
+                engine
+                    .restore(log)
+                    .map_err(|e| io::Error::new(ErrorKind::InvalidData, e))?;
+            }
+            Ok(engine)
+        })
+        .collect::<io::Result<Vec<Engine>>>()?;
+
     let mut txs = Vec::with_capacity(shards);
     let mut threads = Vec::with_capacity(shards);
     let mut replicas = Vec::with_capacity(shards);
-    for shard in 0..shards {
-        let mut engine = Engine::for_shard(config.clone(), shard, shards, Some(origin));
-        let log = if config.replica {
-            let log = Arc::new(Mutex::new(ReplicaLog::new()));
-            engine = engine.with_replica(Arc::clone(&log));
-            Some(log)
-        } else {
-            None
-        };
+    for (shard, engine) in engines.into_iter().enumerate() {
+        let log = config.replica.then(|| engine.log_handle());
         let (tx, rx) = mpsc::channel::<Vec<Tagged>>();
         let shard_out = Arc::clone(&out);
         let handle = std::thread::Builder::new()
@@ -340,7 +352,9 @@ struct Reactor {
     /// Per-shard dispatch channels; `None` = the shard is gone.
     txs: Vec<Option<Sender<Vec<Tagged>>>>,
     threads: Vec<JoinHandle<()>>,
-    replicas: Vec<Option<Arc<Mutex<ReplicaLog>>>>,
+    /// With `config.replica`: a second handle on each live shard
+    /// engine's own log.
+    replicas: Vec<Option<Arc<Mutex<InputLog>>>>,
     /// In-flight broadcasts, keyed by the requesting (conn, seq).
     aggs: HashMap<(u64, u64), Agg>,
     /// Requests drained from a dying shard, awaiting promote-or-fail.
@@ -655,8 +669,8 @@ impl Reactor {
             debug_assert!(self.shards > 1, "single-shard restore routes directly");
             match router::split_restore(state, self.shards) {
                 Ok(states) => states
-                    .into_iter()
-                    .map(|s| Some(Request::Restore { state: s }))
+                    .iter()
+                    .map(|s| Some(Request::Restore { state: s.clone() }))
                     .collect(),
                 Err(e) => {
                     self.resolve(id, seq, protocol::error("restore-failed", e));
@@ -737,11 +751,13 @@ impl Reactor {
     fn failover(&mut self, shard: usize, batches: &mut [Vec<Tagged>]) {
         let stranded = std::mem::take(&mut self.pending_requeue[shard]);
         let promoted = self.replicas[shard].take().and_then(|log| {
-            let snapshot = log.lock().expect("replica lock");
-            replica::promote(&snapshot, &self.config, shard, self.shards, self.origin).ok()
+            // The dead engine dropped its handle: the log is ours whole.
+            let dead = std::mem::take(&mut *log.lock().expect("input log lock"));
+            replica::promote(dead, &self.config, shard, self.shards, self.origin).ok()
         });
         match promoted {
-            Some((engine, fresh)) => {
+            Some(engine) => {
+                let fresh = engine.log_handle();
                 let (tx, rx) = mpsc::channel::<Vec<Tagged>>();
                 let out = Arc::clone(&self.out);
                 let spawned = std::thread::Builder::new()

@@ -1,98 +1,58 @@
 //! Warm standby for an engine shard.
 //!
-//! A checkpoint in this system is the *input log* (see [`crate::engine`]
-//! module docs), so a warm replica is simply that log streamed as it is
-//! written: the engine appends every admitted submission, cancellation,
-//! and policy override to its [`ReplicaLog`] inside the same call that
-//! applies it, and bumps a clock watermark on every pump. Promotion
-//! rebuilds a fresh [`Engine`] by replaying the log — the exact restore
-//! path a checkpoint file would take — so the promoted shard's queue,
-//! machine, and scheduler state are bit-identical to the dead shard's
-//! at its last watermark, and all subsequent placements match a run
-//! that never crashed.
+//! A shard's state is a pure function of its [`InputLog`] (see
+//! [`crate::log`]), so a warm replica needs no copy of anything: with
+//! `ServeConfig::replica` set the reactor keeps a second handle on the
+//! very `Arc<Mutex<InputLog>>` the engine appends to. The engine pushes
+//! every admitted submission, cancellation, and policy override inside
+//! the call that applies it, and bumps the clock watermark on every
+//! pump. When the shard thread dies its handle drops, the reactor takes
+//! the log out of the mutex and `promote` replays it into a fresh
+//! [`Engine`] — the restore path a checkpoint file takes, minus the
+//! JSON — so the promoted shard's queue, machine, and scheduler state
+//! are bit-identical to the dead shard's at its last watermark, and all
+//! subsequent placements match a run that never crashed.
 //!
-//! The log lives behind a mutex shared between the shard thread (writer)
-//! and the reactor (reader, only at promotion). Writes are appends plus
-//! three scalar updates; contention is nil in steady state.
+//! The mutex is shared between the shard thread (writer) and the reactor
+//! (reader, only at promotion). Writes are one push plus three scalar
+//! updates; contention is nil in steady state.
 
-use crate::engine::{self, Engine, InputRecord, CHECKPOINT_SCHEMA};
+use crate::engine::Engine;
+use crate::log::InputLog;
 use crate::ServeConfig;
-use jobsched_json::Json;
-use jobsched_workload::Time;
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Everything needed to rebuild a shard: its input log plus the clock
-/// watermark and the admission scalars that are not derivable from the
-/// log alone.
-#[derive(Default)]
-pub struct ReplicaLog {
-    /// Every replayable input, in application order.
-    pub(crate) records: Vec<InputRecord>,
-    /// The latest simulated instant the shard has pumped to. Promotion
-    /// advances the rebuilt engine here so due events fire exactly as
-    /// they had on the dead shard.
-    pub(crate) watermark: Time,
-    /// Whether the shard was draining (not in the input log).
-    pub(crate) draining: bool,
-    /// The shard's auto-id cursor (monotone; restoring the exact value
-    /// keeps auto-assignments identical across a failover).
-    pub(crate) next_auto_id: u32,
-}
-
-impl ReplicaLog {
-    /// An empty log for a fresh shard.
-    pub fn new() -> Self {
-        ReplicaLog::default()
-    }
-
-    /// Materialise the log as a `serve-checkpoint/1` object — the same
-    /// shape [`Engine`] checkpoints produce, so promotion reuses the
-    /// battle-tested restore path.
-    pub(crate) fn checkpoint_json(&self, config: &ServeConfig) -> Json {
-        let inputs: Vec<Json> = self.records.iter().map(engine::input_json).collect();
-        Json::obj([
-            ("schema", Json::Str(CHECKPOINT_SCHEMA.into())),
-            ("scheduler", Json::Str(config.scheduler.label())),
-            ("machine_nodes", Json::UInt(config.machine_nodes as u64)),
-            ("now", Json::UInt(self.watermark)),
-            ("draining", Json::Bool(self.draining)),
-            ("next_auto_id", Json::UInt(self.next_auto_id as u64)),
-            ("inputs", Json::Arr(inputs)),
-        ])
-    }
-}
-
-/// Rebuild shard `shard` from its replica log. Returns the promoted
-/// engine and the *fresh* log attached to it — replay re-streams every
-/// record into the new log, so the promoted shard is itself promotable.
+/// Rebuild shard `shard` from its dead predecessor's log. Replay
+/// re-records every input into the promoted engine's own fresh log
+/// ([`Engine::log_handle`]), so the promoted shard is itself promotable.
 pub(crate) fn promote(
-    log: &ReplicaLog,
+    dead: InputLog,
     config: &ServeConfig,
     shard: usize,
     shards: usize,
     origin: Instant,
-) -> Result<(Engine, Arc<Mutex<ReplicaLog>>), String> {
-    let state = log.checkpoint_json(config);
-    let fresh = Arc::new(Mutex::new(ReplicaLog::new()));
-    let mut engine = Engine::for_shard(config.clone(), shard, shards, Some(origin))
-        .with_replica(Arc::clone(&fresh));
-    engine.restore(&state)?;
-    Ok((engine, fresh))
+) -> Result<Engine, String> {
+    let mut engine = Engine::for_shard(config.clone(), shard, shards, Some(origin));
+    engine.restore(dead)?;
+    Ok(engine)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::InputOp;
     use crate::protocol::Request;
     use crate::SchedulerSpec;
-    use jobsched_workload::JobId;
+    use jobsched_json::Json;
+    use jobsched_workload::{JobId, Time};
+    use std::sync::Arc;
 
     fn config() -> ServeConfig {
         ServeConfig {
             machine_nodes: 16,
             scheduler: SchedulerSpec::parse("fcfs+easy").unwrap(),
             virtual_clock: true,
+            replica: true,
             ..ServeConfig::default()
         }
     }
@@ -113,13 +73,26 @@ mod tests {
         e.handle(Request::Status { id }).0
     }
 
+    /// Kill `victim` and promote its standby, as the reactor does: the
+    /// second handle outlives the engine and gives up the log whole.
+    fn kill_and_promote(victim: Engine) -> Engine {
+        let standby = victim.log_handle();
+        assert!(
+            Arc::ptr_eq(&standby, &victim.log_handle()),
+            "the standby must be the engine's own log, not a copy"
+        );
+        drop(victim);
+        assert_eq!(Arc::strong_count(&standby), 1);
+        let dead = std::mem::take(&mut *standby.lock().unwrap());
+        promote(dead, &config(), 1, 2, Instant::now()).unwrap()
+    }
+
     #[test]
     fn promoted_shard_matches_an_unkilled_run_exactly() {
         // Reference: one engine runs the whole trace uninterrupted.
         let mut reference = Engine::for_shard(config(), 1, 2, None);
-        // Victim: same inputs, streamed to a replica, killed mid-trace.
-        let log = Arc::new(Mutex::new(ReplicaLog::new()));
-        let mut victim = Engine::for_shard(config(), 1, 2, None).with_replica(Arc::clone(&log));
+        // Victim: same inputs, killed mid-trace.
+        let mut victim = Engine::for_shard(config(), 1, 2, None);
 
         let first: &[(u32, Time, u32, Time)] = &[(1, 0, 16, 100), (3, 10, 16, 50), (5, 500, 4, 20)];
         for &(id, at, nodes, rt) in first {
@@ -131,15 +104,11 @@ mod tests {
         reference.handle(Request::Advance { to: Some(60) });
         victim.handle(Request::Advance { to: Some(60) });
 
-        // Kill the victim; promote its replica.
-        drop(victim);
-        let snapshot = log.lock().unwrap();
-        let (mut promoted, fresh) = promote(&snapshot, &config(), 1, 2, Instant::now()).unwrap();
-        drop(snapshot);
+        let mut promoted = kill_and_promote(victim);
         assert_eq!(promoted.now(), 60);
-        // The promoted shard re-streamed its log: a second failover
+        // The promoted shard re-recorded its log: a second failover
         // would start from the same state.
-        assert_eq!(fresh.lock().unwrap().records.len(), 4);
+        assert_eq!(promoted.log_handle().lock().unwrap().records.len(), 4);
 
         // Subsequent inputs and evolution must match the unkilled run.
         for e in [&mut reference, &mut promoted] {
@@ -170,30 +139,50 @@ mod tests {
     }
 
     #[test]
+    fn a_promoted_shard_fails_over_again_exactly() {
+        let mut reference = Engine::for_shard(config(), 1, 2, None);
+        let mut shard = Engine::for_shard(config(), 1, 2, None);
+        let steps: &[(u32, Time, Time)] = &[(1, 0, 40), (3, 5, 80), (5, 90, 200)];
+        for &(id, at, to) in steps {
+            for e in [&mut reference, &mut shard] {
+                submit(e, id, at, 16, 30);
+                e.handle(Request::Advance { to: Some(to) });
+            }
+            // One failover per step: each promotion starts from the
+            // log the previous promotion re-recorded.
+            shard = kill_and_promote(shard);
+            assert_eq!(shard.now(), reference.now());
+        }
+        let checkpoint = |e: &mut Engine| e.handle(Request::Checkpoint).0;
+        assert_eq!(checkpoint(&mut shard), checkpoint(&mut reference));
+        for id in [1u32, 3, 5] {
+            assert_eq!(status(&mut reference, id), status(&mut shard, id));
+        }
+    }
+
+    #[test]
     fn promote_rejects_a_mismatched_config() {
-        let log = ReplicaLog::new();
+        // The checkpoint says 16 nodes (via config()), the daemon says
+        // 8: the document does not decode, so nothing is replayed.
+        let state = InputLog::default().to_json(&config());
         let mut other = config();
         other.machine_nodes = 8;
-        // The log says 16 nodes (via config()), the daemon says 8 —
-        // build the log's checkpoint with the original config, then
-        // try to promote under the wrong one.
-        let state = log.checkpoint_json(&config());
-        let mut engine = Engine::for_shard(other, 0, 1, None);
-        assert!(engine.restore(&state).is_err());
+        assert!(InputLog::from_json(&other, &state).is_err());
+        assert!(InputLog::from_json(&config(), &state).is_ok());
     }
 
     #[test]
     fn watermark_tracks_pumped_time_and_records_stream_live() {
-        let log = Arc::new(Mutex::new(ReplicaLog::new()));
-        let mut e = Engine::for_shard(config(), 0, 2, None).with_replica(Arc::clone(&log));
+        let mut e = Engine::for_shard(config(), 0, 2, None);
+        let log = e.log_handle();
         submit(&mut e, 0, 100, 1, 10);
         assert_eq!(log.lock().unwrap().records.len(), 1);
         assert!(matches!(
             log.lock().unwrap().records[0].op,
-            crate::engine::InputOp::Submit(ref j) if j.id == JobId(0)
+            InputOp::Submit(ref j) if j.id == JobId(0)
         ));
         e.handle(Request::Advance { to: Some(250) });
-        assert_eq!(log.lock().unwrap().watermark, 250);
+        assert_eq!(log.lock().unwrap().now, 250);
         e.handle(Request::Drain);
         e.handle(Request::Queue); // any op pumps, syncing the flag
         assert!(log.lock().unwrap().draining);

@@ -14,8 +14,9 @@
 //! merge here. With one shard every merge is a verbatim passthrough, so
 //! a `--shards 1` daemon is wire-identical to the unsharded one.
 
-use crate::engine::CHECKPOINT_SCHEMA;
+use crate::log::{InputLog, CHECKPOINT_SCHEMA};
 use crate::protocol::{self, Request};
+use crate::ServeConfig;
 use jobsched_json::Json;
 
 /// Schema identifier for a sharded checkpoint: a wrapper holding one
@@ -82,9 +83,28 @@ pub(crate) fn route(req: &Request, shards: usize) -> Dest {
     }
 }
 
+/// Decode a checkpoint document — the `state` a `checkpoint` or
+/// `shutdown --checkpoint` reply carried, bare or still wrapped in that
+/// reply — into one [`InputLog`] per shard of a daemon configured as
+/// `config`. Every shard's log is decoded before any is handed out, so
+/// a document that fails leaves nothing half-restored.
+pub(crate) fn restore_logs(config: &ServeConfig, doc: &Json) -> Result<Vec<InputLog>, String> {
+    let state = doc.get("state").unwrap_or(doc);
+    let shards = config.shards.max(1);
+    let states = if shards == 1 {
+        std::slice::from_ref(state)
+    } else {
+        split_restore(state, shards)?
+    };
+    states
+        .iter()
+        .map(|s| InputLog::from_json(config, s))
+        .collect()
+}
+
 /// Split a `serve-checkpoint/2` wrapper into one v1 state per shard.
 /// Only called for sharded daemons (`shards > 1`).
-pub(crate) fn split_restore(state: &Json, shards: usize) -> Result<Vec<Json>, String> {
+pub(crate) fn split_restore(state: &Json, shards: usize) -> Result<&[Json], String> {
     let schema = state
         .get("schema")
         .and_then(|v| v.as_str())
@@ -117,7 +137,7 @@ pub(crate) fn split_restore(state: &Json, shards: usize) -> Result<Vec<Json>, St
             states.len()
         ));
     }
-    Ok(states.to_vec())
+    Ok(states)
 }
 
 fn uint(part: &Json, key: &str) -> u64 {
@@ -201,17 +221,7 @@ pub(crate) fn merge(kind: AggKind, parts: &[Json]) -> Json {
             ])
         }
         AggKind::Metrics => protocol::ok(merged_metric_fields(parts)),
-        AggKind::Checkpoint => {
-            let states: Vec<Json> = parts.iter().map(|p| field(p, "state")).collect();
-            protocol::ok([(
-                "state",
-                Json::obj([
-                    ("schema", Json::Str(CHECKPOINT_SCHEMA_V2.into())),
-                    ("shards", Json::UInt(parts.len() as u64)),
-                    ("states", Json::Arr(states)),
-                ]),
-            )])
-        }
+        AggKind::Checkpoint => protocol::ok([("state", sharded_state(parts))]),
         AggKind::Restore => protocol::ok([
             ("now", Json::UInt(max(parts, "now"))),
             ("inputs_replayed", Json::UInt(sum(parts, "inputs_replayed"))),
@@ -225,19 +235,24 @@ pub(crate) fn merge(kind: AggKind, parts: &[Json]) -> Json {
                 ("metrics", Json::obj(merged_metric_fields(&metric_parts))),
             ];
             if parts.iter().any(|p| p.get("state").is_some()) {
-                let states: Vec<Json> = parts.iter().map(|p| field(p, "state")).collect();
-                fields.push((
-                    "state",
-                    Json::obj([
-                        ("schema", Json::Str(CHECKPOINT_SCHEMA_V2.into())),
-                        ("shards", Json::UInt(parts.len() as u64)),
-                        ("states", Json::Arr(states)),
-                    ]),
-                ));
+                fields.push(("state", sharded_state(parts)));
             }
             protocol::ok(fields)
         }
     }
+}
+
+/// The `serve-checkpoint/2` wrapper: every shard reply's `state`, in
+/// shard order — what [`split_restore`] takes apart again.
+fn sharded_state(parts: &[Json]) -> Json {
+    Json::obj([
+        ("schema", Json::Str(CHECKPOINT_SCHEMA_V2.into())),
+        ("shards", Json::UInt(parts.len() as u64)),
+        (
+            "states",
+            Json::Arr(parts.iter().map(|p| field(p, "state")).collect()),
+        ),
+    ])
 }
 
 /// Cluster metrics from per-shard snapshots. Counters sum exactly and
@@ -491,7 +506,7 @@ mod tests {
             Some(CHECKPOINT_SCHEMA_V2)
         );
         let split = split_restore(wrapper, 2).unwrap();
-        assert_eq!(split, vec![s0.clone(), s1]);
+        assert_eq!(split, [s0.clone(), s1]);
         // Mismatched shard counts and v1-into-sharded are refused.
         assert!(split_restore(wrapper, 4).is_err());
         assert!(split_restore(&s0, 2).is_err());

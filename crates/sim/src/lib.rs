@@ -47,7 +47,6 @@
 //!   it; the old monolithic loop survives as
 //!   [`engine::simulate_batch_with_faults`], the differential baseline.
 
-pub mod clock;
 pub mod engine;
 pub mod event;
 pub mod gang;
@@ -59,7 +58,6 @@ pub mod schedule;
 pub mod segment;
 pub mod tshare;
 
-pub use clock::{Clock, SimClock, WallClock};
 pub use engine::{
     simulate_batch, simulate_batch_with_faults, CancelFault, CancelPhase, DrainFault, FaultOutcome,
     FaultPlan, JobRequest, PreemptFault, Scheduler, SimOutcome,

@@ -7,7 +7,7 @@
 //! calls [`LiveSim::step`] to process the earliest event batch. The
 //! pipeline drives it to exhaustion against a
 //! [`JobSource`](jobsched_workload::JobSource); the daemon drives it
-//! against a [`crate::clock::Clock`], stepping only while the head of the
+//! against its own clock, stepping only while the head of the
 //! event queue is due. Both therefore execute the *same* submit / finish
 //! / cancel / decision-round / wakeup logic — schedule identity between
 //! "served" and "batch-simulated" runs is by construction, and the

@@ -5,15 +5,15 @@
 //! §5 matrix × every workload of §6 × both objectives, each a full
 //! event-driven simulation. This crate turns that grid into a
 //! *campaign* — a declarative [`grid::Campaign`] of independent cells —
-//! and runs it on a work-stealing thread pool with a content-addressed
+//! and runs it on a shared-queue thread pool with a content-addressed
 //! on-disk result cache:
 //!
 //! * [`grid`] — declarative cell grid ([`grid::WorkloadSpec`],
 //!   [`grid::CellSpec`], [`grid::Campaign::paper_tables`]) with
 //!   position-stable derived seeds;
-//! * [`pool`] — work-stealing worker pool on `std::thread` + channels,
-//!   results reassembled by task index so output order is independent of
-//!   thread count;
+//! * [`pool`] — worker pool on `std::thread` + channels pulling from
+//!   one shared task queue, results reassembled by task index so output
+//!   order is independent of thread count;
 //! * [`record`] — [`record::RunRecord`], one JSON artifact per run,
 //!   split into a deterministic payload and timing metadata;
 //! * [`cache`] — content-addressed result cache

@@ -1,22 +1,22 @@
-//! Work-stealing worker pool on `std::thread` + channels.
+//! Worker pool on `std::thread` + channels.
 //!
 //! The evaluation grid is embarrassingly parallel but wildly uneven: a
 //! paper-scale FCFS cell simulates in seconds while SMART over the same
 //! workload can take orders of magnitude longer (Tables 7–8 exist to
 //! measure exactly that spread). Static chunking would leave most
-//! workers idle behind the slowest chunk, so each worker owns a deque
-//! seeded round-robin and steals from its peers once drained — the
-//! classic two-ended discipline (own work from the front, steal from the
-//! back) without any external crate: deques are `Mutex`-guarded (cells
-//! run for milliseconds to minutes, so lock traffic is noise) and
-//! results flow back over an `mpsc` channel.
+//! workers idle behind the slowest chunk, so there are no chunks: every
+//! worker pulls its next task from one shared queue the moment it is
+//! free — the simplest dynamic schedule, in which no worker idles while
+//! a task is unclaimed. The queue is one `Mutex` around the task
+//! iterator (cells run for milliseconds to minutes, so lock traffic is
+//! noise) and results flow back over an `mpsc` channel; no external
+//! crate.
 //!
 //! Determinism: results are reassembled **by task index**, so the output
 //! order — and everything downstream, including table assembly and
 //! manifest contents — is independent of the thread count and of which
 //! worker ran which task.
 
-use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::Mutex;
 
@@ -39,52 +39,24 @@ where
     }
 
     let n = tasks.len();
-    let workers = jobs.min(n);
-    // Round-robin seeding: task i goes to deque i % workers. Queues hold
-    // (index, task) so stealing cannot scramble the output order.
-    let mut queues: Vec<VecDeque<(usize, T)>> = (0..workers).map(|_| VecDeque::new()).collect();
-    for (i, t) in tasks.into_iter().enumerate() {
-        queues[i % workers].push_back((i, t));
-    }
-    let queues: Vec<Mutex<VecDeque<(usize, T)>>> = queues.into_iter().map(Mutex::new).collect();
-
+    // Tasks are claimed in index order; the index travels with the
+    // task so completion order cannot scramble the output.
+    let queue = Mutex::new(tasks.into_iter().enumerate());
     let (tx, rx) = mpsc::channel::<(usize, R)>();
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
 
     std::thread::scope(|scope| {
-        for me in 0..workers {
+        for _ in 0..jobs.min(n) {
             let tx = tx.clone();
-            let queues = &queues;
-            let f = &f;
-            scope.spawn(move || {
-                loop {
-                    // Own queue first (front = seeded order)...
-                    let task = queues[me].lock().expect("pool poisoned").pop_front();
-                    let (i, t) = match task {
-                        Some(pair) => pair,
-                        None => {
-                            // ...then steal from the back of a peer's.
-                            let mut stolen = None;
-                            for d in 1..workers {
-                                let victim = (me + d) % workers;
-                                if let Some(pair) =
-                                    queues[victim].lock().expect("pool poisoned").pop_back()
-                                {
-                                    stolen = Some(pair);
-                                    break;
-                                }
-                            }
-                            match stolen {
-                                Some(pair) => pair,
-                                // Every deque empty: in-flight tasks can't
-                                // be stolen, so this worker is done.
-                                None => return,
-                            }
-                        }
-                    };
-                    if tx.send((i, f(i, t))).is_err() {
-                        return;
-                    }
+            let (queue, f) = (&queue, &f);
+            scope.spawn(move || loop {
+                // The guard is a temporary: the lock is released before
+                // the task runs.
+                let Some((i, t)) = queue.lock().expect("pool poisoned").next() else {
+                    return;
+                };
+                if tx.send((i, f(i, t))).is_err() {
+                    return;
                 }
             });
         }
@@ -131,9 +103,10 @@ mod tests {
     }
 
     #[test]
-    fn uneven_tasks_get_stolen() {
-        // One huge task on worker 0's deque plus many small ones; with
-        // stealing, total wall-clock stays near the huge task alone.
+    fn uneven_tasks_do_not_idle_workers() {
+        // One huge task plus many small ones: the worker that claimed
+        // the huge one holds nothing else back, so total wall-clock
+        // stays near the huge task alone.
         let touched = AtomicUsize::new(0);
         let tasks: Vec<u64> = (0..32).collect();
         let out = run_indexed(4, tasks, |_, t| {

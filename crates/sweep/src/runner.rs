@@ -63,7 +63,8 @@ pub struct CampaignOutcome {
 /// `resume`, keyed hits are served from disk and only the misses are
 /// simulated — distributed over [`pool::run_indexed`], so the spread of
 /// cell runtimes (Tables 7–8 cells are orders of magnitude slower than
-/// FCFS ones) is load-balanced by stealing. Records land in the cache as
+/// FCFS ones) is load-balanced: a free worker takes the next unclaimed
+/// cell. Records land in the cache as
 /// they are produced; tables and the manifest are assembled at the end
 /// from the full record list.
 ///

@@ -281,21 +281,6 @@ pub fn prepared_ctc_workload(jobs: usize, seed: u64) -> Workload {
     w
 }
 
-/// The heterogeneity-preserving variant of [`prepared_ctc_workload`]: the
-/// same generate-and-retarget pipeline, but instead of discarding the
-/// hardware requests (§6.1 step 2) a proportionally scaled
-/// [`MachineLayout::ctc_sp2`](crate::layout::MachineLayout::ctc_sp2)
-/// layout is attached and jobs no class can host are deleted — the class
-/// analogue of the >256-node deletion of step 1.
-pub fn prepared_ctc_workload_hetero(jobs: usize, seed: u64) -> Workload {
-    let mut w = CtcModel::with_jobs(jobs).generate(seed);
-    w.retarget(crate::TARGET_NODES);
-    w.homogenize_with(true);
-    let mut w = w.with_layout(crate::layout::MachineLayout::ctc_sp2(crate::TARGET_NODES));
-    w.retain_class_feasible();
-    w
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,23 +370,6 @@ mod tests {
         assert_eq!(w.machine_nodes(), 256);
         assert!(w.validate().is_ok());
         assert!(w.jobs().iter().all(|j| j.memory_mb == 0));
-    }
-
-    #[test]
-    fn hetero_prepared_workload_is_class_feasible() {
-        let w = prepared_ctc_workload_hetero(2_000, 1);
-        let layout = w.layout().expect("layout attached");
-        assert_eq!(layout.total_nodes(), 256);
-        assert!(layout.typed());
-        for j in w.jobs() {
-            assert!(layout.class_for_job(j).is_some(), "{j:?}");
-        }
-        // The hardware attributes survived preparation.
-        assert!(w.jobs().iter().any(|j| j.memory_mb > 0));
-        assert!(w
-            .jobs()
-            .iter()
-            .any(|j| j.node_type != crate::job::NodeType::Thin));
     }
 
     #[test]

@@ -33,7 +33,6 @@
 //!   the administrator discards can instead be kept and simulated.
 
 pub mod archive;
-pub mod calibrate;
 pub mod ctc;
 pub mod distr;
 pub mod exact;

@@ -161,7 +161,6 @@ pub struct ProbabilisticSource {
     next: u32,
     remaining: Option<usize>,
     arrival_scale: f64,
-    hetero: Option<MachineLayout>,
     name: String,
 }
 
@@ -175,25 +174,8 @@ impl ProbabilisticSource {
             next: 0,
             remaining: None,
             arrival_scale: 1.0,
-            hetero: None,
             name: "probabilistic-stream".into(),
         }
-    }
-
-    /// Emit class-tagged jobs for a heterogeneous `layout`: each drawn
-    /// job additionally samples CTC-profile hardware attributes
-    /// ([`crate::ctc::assign_hardware`]), re-drawing the whole job when
-    /// no class of `layout` can host the result. The extra RNG draws
-    /// mean this mode deliberately gives up the wire-format parity with
-    /// [`BinnedModel::generate`]; with the knob off nothing changes.
-    pub fn with_heterogeneity(mut self, layout: MachineLayout) -> Self {
-        assert_eq!(
-            layout.total_nodes(),
-            self.model.machine_nodes(),
-            "layout size must match the model's machine"
-        );
-        self.hetero = Some(layout);
-        self
     }
 
     /// Cap the stream at `n` jobs.
@@ -230,10 +212,6 @@ impl JobSource for ProbabilisticSource {
         self.model.machine_nodes()
     }
 
-    fn layout(&self) -> Option<&MachineLayout> {
-        self.hetero.as_ref()
-    }
-
     fn next_job(&mut self) -> Result<Option<Job>, SourceError> {
         if let Some(r) = &mut self.remaining {
             if *r == 0 {
@@ -241,31 +219,12 @@ impl JobSource for ProbabilisticSource {
             }
             *r -= 1;
         }
-        let mut job = self.model.sample_next(
+        let job = self.model.sample_next(
             &mut self.rng,
             &mut self.clock,
             self.arrival_scale,
             JobId(self.next),
         );
-        if let Some(layout) = &self.hetero {
-            loop {
-                let (memory_mb, node_type) = crate::ctc::assign_hardware(job.nodes, &mut self.rng);
-                job.memory_mb = memory_mb;
-                job.node_type = node_type;
-                if layout.class_for_job(&job).is_some() {
-                    break;
-                }
-                // No class can host this (width, memory, type) triple:
-                // re-draw the job shape, keeping the arrival instant so
-                // the submission process is untouched.
-                let submit = job.submit;
-                let mut clock = submit as f64;
-                job = self
-                    .model
-                    .sample_next(&mut self.rng, &mut clock, 0.0, JobId(self.next));
-                job.submit = submit;
-            }
-        }
         self.next += 1;
         Ok(Some(job))
     }
@@ -352,38 +311,6 @@ mod tests {
             assert!(j.submit >= last, "submission order violated");
             last = j.submit;
         }
-    }
-
-    #[test]
-    fn hetero_source_emits_class_feasible_jobs() {
-        let base = prepared_ctc_workload(1_000, 5);
-        let layout = MachineLayout::ctc_sp2(256);
-        let mut s = ProbabilisticSource::new(BinnedModel::fit(&base), 21)
-            .with_heterogeneity(layout.clone())
-            .with_limit(500);
-        assert_eq!(s.layout(), Some(&layout));
-        let mut last = 0;
-        let mut tagged = 0;
-        while let Some(j) = s.next_job().unwrap() {
-            assert!(j.submit >= last, "submission order violated");
-            last = j.submit;
-            assert!(layout.class_for_job(&j).is_some(), "{j:?}");
-            if j.memory_mb > 0 {
-                tagged += 1;
-            }
-        }
-        assert!(tagged > 400, "hardware attributes assigned ({tagged})");
-    }
-
-    #[test]
-    fn hetero_knob_off_preserves_wire_parity() {
-        let base = prepared_ctc_workload(1_000, 5);
-        let model = BinnedModel::fit(&base);
-        let batch = model.generate(200, 17);
-        let mut stream = ProbabilisticSource::new(model, 17).with_limit(200);
-        assert_eq!(stream.layout(), None);
-        let streamed = collect(&mut stream).unwrap();
-        assert_eq!(streamed.jobs(), batch.jobs());
     }
 
     #[test]
