@@ -51,7 +51,7 @@
 //! ([`crate::replica`]); the engine is the only writer.
 
 use crate::clock::Clock;
-use crate::log::{InputLog, InputOp, InputRecord};
+use crate::log::{check_horizon, InputLog, InputOp, InputRecord};
 use crate::protocol::{self, PolicyForce, Request};
 use crate::{SchedulerSpec, ServeConfig, ServeSched};
 use jobsched_algos::AlgorithmSpec;
@@ -528,6 +528,9 @@ impl Engine {
             .runtime(runtime)
             .user(user)
             .build();
+        if let Err(e) = check_horizon(&job) {
+            return protocol::error("invalid", e);
+        }
         self.admit(job);
         self.pump();
         protocol::ok([("id", Json::UInt(id as u64)), ("at", Json::UInt(at))])
@@ -1173,6 +1176,47 @@ mod tests {
             state: Json::obj([("schema", Json::Str("bogus/9".into()))]),
         });
         assert_eq!(r.0.get("error").unwrap().as_str(), Some("restore-failed"));
+    }
+
+    #[test]
+    fn far_future_submit_is_invalid_and_leaves_the_engine_sane() {
+        let mut e = virtual_engine("fcfs+easy");
+        let wire = jobsched_json::parse(
+            r#"{"op":"submit","at":18446744073709551000,"nodes":4,"requested":10000,"runtime":5000}"#,
+        )
+        .unwrap();
+        let (r, _) = e.handle(protocol::parse_request(&wire).unwrap());
+        assert_eq!(r.get("error").unwrap().as_str(), Some("invalid"), "{r:?}");
+        submit(&mut e, 0, 0, 4, 100);
+        e.handle(Request::Advance { to: None });
+        let m = e.handle(Request::Metrics).0;
+        assert_eq!(m.get("jobs_finished").unwrap().as_u64(), Some(1));
+        assert_eq!(m.get("makespan").unwrap().as_u64(), Some(100));
+        assert_eq!(m.get("utilization").unwrap().as_f64(), Some(0.25));
+    }
+
+    #[test]
+    fn checkpoint_with_a_far_future_submit_is_refused() {
+        let mut e = virtual_engine("fcfs+easy");
+        submit(&mut e, 0, 0, 4, 100);
+        let mut state = e
+            .handle(Request::Checkpoint)
+            .0
+            .get("state")
+            .unwrap()
+            .to_string_compact();
+        state = state.replace(r#""submit":0"#, r#""submit":18446744073709551000"#);
+        let state = jobsched_json::parse(&state).unwrap();
+        let mut f = virtual_engine("fcfs+easy");
+        let r = f.handle(Request::Restore { state }).0;
+        assert_eq!(r.get("error").unwrap().as_str(), Some("restore-failed"));
+        // Still fresh: the same id is admissible and time never moved.
+        assert_eq!(f.now(), 0);
+        assert!(submit(&mut f, 0, 0, 4, 100)
+            .get("ok")
+            .unwrap()
+            .as_bool()
+            .unwrap());
     }
 
     #[test]

@@ -24,6 +24,7 @@
 use crate::protocol::PolicyForce;
 use crate::ServeConfig;
 use jobsched_json::Json;
+use jobsched_sim::profile::HORIZON;
 use jobsched_workload::{Job, JobBuilder, JobId, Time};
 
 /// Checkpoint schema identifier (one engine's input log).
@@ -150,6 +151,21 @@ impl InputLog {
     }
 }
 
+/// Refuse a job whose run could reach [`HORIZON`], the calendar's
+/// "never": its finish and calendar instants would overflow [`Time`].
+/// Both doors for submissions apply it — the `submit` op and a decoded
+/// checkpoint, whose replay admits records directly.
+pub(crate) fn check_horizon(job: &Job) -> Result<(), String> {
+    let span = job.requested_time.max(job.runtime);
+    if job.submit.saturating_add(span) >= HORIZON {
+        return Err(format!(
+            "job {} would run past the time horizon {HORIZON}",
+            job.id
+        ));
+    }
+    Ok(())
+}
+
 fn record_json(rec: &InputRecord) -> Json {
     let mut pairs = vec![("at", Json::UInt(rec.at))];
     match &rec.op {
@@ -200,15 +216,17 @@ fn parse_record(rec: &Json) -> Result<InputRecord, String> {
             .ok_or_else(|| format!("missing '{key}'"))
     };
     let op = match op {
-        "submit" => InputOp::Submit(
-            JobBuilder::new(JobId(u32_of("id")?))
+        "submit" => {
+            let job = JobBuilder::new(JobId(u32_of("id")?))
                 .submit(time_of("submit")?)
                 .nodes(u32_of("nodes")?)
                 .requested(time_of("requested")?)
                 .runtime(time_of("runtime")?)
                 .user(u32_of("user")?)
-                .build(),
-        ),
+                .build();
+            check_horizon(&job)?;
+            InputOp::Submit(job)
+        }
         "cancel" => InputOp::Cancel(JobId(u32_of("id")?)),
         "policy" => {
             let f = rec

@@ -272,15 +272,11 @@ pub struct SimOutcome {
     pub faults: Vec<FaultOutcome>,
 }
 
-// The streaming pipeline provides the canonical entry points; the
-// monolithic loop below is retained as the differential baseline.
-pub use crate::pipeline::{simulate, simulate_with_faults};
-
 /// Run `scheduler` against `workload` with the retained monolithic batch
 /// loop — the reference implementation the streaming
 /// [`crate::pipeline::SimPipeline`] is differentially tested against
 /// (the oracle's stream differential re-runs every fuzz scenario through
-/// both). Production callers use [`simulate`], which goes through the
+/// both). Production callers use [`crate::simulate`], which goes through the
 /// pipeline; this one exists so batch/stream divergence is *detectable*
 /// rather than defined away.
 ///
@@ -432,7 +428,7 @@ pub fn simulate_batch_with_faults(
                         });
                         continue;
                     }
-                    let slot = machine.preempt(id).expect("checked running");
+                    let slot = machine.finish(id).expect("checked running");
                     consumed[id.index()] += now - slot.start;
                     record.preempt_at(id, now, slot.nodes);
                     expected_finish[id.index()] = None;
@@ -466,11 +462,6 @@ pub fn simulate_batch_with_faults(
                     let t0 = Instant::now();
                     scheduler.submit(req, now);
                     scheduler_cpu += t0.elapsed();
-                }
-                Event::Resize(_) => {
-                    unreachable!(
-                        "resize is a scheduler action of the time-shared engine, not a fault"
-                    )
                 }
                 Event::Cancel(id) => {
                     if cancelled[id.index()] {
@@ -618,6 +609,7 @@ pub fn simulate_batch_with_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{simulate, simulate_with_faults};
     use jobsched_workload::JobBuilder;
 
     /// Minimal FCFS used to exercise the engine (the real algorithms live

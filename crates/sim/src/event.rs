@@ -2,16 +2,17 @@
 //!
 //! Job submissions (the "stream of job submission data" of §2) and job
 //! completions drive the §3 scheduling loop; fault-injection campaigns
-//! (see [`crate::engine::FaultPlan`]) add cancellations and node
-//! drain/return events. Events are processed in timestamp order; all
-//! events sharing a timestamp are applied as one batch before the
-//! scheduler is consulted, so the outcome does not depend on heap
-//! tie-breaking. *Within* a batch the variant order decides: resources
-//! return first (finishes, then drained nodes coming back), submissions
-//! next, then cancellations (so a job submitted and cancelled at the same
-//! instant is retracted while queued), and drains grab free nodes last —
-//! right before the decision round that must cope with the reduced
-//! capacity.
+//! (see [`crate::engine::FaultPlan`]) add cancellations, node
+//! drain/return and forced preempt/resume events (a time-shared
+//! scheduler's own preemptions are decisions, not events). Events are
+//! processed in timestamp order; all events sharing a timestamp are
+//! applied as one batch before the scheduler is consulted, so the
+//! outcome does not depend on heap tie-breaking. *Within* a batch the
+//! variant order decides: resources return first (finishes, then
+//! drained nodes coming back), submissions next, then cancellations (so
+//! a job submitted and cancelled at the same instant is retracted while
+//! queued), and drains grab free nodes last — right before the decision
+//! round that must cope with the reduced capacity.
 
 use jobsched_workload::{JobId, Time};
 use std::cmp::Reverse;
@@ -24,8 +25,9 @@ pub enum Event {
     /// A job finished (its resources are released *before* submissions at
     /// the same instant are considered — hence the variant order).
     Finish(JobId),
-    /// A running job is preempted mid-flight: its allocation segment
-    /// closes and its nodes return to the pool. Sorts with the other
+    /// A running job is preempted mid-flight (fault injection): its
+    /// allocation segment closes and its nodes return to the pool. Sorts
+    /// with the other
     /// resource-releasing events, right after finishes (a job that
     /// finishes at the instant of its preemption is already gone and the
     /// preemption is a no-op).
@@ -37,10 +39,6 @@ pub enum Event {
     /// resource-returning events (so a finish/undrain at the same instant
     /// can free the nodes it needs) and before same-instant submissions.
     Resume(JobId),
-    /// A running job's allocation changes width mid-flight (malleable
-    /// resize). Ordered with [`Event::Resume`]: after resources return,
-    /// before new submissions compete for them.
-    Resize(JobId),
     /// A job was submitted.
     Submit(JobId),
     /// A job was cancelled by its user (fault injection). Applied after
@@ -72,11 +70,6 @@ impl EventQueue {
     pub fn push(&mut self, time: Time, event: Event) {
         self.heap.push(Reverse((time, event, self.seq)));
         self.seq += 1;
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
     }
 
     /// Whether no events remain.
@@ -128,7 +121,7 @@ mod tests {
         assert_eq!(batch.len(), 3);
         // Finish events lead the batch.
         assert_eq!(batch[0], Event::Finish(JobId(0)));
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_batch(), Some((20, vec![Event::Submit(JobId(3))])));
     }
 
     #[test]
@@ -155,11 +148,10 @@ mod tests {
     #[test]
     fn batch_order_preempt_releases_before_resume_consumes() {
         // Finish frees first; a preempt closes its segment next; the
-        // freed nodes then serve a same-instant resume/resize before any
-        // new submission competes for them.
+        // freed nodes then serve a same-instant resume before any new
+        // submission competes for them.
         let mut q = EventQueue::new();
         q.push(10, Event::Submit(JobId(4)));
-        q.push(10, Event::Resize(JobId(3)));
         q.push(10, Event::Resume(JobId(2)));
         q.push(10, Event::Preempt(JobId(1)));
         q.push(10, Event::Finish(JobId(0)));
@@ -170,7 +162,6 @@ mod tests {
                 Event::Finish(JobId(0)),
                 Event::Preempt(JobId(1)),
                 Event::Resume(JobId(2)),
-                Event::Resize(JobId(3)),
                 Event::Submit(JobId(4)),
             ]
         );
@@ -189,6 +180,6 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(5, Event::Finish(JobId(9)));
         assert_eq!(q.peek_time(), Some(5));
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_batch(), Some((5, vec![Event::Finish(JobId(9))])));
     }
 }

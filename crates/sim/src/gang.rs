@@ -20,9 +20,9 @@
 //!
 //! Context switches are free (the classic idealisation).
 //!
-//! The policy is a [`TimeSharedScheduler`] ([`GangFcfsTs`]) on the
-//! segment engine, which owns every clock, span and work account; run it
-//! with [`crate::simulate_time_shared`].
+//! The policy is a [`TimeSharedScheduler`] ([`GangFcfsTs`]); the event
+//! loop every scheduler shares owns every clock, span and work account.
+//! Run it with [`crate::simulate_time_shared`].
 
 use crate::tshare::{Action, TimeSharedScheduler, TsJobView};
 use crate::Machine;
@@ -48,14 +48,14 @@ impl Default for GangConfig {
     }
 }
 
-/// FCFS gang scheduling over the segment engine: context membership,
+/// FCFS gang scheduling as a time-shared scheduler: context membership,
 /// first-fit admission, round-robin rotation, and the slice-remainder
 /// inheritance when the active context empties.
 ///
 /// `crates/sim/tests/gang_differential.rs` pins its decisions to a
 /// monolithic reference loop (per-job completion, makespan, peak
 /// contexts); comments below that mention "the monolithic loop" refer
-/// to that reference. The engine run additionally yields a full
+/// to that reference. The run additionally yields a full
 /// [`crate::ScheduleRecord`] whose segment union is auditable with
 /// [`crate::check_segments`].
 #[derive(Debug)]
@@ -193,7 +193,7 @@ impl TimeSharedScheduler for GangFcfsTs {
         // monolithic loop then runs a zero-length activation of context
         // 0 and rotates immediately — the rotation's modulus *includes*
         // the contexts just opened. Rotate here, before anything starts,
-        // so the engine never sees the unrepresentable zero-length span
+        // so the event loop never sees the unrepresentable zero-length span
         // (completions agree; only the phantom "first start" differs).
         if self.contexts.len() >= 2 && now >= self.slice_end {
             self.active = (self.active + 1) % self.contexts.len();

@@ -23,9 +23,9 @@
 //!   tests.
 //! * **Scheduler cost accounting.** The engine meters wall-clock time spent
 //!   inside scheduler callbacks, which is what Tables 7 and 8 compare.
-//! * **Fault injection.** [`engine::simulate_with_faults`] drives the
-//!   same loop while injecting job cancellations (queued or running) and
-//!   machine node drains from an [`engine::FaultPlan`] — the adversarial
+//! * **Fault injection.** [`simulate_with_faults`] drives the same loop
+//!   while injecting job cancellations, node drains and forced
+//!   preemptions from an [`engine::FaultPlan`] — the adversarial
 //!   conditions the `jobsched-oracle` fuzz harness verifies schedulers
 //!   under. [`SimOutcome::faults`] records the ground truth of what each
 //!   fault did so external checkers can audit the schedule against it.
@@ -37,15 +37,14 @@
 //!   that overlay reservations; the from-scratch
 //!   [`profile::Profile::from_machine`] is the brute-force reference the
 //!   differential tests and the oracle compare the calendar against.
-
-//! * **Streaming pipeline.** [`pipeline::SimPipeline`] is the
-//!   bounded-memory core: it pulls jobs from a
-//!   [`jobsched_workload::JobSource`], emits lifecycle events to
-//!   [`pipeline::SimObserver`] sinks, and retires completed-job state so
-//!   resident memory tracks the in-flight population, not the trace
-//!   length. [`simulate`]/[`simulate_with_faults`] are thin wrappers over
-//!   it; the old monolithic loop survives as
-//!   [`engine::simulate_batch_with_faults`], the differential baseline.
+//! * **One event loop.** [`live::LiveSim`] runs every scheduler: the
+//!   bounded-memory [`pipeline::SimPipeline`] (which pulls jobs from a
+//!   [`jobsched_workload::JobSource`] and retires completed-job state),
+//!   the daemon, the metascheduler, and the time-shared schedulers of
+//!   [`tshare`]. [`simulate`], [`simulate_with_faults`] and
+//!   [`simulate_time_shared`] are thin wrappers over it; the old
+//!   monolithic loop survives as [`engine::simulate_batch_with_faults`],
+//!   the differential baseline.
 
 pub mod engine;
 pub mod event;
@@ -71,6 +70,4 @@ pub use pipeline::{
 pub use profile::{LiveProfile, Profile};
 pub use schedule::{JobPlacement, ScheduleRecord};
 pub use segment::{check_segments, Segment, SegmentViolation};
-pub use tshare::{
-    simulate_time_shared, Action, RigidAdapter, TimeSharedScheduler, TsJobView, TsOutcome,
-};
+pub use tshare::{simulate_time_shared, Action, RigidAdapter, TimeSharedScheduler, TsJobView};

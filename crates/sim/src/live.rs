@@ -1,8 +1,8 @@
-//! The incremental simulation engine shared by the streaming pipeline
-//! and the serving daemon.
+//! The event loop: one incremental simulation engine behind the
+//! streaming pipeline, the serving daemon, the metascheduler and the
+//! time-shared runs.
 //!
-//! [`LiveSim`] is the event loop of [`crate::pipeline::SimPipeline`]
-//! factored into a *stepped* form: the owner injects work
+//! [`LiveSim`] is a *stepped* event loop: the owner injects work
 //! ([`LiveSim::add_job`], [`LiveSim::push_cancel`]) whenever it likes and
 //! calls [`LiveSim::step`] to process the earliest event batch. The
 //! pipeline drives it to exhaustion against a
@@ -13,6 +13,11 @@
 //! "served" and "batch-simulated" runs is by construction, and the
 //! existing batch-vs-stream differential suites pin it.
 //!
+//! A decision round yields [`Action`]s: a rigid [`Scheduler`]'s picks
+//! read as `Start { choice: 0 }`, and a time-shared scheduler may also
+//! preempt and resume, which closes and reopens spans as a
+//! forced-preemption fault does. Per contract, one `SchedulerKind`.
+//!
 //! Within one step, events at the same instant are processed in the
 //! [`Event`] variant order (finishes before submissions before
 //! cancellations), exactly as the batch engine orders them; the
@@ -22,13 +27,74 @@ use crate::engine::{CancelPhase, DrainFault, FaultOutcome, JobRequest, PreemptFa
 use crate::event::{Event, EventQueue};
 use crate::machine::{DrainToken, Machine};
 use crate::pipeline::{JobEvent, JobOutcome, PipelineOutcome, SimObserver};
+use crate::tshare::Action;
 use jobsched_workload::{Job, JobId, MachineLayout, Time};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::{Duration, Instant};
 
+/// What differs between the scheduler contracts [`LiveSim`] drives.
+pub(crate) trait SchedulerKind {
+    /// One decision round's actions.
+    type Actions: IntoIterator<Item = Action>;
+    /// Whether running jobs alone (not only waiting ones) let the
+    /// scheduler arm a wakeup: a rotation acts with an empty queue.
+    const WAKES_WHILE_RUNNING: bool;
+
+    fn name(&self) -> String;
+    fn submit(&mut self, req: JobRequest, now: Time);
+    fn job_finished(&mut self, id: JobId, now: Time);
+    fn cancel(&mut self, _id: JobId, _now: Time) {}
+    fn capacity_changed(&mut self, _now: Time) {}
+    fn decide(&mut self, now: Time, machine: &Machine) -> Self::Actions;
+    fn queue_len(&self) -> usize;
+    fn next_wakeup(&self, now: Time) -> Option<Time>;
+    /// `job` reshaped to its execution alternative `choice`; `None` when
+    /// the choice is the job's own shape.
+    fn reshape(&self, _job: &Job, _choice: usize) -> Option<Job> {
+        None
+    }
+}
+
+/// A rigid [`Scheduler`]: picks are starts at the job's own shape.
+pub(crate) struct Rigid<'a>(pub(crate) &'a mut dyn Scheduler);
+
+impl SchedulerKind for Rigid<'_> {
+    type Actions = std::iter::Map<std::vec::IntoIter<JobId>, fn(JobId) -> Action>;
+    const WAKES_WHILE_RUNNING: bool = false;
+
+    fn name(&self) -> String {
+        self.0.name()
+    }
+    fn submit(&mut self, req: JobRequest, now: Time) {
+        self.0.submit(req, now);
+    }
+    fn job_finished(&mut self, id: JobId, now: Time) {
+        self.0.job_finished(id, now);
+    }
+    fn cancel(&mut self, id: JobId, now: Time) {
+        self.0.cancel(id, now);
+    }
+    fn capacity_changed(&mut self, now: Time) {
+        self.0.capacity_changed(now);
+    }
+    fn decide(&mut self, now: Time, machine: &Machine) -> Self::Actions {
+        let start: fn(JobId) -> Action = |id| Action::Start { id, choice: 0 };
+        self.0.select_starts(now, machine).into_iter().map(start)
+    }
+    fn queue_len(&self) -> usize {
+        self.0.queue_len()
+    }
+    fn next_wakeup(&self, now: Time) -> Option<Time> {
+        self.0.next_wakeup(now)
+    }
+}
+
 /// A job that has entered the system and not yet retired.
 struct InFlight {
+    /// The job, reshaped to the alternative a time-shared start picked.
     job: Job,
+    /// The width the job was submitted with ([`JobOutcome::nodes`]).
+    nodes: u32,
     /// First start — the instant waiting ended (outcome `start`).
     first_start: Option<Time>,
     /// Start of the currently open allocation span, if running.
@@ -47,6 +113,7 @@ struct InFlight {
 impl InFlight {
     fn new(job: Job) -> Self {
         InFlight {
+            nodes: job.nodes,
             job,
             first_start: None,
             span_start: None,
@@ -78,8 +145,8 @@ pub struct LiveSim {
     /// Per-job planned resumes, kept sorted by preemption instant so the
     /// front lines up with the next Preempt event to pop.
     preempt_plans: BTreeMap<JobId, VecDeque<(Time, Time)>>,
-    /// Jobs a forced preemption ever applied to — licenses the silent
-    /// skip of their stale Finish events after retirement.
+    /// Jobs ever preempted (by a fault or by the scheduler) — licenses
+    /// the silent skip of their stale Finish events after retirement.
     preempted_ever: BTreeSet<JobId>,
     submitted_below: u32,
     scheduler_cpu: Duration,
@@ -220,7 +287,7 @@ impl LiveSim {
 
     /// Process the earliest event batch: deliver events to `scheduler`
     /// and `observers`, run decision rounds until the scheduler stops
-    /// starting jobs, and re-arm its wakeup. Returns the batch instant,
+    /// acting, and re-arm its wakeup. Returns the batch instant,
     /// or `None` when the event queue is empty.
     ///
     /// `next_external` is the instant of the earliest event the *caller*
@@ -237,6 +304,17 @@ impl LiveSim {
     pub fn step(
         &mut self,
         scheduler: &mut dyn Scheduler,
+        next_external: Option<Time>,
+        more_input: bool,
+        observers: &mut [&mut dyn SimObserver],
+    ) -> Option<Time> {
+        self.step_kind(&mut Rigid(scheduler), next_external, more_input, observers)
+    }
+
+    /// [`LiveSim::step`] for either scheduler contract.
+    pub(crate) fn step_kind<K: SchedulerKind>(
+        &mut self,
+        scheduler: &mut K,
         next_external: Option<Time>,
         more_input: bool,
         observers: &mut [&mut dyn SimObserver],
@@ -313,22 +391,7 @@ impl LiveSim {
                         });
                         continue;
                     }
-                    let slot = self.machine.preempt(id).expect("checked running");
-                    let inf = self.alive.get_mut(&id).expect("running job was alive");
-                    let span = inf.span_start.take().expect("running job has a span");
-                    debug_assert_eq!(span, slot.start);
-                    inf.consumed += now - span;
-                    inf.awaiting = true;
-                    inf.expected = None;
-                    self.preempted_ever.insert(id);
-                    emit(
-                        observers,
-                        &JobEvent::Preempted {
-                            id,
-                            at: now,
-                            nodes: slot.nodes,
-                        },
-                    );
+                    self.close_span(id, now, observers).awaiting = true;
                     let t0 = Instant::now();
                     scheduler.job_finished(id, now);
                     self.scheduler_cpu += t0.elapsed();
@@ -359,11 +422,6 @@ impl LiveSim {
                     let t0 = Instant::now();
                     scheduler.submit(req, now);
                     self.scheduler_cpu += t0.elapsed();
-                }
-                Event::Resize(_) => {
-                    unreachable!(
-                        "resize is a scheduler action of the time-shared engine, not a fault"
-                    )
                 }
                 Event::Cancel(id) => {
                     if self.cancelled.contains(&id) {
@@ -454,71 +512,26 @@ impl LiveSim {
         }
         self.peak_queue = self.peak_queue.max(scheduler.queue_len());
 
-        // Let the scheduler start jobs until it has nothing more to start.
+        // Let the scheduler act until a round yields nothing.
         loop {
             let t0 = Instant::now();
-            let starts = scheduler.select_starts(now, &self.machine);
+            let actions = scheduler.decide(now, &self.machine);
             self.scheduler_cpu += t0.elapsed();
             self.rounds += 1;
-            if starts.is_empty() {
-                break;
+            let mut acted = false;
+            for action in actions {
+                acted = true;
+                self.apply(&*scheduler, action, now, observers);
             }
-            for id in starts {
-                assert!(
-                    !self.cancelled.contains(&id),
-                    "scheduler {} started cancelled job {id}",
-                    scheduler.name()
-                );
-                let inf = self.alive.get_mut(&id).unwrap_or_else(|| {
-                    // A retired (finished) id replays the batch engine's
-                    // double-placement panic; a never-seen id is a
-                    // contract violation of its own.
-                    if id.0 < self.submitted_below {
-                        panic!("job {id} placed twice");
-                    }
-                    panic!("scheduler {} started unknown job {id}", scheduler.name());
-                });
-                let class = self
-                    .machine
-                    .resolve_class(inf.job.node_type, inf.job.memory_mb, inf.job.nodes)
-                    .expect("resolved at submit");
-                // A restart after preemption runs (and is projected) for
-                // the unconsumed remainder only.
-                let done = inf.consumed;
-                self.machine
-                    .start_in(
-                        class,
-                        id,
-                        inf.job.nodes,
-                        now,
-                        now + (inf.job.requested_time - done),
-                    )
-                    .unwrap_or_else(|e| {
-                        panic!("scheduler {} broke validity: {e}", scheduler.name())
-                    });
-                let nodes = inf.job.nodes;
-                let completion = now + (inf.job.effective_runtime() - done);
-                if done > 0 {
-                    assert!(inf.requeued, "job {id} placed twice");
-                    inf.requeued = false;
-                    inf.span_start = Some(now);
-                    inf.expected = Some(completion);
-                    self.events.push(completion, Event::Finish(id));
-                    emit(observers, &JobEvent::Resumed { id, at: now, nodes });
-                } else {
-                    assert!(inf.first_start.is_none(), "job {id} placed twice");
-                    inf.first_start = Some(now);
-                    inf.span_start = Some(now);
-                    inf.expected = Some(completion);
-                    self.events.push(completion, Event::Finish(id));
-                    emit(observers, &JobEvent::Started { id, at: now, nodes });
-                }
+            if !acted {
+                break;
             }
         }
 
         // Re-arm the scheduler's wakeup (dedup: skip if any event —
         // queued or announced by the caller — lands at or before it).
-        if scheduler.queue_len() > 0 {
+        let running = K::WAKES_WHILE_RUNNING && !self.machine.running().is_empty();
+        if scheduler.queue_len() > 0 || running {
             if let Some(t) = scheduler.next_wakeup(now) {
                 assert!(t > now, "wakeup must be in the future");
                 let next = [self.events.peek_time(), next_external]
@@ -548,6 +561,136 @@ impl LiveSim {
         Some(now)
     }
 
+    /// Apply one decision. A start opens a span: a first start, the
+    /// restart of a fault-requeued remainder, or a time-shared resume —
+    /// a restart runs, and is projected, for the unconsumed remainder
+    /// only. A time-shared preemption closes one exactly like the fault
+    /// path, without its `job_finished` callback or planned resume.
+    fn apply<K: SchedulerKind>(
+        &mut self,
+        scheduler: &K,
+        action: Action,
+        now: Time,
+        observers: &mut [&mut dyn SimObserver],
+    ) {
+        let (id, choice, resume) = match action {
+            Action::Start { id, choice } => (id, choice, false),
+            Action::Resume { id } => {
+                let phase = self.phase(id);
+                assert!(
+                    phase == "Preempted",
+                    "scheduler {} resumed job {id} in phase {phase}",
+                    scheduler.name()
+                );
+                (id, 0, true)
+            }
+            Action::Preempt { id } => {
+                let phase = self.phase(id);
+                assert!(
+                    phase == "Running",
+                    "scheduler {} preempted job {id} in phase {phase}",
+                    scheduler.name()
+                );
+                let start = self.alive[&id].span_start.expect("running job has a span");
+                assert!(
+                    now > start,
+                    "scheduler {} preempted job {id} at its start instant",
+                    scheduler.name()
+                );
+                let inf = self.close_span(id, now, observers);
+                assert!(
+                    inf.consumed < inf.job.effective_runtime(),
+                    "job {id} preempted at or past its completion"
+                );
+                return;
+            }
+        };
+        assert!(
+            !self.cancelled.contains(&id),
+            "scheduler {} started cancelled job {id}",
+            scheduler.name()
+        );
+        let inf = self.alive.get_mut(&id).unwrap_or_else(|| {
+            // A retired (finished) id replays the batch engine's
+            // double-placement panic; a never-seen id is a contract
+            // violation of its own.
+            if id.0 < self.submitted_below {
+                panic!("job {id} placed twice");
+            }
+            panic!("scheduler {} started unknown job {id}", scheduler.name());
+        });
+        if let Some(shape) = scheduler.reshape(&inf.job, choice) {
+            inf.job = shape;
+        }
+        let class = self
+            .machine
+            .resolve_class(inf.job.node_type, inf.job.memory_mb, inf.job.nodes)
+            .unwrap_or_else(|| panic!("choice {choice} of job {id} has no eligible class"));
+        let done = inf.consumed;
+        self.machine
+            .start_in(
+                class,
+                id,
+                inf.job.nodes,
+                now,
+                now + (inf.job.requested_time - done),
+            )
+            .unwrap_or_else(|e| panic!("scheduler {} broke validity: {e}", scheduler.name()));
+        let nodes = inf.job.nodes;
+        let completion = now + (inf.job.effective_runtime() - done);
+        let event = if done > 0 {
+            assert!(inf.requeued || resume, "job {id} placed twice");
+            inf.requeued = false;
+            JobEvent::Resumed { id, at: now, nodes }
+        } else {
+            assert!(inf.first_start.is_none(), "job {id} placed twice");
+            inf.first_start = Some(now);
+            JobEvent::Started { id, at: now, nodes }
+        };
+        inf.span_start = Some(now);
+        inf.expected = Some(completion);
+        self.events.push(completion, Event::Finish(id));
+        emit(observers, &event);
+    }
+
+    /// Close the running span of `id` at `now`: its nodes return, the
+    /// elapsed seconds are charged, and its queued Finish event goes
+    /// stale.
+    fn close_span(
+        &mut self,
+        id: JobId,
+        now: Time,
+        observers: &mut [&mut dyn SimObserver],
+    ) -> &mut InFlight {
+        let slot = self.machine.finish(id).expect("checked running");
+        self.preempted_ever.insert(id);
+        emit(
+            observers,
+            &JobEvent::Preempted {
+                id,
+                at: now,
+                nodes: slot.nodes,
+            },
+        );
+        let inf = self.alive.get_mut(&id).expect("running job was alive");
+        let span = inf.span_start.take().expect("running job has a span");
+        debug_assert_eq!(span, slot.start);
+        inf.consumed += now - span;
+        inf.expected = None;
+        inf
+    }
+
+    /// Lifecycle phase of `id`, for contract-violation messages.
+    fn phase(&self, id: JobId) -> &'static str {
+        match self.alive.get(&id) {
+            Some(inf) if inf.span_start.is_some() => "Running",
+            Some(inf) if inf.first_start.is_some() => "Preempted",
+            Some(_) => "Queued",
+            None if id.0 >= self.submitted_below || self.staged.contains_key(&id) => "Staged",
+            None => "Done",
+        }
+    }
+
     /// Consume the engine into the pipeline's outcome counters.
     pub fn into_outcome(self) -> PipelineOutcome {
         PipelineOutcome {
@@ -570,7 +713,7 @@ fn outcome(inf: &InFlight, completion: Time) -> JobOutcome {
         submit: inf.job.submit,
         start: inf.first_start.expect("outcome of a started job"),
         completion,
-        nodes: inf.job.nodes,
+        nodes: inf.nodes,
         requested_time: inf.job.requested_time,
         user: inf.job.user,
     }

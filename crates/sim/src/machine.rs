@@ -182,12 +182,6 @@ impl Machine {
         self.free
     }
 
-    /// Currently busy node count.
-    #[inline]
-    pub fn busy_nodes(&self) -> u32 {
-        self.total - self.free
-    }
-
     /// Size of one class pool.
     #[inline]
     pub fn total_in(&self, class: ClassId) -> u32 {
@@ -229,11 +223,6 @@ impl Machine {
         nodes: u32,
     ) -> Option<ClassId> {
         self.layout.resolve(node_type, memory_mb, nodes)
-    }
-
-    /// Nodes currently held out of service by active drains.
-    pub fn drained_nodes(&self) -> u32 {
-        self.drains.iter().flatten().map(|&(_, n, _)| n).sum()
     }
 
     /// Active drains as `(nodes, expected return time)`.
@@ -401,55 +390,6 @@ impl Machine {
         Ok(slot)
     }
 
-    /// Release a running job's partition mid-flight (preemption). The
-    /// resource effect is exactly [`Machine::finish`] — nodes return to
-    /// the pool and the calendar booking at the *projected* end is
-    /// cancelled — but the job is expected back: the returned slot
-    /// carries the width and class a later [`Machine::resume_in`] needs.
-    pub fn preempt(&mut self, id: JobId) -> Result<RunningSlot, MachineError> {
-        self.finish(id)
-    }
-
-    /// Re-allocate a partition for a previously preempted job. Identical
-    /// to [`Machine::start_in`] (the pool cannot tell a resume from a
-    /// fresh start); `projected_end` must cover the *remaining* limit,
-    /// not the original one.
-    pub fn resume_in(
-        &mut self,
-        class: ClassId,
-        id: JobId,
-        nodes: u32,
-        now: Time,
-        projected_end: Time,
-    ) -> Result<(), MachineError> {
-        self.start_in(class, id, nodes, now, projected_end)
-    }
-
-    /// Change a running job's width (and projected end) in place: the old
-    /// booking is released from the pool and its calendar, the new one is
-    /// taken atomically. Fails without side effects when the grown width
-    /// does not fit the pool's free nodes (plus the nodes the job itself
-    /// gives back).
-    pub fn resize(
-        &mut self,
-        id: JobId,
-        nodes: u32,
-        now: Time,
-        projected_end: Time,
-    ) -> Result<(), MachineError> {
-        assert!(nodes > 0, "resize to zero nodes is a preempt, not a resize");
-        let old = self.finish(id)?;
-        match self.start_in(old.class, id, nodes, now, projected_end) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                // Roll the old allocation back; it fit before, it fits now.
-                self.start_in(old.class, id, old.nodes, old.start, old.projected_end)
-                    .expect("restoring a released allocation cannot overcommit");
-                Err(e)
-            }
-        }
-    }
-
     #[inline]
     fn debug_check(&self) {
         debug_assert_eq!(self.pools.iter().map(|p| p.free).sum::<u32>(), self.free);
@@ -473,7 +413,6 @@ mod tests {
         m.start(JobId(0), 100, 0, 50).unwrap();
         m.start(JobId(1), 156, 0, 70).unwrap();
         assert_eq!(m.free_nodes(), 0);
-        assert_eq!(m.busy_nodes(), 256);
         assert!(!m.fits(1));
         let slot = m.finish(JobId(0)).unwrap();
         assert_eq!(slot.nodes, 100);
@@ -484,33 +423,21 @@ mod tests {
     }
 
     #[test]
-    fn preempt_resume_resize_keep_pool_and_calendar_in_sync() {
+    fn preempt_resume_keep_pool_and_calendar_in_sync() {
         let mut m = Machine::new(10);
         m.start(JobId(0), 6, 0, 100).unwrap();
         m.start(JobId(1), 4, 0, 80).unwrap();
         // Preempt frees the nodes and cancels the calendar booking.
-        let slot = m.preempt(JobId(0)).unwrap();
+        let slot = m.finish(JobId(0)).unwrap();
         assert_eq!((slot.nodes, slot.projected_end), (6, 100));
         assert_eq!(m.free_nodes(), 6);
         assert_eq!(m.profile().free_nodes(), 6);
         // Resume re-books with the *remaining* limit.
-        m.resume_in(ClassId(0), JobId(0), 6, 30, 130).unwrap();
-        assert_eq!(m.free_nodes(), 0);
-        // Resize shrinks the width mid-flight.
-        m.resize(JobId(0), 2, 50, 150).unwrap();
-        assert_eq!(m.free_nodes(), 4);
-        let s = m.running().iter().find(|s| s.id == JobId(0)).unwrap();
-        assert_eq!((s.nodes, s.start, s.projected_end), (2, 50, 150));
-        // Growing beyond free (4 free + 2 own = 6 < 9) fails untouched.
-        let err = m.resize(JobId(0), 9, 60, 160).unwrap_err();
-        assert!(matches!(err, MachineError::Overcommit { .. }));
-        assert_eq!(m.free_nodes(), 4);
-        let s = m.running().iter().find(|s| s.id == JobId(0)).unwrap();
-        assert_eq!(s.nodes, 2);
-        // Growing within free succeeds.
-        m.resize(JobId(0), 6, 60, 160).unwrap();
+        m.start_in(ClassId(0), JobId(0), 6, 30, 130).unwrap();
         assert_eq!(m.free_nodes(), 0);
         assert_eq!(m.profile().free_nodes(), 0);
+        assert_eq!(m.profile().free_at(0, 129), 4);
+        assert_eq!(m.profile().free_at(0, 130), 10);
     }
 
     #[test]
@@ -562,14 +489,13 @@ mod tests {
         m.start(JobId(0), 16, 0, 100).unwrap();
         let t = m.drain(40, 500).unwrap();
         assert_eq!(m.free_nodes(), 8);
-        assert_eq!(m.drained_nodes(), 40);
         assert_eq!(m.drains().collect::<Vec<_>>(), vec![(40, 500)]);
         // The outage is booked in the availability calendar.
         assert_eq!(m.profile().free_at(0, 499), 24);
         assert_eq!(m.profile().free_at(0, 500), 64);
         assert_eq!(m.undrain(t).unwrap(), 40);
         assert_eq!(m.free_nodes(), 48);
-        assert_eq!(m.drained_nodes(), 0);
+        assert_eq!(m.drains().count(), 0);
     }
 
     #[test]
@@ -688,7 +614,6 @@ mod tests {
         let t = m.drain_in(ClassId(1), 8, 500).unwrap();
         assert_eq!(m.free_in(ClassId(1)), 0);
         assert_eq!(m.free_in(ClassId(0)), 20);
-        assert_eq!(m.drained_nodes(), 8);
         assert_eq!(
             m.class_drains().collect::<Vec<_>>(),
             vec![(ClassId(1), 8, 500)]

@@ -10,8 +10,9 @@
 //! memory is O(in-flight + queued jobs), not O(trace length), which is
 //! what lets a multi-million-job stream run in a fixed footprint.
 //!
-//! The batch entry points [`simulate`]/[`simulate_with_faults`] are thin
-//! wrappers: an in-memory workload becomes a
+//! The batch entry points [`simulate`]/[`simulate_with_faults`] — and
+//! [`crate::simulate_time_shared`] for the time-shared schedulers — are
+//! thin wrappers: an in-memory workload becomes a
 //! [`WorkloadSource`], a
 //! [`RecordingObserver`] rebuilds the dense [`ScheduleRecord`], and the
 //! result is the same [`SimOutcome`] as always. The old monolithic loop
@@ -32,7 +33,7 @@
 //! where "no event in the queue" used to mean "no event, ever".
 
 use crate::engine::{CancelPhase, FaultOutcome, FaultPlan, JobRequest, Scheduler, SimOutcome};
-use crate::live::LiveSim;
+use crate::live::{LiveSim, Rigid, SchedulerKind};
 use crate::schedule::{JobPlacement, ScheduleRecord};
 use crate::segment::Segment;
 use jobsched_workload::{Job, JobId, JobSource, SourceError, Time, Workload, WorkloadSource};
@@ -51,7 +52,8 @@ pub struct JobOutcome {
     pub start: Time,
     /// Completion time (truncation and mid-run cancellation included).
     pub completion: Time,
-    /// Nodes the job occupied.
+    /// Nodes the job was submitted with (the width of a moldable start
+    /// is on its [`JobEvent::Started`]).
     pub nodes: u32,
     /// User-provided runtime limit.
     pub requested_time: Time,
@@ -95,9 +97,10 @@ pub enum JobEvent {
     },
     /// A job completed and its state is about to be retired.
     Finished(JobOutcome),
-    /// A running job was forcibly preempted: its allocation span closed
-    /// and its nodes were released; a [`JobEvent::Resumed`] (or a
-    /// cancellation) follows eventually.
+    /// A running job was preempted (by a fault or by a time-shared
+    /// scheduler): its allocation span closed and its nodes were
+    /// released; a [`JobEvent::Resumed`] (or a cancellation) follows
+    /// eventually.
     Preempted {
         /// The job.
         id: JobId,
@@ -152,7 +155,10 @@ pub trait SimObserver {
 /// [`JobEvent::Preempted`] closes the open span, a [`JobEvent::Resumed`]
 /// opens the next one, and the final [`JobEvent::Finished`] /
 /// [`JobEvent::Cancelled`] commits the union with its completion instant
-/// — bit-identical to the batch engine's record.
+/// — bit-identical to the batch engine's record. A single span at a
+/// width other than the submitted one (a moldable start) is committed
+/// as a one-segment union, since a rigid placement implies the job's
+/// own width.
 #[derive(Debug, Default)]
 pub struct RecordingObserver {
     placements: Vec<Option<JobPlacement>>,
@@ -161,7 +167,7 @@ pub struct RecordingObserver {
     /// close the span retroactively.
     open: std::collections::BTreeMap<usize, (Time, u32)>,
     /// Closed spans of jobs preempted at least once. Bounded by the
-    /// number of preemption faults.
+    /// number of preemptions.
     segs: std::collections::BTreeMap<usize, Vec<Segment>>,
     /// Committed `(segments, completion)` unions awaiting `into_record`.
     committed: std::collections::BTreeMap<usize, (Vec<Segment>, Time)>,
@@ -176,7 +182,9 @@ impl RecordingObserver {
     fn set(&mut self, o: &JobOutcome) {
         let idx = o.id.index();
         let open = self.open.remove(&idx);
-        if let Some(mut segs) = self.segs.remove(&idx) {
+        let segs = self.segs.remove(&idx);
+        if segs.is_some() || open.is_some_and(|(_, nodes)| nodes != o.nodes) {
+            let mut segs = segs.unwrap_or_default();
             if let Some((start, nodes)) = open {
                 segs.push(Segment::new(start, o.completion, nodes));
             }
@@ -264,31 +272,17 @@ pub struct PipelineOutcome {
 pub struct SimPipeline<'a> {
     source: &'a mut dyn JobSource,
     scheduler: &'a mut dyn Scheduler,
-    faults: FaultPlan,
     observers: Vec<&'a mut dyn SimObserver>,
 }
 
 impl<'a> SimPipeline<'a> {
-    /// Couple a source to a scheduler. Faults and observers are optional.
+    /// Couple a source to a scheduler. Observers are optional.
     pub fn new(source: &'a mut dyn JobSource, scheduler: &'a mut dyn Scheduler) -> Self {
         SimPipeline {
             source,
             scheduler,
-            faults: FaultPlan::default(),
             observers: Vec::new(),
         }
-    }
-
-    /// Inject the cancellations and drains of `faults` into the run.
-    ///
-    /// Fault semantics match [`crate::engine::simulate_batch_with_faults`]
-    /// exactly, with one streaming-specific reading: a cancellation whose
-    /// job id the source never produces counts as `PreSubmit` — against
-    /// an unbounded source there is no way to tell "not yet" from
-    /// "never".
-    pub fn with_faults(mut self, faults: &FaultPlan) -> Self {
-        self.faults = faults.clone();
-        self
     }
 
     /// Attach an event sink. May be called repeatedly; observers receive
@@ -307,66 +301,76 @@ impl<'a> SimPipeline<'a> {
         let SimPipeline {
             source,
             scheduler,
-            faults,
             mut observers,
         } = self;
+        drive(
+            source,
+            &mut Rigid(scheduler),
+            &FaultPlan::default(),
+            &mut observers,
+        )
+    }
+}
 
-        let mut live = match source.layout() {
-            Some(layout) => LiveSim::with_layout(layout.clone()),
-            None => LiveSim::new(source.machine_nodes()),
-        };
-        for c in &faults.cancels {
-            live.push_cancel(c.at, c.id);
-        }
-        for d in &faults.drains {
-            live.plan_drain(*d);
-        }
-        for p in &faults.preempts {
-            live.plan_preempt(*p);
-        }
+/// The pipeline loop for either scheduler contract: stage submissions
+/// from `source` one lookahead at a time and step a [`LiveSim`] until
+/// nothing is left to happen.
+pub(crate) fn drive<K: SchedulerKind>(
+    source: &mut dyn JobSource,
+    scheduler: &mut K,
+    faults: &FaultPlan,
+    observers: &mut [&mut dyn SimObserver],
+) -> Result<PipelineOutcome, SourceError> {
+    let mut live = match source.layout() {
+        Some(layout) => LiveSim::with_layout(layout.clone()),
+        None => LiveSim::new(source.machine_nodes()),
+    };
+    for c in &faults.cancels {
+        live.push_cancel(c.at, c.id);
+    }
+    for d in &faults.drains {
+        live.plan_drain(*d);
+    }
+    for p in &faults.preempts {
+        live.plan_preempt(*p);
+    }
 
-        let mut next_expected: u32 = 0;
-        let mut last_submit: Time = 0;
-        let mut lookahead = pull(source, &mut next_expected, &mut last_submit)?;
+    let mut next_expected: u32 = 0;
+    let mut last_submit: Time = 0;
+    let mut lookahead = pull(source, &mut next_expected, &mut last_submit)?;
 
-        loop {
-            // Refill: stage the lookahead submission (and any same-instant
-            // successors) while it is due at or before the engine's
-            // earliest event. Afterwards the queue's head time is the
-            // global minimum including all future submissions.
-            while let Some(j) = &lookahead {
-                let due = match live.next_event_time() {
-                    None => true,
-                    Some(t) => j.submit <= t,
-                };
-                if !due {
-                    break;
-                }
-                let j = lookahead.take().expect("checked above");
-                live.add_job(j);
-                lookahead = pull(source, &mut next_expected, &mut last_submit)?;
-            }
-
-            let next_external = lookahead.as_ref().map(|j| j.submit);
-            if live
-                .step(
-                    scheduler,
-                    next_external,
-                    lookahead.is_some(),
-                    &mut observers,
-                )
-                .is_none()
-            {
+    loop {
+        // Refill: stage the lookahead submission (and any same-instant
+        // successors) while it is due at or before the engine's earliest
+        // event. Afterwards the queue's head time is the global minimum
+        // including all future submissions.
+        while let Some(j) = &lookahead {
+            let due = match live.next_event_time() {
+                None => true,
+                Some(t) => j.submit <= t,
+            };
+            if !due {
                 break;
             }
+            let j = lookahead.take().expect("checked above");
+            live.add_job(j);
+            lookahead = pull(source, &mut next_expected, &mut last_submit)?;
         }
 
-        let horizon = live.horizon();
-        for obs in &mut observers {
-            obs.on_end(horizon);
+        let next_external = lookahead.as_ref().map(|j| j.submit);
+        if live
+            .step_kind(scheduler, next_external, lookahead.is_some(), observers)
+            .is_none()
+        {
+            break;
         }
-        Ok(live.into_outcome())
     }
+
+    let horizon = live.horizon();
+    for obs in observers.iter_mut() {
+        obs.on_end(horizon);
+    }
+    Ok(live.into_outcome())
 }
 
 /// Pull one job, enforcing the source contract (dense sequential ids,
@@ -427,13 +431,24 @@ pub fn simulate_with_faults(
     for p in &faults.preempts {
         assert!(p.id.index() < workload.len(), "preempt of unknown job");
     }
-    let mut source = WorkloadSource::new(workload);
+    record_run(workload, &mut Rigid(scheduler), faults)
+}
+
+/// Run `scheduler` over `workload` through [`drive`] and rebuild the
+/// dense record with a [`RecordingObserver`].
+pub(crate) fn record_run<K: SchedulerKind>(
+    workload: &Workload,
+    scheduler: &mut K,
+    faults: &FaultPlan,
+) -> SimOutcome {
     let mut recorder = RecordingObserver::new();
-    let out = SimPipeline::new(&mut source, scheduler)
-        .with_faults(faults)
-        .observe(&mut recorder)
-        .run()
-        .expect("in-memory workload sources are infallible");
+    let out = drive(
+        &mut WorkloadSource::new(workload),
+        scheduler,
+        faults,
+        &mut [&mut recorder],
+    )
+    .expect("in-memory workload sources are infallible");
     SimOutcome {
         schedule: recorder.into_record(workload.machine_nodes(), workload.len()),
         scheduler_cpu: out.scheduler_cpu,
@@ -685,11 +700,7 @@ mod tests {
             }
         }
         let mut tape = Tape(&mut rec);
-        SimPipeline::new(&mut source, &mut fcfs)
-            .with_faults(&plan)
-            .observe(&mut tape)
-            .run()
-            .unwrap();
+        drive(&mut source, &mut Rigid(&mut fcfs), &plan, &mut [&mut tape]).unwrap();
         match rec.last().unwrap() {
             JobEvent::Cancelled {
                 phase: CancelPhase::Running,

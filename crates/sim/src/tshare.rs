@@ -1,44 +1,36 @@
-//! The time-shared simulation engine: scheduler-driven preempt / resume
-//! / resize.
+//! Time-shared schedulers: mid-flight preempt / resume and moldable
+//! starts, run on [`LiveSim`](crate::LiveSim) like every rigid
+//! scheduler.
 //!
-//! The rigid engines ([`crate::engine`], [`crate::live`]) treat a start
-//! as irrevocable: once placed, a job holds its partition until it
-//! finishes. This engine drops that assumption. A
-//! [`TimeSharedScheduler`] returns [`Action`]s from each decision round —
-//! starts (with a moldable width choice), mid-flight preemptions,
-//! resumes, and resizes — and the engine maintains the machine, the
-//! per-job *remaining work*, and the growing allocation segment union of
-//! each job ([`crate::segment::Segment`]).
+//! A rigid [`Scheduler`] treats a start as irrevocable: once placed, a
+//! job holds its partition until it finishes. A [`TimeSharedScheduler`]
+//! drops that assumption. Each decision round returns [`Action`]s —
+//! starts (with a moldable width choice), preemptions of running jobs,
+//! and resumes of preempted ones — and the event loop keeps the machine,
+//! each job's consumed seconds, and (through the
+//! [`RecordingObserver`](crate::RecordingObserver)) the allocation
+//! segment union of every job ([`crate::segment::Segment`]).
 //!
 //! ## Work accounting
 //!
-//! A job's work is measured in **node-seconds**: choosing alternative
-//! `(w, t)` fixes total effective work `min(t_actual, t_limit) × w`.
-//! Running at width `w` consumes `w` node-seconds per second; a width
-//! change after a resize re-projects the finish at
-//! `now + ceil(remaining / w)`. Integer arithmetic throughout, so the
-//! degenerate case — a rigid job that is never preempted — finishes at
-//! exactly `start + effective_runtime`, bit-identical to the rigid
-//! engines. [`RigidAdapter`] exploits that: it replays any rigid
-//! [`Scheduler`] through this engine, and the `segment_identity` suite
-//! pins all 43 atlas rows to identical schedules across all three
-//! engines.
-//!
-//! ## Stale completions
-//!
-//! Preempting or resizing a running job invalidates its queued
-//! [`Event::Finish`]; the engine does not unqueue it (the heap has no
-//! removal) but stamps each job with its currently *expected* finish and
-//! ignores finish events that do not match — the standard
-//! lazy-invalidation trick.
+//! A job's width is fixed per start: choosing alternative `(w, t)` fixes
+//! it at `w` nodes for an effective runtime of `min(t_actual, t_limit)`
+//! seconds, and a resume continues at the same width. A span opened at
+//! `now` therefore ends at `now + (effective − consumed)` and is booked
+//! on the calendar until `now + (limit − consumed)` — integer seconds,
+//! so a rigid job that is never preempted finishes at exactly
+//! `start + effective_runtime`, bit-identical to the rigid runs.
+//! [`RigidAdapter`] exploits that: it replays any rigid [`Scheduler`] as
+//! a time-shared one, and the `segment_identity` suite pins all 43 atlas
+//! rows to identical schedules either way. A preemption leaves the
+//! job's queued finish event stale, exactly as a forced-preemption
+//! fault does.
 
-use crate::engine::{JobRequest, Scheduler, SimOutcome};
-use crate::event::{Event, EventQueue};
+use crate::engine::{FaultPlan, JobRequest, Scheduler, SimOutcome};
+use crate::live::SchedulerKind;
 use crate::machine::Machine;
-use crate::schedule::ScheduleRecord;
-use crate::segment::Segment;
-use jobsched_workload::{ClassId, JobId, MoldableChoice, Time, Workload};
-use std::time::{Duration, Instant};
+use crate::pipeline::record_run;
+use jobsched_workload::{ClassId, Job, JobId, Time, Workload};
 
 /// The submission-time view of a job the time-shared scheduler sees:
 /// identity, arrival, and the execution alternatives it may pick from at
@@ -74,25 +66,18 @@ pub enum Action {
         /// The job to pause.
         id: JobId,
     },
-    /// Resume a preempted job at its previous width.
+    /// Resume a preempted job at the width it started with.
     Resume {
         /// The job to continue.
         id: JobId,
-    },
-    /// Change a running job's width in place (malleable resize).
-    Resize {
-        /// The job to reshape.
-        id: JobId,
-        /// New width.
-        nodes: u32,
     },
 }
 
 /// A scheduling algorithm with mid-flight control over running jobs.
 ///
-/// Contract: actions are validated by the engine against machine and
+/// Contract: actions are validated by the event loop against machine and
 /// lifecycle state (starting a running job, resuming a queued one,
-/// overcommitting a pool — all panics: algorithm bugs). The engine calls
+/// overcommitting a pool — all panics: algorithm bugs). The loop calls
 /// [`TimeSharedScheduler::decide`] repeatedly until it returns no
 /// actions, so multi-round decisions are allowed; a preemption's freed
 /// nodes are startable within the *same* instant's later rounds.
@@ -122,9 +107,9 @@ pub trait TimeSharedScheduler {
     }
 }
 
-/// Replay a rigid [`Scheduler`] through the time-shared engine: every
-/// decision maps to `Start` at the rigid choice. The segment-identity
-/// suite pins this adapter to the rigid engines bit for bit.
+/// Replay a rigid [`Scheduler`] as a time-shared one: every decision
+/// maps to `Start` at the rigid choice. The segment-identity suite pins
+/// this adapter to the rigid runs bit for bit.
 pub struct RigidAdapter<'a> {
     inner: &'a mut dyn Scheduler,
 }
@@ -173,52 +158,76 @@ impl TimeSharedScheduler for RigidAdapter<'_> {
     }
 
     fn next_wakeup(&self, now: Time) -> Option<Time> {
-        // The rigid engines consult next_wakeup only while jobs queue;
+        // Rigid runs consult next_wakeup only while jobs queue;
         // replicate that gate so event streams stay bit-identical.
-        if self.inner.queue_len() == 0 {
-            return None;
-        }
-        self.inner.next_wakeup(now)
+        (self.inner.queue_len() > 0).then(|| self.inner.next_wakeup(now))?
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Phase {
-    Staged,
-    Queued,
-    Running,
-    Preempted,
-    Done,
+/// A [`TimeSharedScheduler`] as [`LiveSim`](crate::LiveSim) drives it:
+/// its actions pass through, each submission becomes a [`TsJobView`] of
+/// `workload`'s alternatives, and a start's `choice` resolves against
+/// them.
+struct TimeShared<'a> {
+    inner: &'a mut dyn TimeSharedScheduler,
+    workload: &'a Workload,
 }
 
-struct JobState {
-    phase: Phase,
-    class: ClassId,
-    /// Width of the current (or last) span.
-    width: u32,
-    /// Width the job's rigid shape names — a single-span run at this
-    /// width is recorded as a rigid placement.
-    rigid_width: u32,
-    span_start: Time,
-    /// Node-seconds of effective work left at the last span boundary.
-    remaining_eff: u128,
-    /// Node-seconds of limit (requested) budget left at the last span
-    /// boundary — projects the machine-calendar end.
-    remaining_req: u128,
-    expected_finish: Time,
-    segments: Vec<Segment>,
+impl SchedulerKind for TimeShared<'_> {
+    type Actions = Vec<Action>;
+    const WAKES_WHILE_RUNNING: bool = true;
+
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+    fn submit(&mut self, req: JobRequest, now: Time) {
+        let view = TsJobView {
+            id: req.id,
+            submit: req.submit,
+            user: req.user,
+            class: req.class,
+            choices: self
+                .workload
+                .choices(req.id)
+                .iter()
+                .map(|c| (c.nodes, c.requested_time))
+                .collect(),
+        };
+        self.inner.submit(&view, now);
+    }
+    fn job_finished(&mut self, id: JobId, now: Time) {
+        self.inner.job_finished(id, now);
+    }
+    fn decide(&mut self, now: Time, machine: &Machine) -> Vec<Action> {
+        self.inner.decide(now, machine)
+    }
+    fn queue_len(&self) -> usize {
+        self.inner.queue_len()
+    }
+    fn next_wakeup(&self, now: Time) -> Option<Time> {
+        self.inner.next_wakeup(now)
+    }
+    fn reshape(&self, job: &Job, choice: usize) -> Option<Job> {
+        if choice == 0 {
+            return None;
+        }
+        let Some(&c) = self.workload.choices(job.id).get(choice) else {
+            panic!(
+                "scheduler {} picked unknown choice {choice}",
+                self.inner.name()
+            );
+        };
+        Some(Job {
+            nodes: c.nodes,
+            requested_time: c.requested_time,
+            runtime: c.runtime,
+            ..job.clone()
+        })
+    }
 }
 
-/// The result of a time-shared run: the familiar [`SimOutcome`], whose
-/// schedule now carries segment unions for every job that was preempted
-/// or ran off its rigid width.
-pub type TsOutcome = SimOutcome;
-
-fn div_ceil(num: u128, den: u128) -> u128 {
-    num.div_ceil(den)
-}
-
-/// Run `scheduler` against `workload` on the time-shared engine.
+/// Run `scheduler` against `workload` on the event loop every scheduler
+/// shares, recording each job's segment union.
 ///
 /// Panics on scheduler contract violations (acting on a job in the wrong
 /// lifecycle phase, overcommitting a pool, zero-length spans,
@@ -227,268 +236,19 @@ fn div_ceil(num: u128, den: u128) -> u128 {
 pub fn simulate_time_shared(
     workload: &Workload,
     scheduler: &mut dyn TimeSharedScheduler,
-) -> TsOutcome {
-    let mut machine = match workload.layout() {
-        Some(layout) => Machine::with_layout(layout.clone()),
-        None => Machine::new(workload.machine_nodes()),
+) -> SimOutcome {
+    let mut kind = TimeShared {
+        inner: scheduler,
+        workload,
     };
-    let mut events = EventQueue::new();
-    let mut record = ScheduleRecord::new(workload.machine_nodes(), workload.len());
-    let mut choices: Vec<Vec<MoldableChoice>> = Vec::with_capacity(workload.len());
-    let mut states: Vec<JobState> = workload
-        .jobs()
-        .iter()
-        .map(|job| {
-            events.push(job.submit, Event::Submit(job.id));
-            choices.push(workload.choices(job.id));
-            JobState {
-                phase: Phase::Staged,
-                class: ClassId(0),
-                width: job.nodes,
-                rigid_width: job.nodes,
-                span_start: 0,
-                remaining_eff: 0,
-                remaining_req: 0,
-                expected_finish: 0,
-                segments: Vec::new(),
-            }
-        })
-        .collect();
-
-    let mut scheduler_cpu = Duration::ZERO;
-    let mut n_events = 0u64;
-    let mut rounds = 0u64;
-    let mut peak_queue = 0usize;
-
-    while let Some((now, batch)) = events.pop_batch() {
-        for ev in batch {
-            n_events += 1;
-            match ev {
-                Event::Submit(id) => {
-                    let job = workload.job(id);
-                    let class = machine
-                        .resolve_class(job.node_type, job.memory_mb, job.nodes)
-                        .unwrap_or_else(|| {
-                            panic!("job {id} has no eligible node class on this machine")
-                        });
-                    states[id.index()].class = class;
-                    states[id.index()].phase = Phase::Queued;
-                    let view = TsJobView {
-                        id,
-                        submit: job.submit,
-                        user: job.user,
-                        class,
-                        choices: choices[id.index()]
-                            .iter()
-                            .map(|c| (c.nodes, c.requested_time))
-                            .collect(),
-                    };
-                    let t0 = Instant::now();
-                    scheduler.submit(&view, now);
-                    scheduler_cpu += t0.elapsed();
-                }
-                Event::Finish(id) => {
-                    let st = &mut states[id.index()];
-                    if st.phase != Phase::Running || st.expected_finish != now {
-                        continue; // stale: the job was preempted/resized
-                    }
-                    machine.finish(id).expect("finish event for running job");
-                    if st.segments.is_empty() && st.width == st.rigid_width {
-                        record.place(id, st.span_start, now);
-                    } else {
-                        st.segments.push(Segment::new(st.span_start, now, st.width));
-                        record.place_segments(id, std::mem::take(&mut st.segments));
-                    }
-                    st.phase = Phase::Done;
-                    let t0 = Instant::now();
-                    scheduler.job_finished(id, now);
-                    scheduler_cpu += t0.elapsed();
-                }
-                Event::Wakeup => {} // decision round below is the effect
-                other => unreachable!("time-shared engine queued no {other:?}"),
-            }
-        }
-        peak_queue = peak_queue.max(scheduler.queue_len());
-
-        // Decision phase: act until the scheduler rests.
-        loop {
-            let t0 = Instant::now();
-            let actions = scheduler.decide(now, &machine);
-            scheduler_cpu += t0.elapsed();
-            rounds += 1;
-            if actions.is_empty() {
-                break;
-            }
-            for action in actions {
-                apply(
-                    action,
-                    now,
-                    workload,
-                    &choices,
-                    &mut states,
-                    &mut machine,
-                    &mut events,
-                    scheduler.name(),
-                );
-            }
-        }
-
-        // Re-arm the scheduler's wakeup (same dedup as the rigid
-        // engine). Unlike the rigid engines, running jobs alone justify
-        // one — a rotation or resize policy acts on them with an empty
-        // queue; [`RigidAdapter`] restores the rigid gate by answering
-        // `None` whenever its inner queue is empty.
-        if scheduler.queue_len() > 0 || !machine.running().is_empty() {
-            if let Some(t) = scheduler.next_wakeup(now) {
-                assert!(t > now, "wakeup must be in the future");
-                if events.peek_time().is_none_or(|next| t < next) {
-                    events.push(t, Event::Wakeup);
-                }
-            }
-        }
-
-        if events.is_empty() && scheduler.queue_len() > 0 {
-            assert!(
-                machine.running().is_empty(),
-                "event queue empty with jobs still running"
-            );
-            panic!(
-                "scheduler {} deadlocked: {} jobs waiting on an idle machine",
-                scheduler.name(),
-                scheduler.queue_len()
-            );
-        }
-    }
-
-    SimOutcome {
-        schedule: record,
-        scheduler_cpu,
-        events: n_events,
-        decision_rounds: rounds,
-        peak_queue,
-        faults: Vec::new(),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn apply(
-    action: Action,
-    now: Time,
-    workload: &Workload,
-    choices: &[Vec<MoldableChoice>],
-    states: &mut [JobState],
-    machine: &mut Machine,
-    events: &mut EventQueue,
-    who: String,
-) {
-    match action {
-        Action::Start { id, choice } => {
-            let st = &mut states[id.index()];
-            assert!(
-                st.phase == Phase::Queued,
-                "scheduler {who} started job {id} in phase {:?}",
-                st.phase
-            );
-            let c = choices[id.index()]
-                .get(choice)
-                .unwrap_or_else(|| panic!("scheduler {who} picked unknown choice {choice}"));
-            let job = workload.job(id);
-            let class = machine
-                .resolve_class(job.node_type, job.memory_mb, c.nodes)
-                .unwrap_or_else(|| panic!("choice {choice} of job {id} has no eligible class"));
-            machine
-                .start_in(class, id, c.nodes, now, now + c.requested_time)
-                .unwrap_or_else(|e| panic!("scheduler {who} broke validity: {e}"));
-            st.class = class;
-            st.width = c.nodes;
-            st.span_start = now;
-            st.remaining_eff = c.effective_runtime() as u128 * c.nodes as u128;
-            st.remaining_req = c.requested_time as u128 * c.nodes as u128;
-            st.expected_finish = now + div_ceil(st.remaining_eff, c.nodes as u128) as Time;
-            st.phase = Phase::Running;
-            events.push(st.expected_finish, Event::Finish(id));
-        }
-        Action::Preempt { id } => {
-            let st = &mut states[id.index()];
-            assert!(
-                st.phase == Phase::Running,
-                "scheduler {who} preempted job {id} in phase {:?}",
-                st.phase
-            );
-            let elapsed = now - st.span_start;
-            assert!(
-                elapsed > 0,
-                "scheduler {who} preempted job {id} at its start instant"
-            );
-            machine.preempt(id).expect("running job is on the machine");
-            let used = elapsed as u128 * st.width as u128;
-            st.remaining_eff -= st.remaining_eff.min(used);
-            st.remaining_req -= st.remaining_req.min(used);
-            assert!(
-                st.remaining_eff > 0,
-                "job {id} preempted at or past its completion"
-            );
-            st.segments.push(Segment::new(st.span_start, now, st.width));
-            st.phase = Phase::Preempted;
-        }
-        Action::Resume { id } => {
-            let st = &mut states[id.index()];
-            assert!(
-                st.phase == Phase::Preempted,
-                "scheduler {who} resumed job {id} in phase {:?}",
-                st.phase
-            );
-            let w = st.width as u128;
-            let projected = now + div_ceil(st.remaining_req, w) as Time;
-            machine
-                .resume_in(st.class, id, st.width, now, projected)
-                .unwrap_or_else(|e| panic!("scheduler {who} broke validity: {e}"));
-            st.span_start = now;
-            st.expected_finish = now + div_ceil(st.remaining_eff, w) as Time;
-            st.phase = Phase::Running;
-            events.push(st.expected_finish, Event::Finish(id));
-        }
-        Action::Resize { id, nodes } => {
-            let st = &mut states[id.index()];
-            assert!(
-                st.phase == Phase::Running,
-                "scheduler {who} resized job {id} in phase {:?}",
-                st.phase
-            );
-            assert!(nodes > 0, "scheduler {who} resized job {id} to zero nodes");
-            if nodes == st.width {
-                return;
-            }
-            let elapsed = now - st.span_start;
-            assert!(
-                elapsed > 0,
-                "scheduler {who} resized job {id} at its start instant"
-            );
-            let used = elapsed as u128 * st.width as u128;
-            st.remaining_eff -= st.remaining_eff.min(used);
-            st.remaining_req -= st.remaining_req.min(used);
-            assert!(
-                st.remaining_eff > 0,
-                "job {id} resized at or past its completion"
-            );
-            let projected = now + div_ceil(st.remaining_req, nodes as u128) as Time;
-            machine
-                .resize(id, nodes, now, projected)
-                .unwrap_or_else(|e| panic!("scheduler {who} broke validity: {e}"));
-            st.segments.push(Segment::new(st.span_start, now, st.width));
-            st.width = nodes;
-            st.span_start = now;
-            st.expected_finish = now + div_ceil(st.remaining_eff, nodes as u128) as Time;
-            st.phase = Phase::Running;
-            events.push(st.expected_finish, Event::Finish(id));
-        }
-    }
+    record_run(workload, &mut kind, &FaultPlan::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::simulate_batch;
+    use crate::segment::Segment;
     use jobsched_workload::JobBuilder;
     use std::collections::VecDeque;
 
@@ -733,40 +493,36 @@ mod tests {
     }
 
     #[test]
-    fn resize_reprojects_the_finish() {
-        // 8-node 100 s job resized to 4 nodes after 50 s: half the work
-        // (400 node-seconds) remains, so it runs 100 more seconds.
-        struct Resizer {
-            started: bool,
-            resized: bool,
+    fn running_jobs_alone_arm_a_wakeup() {
+        // Nothing waits while the job runs, yet the scheduler pauses it
+        // at 50: that instant exists only as a wakeup, which a rigid
+        // scheduler could not arm with an empty queue.
+        struct Pauser {
+            plan: VecDeque<(Time, Action)>,
+            waiting: bool,
         }
-        impl TimeSharedScheduler for Resizer {
+        impl TimeSharedScheduler for Pauser {
             fn name(&self) -> String {
-                "resizer".into()
+                "pauser".into()
             }
-            fn submit(&mut self, _job: &TsJobView, _now: Time) {}
+            fn submit(&mut self, _job: &TsJobView, _now: Time) {
+                self.waiting = true;
+            }
             fn decide(&mut self, now: Time, _machine: &Machine) -> Vec<Action> {
-                if !self.started {
-                    self.started = true;
-                    return vec![Action::Start {
-                        id: JobId(0),
-                        choice: 0,
-                    }];
+                match self.plan.front() {
+                    Some(&(t, action)) if t == now => {
+                        self.plan.pop_front();
+                        self.waiting = matches!(action, Action::Preempt { .. });
+                        vec![action]
+                    }
+                    _ => Vec::new(),
                 }
-                if now == 50 && !self.resized {
-                    self.resized = true;
-                    return vec![Action::Resize {
-                        id: JobId(0),
-                        nodes: 4,
-                    }];
-                }
-                Vec::new()
             }
             fn queue_len(&self) -> usize {
-                0
+                self.waiting as usize
             }
             fn next_wakeup(&self, now: Time) -> Option<Time> {
-                (now < 50).then_some(50)
+                self.plan.front().map(|&(t, _)| t).filter(|&t| t > now)
             }
         }
         let w = Workload::new(
@@ -774,26 +530,25 @@ mod tests {
             8,
             vec![JobBuilder::new(JobId(0))
                 .submit(0)
-                .nodes(8)
+                .nodes(4)
                 .requested(100)
                 .runtime(100)
                 .build()],
         );
-        let out = simulate_time_shared(
-            &w,
-            &mut Resizer {
-                started: false,
-                resized: false,
-            },
-        );
-        let p = out.schedule.placement(JobId(0)).unwrap();
-        assert_eq!((p.start, p.completion), (0, 150));
+        let id = JobId(0);
+        let mut pauser = Pauser {
+            plan: VecDeque::from([
+                (0, Action::Start { id, choice: 0 }),
+                (50, Action::Preempt { id }),
+                (60, Action::Resume { id }),
+            ]),
+            waiting: false,
+        };
+        let out = simulate_time_shared(&w, &mut pauser);
         assert_eq!(
-            out.schedule.segments(JobId(0)).unwrap(),
-            &[Segment::new(0, 50, 8), Segment::new(50, 150, 4)]
+            out.schedule.segments(id).unwrap(),
+            &[Segment::new(0, 50, 4), Segment::new(60, 110, 4)]
         );
-        // Work charged per width: 50×8 + 100×4 = 800 node-seconds.
-        assert_eq!(out.schedule.charged_time(JobId(0)), Some(150));
     }
 
     #[test]

@@ -231,17 +231,6 @@ pub fn diurnal_intensity(t: Time) -> f64 {
     }
 }
 
-/// Draw the hardware attributes (per-node memory request, node type) for
-/// a job of the given width, with the CTC request profile. Draw order —
-/// memory first, then type — matches [`CtcModel::generate`]'s wire
-/// format, so a streaming generator that calls this per job reproduces
-/// the batch trace's attribute distribution exactly.
-pub fn assign_hardware<R: Rng>(nodes: u32, rng: &mut R) -> (u32, NodeType) {
-    let memory = memory_for(nodes, rng);
-    let node_type = node_type_for(nodes, rng);
-    (memory, node_type)
-}
-
 fn memory_for<R: Rng>(nodes: u32, rng: &mut R) -> u32 {
     // Wide multi-node jobs request the commodity memory of the big thin
     // pool; big-memory requests come from narrow jobs that target the
@@ -370,19 +359,6 @@ mod tests {
         assert_eq!(w.machine_nodes(), 256);
         assert!(w.validate().is_ok());
         assert!(w.jobs().iter().all(|j| j.memory_mb == 0));
-    }
-
-    #[test]
-    fn assign_hardware_matches_generate_wire_format() {
-        // Re-drawing with the same RNG state must reproduce the batch
-        // generator's attribute pair for the same width.
-        let mut a = crate::rng::SmallRng::seed_from_u64(99);
-        let mut b = crate::rng::SmallRng::seed_from_u64(99);
-        for nodes in [1u32, 2, 4, 8, 64] {
-            let (mem, ty) = assign_hardware(nodes, &mut a);
-            assert_eq!(mem, memory_for(nodes, &mut b));
-            assert_eq!(ty, node_type_for(nodes, &mut b));
-        }
     }
 
     #[test]
