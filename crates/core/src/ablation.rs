@@ -27,6 +27,7 @@ use jobsched_algos::scheduler::ListScheduler;
 use jobsched_algos::spec::PolicyKind;
 use jobsched_algos::view::WeightScheme;
 use jobsched_algos::{AlgorithmSpec, BackfillMode, SmartVariant};
+use jobsched_metrics::Objective;
 use jobsched_sim::simulate;
 use jobsched_workload::ctc::{prepared_ctc_workload, CtcModel};
 use jobsched_workload::exact::with_estimate_factor;
@@ -51,7 +52,7 @@ fn scheme_for(objective: ObjectiveKind) -> WeightScheme {
 
 fn cost_of(workload: &Workload, scheduler: &mut ListScheduler, objective: ObjectiveKind) -> f64 {
     let out = simulate(workload, scheduler);
-    objective.build().cost(workload, &out.schedule)
+    objective.cost(workload, &out.schedule)
 }
 
 /// Sweep SMART-FFIA's γ over `gammas` with EASY backfilling.
@@ -98,7 +99,7 @@ pub fn reorder_sweep(
                 max_unordered_fraction: th,
             });
             let out = simulate(&w, &mut sched);
-            let cost = objective.build().cost(&w, &out.schedule);
+            let cost = objective.cost(&w, &out.schedule);
             (SweepRow { value: th, cost }, sched.recomputations())
         })
         .collect()

@@ -6,7 +6,7 @@ use crate::objective_select::ObjectiveKind;
 use jobsched_algos::spec::PolicyKind;
 use jobsched_algos::view::WeightScheme;
 use jobsched_algos::AlgorithmSpec;
-use jobsched_metrics::{OnlineMakespan, OnlineUtilization, StreamingObserver};
+use jobsched_metrics::{Objective, OnlineMakespan, OnlineUtilization, StreamingObserver};
 use jobsched_sim::{simulate_time_shared, SimPipeline};
 use jobsched_workload::{synthesize_moldable, Time, Workload, WorkloadSource};
 use std::time::Duration;
@@ -295,7 +295,7 @@ fn run_time_shared_cell(
     );
     EvalCell::from_parts(
         spec,
-        objective.build().cost(workload, &out.schedule),
+        objective.cost(workload, &out.schedule),
         out.scheduler_cpu,
         out.schedule.makespan(),
         out.schedule.utilization(workload),

@@ -12,11 +12,12 @@
 //!   sharing.
 
 use crate::experiment::Scale;
+use crate::objective_select::ObjectiveKind;
 use jobsched_algos::spec::PolicyKind;
 use jobsched_algos::switching::{DayNightWindow, SwitchingScheduler};
 use jobsched_algos::view::WeightScheme;
 use jobsched_algos::{AlgorithmSpec, BackfillMode};
-use jobsched_metrics::{AvgResponseTime, Objective};
+use jobsched_metrics::Objective;
 use jobsched_sim::gang::{GangConfig, GangFcfsTs};
 use jobsched_sim::{simulate, simulate_time_shared, ScheduleRecord};
 use jobsched_workload::ctc::prepared_ctc_workload;
@@ -135,8 +136,8 @@ pub fn drain_window_cost(scale: Scale, factors: &[f64]) -> Vec<DrainRow> {
             let drained_out = simulate(&w, &mut drained);
             DrainRow {
                 estimate_factor: factor,
-                plain_art: AvgResponseTime.cost(&w, &plain_fcfs(&w)),
-                drained_art: AvgResponseTime.cost(&w, &drained_out.schedule),
+                plain_art: ObjectiveKind::AvgResponseTime.cost(&w, &plain_fcfs(&w)),
+                drained_art: ObjectiveKind::AvgResponseTime.cost(&w, &drained_out.schedule),
             }
         })
         .collect()
@@ -180,8 +181,8 @@ pub fn heterogeneity_comparison(scale: Scale) -> HeterogeneityComparison {
     let mut typed = raw.with_layout(MachineLayout::ctc_sp2(nodes));
     let rejected = typed.retain_class_feasible();
     HeterogeneityComparison {
-        typed_art: AvgResponseTime.cost(&typed, &plain_fcfs(&typed)),
-        blind_art: AvgResponseTime.cost(&blind, &plain_fcfs(&blind)),
+        typed_art: ObjectiveKind::AvgResponseTime.cost(&typed, &plain_fcfs(&typed)),
+        blind_art: ObjectiveKind::AvgResponseTime.cost(&blind, &plain_fcfs(&blind)),
         rejected,
     }
 }
@@ -207,7 +208,7 @@ pub fn gang_comparison(scale: Scale, slices: &[Time]) -> Vec<GangRow> {
     let space_shared = plain_fcfs(&w);
     rows.push(GangRow {
         time_slice: 0,
-        art: AvgResponseTime.cost(&w, &space_shared),
+        art: ObjectiveKind::AvgResponseTime.cost(&w, &space_shared),
         makespan: space_shared.makespan(),
     });
 
@@ -219,7 +220,7 @@ pub fn gang_comparison(scale: Scale, slices: &[Time]) -> Vec<GangRow> {
         let out = simulate_time_shared(&w, &mut gang);
         rows.push(GangRow {
             time_slice: slice,
-            art: AvgResponseTime.cost(&w, &out.schedule),
+            art: ObjectiveKind::AvgResponseTime.cost(&w, &out.schedule),
             makespan: out.schedule.makespan(),
         });
     }
@@ -286,7 +287,9 @@ mod tests {
             .with_layout(MachineLayout::single(430));
         assert_eq!(
             c.blind_art.to_bits(),
-            AvgResponseTime.cost(&blind, &plain_fcfs(&blind)).to_bits()
+            ObjectiveKind::AvgResponseTime
+                .cost(&blind, &plain_fcfs(&blind))
+                .to_bits()
         );
         // Partitioned classes may go either way against it: the special
         // pools queue behind fewer nodes, the thin majority behind fewer

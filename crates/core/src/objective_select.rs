@@ -14,13 +14,20 @@
 //! [`derive_objectives`] reproduces this reasoning mechanically, keeping
 //! the rejected candidates and the reason each was rejected, so the
 //! decision trail of §4 is inspectable (and testable).
+//!
+//! [`ObjectiveKind`] names every schedule cost the experiments measure.
+//! Each kind maps to exactly one streaming accumulator
+//! ([`ObjectiveKind::build_streaming`]); its cost on a finished schedule
+//! ([`Objective::cost`]) is that accumulator [`replay`]ed, so a cost has
+//! one definition whether it is folded live or computed afterwards.
 
 use crate::policy::{DailyWindow, Policy, Rule, SchedulingGoal};
 use jobsched_metrics::{
-    AvgBoundedSlowdown, AvgResponseTime, AvgWeightedResponseTime, MaxUserSlowdown, Objective,
-    OnlineArt, OnlineAwrt, OnlineBoundedSlowdown, OnlineMaxUserSlowdown, OnlineP95WidthSlowdown,
-    OnlineSlowdownVariance, P95WidthSlowdown, SlowdownVariance, StreamingObjective,
+    replay, Objective, OnlineArt, OnlineAwrt, OnlineBoundedSlowdown, OnlineMaxUserSlowdown,
+    OnlineP95WidthSlowdown, OnlineSlowdownVariance, StreamingObjective,
 };
+use jobsched_sim::ScheduleRecord;
+use jobsched_workload::Workload;
 
 /// The objective functions this derivation can produce. The §4
 /// derivation selects the first two; the scheduler atlas additionally
@@ -45,21 +52,16 @@ pub enum ObjectiveKind {
 }
 
 impl ObjectiveKind {
-    /// Materialise the metric.
+    /// This objective as a boxed [`Objective`]; the cost is the same as
+    /// calling [`Objective::cost`] on the kind itself.
     pub fn build(&self) -> Box<dyn Objective + Send + Sync> {
-        match self {
-            ObjectiveKind::AvgResponseTime => Box::new(AvgResponseTime),
-            ObjectiveKind::AvgWeightedResponseTime => Box::new(AvgWeightedResponseTime),
-            ObjectiveKind::AvgBoundedSlowdown => Box::new(AvgBoundedSlowdown),
-            ObjectiveKind::MaxUserSlowdown => Box::new(MaxUserSlowdown),
-            ObjectiveKind::P95WidthSlowdown => Box::new(P95WidthSlowdown),
-            ObjectiveKind::SlowdownVariance => Box::new(SlowdownVariance),
-        }
+        Box::new(*self)
     }
 
     /// Materialise the online one-pass accumulator for this objective.
     /// Feeding it the simulation pipeline's event stream yields the same
-    /// cost — bit for bit — as [`Self::build`] on the finished schedule.
+    /// cost — bit for bit — as [`Objective::cost`] on the finished
+    /// schedule, which replays the schedule through this accumulator.
     pub fn build_streaming(&self) -> Box<dyn StreamingObjective + Send> {
         match self {
             ObjectiveKind::AvgResponseTime => Box::new(OnlineArt::new()),
@@ -75,6 +77,14 @@ impl ObjectiveKind {
     /// resource consumption when optimising for this objective.
     pub fn weighted(&self) -> bool {
         matches!(self, ObjectiveKind::AvgWeightedResponseTime)
+    }
+}
+
+impl Objective for ObjectiveKind {
+    fn cost(&self, workload: &Workload, schedule: &ScheduleRecord) -> f64 {
+        let mut acc = self.build_streaming();
+        replay(workload, schedule, &mut *acc);
+        acc.cost()
     }
 }
 
@@ -187,17 +197,60 @@ mod tests {
 
     #[test]
     fn kinds_build_metrics() {
-        assert_eq!(ObjectiveKind::AvgResponseTime.build().name(), "ART");
-        assert_eq!(
-            ObjectiveKind::AvgWeightedResponseTime.build().name(),
-            "AWRT"
-        );
-        assert_eq!(
-            ObjectiveKind::AvgBoundedSlowdown.build().name(),
-            "bounded-slowdown"
-        );
         assert!(!ObjectiveKind::AvgResponseTime.weighted());
         assert!(ObjectiveKind::AvgWeightedResponseTime.weighted());
         assert!(!ObjectiveKind::AvgBoundedSlowdown.weighted());
+    }
+
+    const ALL: [ObjectiveKind; 6] = [
+        ObjectiveKind::AvgResponseTime,
+        ObjectiveKind::AvgWeightedResponseTime,
+        ObjectiveKind::AvgBoundedSlowdown,
+        ObjectiveKind::MaxUserSlowdown,
+        ObjectiveKind::P95WidthSlowdown,
+        ObjectiveKind::SlowdownVariance,
+    ];
+
+    /// `build().cost`, `cost` and a replay of `build_streaming()` agree
+    /// bit for bit for every kind.
+    fn assert_one_definition(w: &Workload, s: &ScheduleRecord) {
+        for kind in ALL {
+            let mut acc = kind.build_streaming();
+            replay(w, s, &mut *acc);
+            let replayed = acc.cost().to_bits();
+            assert_eq!(kind.cost(w, s).to_bits(), replayed, "{kind:?}");
+            assert_eq!(kind.build().cost(w, s).to_bits(), replayed, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn every_kind_costs_its_replayed_accumulator() {
+        use jobsched_algos::view::WeightScheme;
+        use jobsched_algos::AlgorithmSpec;
+        use jobsched_workload::ctc::prepared_ctc_workload;
+        use jobsched_workload::{JobBuilder, JobId};
+
+        // Two jobs on 10 nodes: J0 (6 nodes, 100 s) at t=0, J1 (6 nodes,
+        // 50 s actual / 100 s requested) waits until 100.
+        let job = |runtime| {
+            JobBuilder::new(JobId(0))
+                .submit(0)
+                .nodes(6)
+                .requested(100)
+                .runtime(runtime)
+                .build()
+        };
+        let w = Workload::new("t", 10, vec![job(100), job(50)]);
+        let mut s = ScheduleRecord::new(10, 2);
+        s.place(JobId(0), 0, 100);
+        s.place(JobId(1), 100, 150);
+        assert_one_definition(&w, &s);
+        assert_eq!(ObjectiveKind::AvgResponseTime.cost(&w, &s), 125.0);
+        assert_eq!(ObjectiveKind::AvgBoundedSlowdown.cost(&w, &s), 2.0);
+
+        let ctc = prepared_ctc_workload(400, 1999);
+        let mut scheduler = AlgorithmSpec::reference().build(WeightScheme::Unweighted);
+        let out = jobsched_sim::simulate(&ctc, &mut scheduler);
+        assert_one_definition(&ctc, &out.schedule);
     }
 }

@@ -12,9 +12,10 @@
 //! every table of the evaluation is a `jobsched-sweep` campaign preset
 //! (`Campaign::paper_tables`) run by `run_campaign`.
 
+use crate::objective_select::ObjectiveKind;
 use jobsched_algos::view::WeightScheme;
 use jobsched_algos::AlgorithmSpec;
-use jobsched_metrics::{pareto_ranks, AvgResponseTime, Objective, Point};
+use jobsched_metrics::{pareto_ranks, Objective, Point};
 use jobsched_sim::{simulate, ScheduleRecord};
 use jobsched_workload::exact::with_exact_estimates;
 use jobsched_workload::job::{DAY, HOUR};
@@ -181,7 +182,7 @@ pub fn figure2() -> Figure2 {
                 pts.push(Point::new(
                     format!("{} [{}]", spec.name(), scheme.label()),
                     vec![
-                        AvgResponseTime.cost(workload, &out.schedule),
+                        ObjectiveKind::AvgResponseTime.cost(workload, &out.schedule),
                         course_unavailability(workload, &out.schedule),
                     ],
                 ));

@@ -19,10 +19,9 @@ use jobsched_algos::spec::PolicyKind;
 use jobsched_algos::view::WeightScheme;
 use jobsched_algos::{BackfillMode, ListScheduler};
 use jobsched_core::experiment::Scale;
+use jobsched_core::objective_select::ObjectiveKind;
 use jobsched_json::Json;
-use jobsched_metrics::{
-    AvgBoundedSlowdown, AvgResponseTime, AvgWeightedResponseTime, Objective, Utilization,
-};
+use jobsched_metrics::{replay, Objective, OnlineUtilization};
 use jobsched_sweep::WorkloadSpec;
 use jobsched_workload::{Workload, TARGET_NODES};
 use std::time::Instant;
@@ -67,10 +66,12 @@ fn config_json(
             listed.join("\n")
         ));
     }
-    let art = AvgResponseTime.cost(workload, &out.schedule);
-    let awrt = AvgWeightedResponseTime.cost(workload, &out.schedule);
-    let utilization = -Utilization.cost(workload, &out.schedule);
-    let slowdown = AvgBoundedSlowdown.cost(workload, &out.schedule);
+    let art = ObjectiveKind::AvgResponseTime.cost(workload, &out.schedule);
+    let awrt = ObjectiveKind::AvgWeightedResponseTime.cost(workload, &out.schedule);
+    let mut util = OnlineUtilization::new(out.schedule.machine_nodes());
+    replay(workload, &out.schedule, &mut util);
+    let utilization = util.utilization();
+    let slowdown = ObjectiveKind::AvgBoundedSlowdown.cost(workload, &out.schedule);
     eprintln!(
         "  {label:<24} ART {art:>12.1}  AWRT {awrt:>12.1}  util {utilization:.3}  \
          bsld {slowdown:>8.2}  forwards {}",

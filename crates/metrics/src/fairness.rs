@@ -19,27 +19,25 @@
 //! schedule costs, computed streaming like the other one-pass objectives
 //! (see [`crate::streaming`] for the exactness contract):
 //!
-//! * [`OnlineMaxUserSlowdown`] / [`MaxUserSlowdown`] — the worst user's
-//!   mean bounded slowdown: the direct "no user may be starved" reading
-//!   of Rule 4;
-//! * [`OnlineP95WidthSlowdown`] / [`P95WidthSlowdown`] — the 95th
-//!   percentile over job-width groups of the per-width mean bounded
-//!   slowdown: wide jobs are the classic backfilling victims, and this
-//!   criterion surfaces the widths a policy sacrifices;
-//! * [`OnlineSlowdownVariance`] / [`SlowdownVariance`] — the population
-//!   variance of per-job bounded slowdown: spread of suffering across
-//!   individual jobs, regardless of grouping.
+//! * [`OnlineMaxUserSlowdown`] — the worst user's mean bounded slowdown:
+//!   the direct "no user may be starved" reading of Rule 4;
+//! * [`OnlineP95WidthSlowdown`] — the 95th percentile over job-width
+//!   groups of the per-width mean bounded slowdown: wide jobs are the
+//!   classic backfilling victims, and this criterion surfaces the widths
+//!   a policy sacrifices;
+//! * [`OnlineSlowdownVariance`] — the population variance of per-job
+//!   bounded slowdown: spread of suffering across individual jobs,
+//!   regardless of grouping.
 //!
 //! All three fold Q52 images of the (≥ 1.0) slowdown terms into exact
 //! per-group integer sums, so the accumulated state is identical no
-//! matter the event order, and the batch wrappers — which [`replay`] the
-//! finished schedule through the same accumulators — agree with the
-//! streaming path bit for bit. The variance accumulator needs Σx² of
+//! matter the event order, and a finished schedule's cost — the same
+//! accumulator fed by [`replay`](crate::streaming::replay) — agrees with
+//! the streaming path bit for bit. The variance accumulator needs Σx² of
 //! Q52 terms, which exceeds `u128`; a minimal 256-bit integer (`U256`)
 //! keeps that sum exact too.
 
-use crate::objective::Objective;
-use crate::streaming::{completed, from_q52, q52, replay, StreamingObjective};
+use crate::streaming::{completed, from_q52, q52, StreamingObjective};
 use jobsched_sim::{JobEvent, ScheduleRecord};
 use jobsched_workload::Workload;
 use std::collections::BTreeMap;
@@ -152,10 +150,6 @@ impl OnlineMaxUserSlowdown {
 }
 
 impl StreamingObjective for OnlineMaxUserSlowdown {
-    fn name(&self) -> &'static str {
-        "max-user-bsld"
-    }
-
     fn observe(&mut self, event: &JobEvent) {
         if let Some(o) = completed(event) {
             self.grouped.observe(o.user, slowdown_term(o));
@@ -184,10 +178,6 @@ impl OnlineP95WidthSlowdown {
 }
 
 impl StreamingObjective for OnlineP95WidthSlowdown {
-    fn name(&self) -> &'static str {
-        "p95-width-bsld"
-    }
-
     fn observe(&mut self, event: &JobEvent) {
         if let Some(o) = completed(event) {
             self.grouped.observe(o.nodes, slowdown_term(o));
@@ -258,10 +248,6 @@ impl OnlineSlowdownVariance {
 }
 
 impl StreamingObjective for OnlineSlowdownVariance {
-    fn name(&self) -> &'static str {
-        "bsld-variance"
-    }
-
     fn observe(&mut self, event: &JobEvent) {
         if let Some(o) = completed(event) {
             let term = q52(slowdown_term(o));
@@ -284,57 +270,10 @@ impl StreamingObjective for OnlineSlowdownVariance {
     }
 }
 
-/// Batch maximum per-user mean bounded slowdown (Rule 4 fairness).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MaxUserSlowdown;
-
-impl Objective for MaxUserSlowdown {
-    fn name(&self) -> &'static str {
-        "max-user-bsld"
-    }
-
-    fn cost(&self, workload: &Workload, schedule: &ScheduleRecord) -> f64 {
-        let mut acc = OnlineMaxUserSlowdown::new();
-        replay(workload, schedule, &mut acc);
-        acc.cost()
-    }
-}
-
-/// Batch 95th-percentile per-width mean bounded slowdown.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct P95WidthSlowdown;
-
-impl Objective for P95WidthSlowdown {
-    fn name(&self) -> &'static str {
-        "p95-width-bsld"
-    }
-
-    fn cost(&self, workload: &Workload, schedule: &ScheduleRecord) -> f64 {
-        let mut acc = OnlineP95WidthSlowdown::new();
-        replay(workload, schedule, &mut acc);
-        acc.cost()
-    }
-}
-
-/// Batch population variance of per-job bounded slowdown.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SlowdownVariance;
-
-impl Objective for SlowdownVariance {
-    fn name(&self) -> &'static str {
-        "bsld-variance"
-    }
-
-    fn cost(&self, workload: &Workload, schedule: &ScheduleRecord) -> f64 {
-        let mut acc = OnlineSlowdownVariance::new();
-        replay(workload, schedule, &mut acc);
-        acc.cost()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::streaming::replay;
     use jobsched_sim::JobOutcome;
     use jobsched_workload::{JobBuilder, JobId, Time};
 
@@ -529,10 +468,14 @@ mod tests {
         let mut s = ScheduleRecord::new(4, w.len());
         s.place(JobId(0), 0, 100);
         s.place(JobId(1), 900, 1000);
-        assert_eq!(MaxUserSlowdown.cost(&w, &s), 10.0);
+        let replayed = |mut acc: Box<dyn StreamingObjective>| {
+            replay(&w, &s, &mut *acc);
+            acc.cost()
+        };
+        assert_eq!(replayed(Box::new(OnlineMaxUserSlowdown::new())), 10.0);
         // One width group (all jobs 1 node) → p95 = the group mean 5.5.
-        assert_eq!(P95WidthSlowdown.cost(&w, &s), 5.5);
+        assert_eq!(replayed(Box::new(OnlineP95WidthSlowdown::new())), 5.5);
         // Terms {1, 10}: mean 5.5, E[x²] = 50.5 → variance 20.25.
-        assert_eq!(SlowdownVariance.cost(&w, &s), 20.25);
+        assert_eq!(replayed(Box::new(OnlineSlowdownVariance::new())), 20.25);
     }
 }

@@ -1,13 +1,12 @@
-//! Online (one-pass) objective accumulators.
+//! Online (one-pass) objective accumulators — the one definition of each
+//! schedule cost.
 //!
-//! The streaming counterpart of [`crate::objective`]: a
-//! [`StreamingObjective`] folds the pipeline's lifecycle events into O(1)
-//! state and produces the schedule cost at any point, without a
-//! [`ScheduleRecord`] or the workload in
-//! memory. The batch [`Objective`](crate::objective::Objective) impls are
-//! thin wrappers that [`replay`] a finished schedule through these same
-//! accumulators, so batch and streaming results are **identical by
-//! construction** — not merely close.
+//! A [`StreamingObjective`] folds the pipeline's lifecycle events into
+//! O(1) state and produces the schedule cost at any point, without a
+//! [`ScheduleRecord`] or the workload in memory. The cost of a *finished*
+//! schedule (an [`Objective`]) is the same accumulator fed by [`replay`],
+//! so batch and streaming results are **identical by construction** — not
+//! merely close.
 //!
 //! ## Exactness
 //!
@@ -17,7 +16,7 @@
 //! workloads. Every accumulator therefore sums in *exact* integer
 //! arithmetic, which is order-independent:
 //!
-//! * response times, busy areas and weighted completions are products of
+//! * response times, busy areas and weighted response times are products of
 //!   `u64`/`u32` job fields — summed exactly in `u128`;
 //! * bounded-slowdown terms are genuine fractions, but every term is
 //!   ≥ 1.0, so its ulp is ≥ 2⁻⁵²: the term *is* an exact multiple of
@@ -33,20 +32,16 @@
 //! assume the finished schedule). A cancelled-while-queued job never
 //! completes and contributes nothing; a cancelled-while-running job
 //! contributes its truncated execution. On fault-free runs every
-//! accumulator matches its batch objective bit for bit — the
-//! `streaming_equivalence` suite pins that across all thirteen paper
-//! algorithm combinations.
+//! accumulator's live cost matches its replay bit for bit — the
+//! `streaming_equivalence` suite pins that across all 43 atlas rows.
 
 use jobsched_sim::{JobEvent, JobOutcome, ScheduleRecord, SimObserver};
 use jobsched_workload::{JobId, Time, Workload};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A schedule cost computed online, one lifecycle event at a time.
-/// Lower is better, matching [`crate::objective::Objective`].
+/// Lower is better, matching [`Objective`].
 pub trait StreamingObjective {
-    /// Name used in reports ("ART", "AWRT", ...).
-    fn name(&self) -> &'static str;
-
     /// Fold one lifecycle event into the accumulator.
     fn observe(&mut self, event: &JobEvent);
 
@@ -75,10 +70,20 @@ pub(crate) fn completed(event: &JobEvent) -> Option<&JobOutcome> {
     }
 }
 
+/// A scalar schedule cost of a finished schedule (§2.2). Lower is
+/// better. An implementation [`replay`]s the schedule through its
+/// [`StreamingObjective`].
+pub trait Objective {
+    /// Evaluate the cost of a finished schedule.
+    ///
+    /// Panics if the schedule is incomplete — the paper's final schedule
+    /// "is only available after the execution of all jobs".
+    fn cost(&self, workload: &Workload, schedule: &ScheduleRecord) -> f64;
+}
+
 /// Feed a finished schedule through a streaming accumulator, job by job.
-/// This is how every batch [`Objective`](crate::objective::Objective)
-/// now computes its cost. Panics on an incomplete schedule, like the
-/// batch objectives always have.
+/// This is how every [`Objective`] computes its cost. Panics on an
+/// incomplete schedule.
 pub fn replay(
     workload: &Workload,
     schedule: &ScheduleRecord,
@@ -134,10 +139,6 @@ impl OnlineArt {
 }
 
 impl StreamingObjective for OnlineArt {
-    fn name(&self) -> &'static str {
-        "ART"
-    }
-
     fn observe(&mut self, event: &JobEvent) {
         if let Some(o) = completed(event) {
             self.sum_response += o.response_time() as u128;
@@ -169,10 +170,6 @@ impl OnlineAwrt {
 }
 
 impl StreamingObjective for OnlineAwrt {
-    fn name(&self) -> &'static str {
-        "AWRT"
-    }
-
     fn observe(&mut self, event: &JobEvent) {
         if let Some(o) = completed(event) {
             let weight = o.run_time() as u128 * o.nodes as u128;
@@ -208,10 +205,6 @@ impl OnlineMakespan {
 }
 
 impl StreamingObjective for OnlineMakespan {
-    fn name(&self) -> &'static str {
-        "makespan"
-    }
-
     fn observe(&mut self, event: &JobEvent) {
         if let Some(o) = completed(event) {
             self.last = self.last.max(o.completion);
@@ -262,10 +255,6 @@ impl OnlineUtilization {
 }
 
 impl StreamingObjective for OnlineUtilization {
-    fn name(&self) -> &'static str {
-        "neg-utilization"
-    }
-
     fn observe(&mut self, event: &JobEvent) {
         match event {
             JobEvent::Started { id, at, nodes } | JobEvent::Resumed { id, at, nodes } => {
@@ -311,82 +300,8 @@ impl StreamingObjective for OnlineUtilization {
     }
 }
 
-/// Online idle node-seconds within a fixed time frame (the literal Rule 6
-/// criterion §4 starts from).
-#[derive(Clone, Copy, Debug)]
-pub struct OnlineIdleTime {
-    from: Time,
-    to: Time,
-    machine_nodes: u32,
-    busy: u128,
-}
-
-impl OnlineIdleTime {
-    /// Accumulator over the frame `[from, to)` on `machine_nodes` nodes.
-    /// Panics on an empty frame, like the batch objective.
-    pub fn new(from: Time, to: Time, machine_nodes: u32) -> Self {
-        assert!(from < to, "empty idle-time frame");
-        OnlineIdleTime {
-            from,
-            to,
-            machine_nodes,
-            busy: 0,
-        }
-    }
-}
-
-impl StreamingObjective for OnlineIdleTime {
-    fn name(&self) -> &'static str {
-        "idle-time"
-    }
-
-    fn observe(&mut self, event: &JobEvent) {
-        if let Some(o) = completed(event) {
-            let lo = o.start.max(self.from);
-            let hi = o.completion.min(self.to);
-            if hi > lo {
-                self.busy += (hi - lo) as u128 * o.nodes as u128;
-            }
-        }
-    }
-
-    fn cost(&self) -> f64 {
-        let capacity = (self.to - self.from) as f64 * self.machine_nodes as f64;
-        capacity - self.busy as f64
-    }
-}
-
-/// Online Σ wⱼ·Cⱼ (Smith's criterion; weight = run time × nodes).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OnlineSumWeightedCompletion {
-    sum: u128,
-}
-
-impl OnlineSumWeightedCompletion {
-    /// Fresh accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl StreamingObjective for OnlineSumWeightedCompletion {
-    fn name(&self) -> &'static str {
-        "sum-wC"
-    }
-
-    fn observe(&mut self, event: &JobEvent) {
-        if let Some(o) = completed(event) {
-            let weight = o.run_time() as u128 * o.nodes as u128;
-            self.sum += weight * o.completion as u128;
-        }
-    }
-
-    fn cost(&self) -> f64 {
-        self.sum as f64
-    }
-}
-
-/// Online average bounded slowdown (10-second threshold).
+/// Online average bounded slowdown with the conventional 10-second
+/// threshold (Feitelson & Rudolph \[3\]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OnlineBoundedSlowdown {
     sum_q52: u128,
@@ -404,10 +319,6 @@ impl OnlineBoundedSlowdown {
 }
 
 impl StreamingObjective for OnlineBoundedSlowdown {
-    fn name(&self) -> &'static str {
-        "bounded-slowdown"
-    }
-
     fn observe(&mut self, event: &JobEvent) {
         if let Some(o) = completed(event) {
             let resp = o.response_time() as f64;
@@ -522,7 +433,7 @@ impl SimObserver for OnlineMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jobsched_workload::JobId;
+    use jobsched_workload::{JobBuilder, JobId};
 
     fn outcome(id: u32, submit: Time, start: Time, completion: Time, nodes: u32) -> JobEvent {
         JobEvent::Finished(JobOutcome {
@@ -534,6 +445,89 @@ mod tests {
             requested_time: completion - start,
             user: 0,
         })
+    }
+
+    /// Two jobs on 10 nodes: J0 (6 nodes, 100 s) at t=0, J1 (6 nodes,
+    /// 50 s actual / 100 s requested) waits until 100.
+    fn fixture() -> (Workload, ScheduleRecord) {
+        let w = Workload::new(
+            "t",
+            10,
+            vec![
+                JobBuilder::new(JobId(0))
+                    .submit(0)
+                    .nodes(6)
+                    .requested(100)
+                    .runtime(100)
+                    .build(),
+                JobBuilder::new(JobId(0))
+                    .submit(0)
+                    .nodes(6)
+                    .requested(100)
+                    .runtime(50)
+                    .build(),
+            ],
+        );
+        let mut s = ScheduleRecord::new(10, 2);
+        s.place(JobId(0), 0, 100);
+        s.place(JobId(1), 100, 150);
+        (w, s)
+    }
+
+    /// The fixture's cost under `acc`, replayed.
+    fn replayed(mut acc: impl StreamingObjective) -> f64 {
+        let (w, s) = fixture();
+        replay(&w, &s, &mut acc);
+        acc.cost()
+    }
+
+    #[test]
+    fn art_averages_response_times() {
+        // responses: 100 and 150.
+        assert_eq!(replayed(OnlineArt::new()), 125.0);
+    }
+
+    #[test]
+    fn awrt_weights_by_area() {
+        // areas: 600 and 300; weighted responses 600×100 + 300×150.
+        let expected = (600.0 * 100.0 + 300.0 * 150.0) / 2.0;
+        assert_eq!(replayed(OnlineAwrt::new()), expected);
+    }
+
+    #[test]
+    fn makespan_is_last_completion() {
+        assert_eq!(replayed(OnlineMakespan::new()), 150.0);
+    }
+
+    #[test]
+    fn utilization_cost_is_negative() {
+        let u = replayed(OnlineUtilization::new(10));
+        assert!((u + 900.0 / 1500.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn bounded_slowdown_floors_at_one() {
+        // J0: 100/100 = 1; J1: 150/50 = 3.
+        assert_eq!(replayed(OnlineBoundedSlowdown::new()), 2.0);
+    }
+
+    #[test]
+    fn empty_workload_costs_zero() {
+        let w = Workload::new("e", 10, vec![]);
+        let s = ScheduleRecord::new(10, 0);
+        let mut art = OnlineArt::new();
+        let mut awrt = OnlineAwrt::new();
+        replay(&w, &s, &mut art);
+        replay(&w, &s, &mut awrt);
+        assert_eq!((art.cost(), awrt.cost()), (0.0, 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "no placement")]
+    fn incomplete_schedule_panics() {
+        let (w, _) = fixture();
+        let s = ScheduleRecord::new(10, 2);
+        replay(&w, &s, &mut OnlineArt::new());
     }
 
     #[test]
@@ -559,7 +553,6 @@ mod tests {
         assert_eq!(OnlineMakespan::new().cost(), 0.0);
         assert_eq!(OnlineUtilization::new(10).cost(), 0.0);
         assert_eq!(OnlineBoundedSlowdown::new().cost(), 0.0);
-        assert_eq!(OnlineSumWeightedCompletion::new().cost(), 0.0);
         assert!(OnlineUtilization::new(0).cost().is_finite());
     }
 

@@ -40,7 +40,7 @@
 use crate::scenario::Scenario;
 use jobsched_algos::spec::PolicyKind;
 use jobsched_algos::{BackfillMode, ScoreFn};
-use jobsched_metrics::{AvgResponseTime, AvgWeightedResponseTime, Objective};
+use jobsched_metrics::{replay, OnlineArt, OnlineAwrt, StreamingObjective};
 use jobsched_sim::{
     simulate_batch_with_faults, simulate_with_faults, CancelPhase, FaultOutcome, JobRequest,
     Machine, Profile, Scheduler, SimOutcome,
@@ -876,13 +876,13 @@ pub fn check_outcome(
         if !complete {
             violations.push("cancellation-free run left jobs unplaced".into());
         } else {
+            let mut art_acc = OnlineArt::new();
+            let mut awrt_acc = OnlineAwrt::new();
+            replay(workload, schedule, &mut art_acc);
+            replay(workload, schedule, &mut awrt_acc);
             for (name, naive, metric) in [
-                ("ART", art, AvgResponseTime.cost(workload, schedule)),
-                (
-                    "AWRT",
-                    awrt,
-                    AvgWeightedResponseTime.cost(workload, schedule),
-                ),
+                ("ART", art, art_acc.cost()),
+                ("AWRT", awrt, awrt_acc.cost()),
             ] {
                 let tolerance = 1e-9 * naive.abs().max(1.0);
                 if (naive - metric).abs() > tolerance {

@@ -196,7 +196,9 @@ pub struct Engine {
     log: Arc<Mutex<InputLog>>,
     draining: bool,
     dirty: bool,
-    next_auto_id: u32,
+    /// Next auto-id candidate; past `u32::MAX` once the residue class
+    /// has no id left.
+    next_auto_id: u64,
     /// Auto-assigned ids satisfy `id ≡ id_offset (mod id_stride)` —
     /// the shard's residue class. `(0, 1)` for an unsharded engine.
     id_offset: u32,
@@ -239,7 +241,7 @@ impl Engine {
             log: Arc::default(),
             draining: false,
             dirty: false,
-            next_auto_id: shard as u32,
+            next_auto_id: shard as u64,
             id_offset: shard as u32,
             id_stride: shards as u32,
             requests: 0,
@@ -357,22 +359,21 @@ impl Engine {
 
     /// Raise `next_auto_id` to at least `floor`, rounded up into this
     /// shard's residue class so auto-ids never leave it.
-    fn bump_auto_id(&mut self, floor: u32) {
-        let stride = self.id_stride.max(1) as u64;
-        let offset = self.id_offset as u64;
-        let floor = floor as u64;
+    fn bump_auto_id(&mut self, floor: u64) {
+        let stride = u64::from(self.id_stride);
+        let offset = u64::from(self.id_offset);
         let aligned = if floor % stride <= offset {
             floor - floor % stride + offset
         } else {
             floor - floor % stride + stride + offset
         };
-        self.next_auto_id = self.next_auto_id.max(aligned.min(u32::MAX as u64) as u32);
+        self.next_auto_id = self.next_auto_id.max(aligned);
     }
 
     /// Admit a validated job: record it and buffer it for injection.
     fn admit(&mut self, job: Job) {
         self.used_ids.insert(job.id);
-        self.bump_auto_id(job.id.0.saturating_add(1));
+        self.bump_auto_id(u64::from(job.id.0) + 1);
         self.record(InputRecord {
             at: self.clock.now(),
             op: InputOp::Submit(job.clone()),
@@ -510,14 +511,23 @@ impl Engine {
                 }
                 i
             }
-            None => {
-                // Step by the shard stride: auto-ids stay in this
-                // shard's residue class.
-                while self.used_ids.contains(&JobId(self.next_auto_id)) {
-                    self.next_auto_id += self.id_stride.max(1);
+            // Step by the shard stride: auto-ids stay in this shard's
+            // residue class, and run out with it.
+            None => loop {
+                let Ok(id) = u32::try_from(self.next_auto_id) else {
+                    return protocol::error(
+                        "invalid",
+                        format!(
+                            "no job id ≡ {} (mod {}) is left to auto-assign",
+                            self.id_offset, self.id_stride
+                        ),
+                    );
+                };
+                if !self.used_ids.contains(&JobId(id)) {
+                    break id;
                 }
-                self.next_auto_id
-            }
+                self.next_auto_id += u64::from(self.id_stride);
+            },
         };
         let now = self.clock.now();
         let at = at.unwrap_or(now).max(now);
@@ -1217,6 +1227,84 @@ mod tests {
             .unwrap()
             .as_bool()
             .unwrap());
+    }
+
+    fn auto_submit(e: &mut Engine) -> Json {
+        e.handle(Request::Submit {
+            id: None,
+            at: None,
+            nodes: 1,
+            requested: 10,
+            runtime: 10,
+            user: 0,
+        })
+        .0
+    }
+
+    fn checkpoint(e: &mut Engine) -> Json {
+        e.handle(Request::Checkpoint).0
+    }
+
+    #[test]
+    fn max_job_id_cancels_while_running_and_frees_its_node() {
+        let max = u32::MAX;
+        let mut e = virtual_engine("fcfs+easy");
+        submit(&mut e, max, 0, 1, 10);
+        e.handle(Request::Advance { to: Some(5) });
+        let r = e.handle(Request::Cancel { id: max }).0;
+        assert_eq!(r.get("phase").unwrap().as_str(), Some("running"), "{r:?}");
+        e.handle(Request::Advance { to: Some(100) });
+        let s = status(&mut e, max);
+        assert_eq!(state_of(&s), "cancelled", "{s:?}");
+        assert_eq!(s.get("completion").unwrap().as_u64(), Some(5));
+        // The node came back: a machine-wide job runs.
+        submit(&mut e, 0, 100, 16, 10);
+        e.handle(Request::Advance { to: None });
+        assert_eq!(state_of(&status(&mut e, 0)), "done");
+    }
+
+    #[test]
+    fn auto_ids_end_with_the_id_space() {
+        let mut e = virtual_engine("fcfs+easy");
+        submit(&mut e, u32::MAX, 0, 1, 10);
+        let before = checkpoint(&mut e);
+        let r = auto_submit(&mut e);
+        assert_eq!(r.get("error").unwrap().as_str(), Some("invalid"), "{r:?}");
+        // Nothing was recorded, and no id wrapped around to 0.
+        assert_eq!(checkpoint(&mut e), before);
+        assert_eq!(
+            status(&mut e, 0).get("error").unwrap().as_str(),
+            Some("unknown-job")
+        );
+    }
+
+    #[test]
+    fn auto_ids_never_leave_the_shard_residue_class() {
+        let config = ServeConfig {
+            machine_nodes: 16,
+            scheduler: SchedulerSpec::parse("fcfs+easy").unwrap(),
+            virtual_clock: true,
+            ..ServeConfig::default()
+        };
+        // Shard 0 of 2 owns the even ids: after 4294967294 none is left.
+        let mut even = Engine::for_shard(config.clone(), 0, 2, None);
+        submit(&mut even, u32::MAX - 1, 0, 1, 10);
+        let r = auto_submit(&mut even);
+        assert_eq!(r.get("error").unwrap().as_str(), Some("invalid"), "{r:?}");
+        // Shard 1 of 2 still has 4294967295, then none; a restored copy
+        // agrees.
+        let mut odd = Engine::for_shard(config.clone(), 1, 2, None);
+        submit(&mut odd, u32::MAX - 2, 0, 1, 10);
+        let r = auto_submit(&mut odd);
+        assert_eq!(r.get("id").unwrap().as_u64(), Some(u64::from(u32::MAX)));
+        let state = checkpoint(&mut odd).get("state").unwrap().clone();
+        let mut restored = Engine::for_shard(config, 1, 2, None);
+        let r = restored.handle(Request::Restore { state }).0;
+        assert!(r.get("ok").unwrap().as_bool().unwrap(), "{r:?}");
+        for e in [&mut odd, &mut restored] {
+            let r = auto_submit(e);
+            assert_eq!(r.get("error").unwrap().as_str(), Some("invalid"), "{r:?}");
+        }
     }
 
     #[test]

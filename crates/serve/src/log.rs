@@ -61,7 +61,8 @@ pub struct InputLog {
     pub(crate) draining: bool,
     /// The shard's auto-id cursor (monotone; restoring the exact value
     /// keeps auto-assignments identical across a restore or failover).
-    pub(crate) next_auto_id: u32,
+    /// Past `u32::MAX` once the shard's residue class is used up.
+    pub(crate) next_auto_id: u64,
 }
 
 impl InputLog {
@@ -80,7 +81,7 @@ impl InputLog {
             ("machine_nodes", Json::UInt(config.machine_nodes as u64)),
             ("now", Json::UInt(self.now)),
             ("draining", Json::Bool(self.draining)),
-            ("next_auto_id", Json::UInt(self.next_auto_id as u64)),
+            ("next_auto_id", Json::UInt(self.next_auto_id)),
             (
                 "inputs",
                 Json::Arr(self.records.iter().map(record_json).collect()),
@@ -133,7 +134,8 @@ impl InputLog {
         let next_auto_id = state
             .get("next_auto_id")
             .and_then(|v| v.as_u64())
-            .map_or(0, |n| u32::try_from(n).unwrap_or(u32::MAX));
+            // Every cursor past `u32::MAX` means the same: no id left.
+            .map_or(0, |n| n.min(1 << 32));
         let inputs = state
             .get("inputs")
             .and_then(|v| v.as_arr())

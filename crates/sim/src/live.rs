@@ -148,7 +148,9 @@ pub struct LiveSim {
     /// Jobs ever preempted (by a fault or by the scheduler) — licenses
     /// the silent skip of their stale Finish events after retirement.
     preempted_ever: BTreeSet<JobId>,
-    submitted_below: u32,
+    /// One past the highest submitted id, widened so id `u32::MAX` has a
+    /// watermark above it.
+    submitted_below: u64,
     scheduler_cpu: Duration,
     n_events: u64,
     rounds: u64,
@@ -329,7 +331,7 @@ impl LiveSim {
                         .staged
                         .remove(&id)
                         .expect("staged job for submit event");
-                    self.submitted_below = self.submitted_below.max(id.0 + 1);
+                    self.submitted_below = self.submitted_below.max(u64::from(id.0) + 1);
                     if self.cancelled.contains(&id) {
                         continue; // cancelled before submission: never enters
                     }
@@ -428,7 +430,7 @@ impl LiveSim {
                         continue; // duplicate cancellation
                     }
                     let mut run = None;
-                    let phase = if id.0 >= self.submitted_below || self.staged.contains_key(&id) {
+                    let phase = if self.unsubmitted(id) {
                         self.cancelled.insert(id);
                         CancelPhase::PreSubmit
                     } else if self.machine.running().iter().any(|s| s.id == id) {
@@ -614,7 +616,7 @@ impl LiveSim {
             // A retired (finished) id replays the batch engine's
             // double-placement panic; a never-seen id is a contract
             // violation of its own.
-            if id.0 < self.submitted_below {
+            if u64::from(id.0) < self.submitted_below {
                 panic!("job {id} placed twice");
             }
             panic!("scheduler {} started unknown job {id}", scheduler.name());
@@ -686,9 +688,15 @@ impl LiveSim {
             Some(inf) if inf.span_start.is_some() => "Running",
             Some(inf) if inf.first_start.is_some() => "Preempted",
             Some(_) => "Queued",
-            None if id.0 >= self.submitted_below || self.staged.contains_key(&id) => "Staged",
+            None if self.unsubmitted(id) => "Staged",
             None => "Done",
         }
+    }
+
+    /// Whether `id` has not entered the system yet: above the submit
+    /// watermark, or a sparse id still staged below it.
+    fn unsubmitted(&self, id: JobId) -> bool {
+        u64::from(id.0) >= self.submitted_below || self.staged.contains_key(&id)
     }
 
     /// Consume the engine into the pipeline's outcome counters.

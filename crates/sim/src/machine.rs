@@ -11,9 +11,9 @@
 //! places — bit-identically to the historical homogeneous model: it has
 //! exactly one pool, every operation resolves to it, and its
 //! [`LiveProfile`] sees the same operation sequence as before. Typed
-//! machines ([`Machine::with_layout`]) keep one pool and one availability
-//! calendar per class, plus an aggregate calendar for whole-machine
-//! queries.
+//! machines ([`Machine::with_layout`]) keep one availability calendar per
+//! class pool, plus an aggregate calendar for whole-machine queries; the
+//! calendars are the only record of each pool's size and free count.
 
 use crate::profile::LiveProfile;
 use jobsched_workload::{ClassId, JobId, MachineLayout, NodeType, Time};
@@ -92,30 +92,19 @@ impl std::fmt::Display for MachineError {
 
 impl std::error::Error for MachineError {}
 
-/// One node-class pool: its size, its free count and its own
-/// future-availability calendar.
-#[derive(Clone, Debug)]
-struct Pool {
-    total: u32,
-    free: u32,
-    profile: LiveProfile,
-}
-
 /// Space-shared machine state, one pool per node class.
 ///
-/// Alongside the running set the machine maintains a [`LiveProfile`] per
-/// pool: the future-availability calendar kept incrementally in sync by
-/// [`Machine::start_in`] / [`Machine::finish`] (O(log R) each, including
-/// early completions). Schedulers read a pool's calendar through
-/// [`Machine::class_profile`] and the whole-machine aggregate through
-/// [`Machine::profile`] instead of rebuilding step functions per
-/// decision.
+/// Each pool *is* its [`LiveProfile`]: the future-availability calendar
+/// kept incrementally in sync by [`Machine::start_in`] /
+/// [`Machine::finish`] (O(log R) each, including early completions),
+/// which also holds the pool's size and free count. Schedulers read a
+/// pool's calendar through [`Machine::class_profile`] and the
+/// whole-machine aggregate through [`Machine::profile`] instead of
+/// rebuilding step functions per decision.
 #[derive(Clone, Debug)]
 pub struct Machine {
     layout: MachineLayout,
-    pools: Vec<Pool>,
-    total: u32,
-    free: u32,
+    pools: Vec<LiveProfile>,
     running: Vec<RunningSlot>,
     /// Active node drains: `(class, nodes, expected return time)`.
     /// Slab-indexed by [`DrainToken`]; released entries stay as `None` so
@@ -135,14 +124,10 @@ impl Machine {
 
     /// New machine partitioned into the node-class pools of `layout`.
     pub fn with_layout(layout: MachineLayout) -> Self {
-        let pools: Vec<Pool> = layout
+        let pools: Vec<LiveProfile> = layout
             .classes()
             .iter()
-            .map(|c| Pool {
-                total: c.count,
-                free: c.count,
-                profile: LiveProfile::new(c.count),
-            })
+            .map(|c| LiveProfile::new(c.count))
             .collect();
         let total = layout.total_nodes();
         assert!(total > 0, "machine needs at least one node");
@@ -150,8 +135,6 @@ impl Machine {
         Machine {
             layout,
             pools,
-            total,
-            free: total,
             running: Vec::new(),
             drains: Vec::new(),
             agg,
@@ -173,25 +156,25 @@ impl Machine {
     /// Total node count.
     #[inline]
     pub fn total_nodes(&self) -> u32 {
-        self.total
+        self.profile().total()
     }
 
     /// Currently free node count, summed over all pools.
     #[inline]
     pub fn free_nodes(&self) -> u32 {
-        self.free
+        self.profile().free_nodes()
     }
 
     /// Size of one class pool.
     #[inline]
     pub fn total_in(&self, class: ClassId) -> u32 {
-        self.pools[class.index()].total
+        self.pools[class.index()].total()
     }
 
     /// Free nodes in one class pool.
     #[inline]
     pub fn free_in(&self, class: ClassId) -> u32 {
-        self.pools[class.index()].free
+        self.pools[class.index()].free_nodes()
     }
 
     /// Jobs currently running (arbitrary order).
@@ -204,13 +187,13 @@ impl Machine {
     /// anywhere on the machine.
     #[inline]
     pub fn fits(&self, nodes: u32) -> bool {
-        nodes <= self.free
+        nodes <= self.free_nodes()
     }
 
     /// Whether `nodes` nodes of `class` are available right now.
     #[inline]
     pub fn fits_in(&self, class: ClassId, nodes: u32) -> bool {
-        nodes <= self.pools[class.index()].free
+        nodes <= self.free_in(class)
     }
 
     /// Resolve a request's hardware attributes to the one class pool that
@@ -242,14 +225,14 @@ impl Machine {
     pub fn profile(&self) -> &LiveProfile {
         match &self.agg {
             Some(agg) => agg,
-            None => &self.pools[0].profile,
+            None => &self.pools[0],
         }
     }
 
     /// The future-availability calendar of one class pool.
     #[inline]
     pub fn class_profile(&self, class: ClassId) -> &LiveProfile {
-        &self.pools[class.index()].profile
+        &self.pools[class.index()]
     }
 
     fn check_class(&self, class: ClassId) -> Result<(), MachineError> {
@@ -279,20 +262,15 @@ impl Machine {
         assert!(nodes > 0, "zero-node drain is meaningless");
         self.check_class(class)?;
         let pool = &mut self.pools[class.index()];
-        if nodes > pool.free {
-            return Err(MachineError::DrainOvercommit {
-                nodes,
-                free: pool.free,
-            });
+        let free = pool.free_nodes();
+        if nodes > free {
+            return Err(MachineError::DrainOvercommit { nodes, free });
         }
-        pool.free -= nodes;
-        pool.profile.on_start(nodes, until);
-        self.free -= nodes;
+        pool.on_start(nodes, until);
         if let Some(agg) = &mut self.agg {
             agg.on_start(nodes, until);
         }
         self.drains.push(Some((class, nodes, until)));
-        self.debug_check();
         Ok(DrainToken(self.drains.len() - 1))
     }
 
@@ -306,14 +284,10 @@ impl Machine {
             .and_then(Option::take)
             .ok_or(MachineError::DrainNotActive)?;
         let (class, nodes, until) = slot;
-        let pool = &mut self.pools[class.index()];
-        pool.free += nodes;
-        pool.profile.on_finish(nodes, until);
-        self.free += nodes;
+        self.pools[class.index()].on_finish(nodes, until);
         if let Some(agg) = &mut self.agg {
             agg.on_finish(nodes, until);
         }
-        self.debug_check();
         Ok(nodes)
     }
 
@@ -344,16 +318,11 @@ impl Machine {
         }
         self.check_class(class)?;
         let pool = &mut self.pools[class.index()];
-        if nodes > pool.free {
-            return Err(MachineError::Overcommit {
-                id,
-                nodes,
-                free: pool.free,
-            });
+        let free = pool.free_nodes();
+        if nodes > free {
+            return Err(MachineError::Overcommit { id, nodes, free });
         }
-        pool.free -= nodes;
-        pool.profile.on_start(nodes, projected_end);
-        self.free -= nodes;
+        pool.on_start(nodes, projected_end);
         if let Some(agg) = &mut self.agg {
             agg.on_start(nodes, projected_end);
         }
@@ -364,7 +333,6 @@ impl Machine {
             start: now,
             projected_end,
         });
-        self.debug_check();
         Ok(())
     }
 
@@ -379,26 +347,11 @@ impl Machine {
             .position(|s| s.id == id)
             .ok_or(MachineError::NotRunning(id))?;
         let slot = self.running.swap_remove(idx);
-        let pool = &mut self.pools[slot.class.index()];
-        pool.free += slot.nodes;
-        pool.profile.on_finish(slot.nodes, slot.projected_end);
-        self.free += slot.nodes;
+        self.pools[slot.class.index()].on_finish(slot.nodes, slot.projected_end);
         if let Some(agg) = &mut self.agg {
             agg.on_finish(slot.nodes, slot.projected_end);
         }
-        self.debug_check();
         Ok(slot)
-    }
-
-    #[inline]
-    fn debug_check(&self) {
-        debug_assert_eq!(self.pools.iter().map(|p| p.free).sum::<u32>(), self.free);
-        for p in &self.pools {
-            debug_assert_eq!(p.profile.free_nodes(), p.free);
-        }
-        if let Some(agg) = &self.agg {
-            debug_assert_eq!(agg.free_nodes(), self.free);
-        }
     }
 }
 

@@ -671,6 +671,48 @@ mod tests {
     }
 
     #[test]
+    fn max_job_id_runs_cancels_and_frees_its_nodes() {
+        let max = JobId(u32::MAX);
+        let job = |id, submit, nodes| {
+            JobBuilder::new(id)
+                .submit(submit)
+                .nodes(nodes)
+                .requested(10)
+                .runtime(10)
+                .build()
+        };
+        let run = |live: &mut LiveSim, counter: &mut Counter| {
+            let mut fcfs = TestFcfs::new();
+            while live.step(&mut fcfs, None, false, &mut [counter]).is_some() {}
+        };
+        // Left alone, it finishes and a machine-wide job follows.
+        let mut live = LiveSim::new(16);
+        let mut counter = Counter::default();
+        live.add_job(job(max, 0, 1));
+        live.add_job(job(JobId(0), 5, 16));
+        run(&mut live, &mut counter);
+        assert_eq!((counter.submitted, counter.finished), (2, 2));
+        assert_eq!(live.horizon(), 20);
+        // Cancelled mid-run, it is a running cancellation and its node
+        // returns at once.
+        let mut live = LiveSim::new(16);
+        let mut counter = Counter::default();
+        live.add_job(job(max, 0, 1));
+        live.push_cancel(5, max);
+        run(&mut live, &mut counter);
+        assert_eq!(
+            live.fault_log(),
+            &[FaultOutcome::Cancelled {
+                id: max,
+                at: 5,
+                phase: CancelPhase::Running
+            }]
+        );
+        assert_eq!(live.machine().free_nodes(), 16);
+        assert_eq!((counter.cancelled, counter.finished), (1, 0));
+    }
+
+    #[test]
     fn cancel_of_running_job_emits_truncated_outcome() {
         let w = Workload::new(
             "t",

@@ -182,11 +182,6 @@ impl Controller {
         })
     }
 
-    /// Label of the row the controller believes the daemon runs.
-    pub fn current_label(&self) -> &str {
-        &self.labels[self.current]
-    }
-
     /// The streamable objective tags the controller steers by.
     pub fn observed_objectives(&self) -> &[String] {
         &self.obs_tags
@@ -384,7 +379,7 @@ mod tests {
         let a = atlas();
         let f = fit_for(&a);
         let mut c = Controller::new(&a, &f, "ctc", "fcfs+none", cfg()).unwrap();
-        assert_eq!(c.current_label(), "fcfs+none");
+        assert_eq!(c.labels[c.current], "fcfs+none");
         // First observation: baseline only, never a decision.
         assert_eq!(c.observe(0, &snap(0, 0.0)), None);
         // Too few completions in window.
@@ -393,7 +388,7 @@ mod tests {
         // sjf+easy would cut the dominant axis by 60%.
         let to = c.observe(200, &snap(10, 95.0));
         assert_eq!(to.as_deref(), Some("sjf+easy"));
-        assert_eq!(c.current_label(), "sjf+easy");
+        assert_eq!(c.labels[c.current], "sjf+easy");
         assert_eq!(c.switches.len(), 1);
         let sw = &c.switches[0];
         assert_eq!((sw.at, sw.from.as_str()), (200, "fcfs+none"));

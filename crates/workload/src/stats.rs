@@ -110,51 +110,6 @@ pub fn percentile(data: &mut [f64], p: f64) -> f64 {
     data[rank.min(data.len() - 1)]
 }
 
-/// Fixed-width histogram over `[lo, hi)` with overflow/underflow clamped to
-/// the edge bins.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-}
-
-impl Histogram {
-    /// New histogram with `bins` equal-width buckets over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo < hi && bins > 0);
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        let bins = self.counts.len();
-        let t = (x - self.lo) / (self.hi - self.lo);
-        let idx = ((t * bins as f64).floor() as i64).clamp(0, bins as i64 - 1) as usize;
-        self.counts[idx] += 1;
-    }
-
-    /// Raw bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total observation count.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Normalised bucket frequencies.
-    pub fn frequencies(&self) -> Vec<f64> {
-        let total = self.total().max(1) as f64;
-        self.counts.iter().map(|&c| c as f64 / total).collect()
-    }
-}
-
 /// Per-workload characterisation used for §6.2 consistency checks.
 #[derive(Clone, Debug)]
 pub struct WorkloadStats {
@@ -293,19 +248,6 @@ mod tests {
     fn percentile_empty_is_nan() {
         let mut data: Vec<f64> = vec![];
         assert!(percentile(&mut data, 50.0).is_nan());
-    }
-
-    #[test]
-    fn histogram_clamps_outliers() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.push(-100.0);
-        h.push(0.5);
-        h.push(9.9);
-        h.push(100.0);
-        assert_eq!(h.counts(), &[2, 0, 0, 0, 2]);
-        assert_eq!(h.total(), 4);
-        let f = h.frequencies();
-        assert!((f[0] - 0.5).abs() < 1e-12);
     }
 
     #[test]

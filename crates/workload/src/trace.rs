@@ -202,16 +202,6 @@ impl Workload {
         self.layout = None;
     }
 
-    /// Shift all submission times so the first job arrives at `origin`.
-    pub fn rebase(&mut self, origin: Time) {
-        let Some(first) = self.jobs.first().map(|j| j.submit) else {
-            return;
-        };
-        for j in &mut self.jobs {
-            j.submit = j.submit - first + origin;
-        }
-    }
-
     /// Keep only jobs submitted in `[from, to)`.
     pub fn window(&mut self, from: Time, to: Time) {
         self.jobs.retain(|j| j.submit >= from && j.submit < to);
@@ -393,15 +383,6 @@ mod tests {
         for (i, j) in w.jobs().iter().enumerate() {
             assert_eq!(j.id.index(), i);
         }
-    }
-
-    #[test]
-    fn rebase_shifts_to_origin() {
-        let mut w = wl();
-        w.rebase(0);
-        assert_eq!(w.jobs()[0].submit, 0);
-        assert_eq!(w.jobs()[1].submit, 20);
-        assert_eq!(w.jobs()[2].submit, 40);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 use jobsched::algos::spec::PolicyKind;
 use jobsched::algos::view::WeightScheme;
 use jobsched::algos::{AlgorithmSpec, BackfillMode};
-use jobsched::metrics::{AvgResponseTime, AvgWeightedResponseTime, Objective};
+use jobsched::core::objective_select::ObjectiveKind;
+use jobsched::metrics::Objective;
 use jobsched::sim::simulate;
 use jobsched::workload::ctc::prepared_ctc_workload;
 use jobsched::workload::stats::WorkloadStats;
@@ -32,8 +33,8 @@ fn main() {
     assert!(outcome.schedule.validate(&workload).is_empty());
 
     // 4. Evaluate under both §4 objectives.
-    let art = AvgResponseTime.cost(&workload, &outcome.schedule);
-    let awrt = AvgWeightedResponseTime.cost(&workload, &outcome.schedule);
+    let art = ObjectiveKind::AvgResponseTime.cost(&workload, &outcome.schedule);
+    let awrt = ObjectiveKind::AvgWeightedResponseTime.cost(&workload, &outcome.schedule);
     println!("scheduler            : {}", spec.name());
     println!("jobs                 : {}", workload.len());
     println!("events processed     : {}", outcome.events);

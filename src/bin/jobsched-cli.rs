@@ -18,8 +18,9 @@
 use jobsched::algos::spec::PolicyKind;
 use jobsched::algos::view::WeightScheme;
 use jobsched::algos::{AlgorithmSpec, BackfillMode};
+use jobsched::core::objective_select::ObjectiveKind;
 use jobsched::metrics::fairness::{user_fairness, worst_to_mean};
-use jobsched::metrics::{AvgResponseTime, AvgWeightedResponseTime, Objective};
+use jobsched::metrics::Objective;
 use jobsched::sim::simulate;
 use jobsched::workload::archive::{clean, SwfHeader};
 use jobsched::workload::ctc::CtcModel;
@@ -119,11 +120,11 @@ fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
     println!("machine nodes       : {}", workload.machine_nodes());
     println!(
         "avg response time   : {:.1} s",
-        AvgResponseTime.cost(&workload, s)
+        ObjectiveKind::AvgResponseTime.cost(&workload, s)
     );
     println!(
         "avg weighted resp.  : {:.4e}",
-        AvgWeightedResponseTime.cost(&workload, s)
+        ObjectiveKind::AvgWeightedResponseTime.cost(&workload, s)
     );
     println!(
         "makespan            : {:.2} days",

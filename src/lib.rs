@@ -16,7 +16,8 @@
 //!
 //! ```
 //! use jobsched::algos::{spec::PolicyKind, view::WeightScheme, AlgorithmSpec, BackfillMode};
-//! use jobsched::metrics::{AvgResponseTime, AvgWeightedResponseTime, Objective};
+//! use jobsched::core::objective_select::ObjectiveKind;
+//! use jobsched::metrics::Objective;
 //! use jobsched::sim::simulate;
 //! use jobsched::workload::ctc::prepared_ctc_workload;
 //!
@@ -25,8 +26,8 @@
 //! let outcome = simulate(&workload, &mut spec.build(WeightScheme::Unweighted));
 //!
 //! assert!(outcome.schedule.validate(&workload).is_empty());
-//! let art = AvgResponseTime.cost(&workload, &outcome.schedule);
-//! let awrt = AvgWeightedResponseTime.cost(&workload, &outcome.schedule);
+//! let art = ObjectiveKind::AvgResponseTime.cost(&workload, &outcome.schedule);
+//! let awrt = ObjectiveKind::AvgWeightedResponseTime.cost(&workload, &outcome.schedule);
 //! assert!(art > 0.0 && awrt > 0.0);
 //! ```
 //!

@@ -5,8 +5,9 @@
 //! users. This is the scenario the fairness axes were added for: the
 //! aggregate objectives cannot see who absorbs the waiting.
 
+use jobsched::core::objective_select::ObjectiveKind;
+use jobsched::metrics::Objective;
 use jobsched::metrics::{pareto_front, Point};
-use jobsched::metrics::{AvgResponseTime, MaxUserSlowdown, Objective, SlowdownVariance};
 use jobsched::sim::ScheduleRecord;
 use jobsched::workload::{JobBuilder, JobId, Workload};
 
@@ -41,8 +42,8 @@ fn equal_art_schedules_differ_on_per_user_fairness() {
     let (w_skewed, skewed) = scheduled([0, 100, 100, 200]);
     let (w_balanced, balanced) = scheduled([0, 200, 100, 100]);
 
-    let art_skewed = AvgResponseTime.cost(&w_skewed, &skewed);
-    let art_balanced = AvgResponseTime.cost(&w_balanced, &balanced);
+    let art_skewed = ObjectiveKind::AvgResponseTime.cost(&w_skewed, &skewed);
+    let art_balanced = ObjectiveKind::AvgResponseTime.cost(&w_balanced, &balanced);
     assert_eq!(
         art_skewed.to_bits(),
         art_balanced.to_bits(),
@@ -50,16 +51,16 @@ fn equal_art_schedules_differ_on_per_user_fairness() {
     );
     // Slowdown variance is permutation-invariant over jobs: it ties too
     // — per-user fairness is the *only* axis separating these.
-    let var_skewed = SlowdownVariance.cost(&w_skewed, &skewed);
-    let var_balanced = SlowdownVariance.cost(&w_balanced, &balanced);
+    let var_skewed = ObjectiveKind::SlowdownVariance.cost(&w_skewed, &skewed);
+    let var_balanced = ObjectiveKind::SlowdownVariance.cost(&w_balanced, &balanced);
     assert_eq!(var_skewed.to_bits(), var_balanced.to_bits());
 
     // Worst user's mean bounded slowdown: skewed gives user 1 waits
     // {100, 200} (slowdowns {2, 3}, mean 2.5) while balanced hands
     // every user slowdowns with mean 2. Response/runtime = slowdown
     // with these numbers, so skewed = 2.5, balanced = 2.0.
-    let fair_skewed = MaxUserSlowdown.cost(&w_skewed, &skewed);
-    let fair_balanced = MaxUserSlowdown.cost(&w_balanced, &balanced);
+    let fair_skewed = ObjectiveKind::MaxUserSlowdown.cost(&w_skewed, &skewed);
+    let fair_balanced = ObjectiveKind::MaxUserSlowdown.cost(&w_balanced, &balanced);
     assert!(
         fair_balanced < fair_skewed,
         "balanced {fair_balanced} must beat skewed {fair_skewed}"
@@ -79,15 +80,15 @@ fn fairness_axis_breaks_the_pareto_tie() {
         Point::new(
             "skewed",
             vec![
-                AvgResponseTime.cost(&w_skewed, &skewed),
-                MaxUserSlowdown.cost(&w_skewed, &skewed),
+                ObjectiveKind::AvgResponseTime.cost(&w_skewed, &skewed),
+                ObjectiveKind::MaxUserSlowdown.cost(&w_skewed, &skewed),
             ],
         ),
         Point::new(
             "balanced",
             vec![
-                AvgResponseTime.cost(&w_balanced, &balanced),
-                MaxUserSlowdown.cost(&w_balanced, &balanced),
+                ObjectiveKind::AvgResponseTime.cost(&w_balanced, &balanced),
+                ObjectiveKind::MaxUserSlowdown.cost(&w_balanced, &balanced),
             ],
         ),
     ];

@@ -16,7 +16,8 @@
 
 use jobsched::algos::view::WeightScheme;
 use jobsched::algos::AlgorithmSpec;
-use jobsched::metrics::{AvgResponseTime, AvgWeightedResponseTime, Objective};
+use jobsched::core::objective_select::ObjectiveKind;
+use jobsched::metrics::Objective;
 use jobsched::sim::{
     simulate_batch_with_faults, simulate_time_shared, simulate_with_faults, FaultPlan, RigidAdapter,
 };
@@ -25,8 +26,8 @@ use jobsched::workload::Workload;
 
 fn costs(w: &Workload, s: &jobsched::sim::ScheduleRecord) -> (f64, f64) {
     (
-        AvgResponseTime.cost(w, s),
-        AvgWeightedResponseTime.cost(w, s),
+        ObjectiveKind::AvgResponseTime.cost(w, s),
+        ObjectiveKind::AvgWeightedResponseTime.cost(w, s),
     )
 }
 

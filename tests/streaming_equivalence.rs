@@ -3,12 +3,14 @@
 //! priority family (every scoring rule × every backfill mode) — the
 //! streaming pipeline must produce the same schedule as the retained
 //! batch engine loop, and every online accumulator must produce the
-//! same cost — *bit for bit*, not within a tolerance — as its batch
-//! objective over that schedule.
+//! same cost — *bit for bit*, not within a tolerance — live as it does
+//! replayed over that schedule.
 //!
-//! Exactness holds because both paths share one arithmetic: the batch
-//! objectives replay the schedule through the same integer/Q52
-//! accumulators the stream folds events into (see
+//! The columns are every `ObjectiveKind` (its live accumulator against
+//! its `Objective::cost`) plus the makespan and utilization accumulators
+//! `run_cell` folds beside it. Exactness holds because both paths share
+//! one arithmetic: a schedule cost replays the schedule through the same
+//! integer/Q52 accumulators the stream folds events into (see
 //! `jobsched-metrics::streaming`). These tests pin that contract across
 //! the probabilistic workload (inexact estimates: early finishes, the
 //! §5.2 backfilling regime) and the exact-estimate variant (projections
@@ -16,18 +18,24 @@
 
 use jobsched::algos::view::WeightScheme;
 use jobsched::algos::AlgorithmSpec;
+use jobsched::core::objective_select::ObjectiveKind;
 use jobsched::metrics::{
-    AvgBoundedSlowdown, AvgResponseTime, AvgWeightedResponseTime, Makespan, MaxUserSlowdown,
-    Objective, OnlineArt, OnlineAwrt, OnlineBoundedSlowdown, OnlineMakespan, OnlineMaxUserSlowdown,
-    OnlineP95WidthSlowdown, OnlineSlowdownVariance, OnlineSumWeightedCompletion, OnlineUtilization,
-    P95WidthSlowdown, SlowdownVariance, StreamingObjective, StreamingObserver,
-    SumWeightedCompletion, Utilization,
+    replay, Objective, OnlineMakespan, OnlineUtilization, StreamingObjective, StreamingObserver,
 };
 use jobsched::sim::{simulate_batch, SimPipeline};
 use jobsched::workload::ctc::prepared_ctc_workload;
 use jobsched::workload::exact::with_exact_estimates;
 use jobsched::workload::probabilistic::probabilistic_workload;
 use jobsched::workload::{Workload, WorkloadSource};
+
+const KINDS: [ObjectiveKind; 6] = [
+    ObjectiveKind::AvgResponseTime,
+    ObjectiveKind::AvgWeightedResponseTime,
+    ObjectiveKind::AvgBoundedSlowdown,
+    ObjectiveKind::MaxUserSlowdown,
+    ObjectiveKind::P95WidthSlowdown,
+    ObjectiveKind::SlowdownVariance,
+];
 
 fn prob_1k() -> Workload {
     let base = prepared_ctc_workload(500, 1999);
@@ -39,30 +47,18 @@ fn prob_1k() -> Workload {
 /// engine counters.
 fn stream_costs(workload: &Workload, spec: AlgorithmSpec) -> (Vec<f64>, u64, u64, usize) {
     let mut scheduler = spec.build_dyn(WeightScheme::Unweighted, true);
-    let mut art = OnlineArt::new();
-    let mut awrt = OnlineAwrt::new();
-    let mut makespan = OnlineMakespan::new();
-    let mut utilization = OnlineUtilization::new(workload.machine_nodes());
-    let mut slowdown = OnlineBoundedSlowdown::new();
-    let mut sum_wc = OnlineSumWeightedCompletion::new();
-    let mut fair_max = OnlineMaxUserSlowdown::new();
-    let mut fair_p95 = OnlineP95WidthSlowdown::new();
-    let mut fair_var = OnlineSlowdownVariance::new();
+    let mut accumulators: Vec<Box<dyn StreamingObjective>> = KINDS
+        .iter()
+        .map(|k| k.build_streaming() as Box<dyn StreamingObjective>)
+        .collect();
+    accumulators.push(Box::new(OnlineMakespan::new()));
+    accumulators.push(Box::new(OnlineUtilization::new(workload.machine_nodes())));
 
     let mut source = WorkloadSource::new(workload);
-    let accumulators: Vec<&mut dyn StreamingObjective> = vec![
-        &mut art,
-        &mut awrt,
-        &mut makespan,
-        &mut utilization,
-        &mut slowdown,
-        &mut sum_wc,
-        &mut fair_max,
-        &mut fair_p95,
-        &mut fair_var,
-    ];
-    let mut sinks: Vec<StreamingObserver> =
-        accumulators.into_iter().map(StreamingObserver).collect();
+    let mut sinks: Vec<StreamingObserver> = accumulators
+        .iter_mut()
+        .map(|a| StreamingObserver(&mut **a))
+        .collect();
     let mut pipeline = SimPipeline::new(&mut source, &mut *scheduler);
     for sink in &mut sinks {
         pipeline = pipeline.observe(sink);
@@ -72,44 +68,33 @@ fn stream_costs(workload: &Workload, spec: AlgorithmSpec) -> (Vec<f64>, u64, u64
     (costs, out.events, out.decision_rounds, out.peak_queue)
 }
 
-/// The same nine costs, computed batch-style from the finished schedule.
+/// The same eight costs, computed from the finished schedule.
 fn batch_costs(workload: &Workload, spec: AlgorithmSpec) -> (Vec<f64>, u64, u64, usize) {
     let mut scheduler = spec.build_dyn(WeightScheme::Unweighted, true);
     let out = simulate_batch(workload, &mut *scheduler);
-    let objectives: [&dyn Objective; 9] = [
-        &AvgResponseTime,
-        &AvgWeightedResponseTime,
-        &Makespan,
-        &Utilization,
-        &AvgBoundedSlowdown,
-        &SumWeightedCompletion,
-        &MaxUserSlowdown,
-        &P95WidthSlowdown,
-        &SlowdownVariance,
-    ];
-    let costs = objectives
+    let mut costs: Vec<f64> = KINDS
         .iter()
-        .map(|o| o.cost(workload, &out.schedule))
+        .map(|k| k.cost(workload, &out.schedule))
         .collect();
+    let mut makespan = OnlineMakespan::new();
+    let mut utilization = OnlineUtilization::new(workload.machine_nodes());
+    replay(workload, &out.schedule, &mut makespan);
+    replay(workload, &out.schedule, &mut utilization);
+    costs.extend([makespan.cost(), utilization.cost()]);
     (costs, out.events, out.decision_rounds, out.peak_queue)
 }
 
 fn assert_equivalence(workload: &Workload, label: &str) {
-    const NAMES: [&str; 9] = [
-        "ART",
-        "AWRT",
-        "makespan",
-        "neg-utilization",
-        "bounded-slowdown",
-        "sum-wC",
-        "fair-max-user",
-        "fair-p95-width",
-        "fair-variance",
-    ];
+    let names: Vec<String> = KINDS
+        .iter()
+        .map(|k| format!("{k:?}"))
+        .chain(["makespan".into(), "utilization".into()])
+        .collect();
     for spec in AlgorithmSpec::atlas_matrix() {
         let (stream, s_events, s_rounds, s_peak) = stream_costs(workload, spec);
         let (batch, b_events, b_rounds, b_peak) = batch_costs(workload, spec);
-        for ((name, s), b) in NAMES.iter().zip(&stream).zip(&batch) {
+        assert_eq!((stream.len(), batch.len()), (names.len(), names.len()));
+        for ((name, s), b) in names.iter().zip(&stream).zip(&batch) {
             assert_eq!(
                 s.to_bits(),
                 b.to_bits(),
