@@ -12,7 +12,8 @@
 use jobsched_algos::spec::PolicyKind;
 use jobsched_algos::view::WeightScheme;
 use jobsched_algos::{AlgorithmSpec, BackfillMode};
-use jobsched_sim::{simulate_batch_with_faults, simulate_with_faults, FaultPlan, PreemptFault};
+use jobsched_oracle::simulate_batch_with_faults;
+use jobsched_sim::{simulate_with_faults, FaultPlan, PreemptFault};
 use jobsched_workload::{JobBuilder, JobId, Workload};
 
 fn reproducer() -> (Workload, FaultPlan) {

@@ -15,9 +15,8 @@
 use jobsched_algos::spec::PolicyKind;
 use jobsched_algos::view::WeightScheme;
 use jobsched_algos::{AlgorithmSpec, BackfillMode, ScoreFn};
-use jobsched_sim::{
-    simulate_batch_with_faults, simulate_with_faults, CancelFault, DrainFault, FaultPlan,
-};
+use jobsched_oracle::simulate_batch_with_faults;
+use jobsched_sim::{simulate_with_faults, CancelFault, DrainFault, FaultPlan};
 use jobsched_workload::rng::{derive_seed, Rng, SmallRng};
 use jobsched_workload::{
     Job, JobBuilder, JobId, MachineLayout, NodeClassSpec, NodeType, Time, Workload,

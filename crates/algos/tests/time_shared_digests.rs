@@ -11,8 +11,9 @@
 
 use jobsched_algos::view::WeightScheme;
 use jobsched_algos::{AlgorithmSpec, BackfillMode, DfrsScheduler, MoldableScheduler};
+use jobsched_oracle::RigidAdapter;
 use jobsched_sim::gang::{GangConfig, GangFcfsTs};
-use jobsched_sim::{simulate_time_shared, RigidAdapter, TimeSharedScheduler};
+use jobsched_sim::{simulate_time_shared, TimeSharedScheduler};
 use jobsched_workload::ctc::prepared_ctc_workload;
 use jobsched_workload::{synthesize_moldable, Workload};
 

@@ -37,13 +37,14 @@
 //! cancellation phases, FCFS start monotonicity, and an independent
 //! recomputation of ART/AWRT against `jobsched-metrics`.
 
+use crate::batch::simulate_batch_with_faults;
+use crate::profile::from_machine;
 use crate::scenario::Scenario;
 use jobsched_algos::spec::PolicyKind;
 use jobsched_algos::{BackfillMode, ScoreFn};
 use jobsched_metrics::{replay, OnlineArt, OnlineAwrt, StreamingObjective};
 use jobsched_sim::{
-    simulate_batch_with_faults, simulate_with_faults, CancelPhase, FaultOutcome, JobRequest,
-    Machine, Profile, Scheduler, SimOutcome,
+    simulate_with_faults, CancelPhase, FaultOutcome, JobRequest, Machine, Scheduler, SimOutcome,
 };
 use jobsched_workload::{ClassId, JobId, MachineLayout, Time, Workload};
 
@@ -275,7 +276,7 @@ impl<'a> OracleScheduler<'a> {
         }
         let Some(head) = head else { return picks };
 
-        let mut profile = Profile::from_machine(machine, now);
+        let mut profile = from_machine(machine, None, now);
         for &i in &picks {
             let (nodes, dur) = self.job(i);
             profile.reserve(nodes, now, dur);
@@ -314,7 +315,7 @@ impl<'a> OracleScheduler<'a> {
         machine: &Machine,
         order: &[usize],
     ) -> (Vec<usize>, Vec<(usize, Time)>) {
-        let mut profile = Profile::from_machine(machine, now);
+        let mut profile = from_machine(machine, None, now);
         let mut picks = Vec::new();
         let mut booked = Vec::new();
         for &i in order {
@@ -500,9 +501,8 @@ pub fn check_scenario(scenario: &Scenario) -> Vec<String> {
     violations
 }
 
-/// Batch-vs-stream differential: replay the scenario through the
-/// retained monolithic engine loop
-/// ([`jobsched_sim::simulate_batch_with_faults`]) *and* the streaming
+/// Batch-vs-stream differential: replay the scenario through the batch
+/// reference loop ([`simulate_batch_with_faults`]) *and* the streaming
 /// pipeline behind [`jobsched_sim::simulate_with_faults`], each with a
 /// fresh scheduler instance, and demand identical outcomes — schedule,
 /// fault log, event and decision-round counts, peak queue depth

@@ -51,7 +51,7 @@
 //! ([`crate::replica`]); the engine is the only writer.
 
 use crate::clock::Clock;
-use crate::log::{check_horizon, InputLog, InputOp, InputRecord};
+use crate::log::{check_horizon, check_width, InputLog, InputOp, InputRecord};
 use crate::protocol::{self, PolicyForce, Request};
 use crate::{SchedulerSpec, ServeConfig, ServeSched};
 use jobsched_algos::AlgorithmSpec;
@@ -484,14 +484,8 @@ impl Engine {
             self.rejected += 1;
             return rejected("draining", "daemon is draining; not admitting new jobs");
         }
-        if nodes > self.config.machine_nodes {
-            return protocol::error(
-                "invalid",
-                format!(
-                    "job needs {nodes} nodes but the machine has {}",
-                    self.config.machine_nodes
-                ),
-            );
+        if let Err(e) = check_width(nodes, self.config.machine_nodes) {
+            return protocol::error("invalid", e);
         }
         let backlog = self.store.waiting.len() + self.pending.len();
         if backlog >= self.config.queue_bound {

@@ -19,7 +19,8 @@
 //! out, the `restore` op and the `--restore` file coming in. Everything
 //! between — the engine, promotion, replay — handles typed records.
 //! Decoding is where outside input is checked: [`InputLog::from_json`]
-//! validates the whole document before any engine state is touched.
+//! validates the whole document before any engine state is touched, and
+//! refuses every submission the `submit` op would refuse.
 
 use crate::protocol::PolicyForce;
 use crate::ServeConfig;
@@ -91,10 +92,11 @@ impl InputLog {
 
     /// Decode a `serve-checkpoint/1` document taken from a daemon
     /// configured as `config`. The document is outside input: schema,
-    /// scheduler label and machine size must match, and every record
-    /// must carry its fields in range — all checked here, so a document
-    /// that decodes can be replayed and one that does not has touched
-    /// nothing.
+    /// scheduler label and machine size must match, every record must
+    /// carry its fields in range, and every submission must be one the
+    /// `submit` op admits, under an id no earlier submission used — all
+    /// checked here, so a document that decodes can be replayed and one
+    /// that does not has touched nothing.
     pub fn from_json(config: &ServeConfig, state: &Json) -> Result<InputLog, String> {
         let schema = state
             .get("schema")
@@ -141,8 +143,16 @@ impl InputLog {
             .and_then(|v| v.as_arr())
             .ok_or("checkpoint has no inputs")?;
         let mut records = Vec::with_capacity(inputs.len());
+        let mut ids = std::collections::BTreeSet::new();
         for (i, rec) in inputs.iter().enumerate() {
-            records.push(parse_record(rec).map_err(|e| format!("input {i}: {e}"))?);
+            let rec =
+                parse_record(rec, config.machine_nodes).map_err(|e| format!("input {i}: {e}"))?;
+            if let InputOp::Submit(job) = &rec.op {
+                if !ids.insert(job.id) {
+                    return Err(format!("input {i}: job id {} already used", job.id.0));
+                }
+            }
+            records.push(rec);
         }
         Ok(InputLog {
             records,
@@ -153,10 +163,45 @@ impl InputLog {
     }
 }
 
+/// Refuse a job the `submit` op refuses — the per-job rules of both
+/// doors for submissions, in one place. A decoded checkpoint, whose
+/// replay admits records directly, applies them all here; the `submit`
+/// op applies each where it always has, so a request is refused for the
+/// same reason and with the same reply as ever: [`check_positive`]
+/// while it parses, [`check_width`] before the admission bound,
+/// [`check_horizon`] once the job has its id.
+pub(crate) fn check_job(job: &Job, machine_nodes: u32) -> Result<(), String> {
+    check_positive(job.nodes, job.requested_time, job.runtime)?;
+    check_width(job.nodes, machine_nodes)?;
+    check_horizon(job)
+}
+
+/// Refuse a job with no node, no requested time or no runtime.
+pub(crate) fn check_positive(nodes: u32, requested: Time, runtime: Time) -> Result<(), String> {
+    if nodes == 0 {
+        return Err("a job needs at least one node".into());
+    }
+    if requested == 0 {
+        return Err("requested time must be positive".into());
+    }
+    if runtime == 0 {
+        return Err("runtime must be positive".into());
+    }
+    Ok(())
+}
+
+/// Refuse a job wider than the machine.
+pub(crate) fn check_width(nodes: u32, machine_nodes: u32) -> Result<(), String> {
+    if nodes > machine_nodes {
+        return Err(format!(
+            "job needs {nodes} nodes but the machine has {machine_nodes}"
+        ));
+    }
+    Ok(())
+}
+
 /// Refuse a job whose run could reach [`HORIZON`], the calendar's
 /// "never": its finish and calendar instants would overflow [`Time`].
-/// Both doors for submissions apply it — the `submit` op and a decoded
-/// checkpoint, whose replay admits records directly.
 pub(crate) fn check_horizon(job: &Job) -> Result<(), String> {
     let span = job.requested_time.max(job.runtime);
     if job.submit.saturating_add(span) >= HORIZON {
@@ -196,7 +241,7 @@ fn record_json(rec: &InputRecord) -> Json {
     Json::obj(pairs)
 }
 
-fn parse_record(rec: &Json) -> Result<InputRecord, String> {
+fn parse_record(rec: &Json, machine_nodes: u32) -> Result<InputRecord, String> {
     let at = rec
         .get("at")
         .and_then(|v| v.as_u64())
@@ -226,7 +271,7 @@ fn parse_record(rec: &Json) -> Result<InputRecord, String> {
                 .runtime(time_of("runtime")?)
                 .user(u32_of("user")?)
                 .build();
-            check_horizon(&job)?;
+            check_job(&job, machine_nodes)?;
             InputOp::Submit(job)
         }
         "cancel" => InputOp::Cancel(JobId(u32_of("id")?)),
@@ -421,6 +466,30 @@ mod tests {
                 "input 8: unknown input op 'reboot'",
                 tampered(r#""op":"set-scheduler""#, r#""op":"reboot""#),
             ),
+            // Submissions the `submit` op would refuse.
+            (
+                "input 2: job needs 17 nodes but the machine has 16",
+                tampered(
+                    r#""nodes":4,"requested":30"#,
+                    r#""nodes":17,"requested":30"#,
+                ),
+            ),
+            (
+                "input 1: job id 0 already used",
+                tampered(r#""id":1,"submit":10"#, r#""id":0,"submit":10"#),
+            ),
+            (
+                "input 3: a job needs at least one node",
+                tampered(r#""nodes":4,"requested":20"#, r#""nodes":0,"requested":20"#),
+            ),
+            (
+                "input 3: requested time must be positive",
+                tampered(r#""requested":20"#, r#""requested":0"#),
+            ),
+            (
+                "input 4: runtime must be positive",
+                tampered(r#""runtime":40"#, r#""runtime":0"#),
+            ),
         ];
         let mut engine = Engine::new(config(1));
         for (complaint, state) in cases {
@@ -442,7 +511,7 @@ mod tests {
                 "{reply:?}"
             );
         }
-        // Eight refusals later the engine is still fresh: the good
+        // Thirteen refusals later the engine is still fresh: the good
         // document restores and reproduces the golden checkpoint.
         let state = tampered("", "");
         let reply = engine.handle(Request::Restore { state }).0;

@@ -205,15 +205,7 @@ pub fn parse_request(j: &Json) -> Result<Request, String> {
             let nodes = u32_field(j, "nodes")?;
             let requested = time_field(j, "requested")?;
             let runtime = time_field(j, "runtime")?;
-            if nodes == 0 {
-                return Err("a job needs at least one node".into());
-            }
-            if requested == 0 {
-                return Err("requested time must be positive".into());
-            }
-            if runtime == 0 {
-                return Err("runtime must be positive".into());
-            }
+            crate::log::check_positive(nodes, requested, runtime)?;
             Ok(Request::Submit {
                 id: opt_u32(j, "id")?,
                 at: opt_time(j, "at")?,

@@ -194,3 +194,43 @@ fn restore_flag_loads_a_checkpoint_larger_than_a_request_line() {
     assert!(!stderr.contains("listening on"), "{stderr}");
     let _ = std::fs::remove_file(&file);
 }
+
+/// A checkpoint the `submit` op could never have produced — here a job
+/// wider than the machine — is refused while decoding: exit 1 with
+/// `restore failed`, never a panic during replay, never a port.
+#[test]
+fn restore_flag_refuses_a_job_wider_than_the_machine() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let file = dir.join(format!("restore-wide-{}.json", std::process::id()));
+    std::fs::write(
+        &file,
+        r#"{"schema":"serve-checkpoint/1","scheduler":"fcfs+easy","machine_nodes":16,"now":10,"draining":false,"next_auto_id":1,"inputs":[{"at":0,"op":"submit","id":0,"submit":0,"nodes":17,"requested":10,"runtime":10,"user":0}]}"#,
+    )
+    .expect("write checkpoint");
+    let out = Command::new(env!("CARGO_BIN_EXE_jobsched-serve"))
+        .args([
+            "--listen",
+            "127.0.0.1:0",
+            "--virtual",
+            "--scheduler",
+            "fcfs+easy",
+        ])
+        .args([
+            "--nodes",
+            "16",
+            "--restore",
+            file.to_str().expect("utf-8 path"),
+        ])
+        .output()
+        .expect("jobsched-serve runs");
+    let _ = std::fs::remove_file(&file);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("restore failed"), "{stderr}");
+    assert!(
+        stderr.contains("job needs 17 nodes but the machine has 16"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("listening on"), "{stderr}");
+}

@@ -56,8 +56,8 @@ impl Default for GangConfig {
 /// monolithic reference loop (per-job completion, makespan, peak
 /// contexts); comments below that mention "the monolithic loop" refer
 /// to that reference. The run additionally yields a full
-/// [`crate::ScheduleRecord`] whose segment union is auditable with
-/// [`crate::check_segments`].
+/// [`crate::ScheduleRecord`] whose segment union is auditable with the
+/// oracle's `check_segments`.
 #[derive(Debug)]
 pub struct GangFcfsTs {
     slice: Time,

@@ -21,8 +21,9 @@
 //!   can re-audit a finished schedule against its workload (capacity sweep,
 //!   start-after-submit, runtime truncation) — used heavily by the property
 //!   tests.
-//! * **Scheduler cost accounting.** The engine meters wall-clock time spent
-//!   inside scheduler callbacks, which is what Tables 7 and 8 compare.
+//! * **Scheduler cost accounting.** The event loop meters wall-clock time
+//!   spent inside scheduler callbacks, which is what Tables 7 and 8
+//!   compare.
 //! * **Fault injection.** [`simulate_with_faults`] drives the same loop
 //!   while injecting job cancellations, node drains and forced
 //!   preemptions from an [`engine::FaultPlan`] — the adversarial
@@ -31,20 +32,21 @@
 //!   fault did so external checkers can audit the schedule against it.
 //! * **Incremental availability.** The machine carries a persistent
 //!   [`profile::LiveProfile`] — the future-availability calendar updated in
-//!   O(log R) per job event — so backfilling schedulers no longer rebuild
-//!   the step function from the running set on every decision. Scratch
+//!   O(log R) per job event — so backfilling schedulers never rebuild
+//!   the step function from the running set on a decision. Scratch
 //!   [`profile::Profile`] snapshots (linear merge, no sort) serve the scans
-//!   that overlay reservations; the from-scratch
-//!   [`profile::Profile::from_machine`] is the brute-force reference the
-//!   differential tests and the oracle compare the calendar against.
+//!   that overlay reservations.
 //! * **One event loop.** [`live::LiveSim`] runs every scheduler: the
 //!   bounded-memory [`pipeline::SimPipeline`] (which pulls jobs from a
 //!   [`jobsched_workload::JobSource`] and retires completed-job state),
 //!   the daemon, the metascheduler, and the time-shared schedulers of
 //!   [`tshare`]. [`simulate`], [`simulate_with_faults`] and
-//!   [`simulate_time_shared`] are thin wrappers over it; the old
-//!   monolithic loop survives as [`engine::simulate_batch_with_faults`],
-//!   the differential baseline.
+//!   [`simulate_time_shared`] are thin wrappers over it.
+//!
+//! The references this crate is checked against — the monolithic batch
+//! loop, the brute-force profile rebuild, the segment audit and the
+//! rigid-to-time-shared adapter — live in `jobsched-oracle`, which the
+//! integration tests under `tests/` use as a dev-dependency.
 
 pub mod engine;
 pub mod event;
@@ -58,8 +60,8 @@ pub mod segment;
 pub mod tshare;
 
 pub use engine::{
-    simulate_batch, simulate_batch_with_faults, CancelFault, CancelPhase, DrainFault, FaultOutcome,
-    FaultPlan, JobRequest, PreemptFault, Scheduler, SimOutcome,
+    CancelFault, CancelPhase, DrainFault, FaultOutcome, FaultPlan, JobRequest, PreemptFault,
+    Scheduler, SimOutcome,
 };
 pub use live::LiveSim;
 pub use machine::{DrainToken, Machine, RunningSlot};
@@ -69,5 +71,5 @@ pub use pipeline::{
 };
 pub use profile::{LiveProfile, Profile};
 pub use schedule::{JobPlacement, ScheduleRecord};
-pub use segment::{check_segments, Segment, SegmentViolation};
-pub use tshare::{simulate_time_shared, Action, RigidAdapter, TimeSharedScheduler, TsJobView};
+pub use segment::Segment;
+pub use tshare::{simulate_time_shared, Action, TimeSharedScheduler, TsJobView};

@@ -20,8 +20,8 @@
 //!
 //! Within one step, events at the same instant are processed in the
 //! [`Event`] variant order (finishes before submissions before
-//! cancellations), exactly as the batch engine orders them; the
-//! scheduler's decision rounds run after the whole batch.
+//! cancellations), exactly as the oracle's batch reference loop orders
+//! them; the scheduler's decision rounds run after the whole batch.
 
 use crate::engine::{CancelPhase, DrainFault, FaultOutcome, JobRequest, PreemptFault, Scheduler};
 use crate::event::{Event, EventQueue};
@@ -131,7 +131,7 @@ impl InFlight {
 /// Lifecycle bookkeeping is bounded: `staged` holds jobs whose submit
 /// event is queued but not yet processed, `alive` holds submitted jobs
 /// until they retire, `cancelled` is O(#faults), and `submitted_below`
-/// is a watermark standing in for the batch engine's dense `submitted`
+/// is a watermark standing in for the batch loop's dense `submitted`
 /// bitmap (valid because pipeline sources submit in dense id order; the
 /// daemon additionally consults `staged` for sparse ids).
 pub struct LiveSim {
@@ -209,7 +209,7 @@ impl LiveSim {
 
     /// Register a node-drain fault: capacity shrinks at `d.at`, returns
     /// at `d.until`. Degenerate windows (`until <= at`) are recorded but
-    /// never fire, matching the batch engine.
+    /// never fire, matching the batch reference loop.
     pub fn plan_drain(&mut self, d: DrainFault) {
         assert!(
             d.class.index() < self.machine.class_count(),
@@ -302,7 +302,7 @@ impl LiveSim {
     /// left to happen.
     ///
     /// Panics on scheduler contract violations (invalid starts, double
-    /// placements, deadlock), exactly like the batch engine.
+    /// placements, deadlock), exactly like the batch reference loop.
     pub fn step(
         &mut self,
         scheduler: &mut dyn Scheduler,
@@ -613,7 +613,7 @@ impl LiveSim {
             scheduler.name()
         );
         let inf = self.alive.get_mut(&id).unwrap_or_else(|| {
-            // A retired (finished) id replays the batch engine's
+            // A retired (finished) id replays the batch loop's
             // double-placement panic; a never-seen id is a contract
             // violation of its own.
             if u64::from(id.0) < self.submitted_below {

@@ -35,7 +35,7 @@ pub struct RunningSlot {
     pub projected_end: Time,
 }
 
-/// Receipt for an active node drain: returned by [`Machine::drain`],
+/// Receipt for an active node drain: returned by [`Machine::drain_in`],
 /// consumed by [`Machine::undrain`]. Not copyable — each drain can be
 /// released exactly once.
 #[derive(Debug, PartialEq, Eq)]
@@ -183,19 +183,6 @@ impl Machine {
         &self.running
     }
 
-    /// Whether a partition of `nodes` nodes is available right now,
-    /// anywhere on the machine.
-    #[inline]
-    pub fn fits(&self, nodes: u32) -> bool {
-        nodes <= self.free_nodes()
-    }
-
-    /// Whether `nodes` nodes of `class` are available right now.
-    #[inline]
-    pub fn fits_in(&self, class: ClassId, nodes: u32) -> bool {
-        nodes <= self.free_in(class)
-    }
-
     /// Resolve a request's hardware attributes to the one class pool that
     /// will host it, or `None` when no pool ever can.
     #[inline]
@@ -206,11 +193,6 @@ impl Machine {
         nodes: u32,
     ) -> Option<ClassId> {
         self.layout.resolve(node_type, memory_mb, nodes)
-    }
-
-    /// Active drains as `(nodes, expected return time)`.
-    pub fn drains(&self) -> impl Iterator<Item = (u32, Time)> + '_ {
-        self.drains.iter().flatten().map(|&(_, n, t)| (n, t))
     }
 
     /// Active drains with their class: `(class, nodes, expected return)`.
@@ -240,12 +222,6 @@ impl Machine {
             return Err(MachineError::NoSuchClass(class));
         }
         Ok(())
-    }
-
-    /// Take `nodes` free nodes of class 0 out of service until
-    /// (projectedly) `until` — the homogeneous-machine entry point.
-    pub fn drain(&mut self, nodes: u32, until: Time) -> Result<DrainToken, MachineError> {
-        self.drain_in(ClassId(0), nodes, until)
     }
 
     /// Take `nodes` free nodes of one class out of service until
@@ -366,13 +342,10 @@ mod tests {
         m.start(JobId(0), 100, 0, 50).unwrap();
         m.start(JobId(1), 156, 0, 70).unwrap();
         assert_eq!(m.free_nodes(), 0);
-        assert!(!m.fits(1));
         let slot = m.finish(JobId(0)).unwrap();
         assert_eq!(slot.nodes, 100);
         assert_eq!(slot.class, ClassId(0));
         assert_eq!(m.free_nodes(), 100);
-        assert!(m.fits(100));
-        assert!(!m.fits(101));
     }
 
     #[test]
@@ -440,15 +413,18 @@ mod tests {
     fn drain_and_undrain_track_capacity() {
         let mut m = Machine::new(64);
         m.start(JobId(0), 16, 0, 100).unwrap();
-        let t = m.drain(40, 500).unwrap();
+        let t = m.drain_in(ClassId(0), 40, 500).unwrap();
         assert_eq!(m.free_nodes(), 8);
-        assert_eq!(m.drains().collect::<Vec<_>>(), vec![(40, 500)]);
+        assert_eq!(
+            m.class_drains().collect::<Vec<_>>(),
+            vec![(ClassId(0), 40, 500)]
+        );
         // The outage is booked in the availability calendar.
         assert_eq!(m.profile().free_at(0, 499), 24);
         assert_eq!(m.profile().free_at(0, 500), 64);
         assert_eq!(m.undrain(t).unwrap(), 40);
         assert_eq!(m.free_nodes(), 48);
-        assert_eq!(m.drains().count(), 0);
+        assert_eq!(m.class_drains().count(), 0);
     }
 
     #[test]
@@ -456,7 +432,7 @@ mod tests {
         let mut m = Machine::new(10);
         m.start(JobId(0), 8, 0, 5).unwrap();
         assert_eq!(
-            m.drain(3, 100),
+            m.drain_in(ClassId(0), 3, 100),
             Err(MachineError::DrainOvercommit { nodes: 3, free: 2 })
         );
         assert_eq!(m.free_nodes(), 2);
@@ -465,7 +441,7 @@ mod tests {
     #[test]
     fn double_undrain_rejected() {
         let mut m = Machine::new(10);
-        let t = m.drain(4, 100).unwrap();
+        let t = m.drain_in(ClassId(0), 4, 100).unwrap();
         // Tokens are move-only; forge an aliased one to prove the slab
         // refuses a second release.
         let forged = DrainToken(0);
@@ -521,11 +497,11 @@ mod tests {
         assert_eq!(m.free_in(ClassId(1)), 2);
         assert_eq!(m.free_in(ClassId(0)), 20);
         assert_eq!(m.free_nodes(), 26);
-        assert!(m.fits_in(ClassId(1), 2));
-        assert!(!m.fits_in(ClassId(1), 3));
-        // The whole machine still "fits" 20, but the wide pool is the
+        assert!(m.free_in(ClassId(1)) >= 2);
+        assert!(m.free_in(ClassId(1)) < 3);
+        // The whole machine still has 20 free, but the wide pool is the
         // binding constraint for wide jobs.
-        assert!(m.fits(20));
+        assert!(m.free_nodes() >= 20);
         let slot = m.finish(JobId(0)).unwrap();
         assert_eq!(slot.class, ClassId(1));
         assert_eq!(m.free_nodes(), 32);
@@ -571,7 +547,6 @@ mod tests {
             m.class_drains().collect::<Vec<_>>(),
             vec![(ClassId(1), 8, 500)]
         );
-        assert_eq!(m.drains().collect::<Vec<_>>(), vec![(8, 500)]);
         let err = m.drain_in(ClassId(1), 1, 600).unwrap_err();
         assert_eq!(err, MachineError::DrainOvercommit { nodes: 1, free: 0 });
         assert_eq!(m.undrain(t).unwrap(), 8);

@@ -16,19 +16,19 @@
 //! [`WorkloadSource`], a
 //! [`RecordingObserver`] rebuilds the dense [`ScheduleRecord`], and the
 //! result is the same [`SimOutcome`] as always. The old monolithic loop
-//! survives as [`crate::engine::simulate_batch_with_faults`], kept as a
-//! differential baseline: the oracle proves batch and stream produce
-//! identical outcomes on every fuzz scenario.
+//! survives in `jobsched-oracle` (`oracle::batch`) as a differential
+//! baseline: the oracle proves batch and stream produce identical
+//! outcomes on every fuzz scenario.
 //!
 //! ## Equivalence with the batch loop
 //!
-//! The batch engine enqueues every submission up front; the pipeline
+//! The batch loop enqueues every submission up front; the pipeline
 //! holds exactly one *lookahead* job and refills the event queue with it
 //! (and any same-instant successors) before each batch pop. Because
 //! sources are submission-ordered, the queue's earliest timestamp after a
 //! refill equals the global minimum over all pending *and future* events,
 //! so batch boundaries — and therefore every scheduler decision — are
-//! identical to the batch engine's. Wakeup deduplication and deadlock
+//! identical to the batch loop's. Wakeup deduplication and deadlock
 //! detection consult the lookahead as well, closing the last two places
 //! where "no event in the queue" used to mean "no event, ever".
 
@@ -155,7 +155,7 @@ pub trait SimObserver {
 /// [`JobEvent::Preempted`] closes the open span, a [`JobEvent::Resumed`]
 /// opens the next one, and the final [`JobEvent::Finished`] /
 /// [`JobEvent::Cancelled`] commits the union with its completion instant
-/// — bit-identical to the batch engine's record. A single span at a
+/// — bit-identical to the batch reference loop's record. A single span at a
 /// width other than the submitted one (a moldable start) is committed
 /// as a one-segment union, since a rigid placement implies the job's
 /// own width.
@@ -295,8 +295,8 @@ impl<'a> SimPipeline<'a> {
     /// Drive the source to exhaustion.
     ///
     /// Panics on scheduler contract violations (invalid starts,
-    /// deadlock), exactly like the batch engine; returns an error only
-    /// when the *source* fails (I/O, parse, ordering).
+    /// deadlock), exactly like the batch reference loop; returns an
+    /// error only when the *source* fails (I/O, parse, ordering).
     pub fn run(self) -> Result<PipelineOutcome, SourceError> {
         let SimPipeline {
             source,
@@ -405,8 +405,7 @@ fn pull(
 ///
 /// Thin wrapper over [`SimPipeline`] with a [`WorkloadSource`] and a
 /// [`RecordingObserver`]; produces the same [`SimOutcome`] — bit for bit
-/// — as the retained batch loop
-/// ([`crate::engine::simulate_batch`]), which the oracle's stream
+/// — as the oracle's batch reference loop, which its stream
 /// differential verifies on every fuzz scenario.
 ///
 /// Panics if the scheduler violates its contract (starting an unknown or
@@ -416,10 +415,29 @@ pub fn simulate(workload: &Workload, scheduler: &mut dyn Scheduler) -> SimOutcom
     simulate_with_faults(workload, scheduler, &FaultPlan::default())
 }
 
-/// Run `scheduler` against `workload` while injecting the cancellations
-/// and node drains of `faults`. With an empty plan this is exactly
-/// [`simulate`]. See [`crate::engine::simulate_batch_with_faults`] for
-/// the fault semantics, which are identical.
+/// Run `scheduler` against `workload` while injecting the
+/// cancellations, node drains and preemptions of `faults`. With an empty
+/// plan this is exactly [`simulate`].
+///
+/// Fault semantics (all resolved by [`crate::event::Event`] batch order
+/// at shared timestamps):
+///
+/// * A cancellation retracts a queued job ([`Scheduler::cancel`]), kills
+///   a running one (resources released, completion truncated,
+///   [`Scheduler::job_finished`]), suppresses a not-yet-submitted one
+///   entirely, and is a no-op on a finished one. [`SimOutcome::faults`]
+///   records which case applied.
+/// * A drain removes `min(nodes, free)` nodes at `at` and returns them at
+///   `until` (skipped when nothing is free or `until <= at`). Schedulers
+///   hear about both edges via [`Scheduler::capacity_changed`].
+/// * A preemption stops a *running* job mid-flight: nodes are released,
+///   the scheduler hears [`Scheduler::job_finished`] (its books close
+///   exactly as on a real completion), and at `resume_at` the remainder
+///   re-enters the queue as a fresh [`Scheduler::submit`] whose limit is
+///   the unconsumed part of the original. The schedule records the
+///   resulting allocation segment union; response time and charge follow
+///   the envelope/segment rules of [`ScheduleRecord`]. Preempting a job
+///   that is not running is a recorded no-op.
 pub fn simulate_with_faults(
     workload: &Workload,
     scheduler: &mut dyn Scheduler,
@@ -462,7 +480,6 @@ pub(crate) fn record_run<K: SchedulerKind>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate_batch;
     use crate::machine::Machine;
     use jobsched_workload::JobBuilder;
     use std::collections::VecDeque;
@@ -547,18 +564,6 @@ mod tests {
         fn on_end(&mut self, horizon: Time) {
             self.ended_at = Some(horizon);
         }
-    }
-
-    #[test]
-    fn pipeline_matches_batch_engine_exactly() {
-        let w = seq_workload(40, 10);
-        let batch = simulate_batch(&w, &mut TestFcfs::new());
-        let stream = simulate(&w, &mut TestFcfs::new());
-        assert_eq!(stream.schedule, batch.schedule);
-        assert_eq!(stream.events, batch.events);
-        assert_eq!(stream.decision_rounds, batch.decision_rounds);
-        assert_eq!(stream.peak_queue, batch.peak_queue);
-        assert_eq!(stream.faults, batch.faults);
     }
 
     #[test]

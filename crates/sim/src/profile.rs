@@ -11,8 +11,7 @@
 //! (§5.2) stresses that reality can only free resources earlier, never
 //! later, so a feasible reservation stays feasible.
 
-use crate::machine::Machine;
-use jobsched_workload::{ClassId, Time};
+use jobsched_workload::Time;
 use std::collections::BTreeMap;
 
 /// Sentinel for "never" / unbounded horizon.
@@ -75,73 +74,6 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Build from the machine's running set at time `now`, using projected
-    /// ends. Jobs whose projection already passed (they must end at any
-    /// moment) are treated as ending at `now + 1`. Active node drains are
-    /// merged in like running jobs: their nodes come back at the drain's
-    /// expected return time.
-    pub fn from_machine(machine: &Machine, now: Time) -> Self {
-        let mut ends: Vec<(Time, u32)> = machine
-            .running()
-            .iter()
-            .map(|s| (s.projected_end.max(now + 1), s.nodes))
-            .chain(
-                machine
-                    .drains()
-                    .map(|(nodes, until)| (until.max(now + 1), nodes)),
-            )
-            .collect();
-        ends.sort_unstable();
-        let mut steps = Vec::with_capacity(ends.len() + 1);
-        let mut free = machine.free_nodes();
-        steps.push((now, free));
-        for (t, nodes) in ends {
-            free += nodes;
-            match steps.last_mut() {
-                Some((lt, lf)) if *lt == t => *lf = free,
-                _ => steps.push((t, free)),
-            }
-        }
-        Profile {
-            steps,
-            total: machine.total_nodes(),
-        }
-    }
-
-    /// [`Profile::from_machine`] restricted to one node-class pool: only
-    /// running jobs and drains of `class` contribute, and the capacity is
-    /// the pool's size. On a single-class machine this is identical to
-    /// `from_machine`.
-    pub fn from_machine_class(machine: &Machine, class: ClassId, now: Time) -> Self {
-        let mut ends: Vec<(Time, u32)> = machine
-            .running()
-            .iter()
-            .filter(|s| s.class == class)
-            .map(|s| (s.projected_end.max(now + 1), s.nodes))
-            .chain(
-                machine
-                    .class_drains()
-                    .filter(|&(c, _, _)| c == class)
-                    .map(|(_, nodes, until)| (until.max(now + 1), nodes)),
-            )
-            .collect();
-        ends.sort_unstable();
-        let mut steps = Vec::with_capacity(ends.len() + 1);
-        let mut free = machine.free_in(class);
-        steps.push((now, free));
-        for (t, nodes) in ends {
-            free += nodes;
-            match steps.last_mut() {
-                Some((lt, lf)) if *lt == t => *lf = free,
-                _ => steps.push((t, free)),
-            }
-        }
-        Profile {
-            steps,
-            total: machine.total_in(class),
-        }
-    }
-
     /// An all-free profile (empty machine) — useful for offline planning.
     pub fn empty(total: u32, now: Time) -> Self {
         Profile {
@@ -172,20 +104,6 @@ impl Profile {
             Err(0) => 0,
             Err(i) => i - 1,
         }
-    }
-
-    /// Minimum free nodes over `[from, to)`.
-    pub fn min_free(&self, from: Time, to: Time) -> u32 {
-        if from >= to {
-            return self.total;
-        }
-        let mut min = self.free_at(from);
-        let mut i = self.step_index(from) + 1;
-        while i < self.steps.len() && self.steps[i].0 < to {
-            min = min.min(self.steps[i].1);
-            i += 1;
-        }
-        min
     }
 
     /// Earliest time ≥ `from` at which `nodes` nodes are continuously free
@@ -270,25 +188,25 @@ impl Profile {
 
 /// Persistent, incrementally-maintained availability calendar.
 ///
-/// Where [`Profile::from_machine`] rebuilds the whole step function from
-/// the running set on every call (collect + sort, O(R log R) per
-/// scheduling decision), a `LiveProfile` lives as long as the machine and
-/// absorbs each job event in O(log R): a start books `nodes` for release
+/// Instead of rebuilding the whole step function from the running set on
+/// every call (collect + sort, O(R log R) per scheduling decision), a
+/// `LiveProfile` lives as long as the machine and absorbs each job event
+/// in O(log R): a start books `nodes` for release
 /// at the job's projected end, a finish — early or on time — cancels that
 /// booking. The release calendar is a sorted multimap keyed by projected
 /// end, so every query positions itself with tree search instead of a
 /// rebuild.
 ///
-/// Reading the calendar "as of `now`" applies the same projection rule as
-/// [`Profile::from_machine`]: bookings whose projected end has already
-/// passed (the job overran its estimate and must end at any moment) count
+/// Reading the calendar "as of `now`" applies one projection rule:
+/// bookings whose projected end has already passed (the job overran its estimate and must end at any moment) count
 /// as releasing at `now + 1`. Queries ([`LiveProfile::free_at`],
 /// [`LiveProfile::earliest_start`]) answer directly from the calendar;
 /// [`LiveProfile::snapshot_into`] materialises a scratch [`Profile`] —
 /// a linear merge with no sorting — for callers that need to overlay
 /// reservations (the conservative backfilling calendar, EASY's
 /// just-started picks). All of them are bit-identical to rebuilding from
-/// scratch, which the differential oracle tests enforce.
+/// scratch, which the differential tests enforce against the oracle's
+/// brute-force rebuild.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LiveProfile {
     total: u32,
@@ -319,11 +237,6 @@ impl LiveProfile {
         self.free
     }
 
-    /// Number of distinct pending release instants (diagnostics).
-    pub fn pending_releases(&self) -> usize {
-        self.releases.len()
-    }
-
     /// A job took `nodes` nodes until `projected_end`. O(log R).
     pub fn on_start(&mut self, nodes: u32, projected_end: Time) {
         assert!(nodes <= self.free, "profile overcommit on start");
@@ -348,7 +261,7 @@ impl LiveProfile {
 
     /// The `(time, free)` breakpoints strictly after `now`, ascending,
     /// duplicate-free, with past-due bookings merged into a `now + 1`
-    /// release — exactly the tail of [`Profile::from_machine`]'s steps.
+    /// release — exactly the tail of a from-scratch rebuild's steps.
     fn steps_after(&self, now: Time) -> LiveSteps<'_> {
         let pending: u32 = self.releases.range(..=now).map(|(_, &n)| n).sum();
         LiveSteps {
@@ -388,8 +301,8 @@ impl LiveProfile {
 
     /// Materialise the step function at `now` into `out`, reusing its
     /// allocation. Linear in the number of breakpoints, no sorting —
-    /// the calendar is already ordered. Bit-identical to
-    /// `*out = Profile::from_machine(machine, now)`.
+    /// the calendar is already ordered. Bit-identical to rebuilding the
+    /// step function from the running set at `now`.
     pub fn snapshot_into(&self, now: Time, out: &mut Profile) {
         out.total = self.total;
         out.steps.clear();
@@ -443,6 +356,7 @@ impl Iterator for LiveSteps<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::Machine;
     use jobsched_workload::JobId;
 
     fn machine_with(slots: &[(u32, Time)], total: u32, now: Time) -> Machine {
@@ -454,47 +368,26 @@ mod tests {
     }
 
     #[test]
-    fn profile_from_machine_steps_up() {
-        let m = machine_with(&[(100, 50), (56, 80)], 256, 0);
-        let p = Profile::from_machine(&m, 0);
-        assert_eq!(p.free_at(0), 100);
-        assert_eq!(p.free_at(49), 100);
-        assert_eq!(p.free_at(50), 200);
-        assert_eq!(p.free_at(80), 256);
-        assert_eq!(p.free_at(10_000), 256);
-    }
-
-    #[test]
     fn past_projections_treated_as_imminent() {
         // A job that overran its projection is modelled as ending at now+1.
         let mut m = Machine::new(10);
         m.start(JobId(0), 10, 0, 5).unwrap();
-        let p = Profile::from_machine(&m, 100);
+        let p = m.profile().snapshot(100);
         assert_eq!(p.free_at(100), 0);
         assert_eq!(p.free_at(101), 10);
     }
 
     #[test]
-    fn min_free_over_window() {
-        let m = machine_with(&[(100, 50), (56, 80)], 256, 0);
-        let p = Profile::from_machine(&m, 0);
-        assert_eq!(p.min_free(0, 50), 100);
-        assert_eq!(p.min_free(0, 81), 100);
-        assert_eq!(p.min_free(50, 80), 200);
-        assert_eq!(p.min_free(90, 90), 256); // empty window
-    }
-
-    #[test]
     fn earliest_start_now_when_free() {
         let m = machine_with(&[(100, 50)], 256, 0);
-        let p = Profile::from_machine(&m, 0);
+        let p = m.profile().snapshot(0);
         assert_eq!(p.earliest_start(156, 1000, 0), 0);
     }
 
     #[test]
     fn earliest_start_waits_for_release() {
         let m = machine_with(&[(200, 50)], 256, 0);
-        let p = Profile::from_machine(&m, 0);
+        let p = m.profile().snapshot(0);
         assert_eq!(p.earliest_start(100, 1000, 0), 50);
         assert_eq!(p.earliest_start(56, 1000, 0), 0);
     }
@@ -502,7 +395,7 @@ mod tests {
     #[test]
     fn earliest_start_respects_reservations() {
         let m = machine_with(&[(200, 50)], 256, 0);
-        let mut p = Profile::from_machine(&m, 0);
+        let mut p = m.profile().snapshot(0);
         // Reserve the whole machine for [50, 150).
         p.reserve(256, 50, 100);
         assert_eq!(p.earliest_start(100, 10, 0), 150);
@@ -548,7 +441,7 @@ mod tests {
     #[test]
     fn earliest_start_from_future_time() {
         let m = machine_with(&[(200, 50)], 256, 0);
-        let p = Profile::from_machine(&m, 0);
+        let p = m.profile().snapshot(0);
         assert_eq!(p.earliest_start(100, 10, 60), 60);
         assert_eq!(p.earliest_start(100, 10, 20), 50);
     }
@@ -578,9 +471,8 @@ mod tests {
         // query must wait for the release.
         let mut m = Machine::new(64);
         m.start(JobId(0), 64, 0, 30).unwrap();
-        let p = Profile::from_machine(&m, 0);
+        let p = m.profile().snapshot(0);
         assert_eq!(p.free_at(0), 0);
-        assert_eq!(p.min_free(0, 30), 0);
         assert_eq!(p.earliest_start(1, 5, 0), 30);
         assert_eq!(p.earliest_start(64, 5, 0), 30);
         let live = m.profile();
@@ -592,15 +484,13 @@ mod tests {
     #[test]
     fn duplicate_breakpoints_coalesce() {
         // Three jobs projecting the same end must yield ONE breakpoint
-        // carrying the combined release, in both representations.
+        // carrying the combined release, in the calendar and its snapshot.
         let m = machine_with(&[(10, 40), (20, 40), (30, 40)], 100, 0);
-        let p = Profile::from_machine(&m, 0);
+        let p = m.profile().snapshot(0);
         assert_eq!(p.len(), 2, "coalesced to [now, release]");
         assert_eq!(p.free_at(39), 40);
         assert_eq!(p.free_at(40), 100);
-        let snap = m.profile().snapshot(0);
-        assert_eq!(snap, p);
-        assert_eq!(m.profile().pending_releases(), 1);
+        assert_eq!(m.profile().releases.len(), 1);
     }
 
     #[test]
@@ -610,11 +500,10 @@ mod tests {
         // like an overrun projection.
         let mut m = Machine::new(10);
         m.start(JobId(0), 10, 0, 70).unwrap();
-        for view in [Profile::from_machine(&m, 70), m.profile().snapshot(70)] {
-            assert_eq!(view.free_at(70), 0);
-            assert_eq!(view.free_at(71), 10);
-            assert_eq!(view.earliest_start(10, 5, 70), 71);
-        }
+        let view = m.profile().snapshot(70);
+        assert_eq!(view.free_at(70), 0);
+        assert_eq!(view.free_at(71), 10);
+        assert_eq!(view.earliest_start(10, 5, 70), 71);
         assert_eq!(m.profile().free_at(70, 70), 0);
         assert_eq!(m.profile().free_at(70, 71), 10);
         assert_eq!(m.profile().earliest_start(70, 10, 5, 70), 71);
@@ -631,9 +520,10 @@ mod tests {
         m.start(JobId(1), 10, 0, 21).unwrap(); // releases exactly at 21
         m.start(JobId(2), 10, 0, 50).unwrap();
         let snap = m.profile().snapshot(20);
-        let rebuilt = Profile::from_machine(&m, 20);
-        assert_eq!(snap, rebuilt);
+        assert_eq!(snap.len(), 3, "[now, now + 1, 50]");
+        assert_eq!(snap.free_at(20), 0);
         assert_eq!(snap.free_at(21), 20);
+        assert_eq!(snap.free_at(50), 30);
         assert_eq!(snap.earliest_start(20, 100, 20), 21);
         assert_eq!(m.profile().earliest_start(20, 20, 100, 20), 21);
     }
@@ -646,13 +536,13 @@ mod tests {
         live.on_start(40, 50);
         live.on_start(30, 50);
         assert_eq!(live.free_nodes(), 30);
-        assert_eq!(live.pending_releases(), 1);
+        assert_eq!(live.releases.len(), 1);
         live.on_finish(40, 50); // early completion cancels the booking
         assert_eq!(live.free_nodes(), 70);
-        assert_eq!(live.pending_releases(), 1);
+        assert_eq!(live.releases.len(), 1);
         live.on_finish(30, 50);
         assert_eq!(live.free_nodes(), 100);
-        assert_eq!(live.pending_releases(), 0);
+        assert_eq!(live.releases.len(), 0);
     }
 
     #[test]
@@ -669,22 +559,5 @@ mod tests {
         let mut live = LiveProfile::new(10);
         live.on_start(5, 50);
         live.on_finish(5, 60);
-    }
-
-    #[test]
-    fn live_snapshot_matches_rebuild_under_early_finishes() {
-        let mut m = Machine::new(256);
-        m.start(JobId(0), 100, 0, 500).unwrap();
-        m.start(JobId(1), 50, 10, 90).unwrap();
-        m.start(JobId(2), 30, 20, 90).unwrap();
-        m.finish(JobId(0)).unwrap(); // far earlier than projected
-        m.start(JobId(3), 120, 30, 31).unwrap();
-        for now in [30, 31, 90, 91, 500] {
-            assert_eq!(
-                m.profile().snapshot(now),
-                Profile::from_machine(&m, now),
-                "divergence at now={now}"
-            );
-        }
     }
 }

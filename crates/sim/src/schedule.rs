@@ -159,8 +159,8 @@ impl ScheduleRecord {
 
     /// Record a rigid placement: one contiguous run at the job's own
     /// width. Panics if the job already has one — a rigid job runs
-    /// exactly once; mid-flight changes go through [`Self::preempt_at`] /
-    /// [`Self::resume_place`] instead.
+    /// exactly once; a preempted or reshaped job goes in as its segment
+    /// union through [`Self::place_segments_at`] instead.
     pub fn place(&mut self, id: JobId, start: Time, completion: Time) {
         let slot = &mut self.placements[id.index()];
         assert!(slot.is_none(), "job {id} placed twice");
@@ -168,12 +168,18 @@ impl ScheduleRecord {
         *slot = Some(Alloc::Rigid(JobPlacement { start, completion }));
     }
 
-    /// Record a complete segment-union allocation in one shot (the
-    /// time-shared engine materialises each job's history when it leaves
-    /// the system). Segments must be sorted and disjoint; the job
-    /// completes at the last segment's end. Panics if the job already
-    /// has an allocation or `segments` is empty.
-    pub fn place_segments(&mut self, id: JobId, segments: Vec<Segment>) {
+    /// Record a complete segment-union allocation in one shot, as the
+    /// streaming recorder does when a job leaves the system. Segments
+    /// must be sorted and disjoint; `completion` lies at or after the
+    /// last segment's end — later for a job cancelled while preempted,
+    /// which leaves the system *after* its last span closed. Panics if
+    /// the job already has an allocation or `segments` is empty.
+    pub fn place_segments_at(&mut self, id: JobId, segments: Vec<Segment>, completion: Time) {
+        let last_end = segments.last().map_or(completion, |s| s.end);
+        assert!(
+            completion >= last_end,
+            "job {id} completes before its last span ends"
+        );
         let slot = &mut self.placements[id.index()];
         assert!(slot.is_none(), "job {id} placed twice");
         assert!(!segments.is_empty(), "job {id} placed with no segments");
@@ -183,140 +189,10 @@ impl ScheduleRecord {
                 "job {id} segments overlap or are unsorted"
             );
         }
-        let completion = segments.last().expect("non-empty").end;
         *slot = Some(Alloc::Shared {
             segments,
             completion,
         });
-    }
-
-    /// Like [`Self::place_segments`], but with an explicit completion
-    /// instant at or after the last segment's end — the shape of a job
-    /// cancelled while preempted, which leaves the system *after* its
-    /// last span closed. The streaming recorder rebuilds such allocations
-    /// from the event tape with this entry point.
-    pub fn place_segments_at(&mut self, id: JobId, segments: Vec<Segment>, completion: Time) {
-        let last_end = segments.last().map_or(completion, |s| s.end);
-        assert!(
-            completion >= last_end,
-            "job {id} completes before its last span ends"
-        );
-        self.place_segments(id, segments);
-        match self.placements[id.index()].as_mut().expect("just placed") {
-            Alloc::Shared { completion: c, .. } => *c = completion,
-            Alloc::Rigid(_) => unreachable!("place_segments stores Shared"),
-        }
-    }
-
-    /// Close a running job's current allocation span at `t` (the job was
-    /// preempted mid-flight): the span that was projected to run to its
-    /// completion is truncated at `t` and the allocation becomes a
-    /// segment union awaiting [`Self::resume_place`]. `nodes` is the
-    /// width the span held. Panics if the job has no allocation or `t`
-    /// lies outside the open span.
-    pub fn preempt_at(&mut self, id: JobId, t: Time, nodes: u32) {
-        let slot = self.placements[id.index()]
-            .as_mut()
-            .unwrap_or_else(|| panic!("preempting job {id} that never started"));
-        match slot {
-            Alloc::Rigid(p) => {
-                assert!(
-                    t > p.start && t <= p.completion,
-                    "preempt of job {id} at {t} outside its execution [{}, {}]",
-                    p.start,
-                    p.completion
-                );
-                *slot = Alloc::Shared {
-                    segments: vec![Segment::new(p.start, t, nodes)],
-                    completion: t,
-                };
-            }
-            Alloc::Shared {
-                segments,
-                completion,
-            } => {
-                let last = segments.last_mut().expect("shared alloc has segments");
-                assert!(
-                    t > last.start && t <= last.end,
-                    "preempt of job {id} at {t} outside its open span [{}, {})",
-                    last.start,
-                    last.end
-                );
-                last.end = t;
-                *completion = t;
-            }
-        }
-    }
-
-    /// Open a new allocation span for a previously preempted job:
-    /// `[start, projected_completion)` at width `nodes`. Panics if the
-    /// job is not in the preempted (segment-union) state or the new span
-    /// would overlap the previous one.
-    pub fn resume_place(&mut self, id: JobId, start: Time, projected_completion: Time, nodes: u32) {
-        let slot = self.placements[id.index()]
-            .as_mut()
-            .unwrap_or_else(|| panic!("resuming job {id} that never started"));
-        match slot {
-            Alloc::Rigid(_) => panic!("resuming job {id} that was never preempted"),
-            Alloc::Shared {
-                segments,
-                completion,
-            } => {
-                let last_end = segments.last().expect("shared alloc has segments").end;
-                assert!(start >= last_end, "resume of job {id} overlaps its past");
-                assert!(
-                    projected_completion > start,
-                    "resume of job {id} projects a non-positive span"
-                );
-                segments.push(Segment::new(start, projected_completion, nodes));
-                *completion = projected_completion;
-            }
-        }
-    }
-
-    /// Truncate a running job's recorded execution at `t`: the job was
-    /// cancelled mid-run, so its real completion is the cancellation
-    /// instant, not the effective runtime projected when it started.
-    /// Panics if the job has no placement or `t` lies outside its
-    /// recorded execution — cancellations of finished jobs are no-ops at
-    /// the engine level and must never reach the record.
-    pub fn cancel_at(&mut self, id: JobId, t: Time) {
-        let slot = self.placements[id.index()]
-            .as_mut()
-            .unwrap_or_else(|| panic!("cancelling job {id} that never started"));
-        match slot {
-            Alloc::Rigid(p) => {
-                assert!(
-                    t >= p.start && t <= p.completion,
-                    "cancel of job {id} at {t} outside its execution [{}, {}]",
-                    p.start,
-                    p.completion
-                );
-                p.completion = t;
-            }
-            Alloc::Shared {
-                segments,
-                completion,
-            } => {
-                // A segmented job can be cancelled mid-span *or* inside a
-                // preemption gap — including *after* its last span closed
-                // (preempted, never resumed): drop spans that had not
-                // begun, clip the one containing `t`, and complete at the
-                // cancel instant.
-                let first = segments.first().expect("shared alloc has segments").start;
-                assert!(
-                    t >= first,
-                    "cancel of job {id} at {t} precedes its first span at {first}"
-                );
-                segments.retain(|s| s.start < t);
-                if let Some(last) = segments.last_mut() {
-                    if last.end > t {
-                        last.end = t;
-                    }
-                }
-                *completion = t;
-            }
-        }
     }
 
     /// Placement of one job, if it completed: its first start and final
@@ -534,12 +410,12 @@ mod tests {
             runtime: 200,
         }]]);
         let mut molded = ScheduleRecord::new(10, 1);
-        molded.place_segments(JobId(0), vec![Segment::new(0, 200, 3)]);
+        molded.place_segments_at(JobId(0), vec![Segment::new(0, 200, 3)], 200);
         assert!(molded.validate(&w).is_empty(), "{:?}", molded.validate(&w));
 
         // 3-wide but charging the rigid 100 s: wrong under every choice.
         let mut short = ScheduleRecord::new(10, 1);
-        short.place_segments(JobId(0), vec![Segment::new(0, 100, 3)]);
+        short.place_segments_at(JobId(0), vec![Segment::new(0, 100, 3)], 100);
         assert!(short
             .validate(&w)
             .iter()
@@ -653,27 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_at_truncates_completion() {
-        let mut r = ScheduleRecord::new(10, 1);
-        r.place(JobId(0), 10, 110);
-        r.cancel_at(JobId(0), 40);
-        assert_eq!(
-            r.placement(JobId(0)),
-            Some(JobPlacement {
-                start: 10,
-                completion: 40
-            })
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "never started")]
-    fn cancel_of_unplaced_job_panics() {
-        let mut r = ScheduleRecord::new(10, 1);
-        r.cancel_at(JobId(0), 40);
-    }
-
-    #[test]
     #[should_panic(expected = "placed twice")]
     fn double_placement_panics() {
         let mut r = ScheduleRecord::new(10, 1);
@@ -718,116 +573,12 @@ mod tests {
     }
 
     #[test]
-    fn preempt_resume_lifecycle_builds_segment_union() {
-        // Job 0: starts at 0 projecting 100 s, preempted at 30, resumes
-        // at 60 for the remaining 70 s.
-        let w = Workload::new(
-            "t",
-            10,
-            vec![JobBuilder::new(JobId(0))
-                .submit(0)
-                .nodes(6)
-                .requested(100)
-                .runtime(100)
-                .build()],
-        );
-        let mut r = ScheduleRecord::new(10, 1);
-        r.place(JobId(0), 0, 100);
-        r.preempt_at(JobId(0), 30, 6);
-        assert_eq!(
-            r.placement(JobId(0)),
-            Some(JobPlacement {
-                start: 0,
-                completion: 30
-            })
-        );
-        r.resume_place(JobId(0), 60, 130, 6);
-        let p = r.placement(JobId(0)).unwrap();
-        assert_eq!((p.start, p.completion), (0, 130));
-        assert_eq!(r.charged_time(JobId(0)), Some(100));
-        assert_eq!(
-            r.segments(JobId(0)).unwrap(),
-            &[Segment::new(0, 30, 6), Segment::new(60, 130, 6)]
-        );
-        // The audit charges from the segment union: 100 s of execution
-        // spread over a 130 s envelope is still a valid schedule.
-        assert!(r.validate(&w).is_empty());
-        assert_eq!(r.makespan(), 130);
-        // busy_area excludes the 30 s gap: 100 s × 6 nodes.
-        assert!((r.busy_area(&w) - 600.0).abs() < 1e-12);
-        assert!((r.utilization(&w) - 600.0 / (130.0 * 10.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn preempted_job_frees_capacity_inside_gap() {
-        // Job 0 (6 nodes) is preempted over [30, 60); job 1 (6 nodes)
-        // runs inside the gap on a 10-node machine. Envelope overlap,
-        // segment-wise valid.
-        let w = Workload::new(
-            "t",
-            10,
-            vec![
-                JobBuilder::new(JobId(0))
-                    .submit(0)
-                    .nodes(6)
-                    .requested(100)
-                    .runtime(100)
-                    .build(),
-                JobBuilder::new(JobId(0))
-                    .submit(0)
-                    .nodes(6)
-                    .requested(30)
-                    .runtime(30)
-                    .build(),
-            ],
-        );
-        let mut r = ScheduleRecord::new(10, 2);
-        r.place(JobId(0), 0, 100);
-        r.preempt_at(JobId(0), 30, 6);
-        r.resume_place(JobId(0), 60, 130, 6);
-        r.place(JobId(1), 30, 60);
-        assert!(r.validate(&w).is_empty());
-    }
-
-    #[test]
-    fn cancel_while_preempted_completes_at_cancel_instant() {
-        let mut r = ScheduleRecord::new(10, 1);
-        r.place(JobId(0), 0, 100);
-        r.preempt_at(JobId(0), 30, 6);
-        r.resume_place(JobId(0), 60, 130, 6);
-        r.preempt_at(JobId(0), 80, 6);
-        // Cancelled at t=90, inside the second preemption gap: the spans
-        // already run stay charged, completion is the cancel instant.
-        r.cancel_at(JobId(0), 90);
-        let p = r.placement(JobId(0)).unwrap();
-        assert_eq!((p.start, p.completion), (0, 90));
-        assert_eq!(r.charged_time(JobId(0)), Some(30 + 20));
-        assert_eq!(
-            r.segments(JobId(0)).unwrap(),
-            &[Segment::new(0, 30, 6), Segment::new(60, 80, 6)]
-        );
-    }
-
-    #[test]
-    fn cancel_mid_resumed_span_clips_it() {
-        let mut r = ScheduleRecord::new(10, 1);
-        r.place(JobId(0), 0, 100);
-        r.preempt_at(JobId(0), 30, 6);
-        r.resume_place(JobId(0), 60, 130, 6);
-        r.cancel_at(JobId(0), 70);
-        assert_eq!(r.charged_time(JobId(0)), Some(40));
-        assert_eq!(
-            r.segments(JobId(0)).unwrap(),
-            &[Segment::new(0, 30, 6), Segment::new(60, 70, 6)]
-        );
-    }
-
-    #[test]
     fn place_segments_records_a_whole_union() {
         let mut r = ScheduleRecord::new(10, 1);
-        r.place_segments(
+        r.place_segments_at(
             JobId(0),
             vec![Segment::new(5, 25, 8), Segment::new(40, 50, 2)],
+            50,
         );
         let p = r.placement(JobId(0)).unwrap();
         assert_eq!((p.start, p.completion), (5, 50));
@@ -838,18 +589,11 @@ mod tests {
     #[should_panic(expected = "overlap")]
     fn place_segments_rejects_overlap() {
         let mut r = ScheduleRecord::new(10, 1);
-        r.place_segments(
+        r.place_segments_at(
             JobId(0),
             vec![Segment::new(5, 25, 8), Segment::new(20, 50, 2)],
+            50,
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "never preempted")]
-    fn resume_of_rigid_job_panics() {
-        let mut r = ScheduleRecord::new(10, 1);
-        r.place(JobId(0), 0, 100);
-        r.resume_place(JobId(0), 100, 200, 6);
     }
 
     #[test]

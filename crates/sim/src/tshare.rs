@@ -2,12 +2,13 @@
 //! starts, run on [`LiveSim`](crate::LiveSim) like every rigid
 //! scheduler.
 //!
-//! A rigid [`Scheduler`] treats a start as irrevocable: once placed, a
-//! job holds its partition until it finishes. A [`TimeSharedScheduler`]
-//! drops that assumption. Each decision round returns [`Action`]s —
-//! starts (with a moldable width choice), preemptions of running jobs,
-//! and resumes of preempted ones — and the event loop keeps the machine,
-//! each job's consumed seconds, and (through the
+//! A rigid [`Scheduler`](crate::Scheduler) treats a start as
+//! irrevocable: once placed, a job holds its partition until it
+//! finishes. A [`TimeSharedScheduler`] drops that assumption. Each
+//! decision round returns [`Action`]s — starts (with a moldable width
+//! choice), preemptions of running jobs, and resumes of preempted ones —
+//! and the event loop keeps the machine, each job's consumed seconds,
+//! and (through the
 //! [`RecordingObserver`](crate::RecordingObserver)) the allocation
 //! segment union of every job ([`crate::segment::Segment`]).
 //!
@@ -19,14 +20,13 @@
 //! `now` therefore ends at `now + (effective − consumed)` and is booked
 //! on the calendar until `now + (limit − consumed)` — integer seconds,
 //! so a rigid job that is never preempted finishes at exactly
-//! `start + effective_runtime`, bit-identical to the rigid runs.
-//! [`RigidAdapter`] exploits that: it replays any rigid [`Scheduler`] as
-//! a time-shared one, and the `segment_identity` suite pins all 43 atlas
-//! rows to identical schedules either way. A preemption leaves the
-//! job's queued finish event stale, exactly as a forced-preemption
-//! fault does.
+//! `start + effective_runtime`, bit-identical to the rigid runs. The
+//! oracle's `RigidAdapter` replays any rigid scheduler through this
+//! contract, and the `segment_identity` suite pins all 43 atlas rows to
+//! identical schedules either way. A preemption leaves the job's queued
+//! finish event stale, exactly as a forced-preemption fault does.
 
-use crate::engine::{FaultPlan, JobRequest, Scheduler, SimOutcome};
+use crate::engine::{FaultPlan, JobRequest, SimOutcome};
 use crate::live::SchedulerKind;
 use crate::machine::Machine;
 use crate::pipeline::record_run;
@@ -104,63 +104,6 @@ pub trait TimeSharedScheduler {
     /// slice boundary of a rotation policy.
     fn next_wakeup(&self, _now: Time) -> Option<Time> {
         None
-    }
-}
-
-/// Replay a rigid [`Scheduler`] as a time-shared one: every decision
-/// maps to `Start` at the rigid choice. The segment-identity suite pins
-/// this adapter to the rigid runs bit for bit.
-pub struct RigidAdapter<'a> {
-    inner: &'a mut dyn Scheduler,
-}
-
-impl<'a> RigidAdapter<'a> {
-    /// Wrap a rigid scheduler.
-    pub fn new(inner: &'a mut dyn Scheduler) -> Self {
-        RigidAdapter { inner }
-    }
-}
-
-impl TimeSharedScheduler for RigidAdapter<'_> {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn submit(&mut self, job: &TsJobView, now: Time) {
-        let (nodes, requested_time) = job.choices[0];
-        self.inner.submit(
-            JobRequest {
-                id: job.id,
-                submit: job.submit,
-                nodes,
-                class: job.class,
-                requested_time,
-                user: job.user,
-            },
-            now,
-        );
-    }
-
-    fn job_finished(&mut self, id: JobId, now: Time) {
-        self.inner.job_finished(id, now);
-    }
-
-    fn decide(&mut self, now: Time, machine: &Machine) -> Vec<Action> {
-        self.inner
-            .select_starts(now, machine)
-            .into_iter()
-            .map(|id| Action::Start { id, choice: 0 })
-            .collect()
-    }
-
-    fn queue_len(&self) -> usize {
-        self.inner.queue_len()
-    }
-
-    fn next_wakeup(&self, now: Time) -> Option<Time> {
-        // Rigid runs consult next_wakeup only while jobs queue;
-        // replicate that gate so event streams stay bit-identical.
-        (self.inner.queue_len() > 0).then(|| self.inner.next_wakeup(now))?
     }
 }
 
@@ -247,48 +190,9 @@ pub fn simulate_time_shared(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate_batch;
     use crate::segment::Segment;
     use jobsched_workload::JobBuilder;
     use std::collections::VecDeque;
-
-    /// Minimal rigid FCFS, mirroring the engine tests' scheduler.
-    struct TestFcfs {
-        queue: VecDeque<JobRequest>,
-    }
-
-    impl TestFcfs {
-        fn new() -> Self {
-            TestFcfs {
-                queue: VecDeque::new(),
-            }
-        }
-    }
-
-    impl Scheduler for TestFcfs {
-        fn name(&self) -> String {
-            "test-fcfs".into()
-        }
-        fn submit(&mut self, job: JobRequest, _now: Time) {
-            self.queue.push_back(job);
-        }
-        fn select_starts(&mut self, _now: Time, machine: &Machine) -> Vec<JobId> {
-            let mut free = machine.free_nodes();
-            let mut out = Vec::new();
-            while let Some(head) = self.queue.front() {
-                if head.nodes <= free {
-                    free -= head.nodes;
-                    out.push(self.queue.pop_front().unwrap().id);
-                } else {
-                    break;
-                }
-            }
-            out
-        }
-        fn queue_len(&self) -> usize {
-            self.queue.len()
-        }
-    }
 
     /// Round-robin slicer: every `slice` seconds, preempt whatever runs
     /// and start/resume jobs from a rotating head. Exercises every
@@ -364,45 +268,6 @@ mod tests {
         fn next_wakeup(&self, now: Time) -> Option<Time> {
             (!self.running.is_empty()).then_some(now + self.slice)
         }
-    }
-
-    fn workload() -> Workload {
-        Workload::new(
-            "t",
-            10,
-            vec![
-                JobBuilder::new(JobId(0))
-                    .submit(0)
-                    .nodes(6)
-                    .requested(100)
-                    .runtime(100)
-                    .build(),
-                JobBuilder::new(JobId(0))
-                    .submit(0)
-                    .nodes(6)
-                    .requested(100)
-                    .runtime(50)
-                    .build(),
-                JobBuilder::new(JobId(0))
-                    .submit(10)
-                    .nodes(4)
-                    .requested(100)
-                    .runtime(100)
-                    .build(),
-            ],
-        )
-    }
-
-    #[test]
-    fn rigid_adapter_matches_batch_engine_bit_for_bit() {
-        let w = workload();
-        let batch = simulate_batch(&w, &mut TestFcfs::new());
-        let mut inner = TestFcfs::new();
-        let ts = simulate_time_shared(&w, &mut RigidAdapter::new(&mut inner));
-        assert_eq!(ts.schedule, batch.schedule);
-        assert_eq!(ts.events, batch.events);
-        assert_eq!(ts.decision_rounds, batch.decision_rounds);
-        assert_eq!(ts.peak_queue, batch.peak_queue);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Each node-class pool carries its own [`LiveProfile`], and the
 //! class-scoped queries must agree with the naive per-class rebuild
-//! ([`Profile::from_machine_class`]) after every event — the same
+//! (`jobsched_oracle::profile::from_machine`) after every event — the same
 //! differential contract `live_profile_diff.rs` pins for the
 //! single-class machine, lifted to a heterogeneous layout. On top of
 //! the randomized lockstep there are two directed cases the issue calls
@@ -10,7 +10,8 @@
 //! drains), and a drain that exhausts one class while the others keep
 //! scheduling.
 
-use jobsched_sim::{profile::HORIZON, DrainToken, Machine, Profile};
+use jobsched_oracle::profile::from_machine;
+use jobsched_sim::{profile::HORIZON, DrainToken, Machine};
 use jobsched_workload::rng::{derive_seed, Rng, SmallRng};
 use jobsched_workload::{ClassId, JobId, MachineLayout, NodeClassSpec, NodeType, Time};
 
@@ -35,7 +36,7 @@ fn two_pool() -> MachineLayout {
 fn assert_class_profiles_agree(m: &Machine, now: Time, rng: &mut SmallRng, seq: u64, step: usize) {
     for c in 0..m.class_count() {
         let class = ClassId(c as u8);
-        let rebuilt = Profile::from_machine_class(m, class, now);
+        let rebuilt = from_machine(m, Some(class), now);
         let live = m.class_profile(class);
         assert_eq!(
             live.snapshot(now),
@@ -140,7 +141,7 @@ fn horizon_reservations_block_a_class_forever() {
     m.drain_in(wide, 4, HORIZON).unwrap();
 
     assert_eq!(m.free_in(wide), 12);
-    let rebuilt = Profile::from_machine_class(&m, wide, 0);
+    let rebuilt = from_machine(&m, Some(wide), 0);
     let live = m.class_profile(wide);
     assert_eq!(live.snapshot(0), rebuilt);
     assert_eq!(live.earliest_start(0, 16, 100, 0), HORIZON);
@@ -161,8 +162,8 @@ fn draining_one_class_leaves_the_others_schedulable() {
     let token = m.drain_in(wide, 16, 500).unwrap();
     assert_eq!(m.free_in(wide), 0);
     assert_eq!(m.free_in(thin), 48);
-    assert!(!m.fits_in(wide, 1));
-    assert!(m.fits_in(thin, 48));
+    assert!(m.free_in(wide) < 1);
+    assert!(m.free_in(thin) >= 48);
 
     // The wide calendar promises nothing before the drain releases; the
     // thin calendar is oblivious.
@@ -174,7 +175,7 @@ fn draining_one_class_leaves_the_others_schedulable() {
     assert_eq!(m.free_in(thin), 0);
     assert_eq!(
         m.class_profile(thin).snapshot(100),
-        Profile::from_machine_class(&m, thin, 100)
+        from_machine(&m, Some(thin), 100)
     );
 
     // Releasing the drain restores exactly the wide pool.

@@ -16,8 +16,9 @@
 //! segment union cannot represent, so first starts are pinned as
 //! engine ≥ monolithic with equal completions.
 
+use jobsched_oracle::check_segments;
 use jobsched_sim::gang::{GangConfig, GangFcfsTs};
-use jobsched_sim::{check_segments, simulate_time_shared, Segment};
+use jobsched_sim::{simulate_time_shared, Segment};
 use jobsched_workload::rng::{derive_seed, Rng, SmallRng};
 use jobsched_workload::{JobBuilder, JobId, Time, Workload};
 

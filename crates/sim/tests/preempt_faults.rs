@@ -2,9 +2,10 @@
 //! requeue, no-op classification, cancellation while suspended, and
 //! batch/stream equality under every plan exercised here.
 
+use jobsched_oracle::simulate_batch_with_faults;
 use jobsched_sim::{
-    simulate_batch_with_faults, simulate_with_faults, CancelFault, CancelPhase, FaultOutcome,
-    FaultPlan, JobRequest, Machine, PreemptFault, Scheduler, SimOutcome,
+    simulate_with_faults, CancelFault, CancelPhase, FaultOutcome, FaultPlan, JobRequest, Machine,
+    PreemptFault, Scheduler, SimOutcome,
 };
 use jobsched_workload::{JobBuilder, JobId, Time, Workload};
 

@@ -1,6 +1,7 @@
 //! Property tests for the availability profile: the optimized sweep in
-//! `Profile::earliest_start` is checked against a brute-force oracle that
-//! tries every candidate instant.
+//! `Profile::earliest_start` is checked against a brute-force search that
+//! tries every candidate instant, on levels recomputed from the booked
+//! reservations themselves.
 //!
 //! Randomization runs on the crate's own deterministic generators
 //! (`jobsched_workload::rng`) — the offline build has no `proptest` —
@@ -13,16 +14,41 @@ use jobsched_workload::Time;
 const CASES: u64 = 256;
 const TOTAL: u32 = 64;
 
-/// Brute force: test each instant in `[from, limit]` directly via
-/// `min_free` (itself trivially correct by definition).
+/// One booked reservation: `nodes` held over `[start, end)`.
+type Booking = (u32, Time, Time);
+
+/// Free nodes at `t`, straight from the bookings.
+fn level(bookings: &[Booking], t: Time) -> u32 {
+    let held: u32 = bookings
+        .iter()
+        .filter(|&&(_, start, end)| start <= t && t < end)
+        .map(|&(n, _, _)| n)
+        .sum();
+    TOTAL - held
+}
+
+/// Minimum free nodes over `[from, to)`: the level can only drop where a
+/// booking starts, so `from` and the starts inside the window suffice.
+fn min_free(bookings: &[Booking], from: Time, to: Time) -> u32 {
+    bookings
+        .iter()
+        .map(|&(_, start, _)| start)
+        .filter(|&s| from < s && s < to)
+        .chain([from])
+        .map(|t| level(bookings, t))
+        .min()
+        .expect("the window's own start")
+}
+
+/// Brute force: test each instant in `[from, limit]` directly.
 fn brute_earliest_start(
-    p: &Profile,
+    bookings: &[Booking],
     nodes: u32,
     duration: Time,
     from: Time,
     limit: Time,
 ) -> Option<Time> {
-    (from..=limit).find(|&t| p.min_free(t, t + duration.max(1)) >= nodes)
+    (from..=limit).find(|&t| min_free(bookings, t, t + duration.max(1)) >= nodes)
 }
 
 /// Up to 12 random (nodes, start, duration) reservation requests — the
@@ -41,29 +67,32 @@ fn arb_reservations(rng: &mut SmallRng) -> Vec<(u32, Time, Time)> {
 }
 
 /// Book the requests the way real callers do: at the earliest feasible
-/// start, skipping any that land beyond the test horizon.
-fn booked_profile(rng: &mut SmallRng) -> Profile {
+/// start, skipping any that land beyond the test horizon. Returns the
+/// profile and what was booked on it.
+fn booked_profile(rng: &mut SmallRng) -> (Profile, Vec<Booking>) {
     let mut p = Profile::empty(TOTAL, 0);
+    let mut bookings = Vec::new();
     for (n, start, dur) in arb_reservations(rng) {
         let s = p.earliest_start(n, dur, start);
         if s < 1_000_000 {
             p.reserve(n, s, dur);
+            bookings.push((n, s, s + dur));
         }
     }
-    p
+    (p, bookings)
 }
 
 #[test]
 fn earliest_start_matches_brute_force() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(derive_seed(0xEA51, case));
-        let p = booked_profile(&mut rng);
+        let (p, bookings) = booked_profile(&mut rng);
         let nodes = rng.random_range(1u32..=TOTAL);
         let duration = rng.random_range(1u64..150);
         let from = rng.random_range(0u64..250);
         let fast = p.earliest_start(nodes, duration, from);
         // All reservations end before ~1100, so search a hair past that.
-        let brute = brute_earliest_start(&p, nodes, duration, from, 1_200);
+        let brute = brute_earliest_start(&bookings, nodes, duration, from, 1_200);
         assert_eq!(Some(fast), brute, "case {case}: profile {p:?}");
     }
 }
@@ -85,10 +114,10 @@ fn reserve_never_goes_negative_when_guided() {
 fn free_at_is_step_constant_between_breakpoints() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(derive_seed(0x57E9, case));
-        let p = booked_profile(&mut rng);
+        let (p, bookings) = booked_profile(&mut rng);
         let t = rng.random_range(0u64..400);
-        // min_free over a unit window equals free_at.
-        assert_eq!(p.min_free(t, t + 1), p.free_at(t), "case {case}");
+        // The step function holds exactly the level its bookings leave.
+        assert_eq!(p.free_at(t), level(&bookings, t), "case {case}");
     }
 }
 
@@ -96,7 +125,7 @@ fn free_at_is_step_constant_between_breakpoints() {
 fn max_free_before_bounds_free_at() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(derive_seed(0x3A8F, case));
-        let p = booked_profile(&mut rng);
+        let (p, _) = booked_profile(&mut rng);
         let horizon = rng.random_range(1u64..400);
         let t = rng.random_range(0u64..400);
         if t < horizon {

@@ -4,12 +4,14 @@
 # identifier occurs nowhere else in non-test code of crates/, src/,
 # examples/ or bench/src. "Non-test" is loc.sh's rule: tests/
 # directories excluded, each file counted up to (not including) its
-# first `#[cfg(test)]` line. Three kinds of mention are not uses:
-# comments, `use` / `pub use` statements (multi-line lists included),
-# and the type an `impl` header is for (`impl X`, or the `X` of
-# `impl Trait for X`; the trait still counts). Matching is by
-# identifier, so an item that shares
-# its name with anything else is never listed: the count under-reports.
+# first `#[cfg(test)]` line. crates/oracle is test infrastructure: its
+# code is neither searched for uses nor has its own items listed, so an
+# item only the oracle calls is dead. Three kinds of mention are not
+# uses: comments, `use` / `pub use` statements (multi-line lists
+# included), and the type an `impl` header is for (`impl X`, or the `X`
+# of `impl Trait for X`; the trait still counts). Matching is by
+# identifier, so an item that shares its name with anything else is
+# never listed: the count under-reports.
 # Prints the count, then one `name file:line` per item. Exits 1 when an
 # item is listed that scripts/dead.allow (one `name reason` line per
 # item kept on purpose) does not name.
@@ -17,7 +19,7 @@ cd "$(dirname "$0")/.." || exit 1
 export LC_ALL=C
 tmp=$(mktemp -d) || exit 1
 trap 'rm -rf "$tmp"' EXIT
-find crates src examples bench/src -name '*.rs' -not -path '*/tests/*' -print0 |
+find crates src examples bench/src -name '*.rs' -not -path '*/tests/*' -not -path 'crates/oracle/*' -print0 |
     xargs -0 awk 'FNR == 1 { counting = 1 } /#\[cfg\(test\)\]/ { counting = 0 }
         counting { print FILENAME ":" FNR ":" $0 }' >"$tmp/code"
 cut -d: -f3- "$tmp/code" |

@@ -10,9 +10,10 @@ use jobsched::core::experiment::Scale;
 use jobsched::core::extensions::{combined_comparison, gang_comparison, heterogeneity_comparison};
 use jobsched::core::objective_select::ObjectiveKind;
 use jobsched::sim::gang::{GangConfig, GangFcfsTs};
-use jobsched::sim::{check_segments, simulate, simulate_time_shared};
+use jobsched::sim::{simulate, simulate_time_shared};
 use jobsched::workload::ctc::prepared_ctc_workload;
 use jobsched::workload::stats::Summary;
+use jobsched_oracle::check_segments;
 use jobsched_sweep::{run_campaign, Campaign, SweepOptions};
 
 fn scale(jobs: usize) -> Scale {

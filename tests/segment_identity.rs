@@ -6,7 +6,7 @@
 //! preemption, no moldable shapes), all 43 scheduler-atlas rows must
 //! produce **bit-identical** schedules and objective values across
 //!
-//! * the batch engine (`simulate_batch_with_faults`),
+//! * the oracle's batch reference loop (`simulate_batch_with_faults`),
 //! * the streaming pipeline (`simulate_with_faults`), and
 //! * the time-shared engine driving the same rigid scheduler through
 //!   [`RigidAdapter`],
@@ -18,11 +18,10 @@ use jobsched::algos::view::WeightScheme;
 use jobsched::algos::AlgorithmSpec;
 use jobsched::core::objective_select::ObjectiveKind;
 use jobsched::metrics::Objective;
-use jobsched::sim::{
-    simulate_batch_with_faults, simulate_time_shared, simulate_with_faults, FaultPlan, RigidAdapter,
-};
+use jobsched::sim::{simulate_time_shared, simulate_with_faults, FaultPlan};
 use jobsched::workload::ctc::prepared_ctc_workload;
 use jobsched::workload::Workload;
+use jobsched_oracle::{simulate_batch_with_faults, RigidAdapter};
 
 fn costs(w: &Workload, s: &jobsched::sim::ScheduleRecord) -> (f64, f64) {
     (

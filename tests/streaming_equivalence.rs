@@ -1,8 +1,8 @@
 //! Batch-vs-streaming equivalence, end to end: for every algorithm in
 //! the full scheduler atlas — the paper's 13-cell matrix plus the
 //! priority family (every scoring rule × every backfill mode) — the
-//! streaming pipeline must produce the same schedule as the retained
-//! batch engine loop, and every online accumulator must produce the
+//! streaming pipeline must produce the same schedule as the oracle's
+//! batch reference loop, and every online accumulator must produce the
 //! same cost — *bit for bit*, not within a tolerance — live as it does
 //! replayed over that schedule.
 //!
@@ -22,11 +22,12 @@ use jobsched::core::objective_select::ObjectiveKind;
 use jobsched::metrics::{
     replay, Objective, OnlineMakespan, OnlineUtilization, StreamingObjective, StreamingObserver,
 };
-use jobsched::sim::{simulate_batch, SimPipeline};
+use jobsched::sim::SimPipeline;
 use jobsched::workload::ctc::prepared_ctc_workload;
 use jobsched::workload::exact::with_exact_estimates;
 use jobsched::workload::probabilistic::probabilistic_workload;
 use jobsched::workload::{Workload, WorkloadSource};
+use jobsched_oracle::simulate_batch;
 
 const KINDS: [ObjectiveKind; 6] = [
     ObjectiveKind::AvgResponseTime,
@@ -125,7 +126,7 @@ fn online_costs_match_batch_bit_for_bit_with_exact_estimates() {
 fn pipeline_schedule_matches_batch_engine_across_the_matrix() {
     // The schedules themselves — not just their scalar costs — must be
     // identical between the streaming pipeline (`simulate` is now a
-    // wrapper over it) and the retained monolithic loop.
+    // wrapper over it) and the oracle's batch reference loop.
     let w = prob_1k();
     for spec in AlgorithmSpec::atlas_matrix() {
         let batch = simulate_batch(&w, &mut *spec.build_dyn(WeightScheme::ProjectedArea, true));
