@@ -1,8 +1,9 @@
 //! Selection strategies: greedy list scheduling and the two backfilling
 //! variants of §5.2 (Lifka \[10\], Feitelson & Weil \[4\]).
 //!
-//! All strategies take the current priority order of the waiting jobs and
-//! the machine state and return the jobs to start *now*:
+//! All strategies take the current priority order of the waiting jobs —
+//! their requests, walked in order and never looked up by id — and the
+//! machine state, and return the jobs to start *now*:
 //!
 //! * [`BackfillMode::None`] — plain greedy list ("the next job in the list
 //!   is started as soon as the necessary resources are available"): start
@@ -27,8 +28,7 @@
 //! so backfilled jobs can still delay skipped ones relative to FCFS —
 //! plays out naturally in the simulator through early finish events.
 
-use crate::scheduler::Waiting;
-use jobsched_sim::{Machine, Profile};
+use jobsched_sim::{JobRequest, Machine, Profile};
 use jobsched_workload::{ClassId, JobId, Time};
 
 /// Backfilling flavour applied on top of a priority order (§5.2).
@@ -59,23 +59,21 @@ impl BackfillMode {
 /// must contain only jobs resolved to `class`; on a single-class machine
 /// `ClassId(0)` is the whole machine.
 ///
-/// Lazy over the order: stops consuming at the first misfit, so plain
-/// FCFS pays O(started + 1) per decision, not O(queue) — which is what
-/// makes the paper's Table 7 cost relationships (list scheduling far
-/// cheaper than backfilling) measurable.
-pub fn select_head_blocking_in(
+/// Lazy over the order: stops consuming at the first misfit, so a plain
+/// list decision (FCFS, SMART, PSRS) pays O(started + 1), not O(queue) —
+/// which is what makes the paper's Table 7 cost relationships (list
+/// scheduling far cheaper than backfilling) measurable.
+pub fn select_head_blocking_in<'a>(
     class: ClassId,
-    order: impl IntoIterator<Item = JobId>,
-    waiting: &Waiting,
+    order: impl IntoIterator<Item = &'a JobRequest>,
     machine: &Machine,
 ) -> Vec<JobId> {
     let mut free = machine.free_in(class);
     let mut out = Vec::new();
-    for id in order {
-        let job = waiting.get(id);
+    for job in order {
         if job.nodes <= free {
             free -= job.nodes;
-            out.push(id);
+            out.push(job.id);
         } else {
             break;
         }
@@ -109,31 +107,32 @@ pub struct EasyScan {
 /// the calendar — no step function is materialised at all. Otherwise the
 /// calendar is merged into `scratch` (linear, no sort, reusing its
 /// allocation) and the just-started picks are overlaid as reservations.
-pub fn scan_easy_live_in(
+/// The requests of the phase-1 picks and of the blocked head are kept
+/// from the walk, never looked up again.
+pub fn scan_easy_live_in<'a>(
     class: ClassId,
-    order: impl IntoIterator<Item = JobId>,
-    waiting: &Waiting,
+    order: impl IntoIterator<Item = &'a JobRequest>,
     machine: &Machine,
     now: Time,
     scratch: &mut Profile,
 ) -> EasyScan {
     let mut order = order.into_iter();
     let mut free = machine.free_in(class);
-    let mut out = Vec::new();
 
     // Phase 1: start head jobs greedily until one blocks.
+    let mut started: Vec<&JobRequest> = Vec::new();
     let mut blocked_head = None;
-    for id in &mut order {
-        let job = waiting.get(id);
+    for job in &mut order {
         if job.nodes <= free {
             free -= job.nodes;
-            out.push(id);
+            started.push(job);
         } else {
-            blocked_head = Some(id);
+            blocked_head = Some(job);
             break;
         }
     }
-    let Some(head_id) = blocked_head else {
+    let mut out: Vec<JobId> = started.iter().map(|j| j.id).collect();
+    let Some(head) = blocked_head else {
         return EasyScan {
             picks: out,
             shadow: jobsched_sim::profile::HORIZON,
@@ -146,7 +145,6 @@ pub fn scan_easy_live_in(
     // ends of running jobs plus the jobs just started (which also hold
     // nodes until their projected ends). Spare nodes: what remains free
     // at the shadow time once the head job has taken its share.
-    let head = waiting.get(head_id);
     let head_duration = head.requested_time.max(1);
     let live = machine.class_profile(class);
     let (shadow, mut extra) = if out.is_empty() {
@@ -155,8 +153,7 @@ pub fn scan_easy_live_in(
         (shadow, live.free_at(now, shadow).saturating_sub(head.nodes))
     } else {
         live.snapshot_into(now, scratch);
-        for &id in &out {
-            let j = waiting.get(id);
+        for j in &started {
             scratch.reserve(j.nodes, now, j.requested_time.max(1));
         }
         let shadow = scratch.earliest_start(head.nodes, head_duration, now);
@@ -165,22 +162,21 @@ pub fn scan_easy_live_in(
 
     // Phase 3: backfill later jobs that fit now and do not push the head's
     // projected start.
-    for id in order {
+    for job in order {
         if free == 0 {
             break;
         }
-        let job = waiting.get(id);
         if job.nodes > free {
             continue;
         }
         let ends_by_shadow = now + job.requested_time.max(1) <= shadow;
         if ends_by_shadow {
             free -= job.nodes;
-            out.push(id);
+            out.push(job.id);
         } else if job.nodes <= extra {
             free -= job.nodes;
             extra -= job.nodes;
-            out.push(id);
+            out.push(job.id);
         }
     }
     EasyScan {
@@ -212,7 +208,9 @@ pub const CONSERVATIVE_TRUNCATION_DEPTH: usize = 512;
 /// (linear, no sort, reusing its allocation), book the reservation
 /// calendar (covering only that pool's capacity) there in priority
 /// order, and start exactly the jobs whose reservation is `now`. The
-/// order must contain only jobs resolved to `class`.
+/// order must contain only jobs resolved to `class`; `queue` is the whole
+/// wait queue in any order, whose depth and longest estimate set the
+/// truncation below.
 ///
 /// For queues deeper than [`CONSERVATIVE_TRUNCATION_DEPTH`] the scan
 /// truncates the calendar at a horizon of `now + 4 × max requested time`:
@@ -224,12 +222,10 @@ pub const CONSERVATIVE_TRUNCATION_DEPTH: usize = 512;
 /// conservative no-delay guarantee. Without the truncation, each of the
 /// O(queue) reservations scans an O(queue)-breakpoint profile and the
 /// §6.3 stress workload becomes quadratic per event.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_conservative_live_in(
+pub fn scan_conservative_live_in<'a, 'q>(
     class: ClassId,
-    order: impl IntoIterator<Item = JobId>,
-    queue_len: usize,
-    waiting: &Waiting,
+    order: impl IntoIterator<Item = &'a JobRequest>,
+    queue: impl ExactSizeIterator<Item = &'q JobRequest>,
     machine: &Machine,
     now: Time,
     profile: &mut Profile,
@@ -238,7 +234,7 @@ pub fn scan_conservative_live_in(
     let mut out = Vec::new();
     let mut leftover = machine.free_in(class);
 
-    let truncate = queue_len > CONSERVATIVE_TRUNCATION_DEPTH;
+    let truncate = queue.len() > CONSERVATIVE_TRUNCATION_DEPTH;
     // Bounded reservation lookahead on deep queues (production batch
     // schedulers do the same): only the first 2×depth priority entries
     // get reservations. Jobs beyond that window are under hours of
@@ -249,12 +245,7 @@ pub fn scan_conservative_live_in(
         usize::MAX
     };
     let horizon = if truncate {
-        let max_req = waiting
-            .requests()
-            .map(|r| r.requested_time)
-            .max()
-            .unwrap_or(1)
-            .max(1);
+        let max_req = queue.map(|r| r.requested_time).max().unwrap_or(1).max(1);
         now.saturating_add(4 * max_req)
     } else {
         jobsched_sim::profile::HORIZON
@@ -264,8 +255,7 @@ pub fn scan_conservative_live_in(
     // Recomputed only when a reservation is actually booked.
     let mut max_free_below_horizon = machine.total_in(class);
 
-    for id in order.into_iter().take(scan_limit) {
-        let job = waiting.get(id);
+    for job in order.into_iter().take(scan_limit) {
         if truncate && job.nodes > max_free_below_horizon {
             continue;
         }
@@ -276,7 +266,7 @@ pub fn scan_conservative_live_in(
         }
         profile.reserve(job.nodes, start, duration);
         if start == now {
-            out.push(id);
+            out.push(job.id);
         }
         leftover = profile.free_at(now);
         if leftover == 0 {
@@ -300,8 +290,6 @@ pub fn scan_conservative_live_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::Waiting;
-    use jobsched_sim::JobRequest;
 
     fn req(id: u32, nodes: u32, requested: Time) -> JobRequest {
         JobRequest {
@@ -316,42 +304,21 @@ mod tests {
 
     const POOL: ClassId = ClassId(0);
 
-    fn select_easy(
-        order: impl IntoIterator<Item = JobId>,
-        w: &Waiting,
-        m: &Machine,
-        now: Time,
-    ) -> Vec<JobId> {
-        scan_easy_live_in(POOL, order, w, m, now, &mut Profile::empty(1, 0)).picks
+    fn select_easy(order: &[JobRequest], m: &Machine, now: Time) -> Vec<JobId> {
+        scan_easy_live_in(POOL, order, m, now, &mut Profile::empty(1, 0)).picks
     }
 
-    fn select_conservative(
-        order: impl IntoIterator<Item = JobId>,
-        w: &Waiting,
-        m: &Machine,
-        now: Time,
-    ) -> Vec<JobId> {
-        scan_conservative_live_in(POOL, order, w.len(), w, m, now, &mut Profile::empty(1, 0)).picks
-    }
-
-    fn waiting(reqs: &[JobRequest]) -> (Waiting, Vec<JobId>) {
-        let mut w = Waiting::new();
-        for r in reqs {
-            w.insert(*r);
-        }
-        let order = reqs.iter().map(|r| r.id).collect();
-        (w, order)
+    fn select_conservative(order: &[JobRequest], m: &Machine, now: Time) -> Vec<JobId> {
+        scan_conservative_live_in(POOL, order, order.iter(), m, now, &mut Profile::empty(1, 0))
+            .picks
     }
 
     #[test]
     fn head_blocking_stops_at_first_misfit() {
         let m = Machine::new(10);
-        let (w, order) = waiting(&[req(0, 4, 10), req(1, 8, 10), req(2, 1, 10)]);
+        let order = [req(0, 4, 10), req(1, 8, 10), req(2, 1, 10)];
         // J1 does not fit after J0; J2 would, but head-blocking stops.
-        assert_eq!(
-            select_head_blocking_in(POOL, order.iter().copied(), &w, &m),
-            vec![JobId(0)]
-        );
+        assert_eq!(select_head_blocking_in(POOL, &order, &m), vec![JobId(0)]);
     }
 
     #[test]
@@ -360,11 +327,8 @@ mod tests {
         // Running job until 100. Head needs 8 nodes → shadow = 100. A
         // 4-node job with estimate 50 ends by the shadow and is backfilled.
         m.start(JobId(9), 6, 0, 100).unwrap();
-        let (w, order) = waiting(&[req(0, 8, 1000), req(1, 4, 50)]);
-        assert_eq!(
-            select_easy(order.iter().copied(), &w, &m, 0),
-            vec![JobId(1)]
-        );
+        let order = [req(0, 8, 1000), req(1, 4, 50)];
+        assert_eq!(select_easy(&order, &m, 0), vec![JobId(1)]);
     }
 
     #[test]
@@ -374,8 +338,8 @@ mod tests {
         // Head needs 8 → shadow 100, extra = 10 − 8 = 2 at shadow.
         // A 4-node job with estimate 200 runs past the shadow and exceeds
         // the 2 spare nodes → rejected.
-        let (w, order) = waiting(&[req(0, 8, 1000), req(1, 4, 200)]);
-        assert!(select_easy(order.iter().copied(), &w, &m, 0).is_empty());
+        let order = [req(0, 8, 1000), req(1, 4, 200)];
+        assert!(select_easy(&order, &m, 0).is_empty());
     }
 
     #[test]
@@ -383,11 +347,8 @@ mod tests {
         let mut m = Machine::new(10);
         m.start(JobId(9), 6, 0, 100).unwrap();
         // 2-node long job ≤ extra (2): cannot delay the 8-node head.
-        let (w, order) = waiting(&[req(0, 8, 1000), req(1, 2, 10_000)]);
-        assert_eq!(
-            select_easy(order.iter().copied(), &w, &m, 0),
-            vec![JobId(1)]
-        );
+        let order = [req(0, 8, 1000), req(1, 2, 10_000)];
+        assert_eq!(select_easy(&order, &m, 0), vec![JobId(1)]);
     }
 
     #[test]
@@ -396,16 +357,13 @@ mod tests {
         // Empty machine: J0 starts now (6 nodes, until 100). Head J1 needs
         // 8 → shadow 100 with extra 2. J2 (4 nodes, long) must not
         // backfill; J3 (2 nodes, long) may.
-        let (w, order) = waiting(&[
+        let order = [
             req(0, 6, 100),
             req(1, 8, 1000),
             req(2, 4, 5000),
             req(3, 2, 5000),
-        ]);
-        assert_eq!(
-            select_easy(order.iter().copied(), &w, &m, 0),
-            vec![JobId(0), JobId(3)]
-        );
+        ];
+        assert_eq!(select_easy(&order, &m, 0), vec![JobId(0), JobId(3)]);
     }
 
     #[test]
@@ -415,11 +373,8 @@ mod tests {
         // J0 (head, 8 nodes) reserves at 100. J1 (4 nodes, est 50) fits
         // before the reservation → starts now. J2 (4 nodes, est 200) would
         // collide with J0's reservation → reserves later, does not start.
-        let (w, order) = waiting(&[req(0, 8, 1000), req(1, 4, 50), req(2, 4, 200)]);
-        assert_eq!(
-            select_conservative(order.iter().copied(), &w, &m, 0),
-            vec![JobId(1)]
-        );
+        let order = [req(0, 8, 1000), req(1, 4, 50), req(2, 4, 200)];
+        assert_eq!(select_conservative(&order, &m, 0), vec![JobId(1)]);
     }
 
     #[test]
@@ -427,8 +382,8 @@ mod tests {
         let mut m = Machine::new(10);
         // Machine full until 100: nothing can start now regardless of order.
         m.start(JobId(9), 10, 0, 100).unwrap();
-        let (w, order) = waiting(&[req(0, 1, 10), req(1, 1, 10)]);
-        assert!(select_conservative(order.iter().copied(), &w, &m, 0).is_empty());
+        let order = [req(0, 1, 10), req(1, 1, 10)];
+        assert!(select_conservative(&order, &m, 0).is_empty());
     }
 
     #[test]
@@ -438,11 +393,8 @@ mod tests {
         // J1 (10 nodes) reserves [100, 200). J2 (1 node, est 50): its
         // earliest window inside [0,100) is gone (J0 holds 10), so it can
         // only start at 200 — J1's full-machine reservation blocks it.
-        let (w, order) = waiting(&[req(0, 10, 100), req(1, 10, 100), req(2, 1, 50)]);
-        assert_eq!(
-            select_conservative(order.iter().copied(), &w, &m, 0),
-            vec![JobId(0)]
-        );
+        let order = [req(0, 10, 100), req(1, 10, 100), req(2, 1, 50)];
+        assert_eq!(select_conservative(&order, &m, 0), vec![JobId(0)]);
     }
 
     #[test]
@@ -452,13 +404,13 @@ mod tests {
         let reqs: Vec<JobRequest> = (0..12)
             .map(|i| req(i, 1 + (i * 5) % 16, 50 + 100 * i as Time))
             .collect();
-        let (w, order) = waiting(&reqs);
+        let order = reqs;
         for picks in [
-            select_head_blocking_in(POOL, order.iter().copied(), &w, &m),
-            select_easy(order.iter().copied(), &w, &m, 0),
-            select_conservative(order.iter().copied(), &w, &m, 0),
+            select_head_blocking_in(POOL, &order, &m),
+            select_easy(&order, &m, 0),
+            select_conservative(&order, &m, 0),
         ] {
-            let total: u32 = picks.iter().map(|&id| w.get(id).nodes).sum();
+            let total: u32 = picks.iter().map(|id| order[id.index()].nodes).sum();
             assert!(total <= m.free_nodes(), "picks {picks:?} overcommit");
         }
     }
@@ -466,9 +418,9 @@ mod tests {
     #[test]
     fn empty_order_yields_nothing() {
         let m = Machine::new(10);
-        let (w, _) = waiting(&[]);
-        assert!(select_head_blocking_in(POOL, [], &w, &m).is_empty());
-        assert!(select_easy([], &w, &m, 0).is_empty());
-        assert!(select_conservative([], &w, &m, 0).is_empty());
+        let order: [JobRequest; 0] = [];
+        assert!(select_head_blocking_in(POOL, &order, &m).is_empty());
+        assert!(select_easy(&order, &m, 0).is_empty());
+        assert!(select_conservative(&order, &m, 0).is_empty());
     }
 }

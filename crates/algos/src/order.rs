@@ -9,6 +9,13 @@
 //! as: recompute once the *unordered* fraction of the queue exceeds ⅓
 //! (equivalently, the ordered fraction has fallen below ⅔); see DESIGN.md.
 //!
+//! Between recomputations the schedulers keep the computed order current
+//! rather than rebuilding it per decision: starts and cancellations drop
+//! out of it, later arrivals queue behind it in id order, and only
+//! [`OrderPolicy::compute`] replaces it. The arrivals behind it are the
+//! trigger's "unordered" jobs, so the trigger reads the same counts, and
+//! fires at the same points, as a per-decision rebuild would.
+//!
 //! The priority family ([`OrderPolicy::Score`]) is the third kind of
 //! order: a scoring rule over (wait, estimate, width) whose ranking
 //! drifts with the clock, so it is re-ranked at every decision instead

@@ -9,6 +9,14 @@
 //! a scoring rule at every decision. Selection is head-blocking greedy,
 //! optionally upgraded with conservative or EASY backfilling (§5.2);
 //! Garey & Graham instead starts anything that fits (§5.3).
+//!
+//! The scans walk `&JobRequest`s, never ids to be looked up: FCFS and
+//! Garey & Graham walk the wait queue's own values, SMART and PSRS a
+//! `MaintainedOrder` that submissions, starts and cancellations keep
+//! current between decisions (so no decision rebuilds it), and a score
+//! order maps its ranked ids through the queue as the scan reaches them.
+//! Every scan is lazy, so a plain-list FCFS, SMART or PSRS decision costs
+//! O(started + 1), whatever the queue depth (a recomputation aside).
 
 use crate::backfill::{
     scan_conservative_live_in, scan_easy_live_in, select_head_blocking_in, BackfillMode,
@@ -19,7 +27,6 @@ use crate::priority::rank;
 use crate::view::JobView;
 use jobsched_sim::{JobRequest, Machine, Profile, Scheduler};
 use jobsched_workload::{ClassId, JobId, Time};
-use std::collections::BTreeSet;
 
 /// The wait queue: requests keyed by job id. Ids are assigned in
 /// submission order by the workload, so ascending-id iteration *is*
@@ -85,8 +92,89 @@ impl Waiting {
     }
 
     /// Waiting requests in submission order.
-    pub fn requests(&self) -> impl Iterator<Item = &JobRequest> + '_ {
+    pub fn requests(&self) -> impl ExactSizeIterator<Item = &JobRequest> + Clone + '_ {
         self.queue.values()
+    }
+}
+
+/// The order of a dynamic policy (SMART, PSRS), kept current between
+/// decisions. It holds exactly the waiting jobs: first those the last
+/// [`OrderPolicy::compute`] ordered that still wait, in computed order
+/// (the *covered* prefix), then every later arrival in id order (the
+/// uncovered tail). Submissions insert, starts and cancellations remove,
+/// and only a recomputation replaces the whole order — so a decision
+/// walks it as it stands instead of rebuilding it from the queue.
+#[derive(Debug, Default)]
+pub(crate) struct MaintainedOrder {
+    jobs: Vec<JobRequest>,
+    /// Length of the covered prefix.
+    covered: usize,
+}
+
+impl MaintainedOrder {
+    /// A newly waiting job joins the uncovered tail in id order. A
+    /// first-time submission carries the highest id so far and appends;
+    /// a preempted job's remainder re-enters with its old id and is
+    /// inserted by id (it left the covered prefix when it started).
+    pub(crate) fn insert(&mut self, job: JobRequest) {
+        let tail = &self.jobs[self.covered..];
+        if tail.last().is_none_or(|last| last.id < job.id) {
+            self.jobs.push(job);
+        } else {
+            let at = self.covered + tail.partition_point(|r| r.id < job.id);
+            self.jobs.insert(at, job);
+        }
+    }
+
+    /// Drop jobs that left the queue (started or cancelled).
+    pub(crate) fn remove(&mut self, ids: &[JobId]) {
+        if ids.is_empty() {
+            return;
+        }
+        let mut gone = ids.to_vec();
+        gone.sort_unstable();
+        let (covered, mut at, mut dropped) = (self.covered, 0, 0);
+        self.jobs.retain(|r| {
+            let keep = gone.binary_search(&r.id).is_err();
+            if !keep && at < covered {
+                dropped += 1;
+            }
+            at += 1;
+            keep
+        });
+        debug_assert_eq!(self.jobs.len() + ids.len(), at, "removed unknown jobs");
+        self.covered -= dropped;
+    }
+
+    /// Jobs that arrived since the last computation (the §5.4 trigger's
+    /// "unordered" count).
+    pub(crate) fn unordered(&self) -> usize {
+        self.jobs.len() - self.covered
+    }
+
+    /// Re-run the policy's offline algorithm over the whole wait queue
+    /// (views in id order, as the algorithms expect) and make its result
+    /// the new, fully covered order.
+    pub(crate) fn recompute(
+        &mut self,
+        policy: &OrderPolicy,
+        waiting: &Waiting,
+        machine_nodes: u32,
+    ) {
+        let views: Vec<JobView> = waiting
+            .requests()
+            .map(|r| JobView::of(r, policy.scheme()))
+            .collect();
+        let ids = policy.compute(&views, machine_nodes);
+        debug_assert_eq!(ids.len(), waiting.len(), "compute must order every job");
+        self.jobs.clear();
+        self.jobs.extend(ids.iter().map(|&id| *waiting.get(id)));
+        self.covered = self.jobs.len();
+    }
+
+    /// The order as it stands.
+    pub(crate) fn requests(&self) -> &[JobRequest] {
+        &self.jobs
     }
 }
 
@@ -146,12 +234,8 @@ pub struct ListScheduler {
     backfill: BackfillMode,
     trigger: ReorderTrigger,
     waiting: Waiting,
-    /// Priority order from the last offline run (dynamic policies only).
-    /// May contain ids that have since started; filtered lazily.
-    priority: Vec<JobId>,
-    /// Jobs covered by `priority`. Ordered container: scheduling state
-    /// must never depend on hash-iteration order.
-    covered: BTreeSet<JobId>,
+    /// The offline order (dynamic policies only; empty otherwise).
+    order: MaintainedOrder,
     /// Number of offline re-computations performed (diagnostics; the §5.4
     /// trigger exists to keep this low).
     recomputations: u64,
@@ -163,7 +247,7 @@ pub struct ListScheduler {
     scratch: Profile,
     cache: Option<BlockedCache>,
     /// Jobs submitted since the cache was established.
-    arrivals: Vec<JobId>,
+    arrivals: Vec<JobRequest>,
     /// The §5.4 trigger fired at a submission; the next ordering must
     /// re-run the offline algorithm. Evaluating the trigger only at
     /// submissions (as the paper describes) keeps re-computation points
@@ -179,8 +263,7 @@ impl ListScheduler {
             backfill,
             trigger: ReorderTrigger::default(),
             waiting: Waiting::new(),
-            priority: Vec::new(),
-            covered: BTreeSet::new(),
+            order: MaintainedOrder::default(),
             recomputations: 0,
             caching: true,
             scratch: Profile::empty(1, 0),
@@ -224,49 +307,15 @@ impl ListScheduler {
         self.arrivals.clear();
     }
 
-    /// The picks leave the wait queue.
-    fn started(&mut self, picks: &[JobId]) {
-        for &id in picks {
+    /// Started or cancelled jobs leave the wait queue (and the offline
+    /// order).
+    fn dequeue(&mut self, ids: &[JobId]) {
+        for &id in ids {
             self.waiting.remove(id);
-            self.covered.remove(&id);
         }
-    }
-
-    /// The priority order, when the policy has to materialise one: a
-    /// score policy's ranking at `now`, a dynamic policy's offline order.
-    /// `None` for the static policies, whose order is the wait queue's
-    /// own and is iterated lazily (plain FCFS pays O(started + 1) per
-    /// decision).
-    fn explicit_order(&mut self, now: Time, machine_nodes: u32) -> Option<Vec<JobId>> {
-        match self.policy {
-            OrderPolicy::Fcfs | OrderPolicy::GareyGraham => None,
-            OrderPolicy::Score(score) => Some(rank(score, now, self.waiting.requests(), false)),
-            OrderPolicy::Smart { .. } | OrderPolicy::Psrs { .. } => {
-                Some(self.offline_order(machine_nodes))
-            }
+        if self.policy.is_dynamic() {
+            self.order.remove(ids);
         }
-    }
-
-    /// Current offline order of a dynamic policy over the waiting queue.
-    fn offline_order(&mut self, machine_nodes: u32) -> Vec<JobId> {
-        if self.reorder_pending {
-            self.reorder_pending = false;
-            let views: Vec<JobView> = self
-                .waiting
-                .requests()
-                .map(|r| JobView::of(r, self.policy.scheme()))
-                .collect();
-            self.priority = self.policy.compute(&views, machine_nodes);
-            self.covered = self.priority.iter().copied().collect();
-            self.recomputations += 1;
-            return self.priority.clone();
-        }
-        // Keep the existing order, appending uncovered arrivals at the
-        // tail in submission order.
-        self.priority.retain(|id| self.waiting.contains(*id));
-        let mut order = self.priority.clone();
-        order.extend(self.waiting.ids().filter(|id| !self.covered.contains(id)));
-        order
     }
 
     /// O(new arrivals) decision against the remembered blocked state.
@@ -281,14 +330,13 @@ impl ListScheduler {
             }
             BlockedCache::OpenList { mut leftover } => {
                 let mut blocked = false;
-                for &id in &self.arrivals {
+                for job in &self.arrivals {
                     if blocked {
                         break;
                     }
-                    let nodes = self.waiting.get(id).nodes;
-                    if nodes <= leftover {
-                        leftover -= nodes;
-                        picks.push(id);
+                    if job.nodes <= leftover {
+                        leftover -= job.nodes;
+                        picks.push(job.id);
                     } else {
                         blocked = true;
                     }
@@ -301,11 +349,10 @@ impl ListScheduler {
                 }
             }
             BlockedCache::GreedyAny { mut leftover } => {
-                for &id in &self.arrivals {
-                    let nodes = self.waiting.get(id).nodes;
-                    if nodes <= leftover {
-                        leftover -= nodes;
-                        picks.push(id);
+                for job in &self.arrivals {
+                    if job.nodes <= leftover {
+                        leftover -= job.nodes;
+                        picks.push(job.id);
                     }
                     // Rejected arrivals stay rejected: leftover only
                     // shrinks until the next invalidation.
@@ -319,8 +366,7 @@ impl ListScheduler {
                 mut free,
             } => {
                 let open = shadow >= jobsched_sim::profile::HORIZON;
-                for &id in &self.arrivals {
-                    let job = *self.waiting.get(id);
+                for job in &self.arrivals {
                     let fits_now = job.nodes <= free;
                     let passes = fits_now
                         && (now + job.requested_time.max(1) <= shadow || job.nodes <= extra);
@@ -329,7 +375,7 @@ impl ListScheduler {
                         if now + job.requested_time.max(1) > shadow {
                             extra -= job.nodes;
                         }
-                        picks.push(id);
+                        picks.push(job.id);
                     } else if open {
                         // No head was blocked when this state was taken;
                         // this rejection creates a new blocked head whose
@@ -351,11 +397,7 @@ impl ListScheduler {
                 }
             }
             BlockedCache::Conservative { leftover } => {
-                if self
-                    .arrivals
-                    .iter()
-                    .any(|&id| self.waiting.get(id).nodes <= leftover)
-                {
+                if self.arrivals.iter().any(|job| job.nodes <= leftover) {
                     // The arrival might start now; its reservation
                     // interacts with the calendar — full re-scan.
                     self.invalidate_cache();
@@ -370,37 +412,77 @@ impl ListScheduler {
     }
 }
 
-/// Selection-strategy configuration of one full decision scan. Shared
-/// between [`ListScheduler`] and
-/// [`SwitchingScheduler`](crate::switching::SwitchingScheduler), which
-/// dispatches each regime's order through [`scan_pools`].
+/// Selection strategy of one full decision scan.
 #[derive(Clone, Copy)]
-pub(crate) struct ScanConfig {
+struct ScanConfig {
     greedy_any: bool,
     backfill: BackfillMode,
 }
 
-impl ScanConfig {
-    pub(crate) fn new(policy: &OrderPolicy, backfill: BackfillMode) -> Self {
-        ScanConfig {
-            greedy_any: matches!(policy, OrderPolicy::GareyGraham),
-            backfill,
+/// One full decision of `policy` over the wait queue, shared between
+/// [`ListScheduler`] and
+/// [`SwitchingScheduler`](crate::switching::SwitchingScheduler): hand the
+/// policy's order — the queue's own for FCFS and Garey & Graham, `order`
+/// for SMART and PSRS, the ranking at `now` (each id looked up once, when
+/// the scan reaches it) for a score order — to the selection strategy. Returns the picks
+/// and, on a single-class machine, the blocked state the scan leaves
+/// behind.
+pub(crate) fn full_decision(
+    policy: &OrderPolicy,
+    backfill: BackfillMode,
+    order: &MaintainedOrder,
+    waiting: &Waiting,
+    scratch: &mut Profile,
+    machine: &Machine,
+    now: Time,
+) -> (Vec<JobId>, Option<BlockedCache>) {
+    let config = ScanConfig {
+        greedy_any: matches!(policy, OrderPolicy::GareyGraham),
+        backfill,
+    };
+    match *policy {
+        OrderPolicy::Fcfs | OrderPolicy::GareyGraham => {
+            scan_pools(config, scratch, waiting.requests(), waiting, machine, now)
+        }
+        OrderPolicy::Smart { .. } | OrderPolicy::Psrs { .. } => scan_pools(
+            config,
+            scratch,
+            order.requests().iter(),
+            waiting,
+            machine,
+            now,
+        ),
+        OrderPolicy::Score(score) => {
+            // Lazy: only the jobs a scan inspects are looked up.
+            let ranked = rank(score, now, waiting.requests(), false)
+                .into_iter()
+                .map(|id| waiting.get(id));
+            scan_pools(config, scratch, ranked, waiting, machine, now)
         }
     }
 }
 
-/// One decision round over a partitioned machine: each node-class pool
-/// is scanned independently over the jobs of `order` resolved to it, so
-/// a wide pick can never consume thin capacity or vice versa. On a
-/// single-class machine this is one whole-machine scan.
-pub(crate) fn scan_pools(
+/// One decision round over the machine's node-class pools. On a
+/// single-class machine this is one whole-machine scan, and its blocked
+/// state is returned for the cache. A partitioned machine scans each pool
+/// independently over the jobs of `order` resolved to it, so a wide pick
+/// can never consume thin capacity or vice versa; nothing is cached then
+/// (that would need one cache per pool).
+fn scan_pools<'a, I>(
     config: ScanConfig,
     scratch: &mut Profile,
-    order: &[JobId],
+    order: I,
     waiting: &Waiting,
     machine: &Machine,
     now: Time,
-) -> Vec<JobId> {
+) -> (Vec<JobId>, Option<BlockedCache>)
+where
+    I: Iterator<Item = &'a JobRequest> + Clone,
+{
+    if machine.class_count() == 1 {
+        let (picks, blocked) = full_scan(ClassId(0), config, scratch, order, waiting, machine, now);
+        return (picks, Some(blocked));
+    }
     let mut picks = Vec::new();
     for c in 0..machine.class_count() {
         let class = ClassId(c as u8);
@@ -409,33 +491,28 @@ pub(crate) fn scan_pools(
         }
         // Classes partition the queue: a job picked for an earlier
         // pool never appears in a later pool's order.
-        let class_order = order
-            .iter()
-            .copied()
-            .filter(|&id| waiting.get(id).class == class);
+        let class_order = order.clone().filter(|r| r.class == class);
         let (p, _) = full_scan(class, config, scratch, class_order, waiting, machine, now);
         picks.extend(p);
     }
-    picks
+    (picks, None)
 }
 
 /// One full decision scan over one node-class pool: dispatch the order to
 /// the selection strategy and describe the blocked state it leaves
 /// behind. `scratch` is the reusable profile buffer of the backfilling
-/// scans. On a single-class machine
-/// `ClassId(0)` is the whole machine; the blocked state is only cached
-/// then (a multi-class machine would need one cache per pool).
-fn full_scan<I: IntoIterator<Item = JobId>>(
+/// scans; on a single-class machine `ClassId(0)` is the whole machine.
+fn full_scan<'a>(
     class: ClassId,
     config: ScanConfig,
     scratch: &mut Profile,
-    order: I,
+    order: impl IntoIterator<Item = &'a JobRequest>,
     waiting: &Waiting,
     machine: &Machine,
     now: Time,
 ) -> (Vec<JobId>, BlockedCache) {
     if config.greedy_any {
-        let picks = select_greedy_any_in(class, order, waiting, machine);
+        let picks = select_greedy_any_in(class, order, machine);
         let used: u32 = picks.iter().map(|&id| waiting.get(id).nodes).sum();
         return (
             picks,
@@ -446,7 +523,7 @@ fn full_scan<I: IntoIterator<Item = JobId>>(
     }
     match config.backfill {
         BackfillMode::None => {
-            let picks = select_head_blocking_in(class, order, waiting, machine);
+            let picks = select_head_blocking_in(class, order, machine);
             let blocked = if picks.len() < waiting.len() {
                 BlockedCache::HeadBlocked
             } else {
@@ -458,7 +535,7 @@ fn full_scan<I: IntoIterator<Item = JobId>>(
             (picks, blocked)
         }
         BackfillMode::Easy => {
-            let scan = scan_easy_live_in(class, order, waiting, machine, now, scratch);
+            let scan = scan_easy_live_in(class, order, machine, now, scratch);
             (
                 scan.picks,
                 BlockedCache::Easy {
@@ -469,15 +546,8 @@ fn full_scan<I: IntoIterator<Item = JobId>>(
             )
         }
         BackfillMode::Conservative => {
-            let scan = scan_conservative_live_in(
-                class,
-                order,
-                waiting.len(),
-                waiting,
-                machine,
-                now,
-                scratch,
-            );
+            let scan =
+                scan_conservative_live_in(class, order, waiting.requests(), machine, now, scratch);
             (
                 scan.picks,
                 BlockedCache::Conservative {
@@ -501,12 +571,14 @@ impl Scheduler for ListScheduler {
         // arrivals append at the tail — force a full scan for it.
         let mid_queue = self.waiting.max_id().is_some_and(|tail| job.id < tail);
         self.waiting.insert(job);
-        // §5.4: the trigger is evaluated as jobs are submitted. `covered`
-        // only ever holds still-waiting jobs (started ones are removed),
-        // so the unordered count is a subtraction.
-        if self.policy.is_dynamic() && !self.reorder_pending {
-            let unordered = self.waiting.len() - self.covered.len();
-            if self.trigger.fires(unordered, self.waiting.len()) {
+        if self.policy.is_dynamic() {
+            self.order.insert(job);
+            // §5.4: the trigger is evaluated as jobs are submitted.
+            if !self.reorder_pending
+                && self
+                    .trigger
+                    .fires(self.order.unordered(), self.waiting.len())
+            {
                 self.reorder_pending = true;
             }
         }
@@ -517,7 +589,7 @@ impl Scheduler for ListScheduler {
                 // invalidating every blocked-state conclusion.
                 self.invalidate_cache();
             } else {
-                self.arrivals.push(job.id);
+                self.arrivals.push(job);
             }
         }
     }
@@ -531,8 +603,7 @@ impl Scheduler for ListScheduler {
         if !self.waiting.contains(id) {
             return; // already started (or never submitted): nothing queued
         }
-        self.waiting.remove(id);
-        self.covered.remove(&id);
+        self.dequeue(&[id]);
         // The blocked state may hinge on the retracted job (it could be
         // the blocked head, or hold a reservation in the conservative
         // calendar), and `arrivals` may still reference it — drop both.
@@ -563,55 +634,37 @@ impl Scheduler for ListScheduler {
             if let Some(cache) = self.cache {
                 let picks = self.incremental_starts(now, cache);
                 if self.cache.is_some() {
-                    self.started(&picks);
+                    self.dequeue(&picks);
                     return picks;
                 }
                 // Cache invalidated inside: fall through to a full scan.
             }
         }
 
-        let config = ScanConfig::new(&self.policy, self.backfill);
-        let order = self.explicit_order(now, machine.total_nodes());
-        if classed {
-            let order = order.unwrap_or_else(|| self.waiting.ids().collect());
-            let picks = scan_pools(
-                config,
-                &mut self.scratch,
-                &order,
-                &self.waiting,
-                machine,
-                now,
-            );
-            self.started(&picks);
-            return picks;
+        if self.reorder_pending {
+            // The §5.4 trigger fired at a submission: this decision scans
+            // a freshly computed order.
+            self.reorder_pending = false;
+            self.order
+                .recompute(&self.policy, &self.waiting, machine.total_nodes());
+            self.recomputations += 1;
         }
-        let (picks, blocked) = match order {
-            Some(order) => full_scan(
-                ClassId(0),
-                config,
-                &mut self.scratch,
-                order,
-                &self.waiting,
-                machine,
-                now,
-            ),
-            None => full_scan(
-                ClassId(0),
-                config,
-                &mut self.scratch,
-                self.waiting.ids(),
-                &self.waiting,
-                machine,
-                now,
-            ),
-        };
-        self.started(&picks);
+        let (picks, blocked) = full_decision(
+            &self.policy,
+            self.backfill,
+            &self.order,
+            &self.waiting,
+            &mut self.scratch,
+            machine,
+            now,
+        );
+        self.dequeue(&picks);
         if caching {
             // Every full scan is complete: no further job can start until
             // an arrival (judged incrementally against this state) or a
             // finish (which invalidates it). Caching here also makes the
             // engine's confirm-empty round O(1).
-            self.cache = Some(blocked);
+            self.cache = blocked;
             self.arrivals.clear();
         }
         picks
@@ -951,6 +1004,58 @@ mod tests {
         assert_eq!(w.len(), 1);
         assert_eq!(w.remove(JobId(3)).id, JobId(3));
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn maintained_order_is_computed_prefix_then_arrivals_by_id() {
+        let req = |id: u32, requested: Time| JobRequest {
+            id: JobId(id),
+            submit: 0,
+            nodes: 1,
+            class: ClassId(0),
+            requested_time: requested,
+            user: 0,
+        };
+        let ids = |o: &MaintainedOrder| o.requests().iter().map(|r| r.id).collect::<Vec<_>>();
+        let policy = OrderPolicy::smart(SmartVariant::Ffia, WeightScheme::Unweighted);
+        let (mut waiting, mut order) = (Waiting::new(), MaintainedOrder::default());
+        let enqueue = |w: &mut Waiting, o: &mut MaintainedOrder, r: JobRequest| {
+            w.insert(r);
+            o.insert(r);
+        };
+        for r in [req(0, 300), req(1, 100), req(2, 200)] {
+            enqueue(&mut waiting, &mut order, r);
+        }
+        assert_eq!(order.unordered(), 3);
+        order.recompute(&policy, &waiting, 16);
+        let computed = ids(&order);
+        assert_eq!(order.unordered(), 0);
+
+        // Arrivals join the tail in id order; the computed head starts and
+        // its remainder re-enters by id, ahead of the later arrivals.
+        enqueue(&mut waiting, &mut order, req(5, 10));
+        enqueue(&mut waiting, &mut order, req(7, 10));
+        enqueue(&mut waiting, &mut order, req(6, 10));
+        let head = waiting.remove(computed[0]);
+        order.remove(&[head.id]);
+        enqueue(&mut waiting, &mut order, head);
+        assert_eq!(
+            ids(&order),
+            [
+                computed[1],
+                computed[2],
+                head.id,
+                JobId(5),
+                JobId(6),
+                JobId(7)
+            ]
+        );
+        assert_eq!(order.unordered(), 4);
+
+        // Removing one covered and one uncovered job shrinks both parts.
+        order.remove(&[JobId(6), computed[2]]);
+        assert_eq!(ids(&order), [computed[1], head.id, JobId(5), JobId(7)]);
+        assert_eq!(order.unordered(), 3);
     }
 
     #[test]

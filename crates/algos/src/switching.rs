@@ -12,12 +12,16 @@
 //! the queue. Already-running jobs are never disturbed (no time sharing),
 //! so a switch only changes how the *backlog* is drained — which is
 //! exactly what the policy rules govern.
+//!
+//! A dynamic regime (SMART, PSRS) keeps the list scheduler's maintained
+//! order, fed by every submission, start and cancellation whichever
+//! regime is active, so the regime that takes over at a boundary finds
+//! its order current. Its §5.4 trigger is evaluated at the decisions it
+//! owns.
 
 use crate::backfill::BackfillMode;
 use crate::order::OrderPolicy;
-use crate::priority::rank;
-use crate::scheduler::{scan_pools, ScanConfig, Waiting};
-use crate::view::JobView;
+use crate::scheduler::{full_decision, MaintainedOrder, Waiting};
 use jobsched_sim::{JobRequest, Machine, Profile, Scheduler};
 use jobsched_workload::job::{DAY, HOUR, WEEK};
 use jobsched_workload::{JobId, Time};
@@ -51,14 +55,13 @@ impl DayNightWindow {
     }
 }
 
-/// One regime: an ordering policy, its backfill mode, and its cached
-/// priority order.
+/// One regime: an ordering policy, its backfill mode, and (dynamic
+/// policies only) its maintained order.
 #[derive(Debug)]
 struct Regime {
     policy: OrderPolicy,
     backfill: BackfillMode,
-    priority: Vec<JobId>,
-    covered: std::collections::BTreeSet<JobId>,
+    order: MaintainedOrder,
 }
 
 impl Regime {
@@ -66,40 +69,46 @@ impl Regime {
         Regime {
             policy,
             backfill,
-            priority: Vec::new(),
-            covered: std::collections::BTreeSet::new(),
+            order: MaintainedOrder::default(),
         }
     }
 
-    /// Current order over the waiting queue (recompute on the §5.4
-    /// trigger: unordered fraction above ⅓; a score order is ranked at
-    /// `now`).
-    fn order(&mut self, waiting: &Waiting, now: Time, machine_nodes: u32) -> Vec<JobId> {
-        if let OrderPolicy::Score(score) = self.policy {
-            return rank(score, now, waiting.requests(), false);
+    fn submit(&mut self, job: JobRequest) {
+        if self.policy.is_dynamic() {
+            self.order.insert(job);
         }
-        if !self.policy.is_dynamic() {
-            return waiting.ids().collect();
-        }
-        let covered = waiting.ids().filter(|id| self.covered.contains(id)).count();
-        let unordered = waiting.len() - covered;
-        if unordered as f64 > waiting.len() as f64 / 3.0 {
-            let views: Vec<JobView> = waiting
-                .requests()
-                .map(|r| JobView::of(r, self.policy.scheme()))
-                .collect();
-            self.priority = self.policy.compute(&views, machine_nodes);
-            self.covered = self.priority.iter().copied().collect();
-            return self.priority.clone();
-        }
-        self.priority.retain(|id| waiting.contains(*id));
-        let mut order = self.priority.clone();
-        order.extend(waiting.ids().filter(|id| !self.covered.contains(id)));
-        order
     }
 
-    fn forget(&mut self, id: JobId) {
-        self.covered.remove(&id);
+    /// Started or cancelled jobs leave the order.
+    fn dequeue(&mut self, ids: &[JobId]) {
+        if self.policy.is_dynamic() {
+            self.order.remove(ids);
+        }
+    }
+
+    /// One full decision under this regime's policy. A dynamic order is
+    /// first recomputed on the §5.4 trigger (unordered fraction above ⅓).
+    fn decide(
+        &mut self,
+        waiting: &Waiting,
+        scratch: &mut Profile,
+        machine: &Machine,
+        now: Time,
+    ) -> Vec<JobId> {
+        if self.policy.is_dynamic() && self.order.unordered() as f64 > waiting.len() as f64 / 3.0 {
+            self.order
+                .recompute(&self.policy, waiting, machine.total_nodes());
+        }
+        full_decision(
+            &self.policy,
+            self.backfill,
+            &self.order,
+            waiting,
+            scratch,
+            machine,
+            now,
+        )
+        .0
     }
 }
 
@@ -193,13 +202,15 @@ impl Scheduler for SwitchingScheduler {
 
     fn submit(&mut self, job: JobRequest, _now: Time) {
         self.waiting.insert(job);
+        self.day.submit(job);
+        self.night.submit(job);
     }
 
     fn cancel(&mut self, id: JobId, _now: Time) {
         if self.waiting.contains(id) {
             self.waiting.remove(id);
-            self.day.forget(id);
-            self.night.forget(id);
+            self.day.dequeue(&[id]);
+            self.night.dequeue(&[id]);
         }
     }
 
@@ -213,21 +224,12 @@ impl Scheduler for SwitchingScheduler {
         } else {
             &mut self.night
         };
-        let order = regime.order(&self.waiting, now, machine.total_nodes());
-        let config = ScanConfig::new(&regime.policy, regime.backfill);
-        let picks = scan_pools(
-            config,
-            &mut self.scratch,
-            &order,
-            &self.waiting,
-            machine,
-            now,
-        );
+        let picks = regime.decide(&self.waiting, &mut self.scratch, machine, now);
         for &id in &picks {
             self.waiting.remove(id);
-            self.day.forget(id);
-            self.night.forget(id);
         }
+        self.day.dequeue(&picks);
+        self.night.dequeue(&picks);
         picks
     }
 

@@ -15,7 +15,12 @@
 //!   EASY's shadow/extra rule, conservative FIFO booking, and — for the
 //!   whole priority family — an independent re-statement of each scoring
 //!   formula re-ranking the queue before the same naive head / EASY /
-//!   conservative selection.
+//!   conservative selection. SMART and PSRS feed the same naive
+//!   selections an order rebuilt from scratch every round: the mirror
+//!   replays the §5.4 trigger at submissions, re-runs the offline
+//!   algorithm at the first round with free nodes and a non-empty queue
+//!   after it fires, and lists the jobs that computation covered (in
+//!   computed order) before every later arrival (in id order).
 //! * **The conservative no-delay guarantee** (§5.2): "will not increase
 //!   the projected completion time of a job submitted before the job
 //!   used for backfilling". In the FIFO re-booking realisation this is
@@ -41,7 +46,7 @@ use crate::batch::simulate_batch_with_faults;
 use crate::profile::from_machine;
 use crate::scenario::Scenario;
 use jobsched_algos::spec::PolicyKind;
-use jobsched_algos::{BackfillMode, ScoreFn};
+use jobsched_algos::{BackfillMode, JobView, OrderPolicy, ScoreFn};
 use jobsched_metrics::{replay, OnlineArt, OnlineAwrt, StreamingObjective};
 use jobsched_sim::{
     simulate_with_faults, CancelPhase, FaultOutcome, JobRequest, Machine, Scheduler, SimOutcome,
@@ -51,7 +56,8 @@ use jobsched_workload::{ClassId, JobId, MachineLayout, Time, Workload};
 /// Which exact pick-equality differential applies to a configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ExactCheck {
-    /// Dynamic policies (SMART, PSRS): generic invariants only.
+    /// Typed (multi-class) scenarios: generic and per-class invariants
+    /// only.
     None,
     /// FCFS, plain list: head-blocking prefix of the FIFO queue.
     FcfsHead,
@@ -66,6 +72,10 @@ enum ExactCheck {
     /// same naive head / EASY / conservative selection over the ranked
     /// order instead of the FIFO queue.
     Priority(ScoreFn),
+    /// SMART and PSRS (any backfill): the offline order rebuilt from the
+    /// mirror's trigger replay and last computation, then the same naive
+    /// head / EASY / conservative selection.
+    Dynamic,
 }
 
 impl ExactCheck {
@@ -76,7 +86,10 @@ impl ExactCheck {
             (PolicyKind::Fcfs, BackfillMode::Conservative) => ExactCheck::FcfsConservative,
             (PolicyKind::GareyGraham, _) => ExactCheck::GareyAny,
             (PolicyKind::Priority(score), _) => ExactCheck::Priority(score),
-            _ => ExactCheck::None,
+            (PolicyKind::Psrs | PolicyKind::SmartFfia | PolicyKind::SmartNfiw, _) => {
+                ExactCheck::Dynamic
+            }
+            (PolicyKind::Dfrs | PolicyKind::Moldable, _) => ExactCheck::None,
         }
     }
 }
@@ -136,6 +149,15 @@ struct OracleScheduler<'a> {
     /// Only binding when every projection is exact (see module docs), so
     /// only populated then.
     guarantees: Vec<Option<Time>>,
+    /// Dynamic policies: the last offline computation's order.
+    computed: Vec<usize>,
+    /// Dynamic policies: the job waits and the last computation ordered
+    /// it. Cleared when it starts (so a preempted remainder re-enters
+    /// uncovered) or is cancelled.
+    covered: Vec<bool>,
+    /// Dynamic policies: the §5.4 trigger fired at a submission and no
+    /// round has recomputed since.
+    reorder_pending: bool,
     violations: Vec<String>,
 }
 
@@ -167,6 +189,9 @@ impl<'a> OracleScheduler<'a> {
             started: vec![None; n],
             cancelled: vec![false; n],
             guarantees: vec![None; n],
+            computed: Vec::new(),
+            covered: vec![false; n],
+            reorder_pending: false,
             violations: Vec::new(),
         }
     }
@@ -191,6 +216,45 @@ impl<'a> OracleScheduler<'a> {
             .collect();
         keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         keyed.into_iter().map(|(_, i)| i).collect()
+    }
+
+    /// The dynamic policy's order as of this round, rebuilt from scratch:
+    /// the covered jobs in computed order, then the uncovered waiting
+    /// jobs in id order.
+    fn rebuilt_order(&self) -> Vec<usize> {
+        let computed = self.computed.iter().copied().filter(|&i| self.covered[i]);
+        let arrivals = self.waiting.iter().copied().filter(|&i| !self.covered[i]);
+        computed.chain(arrivals).collect()
+    }
+
+    /// Re-run the offline algorithm over the mirrored queue (id order)
+    /// and cover every waiting job.
+    fn recompute(&mut self, machine: &Machine) {
+        let policy: OrderPolicy = self.scenario.policy.policy(Default::default());
+        let views: Vec<JobView> = self
+            .waiting
+            .iter()
+            .map(|&i| {
+                let (submit, requested_time, nodes) = self.view[i];
+                let request = JobRequest {
+                    id: JobId(i as u32),
+                    submit,
+                    nodes,
+                    class: ClassId(0),
+                    requested_time,
+                    user: 0,
+                };
+                JobView::of(&request, policy.scheme())
+            })
+            .collect();
+        self.computed = policy
+            .compute(&views, machine.total_nodes())
+            .into_iter()
+            .map(|id| id.index())
+            .collect();
+        for &i in &self.waiting {
+            self.covered[i] = true;
+        }
     }
 
     /// Head-blocking selection: greedy prefix of `order` until a job
@@ -239,8 +303,11 @@ impl<'a> OracleScheduler<'a> {
                 }
                 Some(self.naive_conservative(now, machine, &self.waiting).0)
             }
-            ExactCheck::Priority(score) => {
-                let order = self.ranked_waiting(score, now);
+            ExactCheck::Priority(_) | ExactCheck::Dynamic => {
+                let order = match self.exact {
+                    ExactCheck::Priority(score) => self.ranked_waiting(score, now),
+                    _ => self.rebuilt_order(),
+                };
                 match self.scenario.backfill {
                     BackfillMode::None => Some(self.naive_head(&order, machine)),
                     BackfillMode::Easy => Some(self.naive_easy(now, machine, &order)),
@@ -354,6 +421,13 @@ impl Scheduler for OracleScheduler<'_> {
         self.view[i] = (job.submit, job.requested_time, job.nodes);
         let pos = self.waiting.partition_point(|&w| w < i);
         self.waiting.insert(pos, i);
+        // §5.4, replayed independently: recompute once the jobs no
+        // computation covered exceed a third of the queue. Evaluated only
+        // at submissions, and not again while a recomputation is pending.
+        if self.exact == ExactCheck::Dynamic && !self.reorder_pending {
+            let unordered = self.waiting.iter().filter(|&&w| !self.covered[w]).count();
+            self.reorder_pending = 3 * unordered > self.waiting.len();
+        }
         self.inner.submit(job, now);
     }
 
@@ -363,6 +437,7 @@ impl Scheduler for OracleScheduler<'_> {
 
     fn cancel(&mut self, id: JobId, now: Time) {
         self.cancelled[id.index()] = true;
+        self.covered[id.index()] = false;
         self.waiting.retain(|&i| i != id.index());
         self.inner.cancel(id, now);
     }
@@ -387,6 +462,15 @@ impl Scheduler for OracleScheduler<'_> {
                     self.guarantees[i] = Some(start);
                 }
             }
+        }
+
+        if self.exact == ExactCheck::Dynamic
+            && self.reorder_pending
+            && machine.free_nodes() > 0
+            && !self.waiting.is_empty()
+        {
+            self.reorder_pending = false;
+            self.recompute(machine);
         }
 
         let expected = self.expected_picks(now, machine);
@@ -463,6 +547,7 @@ impl Scheduler for OracleScheduler<'_> {
 
         for &id in &picks {
             self.started[id.index()] = Some(now);
+            self.covered[id.index()] = false;
             self.waiting.retain(|&i| i != id.index());
         }
         picks
@@ -1047,6 +1132,59 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn clean_dynamic_configurations_produce_no_violations() {
+        for policy in [
+            PolicyKind::Psrs,
+            PolicyKind::SmartFfia,
+            PolicyKind::SmartNfiw,
+        ] {
+            for backfill in [
+                BackfillMode::None,
+                BackfillMode::Conservative,
+                BackfillMode::Easy,
+            ] {
+                assert_eq!(
+                    ExactCheck::for_config(policy, backfill),
+                    ExactCheck::Dynamic
+                );
+                for caching in [true, false] {
+                    let mut s = base_scenario(policy, backfill);
+                    s.caching = caching;
+                    assert_eq!(check_scenario(&s), Vec::<String>::new(), "{backfill:?}");
+                    // The preempted remainder re-enters uncovered.
+                    s.preempts.push(PreemptSpec {
+                        at: 30,
+                        job: 0,
+                        resume_at: 120,
+                    });
+                    assert_eq!(check_scenario(&s), Vec::<String>::new(), "{backfill:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lifo_impostor_claiming_smart_is_caught() {
+        // Three equal jobs queue behind a full-machine job. SMART orders
+        // them by id; the LIFO impostor starts the latest two first.
+        let mut s = base_scenario(PolicyKind::SmartFfia, BackfillMode::None);
+        s.jobs = vec![
+            job(0, 10, 100, 100),
+            job(1, 5, 100, 100),
+            job(2, 5, 100, 100),
+            job(3, 5, 100, 100),
+        ];
+        s.mutation = Some(Mutation::Lifo);
+        let violations = check_scenario(&s);
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("Dynamic differential mismatch")),
+            "expected a dynamic-order differential violation, got {violations:?}"
+        );
     }
 
     #[test]

@@ -26,10 +26,17 @@ pub struct Workload {
 
 impl Workload {
     /// Build a workload from a job list. Jobs are sorted by submission time
-    /// (stable, so equal-time jobs keep their given order — FCFS tie-break)
+    /// (stably, so equal-time jobs keep their given order — FCFS tie-break)
     /// and re-numbered densely.
+    ///
+    /// The sort runs in place: numbering the jobs by their given position
+    /// first makes `(submit, id)` a total key, so an unstable sort yields
+    /// the stable order without a stable sort's n-element scratch buffer.
     pub fn new(name: impl Into<String>, machine_nodes: u32, mut jobs: Vec<Job>) -> Self {
-        jobs.sort_by_key(|j| j.submit);
+        for (i, j) in jobs.iter_mut().enumerate() {
+            j.id = JobId(i as u32);
+        }
+        jobs.sort_unstable_by_key(|j| (j.submit, j.id));
         let mut w = Workload {
             name: name.into(),
             machine_nodes,
@@ -285,6 +292,47 @@ mod tests {
         assert_eq!(submits, vec![10, 30, 50]);
         for (i, j) in w.jobs().iter().enumerate() {
             assert_eq!(j.id.index(), i);
+        }
+    }
+
+    #[test]
+    fn new_orders_ties_exactly_like_a_stable_sort() {
+        use crate::rng::{Rng, SmallRng};
+        let mut rng = SmallRng::seed_from_u64(29);
+        for round in 0..50 {
+            let n = rng.random_range(0usize..60);
+            // `requested` marks each job's given position; submits tie
+            // heavily. Half the rounds keep JobBuilder's all-zero ids,
+            // the rest carry arbitrary (colliding, unsorted) ids.
+            let jobs: Vec<Job> = (0..n)
+                .map(|i| {
+                    let id = if round % 2 == 0 {
+                        0
+                    } else {
+                        rng.random_range(0u32..8)
+                    };
+                    JobBuilder::new(JobId(id))
+                        .submit(rng.random_range(0u64..6))
+                        .requested(i as Time + 1)
+                        .build()
+                })
+                .collect();
+            let mut expected = jobs.clone();
+            expected.sort_by_key(|j| j.submit);
+            let w = Workload::new("t", 16, jobs);
+            let got: Vec<(Time, Time)> = w
+                .jobs()
+                .iter()
+                .map(|j| (j.submit, j.requested_time))
+                .collect();
+            let want: Vec<(Time, Time)> = expected
+                .iter()
+                .map(|j| (j.submit, j.requested_time))
+                .collect();
+            assert_eq!(got, want, "round {round}");
+            for (i, j) in w.jobs().iter().enumerate() {
+                assert_eq!(j.id.index(), i);
+            }
         }
     }
 
