@@ -17,7 +17,9 @@
 //! * [`BackfillMode::Conservative`] — "will not increase the *projected*
 //!   completion time of a job submitted before the job used for
 //!   backfilling": every queued job gets a reservation in priority order;
-//!   a job starts now only if its earliest reservation is now.
+//!   a job starts now only if its earliest reservation is now. A decision
+//!   books reservations only until no job left can start now: later ones
+//!   could not change it.
 //!
 //! Every scan covers one node-class pool (`ClassId(0)` of a single-class
 //! machine is the whole machine); the list scheduler runs one per pool
@@ -203,87 +205,95 @@ pub struct ConservativeScan {
 /// workload); the paper-relevant workloads stay on the exact path.
 pub const CONSERVATIVE_TRUNCATION_DEPTH: usize = 512;
 
-/// Conservative backfilling, full scan of one node-class pool: merge the
-/// pool's incremental [`jobsched_sim::LiveProfile`] into `scratch`
+/// Conservative backfilling, one decision over one node-class pool: merge
+/// the pool's incremental [`jobsched_sim::LiveProfile`] into `profile`
 /// (linear, no sort, reusing its allocation), book the reservation
 /// calendar (covering only that pool's capacity) there in priority
 /// order, and start exactly the jobs whose reservation is `now`. The
-/// order must contain only jobs resolved to `class`; `queue` is the whole
-/// wait queue in any order, whose depth and longest estimate set the
+/// order must contain only jobs resolved to `class`; `queue_len` and
+/// `longest_estimate` describe the whole wait queue and set the
 /// truncation below.
 ///
+/// **The scan stops as soon as no job left in it can start now.** A
+/// booking only lowers the calendar, and one that starts after `now`
+/// leaves the free nodes at `now` alone; so a job that cannot start now
+/// at some point of the scan never can later in it. The scan keeps a
+/// *probe* — the first job at or after its position that could still
+/// start now (enough nodes free now, and the calendar holds them for its
+/// whole estimate) — re-tested only after a booking or once the scan
+/// passes it, and advanced over the order by a cloned cursor. When no
+/// such job is left, the remaining reservations could change neither a
+/// pick nor the free nodes now: the picks and `leftover` are exactly
+/// those of booking every job. Each booking is one pass over the steps:
+/// [`Profile::earliest_slot`] keeps the step its start falls in and
+/// [`Profile::reserve_slot`] books from there.
+///
 /// For queues deeper than [`CONSERVATIVE_TRUNCATION_DEPTH`] the scan
-/// truncates the calendar at a horizon of `now + 4 × max requested time`:
+/// truncates the calendar at a horizon of `now + 4 × longest estimate`:
 /// reservations landing beyond it are not booked. A "start now" window
 /// always ends within one requested time of `now`, so dropped
 /// reservations can never overlap one; the approximation can only make
 /// the scan *less* eager in contrived window-crossing cases (a job that a
 /// full calendar would admit may wait one more event), never break the
-/// conservative no-delay guarantee. Without the truncation, each of the
-/// O(queue) reservations scans an O(queue)-breakpoint profile and the
-/// §6.3 stress workload becomes quadratic per event.
-pub fn scan_conservative_live_in<'a, 'q>(
+/// conservative no-delay guarantee.
+pub fn scan_conservative_live_in<'a, I>(
     class: ClassId,
-    order: impl IntoIterator<Item = &'a JobRequest>,
-    queue: impl ExactSizeIterator<Item = &'q JobRequest>,
+    order: I,
+    queue_len: usize,
+    longest_estimate: Time,
     machine: &Machine,
     now: Time,
     profile: &mut Profile,
-) -> ConservativeScan {
+) -> ConservativeScan
+where
+    I: IntoIterator<Item = &'a JobRequest>,
+    I::IntoIter: Clone,
+{
     machine.class_profile(class).snapshot_into(now, profile);
-    let mut out = Vec::new();
-    let mut leftover = machine.free_in(class);
-
-    let truncate = queue.len() > CONSERVATIVE_TRUNCATION_DEPTH;
     // Bounded reservation lookahead on deep queues (production batch
     // schedulers do the same): only the first 2×depth priority entries
     // get reservations. Jobs beyond that window are under hours of
     // higher-priority backlog; they re-enter the window as it drains.
-    let scan_limit = if truncate {
-        2 * CONSERVATIVE_TRUNCATION_DEPTH
+    let (scan_limit, horizon) = if queue_len > CONSERVATIVE_TRUNCATION_DEPTH {
+        let span = longest_estimate.max(1).saturating_mul(4);
+        (2 * CONSERVATIVE_TRUNCATION_DEPTH, now.saturating_add(span))
     } else {
-        usize::MAX
+        (usize::MAX, jobsched_sim::profile::HORIZON)
     };
-    let horizon = if truncate {
-        let max_req = queue.map(|r| r.requested_time).max().unwrap_or(1).max(1);
-        now.saturating_add(4 * max_req)
-    } else {
-        jobsched_sim::profile::HORIZON
-    };
-    // Largest free-node level anywhere below the horizon: a job needing
-    // more can only reserve beyond it, so it is skipped without a scan.
-    // Recomputed only when a reservation is actually booked.
-    let mut max_free_below_horizon = machine.total_in(class);
+    let jobs = order.into_iter().take(scan_limit);
+    let can_start_now =
+        |p: &Profile, job: &JobRequest| p.fits_from_start(job.nodes, job.requested_time);
 
-    for job in order.into_iter().take(scan_limit) {
-        if truncate && job.nodes > max_free_below_horizon {
-            continue;
-        }
-        let duration = job.requested_time.max(1);
-        let start = profile.earliest_start(job.nodes, duration, now);
-        if start >= horizon {
-            continue; // cannot overlap any start-now window
-        }
-        profile.reserve(job.nodes, start, duration);
-        if start == now {
-            out.push(job.id);
-        }
-        leftover = profile.free_at(now);
-        if leftover == 0 {
-            // No node is free now; no later job can start now, and its
-            // reservation cannot influence *this* round's starts.
-            break;
-        }
-        if truncate {
-            max_free_below_horizon = profile.max_free_before(horizon);
-            if max_free_below_horizon == 0 {
-                break; // the whole pick-relevant calendar is saturated
+    let mut picks = Vec::new();
+    let mut ahead = jobs.clone().enumerate();
+    let mut probe: Option<(usize, &JobRequest)> = None;
+    let mut booked = false;
+    for (at, job) in jobs.enumerate() {
+        let holds = probe.is_some_and(|(p, r)| p >= at && (!booked || can_start_now(profile, r)));
+        if !holds {
+            // Every job between the scan position and the cursor was
+            // already found unable to start now, so it still is.
+            probe = ahead.find(|&(_, r)| can_start_now(profile, r));
+            if probe.is_none() {
+                break;
             }
+        }
+        booked = false;
+        let duration = job.requested_time.max(1);
+        match profile.earliest_slot(job.nodes, duration, now) {
+            Some(slot) if slot.start < horizon => {
+                profile.reserve_slot(job.nodes, slot, duration);
+                booked = true;
+                if slot.start == now {
+                    picks.push(job.id);
+                }
+            }
+            _ => {} // cannot overlap any start-now window
         }
     }
     ConservativeScan {
-        picks: out,
-        leftover,
+        picks,
+        leftover: profile.free_at_start(),
     }
 }
 
@@ -309,8 +319,9 @@ mod tests {
     }
 
     fn select_conservative(order: &[JobRequest], m: &Machine, now: Time) -> Vec<JobId> {
-        scan_conservative_live_in(POOL, order, order.iter(), m, now, &mut Profile::empty(1, 0))
-            .picks
+        let longest = order.iter().map(|r| r.requested_time).max().unwrap_or(0);
+        let mut scratch = Profile::empty(1, 0);
+        scan_conservative_live_in(POOL, order, order.len(), longest, m, now, &mut scratch).picks
     }
 
     #[test]

@@ -27,6 +27,7 @@ use crate::priority::rank;
 use crate::view::JobView;
 use jobsched_sim::{JobRequest, Machine, Profile, Scheduler};
 use jobsched_workload::{ClassId, JobId, Time};
+use std::cell::Cell;
 
 /// The wait queue: requests keyed by job id. Ids are assigned in
 /// submission order by the workload, so ascending-id iteration *is*
@@ -37,6 +38,9 @@ use jobsched_workload::{ClassId, JobId, Time};
 #[derive(Clone, Debug, Default)]
 pub struct Waiting {
     queue: std::collections::BTreeMap<JobId, JobRequest>,
+    /// Longest requested time in the queue; `None` once a job holding it
+    /// left, until [`Waiting::longest_estimate`] recomputes it.
+    longest: Cell<Option<Time>>,
 }
 
 impl Waiting {
@@ -52,11 +56,29 @@ impl Waiting {
             self.queue.insert(id, job).is_none(),
             "job {id} submitted twice"
         );
+        if let Some(longest) = self.longest.get() {
+            self.longest.set(Some(longest.max(job.requested_time)));
+        }
     }
 
     /// Remove a request (when it starts).
     pub fn remove(&mut self, id: JobId) -> JobRequest {
-        self.queue.remove(&id).expect("removing unknown job")
+        let job = self.queue.remove(&id).expect("removing unknown job");
+        if self.longest.get() == Some(job.requested_time) {
+            self.longest.set(None);
+        }
+        job
+    }
+
+    /// Longest requested time of any waiting job (0 when none wait).
+    /// Kept as jobs arrive; recomputed over the queue only after the job
+    /// that held it left.
+    pub fn longest_estimate(&self) -> Time {
+        self.longest.get().unwrap_or_else(|| {
+            let longest = self.requests().map(|r| r.requested_time).max().unwrap_or(0);
+            self.longest.set(Some(longest));
+            longest
+        })
     }
 
     /// Look up a waiting request. Panics on unknown ids (scheduler bug).
@@ -454,10 +476,9 @@ pub(crate) fn full_decision(
         ),
         OrderPolicy::Score(score) => {
             // Lazy: only the jobs a scan inspects are looked up.
-            let ranked = rank(score, now, waiting.requests(), false)
-                .into_iter()
-                .map(|id| waiting.get(id));
-            scan_pools(config, scratch, ranked, waiting, machine, now)
+            let ranked = rank(score, now, waiting.requests(), false);
+            let order = ranked.iter().map(|&id| waiting.get(id));
+            scan_pools(config, scratch, order, waiting, machine, now)
         }
     }
 }
@@ -506,7 +527,7 @@ fn full_scan<'a>(
     class: ClassId,
     config: ScanConfig,
     scratch: &mut Profile,
-    order: impl IntoIterator<Item = &'a JobRequest>,
+    order: impl Iterator<Item = &'a JobRequest> + Clone,
     waiting: &Waiting,
     machine: &Machine,
     now: Time,
@@ -546,8 +567,15 @@ fn full_scan<'a>(
             )
         }
         BackfillMode::Conservative => {
-            let scan =
-                scan_conservative_live_in(class, order, waiting.requests(), machine, now, scratch);
+            let scan = scan_conservative_live_in(
+                class,
+                order,
+                waiting.len(),
+                waiting.longest_estimate(),
+                machine,
+                now,
+                scratch,
+            );
             (
                 scan.picks,
                 BlockedCache::Conservative {
@@ -1004,6 +1032,106 @@ mod tests {
         assert_eq!(w.len(), 1);
         assert_eq!(w.remove(JobId(3)).id, JobId(3));
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn longest_estimate_follows_the_queue() {
+        use jobsched_workload::rng::{derive_seed, Rng, SmallRng};
+        let recomputed = |w: &Waiting| w.requests().map(|r| r.requested_time).max().unwrap_or(0);
+        for seq in 0..64u64 {
+            let mut rng = SmallRng::seed_from_u64(derive_seed(0x4E57_1046, seq));
+            // `every` is asked after each step; `sparse` sees the same
+            // steps but is asked only now and then, so insertions and
+            // removals also meet a value that is not known.
+            let (mut every, mut sparse) = (Waiting::new(), Waiting::new());
+            let mut started: Vec<JobRequest> = Vec::new();
+            let mut next_id = 0;
+            for step in 0..300 {
+                match rng.random_range(0u32..10) {
+                    0..=4 => {
+                        let job = JobRequest {
+                            id: JobId(next_id),
+                            submit: 0,
+                            nodes: 1,
+                            class: ClassId(0),
+                            // A narrow range: the longest is often tied.
+                            requested_time: rng.random_range(1u64..40),
+                            user: 0,
+                        };
+                        next_id += 1;
+                        every.insert(job);
+                        sparse.insert(job);
+                    }
+                    5..=8 if !every.is_empty() => {
+                        // A start (kept: it may be preempted) or a cancel.
+                        let at = rng.random_range(0..every.len());
+                        let id = every.ids().nth(at).expect("in range");
+                        let job = every.remove(id);
+                        assert_eq!(sparse.remove(id), job);
+                        if rng.random_range(0u32..2) == 0 {
+                            started.push(job);
+                        }
+                    }
+                    _ if !started.is_empty() => {
+                        // A preempted job's remainder re-enters with its
+                        // old id, ahead of later arrivals.
+                        let job = started.swap_remove(rng.random_range(0..started.len()));
+                        let remainder = JobRequest {
+                            requested_time: rng.random_range(1..=job.requested_time),
+                            ..job
+                        };
+                        every.insert(remainder);
+                        sparse.insert(remainder);
+                    }
+                    _ => {}
+                }
+                assert_eq!(every.longest_estimate(), recomputed(&every), "seq {seq}");
+                if step % 7 == 0 {
+                    assert_eq!(sparse.longest_estimate(), recomputed(&sparse), "seq {seq}");
+                }
+            }
+            while let Some(id) = every.max_id() {
+                every.remove(id);
+                sparse.remove(id);
+                assert_eq!(every.longest_estimate(), recomputed(&every), "seq {seq}");
+            }
+            assert_eq!(every.longest_estimate(), 0);
+            assert_eq!(sparse.longest_estimate(), 0);
+        }
+    }
+
+    #[test]
+    fn huge_estimate_keeps_the_truncation_horizon_ahead_of_now() {
+        // 600 queued jobs put the conservative scan on its truncated path,
+        // whose horizon is `now + 4 × longest estimate`. With one estimate
+        // of 2^62 (or u64::MAX / 2) that product overflowed: a panic in
+        // debug builds; in release a horizon wrapped back to `now`, which
+        // booked nothing and deadlocked the run.
+        for huge in [1 << 62, Time::MAX / 2] {
+            let mut jobs = vec![JobBuilder::new(JobId(0))
+                .submit(0)
+                .nodes(10)
+                .requested(100)
+                .runtime(100)
+                .build()];
+            for i in 0..600 {
+                jobs.push(
+                    JobBuilder::new(JobId(0))
+                        .submit(1)
+                        .nodes(1)
+                        .requested(if i == 300 { huge } else { 50 })
+                        .runtime(10)
+                        .build(),
+                );
+            }
+            let w = Workload::new("huge-estimate", 10, jobs);
+            let out = simulate(
+                &w,
+                &mut ListScheduler::new(OrderPolicy::Fcfs, BackfillMode::Conservative),
+            );
+            assert!(out.schedule.validate(&w).is_empty(), "huge = {huge}");
+            assert_eq!(out.schedule.placement(JobId(1)).unwrap().start, 100);
+        }
     }
 
     #[test]

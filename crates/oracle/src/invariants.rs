@@ -45,9 +45,11 @@
 use crate::batch::simulate_batch_with_faults;
 use crate::profile::from_machine;
 use crate::scenario::Scenario;
+use jobsched_algos::backfill::{ConservativeScan, CONSERVATIVE_TRUNCATION_DEPTH};
 use jobsched_algos::spec::PolicyKind;
 use jobsched_algos::{BackfillMode, JobView, OrderPolicy, ScoreFn};
 use jobsched_metrics::{replay, OnlineArt, OnlineAwrt, StreamingObjective};
+use jobsched_sim::profile::HORIZON;
 use jobsched_sim::{
     simulate_with_faults, CancelPhase, FaultOutcome, JobRequest, Machine, Scheduler, SimOutcome,
 };
@@ -402,6 +404,47 @@ impl<'a> OracleScheduler<'a> {
 
     fn violate(&mut self, msg: String) {
         self.violations.push(msg);
+    }
+}
+
+/// Conservative backfilling that books *every* job of its window: the
+/// reference for [`scan_conservative_live_in`]'s early stop, under the
+/// same truncation rules (a queue deeper than
+/// [`CONSERVATIVE_TRUNCATION_DEPTH`] books only its first 2 × depth jobs
+/// and no reservation at or beyond `now + 4 × longest estimate`). Plans
+/// on the brute-force [`from_machine`] rebuild of `class`'s pool.
+///
+/// [`scan_conservative_live_in`]: jobsched_algos::backfill::scan_conservative_live_in
+pub fn book_every_conservative<'a>(
+    class: ClassId,
+    order: impl IntoIterator<Item = &'a JobRequest>,
+    queue_len: usize,
+    longest_estimate: Time,
+    machine: &Machine,
+    now: Time,
+) -> ConservativeScan {
+    let mut profile = from_machine(machine, Some(class), now);
+    let (scan_limit, horizon) = if queue_len > CONSERVATIVE_TRUNCATION_DEPTH {
+        let span = longest_estimate.max(1).saturating_mul(4);
+        (2 * CONSERVATIVE_TRUNCATION_DEPTH, now.saturating_add(span))
+    } else {
+        (usize::MAX, HORIZON)
+    };
+    let mut picks = Vec::new();
+    for job in order.into_iter().take(scan_limit) {
+        let duration = job.requested_time.max(1);
+        let start = profile.earliest_start(job.nodes, duration, now);
+        if start >= horizon {
+            continue;
+        }
+        profile.reserve(job.nodes, start, duration);
+        if start == now {
+            picks.push(job.id);
+        }
+    }
+    ConservativeScan {
+        picks,
+        leftover: profile.free_at(now),
     }
 }
 

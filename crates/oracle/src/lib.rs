@@ -35,6 +35,9 @@
 //!   the preempt / resume / cancel mutators the record no longer has;
 //! * [`mod@profile`] — the brute-force availability profile rebuild the
 //!   incremental calendars must snapshot to;
+//! * [`book_every_conservative`] — conservative backfilling that books
+//!   every job of its window, against which the production scan's early
+//!   stop is checked;
 //! * [`mod@segment`] — [`check_segments`], the §2 validity audit over
 //!   allocation segment unions;
 //! * [`adapter`] — [`RigidAdapter`], a rigid scheduler replayed through
@@ -58,7 +61,7 @@ pub mod shrink;
 pub use adapter::RigidAdapter;
 pub use batch::{simulate_batch, simulate_batch_with_faults};
 pub use gen::{broken_priority_scenario, broken_scenario, random_scenario};
-pub use invariants::{check_outcome, check_scenario, stream_differential};
+pub use invariants::{book_every_conservative, check_outcome, check_scenario, stream_differential};
 pub use scenario::{CancelSpec, DrainSpec, Mutation, Scenario, ScenarioJob};
 pub use segment::{check_segments, SegmentViolation};
 pub use shrink::{shrink, shrink_with_budget};

@@ -29,24 +29,24 @@ pub const HORIZON: Time = Time::MAX / 4;
 /// Both profile types delegate here, so the incremental structure answers
 /// queries bit-identically to a freshly rebuilt step function (the
 /// differential tests in `tests/live_profile_diff.rs` rely on this).
+///
+/// Returns the start and how many `later` breakpoints lie at or before it
+/// (0 when the window opens at `from`), or `None` when no window ever
+/// opens.
 fn sweep_earliest(
     nodes: u32,
     duration: Time,
     from: Time,
     level_at_from: u32,
     later: impl Iterator<Item = (Time, u32)>,
-) -> Time {
+) -> Option<(Time, usize)> {
     let duration = duration.max(1);
-    let mut candidate = if level_at_from >= nodes {
-        Some(from)
-    } else {
-        None
-    };
-    for (t, f) in later {
+    let mut candidate = (level_at_from >= nodes).then_some((from, 0));
+    for (k, (t, f)) in later.enumerate() {
         match candidate {
-            Some(c) => {
+            Some((c, _)) => {
                 if t >= c.saturating_add(duration) {
-                    return c; // window [c, c+duration) clear
+                    return candidate; // window [c, c+duration) clear
                 }
                 if f < nodes {
                     candidate = None; // violated: restart past this step
@@ -54,12 +54,22 @@ fn sweep_earliest(
             }
             None => {
                 if f >= nodes {
-                    candidate = Some(t);
+                    candidate = Some((t, k + 1));
                 }
             }
         }
     }
-    candidate.unwrap_or(HORIZON)
+    candidate
+}
+
+/// A window found by [`Profile::earliest_slot`]: its start and the index
+/// of the step governing that instant, so [`Profile::reserve_slot`] books
+/// it without searching the steps again. Valid until the profile changes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Slot {
+    /// Earliest feasible start.
+    pub start: Time,
+    step: usize,
 }
 
 /// Step function of free nodes over future time.
@@ -106,6 +116,34 @@ impl Profile {
         }
     }
 
+    /// Free nodes at the profile's start ("now" of a snapshot).
+    #[inline]
+    pub fn free_at_start(&self) -> u32 {
+        self.steps[0].1
+    }
+
+    /// Whether `nodes` nodes are continuously free for `duration` seconds
+    /// from the profile's start — i.e. whether
+    /// [`Profile::earliest_start`] from the start would return the start.
+    /// Walks from the first step and returns at the first step that
+    /// decides it.
+    pub fn fits_from_start(&self, nodes: u32, duration: Time) -> bool {
+        let (start, level) = self.steps[0];
+        if level < nodes {
+            return false;
+        }
+        let end = start.saturating_add(duration.max(1));
+        for &(t, f) in &self.steps[1..] {
+            if t >= end {
+                return true;
+            }
+            if f < nodes {
+                return false;
+            }
+        }
+        true
+    }
+
     /// Earliest time ≥ `from` at which `nodes` nodes are continuously free
     /// for `duration` seconds.
     ///
@@ -115,6 +153,14 @@ impl Profile {
     /// occupancy, the returned time is a safe (conservative) start for a
     /// reservation.
     pub fn earliest_start(&self, nodes: u32, duration: Time, from: Time) -> Time {
+        self.earliest_slot(nodes, duration, from)
+            .map_or(HORIZON, |slot| slot.start)
+    }
+
+    /// [`Profile::earliest_start`] with the step governing the start kept
+    /// for [`Profile::reserve_slot`]; `None` where it returns
+    /// [`HORIZON`] because no window ever opens.
+    pub fn earliest_slot(&self, nodes: u32, duration: Time, from: Time) -> Option<Slot> {
         assert!(nodes <= self.total, "request exceeds machine size");
         let i = self.step_index(from);
         sweep_earliest(
@@ -124,55 +170,50 @@ impl Profile {
             self.steps[i].1,
             self.steps[i + 1..].iter().copied(),
         )
+        .map(|(start, k)| Slot { start, step: i + k })
     }
 
     /// Subtract `nodes` from the profile over `[start, start + duration)`
     /// — i.e. book a reservation. Panics if the interval lacks capacity
     /// (callers must use [`Profile::earliest_start`] first).
     pub fn reserve(&mut self, nodes: u32, start: Time, duration: Time) {
-        let duration = duration.max(1);
-        let end = start.saturating_add(duration);
-        self.ensure_breakpoint(start);
-        self.ensure_breakpoint(end);
-        let lo = self
-            .steps
-            .binary_search_by_key(&start, |&(time, _)| time)
-            .unwrap_or_else(|i| i);
-        for (t, f) in &mut self.steps[lo..] {
+        let step = self.step_index(start);
+        self.book(nodes, start, step, duration);
+    }
+
+    /// Book the window [`Profile::earliest_slot`] just found, with no
+    /// search: split its governing step, decrement forward, and insert
+    /// the end breakpoint where the walk stops.
+    pub fn reserve_slot(&mut self, nodes: u32, slot: Slot, duration: Time) {
+        self.book(nodes, slot.start, slot.step, duration);
+    }
+
+    /// Book `nodes` over `[start, start + duration)`, where `at` is the
+    /// step governing `start` (the first step when `start` precedes the
+    /// profile).
+    fn book(&mut self, nodes: u32, start: Time, mut at: usize, duration: Time) {
+        let end = start.saturating_add(duration.max(1));
+        if self.steps[at].0 < start {
+            let level = self.steps[at].1;
+            at += 1;
+            self.steps.insert(at, (start, level));
+        }
+        let first = at;
+        while let Some((t, f)) = self.steps.get_mut(at) {
             if *t >= end {
                 break;
             }
-            debug_assert!(*t >= start);
             assert!(
                 *f >= nodes,
                 "reservation overcommit at t={t}: {f} free, {nodes} wanted"
             );
             *f -= nodes;
+            at += 1;
         }
-    }
-
-    fn ensure_breakpoint(&mut self, t: Time) {
-        match self.steps.binary_search_by_key(&t, |&(time, _)| time) {
-            Ok(_) => {}
-            Err(0) => {} // before profile start: nothing to split
-            Err(i) => {
-                let f = self.steps[i - 1].1;
-                self.steps.insert(i, (t, f));
-            }
+        if at > first && self.steps.get(at).is_none_or(|&(t, _)| t > end) {
+            let level = self.steps[at - 1].1 + nodes;
+            self.steps.insert(at, (end, level));
         }
-    }
-
-    /// Largest free-node level at any instant before `to` (including the
-    /// segment active at the profile's start).
-    pub fn max_free_before(&self, to: Time) -> u32 {
-        let mut max = 0;
-        for &(t, f) in &self.steps {
-            if t >= to {
-                break;
-            }
-            max = max.max(f);
-        }
-        max
     }
 
     /// Number of breakpoints (diagnostics).
@@ -297,6 +338,7 @@ impl LiveProfile {
             self.free_at(now, from),
             self.steps_after(now).skip_while(move |&(t, _)| t <= from),
         )
+        .map_or(HORIZON, |(start, _)| start)
     }
 
     /// Materialise the step function at `now` into `out`, reusing its

@@ -122,14 +122,33 @@ fn free_at_is_step_constant_between_breakpoints() {
 }
 
 #[test]
-fn max_free_before_bounds_free_at() {
+fn fits_from_start_is_earliest_start_at_the_start() {
     for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(derive_seed(0x3A8F, case));
+        let mut rng = SmallRng::seed_from_u64(derive_seed(0xF175, case));
         let (p, _) = booked_profile(&mut rng);
-        let horizon = rng.random_range(1u64..400);
-        let t = rng.random_range(0u64..400);
-        if t < horizon {
-            assert!(p.max_free_before(horizon) >= p.free_at(t), "case {case}");
+        let nodes = rng.random_range(1u32..=TOTAL);
+        let duration = rng.random_range(1u64..150);
+        assert_eq!(
+            p.fits_from_start(nodes, duration),
+            p.earliest_start(nodes, duration, 0) == 0,
+            "case {case}: profile {p:?}"
+        );
+        assert_eq!(p.free_at_start(), p.free_at(0), "case {case}");
+    }
+}
+
+#[test]
+fn reserve_slot_books_what_reserve_books() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(derive_seed(0x5107, case));
+        let (mut by_time, mut by_slot) = (Profile::empty(TOTAL, 0), Profile::empty(TOTAL, 0));
+        for (n, from, dur) in arb_reservations(&mut rng) {
+            let slot = by_slot.earliest_slot(n, dur, from).expect("a window opens");
+            let start = by_time.earliest_start(n, dur, from);
+            assert_eq!(slot.start, start, "case {case}");
+            by_time.reserve(n, start, dur);
+            by_slot.reserve_slot(n, slot, dur);
+            assert_eq!(by_slot, by_time, "case {case}");
         }
     }
 }
