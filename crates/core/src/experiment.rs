@@ -5,7 +5,7 @@
 use crate::objective_select::ObjectiveKind;
 use jobsched_algos::spec::PolicyKind;
 use jobsched_algos::view::WeightScheme;
-use jobsched_algos::AlgorithmSpec;
+use jobsched_algos::{AlgorithmSpec, OrderPolicy};
 use jobsched_metrics::{Objective, OnlineMakespan, OnlineUtilization, StreamingObserver};
 use jobsched_sim::{simulate_time_shared, SimPipeline};
 use jobsched_workload::{synthesize_moldable, Time, Workload, WorkloadSource};
@@ -197,43 +197,91 @@ pub fn evaluate_matrix(workload: &Workload, objective: ObjectiveKind, title: &st
 }
 
 /// Run a single (algorithm × backfill) cell: one full simulation of the
-/// workload under the spec, measured under `objective`. This is the unit
-/// of work the sweep subsystem distributes across worker threads;
-/// [`evaluate_matrix`] is a serial loop over it.
-///
-/// Runs as a streaming pipeline: the objective, makespan and utilization
-/// are folded online from the event stream, so evaluation never holds a
-/// dense [`jobsched_sim::ScheduleRecord`] (debug builds still record one
-/// to re-audit schedule validity).
+/// workload under the spec, measured under `objective`. This is
+/// [`run_cells`] with one objective; [`evaluate_matrix`] is a serial
+/// loop over it.
 pub fn run_cell(
     workload: &Workload,
     objective: ObjectiveKind,
     spec: AlgorithmSpec,
     caching: bool,
 ) -> EvalCell {
-    if spec.kind.time_shared() {
-        return run_time_shared_cell(workload, objective, spec);
-    }
-    let scheme = if objective.weighted() {
+    run_cells(workload, &[objective], spec, caching)
+        .pop()
+        .expect("one objective, one cell")
+}
+
+/// The weight scheme the ordering algorithms optimise for under
+/// `objective`.
+fn weight_scheme(objective: ObjectiveKind) -> WeightScheme {
+    if objective.weighted() {
         WeightScheme::ProjectedArea
     } else {
         WeightScheme::Unweighted
-    };
-    let mut scheduler = spec.build_dyn(scheme, caching);
-    let mut cost = objective.build_streaming();
+    }
+}
+
+/// The ordering policy a rigid `spec` is built with when its schedule
+/// is scored under `objective`; `None` for the time-shared rows, which
+/// take no weight scheme. The objective reaches the scheduler only
+/// through this value, so cells of one workload, spec and `caching`
+/// whose answers compare equal get the same schedule — the condition
+/// under which [`run_cells`] scores them from one simulation.
+pub fn schedule_policy(spec: AlgorithmSpec, objective: ObjectiveKind) -> Option<OrderPolicy> {
+    (!spec.kind.time_shared()).then(|| spec.kind.policy(weight_scheme(objective)))
+}
+
+/// Run one full simulation of the workload under the spec and score its
+/// schedule under each of `objectives`: one cell per objective, in
+/// order. This is the unit of work the sweep subsystem distributes
+/// across worker threads. Every cell carries the run's engine counts
+/// and scheduler CPU, since they measure the one schedule.
+///
+/// Runs as a streaming pipeline: each objective, the makespan and the
+/// utilization are folded online from the one event stream, so
+/// evaluation never holds a dense [`jobsched_sim::ScheduleRecord`]
+/// (debug builds still record one to re-audit schedule validity).
+///
+/// # Panics
+///
+/// If `objectives` is empty, or two of them build different schedulers
+/// ([`schedule_policy`] differs): those are different schedules.
+pub fn run_cells(
+    workload: &Workload,
+    objectives: &[ObjectiveKind],
+    spec: AlgorithmSpec,
+    caching: bool,
+) -> Vec<EvalCell> {
+    let (&first, rest) = objectives.split_first().expect("at least one objective");
+    let policy = schedule_policy(spec, first);
+    assert!(
+        rest.iter().all(|&o| schedule_policy(spec, o) == policy),
+        "{} builds a different scheduler per objective in {objectives:?}",
+        spec.name()
+    );
+    if spec.kind.time_shared() {
+        return run_time_shared_cells(workload, objectives, spec);
+    }
+    let mut scheduler = spec.build_dyn(weight_scheme(first), caching);
+    let mut costs: Vec<_> = objectives.iter().map(|o| o.build_streaming()).collect();
     let mut makespan = OnlineMakespan::new();
     let mut utilization = OnlineUtilization::new(workload.machine_nodes());
 
     let mut source = WorkloadSource::new(workload);
-    let mut cost_sink = StreamingObserver(&mut *cost);
+    let mut cost_sinks: Vec<_> = costs
+        .iter_mut()
+        .map(|cost| StreamingObserver(&mut **cost))
+        .collect();
     let mut makespan_sink = StreamingObserver(&mut makespan);
     let mut utilization_sink = StreamingObserver(&mut utilization);
     #[cfg(debug_assertions)]
     let mut recorder = jobsched_sim::RecordingObserver::new();
 
-    #[allow(unused_mut)]
-    let mut pipeline = SimPipeline::new(&mut source, &mut *scheduler)
-        .observe(&mut cost_sink)
+    let mut pipeline = SimPipeline::new(&mut source, &mut *scheduler);
+    for sink in &mut cost_sinks {
+        pipeline = pipeline.observe(sink);
+    }
+    pipeline = pipeline
         .observe(&mut makespan_sink)
         .observe(&mut utilization_sink);
     #[cfg(debug_assertions)]
@@ -250,30 +298,37 @@ pub fn run_cell(
         debug_assert!(schedule.validate(workload).is_empty());
     }
 
-    EvalCell::from_parts(
-        spec,
-        cost.cost(),
-        out.scheduler_cpu,
-        makespan.value(),
-        utilization.utilization(),
-        EngineCounts {
-            events: out.events,
-            decision_rounds: out.decision_rounds,
-            peak_queue: out.peak_queue,
-        },
-    )
+    let (makespan, utilization) = (makespan.value(), utilization.utilization());
+    costs
+        .iter()
+        .map(|cost| {
+            EvalCell::from_parts(
+                spec,
+                cost.cost(),
+                out.scheduler_cpu,
+                makespan,
+                utilization,
+                EngineCounts {
+                    events: out.events,
+                    decision_rounds: out.decision_rounds,
+                    peak_queue: out.peak_queue,
+                },
+            )
+        })
+        .collect()
 }
 
 /// Evaluate a time-shared policy ([`PolicyKind::Dfrs`] /
-/// [`PolicyKind::Moldable`]) through the segment engine. The moldable
-/// row synthesises execution alternatives when the workload carries
-/// none, so trace workloads (CTC, probabilistic) are sweepable as-is;
-/// the profile cache does not apply — there is no reservation profile.
-fn run_time_shared_cell(
+/// [`PolicyKind::Moldable`]) through the segment engine, pricing the one
+/// schedule once per objective. The moldable row synthesises execution
+/// alternatives when the workload carries none, so trace workloads (CTC,
+/// probabilistic) are sweepable as-is; the profile cache does not apply
+/// — there is no reservation profile.
+fn run_time_shared_cells(
     workload: &Workload,
-    objective: ObjectiveKind,
+    objectives: &[ObjectiveKind],
     spec: AlgorithmSpec,
-) -> EvalCell {
+) -> Vec<EvalCell> {
     let mut scheduler = spec
         .build_time_shared()
         .expect("caller checked spec.kind.time_shared()");
@@ -293,18 +348,24 @@ fn run_time_shared_cell(
         "{:?}",
         out.schedule.validate(workload)
     );
-    EvalCell::from_parts(
-        spec,
-        objective.cost(workload, &out.schedule),
-        out.scheduler_cpu,
-        out.schedule.makespan(),
-        out.schedule.utilization(workload),
-        EngineCounts {
-            events: out.events,
-            decision_rounds: out.decision_rounds,
-            peak_queue: out.peak_queue,
-        },
-    )
+    let (makespan, utilization) = (out.schedule.makespan(), out.schedule.utilization(workload));
+    objectives
+        .iter()
+        .map(|objective| {
+            EvalCell::from_parts(
+                spec,
+                objective.cost(workload, &out.schedule),
+                out.scheduler_cpu,
+                makespan,
+                utilization,
+                EngineCounts {
+                    events: out.events,
+                    decision_rounds: out.decision_rounds,
+                    peak_queue: out.peak_queue,
+                },
+            )
+        })
+        .collect()
 }
 
 /// Assemble cells into a table, normalising the `pct`/`cpu_pct` columns

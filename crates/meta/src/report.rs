@@ -152,6 +152,9 @@ pub fn run(smoke: bool) -> Result<Json, String> {
         ]));
     }
 
+    // Timing is not an output of the comparison: the artifact stays a
+    // pure function of the seed.
+    eprintln!("meta: {:.1?} wall", t0.elapsed());
     Ok(Json::obj([
         ("schema", Json::Str(META_SCHEMA.to_string())),
         ("seed", Json::UInt(SEED)),
@@ -162,7 +165,6 @@ pub fn run(smoke: bool) -> Result<Json, String> {
             "local_scheduler",
             Json::Str("FCFS+EASY-Backfilling".to_string()),
         ),
-        ("wall_ns", Json::UInt(t0.elapsed().as_nanos() as u64)),
         // Kept for schema stability: an unclean run never renders.
         ("clean", Json::Bool(true)),
         ("workloads", Json::Arr(workload_docs)),

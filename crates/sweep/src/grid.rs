@@ -213,7 +213,9 @@ pub fn parse_objective_tag(tag: &str) -> Option<ObjectiveKind> {
     }
 }
 
-/// One cell of a campaign: a single simulation to run.
+/// One cell of a campaign: a single record. Cells that differ only in
+/// an objective that builds the same scheduler share one simulation
+/// (see [`crate::run_campaign`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CellSpec {
     /// Index of the table this cell belongs to (into `Campaign::tables`).

@@ -21,7 +21,8 @@
 //! * [`manifest`] — the campaign manifest tying records to tables;
 //! * [`hash`] — stable FNV-1a hashing; JSON lives in the shared
 //!   [`jobsched_json`] crate (the build is fully offline: no serde);
-//! * [`runner`] — [`runner::run_campaign`] gluing it all together;
+//! * [`runner`] — [`runner::run_campaign`] gluing it all together,
+//!   one simulation per distinct schedule;
 //! * [`progress`] — throttled stderr progress reporting;
 //! * [`atlas`] — the scheduler-atlas report: `bench-atlas/1` JSON and
 //!   the `ATLAS.md` Pareto summary rendered from a finished campaign

@@ -13,6 +13,13 @@
 //! * **timing metadata** — scheduler CPU and wall-clock — which varies
 //!   run to run and is excluded from the canonical form and from
 //!   cache-hit comparisons.
+//!
+//! Cells that share a schedule share one simulation (see
+//! [`crate::run_campaign`]), and their timing follows one rule: each
+//! carries the shared run's `scheduler_cpu_ns`, because it measures the
+//! same schedule, and a `wall_ns` of the run's wall divided by the
+//! number of cells it computed, so Σ `wall_ns` over a campaign's
+//! computed cells is still the workers' simulation time.
 
 use crate::grid::{
     backfill_tag, objective_tag, parse_backfill_tag, parse_objective_tag, parse_policy_tag,
@@ -69,10 +76,12 @@ pub struct RunRecord {
     pub utilization: f64,
     /// Engine event counts of the run.
     pub counts: EngineCounts,
-    /// Wall-clock spent inside scheduler callbacks (non-deterministic).
+    /// Wall-clock spent inside scheduler callbacks (non-deterministic);
+    /// the whole shared run's when cells share a simulation.
     pub scheduler_cpu_ns: u64,
-    /// Total wall-clock of the cell, simulation plus metric
-    /// (non-deterministic).
+    /// Wall-clock of the cell, simulation plus metric
+    /// (non-deterministic); the cell's equal share of the run's wall
+    /// when cells share a simulation.
     pub wall_ns: u64,
 }
 
@@ -331,6 +340,42 @@ mod tests {
         assert_eq!(r.key, spec.cache_key(42));
         assert_eq!(r.workload_fingerprint, "000000000000002a");
         assert_eq!(r.workload_seed, 3);
+    }
+
+    #[test]
+    fn cells_sharing_a_simulation_share_its_cpu_and_split_its_wall() {
+        use crate::{run_campaign, Campaign, SweepOptions};
+        use jobsched_core::experiment::Scale;
+        let scale = Scale {
+            ctc_jobs: 120,
+            synthetic_jobs: 0,
+            seed: 11,
+        };
+        // Table 3: an ART and an AWRT section over the same 13 specs.
+        let campaign = Campaign::paper_tables(scale, &["table3"]);
+        let t0 = std::time::Instant::now();
+        let out = run_campaign(&campaign, &SweepOptions::default()).unwrap();
+        let elapsed = t0.elapsed().as_nanos() as u64;
+        let (art, awrt) = out.records.split_at(13);
+        let mut shared = 0;
+        for (a, w) in art.iter().zip(awrt) {
+            assert_eq!(a.algorithm, w.algorithm);
+            if matches!(a.algorithm.kind, PolicyKind::Fcfs | PolicyKind::GareyGraham) {
+                // One schedule: same run, same counts, same timing.
+                assert_eq!(a.counts, w.counts);
+                assert_eq!(a.scheduler_cpu_ns, w.scheduler_cpu_ns);
+                assert_eq!(a.wall_ns, w.wall_ns);
+                // Each cell holds half the run's wall, which holds the
+                // scheduler's time inside it.
+                assert!(a.scheduler_cpu_ns <= 2 * a.wall_ns + 1);
+                shared += 1;
+            }
+        }
+        assert_eq!(shared, 4);
+        // Σ wall_ns is the workers' simulation time, inside the
+        // campaign's own wall on one worker.
+        let total: u64 = out.records.iter().map(|r| r.wall_ns).sum();
+        assert!(total > 0 && total <= elapsed, "{total} > {elapsed}");
     }
 
     #[test]

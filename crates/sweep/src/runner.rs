@@ -1,6 +1,6 @@
 //! The campaign runner: materialise workloads, resolve cells against the
-//! result cache, simulate the misses on the worker pool, and assemble the
-//! paper tables from the records.
+//! result cache, simulate each missing schedule once on the worker pool,
+//! and assemble the paper tables from the records.
 
 use crate::cache::ResultCache;
 use crate::grid::{Campaign, WorkloadSpec};
@@ -9,7 +9,9 @@ use crate::manifest::build_manifest;
 use crate::pool;
 use crate::progress::Progress;
 use crate::record::RunRecord;
-use jobsched_core::experiment::{assemble_table, run_cell, EvalTable};
+use jobsched_algos::{AlgorithmSpec, OrderPolicy};
+use jobsched_core::experiment::{assemble_table, run_cells, schedule_policy, EvalTable};
+use jobsched_core::objective_select::ObjectiveKind;
 use jobsched_workload::Workload;
 use std::io;
 use std::path::PathBuf;
@@ -42,6 +44,10 @@ impl Default for SweepOptions {
     }
 }
 
+/// What decides a cell's schedule: the workload, the spec, the cache
+/// toggle and the scheduler the objective builds ([`schedule_policy`]).
+type ScheduleKey = (WorkloadSpec, AlgorithmSpec, bool, Option<OrderPolicy>);
+
 /// Everything a finished campaign produced.
 #[derive(Clone, Debug)]
 pub struct CampaignOutcome {
@@ -50,8 +56,12 @@ pub struct CampaignOutcome {
     pub records: Vec<RunRecord>,
     /// Assembled tables, parallel to `Campaign::tables`.
     pub tables: Vec<EvalTable>,
-    /// Number of cells actually simulated this run.
+    /// Number of cells computed this run, as opposed to served from the
+    /// cache.
     pub simulated: usize,
+    /// Number of pipeline runs that computed them: cells that differ
+    /// only in an objective that builds the same scheduler share one.
+    pub simulations: usize,
     /// Number of cells served from the result cache.
     pub cached: usize,
 }
@@ -61,12 +71,23 @@ pub struct CampaignOutcome {
 /// Flow: each distinct [`WorkloadSpec`] is generated exactly once and
 /// fingerprinted; every cell gets its content-addressed cache key; with
 /// `resume`, keyed hits are served from disk and only the misses are
-/// simulated — distributed over [`pool::run_indexed`], so the spread of
-/// cell runtimes (Tables 7–8 cells are orders of magnitude slower than
+/// computed. The misses are grouped by schedule, and each group is one
+/// simulation: cells that differ only in the objective share a run when
+/// the objective builds the same scheduler ([`schedule_policy`]), and
+/// [`run_cells`] folds every objective of the group from that run's
+/// event stream. So the six objectives of an atlas row cost one
+/// simulation, or two for the PSRS and SMART rows, whose AWRT cells
+/// order by projected area. The grouping is exact by construction: the
+/// members run the same input through the same scheduler value, and the
+/// objective accumulators are passive observers. A half-cached group
+/// simulates once for the cells it still needs; every cell keeps its own
+/// record and cache key.
+///
+/// The groups are distributed over [`pool::run_indexed`], so the spread
+/// of runtimes (Tables 7–8 cells are orders of magnitude slower than
 /// FCFS ones) is load-balanced: a free worker takes the next unclaimed
-/// cell. Records land in the cache as
-/// they are produced; tables and the manifest are assembled at the end
-/// from the full record list.
+/// group. Records land in the cache as they are produced; tables and the
+/// manifest are assembled at the end from the full record list.
 ///
 /// Determinism: cell seeds are derived from grid position, records are
 /// reassembled in cell order, and timing metadata is excluded from the
@@ -118,33 +139,68 @@ pub fn run_campaign(campaign: &Campaign, opts: &SweepOptions) -> io::Result<Camp
         keys.push(key);
     }
 
-    // Simulate the misses.
+    // Group the misses by schedule, in first-appearance order. The
+    // search is linear because `OrderPolicy` carries an `f64` and has no
+    // `Hash`; next to one simulation it is noise.
+    let mut groups: Vec<(ScheduleKey, Vec<usize>)> = Vec::new();
+    for &i in &pending {
+        let cell = &campaign.cells[i];
+        let key = (
+            cell.workload,
+            cell.algorithm,
+            cell.caching,
+            schedule_policy(cell.algorithm, cell.objective),
+        );
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, members)) => members.push(i),
+            None => groups.push((key, vec![i])),
+        }
+    }
+    let simulations = groups.len();
+
+    // Simulate each group once; every member gets its own record.
     let progress = Progress::new(&campaign.name, pending.len(), opts.progress);
-    let results: Vec<io::Result<RunRecord>> =
-        pool::run_indexed(opts.jobs, pending.clone(), |_, idx| {
-            let cell = &campaign.cells[idx];
-            let (workload, fp) = lookup(cell.workload);
+    let results: Vec<io::Result<Vec<(usize, RunRecord)>>> = pool::run_indexed(
+        opts.jobs,
+        groups,
+        |_, ((workload, algorithm, caching, _), members)| {
+            let (workload, fp) = lookup(workload);
+            let objectives: Vec<ObjectiveKind> = members
+                .iter()
+                .map(|&i| campaign.cells[i].objective)
+                .collect();
             let start = Instant::now();
-            let eval = run_cell(workload, cell.objective, cell.algorithm, cell.caching);
-            let record = RunRecord::from_cell(
-                cell,
-                keys[idx].clone(),
-                workload.name(),
-                *fp,
-                workload.len() as u64,
-                workload.machine_nodes(),
-                &eval,
-                start.elapsed(),
-            );
-            if let Some(c) = &cache {
-                c.put(&record)?;
-            }
-            progress.tick();
-            Ok(record)
-        });
-    let simulated = results.len();
-    for (idx, result) in pending.into_iter().zip(results) {
-        slots[idx] = Some(result?);
+            let evals = run_cells(workload, &objectives, algorithm, caching);
+            // Σ wall_ns over the group stays the run's wall.
+            let wall = start.elapsed() / members.len() as u32;
+            members
+                .into_iter()
+                .zip(&evals)
+                .map(|(idx, eval)| {
+                    let record = RunRecord::from_cell(
+                        &campaign.cells[idx],
+                        keys[idx].clone(),
+                        workload.name(),
+                        *fp,
+                        workload.len() as u64,
+                        workload.machine_nodes(),
+                        eval,
+                        wall,
+                    );
+                    if let Some(c) = &cache {
+                        c.put(&record)?;
+                    }
+                    progress.tick();
+                    Ok((idx, record))
+                })
+                .collect()
+        },
+    );
+    let simulated = pending.len();
+    for result in results {
+        for (idx, record) in result? {
+            slots[idx] = Some(record);
+        }
     }
     let records: Vec<RunRecord> = slots
         .into_iter()
@@ -180,7 +236,7 @@ pub fn run_campaign(campaign: &Campaign, opts: &SweepOptions) -> io::Result<Camp
 
     if opts.progress {
         eprintln!(
-            "[{}: {n} cells ({simulated} simulated, {} cached) in {:.1?} on {} worker(s)]",
+            "[{}: {n} cells ({simulated} computed in {simulations} simulations, {} cached) in {:.1?} on {} worker(s)]",
             campaign.name,
             n - simulated,
             t0.elapsed(),
@@ -191,6 +247,7 @@ pub fn run_campaign(campaign: &Campaign, opts: &SweepOptions) -> io::Result<Camp
         records,
         tables,
         simulated,
+        simulations,
         cached: n - simulated,
     })
 }
@@ -225,6 +282,9 @@ mod tests {
         assert_eq!(out.records.len(), 26);
         assert_eq!(out.tables.len(), 2);
         assert_eq!(out.simulated, 26);
+        // FCFS and Garey & Graham take no weight scheme: their ART and
+        // AWRT cells share one schedule (4 rows), the other 9 rows don't.
+        assert_eq!(out.simulations, 13 + 9);
         assert_eq!(out.cached, 0);
         for t in &out.tables {
             assert_eq!(t.cells.len(), 13);
@@ -261,6 +321,7 @@ mod tests {
             second.simulated, 0,
             "second --resume run re-simulates nothing"
         );
+        assert_eq!(second.simulations, 0);
         assert_eq!(second.cached, 26);
         for (a, b) in first.records.iter().zip(&second.records) {
             assert!(a.deterministically_eq(b));

@@ -161,7 +161,7 @@ fn every_campaign_keeps_its_own_cache_and_resumes_from_it() {
     };
     let (code, stderr) = go(&first);
     assert_eq!(code, Some(0), "{stderr}");
-    assert!(stderr.contains("[atlas-smoke: 30 cells (30 simulated, 0 cached)"));
+    assert!(stderr.contains("[atlas-smoke: 30 cells (30 computed in 10 simulations, 0 cached)"));
     // One rule: DIR/<campaign name>/{cache/, manifest.json}.
     for campaign in ["atlas-smoke", "preempt-smoke"] {
         assert!(out.join(campaign).join("manifest.json").is_file());
@@ -172,11 +172,11 @@ fn every_campaign_keeps_its_own_cache_and_resumes_from_it() {
     let (code, stderr) = go(&second);
     assert_eq!(code, Some(0), "{stderr}");
     assert!(
-        stderr.contains("[atlas-smoke: 30 cells (0 simulated, 30 cached)"),
+        stderr.contains("[atlas-smoke: 30 cells (0 computed in 0 simulations, 30 cached)"),
         "{stderr}"
     );
     assert!(
-        stderr.contains("[preempt-smoke: 16 cells (0 simulated, 16 cached)"),
+        stderr.contains("[preempt-smoke: 16 cells (0 computed in 0 simulations, 16 cached)"),
         "{stderr}"
     );
     for file in [
