@@ -21,9 +21,10 @@
 //! size and replays it before the port is bound; a file that does not
 //! decode exits 1.
 //! `--shards N` runs N engine shards (each an independent `--nodes`
-//! machine owning the job ids in its residue class `id % N`); `--replica`
-//! streams every shard's input log to a warm standby so a crashed shard
-//! (see the `crash` op) fails over with exact state.
+//! machine owning the job ids in its residue class `id % N`), all served
+//! by one thread; `--replica` keeps every shard promotable, so a shard
+//! that dies (the `crash` op, or a panic inside its engine) fails over
+//! with exact state by replaying its input log.
 
 use jobsched_json::Json;
 use jobsched_serve::server::Server;
@@ -98,7 +99,7 @@ fn main() {
     let nodes = args.config.machine_nodes;
     let shards = args.config.shards;
     let replica = if args.config.replica {
-        " with warm replicas"
+        " with replica failover"
     } else {
         ""
     };

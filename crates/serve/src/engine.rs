@@ -1,13 +1,13 @@
-//! The scheduler thread: one engine owning the clock, the
-//! [`LiveSim`] core, the scheduler, and all serving bookkeeping.
+//! One scheduler shard: an engine owning the clock, the [`LiveSim`]
+//! core, the scheduler, and all serving bookkeeping.
 //!
 //! ## Threading model
 //!
-//! One engine runs per *shard*, consuming request batches from an mpsc
-//! channel fed by the reactor (see [`crate::reactor`]). All scheduling
-//! state is confined to the shard thread — there are no locks around
-//! the simulation; concurrency is resolved by the channel's arrival
-//! order, and replies travel back to the reactor for in-order delivery.
+//! One engine runs per *shard*, and every shard's engine lives on the
+//! reactor thread (see [`crate::reactor`]), which calls
+//! [`Engine::handle`] for each request in the order it decoded them.
+//! An engine is plain single-owner state — no locks, no channels — and
+//! in-process callers drive it the same way.
 //!
 //! ## Sharding
 //!
@@ -21,11 +21,11 @@
 //! ## Time
 //!
 //! The engine never processes an event before its [`Clock`] says the
-//! instant is due. Under [`Clock::Wall`] it sleeps (via `recv_timeout`)
-//! until the next event matures or a command arrives; under
-//! [`Clock::Virtual`] it blocks indefinitely and time moves only through
-//! the `advance` command — which is what makes served schedules
-//! deterministic and bit-comparable to batch simulation.
+//! instant is due. Under [`Clock::Wall`] the reactor pumps it when its
+//! next event matures or a command arrives; under [`Clock::Virtual`]
+//! time moves only through the `advance` command — which is what makes
+//! served schedules deterministic and bit-comparable to batch
+//! simulation.
 //!
 //! ## Determinism
 //!
@@ -46,9 +46,9 @@
 //! code path it ran live, re-recording each input into its own fresh
 //! log — then re-anchors the configured clock at the checkpoint instant.
 //! State that is pure *output* (placements, metrics) is reproduced, not
-//! stored. The log sits behind an `Arc<Mutex<_>>` so the reactor can
-//! hold a second handle on it as the shard's warm standby
-//! ([`crate::replica`]); the engine is the only writer.
+//! stored. The log is also the shard's warm standby: when the shard
+//! dies the reactor takes it by value and promotes it
+//! ([`crate::replica`]).
 
 use crate::clock::Clock;
 use crate::log::{check_horizon, check_width, InputLog, InputOp, InputRecord};
@@ -60,7 +60,6 @@ use jobsched_metrics::OnlineMetrics;
 use jobsched_sim::{CancelPhase, JobEvent, LiveSim, Scheduler, SimObserver};
 use jobsched_workload::{Job, JobBuilder, JobId, Time};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Where `status` finds a job.
@@ -190,10 +189,8 @@ pub struct Engine {
     cancelled_presubmit: BTreeSet<JobId>,
     store: StatusStore,
     metrics: OnlineMetrics,
-    /// The shard's history. The engine is the only writer; with
-    /// `config.replica` the reactor holds a second handle and the
-    /// scalars are kept current on every pump.
-    log: Arc<Mutex<InputLog>>,
+    /// The shard's history, its scalars kept current on every pump.
+    log: InputLog,
     draining: bool,
     dirty: bool,
     /// Next auto-id candidate; past `u32::MAX` once the residue class
@@ -238,7 +235,7 @@ impl Engine {
             cancelled_presubmit: BTreeSet::new(),
             store: StatusStore::new(config.retain_completed),
             metrics: OnlineMetrics::new(config.machine_nodes),
-            log: Arc::default(),
+            log: InputLog::default(),
             draining: false,
             dirty: false,
             next_auto_id: shard as u64,
@@ -250,20 +247,17 @@ impl Engine {
         }
     }
 
-    /// A second handle on this engine's input log — the warm standby
-    /// the reactor promotes from when the shard dies.
-    pub(crate) fn log_handle(&self) -> Arc<Mutex<InputLog>> {
-        Arc::clone(&self.log)
+    /// The dead engine's input log, as of its last pump — what the
+    /// reactor promotes the shard's replica from.
+    pub(crate) fn into_log(self) -> InputLog {
+        self.log
     }
 
-    /// Lock the log with the scalars its records cannot reproduce
-    /// brought up to date.
-    fn synced_log(&self, now: Time) -> MutexGuard<'_, InputLog> {
-        let mut log = self.log.lock().expect("input log lock");
-        log.now = log.now.max(now);
-        log.draining = self.draining;
-        log.next_auto_id = self.next_auto_id;
-        log
+    /// Bring the scalars the log's records cannot reproduce up to date.
+    fn sync_log(&mut self, now: Time) {
+        self.log.now = self.log.now.max(now);
+        self.log.draining = self.draining;
+        self.log.next_auto_id = self.next_auto_id;
     }
 
     /// Current simulated instant.
@@ -277,7 +271,7 @@ impl Engine {
     }
 
     /// Real time until the next scheduled event matures (`None`: no
-    /// event is scheduled). The shard loop sleeps at most this long.
+    /// event is scheduled). The reactor sleeps at most this long.
     pub(crate) fn delay_to_next(&self) -> Option<Duration> {
         self.next_instant().map(|t| self.clock.real_delay_until(t))
     }
@@ -307,10 +301,8 @@ impl Engine {
     /// Process every event due at or before the clock's "now".
     pub(crate) fn pump(&mut self) {
         let now = self.clock.now();
-        if self.config.replica {
-            // A standby must be promotable at any instant.
-            drop(self.synced_log(now));
-        }
+        // A standby must be promotable at any instant.
+        self.sync_log(now);
         self.refill(now);
         while self.live.next_event_time().is_some_and(|t| t <= now) {
             let next_external = self.pending.keys().next().map(|k| k.0);
@@ -353,7 +345,7 @@ impl Engine {
     /// Append one input to the log: the single point through which
     /// every replayable mutation passes.
     fn record(&mut self, rec: InputRecord) {
-        self.log.lock().expect("input log lock").push(rec);
+        self.log.push(rec);
         self.dirty = true;
     }
 
@@ -689,8 +681,9 @@ impl Engine {
         protocol::ok(fields)
     }
 
-    fn checkpoint_json(&self) -> Json {
-        self.synced_log(self.clock.now()).to_json(&self.config)
+    fn checkpoint_json(&mut self) -> Json {
+        self.sync_log(self.clock.now());
+        self.log.to_json(&self.config)
     }
 
     fn require_fresh(&self) -> Result<(), String> {
@@ -831,8 +824,8 @@ impl Engine {
                 graceful,
                 checkpoint,
             } => return (self.handle_shutdown(graceful, checkpoint), true),
-            // The shard loop intercepts `crash` before the engine (it
-            // must drain its channel); reaching here still stops.
+            // The reactor intercepts `crash` before the engine to fail
+            // the shard over; an in-process caller is told to stop.
             Request::Crash { .. } => return (protocol::ok([("crashed", Json::Bool(true))]), true),
         };
         (reply, false)

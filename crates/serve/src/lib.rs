@@ -4,8 +4,8 @@
 //! algorithm reacts to submissions as they arrive, including the
 //! day/night policy switch of Rules 5/6 — yet every other entry point in
 //! this repo is batch simulation. This crate closes that gap: a daemon
-//! that owns one scheduler thread driving the shared
-//! [`LiveSim`](jobsched_sim::LiveSim) engine behind a
+//! whose one thread serves every connection and drives the shared
+//! [`LiveSim`](jobsched_sim::LiveSim) engine of every shard behind a
 //! [`Clock`](clock::Clock), while clients speak newline-delimited
 //! JSON over TCP (hand-rolled on `std::net`; the build stays
 //! dependency-free).
@@ -20,12 +20,13 @@
 //!   (`submit`/`cancel`/`status`/`queue`/`drain`/`policy`/`metrics`/
 //!   `advance`/`checkpoint`/`restore`/`shutdown`/`crash`);
 //! * [`reactor`] — the nonblocking readiness loop (raw-syscall epoll
-//!   via [`sys`]) multiplexing every connection, batching decode and
-//!   dispatch per wakeup across N engine shards;
+//!   via [`sys`]) multiplexing every connection and running every
+//!   engine shard on the same thread;
 //! * [`router`] — the deterministic shard router (`id % shards`) and
 //!   aggregate-reply merging for broadcast operations;
-//! * [`replica`] — warm standby per shard: a second handle on the
-//!   engine's own log and exact-state promotion on failover;
+//! * [`replica`] — warm standby per shard: the panic boundary around
+//!   every engine call and exact-state promotion of a dead engine's
+//!   log on failover;
 //! * [`server`] — bind/start/stop lifecycle around the reactor, fresh
 //!   or from a checkpoint of any size;
 //! * [`client`] — a tiny blocking client used by the tests.
@@ -221,8 +222,10 @@ pub struct ServeConfig {
     /// machine owning the job ids in its residue class (`id % shards`);
     /// total cluster capacity is `shards × machine_nodes`.
     pub shards: usize,
-    /// Stream each shard's input log to a warm replica, enabling exact
-    /// failover when a shard dies (see the `crash` op).
+    /// Keep each shard promotable: when a shard dies (the `crash` op,
+    /// or a panic inside its engine) replay its input log into a fresh
+    /// engine, with exact state. Without it the dead shard's jobs
+    /// answer `unavailable`.
     pub replica: bool,
 }
 

@@ -10,8 +10,8 @@
 //! * a **checkpoint** is the log serialised ([`InputLog::to_json`]),
 //! * a **restore** is the log replayed
 //!   ([`Engine::restore`](crate::engine::Engine)), and
-//! * a **warm replica** is a second handle on the same
-//!   `Arc<Mutex<InputLog>>` the engine appends to (see
+//! * a **warm replica** is the engine's own log, taken by value when
+//!   the shard dies and replayed into a fresh engine (see
 //!   [`crate::replica`]) — not a second copy.
 //!
 //! This module is the only place that knows the `serve-checkpoint/1`
@@ -345,7 +345,7 @@ mod tests {
     }
 
     /// Route one request over in-process shard engines as the reactor
-    /// does over shard threads.
+    /// does.
     fn serve(engines: &mut [Engine], req: Request) -> Json {
         match router::route(&req, engines.len()) {
             Dest::Shard(k) => engines[k].handle(req).0,

@@ -132,7 +132,7 @@ pub enum Request {
     },
     /// Liveness probe.
     Ping,
-    /// Chaos op: kill one engine shard as if its thread died. With a
+    /// Chaos op: kill one engine shard as if it had failed. With a
     /// warm replica the daemon promotes it transparently; without one
     /// the shard's jobs become `unavailable`. Test/benchmark surface.
     Crash {

@@ -1,197 +1,70 @@
-//! The nonblocking connection reactor and the shard threads it feeds.
+//! The nonblocking connection reactor: one thread serving every
+//! connection and every engine shard.
 //!
 //! ## One readiness loop, N engine shards
 //!
-//! A single reactor thread owns every socket: the listener, a loopback
-//! waker, and all client connections, multiplexed through a
-//! level-triggered [`Poller`] (raw-syscall epoll on
-//! Linux). Each wakeup it drains readable sockets, decodes every
-//! complete line, routes requests through [`crate::router`], and hands
-//! each shard its whole batch in **one** channel send — so a thousand
-//! connections cost one thread plus per-shard engine threads, and a
-//! stalled or hostile connection can delay a healthy one's reply by at
-//! most the current wakeup's decode work (the regression tests pin
-//! this).
+//! A single reactor thread owns every socket — the listener and all
+//! client connections, multiplexed through a level-triggered [`Poller`]
+//! (raw-syscall epoll on Linux) — and every shard's [`Engine`]. Each
+//! wakeup it pumps every live engine once, then drains readable
+//! sockets, decodes every complete line, routes it through
+//! [`crate::router`] and handles it on the spot: a shard request calls
+//! that shard's engine, a broadcast calls every live engine in turn and
+//! merges the parts at once. A thousand connections and N shards cost
+//! one thread, and a stalled or hostile connection can delay a healthy
+//! one's reply by at most the current wakeup's decode and engine work
+//! (the regression tests pin this).
 //!
 //! ## Reply ordering
 //!
-//! Replies arrive from shards out of order relative to a connection's
-//! request stream (different shards, different speeds). Every decoded
-//! line gets a per-connection sequence number and replies sit in a
-//! reorder buffer until their turn; even reactor-direct errors (parse
-//! failures, routing errors) take a sequence number, so a client always
+//! Every line is answered before the next one is decoded, so a client
 //! reads exactly one reply per line, in the order it sent the lines —
-//! the wire contract of the thread-per-connection server, preserved.
+//! parse failures and routing errors included. A connection's replies
+//! collect in its write buffer and go out in one write per wakeup.
 //!
 //! ## Failover
 //!
-//! With `ServeConfig::replica` set, the reactor keeps a second handle on
-//! each shard engine's [`InputLog`] — the same allocation the engine
-//! appends to, not a copy. A shard that dies (the `crash` chaos op)
-//! drains its channel back to the reactor, which takes the log out of
-//! the handle and promotes it — an exact typed replay, no JSON in
-//! between — spawns a fresh shard thread, re-dispatches the drained
-//! requests, and carries on; clients observe identical schedules to a
-//! run that never crashed. Without a replica the shard's residue class
-//! of jobs answers `unavailable`.
+//! Every engine call runs behind the panic boundary of
+//! `replica::guarded`. A shard dies on the `crash` chaos op or when an
+//! engine call panics; the request in hand is answered (`crashed`, or
+//! `unavailable` after a panic) and, with `ServeConfig::replica` set,
+//! the dead engine's [`InputLog`] is promoted into a fresh engine — an
+//! exact typed replay, no JSON in between — before the next line is
+//! decoded. Later requests reach the promoted shard, and clients
+//! observe schedules identical to a run that never crashed. Without a
+//! replica, or when the replay fails too, the shard's residue class of
+//! jobs answers `unavailable`.
+//!
+//! ## Time
+//!
+//! Virtual-clock engines move only on `advance`. Wall-clock engines
+//! bound the poll timeout by the real delay until their next event
+//! (re-checked at least every 50 ms), so a matured event is pumped on
+//! time even when no client speaks.
 
 use crate::engine::Engine;
 use crate::log::InputLog;
 use crate::protocol::{self, Request, MAX_LINE};
-use crate::replica;
+use crate::replica::{self, guarded};
 use crate::router::{self, AggKind, Dest};
 use crate::sys::{new_poller, Poller};
 use crate::ServeConfig;
 use jobsched_json::Json;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Poller token of the accept socket.
 const TOKEN_LISTENER: u64 = u64::MAX;
-/// Poller token of the waker's read end.
-const TOKEN_WAKER: u64 = u64::MAX - 1;
 /// How long a stopping reactor keeps flushing final replies.
 const STOP_FLUSH_GRACE: Duration = Duration::from_secs(2);
-/// Wall-clock shards re-check their event queue at least this often.
+/// Wall-clock engines re-check their event queue at least this often.
 const SHARD_TICK: Duration = Duration::from_millis(50);
-
-/// One routed request, tagged with its reply slot.
-pub(crate) struct Tagged {
-    conn: u64,
-    seq: u64,
-    request: Request,
-}
-
-/// What a shard thread sends back to the reactor.
-enum ShardMsg {
-    /// Replies for dispatched requests, in processing order.
-    Replies {
-        shard: usize,
-        batch: Vec<(u64, u64, Json)>,
-    },
-    /// Requests the shard accepted but will never process (it is
-    /// stopping); the reactor re-dispatches or fails them.
-    Requeue { shard: usize, batch: Vec<Tagged> },
-    /// The shard thread is gone. `crashed` distinguishes the chaos op
-    /// (promote the replica) from a requested shutdown.
-    Exited { shard: usize, crashed: bool },
-}
-
-/// Shard→reactor mailbox: a locked queue plus the waker's write end.
-/// Shard threads push and nudge the reactor out of `Poller::wait` with
-/// a one-byte write.
-pub(crate) struct SharedOut {
-    queue: Mutex<Vec<ShardMsg>>,
-    waker: TcpStream,
-}
-
-impl SharedOut {
-    /// Wake the reactor without queueing anything (used by
-    /// [`Server::stop`](crate::server::Server::stop)).
-    pub(crate) fn wake(&self) {
-        // A full pipe already guarantees a pending wakeup.
-        let _ = (&self.waker).write(&[1]);
-    }
-
-    fn push_all(&self, msgs: impl IntoIterator<Item = ShardMsg>) {
-        self.queue.lock().expect("reactor queue").extend(msgs);
-        self.wake();
-    }
-}
-
-/// One shard thread: pump the engine, apply request batches in arrival
-/// order, return replies. Exits on `shutdown`, on the `crash` chaos op
-/// (draining its channel back to the reactor first), or when the
-/// reactor drops the sender.
-fn run_shard(mut engine: Engine, shard: usize, rx: Receiver<Vec<Tagged>>, out: Arc<SharedOut>) {
-    loop {
-        engine.pump();
-        let batch = if engine.is_virtual() {
-            match rx.recv() {
-                Ok(b) => b,
-                Err(_) => return,
-            }
-        } else {
-            match engine.delay_to_next() {
-                None => match rx.recv() {
-                    Ok(b) => b,
-                    Err(_) => return,
-                },
-                Some(d) if d.is_zero() => match rx.try_recv() {
-                    Ok(b) => b,
-                    Err(TryRecvError::Empty) => continue, // due: pump again
-                    Err(TryRecvError::Disconnected) => return,
-                },
-                Some(d) => match rx.recv_timeout(d.min(SHARD_TICK)) {
-                    Ok(b) => b,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => return,
-                },
-            }
-        };
-        let mut replies = Vec::with_capacity(batch.len());
-        let mut exit = None; // Some(crashed)
-        let mut rest = batch.into_iter();
-        for t in rest.by_ref() {
-            if let Request::Crash { .. } = t.request {
-                replies.push((
-                    t.conn,
-                    t.seq,
-                    protocol::ok([
-                        ("crashed", Json::Bool(true)),
-                        ("shard", Json::UInt(shard as u64)),
-                    ]),
-                ));
-                exit = Some(true);
-                break;
-            }
-            let (reply, stop) = engine.handle(t.request);
-            replies.push((t.conn, t.seq, reply));
-            if stop {
-                exit = Some(false);
-                break;
-            }
-        }
-        match exit {
-            None => {
-                if !replies.is_empty() {
-                    out.push_all([ShardMsg::Replies {
-                        shard,
-                        batch: replies,
-                    }]);
-                }
-            }
-            Some(crashed) => {
-                // Hand everything unprocessed back — the rest of this
-                // batch plus whatever is still queued on the channel —
-                // so no client request silently vanishes.
-                let mut requeue: Vec<Tagged> = rest.collect();
-                while let Ok(mut b) = rx.try_recv() {
-                    requeue.append(&mut b);
-                }
-                out.push_all([
-                    ShardMsg::Replies {
-                        shard,
-                        batch: replies,
-                    },
-                    ShardMsg::Requeue {
-                        shard,
-                        batch: requeue,
-                    },
-                    ShardMsg::Exited { shard, crashed },
-                ]);
-                return;
-            }
-        }
-    }
-}
 
 /// Per-connection state.
 struct Conn {
@@ -200,14 +73,7 @@ struct Conn {
     rbuf: Vec<u8>,
     /// Framed replies awaiting the socket's send buffer.
     wbuf: Vec<u8>,
-    /// Next sequence number to assign to a decoded line.
-    next_seq: u64,
-    /// Next sequence number to flush; `next_seq == flush_seq` means no
-    /// request is outstanding.
-    flush_seq: u64,
-    /// Replies that arrived ahead of their turn.
-    reorder: BTreeMap<u64, Json>,
-    /// Last read or reply flush — the read deadline's anchor.
+    /// Last read or reply — the read deadline's anchor.
     last_activity: Instant,
     /// Close once `wbuf` drains (timeout/oversized farewells).
     close_after_flush: bool,
@@ -223,52 +89,26 @@ impl Conn {
             stream,
             rbuf: Vec::new(),
             wbuf: Vec::new(),
-            next_seq: 0,
-            flush_seq: 0,
-            reorder: BTreeMap::new(),
             last_activity: Instant::now(),
             close_after_flush: false,
             read_closed: false,
             want_write: false,
         }
     }
-
-    fn outstanding(&self) -> bool {
-        self.next_seq != self.flush_seq
-    }
 }
 
-/// A broadcast collecting one part per shard.
-struct Agg {
-    kind: AggKind,
-    parts: Vec<Option<Json>>,
-    remaining: usize,
-}
-
-/// Handle returned to [`crate::server::Server`].
-pub(crate) struct ReactorHandle {
-    pub(crate) thread: JoinHandle<()>,
-    pub(crate) out: Arc<SharedOut>,
-}
-
-/// Build the shard engines and the reactor, and start both. Returns
-/// once all threads are running. With `restored` (one log per shard)
-/// every engine replays its log before any thread exists, so the first
-/// connection the reactor accepts already sees the restored state.
+/// Build the shard engines and start the reactor thread that serves
+/// them. With `restored` (one log per shard) every engine replays its
+/// log before the thread exists, so the first connection the reactor
+/// accepts already sees the restored state.
 pub(crate) fn start(
     listener: TcpListener,
     config: ServeConfig,
     stop: Arc<AtomicBool>,
     restored: Option<Vec<InputLog>>,
-) -> io::Result<ReactorHandle> {
+) -> io::Result<JoinHandle<()>> {
     let shards = config.shards.max(1);
     let origin = Instant::now();
-    let (waker_tx, waker_rx) = waker_pair()?;
-    let out = Arc::new(SharedOut {
-        queue: Mutex::new(Vec::new()),
-        waker: waker_tx,
-    });
-
     let mut restored = restored.into_iter().flatten();
     let engines = (0..shards)
         .map(|shard| {
@@ -278,87 +118,40 @@ pub(crate) fn start(
                     .restore(log)
                     .map_err(|e| io::Error::new(ErrorKind::InvalidData, e))?;
             }
-            Ok(engine)
+            Ok(Some(engine))
         })
-        .collect::<io::Result<Vec<Engine>>>()?;
-
-    let mut txs = Vec::with_capacity(shards);
-    let mut threads = Vec::with_capacity(shards);
-    let mut replicas = Vec::with_capacity(shards);
-    for (shard, engine) in engines.into_iter().enumerate() {
-        let log = config.replica.then(|| engine.log_handle());
-        let (tx, rx) = mpsc::channel::<Vec<Tagged>>();
-        let shard_out = Arc::clone(&out);
-        let handle = std::thread::Builder::new()
-            .name(format!("jobsched-shard-{shard}"))
-            .spawn(move || run_shard(engine, shard, rx, shard_out))?;
-        txs.push(Some(tx));
-        threads.push(handle);
-        replicas.push(log);
-    }
+        .collect::<io::Result<Vec<_>>>()?;
 
     let mut poller = new_poller()?;
     poller.register(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
-    poller.register(waker_rx.as_raw_fd(), TOKEN_WAKER, true, false)?;
-
     let reactor = Reactor {
         config,
-        shards,
         listener,
         poller,
-        waker_rx,
-        out: Arc::clone(&out),
         stop,
         conns: HashMap::new(),
         next_conn: 0,
-        txs,
-        threads,
-        replicas,
-        aggs: HashMap::new(),
-        pending_requeue: (0..shards).map(|_| Vec::new()).collect(),
+        engines,
         origin,
         stopping: false,
         stop_deadline: None,
         scratch: String::new(),
     };
-    let thread = std::thread::Builder::new()
+    std::thread::Builder::new()
         .name("jobsched-reactor".into())
-        .spawn(move || reactor.run())?;
-    Ok(ReactorHandle { thread, out })
-}
-
-/// A connected loopback pair standing in for a self-pipe: write end for
-/// shard threads, nonblocking read end registered in the poller.
-fn waker_pair() -> io::Result<(TcpStream, TcpStream)> {
-    let l = TcpListener::bind("127.0.0.1:0")?;
-    let tx = TcpStream::connect(l.local_addr()?)?;
-    let (rx, _) = l.accept()?;
-    tx.set_nonblocking(true)?;
-    tx.set_nodelay(true)?;
-    rx.set_nonblocking(true)?;
-    Ok((tx, rx))
+        .spawn(move || reactor.run())
 }
 
 struct Reactor {
     config: ServeConfig,
-    shards: usize,
     listener: TcpListener,
     poller: Box<dyn Poller>,
-    waker_rx: TcpStream,
-    out: Arc<SharedOut>,
     stop: Arc<AtomicBool>,
     conns: HashMap<u64, Conn>,
     next_conn: u64,
-    /// Per-shard dispatch channels; `None` = the shard is gone.
-    txs: Vec<Option<Sender<Vec<Tagged>>>>,
-    threads: Vec<JoinHandle<()>>,
-    /// With `config.replica`: a second handle on each live shard
-    /// engine's own log.
-    replicas: Vec<Option<Arc<Mutex<InputLog>>>>,
-    /// In-flight broadcasts, keyed by the requesting (conn, seq).
-    aggs: HashMap<(u64, u64), Agg>,
-    /// Requests drained from a dying shard, awaiting promote-or-fail.
-    pending_requeue: Vec<Vec<Tagged>>,
+    /// Shard k's engine; `None` once the shard is down (dead without a
+    /// live replica) or stopped by `shutdown`.
+    engines: Vec<Option<Engine>>,
     /// Shared wall-clock origin, so promoted shards stay aligned.
     origin: Instant,
     /// A shutdown broadcast completed: flush farewells and exit.
@@ -371,25 +164,26 @@ struct Reactor {
 impl Reactor {
     fn run(mut self) {
         let mut events = Vec::with_capacity(64);
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
+        while !self.stop.load(Ordering::SeqCst) {
             events.clear();
             let timeout = self.poll_timeout();
             if self.poller.wait(&mut events, Some(timeout)).is_err() {
                 break;
             }
-            // Batches accumulate across every event of this wakeup and
-            // go out in one send per shard.
-            let mut batches: Vec<Vec<Tagged>> = (0..self.shards).map(|_| Vec::new()).collect();
+            // One pump per engine per wakeup, before its requests.
+            for k in 0..self.engines.len() {
+                if self.engines[k].is_some() {
+                    if let Err(dead) = guarded(&mut self.engines[k], Engine::pump) {
+                        self.failover(k, dead);
+                    }
+                }
+            }
             for &ev in events.iter() {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => self.drain_waker(),
                     token => {
                         if ev.readable {
-                            self.conn_readable(token, &mut batches);
+                            self.conn_readable(token);
                         }
                         if ev.writable && self.conns.contains_key(&token) {
                             self.try_flush(token);
@@ -400,9 +194,7 @@ impl Reactor {
                     }
                 }
             }
-            self.drain_shard_msgs(&mut batches);
             self.sweep_deadlines();
-            self.dispatch(batches);
             if self.stopping {
                 let drained = self.conns.values().all(|c| c.wbuf.is_empty());
                 let expired = self.stop_deadline.is_some_and(|d| Instant::now() >= d);
@@ -411,24 +203,17 @@ impl Reactor {
                 }
             }
         }
-        // Teardown: dropping the senders stops any still-running shard
-        // thread at its next recv.
-        self.txs.clear();
-        for h in self.threads.drain(..) {
-            let _ = h.join();
-        }
     }
 
-    /// Sleep no longer than the nearest idle-connection deadline.
+    /// Sleep no longer than the nearest idle-connection deadline or the
+    /// next event of a wall-clock engine.
     fn poll_timeout(&self) -> Duration {
         if self.stopping {
             return Duration::from_millis(10);
         }
         let mut t = Duration::from_millis(500);
         for c in self.conns.values() {
-            // Outstanding requests suspend the deadline: a client
-            // waiting on a slow engine reply is not idle.
-            if c.read_closed || c.close_after_flush || c.outstanding() {
+            if c.read_closed || c.close_after_flush {
                 continue;
             }
             let remain = self
@@ -437,7 +222,12 @@ impl Reactor {
                 .saturating_sub(c.last_activity.elapsed());
             t = t.min(remain);
         }
-        t.max(Duration::from_millis(1))
+        for engine in self.engines.iter().flatten().filter(|e| !e.is_virtual()) {
+            if let Some(d) = engine.delay_to_next() {
+                t = t.min(d.min(SHARD_TICK));
+            }
+        }
+        t
     }
 
     fn accept_ready(&mut self) {
@@ -480,21 +270,9 @@ impl Reactor {
         }
     }
 
-    fn drain_waker(&mut self) {
-        let mut buf = [0u8; 256];
-        loop {
-            match (&self.waker_rx).read(&mut buf) {
-                Ok(0) => break, // shards never close their end first
-                Ok(_) => continue,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break, // WouldBlock: drained
-            }
-        }
-    }
-
-    /// Read everything available, frame complete lines, decode and
-    /// route each one.
-    fn conn_readable(&mut self, id: u64, batches: &mut [Vec<Tagged>]) {
+    /// Read everything available, frame complete lines and answer each
+    /// one, then flush the replies.
+    fn conn_readable(&mut self, id: u64) {
         let Some(c) = self.conns.get_mut(&id) else {
             return;
         };
@@ -546,24 +324,24 @@ impl Reactor {
             // A complete line over the cap is as hostile as an
             // unterminated one: reject and close, discarding the rest.
             if line.len() > MAX_LINE {
-                self.oversized_farewell(id);
+                self.farewell(id, oversized_error());
                 return;
             }
-            self.handle_line(id, &line, batches);
+            if let Some(reply) = self.serve_line(&line) {
+                self.reply(id, &reply);
+            }
         }
         if oversized && !saw_eof {
-            self.oversized_farewell(id);
+            self.farewell(id, oversized_error());
+            return;
         }
-        if saw_eof {
-            self.maybe_close(id);
-        }
+        self.try_flush(id);
     }
 
-    /// Reject an over-limit frame with a structured error, stop reading
-    /// (the kernel discards what keeps arriving), and close once the
-    /// error has been flushed — without racing ahead of in-flight
-    /// replies for this connection.
-    fn oversized_farewell(&mut self, id: u64) {
+    /// Answer a connection's last reply, stop reading (the kernel
+    /// discards what keeps arriving) and close once everything owed has
+    /// been flushed.
+    fn farewell(&mut self, id: u64, last: Json) {
         let Some(c) = self.conns.get_mut(&id) else {
             return;
         };
@@ -576,75 +354,87 @@ impl Reactor {
         let fd = c.stream.as_raw_fd();
         let want_write = c.want_write;
         let _ = self.poller.modify(fd, id, false, want_write);
-        let seq = c.next_seq;
-        c.next_seq += 1;
-        self.resolve(
-            id,
-            seq,
-            protocol::error("protocol", format!("request line exceeds {MAX_LINE} bytes")),
-        );
+        self.reply(id, &last);
+        self.try_flush(id);
     }
 
-    /// Decode one framed line and route the request.
-    fn handle_line(&mut self, id: u64, line: &[u8], batches: &mut [Vec<Tagged>]) {
-        let Some(c) = self.conns.get_mut(&id) else {
-            return;
+    /// Decode one framed line and answer it. Blank lines carry no
+    /// request and get no reply.
+    fn serve_line(&mut self, line: &[u8]) -> Option<Json> {
+        let Ok(text) = std::str::from_utf8(line) else {
+            return Some(protocol::error("protocol", "request is not valid UTF-8"));
         };
-        let text = match std::str::from_utf8(line) {
-            Ok(t) => t.trim(),
-            Err(_) => {
-                let seq = c.next_seq;
-                c.next_seq += 1;
-                self.resolve(
-                    id,
-                    seq,
-                    protocol::error("protocol", "request is not valid UTF-8"),
-                );
-                return;
-            }
-        };
+        let text = text.trim();
         if text.is_empty() {
-            return; // blank lines carry no request and get no reply
+            return None;
         }
-        let seq = c.next_seq;
-        c.next_seq += 1;
         let request = match jobsched_json::parse(text) {
             Ok(j) => match protocol::parse_request(&j) {
                 Ok(r) => r,
-                Err(e) => {
-                    self.resolve(id, seq, protocol::error("protocol", e));
-                    return;
-                }
+                Err(e) => return Some(protocol::error("protocol", e)),
             },
-            Err(e) => {
-                self.resolve(
-                    id,
-                    seq,
-                    protocol::error("protocol", format!("bad JSON: {e}")),
-                );
-                return;
-            }
+            Err(e) => return Some(protocol::error("protocol", format!("bad JSON: {e}"))),
         };
-        match router::route(&request, self.shards) {
-            Dest::Direct(reply) => self.resolve(id, seq, reply),
-            Dest::Shard(k) => {
-                if self.txs[k].is_some() {
-                    batches[k].push(Tagged {
-                        conn: id,
-                        seq,
-                        request,
-                    });
-                } else {
-                    self.resolve(id, seq, self.dead_shard_error(k));
-                }
-            }
-            Dest::Broadcast(kind) => self.broadcast(id, seq, kind, request, batches),
+        Some(match router::route(&request, self.engines.len()) {
+            Dest::Direct(reply) => reply,
+            Dest::Shard(k) => self.on_shard(k, request),
+            Dest::Broadcast(kind) => self.broadcast(kind, request),
+        })
+    }
+
+    /// Shard `k` answers `request`. `crash` kills the shard and fails
+    /// it over; a panic does the same after answering `unavailable`; a
+    /// stopping engine (`shutdown`) leaves its slot empty.
+    fn on_shard(&mut self, k: usize, request: Request) -> Json {
+        if let Request::Crash { .. } = request {
+            let Some(engine) = self.engines[k].take() else {
+                return self.dead_shard_error(k);
+            };
+            self.failover(k, engine.into_log());
+            return protocol::ok([
+                ("crashed", Json::Bool(true)),
+                ("shard", Json::UInt(k as u64)),
+            ]);
         }
+        if self.engines[k].is_none() {
+            return self.dead_shard_error(k);
+        }
+        match guarded(&mut self.engines[k], |e| e.handle(request)) {
+            Ok((reply, stop)) => {
+                if stop {
+                    self.engines[k] = None;
+                }
+                reply
+            }
+            Err(dead) => {
+                self.failover(k, dead);
+                protocol::error(
+                    "unavailable",
+                    format!("shard {k} failed while handling this request"),
+                )
+            }
+        }
+    }
+
+    /// Promote shard `k`'s replica from its dead engine's log, or leave
+    /// the shard down.
+    fn failover(&mut self, k: usize, dead: InputLog) {
+        let shards = self.engines.len();
+        self.engines[k] = if self.config.replica {
+            replica::promote(dead, &self.config, k, shards, self.origin)
+        } else {
+            None
+        };
     }
 
     fn dead_shard_error(&self, shard: usize) -> Json {
         if self.stopping {
             protocol::error("busy", "daemon is shutting down")
+        } else if self.config.replica {
+            protocol::error(
+                "unavailable",
+                format!("shard {shard} is down: its replica failed to replay"),
+            )
         } else {
             protocol::error(
                 "unavailable",
@@ -653,187 +443,46 @@ impl Reactor {
         }
     }
 
-    /// Fan a request out to every live shard and open an aggregate for
-    /// the replies. Dead shards contribute `unavailable` parts.
-    fn broadcast(
-        &mut self,
-        id: u64,
-        seq: u64,
-        kind: AggKind,
-        request: Request,
-        batches: &mut [Vec<Tagged>],
-    ) {
+    /// Hand a request to every shard in turn and merge the parts. Dead
+    /// shards contribute `unavailable` parts.
+    fn broadcast(&mut self, kind: AggKind, request: Request) -> Json {
+        let shards = self.engines.len();
         // A sharded restore splits the v2 wrapper into one v1 state per
         // shard; every other broadcast clones the request verbatim.
-        let per_shard: Vec<Option<Request>> = if let Request::Restore { state } = &request {
-            debug_assert!(self.shards > 1, "single-shard restore routes directly");
-            match router::split_restore(state, self.shards) {
+        let per_shard = if let Request::Restore { state } = &request {
+            debug_assert!(shards > 1, "single-shard restore routes directly");
+            match router::split_restore(state, shards) {
                 Ok(states) => states
                     .iter()
-                    .map(|s| Some(Request::Restore { state: s.clone() }))
+                    .map(|s| Request::Restore { state: s.clone() })
                     .collect(),
-                Err(e) => {
-                    self.resolve(id, seq, protocol::error("restore-failed", e));
-                    return;
-                }
+                Err(e) => return protocol::error("restore-failed", e),
             }
         } else {
-            (0..self.shards).map(|_| Some(request.clone())).collect()
+            vec![request; shards]
         };
-        let mut agg = Agg {
-            kind,
-            parts: vec![None; self.shards],
-            remaining: 0,
-        };
-        for (k, req) in per_shard.into_iter().enumerate() {
-            if self.txs[k].is_some() {
-                agg.remaining += 1;
-                batches[k].push(Tagged {
-                    conn: id,
-                    seq,
-                    request: req.expect("one request per shard"),
-                });
-            } else {
-                agg.parts[k] = Some(self.dead_shard_error(k));
-            }
-        }
-        if agg.remaining == 0 {
-            // Every shard is dead; answer from the parts we fabricated.
-            let parts: Vec<Json> = agg.parts.into_iter().map(|p| p.unwrap()).collect();
-            let merged = router::merge(kind, &parts);
-            self.resolve(id, seq, merged);
-            return;
-        }
-        self.aggs.insert((id, seq), agg);
-    }
-
-    /// Absorb everything the shard threads pushed since the last wakeup.
-    fn drain_shard_msgs(&mut self, batches: &mut [Vec<Tagged>]) {
-        let msgs: Vec<ShardMsg> = {
-            let mut q = self.out.queue.lock().expect("reactor queue");
-            std::mem::take(&mut *q)
-        };
-        for msg in msgs {
-            match msg {
-                ShardMsg::Replies { shard, batch } => {
-                    for (conn, seq, reply) in batch {
-                        self.complete(shard, conn, seq, reply);
-                    }
-                }
-                ShardMsg::Requeue { shard, batch } => {
-                    self.pending_requeue[shard].extend(batch);
-                }
-                ShardMsg::Exited { shard, crashed } => {
-                    self.txs[shard] = None;
-                    if crashed {
-                        self.failover(shard, batches);
-                    } else {
-                        // Requested shutdown: stragglers get `busy`, as
-                        // they did from the single-engine server.
-                        let stragglers = std::mem::take(&mut self.pending_requeue[shard]);
-                        for t in stragglers {
-                            self.complete(
-                                shard,
-                                t.conn,
-                                t.seq,
-                                protocol::error("busy", "daemon is shutting down"),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Promote shard `shard`'s replica and re-dispatch the requests its
-    /// predecessor drained back. Without a replica (or on a failed
-    /// replay) those requests answer `unavailable`.
-    fn failover(&mut self, shard: usize, batches: &mut [Vec<Tagged>]) {
-        let stranded = std::mem::take(&mut self.pending_requeue[shard]);
-        let promoted = self.replicas[shard].take().and_then(|log| {
-            // The dead engine dropped its handle: the log is ours whole.
-            let dead = std::mem::take(&mut *log.lock().expect("input log lock"));
-            replica::promote(dead, &self.config, shard, self.shards, self.origin).ok()
-        });
-        match promoted {
-            Some(engine) => {
-                let fresh = engine.log_handle();
-                let (tx, rx) = mpsc::channel::<Vec<Tagged>>();
-                let out = Arc::clone(&self.out);
-                let spawned = std::thread::Builder::new()
-                    .name(format!("jobsched-shard-{shard}"))
-                    .spawn(move || run_shard(engine, shard, rx, out));
-                match spawned {
-                    Ok(handle) => {
-                        self.txs[shard] = Some(tx);
-                        self.replicas[shard] = Some(fresh);
-                        self.threads.push(handle);
-                        batches[shard].extend(stranded);
-                    }
-                    Err(_) => self.fail_stranded(shard, stranded),
-                }
-            }
-            None => self.fail_stranded(shard, stranded),
-        }
-    }
-
-    fn fail_stranded(&mut self, shard: usize, stranded: Vec<Tagged>) {
-        for t in stranded {
-            let err = self.dead_shard_error(shard);
-            self.complete(shard, t.conn, t.seq, err);
-        }
-    }
-
-    /// File one shard reply: either a part of an open aggregate or a
-    /// directly-routed reply.
-    fn complete(&mut self, shard: usize, conn: u64, seq: u64, reply: Json) {
-        if !self.aggs.contains_key(&(conn, seq)) {
-            self.resolve(conn, seq, reply);
-            return;
-        }
-        let agg = self.aggs.get_mut(&(conn, seq)).expect("checked present");
-        if agg.parts[shard].is_none() {
-            agg.remaining -= 1;
-        }
-        agg.parts[shard] = Some(reply);
-        if agg.remaining > 0 {
-            return;
-        }
-        let agg = self.aggs.remove(&(conn, seq)).expect("checked present");
-        if agg.kind == AggKind::Shutdown {
+        let parts: Vec<Json> = per_shard
+            .into_iter()
+            .enumerate()
+            .map(|(k, req)| self.on_shard(k, req))
+            .collect();
+        if kind == AggKind::Shutdown {
             self.stopping = true;
             self.stop_deadline = Some(Instant::now() + STOP_FLUSH_GRACE);
         }
-        let parts: Vec<Json> = agg
-            .parts
-            .into_iter()
-            .enumerate()
-            .map(|(k, p)| p.unwrap_or_else(|| self.dead_shard_error(k)))
-            .collect();
-        let merged = router::merge(agg.kind, &parts);
-        self.resolve(conn, seq, merged);
+        router::merge(kind, &parts)
     }
 
-    /// Park a reply in the reorder buffer and flush every reply whose
-    /// turn has come — one line per request, in request order.
-    fn resolve(&mut self, conn: u64, seq: u64, reply: Json) {
-        let Some(c) = self.conns.get_mut(&conn) else {
+    /// Frame one reply into the connection's write buffer.
+    fn reply(&mut self, id: u64, reply: &Json) {
+        let Some(c) = self.conns.get_mut(&id) else {
             return; // client vanished; the reply has no one to go to
         };
-        c.reorder.insert(seq, reply);
-        loop {
-            let turn = c.flush_seq;
-            let Some(r) = c.reorder.remove(&turn) else {
-                break;
-            };
-            c.flush_seq += 1;
-            self.scratch.clear();
-            r.write_compact(&mut self.scratch);
-            c.wbuf.extend_from_slice(self.scratch.as_bytes());
-            c.wbuf.push(b'\n');
-        }
+        self.scratch.clear();
+        reply.write_compact(&mut self.scratch);
+        c.wbuf.extend_from_slice(self.scratch.as_bytes());
+        c.wbuf.push(b'\n');
         c.last_activity = Instant::now();
-        self.try_flush(conn);
     }
 
     /// Push buffered output; arm write interest for what the socket
@@ -866,20 +515,8 @@ impl Reactor {
             let readable = !c.read_closed;
             let _ = self.poller.modify(fd, id, readable, want_write);
         }
-        self.maybe_close(id);
-    }
-
-    /// Close once there is nothing left to deliver: every accepted
-    /// request's reply has been resolved *and* flushed. A farewell
-    /// (`close_after_flush`) must still wait for earlier requests'
-    /// in-flight shard replies — they hold lower sequence numbers, so
-    /// closing early would drop them.
-    fn maybe_close(&mut self, id: u64) {
-        let Some(c) = self.conns.get(&id) else {
-            return;
-        };
-        let drained = c.wbuf.is_empty() && !c.outstanding();
-        if drained && (c.close_after_flush || c.read_closed) {
+        // Close once there is nothing left to deliver.
+        if !want_write && (c.close_after_flush || c.read_closed) {
             self.drop_conn(id);
         }
     }
@@ -890,59 +527,110 @@ impl Reactor {
         }
     }
 
-    /// Enforce the read deadline on idle connections. A connection with
-    /// outstanding requests is never idle — slow engine replies must
-    /// not kill the client waiting for them.
+    /// Enforce the read deadline on idle connections.
     fn sweep_deadlines(&mut self) {
         let timeout = self.config.read_timeout;
         let expired: Vec<u64> = self
             .conns
             .iter()
             .filter(|(_, c)| {
-                !c.read_closed
-                    && !c.close_after_flush
-                    && !c.outstanding()
-                    && c.last_activity.elapsed() >= timeout
+                !c.read_closed && !c.close_after_flush && c.last_activity.elapsed() >= timeout
             })
             .map(|(&id, _)| id)
             .collect();
         for id in expired {
-            let Some(c) = self.conns.get_mut(&id) else {
-                continue;
-            };
-            c.read_closed = true;
-            c.close_after_flush = true;
-            let _ = c.stream.shutdown(Shutdown::Read);
-            let fd = c.stream.as_raw_fd();
-            let want_write = c.want_write;
-            let _ = self.poller.modify(fd, id, false, want_write);
-            let seq = c.next_seq;
-            c.next_seq += 1;
-            self.resolve(
+            self.farewell(
                 id,
-                seq,
                 protocol::error("protocol", "read timeout; closing connection"),
             );
         }
     }
+}
 
-    /// One channel send per shard per wakeup — the batching that makes
-    /// hundreds of connections cost hundreds of sends, not thousands.
-    fn dispatch(&mut self, batches: Vec<Vec<Tagged>>) {
-        for (k, batch) in batches.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            match &self.txs[k] {
-                Some(tx) => {
-                    if let Err(mpsc::SendError(batch)) = tx.send(batch) {
-                        // The shard died under us; its Exited message is
-                        // in flight and will settle these.
-                        self.pending_requeue[k].extend(batch);
-                    }
-                }
-                None => self.pending_requeue[k].extend(batch),
-            }
-        }
+fn oversized_error() -> Json {
+    protocol::error("protocol", format!("request line exceeds {MAX_LINE} bytes"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::log::{InputOp, InputRecord};
+    use crate::SchedulerSpec;
+    use jobsched_workload::{JobBuilder, JobId};
+
+    fn op(name: &str) -> Json {
+        Json::obj([("op", Json::Str(name.into()))])
+    }
+
+    fn error_of(reply: &Json) -> Option<&str> {
+        reply.get("error").and_then(|v| v.as_str())
+    }
+
+    #[test]
+    fn an_engine_panic_is_answered_and_the_daemon_serves_on() {
+        let config = ServeConfig {
+            machine_nodes: 16,
+            scheduler: SchedulerSpec::parse("fcfs+easy").unwrap(),
+            virtual_clock: true,
+            shards: 2,
+            replica: true,
+            ..ServeConfig::default()
+        };
+        // Shard 1 restores a job wider than the machine, due at t = 100
+        // (neither the wire nor the checkpoint decoder admits one): the
+        // pump that injects it panics, and so does every replay of it.
+        let mut poisoned = InputLog::default();
+        poisoned.push(InputRecord {
+            at: 0,
+            op: InputOp::Submit(
+                JobBuilder::new(JobId(1))
+                    .submit(100)
+                    .nodes(64)
+                    .requested(10)
+                    .runtime(10)
+                    .build(),
+            ),
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let thread = start(
+            listener,
+            config,
+            stop,
+            Some(vec![InputLog::default(), poisoned]),
+        )
+        .unwrap();
+        let mut c = Client::connect(addr).unwrap();
+        let submit = Json::obj([
+            ("op", Json::Str("submit".into())),
+            ("id", Json::UInt(0)),
+            ("nodes", Json::UInt(4)),
+            ("requested", Json::UInt(50)),
+            ("runtime", Json::UInt(50)),
+        ]);
+        c.expect_ok(submit).unwrap();
+
+        // The broadcast that trips the panic is answered, and names the
+        // shard that failed while handling it.
+        let advance = Json::obj([("op", Json::Str("advance".into())), ("to", Json::UInt(200))]);
+        let r = c.request(advance).unwrap();
+        assert_eq!(error_of(&r), Some("unavailable"), "{r:?}");
+        let message = r.get("message").and_then(|v| v.as_str()).unwrap();
+        assert!(message.contains("shard 1 failed"), "{message}");
+
+        // The replica's replay panics too: shard 1 stays down, shard 0
+        // serves on, and the daemon still shuts down over the wire.
+        let status =
+            |id: u64| Json::obj([("op", Json::Str("status".into())), ("id", Json::UInt(id))]);
+        let r = c.request(status(1)).unwrap();
+        assert_eq!(error_of(&r), Some("unavailable"), "{r:?}");
+        let r = c.expect_ok(status(0)).unwrap();
+        assert_eq!(r.get("state").and_then(|v| v.as_str()), Some("done"));
+        c.expect_ok(op("ping")).unwrap();
+        c.expect_ok(op("shutdown")).unwrap();
+        thread.join().unwrap();
     }
 }

@@ -1,40 +1,63 @@
-//! Warm standby for an engine shard.
+//! Warm standby for an engine shard, and the panic boundary every
+//! engine call runs behind.
 //!
 //! A shard's state is a pure function of its [`InputLog`] (see
-//! [`crate::log`]), so a warm replica needs no copy of anything: with
-//! `ServeConfig::replica` set the reactor keeps a second handle on the
-//! very `Arc<Mutex<InputLog>>` the engine appends to. The engine pushes
-//! every admitted submission, cancellation, and policy override inside
-//! the call that applies it, and bumps the clock watermark on every
-//! pump. When the shard thread dies its handle drops, the reactor takes
-//! the log out of the mutex and `promote` replays it into a fresh
-//! [`Engine`] — the restore path a checkpoint file takes, minus the
-//! JSON — so the promoted shard's queue, machine, and scheduler state
-//! are bit-identical to the dead shard's at its last watermark, and all
-//! subsequent placements match a run that never crashed.
-//!
-//! The mutex is shared between the shard thread (writer) and the reactor
-//! (reader, only at promotion). Writes are one push plus three scalar
-//! updates; contention is nil in steady state.
+//! [`crate::log`]), so a warm replica needs no copy of anything: the
+//! engine appends every admitted submission, cancellation, and policy
+//! override to its own log inside the call that applies it, and brings
+//! the clock watermark up to date on every pump. When the shard dies —
+//! the `crash` chaos op, or a panic caught by `guarded` — the reactor
+//! takes the dead engine's log by value and `promote` replays it into
+//! a fresh [`Engine`] — the restore path a checkpoint file takes, minus
+//! the JSON — so the promoted shard's queue, machine, and scheduler
+//! state are bit-identical to the dead shard's at its last watermark,
+//! and all subsequent placements match a run that never crashed.
 
 use crate::engine::Engine;
 use crate::log::InputLog;
 use crate::ServeConfig;
+use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
 
-/// Rebuild shard `shard` from its dead predecessor's log. Replay
-/// re-records every input into the promoted engine's own fresh log
-/// ([`Engine::log_handle`]), so the promoted shard is itself promotable.
+/// Run `f` on the live engine in `slot` behind a panic boundary. A
+/// panic empties the slot and hands back the dead engine's input log,
+/// from which the shard can fail over; the unwind ends here.
+///
+/// Panics if `slot` is empty: callers answer for a down shard
+/// themselves.
+pub(crate) fn guarded<R>(
+    slot: &mut Option<Engine>,
+    f: impl FnOnce(&mut Engine) -> R,
+) -> Result<R, InputLog> {
+    let engine = slot.as_mut().expect("guarded calls go to a live engine");
+    panic::catch_unwind(AssertUnwindSafe(|| f(engine))).map_err(|_| {
+        slot.take()
+            .expect("a panic leaves the engine in place")
+            .into_log()
+    })
+}
+
+/// Rebuild shard `shard` from its dead predecessor's log, or `None`
+/// when the replay fails or panics. Replay re-records every input into
+/// the promoted engine's own fresh log, so the promoted shard is itself
+/// promotable.
 pub(crate) fn promote(
     dead: InputLog,
     config: &ServeConfig,
     shard: usize,
     shards: usize,
     origin: Instant,
-) -> Result<Engine, String> {
-    let mut engine = Engine::for_shard(config.clone(), shard, shards, Some(origin));
-    engine.restore(dead)?;
-    Ok(engine)
+) -> Option<Engine> {
+    let mut slot = Some(Engine::for_shard(
+        config.clone(),
+        shard,
+        shards,
+        Some(origin),
+    ));
+    match guarded(&mut slot, |engine| engine.restore(dead)) {
+        Ok(Ok(_)) => slot,
+        _ => None,
+    }
 }
 
 #[cfg(test)]
@@ -45,7 +68,6 @@ mod tests {
     use crate::SchedulerSpec;
     use jobsched_json::Json;
     use jobsched_workload::{JobId, Time};
-    use std::sync::Arc;
 
     fn config() -> ServeConfig {
         ServeConfig {
@@ -74,17 +96,9 @@ mod tests {
     }
 
     /// Kill `victim` and promote its standby, as the reactor does: the
-    /// second handle outlives the engine and gives up the log whole.
+    /// dead engine's own log moves, whole, into the replay.
     fn kill_and_promote(victim: Engine) -> Engine {
-        let standby = victim.log_handle();
-        assert!(
-            Arc::ptr_eq(&standby, &victim.log_handle()),
-            "the standby must be the engine's own log, not a copy"
-        );
-        drop(victim);
-        assert_eq!(Arc::strong_count(&standby), 1);
-        let dead = std::mem::take(&mut *standby.lock().unwrap());
-        promote(dead, &config(), 1, 2, Instant::now()).unwrap()
+        promote(victim.into_log(), &config(), 1, 2, Instant::now()).unwrap()
     }
 
     #[test]
@@ -108,7 +122,9 @@ mod tests {
         assert_eq!(promoted.now(), 60);
         // The promoted shard re-recorded its log: a second failover
         // would start from the same state.
-        assert_eq!(promoted.log_handle().lock().unwrap().records.len(), 4);
+        let state = promoted.handle(Request::Checkpoint).0;
+        let inputs = state.get("state").and_then(|s| s.get("inputs"));
+        assert_eq!(inputs.and_then(|i| i.as_arr()).map(|i| i.len()), Some(4));
 
         // Subsequent inputs and evolution must match the unkilled run.
         for e in [&mut reference, &mut promoted] {
@@ -174,17 +190,34 @@ mod tests {
     #[test]
     fn watermark_tracks_pumped_time_and_records_stream_live() {
         let mut e = Engine::for_shard(config(), 0, 2, None);
-        let log = e.log_handle();
         submit(&mut e, 0, 100, 1, 10);
-        assert_eq!(log.lock().unwrap().records.len(), 1);
-        assert!(matches!(
-            log.lock().unwrap().records[0].op,
-            InputOp::Submit(ref j) if j.id == JobId(0)
-        ));
         e.handle(Request::Advance { to: Some(250) });
-        assert_eq!(log.lock().unwrap().now, 250);
         e.handle(Request::Drain);
         e.handle(Request::Queue); // any op pumps, syncing the flag
-        assert!(log.lock().unwrap().draining);
+        let log = e.into_log();
+        assert_eq!(log.records.len(), 1);
+        assert!(matches!(
+            log.records[0].op,
+            InputOp::Submit(ref j) if j.id == JobId(0)
+        ));
+        assert_eq!(log.now, 250);
+        assert!(log.draining);
+    }
+
+    #[test]
+    fn guarded_keeps_a_returning_engine_and_empties_the_slot_on_a_panic() {
+        let mut slot = Some(Engine::for_shard(config(), 0, 2, None));
+        assert_eq!(guarded(&mut slot, |e| e.now()).unwrap(), 0);
+        assert!(slot.is_some());
+        guarded(&mut slot, |e| submit(e, 0, 100, 1, 10)).unwrap();
+        assert!(slot.is_some());
+        let dead = guarded(&mut slot, |_| -> u32 { panic!("injected engine fault") });
+        assert!(slot.is_none());
+        // The dead engine's log comes back whole, ready to promote.
+        let log = dead.expect_err("the panic was caught");
+        assert_eq!(log.records.len(), 1);
+        let mut promoted = promote(log, &config(), 0, 2, Instant::now()).unwrap();
+        let s = status(&mut promoted, 0);
+        assert_eq!(s.get("state").and_then(|v| v.as_str()), Some("pending"));
     }
 }

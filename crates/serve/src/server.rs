@@ -1,31 +1,38 @@
 //! The daemon's front door: bind, start the reactor, wind down.
 //!
-//! All connection handling lives in [`crate::reactor`] — a single
-//! nonblocking readiness loop multiplexing every socket, feeding N
-//! engine shards. This module is the thin lifecycle wrapper around it:
-//! the public API (`start`/`addr`/`join`/`stop`) is unchanged from the
-//! thread-per-connection era, so bins and tests drive both designs the
+//! All connection handling and every engine shard live in
+//! [`crate::reactor`] — a single nonblocking readiness loop on one
+//! thread. This module is the thin lifecycle wrapper around it: the
+//! public API (`start`/`addr`/`join`/`stop`) is unchanged from the
+//! thread-per-connection era, so bins and tests drive every design the
 //! same way.
 
 use crate::log::InputLog;
-use crate::reactor::{self, ReactorHandle};
+use crate::reactor;
 use crate::{router, ServeConfig};
 use jobsched_json::Json;
 use std::io;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
-/// A running daemon: reactor thread + shard engine threads.
+/// How long [`Server::stop`] waits to connect when it wakes the loop;
+/// the loop re-checks its stop flag at least every 500 ms regardless.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(200);
+
+/// A running daemon: the reactor thread, which serves every connection
+/// and every engine shard.
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    handle: Option<ReactorHandle>,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl Server {
     /// Bind `addr` and start serving `config`. Returns once the listener
-    /// is live; scheduling runs on background threads until a `shutdown`
+    /// is live; scheduling runs on a background thread until a `shutdown`
     /// request (see [`Server::join`]) or [`Server::stop`].
     pub fn start(addr: impl ToSocketAddrs, config: ServeConfig) -> io::Result<Server> {
         Server::launch(addr, config, None)
@@ -58,11 +65,11 @@ impl Server {
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let handle = reactor::start(listener, config, Arc::clone(&stop), restored)?;
+        let thread = reactor::start(listener, config, Arc::clone(&stop), restored)?;
         Ok(Server {
             addr: local,
             stop,
-            handle: Some(handle),
+            thread: Some(thread),
         })
     }
 
@@ -73,28 +80,40 @@ impl Server {
 
     /// Block until the daemon stops (i.e. a client sent `shutdown`).
     pub fn join(mut self) {
-        if let Some(h) = self.handle.take() {
-            let _ = h.thread.join();
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
         }
     }
 
     /// Force the daemon down without a client connection (tests). The
-    /// reactor notices the flag on its next wakeup, drops the shard
-    /// channels, and every engine thread exits at its next receive.
+    /// reactor notices the flag on its next wakeup and drops every
+    /// engine with itself.
     pub fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            h.out.wake();
-            let _ = h.thread.join();
+        if let Some(t) = self.thread.take() {
+            self.interrupt();
+            let _ = t.join();
         }
+    }
+
+    /// Raise the stop flag and wake the loop out of its wait by
+    /// connecting to the daemon's own listening address.
+    fn interrupt(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, WAKE_TIMEOUT);
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            h.out.wake();
+        if self.thread.take().is_some() {
+            self.interrupt();
         }
     }
 }

@@ -20,7 +20,7 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug)]
 pub struct Readiness {
     /// The token the fd was registered with (the reactor uses connection
-    /// ids, plus reserved tokens for the listener and the waker).
+    /// ids, plus a reserved token for the listener).
     pub token: u64,
     /// Data can be read without blocking (or EOF is pending).
     pub readable: bool,
