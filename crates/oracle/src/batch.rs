@@ -98,8 +98,9 @@ pub fn simulate_batch_with_faults(
     let mut requeued = vec![false; workload.len()];
     let mut expected_finish: Vec<Option<Time>> = vec![None; workload.len()];
 
-    while let Some((now, batch)) = events.pop_batch() {
-        for ev in batch {
+    let mut batch = Vec::new();
+    while let Some(now) = events.pop_batch(&mut batch) {
+        for &ev in &batch {
             n_events += 1;
             match ev {
                 Event::Submit(id) => {

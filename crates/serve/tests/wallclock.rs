@@ -2,13 +2,13 @@
 //!
 //! Every other suite here sets `virtual_clock: true`, so time moves
 //! only through `advance`. This one is the only place the scaled
-//! [`jobsched_sim::WallClock`] and the shard threads' sleep-until-next-
-//! event path carry a whole trace: many racing connections submit a
-//! probabilistic workload dated at its own arrival instants, the daemon
-//! injects each job as real time reaches it, and a graceful shutdown
-//! must then report all of them finished — nothing rejected, nothing
-//! errored, nothing left behind. No assertion depends on how the
-//! submissions interleave with the clock.
+//! [`jobsched_sim::WallClock`] and the reactor's poll timeout, bounded
+//! by the delay until each engine's next event, carry a whole trace:
+//! many racing connections submit a probabilistic workload dated at its
+//! own arrival instants, the daemon injects each job as real time
+//! reaches it, and a graceful shutdown must then report all of them
+//! finished — nothing rejected, nothing errored, nothing left behind. No
+//! assertion depends on how the submissions interleave with the clock.
 
 use jobsched_json::Json;
 use jobsched_serve::client::Client;

@@ -260,6 +260,10 @@ pub struct SimOutcome {
     pub schedule: ScheduleRecord,
     /// Wall-clock time spent inside scheduler callbacks — the paper's
     /// "computation time to execute the various algorithms" (Tables 7–8).
+    /// [`crate::LiveSim`] counts time-stamp-counter ticks around every
+    /// `submit`, `job_finished`, `cancel`, `capacity_changed` and
+    /// decision call and scales them by the wall time per tick over its
+    /// own lifetime.
     pub scheduler_cpu: Duration,
     /// Number of processed events.
     pub events: u64,

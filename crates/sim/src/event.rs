@@ -82,16 +82,17 @@ impl EventQueue {
         self.heap.peek().map(|Reverse((t, _, _))| *t)
     }
 
-    /// Pop *all* events at the earliest pending timestamp. Finishes sort
+    /// Pop *all* events at the earliest pending timestamp into `batch`,
+    /// which is cleared first, and return that timestamp. Finishes sort
     /// before submissions within the batch.
-    pub fn pop_batch(&mut self) -> Option<(Time, Vec<Event>)> {
+    pub fn pop_batch(&mut self, batch: &mut Vec<Event>) -> Option<Time> {
+        batch.clear();
         let t = self.peek_time()?;
-        let mut batch = Vec::new();
         while self.peek_time() == Some(t) {
             let Reverse((_, ev, _)) = self.heap.pop().expect("peeked");
             batch.push(ev);
         }
-        Some((t, batch))
+        Some(t)
     }
 }
 
@@ -99,13 +100,19 @@ impl EventQueue {
 mod tests {
     use super::*;
 
+    /// One batch into a fresh buffer.
+    fn pop(q: &mut EventQueue) -> Option<(Time, Vec<Event>)> {
+        let mut batch = Vec::new();
+        q.pop_batch(&mut batch).map(|t| (t, batch))
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.push(30, Event::Submit(JobId(3)));
         q.push(10, Event::Submit(JobId(1)));
         q.push(20, Event::Submit(JobId(2)));
-        let times: Vec<Time> = std::iter::from_fn(|| q.pop_batch().map(|(t, _)| t)).collect();
+        let times: Vec<Time> = std::iter::from_fn(|| pop(&mut q).map(|(t, _)| t)).collect();
         assert_eq!(times, vec![10, 20, 30]);
     }
 
@@ -116,12 +123,12 @@ mod tests {
         q.push(10, Event::Finish(JobId(0)));
         q.push(10, Event::Submit(JobId(2)));
         q.push(20, Event::Submit(JobId(3)));
-        let (t, batch) = q.pop_batch().unwrap();
+        let (t, batch) = pop(&mut q).unwrap();
         assert_eq!(t, 10);
         assert_eq!(batch.len(), 3);
         // Finish events lead the batch.
         assert_eq!(batch[0], Event::Finish(JobId(0)));
-        assert_eq!(q.pop_batch(), Some((20, vec![Event::Submit(JobId(3))])));
+        assert_eq!(pop(&mut q), Some((20, vec![Event::Submit(JobId(3))])));
     }
 
     #[test]
@@ -132,7 +139,7 @@ mod tests {
         q.push(10, Event::Submit(JobId(2)));
         q.push(10, Event::Undrain(1));
         q.push(10, Event::Finish(JobId(0)));
-        let (_, batch) = q.pop_batch().unwrap();
+        let (_, batch) = pop(&mut q).unwrap();
         assert_eq!(
             batch,
             vec![
@@ -155,7 +162,7 @@ mod tests {
         q.push(10, Event::Resume(JobId(2)));
         q.push(10, Event::Preempt(JobId(1)));
         q.push(10, Event::Finish(JobId(0)));
-        let (_, batch) = q.pop_batch().unwrap();
+        let (_, batch) = pop(&mut q).unwrap();
         assert_eq!(
             batch,
             vec![
@@ -171,7 +178,7 @@ mod tests {
     fn empty_queue_returns_none() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.pop_batch(), None);
+        assert_eq!(pop(&mut q), None);
         assert_eq!(q.peek_time(), None);
     }
 
@@ -180,6 +187,17 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(5, Event::Finish(JobId(9)));
         assert_eq!(q.peek_time(), Some(5));
-        assert_eq!(q.pop_batch(), Some((5, vec![Event::Finish(JobId(9))])));
+        assert_eq!(pop(&mut q), Some((5, vec![Event::Finish(JobId(9))])));
+    }
+
+    #[test]
+    fn pop_batch_clears_a_dirty_buffer() {
+        let mut q = EventQueue::new();
+        q.push(7, Event::Submit(JobId(1)));
+        let mut batch = vec![Event::Wakeup, Event::Finish(JobId(0))];
+        assert_eq!(q.pop_batch(&mut batch), Some(7));
+        assert_eq!(batch, vec![Event::Submit(JobId(1))]);
+        assert_eq!(q.pop_batch(&mut batch), None);
+        assert!(batch.is_empty());
     }
 }

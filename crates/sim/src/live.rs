@@ -29,7 +29,7 @@ use crate::machine::{DrainToken, Machine};
 use crate::pipeline::{JobEvent, JobOutcome, PipelineOutcome, SimObserver};
 use crate::tshare::Action;
 use jobsched_workload::{Job, JobId, MachineLayout, Time};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// What differs between the scheduler contracts [`LiveSim`] drives.
@@ -138,7 +138,7 @@ pub struct LiveSim {
     machine: Machine,
     events: EventQueue,
     staged: BTreeMap<JobId, Job>,
-    alive: BTreeMap<JobId, InFlight>,
+    alive: HashMap<JobId, InFlight>,
     cancelled: BTreeSet<JobId>,
     drains: Vec<DrainFault>,
     drain_tokens: Vec<Option<DrainToken>>,
@@ -151,7 +151,9 @@ pub struct LiveSim {
     /// One past the highest submitted id, widened so id `u32::MAX` has a
     /// watermark above it.
     submitted_below: u64,
-    scheduler_cpu: Duration,
+    meter: CallMeter,
+    /// The batch being processed, kept between steps for its capacity.
+    batch: Vec<Event>,
     n_events: u64,
     rounds: u64,
     peak_queue: usize,
@@ -175,14 +177,15 @@ impl LiveSim {
             machine: Machine::with_layout(layout),
             events: EventQueue::new(),
             staged: BTreeMap::new(),
-            alive: BTreeMap::new(),
+            alive: HashMap::new(),
             cancelled: BTreeSet::new(),
             drains: Vec::new(),
             drain_tokens: Vec::new(),
             preempt_plans: BTreeMap::new(),
             preempted_ever: BTreeSet::new(),
             submitted_below: 0,
-            scheduler_cpu: Duration::ZERO,
+            meter: CallMeter::new(),
+            batch: Vec::new(),
             n_events: 0,
             rounds: 0,
             peak_queue: 0,
@@ -267,7 +270,8 @@ impl LiveSim {
     /// feeding these to a fresh scheduler reproduces the queue a
     /// mid-run policy switch must hand over.
     pub fn waiting_requests(&self) -> Vec<JobRequest> {
-        self.alive
+        let mut waiting: Vec<JobRequest> = self
+            .alive
             .values()
             .filter(|inf| inf.span_start.is_none() && !inf.awaiting)
             .map(|inf| {
@@ -279,7 +283,9 @@ impl LiveSim {
                     .expect("resolved at submit");
                 req
             })
-            .collect()
+            .collect();
+        waiting.sort_unstable_by_key(|req| req.id);
+        waiting
     }
 
     /// Last instant processed (0 before the first step).
@@ -321,9 +327,13 @@ impl LiveSim {
         more_input: bool,
         observers: &mut [&mut dyn SimObserver],
     ) -> Option<Time> {
-        let (now, batch) = self.events.pop_batch()?;
+        let mut batch = std::mem::take(&mut self.batch);
+        let Some(now) = self.events.pop_batch(&mut batch) else {
+            self.batch = batch;
+            return None;
+        };
         self.horizon = now;
-        for ev in batch {
+        for &ev in &batch {
             self.n_events += 1;
             match ev {
                 Event::Submit(id) => {
@@ -345,9 +355,7 @@ impl LiveSim {
                         });
                     emit(observers, &JobEvent::Submitted(req));
                     self.alive.insert(id, InFlight::new(job));
-                    let t0 = Instant::now();
-                    scheduler.submit(req, now);
-                    self.scheduler_cpu += t0.elapsed();
+                    self.meter.time(|| scheduler.submit(req, now));
                 }
                 Event::Finish(id) => {
                     if self.cancelled.contains(&id) {
@@ -371,9 +379,7 @@ impl LiveSim {
                     let inf = self.alive.remove(&id).expect("finished job was alive");
                     self.jobs_finished += 1;
                     emit(observers, &JobEvent::Finished(outcome(&inf, now)));
-                    let t0 = Instant::now();
-                    scheduler.job_finished(id, now);
-                    self.scheduler_cpu += t0.elapsed();
+                    self.meter.time(|| scheduler.job_finished(id, now));
                 }
                 Event::Preempt(id) => {
                     let resume_at = self
@@ -394,9 +400,7 @@ impl LiveSim {
                         continue;
                     }
                     self.close_span(id, now, observers).awaiting = true;
-                    let t0 = Instant::now();
-                    scheduler.job_finished(id, now);
-                    self.scheduler_cpu += t0.elapsed();
+                    self.meter.time(|| scheduler.job_finished(id, now));
                     let resume_at = resume_at.max(now + 1);
                     self.events.push(resume_at, Event::Resume(id));
                     self.fault_log.push(FaultOutcome::Preempted {
@@ -421,9 +425,7 @@ impl LiveSim {
                         .machine
                         .resolve_class(inf.job.node_type, inf.job.memory_mb, inf.job.nodes)
                         .expect("resolved at submit");
-                    let t0 = Instant::now();
-                    scheduler.submit(req, now);
-                    self.scheduler_cpu += t0.elapsed();
+                    self.meter.time(|| scheduler.submit(req, now));
                 }
                 Event::Cancel(id) => {
                     if self.cancelled.contains(&id) {
@@ -438,9 +440,7 @@ impl LiveSim {
                         self.machine.finish(id).expect("cancelling a running job");
                         let inf = self.alive.remove(&id).expect("running job was alive");
                         run = Some(outcome(&inf, now));
-                        let t0 = Instant::now();
-                        scheduler.job_finished(id, now);
-                        self.scheduler_cpu += t0.elapsed();
+                        self.meter.time(|| scheduler.job_finished(id, now));
                         CancelPhase::Running
                     } else if self
                         .alive
@@ -451,17 +451,13 @@ impl LiveSim {
                         let inf = self.alive.remove(&id).expect("checked above");
                         if inf.requeued {
                             // The scheduler holds the remainder; retract it.
-                            let t0 = Instant::now();
-                            scheduler.cancel(id, now);
-                            self.scheduler_cpu += t0.elapsed();
+                            self.meter.time(|| scheduler.cancel(id, now));
                         }
                         run = Some(outcome(&inf, now));
                         CancelPhase::Preempted
                     } else if self.alive.remove(&id).is_some() {
                         self.cancelled.insert(id);
-                        let t0 = Instant::now();
-                        scheduler.cancel(id, now);
-                        self.scheduler_cpu += t0.elapsed();
+                        self.meter.time(|| scheduler.cancel(id, now));
                         CancelPhase::Queued
                     } else {
                         CancelPhase::AlreadyFinished // too late: no-op
@@ -487,9 +483,7 @@ impl LiveSim {
                             .drain_in(d.class, granted, d.until)
                             .expect("granted <= free");
                         self.drain_tokens[idx as usize] = Some(token);
-                        let t0 = Instant::now();
-                        scheduler.capacity_changed(now);
-                        self.scheduler_cpu += t0.elapsed();
+                        self.meter.time(|| scheduler.capacity_changed(now));
                     }
                     self.fault_log.push(FaultOutcome::Drained {
                         at: now,
@@ -504,21 +498,18 @@ impl LiveSim {
                         self.machine
                             .undrain(token)
                             .expect("token taken exactly once");
-                        let t0 = Instant::now();
-                        scheduler.capacity_changed(now);
-                        self.scheduler_cpu += t0.elapsed();
+                        self.meter.time(|| scheduler.capacity_changed(now));
                     }
                 }
                 Event::Wakeup => {} // decision round below is the effect
             }
         }
+        self.batch = batch;
         self.peak_queue = self.peak_queue.max(scheduler.queue_len());
 
         // Let the scheduler act until a round yields nothing.
         loop {
-            let t0 = Instant::now();
-            let actions = scheduler.decide(now, &self.machine);
-            self.scheduler_cpu += t0.elapsed();
+            let actions = self.meter.time(|| scheduler.decide(now, &self.machine));
             self.rounds += 1;
             let mut acted = false;
             for action in actions {
@@ -702,7 +693,7 @@ impl LiveSim {
     /// Consume the engine into the pipeline's outcome counters.
     pub fn into_outcome(self) -> PipelineOutcome {
         PipelineOutcome {
-            scheduler_cpu: self.scheduler_cpu,
+            scheduler_cpu: self.meter.total(),
             events: self.n_events,
             decision_rounds: self.rounds,
             peak_queue: self.peak_queue,
@@ -711,6 +702,63 @@ impl LiveSim {
             jobs_finished: self.jobs_finished,
             peak_resident: self.peak_resident,
             horizon: self.horizon,
+        }
+    }
+}
+
+/// Wall-clock time inside scheduler callbacks. Each call is bracketed by
+/// two time-stamp-counter reads, about half the cost of an [`Instant`]
+/// pair; [`CallMeter::total`] scales the tick sum by the wall time per
+/// tick over the meter's own lifetime.
+struct CallMeter {
+    origin: Instant,
+    origin_ticks: u64,
+    ticks: u64,
+}
+
+impl CallMeter {
+    fn new() -> Self {
+        let mut meter = CallMeter {
+            origin: Instant::now(),
+            origin_ticks: 0,
+            ticks: 0,
+        };
+        meter.origin_ticks = meter.read();
+        meter
+    }
+
+    /// Run `f`, charging its duration. A backwards reading charges 0.
+    fn time<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        let t0 = self.read();
+        let r = f();
+        self.ticks += self.read().saturating_sub(t0);
+        r
+    }
+
+    /// The charged ticks as wall-clock time: `ticks × wall_ns /
+    /// wall_ticks` since the meter was built.
+    fn total(&self) -> Duration {
+        let wall_ticks = u128::from(self.read().saturating_sub(self.origin_ticks));
+        let wall_ns = self.origin.elapsed().as_nanos();
+        let ns = (u128::from(self.ticks) * wall_ns)
+            .checked_div(wall_ticks)
+            .unwrap_or(0);
+        Duration::from_nanos(u64::try_from(ns).unwrap_or(u64::MAX))
+    }
+
+    /// The CPU's time-stamp counter. Off x86_64 the meter's only clock is
+    /// nanoseconds since `origin`.
+    fn read(&self) -> u64 {
+        #[cfg(target_arch = "x86_64")]
+        {
+            // SAFETY: `rdtsc` only reads the time-stamp counter into
+            // registers; it has no memory-safety preconditions and exists
+            // on every x86_64 CPU.
+            unsafe { core::arch::x86_64::_rdtsc() }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
         }
     }
 }
@@ -730,5 +778,85 @@ fn outcome(inf: &InFlight, completion: Time) -> JobOutcome {
 fn emit(observers: &mut [&mut dyn SimObserver], event: &JobEvent) {
     for obs in observers.iter_mut() {
         obs.on_event(event);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::SimPipeline;
+    use jobsched_workload::{JobBuilder, Workload, WorkloadSource};
+
+    /// Minimal FCFS over the whole machine.
+    #[derive(Default)]
+    struct Fcfs {
+        queue: VecDeque<JobRequest>,
+    }
+
+    impl Scheduler for Fcfs {
+        fn name(&self) -> String {
+            "test-fcfs".into()
+        }
+        fn submit(&mut self, job: JobRequest, _now: Time) {
+            self.queue.push_back(job);
+        }
+        fn select_starts(&mut self, _now: Time, machine: &Machine) -> Vec<JobId> {
+            let mut free = machine.free_nodes();
+            let mut out = Vec::new();
+            while self.queue.front().is_some_and(|head| head.nodes <= free) {
+                let head = self.queue.pop_front().expect("checked");
+                free -= head.nodes;
+                out.push(head.id);
+            }
+            out
+        }
+        fn queue_len(&self) -> usize {
+            self.queue.len()
+        }
+    }
+
+    fn job(id: u32, submit: Time, nodes: u32, runtime: Time) -> Job {
+        JobBuilder::new(JobId(id))
+            .submit(submit)
+            .nodes(nodes)
+            .requested(runtime)
+            .runtime(runtime)
+            .build()
+    }
+
+    #[test]
+    fn waiting_requests_come_back_in_id_order() {
+        // Sparse ids staged out of order, as the daemon stages them.
+        // Same-instant submits pop in id order, so id 7 takes the only
+        // node and the rest wait.
+        let mut live = LiveSim::new(1);
+        for id in [40, 7, 300, 12, 9_000_000] {
+            live.add_job(job(id, 0, 1, 10));
+        }
+        assert_eq!(
+            live.step(&mut Fcfs::default(), None, false, &mut []),
+            Some(0)
+        );
+        let ids: Vec<u32> = live.waiting_requests().iter().map(|r| r.id.0).collect();
+        assert_eq!(ids, vec![12, 40, 300, 9_000_000]);
+    }
+
+    #[test]
+    fn scheduler_cpu_is_within_the_wall_time_around_the_run() {
+        let jobs = (0..5_000)
+            .map(|i| job(0, Time::from(i) * 3, 1 + i % 16, 5 + Time::from(i % 97)))
+            .collect();
+        let w = Workload::new("t", 32, jobs);
+        let t0 = Instant::now();
+        let out = SimPipeline::new(&mut WorkloadSource::new(&w), &mut Fcfs::default())
+            .run()
+            .expect("well-formed source");
+        let wall = t0.elapsed();
+        assert_eq!(out.jobs_finished, 5_000);
+        assert!(
+            Duration::ZERO < out.scheduler_cpu && out.scheduler_cpu <= wall,
+            "scheduler_cpu {:?} outside (0, {wall:?}]",
+            out.scheduler_cpu
+        );
     }
 }

@@ -242,7 +242,9 @@ impl SimObserver for RecordingObserver {
 /// are defined identically; the rest only make sense for streams.
 #[derive(Debug)]
 pub struct PipelineOutcome {
-    /// Wall-clock time spent inside scheduler callbacks.
+    /// Wall-clock time spent inside scheduler callbacks: time-stamp-counter
+    /// ticks around each call, scaled by the wall time per tick over the
+    /// run (see [`SimOutcome::scheduler_cpu`]).
     pub scheduler_cpu: Duration,
     /// Number of processed events.
     pub events: u64,
