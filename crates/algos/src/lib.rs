@@ -21,8 +21,8 @@
 //! Beyond the paper's rows, [`order::OrderPolicy::Score`] makes the
 //! ordering side a scoring function over (wait, estimate, width) —
 //! SJF/LJF, smallest/largest-first, WFP, WFP³, UNICEF and SC'17-style
-//! F-combinations ([`priority::ScoreFn`]) — re-ranked at every decision
-//! and composing with the same three selection strategies. The §7
+//! F-combinations ([`priority::ScoreFn`]) — kept ranked between
+//! decisions and composing with the same three selection strategies. The §7
 //! day/night combination ([`switching::SwitchingScheduler`]) orders one
 //! queue by two policies and selects through the same scans.
 //!

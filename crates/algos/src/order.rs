@@ -17,9 +17,10 @@
 //! fires at the same points, as a per-decision rebuild would.
 //!
 //! The priority family ([`OrderPolicy::Score`]) is the third kind of
-//! order: a scoring rule over (wait, estimate, width) whose ranking
-//! drifts with the clock, so it is re-ranked at every decision instead
-//! of on the §5.4 trigger.
+//! order: a scoring rule over (wait, estimate, width), kept the same way
+//! but never on the §5.4 trigger. A rule that ignores the wait inserts
+//! each arrival at its ranked place; one whose ranking drifts with the
+//! clock is re-ranked once per decision instant.
 
 use crate::priority::ScoreFn;
 use crate::psrs::{psrs_order, PsrsParams};
@@ -50,9 +51,11 @@ pub enum OrderPolicy {
         /// Weight regime.
         scheme: WeightScheme,
     },
-    /// Ascending `(score, id)` under a [`ScoreFn`], re-ranked at every
-    /// decision ([`crate::priority::rank`]): wait-dependent scores
-    /// reorder the queue between events.
+    /// Ascending `(score, id)` under a [`ScoreFn`] — the order
+    /// [`crate::priority::rank`] gives at each decision. A time-invariant
+    /// rule keeps it by inserting each submission in place; a
+    /// wait-dependent rule, whose scores drift as the clock advances,
+    /// re-ranks it once per decision instant.
     Score(ScoreFn),
 }
 
@@ -78,6 +81,12 @@ impl OrderPolicy {
     /// §5.4 trigger as the queue evolves.
     pub fn is_dynamic(&self) -> bool {
         matches!(self, OrderPolicy::Smart { .. } | OrderPolicy::Psrs { .. })
+    }
+
+    /// Whether a scheduler keeps the order between decisions: every
+    /// policy but submission order, which walks the queue itself.
+    pub(crate) fn is_maintained(&self) -> bool {
+        !matches!(self, OrderPolicy::Fcfs | OrderPolicy::GareyGraham)
     }
 
     /// Weight scheme used by the policy (trivial for FCFS / G&G and

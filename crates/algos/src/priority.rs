@@ -9,8 +9,10 @@
 //! score; **smaller score = higher priority**. As
 //! [`OrderPolicy::Score`](crate::order::OrderPolicy::Score) a rule is an
 //! ordering policy of [`ListScheduler`](crate::scheduler::ListScheduler)
-//! like any other: the queue is re-ranked with [`rank`] on every
-//! decision (wait-dependent scores drift between events) and the ranked
+//! like any other: the scheduler keeps the queue ranked between
+//! decisions (a time-invariant rule inserts each submission at its
+//! ranked place, a wait-dependent rule re-ranks once per decision
+//! instant, since its scores drift as the clock advances) and the ranked
 //! order feeds the same selection machinery — head-blocking greedy,
 //! optionally upgraded with conservative or EASY backfilling, in both
 //! profile modes, per node-class pool on a partitioned machine.
@@ -24,8 +26,9 @@
 //! estimate-keyed functions on bursty queues — always fall back to the
 //! submission order (ids ascend with submit time in every driver in this
 //! repo), so the ranking is a total order that does not depend on queue
-//! iteration order. The oracle's naive re-implementations and the
-//! property tests pin this rule.
+//! iteration order. [`rank`] and the scheduler's maintained order
+//! compare with one function, `by_score_then_id`; the oracle's naive
+//! re-implementations and the property tests pin the rule.
 //!
 //! # No blocked-state cache
 //!
@@ -34,10 +37,12 @@
 //! scores (WFP, UNICEF, …) reorder the queue as time passes with *no*
 //! intervening event, so a cached "nothing can start" conclusion could
 //! hold back a job that meanwhile overtook the blocked head. A score
-//! order therefore takes a full scan per decision round.
+//! order therefore takes a full scan of its maintained order per
+//! decision round.
 
 use jobsched_sim::JobRequest;
 use jobsched_workload::{JobId, Time};
+use std::cmp::Ordering;
 
 /// A scoring rule over `(wait, runtime estimate, width)`.
 ///
@@ -134,6 +139,17 @@ impl ScoreFn {
         ScoreFn::ALL.into_iter().find(|s| s.tag() == tag)
     }
 
+    /// Whether the score never reads the wait, so a job's rank among
+    /// the others cannot change while it waits. `P-FCFS` is not: its
+    /// score is `-wait`, and once waits pass 2⁵³ s `f64` rounding can tie
+    /// two of them at one instant and part them at the next.
+    pub fn time_invariant(&self) -> bool {
+        matches!(
+            self,
+            ScoreFn::Sjf | ScoreFn::Ljf | ScoreFn::SmallestFirst | ScoreFn::LargestFirst
+        )
+    }
+
     /// Score a waiting job at one decision instant. Smaller = starts
     /// earlier. `estimate` is clamped to ≥ 1 before use.
     pub fn score(&self, wait: Time, estimate: Time, width: u32) -> f64 {
@@ -158,12 +174,29 @@ impl ScoreFn {
     }
 }
 
-/// Rank jobs by `(score at now, id)` ascending — the normative ordering
-/// of the priority family, shared by the scheduler, the oracle's naive
-/// differential and the property tests. `inverted` flips the score sign
-/// (the oracle's impostor scheduler only). Wait is `now − submit`, saturating:
+/// A waiting job's score at `now`. Wait is `now − submit`, saturating:
 /// a driver may deliver the submission batch at an instant its clock
 /// still reports as the submit time.
+pub(crate) fn score_at(score: ScoreFn, now: Time, job: &JobRequest) -> f64 {
+    score.score(
+        now.saturating_sub(job.submit),
+        job.requested_time,
+        job.nodes,
+    )
+}
+
+/// The normative comparator of the priority family: `(score, id)`
+/// ascending, scores under [`f64::total_cmp`]. A total order, since ids
+/// are unique.
+pub(crate) fn by_score_then_id(a: (f64, JobId), b: (f64, JobId)) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// Rank jobs by `(score at now, id)` ascending — the normative ordering
+/// of the priority family, and the reference the scheduler's maintained
+/// order equals at every decision; the oracle's naive differential and
+/// the property tests rank with it. `inverted` flips the score sign (the
+/// oracle's impostor scheduler only).
 pub fn rank<'a, I>(score: ScoreFn, now: Time, jobs: I, inverted: bool) -> Vec<JobId>
 where
     I: IntoIterator<Item = &'a JobRequest>,
@@ -171,12 +204,11 @@ where
     let mut keyed: Vec<(f64, JobId)> = jobs
         .into_iter()
         .map(|r| {
-            let wait = now.saturating_sub(r.submit);
-            let s = score.score(wait, r.requested_time, r.nodes);
+            let s = score_at(score, now, r);
             (if inverted { -s } else { s }, r.id)
         })
         .collect();
-    keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    keyed.sort_by(|&a, &b| by_score_then_id(a, b));
     keyed.into_iter().map(|(_, id)| id).collect()
 }
 

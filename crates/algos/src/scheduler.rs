@@ -6,24 +6,26 @@
 //! wait queue, re-run per the §5.4 trigger; jobs that arrived since the
 //! last run are appended in submission order until the next run covers
 //! them. The priority family ([`OrderPolicy::Score`]) ranks the queue by
-//! a scoring rule at every decision. Selection is head-blocking greedy,
-//! optionally upgraded with conservative or EASY backfilling (§5.2);
-//! Garey & Graham instead starts anything that fits (§5.3).
+//! a scoring rule: a time-invariant rule inserts each submission at its
+//! ranked place, a wait-dependent one re-ranks once per decision instant.
+//! Selection is head-blocking greedy, optionally upgraded with
+//! conservative or EASY backfilling (§5.2); Garey & Graham instead starts
+//! anything that fits (§5.3).
 //!
 //! The scans walk `&JobRequest`s, never ids to be looked up: FCFS and
-//! Garey & Graham walk the wait queue's own values, SMART and PSRS a
-//! `MaintainedOrder` that submissions, starts and cancellations keep
-//! current between decisions (so no decision rebuilds it), and a score
-//! order maps its ranked ids through the queue as the scan reaches them.
-//! Every scan is lazy, so a plain-list FCFS, SMART or PSRS decision costs
-//! O(started + 1), whatever the queue depth (a recomputation aside).
+//! Garey & Graham walk the wait queue's own values; SMART, PSRS and the
+//! score orders a `MaintainedOrder` that submissions, starts and
+//! cancellations keep current between decisions, so no decision rebuilds
+//! it from the queue. Every scan is lazy, so a plain-list FCFS, SMART,
+//! PSRS or time-invariant score decision costs O(started + 1) for the
+//! scan, whatever the queue depth (a recomputation or re-rank aside).
 
 use crate::backfill::{
     scan_conservative_live_in, scan_easy_live_in, select_head_blocking_in, BackfillMode,
 };
 use crate::garey_graham::select_greedy_any_in;
 use crate::order::{OrderPolicy, ReorderTrigger};
-use crate::priority::rank;
+use crate::priority::{by_score_then_id, score_at, ScoreFn};
 use crate::view::JobView;
 use jobsched_sim::{JobRequest, Machine, Profile, Scheduler};
 use jobsched_workload::{ClassId, JobId, Time};
@@ -119,26 +121,60 @@ impl Waiting {
     }
 }
 
-/// The order of a dynamic policy (SMART, PSRS), kept current between
-/// decisions. It holds exactly the waiting jobs: first those the last
-/// [`OrderPolicy::compute`] ordered that still wait, in computed order
-/// (the *covered* prefix), then every later arrival in id order (the
-/// uncovered tail). Submissions insert, starts and cancellations remove,
-/// and only a recomputation replaces the whole order — so a decision
-/// walks it as it stands instead of rebuilding it from the queue.
+/// The order of every policy but submission order (SMART, PSRS and the
+/// score orders), kept current between decisions. It holds exactly the
+/// waiting jobs: a *covered* prefix in the policy's order, then every
+/// later arrival in id order (the uncovered tail). Submissions insert,
+/// starts and cancellations remove and keep the relative order, so a
+/// decision walks the order as it stands instead of rebuilding it from
+/// the queue. What covers it depends on the policy:
+///
+/// - SMART and PSRS: the last [`OrderPolicy::compute`]'s order of the
+///   jobs that still wait; a recomputation on the §5.4 trigger replaces
+///   the whole order.
+/// - A time-invariant score order ([`ScoreFn::time_invariant`]) is always
+///   fully covered: a submission is inserted at its ranked `(score, id)`
+///   place, and the order is never re-sorted.
+/// - A wait-dependent score order is re-ranked by
+///   [`MaintainedOrder::rank_at`] at a decision whose instant differs
+///   from the last ranking's or that finds arrivals uncovered; another
+///   round at the same instant reuses it.
 #[derive(Debug, Default)]
 pub(crate) struct MaintainedOrder {
     jobs: Vec<JobRequest>,
     /// Length of the covered prefix.
     covered: usize,
+    /// Instant of the last ranking of a wait-dependent score order.
+    ranked_at: Option<Time>,
+    /// Reused by a re-rank: `(score, id, position)` sort keys, and the
+    /// buffer the ranked order is gathered into.
+    keys: Vec<(f64, JobId, u32)>,
+    spare: Vec<JobRequest>,
+    /// Reused by [`MaintainedOrder::remove`]: the removed ids, sorted.
+    gone: Vec<JobId>,
 }
 
 impl MaintainedOrder {
-    /// A newly waiting job joins the uncovered tail in id order. A
-    /// first-time submission carries the highest id so far and appends;
-    /// a preempted job's remainder re-enters with its old id and is
-    /// inserted by id (it left the covered prefix when it started).
-    pub(crate) fn insert(&mut self, job: JobRequest) {
+    /// A newly waiting job joins the order. Under a time-invariant score
+    /// it takes its ranked place. Otherwise it joins the uncovered tail in
+    /// id order: a first-time submission carries the highest id so far
+    /// and appends; a preempted job's remainder re-enters with its old id
+    /// and is inserted by id (it left the covered prefix when it started).
+    pub(crate) fn insert(&mut self, policy: &OrderPolicy, job: JobRequest) {
+        if let OrderPolicy::Score(score) = *policy {
+            if score.time_invariant() {
+                // The score ignores the wait, so each job is keyed at its
+                // own submission.
+                let key = |r: &JobRequest| (score_at(score, r.submit, r), r.id);
+                let own = key(&job);
+                let at = self
+                    .jobs
+                    .partition_point(|r| by_score_then_id(key(r), own).is_lt());
+                self.jobs.insert(at, job);
+                self.covered += 1;
+                return;
+            }
+        }
         let tail = &self.jobs[self.covered..];
         if tail.last().is_none_or(|last| last.id < job.id) {
             self.jobs.push(job);
@@ -153,9 +189,10 @@ impl MaintainedOrder {
         if ids.is_empty() {
             return;
         }
-        let mut gone = ids.to_vec();
-        gone.sort_unstable();
-        let (covered, mut at, mut dropped) = (self.covered, 0, 0);
+        self.gone.clear();
+        self.gone.extend_from_slice(ids);
+        self.gone.sort_unstable();
+        let (gone, covered, mut at, mut dropped) = (&self.gone, self.covered, 0, 0);
         self.jobs.retain(|r| {
             let keep = gone.binary_search(&r.id).is_err();
             if !keep && at < covered {
@@ -192,6 +229,34 @@ impl MaintainedOrder {
         self.jobs.clear();
         self.jobs.extend(ids.iter().map(|&id| *waiting.get(id)));
         self.covered = self.jobs.len();
+    }
+
+    /// Rank a wait-dependent score order for a decision at `now`, unless
+    /// the last ranking was at `now` and covers every job. 16-byte keys
+    /// are sorted and the jobs gathered after them, into buffers kept
+    /// from the last re-rank.
+    /// A time-invariant order is always ranked: nothing to do.
+    pub(crate) fn rank_at(&mut self, score: ScoreFn, now: Time) {
+        if score.time_invariant()
+            || (self.ranked_at == Some(now) && self.covered == self.jobs.len())
+        {
+            return;
+        }
+        self.keys.clear();
+        self.keys.extend(
+            self.jobs
+                .iter()
+                .zip(0u32..)
+                .map(|(r, at)| (score_at(score, now, r), r.id, at)),
+        );
+        self.keys
+            .sort_unstable_by(|a, b| by_score_then_id((a.0, a.1), (b.0, b.1)));
+        self.spare.clear();
+        self.spare
+            .extend(self.keys.iter().map(|&(_, _, at)| self.jobs[at as usize]));
+        std::mem::swap(&mut self.jobs, &mut self.spare);
+        self.covered = self.jobs.len();
+        self.ranked_at = Some(now);
     }
 
     /// The order as it stands.
@@ -256,7 +321,8 @@ pub struct ListScheduler {
     backfill: BackfillMode,
     trigger: ReorderTrigger,
     waiting: Waiting,
-    /// The offline order (dynamic policies only; empty otherwise).
+    /// The maintained order (empty for FCFS and Garey & Graham, which
+    /// walk the queue itself).
     order: MaintainedOrder,
     /// Number of offline re-computations performed (diagnostics; the §5.4
     /// trigger exists to keep this low).
@@ -329,13 +395,13 @@ impl ListScheduler {
         self.arrivals.clear();
     }
 
-    /// Started or cancelled jobs leave the wait queue (and the offline
+    /// Started or cancelled jobs leave the wait queue (and the maintained
     /// order).
     fn dequeue(&mut self, ids: &[JobId]) {
         for &id in ids {
             self.waiting.remove(id);
         }
-        if self.policy.is_dynamic() {
+        if self.policy.is_maintained() {
             self.order.remove(ids);
         }
     }
@@ -445,10 +511,9 @@ struct ScanConfig {
 /// [`ListScheduler`] and
 /// [`SwitchingScheduler`](crate::switching::SwitchingScheduler): hand the
 /// policy's order — the queue's own for FCFS and Garey & Graham, `order`
-/// for SMART and PSRS, the ranking at `now` (each id looked up once, when
-/// the scan reaches it) for a score order — to the selection strategy. Returns the picks
-/// and, on a single-class machine, the blocked state the scan leaves
-/// behind.
+/// (recomputed or ranked for `now` by the caller) for the others — to the
+/// selection strategy. Returns the picks and, on a single-class machine,
+/// the blocked state the scan leaves behind.
 pub(crate) fn full_decision(
     policy: &OrderPolicy,
     backfill: BackfillMode,
@@ -466,7 +531,7 @@ pub(crate) fn full_decision(
         OrderPolicy::Fcfs | OrderPolicy::GareyGraham => {
             scan_pools(config, scratch, waiting.requests(), waiting, machine, now)
         }
-        OrderPolicy::Smart { .. } | OrderPolicy::Psrs { .. } => scan_pools(
+        OrderPolicy::Smart { .. } | OrderPolicy::Psrs { .. } | OrderPolicy::Score(_) => scan_pools(
             config,
             scratch,
             order.requests().iter(),
@@ -474,12 +539,6 @@ pub(crate) fn full_decision(
             machine,
             now,
         ),
-        OrderPolicy::Score(score) => {
-            // Lazy: only the jobs a scan inspects are looked up.
-            let ranked = rank(score, now, waiting.requests(), false);
-            let order = ranked.iter().map(|&id| waiting.get(id));
-            scan_pools(config, scratch, order, waiting, machine, now)
-        }
     }
 }
 
@@ -599,8 +658,10 @@ impl Scheduler for ListScheduler {
         // arrivals append at the tail — force a full scan for it.
         let mid_queue = self.waiting.max_id().is_some_and(|tail| job.id < tail);
         self.waiting.insert(job);
+        if self.policy.is_maintained() {
+            self.order.insert(&self.policy, job);
+        }
         if self.policy.is_dynamic() {
-            self.order.insert(job);
             // §5.4: the trigger is evaluated as jobs are submitted.
             if !self.reorder_pending
                 && self
@@ -676,6 +737,9 @@ impl Scheduler for ListScheduler {
             self.order
                 .recompute(&self.policy, &self.waiting, machine.total_nodes());
             self.recomputations += 1;
+        }
+        if let OrderPolicy::Score(score) = self.policy {
+            self.order.rank_at(score, now);
         }
         let (picks, blocked) = full_decision(
             &self.policy,
@@ -1149,7 +1213,7 @@ mod tests {
         let (mut waiting, mut order) = (Waiting::new(), MaintainedOrder::default());
         let enqueue = |w: &mut Waiting, o: &mut MaintainedOrder, r: JobRequest| {
             w.insert(r);
-            o.insert(r);
+            o.insert(&policy, r);
         };
         for r in [req(0, 300), req(1, 100), req(2, 200)] {
             enqueue(&mut waiting, &mut order, r);
@@ -1184,6 +1248,95 @@ mod tests {
         order.remove(&[JobId(6), computed[2]]);
         assert_eq!(ids(&order), [computed[1], head.id, JobId(5), JobId(7)]);
         assert_eq!(order.unordered(), 3);
+    }
+
+    #[test]
+    fn score_order_is_the_reference_ranking_at_every_decision() {
+        use crate::priority::rank;
+        use jobsched_workload::rng::{derive_seed, Rng, SmallRng};
+        for score in ScoreFn::ALL {
+            for backfill in [BackfillMode::None, BackfillMode::Easy] {
+                for seq in 0..6u64 {
+                    let mut rng = SmallRng::seed_from_u64(derive_seed(0x5C0E_0DE5, seq));
+                    let mut s = ListScheduler::new(OrderPolicy::Score(score), backfill);
+                    let mut machine = Machine::new(32);
+                    // Every job as last submitted, and the started ones
+                    // with their finish instants.
+                    let mut submitted = std::collections::HashMap::new();
+                    let mut running: Vec<(JobRequest, Time)> = Vec::new();
+                    let (mut now, mut next_id) = (0, 0);
+                    for step in 0..300 {
+                        match rng.random_range(0u32..10) {
+                            0..=3 => {
+                                // A burst at one instant, from few distinct
+                                // shapes: scores tie often.
+                                for _ in 0..rng.random_range(1u32..=4) {
+                                    let job = JobRequest {
+                                        id: JobId(next_id),
+                                        submit: now,
+                                        nodes: [1, 2, 2, 8, 16][rng.random_range(0usize..5)],
+                                        class: ClassId(0),
+                                        requested_time: [1, 50, 50, 600]
+                                            [rng.random_range(0usize..4)],
+                                        user: 0,
+                                    };
+                                    next_id += 1;
+                                    submitted.insert(job.id, job);
+                                    s.submit(job, now);
+                                }
+                            }
+                            4 if !s.waiting.is_empty() => {
+                                let at = rng.random_range(0..s.waiting.len());
+                                let id = s.waiting.ids().nth(at).expect("in range");
+                                s.cancel(id, now);
+                            }
+                            5 if !running.is_empty() => {
+                                // A preempted job's remainder re-enters
+                                // with its old id, ahead of later arrivals.
+                                let at = rng.random_range(0..running.len());
+                                let (job, _) = running.swap_remove(at);
+                                machine.finish(job.id).expect("running");
+                                let remainder = JobRequest {
+                                    requested_time: rng.random_range(1..=job.requested_time),
+                                    ..job
+                                };
+                                submitted.insert(job.id, remainder);
+                                s.submit(remainder, now);
+                            }
+                            6..=8 => {
+                                now += rng.random_range(1u64..300);
+                                running.retain(|&(job, end)| {
+                                    if end > now {
+                                        return true;
+                                    }
+                                    machine.finish(job.id).expect("running");
+                                    s.job_finished(job.id, now);
+                                    false
+                                });
+                            }
+                            _ => {} // another round at the same instant
+                        }
+                        let decides = machine.free_nodes() > 0;
+                        for id in s.select_starts(now, &machine) {
+                            let job = submitted[&id];
+                            let end = now + job.requested_time.max(1);
+                            machine.start(id, job.nodes, now, end).expect("fits");
+                            running.push((job, end));
+                        }
+                        if decides {
+                            let order: Vec<JobId> =
+                                s.order.requests().iter().map(|r| r.id).collect();
+                            assert_eq!(
+                                order,
+                                rank(score, now, s.waiting.requests(), false),
+                                "{} seq {seq} step {step} at {now}",
+                                s.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,11 +13,12 @@
 //! so a switch only changes how the *backlog* is drained — which is
 //! exactly what the policy rules govern.
 //!
-//! A dynamic regime (SMART, PSRS) keeps the list scheduler's maintained
-//! order, fed by every submission, start and cancellation whichever
-//! regime is active, so the regime that takes over at a boundary finds
-//! its order current. Its §5.4 trigger is evaluated at the decisions it
-//! owns.
+//! A regime whose order is not submission order (SMART, PSRS, a score
+//! order) keeps the list scheduler's maintained order, fed by every
+//! submission, start and cancellation whichever regime is active, so the
+//! regime that takes over at a boundary finds its order current. A
+//! dynamic regime's §5.4 trigger is evaluated, and a wait-dependent score
+//! order re-ranked, at the decisions it owns.
 
 use crate::backfill::BackfillMode;
 use crate::order::OrderPolicy;
@@ -55,8 +56,8 @@ impl DayNightWindow {
     }
 }
 
-/// One regime: an ordering policy, its backfill mode, and (dynamic
-/// policies only) its maintained order.
+/// One regime: an ordering policy, its backfill mode, and (every policy
+/// but submission order) its maintained order.
 #[derive(Debug)]
 struct Regime {
     policy: OrderPolicy,
@@ -74,20 +75,21 @@ impl Regime {
     }
 
     fn submit(&mut self, job: JobRequest) {
-        if self.policy.is_dynamic() {
-            self.order.insert(job);
+        if self.policy.is_maintained() {
+            self.order.insert(&self.policy, job);
         }
     }
 
     /// Started or cancelled jobs leave the order.
     fn dequeue(&mut self, ids: &[JobId]) {
-        if self.policy.is_dynamic() {
+        if self.policy.is_maintained() {
             self.order.remove(ids);
         }
     }
 
     /// One full decision under this regime's policy. A dynamic order is
-    /// first recomputed on the §5.4 trigger (unordered fraction above ⅓).
+    /// first recomputed on the §5.4 trigger (unordered fraction above ⅓),
+    /// a score order ranked for `now`.
     fn decide(
         &mut self,
         waiting: &Waiting,
@@ -98,6 +100,9 @@ impl Regime {
         if self.policy.is_dynamic() && self.order.unordered() as f64 > waiting.len() as f64 / 3.0 {
             self.order
                 .recompute(&self.policy, waiting, machine.total_nodes());
+        }
+        if let OrderPolicy::Score(score) = self.policy {
+            self.order.rank_at(score, now);
         }
         full_decision(
             &self.policy,
@@ -261,6 +266,7 @@ impl Scheduler for SwitchingScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::priority::ScoreFn;
     use crate::smart::SmartVariant;
     use crate::view::WeightScheme;
     use jobsched_sim::simulate;
@@ -287,8 +293,9 @@ mod tests {
         assert!(w.is_daytime(7 * HOUR)); // Monday 07:00:00
         assert!(w.is_daytime(20 * HOUR - 1)); // Monday 19:59:59
         assert!(!w.is_daytime(20 * HOUR)); // Monday 20:00:00
-                                           // Friday evening rolls straight into the weekend regime and stays
-                                           // there until Monday 07:00.
+
+        // Friday evening rolls straight into the weekend regime and stays
+        // there until Monday 07:00.
         assert!(w.is_daytime(4 * DAY + 20 * HOUR - 1)); // Friday 19:59:59
         assert!(!w.is_daytime(4 * DAY + 20 * HOUR)); // Friday 20:00:00
         assert!(!w.is_daytime(7 * DAY + 7 * HOUR - 1)); // Monday 06:59:59 (week 2)
@@ -388,6 +395,41 @@ mod tests {
         let b = simulate(&w, &mut night_only);
         for j in w.jobs() {
             assert_eq!(a.schedule.placement(j.id), b.schedule.placement(j.id));
+        }
+    }
+
+    #[test]
+    fn forced_score_regime_equals_its_list_scheduler() {
+        // Nothing else builds a switching scheduler with a score regime:
+        // pinned to its day regime, it must place every job as that
+        // row's list scheduler does.
+        let w = prepared_ctc_workload(800, 1999);
+        for score in ScoreFn::ALL {
+            for backfill in [
+                BackfillMode::None,
+                BackfillMode::Conservative,
+                BackfillMode::Easy,
+            ] {
+                let policy = OrderPolicy::Score(score);
+                let mut forced = SwitchingScheduler::new(
+                    (policy, backfill),
+                    (OrderPolicy::GareyGraham, BackfillMode::None),
+                    DayNightWindow::default(),
+                );
+                forced.force_regime(Some(true));
+                let a = simulate(&w, &mut forced);
+                let b = simulate(&w, &mut crate::ListScheduler::new(policy, backfill));
+                for j in w.jobs() {
+                    assert_eq!(
+                        a.schedule.placement(j.id),
+                        b.schedule.placement(j.id),
+                        "{}+{} job {}",
+                        score.label(),
+                        backfill.label(),
+                        j.id
+                    );
+                }
+            }
         }
     }
 

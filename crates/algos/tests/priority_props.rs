@@ -16,6 +16,9 @@
 //! * **No NaN/overflow at the extremes** — zero wait, maximal wait,
 //!   clamped estimates, one-node and `u32::MAX`-width jobs all score
 //!   finite, for every rule.
+//! * **Time invariance as claimed** — on the same extremes grid, a rule
+//!   that claims [`ScoreFn::time_invariant`] scores bit-identically at
+//!   every wait, and every other rule's score moves with the wait.
 
 use jobsched_algos::priority::rank;
 use jobsched_algos::ScoreFn;
@@ -182,15 +185,18 @@ fn fcfs_rank_is_the_submission_order() {
     }
 }
 
+/// The extremes grid: waits, estimates (0 exercises the ≥1 clamp) and
+/// widths.
+const WAITS: [Time; 5] = [0, 1, 10, u64::MAX / 2, u64::MAX];
+const ESTS: [Time; 5] = [0, 1, 10, u64::MAX / 2, u64::MAX];
+const WIDTHS: [u32; 5] = [1, 2, 4_096, u32::MAX / 2, u32::MAX];
+
 #[test]
 fn extremes_score_finite_for_every_rule() {
-    let waits = [0u64, 1, 10, u64::MAX / 2, u64::MAX];
-    let ests = [0u64, 1, 10, u64::MAX / 2, u64::MAX]; // 0 exercises the ≥1 clamp
-    let widths = [1u32, 2, 4_096, u32::MAX / 2, u32::MAX];
     for score in ScoreFn::ALL {
-        for &wait in &waits {
-            for &est in &ests {
-                for &width in &widths {
+        for &wait in &WAITS {
+            for &est in &ESTS {
+                for &width in &WIDTHS {
                     let s = score.score(wait, est, width);
                     assert!(
                         s.is_finite(),
@@ -199,6 +205,32 @@ fn extremes_score_finite_for_every_rule() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn time_invariant_rules_ignore_the_wait_and_no_other_does() {
+    for score in ScoreFn::ALL {
+        let mut moves = false;
+        for &est in &ESTS {
+            for &width in &WIDTHS {
+                let first = score.score(WAITS[0], est, width).to_bits();
+                for &wait in &WAITS {
+                    let bits = score.score(wait, est, width).to_bits();
+                    if score.time_invariant() {
+                        assert_eq!(
+                            bits, first,
+                            "{score:?} claims time invariance but scores ({wait}, {est}, {width}) apart"
+                        );
+                    }
+                    moves |= bits != first;
+                }
+            }
+        }
+        assert!(
+            score.time_invariant() || moves,
+            "{score:?} never moves with the wait: it should claim time invariance"
+        );
     }
 }
 
