@@ -23,8 +23,9 @@
 //! SJF/LJF, smallest/largest-first, WFP, WFP³, UNICEF and SC'17-style
 //! F-combinations ([`priority::ScoreFn`]) — kept ranked between
 //! decisions and composing with the same three selection strategies. The §7
-//! day/night combination ([`switching::SwitchingScheduler`]) orders one
-//! queue by two policies and selects through the same scans.
+//! day/night combination ([`switching`]) is a list scheduler with a
+//! second, off-peak regime: each regime orders the one queue as its own
+//! row does, and the regime owning the instant selects.
 //!
 //! The offline algorithms are adapted to the online setting exactly as
 //! §5.4/§5.5 describe: they only *order* the wait queue; user estimates

@@ -19,6 +19,11 @@
 //! it from the queue. Every scan is lazy, so a plain-list FCFS, SMART,
 //! PSRS or time-invariant score decision costs O(started + 1) for the
 //! scan, whatever the queue depth (a recomputation or re-rank aside).
+//!
+//! The §7 day/night combination is the same scheduler with a second,
+//! off-peak regime ([`ListScheduler::with_off_peak`]): each regime keeps
+//! its own order and §5.4 trigger over the one wait queue, and the regime
+//! owning the decision instant selects, exactly as its own row would.
 
 use crate::backfill::{
     scan_conservative_live_in, scan_easy_live_in, select_head_blocking_in, BackfillMode,
@@ -26,6 +31,7 @@ use crate::backfill::{
 use crate::garey_graham::select_greedy_any_in;
 use crate::order::{OrderPolicy, ReorderTrigger};
 use crate::priority::{by_score_then_id, score_at, ScoreFn};
+use crate::switching::DailyWindow;
 use crate::view::JobView;
 use jobsched_sim::{JobRequest, Machine, Profile, Scheduler};
 use jobsched_workload::{ClassId, JobId, Time};
@@ -140,7 +146,7 @@ impl Waiting {
 ///   from the last ranking's or that finds arrivals uncovered; another
 ///   round at the same instant reuses it.
 #[derive(Debug, Default)]
-pub(crate) struct MaintainedOrder {
+struct MaintainedOrder {
     jobs: Vec<JobRequest>,
     /// Length of the covered prefix.
     covered: usize,
@@ -160,7 +166,7 @@ impl MaintainedOrder {
     /// id order: a first-time submission carries the highest id so far
     /// and appends; a preempted job's remainder re-enters with its old id
     /// and is inserted by id (it left the covered prefix when it started).
-    pub(crate) fn insert(&mut self, policy: &OrderPolicy, job: JobRequest) {
+    fn insert(&mut self, policy: &OrderPolicy, job: JobRequest) {
         if let OrderPolicy::Score(score) = *policy {
             if score.time_invariant() {
                 // The score ignores the wait, so each job is keyed at its
@@ -185,7 +191,7 @@ impl MaintainedOrder {
     }
 
     /// Drop jobs that left the queue (started or cancelled).
-    pub(crate) fn remove(&mut self, ids: &[JobId]) {
+    fn remove(&mut self, ids: &[JobId]) {
         if ids.is_empty() {
             return;
         }
@@ -207,19 +213,14 @@ impl MaintainedOrder {
 
     /// Jobs that arrived since the last computation (the §5.4 trigger's
     /// "unordered" count).
-    pub(crate) fn unordered(&self) -> usize {
+    fn unordered(&self) -> usize {
         self.jobs.len() - self.covered
     }
 
     /// Re-run the policy's offline algorithm over the whole wait queue
     /// (views in id order, as the algorithms expect) and make its result
     /// the new, fully covered order.
-    pub(crate) fn recompute(
-        &mut self,
-        policy: &OrderPolicy,
-        waiting: &Waiting,
-        machine_nodes: u32,
-    ) {
+    fn recompute(&mut self, policy: &OrderPolicy, waiting: &Waiting, machine_nodes: u32) {
         let views: Vec<JobView> = waiting
             .requests()
             .map(|r| JobView::of(r, policy.scheme()))
@@ -236,7 +237,7 @@ impl MaintainedOrder {
     /// are sorted and the jobs gathered after them, into buffers kept
     /// from the last re-rank.
     /// A time-invariant order is always ranked: nothing to do.
-    pub(crate) fn rank_at(&mut self, score: ScoreFn, now: Time) {
+    fn rank_at(&mut self, score: ScoreFn, now: Time) {
         if score.time_invariant()
             || (self.ranked_at == Some(now) && self.covered == self.jobs.len())
         {
@@ -260,7 +261,7 @@ impl MaintainedOrder {
     }
 
     /// The order as it stands.
-    pub(crate) fn requests(&self) -> &[JobRequest] {
+    fn requests(&self) -> &[JobRequest] {
         &self.jobs
     }
 }
@@ -272,13 +273,14 @@ impl MaintainedOrder {
 /// (starts) and absolute-time projections (the EASY shadow, conservative
 /// reservations) stay valid, so a job rejected once stays rejected and a
 /// later arrival can be judged against the remembered state alone. Any
-/// finish event or priority re-computation invalidates the cache. A
+/// finish event, priority re-computation of the regime it was taken
+/// under, or switch to the other regime invalidates the cache. A
 /// score order never enters it: wait-dependent scores reorder the queue
 /// as time passes with *no* intervening event, so a remembered "nothing
 /// can start" could hold back a job that has since overtaken the
 /// blocked head.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum BlockedCache {
+enum BlockedCache {
     /// Head-blocking list schedule: the head does not fit, so nothing
     /// behind it may start either.
     HeadBlocked,
@@ -314,16 +316,76 @@ pub(crate) enum BlockedCache {
     },
 }
 
-/// A complete scheduling algorithm: ordering policy + backfilling mode.
+/// One ordering regime: an ordering policy, its selection strategy and
+/// (every policy but submission order) its maintained order.
 #[derive(Debug)]
-pub struct ListScheduler {
+struct Regime {
     policy: OrderPolicy,
     backfill: BackfillMode,
+    order: MaintainedOrder,
+    /// The §5.4 trigger fired at a submission; this regime's next
+    /// decision must re-run the offline algorithm. Evaluating the trigger
+    /// only at submissions (as the paper describes) keeps re-computation
+    /// points identical whether or not the cache is enabled, and whichever
+    /// regime is active.
+    reorder_pending: bool,
+}
+
+impl Regime {
+    fn new(policy: OrderPolicy, backfill: BackfillMode) -> Self {
+        Regime {
+            policy,
+            backfill,
+            order: MaintainedOrder::default(),
+            reorder_pending: false,
+        }
+    }
+
+    fn label(&self) -> String {
+        format!("{}+{}", self.policy.label(), self.backfill.label())
+    }
+
+    /// A job entered the queue (now `queued` long). Returns whether a
+    /// re-computation is pending.
+    fn submit(&mut self, job: JobRequest, trigger: &ReorderTrigger, queued: usize) -> bool {
+        if self.policy.is_maintained() {
+            self.order.insert(&self.policy, job);
+        }
+        // §5.4: the trigger is evaluated as jobs are submitted.
+        if self.policy.is_dynamic()
+            && !self.reorder_pending
+            && trigger.fires(self.order.unordered(), queued)
+        {
+            self.reorder_pending = true;
+        }
+        self.reorder_pending
+    }
+
+    /// Started or cancelled jobs leave the order.
+    fn dequeue(&mut self, ids: &[JobId]) {
+        if self.policy.is_maintained() {
+            self.order.remove(ids);
+        }
+    }
+}
+
+/// A complete scheduling algorithm: ordering policy + backfilling mode,
+/// optionally with a second regime that governs outside a daily window.
+#[derive(Debug)]
+pub struct ListScheduler {
+    /// The regime of a single-regime scheduler; the day regime of a
+    /// combination.
+    primary: Regime,
+    /// The regime that governs outside the window, if any.
+    off_peak: Option<(Regime, DailyWindow)>,
+    /// Operator override of a combination: `Some(true)` pins the primary
+    /// regime, `Some(false)` the off-peak one, `None` follows the clock.
+    forced: Option<bool>,
+    /// Whether the last decision ran the primary regime — the regime
+    /// `cache` describes.
+    on_primary: bool,
     trigger: ReorderTrigger,
     waiting: Waiting,
-    /// The maintained order (empty for FCFS and Garey & Graham, which
-    /// walk the queue itself).
-    order: MaintainedOrder,
     /// Number of offline re-computations performed (diagnostics; the §5.4
     /// trigger exists to keep this low).
     recomputations: u64,
@@ -336,29 +398,38 @@ pub struct ListScheduler {
     cache: Option<BlockedCache>,
     /// Jobs submitted since the cache was established.
     arrivals: Vec<JobRequest>,
-    /// The §5.4 trigger fired at a submission; the next ordering must
-    /// re-run the offline algorithm. Evaluating the trigger only at
-    /// submissions (as the paper describes) keeps re-computation points
-    /// identical whether or not the cache is enabled.
-    reorder_pending: bool,
 }
 
 impl ListScheduler {
     /// Build a scheduler from policy and backfill mode.
     pub fn new(policy: OrderPolicy, backfill: BackfillMode) -> Self {
         ListScheduler {
-            policy,
-            backfill,
+            primary: Regime::new(policy, backfill),
+            off_peak: None,
+            forced: None,
+            on_primary: true,
             trigger: ReorderTrigger::default(),
             waiting: Waiting::new(),
-            order: MaintainedOrder::default(),
             recomputations: 0,
             caching: true,
             scratch: Profile::empty(1, 0),
             cache: None,
             arrivals: Vec::new(),
-            reorder_pending: false,
         }
+    }
+
+    /// Combine with an off-peak regime: this scheduler's policy governs
+    /// inside `window`, `policy` with `backfill` outside it (the §7
+    /// day/night combination). Both regimes see every submission, start
+    /// and cancellation.
+    pub fn with_off_peak(
+        mut self,
+        policy: OrderPolicy,
+        backfill: BackfillMode,
+        window: DailyWindow,
+    ) -> Self {
+        self.off_peak = Some((Regime::new(policy, backfill), window));
+        self
     }
 
     /// Override the re-computation trigger (ablation benches).
@@ -380,9 +451,42 @@ impl ListScheduler {
         self
     }
 
-    /// The ordering policy.
+    /// The ordering policy (the primary regime's).
     pub fn policy(&self) -> &OrderPolicy {
-        &self.policy
+        &self.primary.policy
+    }
+
+    /// Whether the primary regime governs instant `t`, honouring a forced
+    /// override.
+    fn primary_at(&self, t: Time) -> bool {
+        match &self.off_peak {
+            Some((_, window)) => self.forced.unwrap_or_else(|| window.contains(t)),
+            None => true,
+        }
+    }
+
+    /// Which regime of a combination governs `t` (`"day"` / `"night"`);
+    /// `None` for a single regime.
+    pub fn active_regime_name(&self, t: Time) -> Option<&'static str> {
+        self.off_peak.as_ref()?;
+        Some(if self.primary_at(t) { "day" } else { "night" })
+    }
+
+    /// Pin a combination's regime (`Some(true)` = day, `Some(false)` =
+    /// night) or return control to the clock (`None`). Takes effect at
+    /// the next decision round; running jobs are never disturbed. Returns
+    /// `false`, changing nothing, for a single regime.
+    pub fn force_regime(&mut self, forced: Option<bool>) -> bool {
+        if self.off_peak.is_none() {
+            return false;
+        }
+        self.forced = forced;
+        true
+    }
+
+    /// The current override, if any.
+    pub fn forced_regime(&self) -> Option<bool> {
+        self.forced
     }
 
     /// How many times the offline order was recomputed.
@@ -396,13 +500,14 @@ impl ListScheduler {
     }
 
     /// Started or cancelled jobs leave the wait queue (and the maintained
-    /// order).
+    /// orders).
     fn dequeue(&mut self, ids: &[JobId]) {
         for &id in ids {
             self.waiting.remove(id);
         }
-        if self.policy.is_maintained() {
-            self.order.remove(ids);
+        self.primary.dequeue(ids);
+        if let Some((off_peak, _)) = &mut self.off_peak {
+            off_peak.dequeue(ids);
         }
     }
 
@@ -507,34 +612,30 @@ struct ScanConfig {
     backfill: BackfillMode,
 }
 
-/// One full decision of `policy` over the wait queue, shared between
-/// [`ListScheduler`] and
-/// [`SwitchingScheduler`](crate::switching::SwitchingScheduler): hand the
-/// policy's order — the queue's own for FCFS and Garey & Graham, `order`
-/// (recomputed or ranked for `now` by the caller) for the others — to the
-/// selection strategy. Returns the picks and, on a single-class machine,
-/// the blocked state the scan leaves behind.
-pub(crate) fn full_decision(
-    policy: &OrderPolicy,
-    backfill: BackfillMode,
-    order: &MaintainedOrder,
+/// One full decision of `regime` over the wait queue: hand the policy's
+/// order — the queue's own for FCFS and Garey & Graham, the maintained
+/// order (recomputed or ranked for `now` by the caller) for the others —
+/// to the selection strategy. Returns the picks and, on a single-class
+/// machine, the blocked state the scan leaves behind.
+fn full_decision(
+    regime: &Regime,
     waiting: &Waiting,
     scratch: &mut Profile,
     machine: &Machine,
     now: Time,
 ) -> (Vec<JobId>, Option<BlockedCache>) {
     let config = ScanConfig {
-        greedy_any: matches!(policy, OrderPolicy::GareyGraham),
-        backfill,
+        greedy_any: matches!(regime.policy, OrderPolicy::GareyGraham),
+        backfill: regime.backfill,
     };
-    match *policy {
+    match regime.policy {
         OrderPolicy::Fcfs | OrderPolicy::GareyGraham => {
             scan_pools(config, scratch, waiting.requests(), waiting, machine, now)
         }
         OrderPolicy::Smart { .. } | OrderPolicy::Psrs { .. } | OrderPolicy::Score(_) => scan_pools(
             config,
             scratch,
-            order.requests().iter(),
+            regime.order.requests().iter(),
             waiting,
             machine,
             now,
@@ -647,7 +748,14 @@ fn full_scan<'a>(
 
 impl Scheduler for ListScheduler {
     fn name(&self) -> String {
-        format!("{}+{}", self.policy.label(), self.backfill.label())
+        match &self.off_peak {
+            None => self.primary.label(),
+            Some((off_peak, _)) => format!(
+                "switch[day: {} | night: {}]",
+                self.primary.label(),
+                off_peak.label()
+            ),
+        }
     }
 
     fn submit(&mut self, job: JobRequest, _now: Time) {
@@ -658,21 +766,17 @@ impl Scheduler for ListScheduler {
         // arrivals append at the tail — force a full scan for it.
         let mid_queue = self.waiting.max_id().is_some_and(|tail| job.id < tail);
         self.waiting.insert(job);
-        if self.policy.is_maintained() {
-            self.order.insert(&self.policy, job);
-        }
-        if self.policy.is_dynamic() {
-            // §5.4: the trigger is evaluated as jobs are submitted.
-            if !self.reorder_pending
-                && self
-                    .trigger
-                    .fires(self.order.unordered(), self.waiting.len())
-            {
-                self.reorder_pending = true;
+        let queued = self.waiting.len();
+        // Whether the regime the cache describes must recompute.
+        let mut reorder_pending = self.primary.submit(job, &self.trigger, queued);
+        if let Some((off_peak, _)) = &mut self.off_peak {
+            let pending = off_peak.submit(job, &self.trigger, queued);
+            if !self.on_primary {
+                reorder_pending = pending;
             }
         }
         if self.cache.is_some() {
-            if self.reorder_pending || mid_queue {
+            if reorder_pending || mid_queue {
                 // A pending re-computation reorders the queue (and a
                 // mid-queue re-entry reorders it implicitly), thereby
                 // invalidating every blocked-state conclusion.
@@ -710,46 +814,51 @@ impl Scheduler for ListScheduler {
         if machine.free_nodes() == 0 || self.waiting.is_empty() {
             return Vec::new();
         }
+        let on_primary = self.primary_at(now);
+        if on_primary != self.on_primary {
+            // The clock or an override handed the queue to the other
+            // regime: a blocked state taken under the last one's order
+            // says nothing about this one's.
+            self.invalidate_cache();
+            self.on_primary = on_primary;
+        }
+        if let Some(cache) = self.cache {
+            // Only a full decision of the regime now active leaves a
+            // cache, and only where it is sound (see below).
+            let picks = self.incremental_starts(now, cache);
+            if self.cache.is_some() {
+                self.dequeue(&picks);
+                return picks;
+            }
+            // Cache invalidated inside: fall through to a full scan.
+        }
 
+        let regime = match &mut self.off_peak {
+            Some((off_peak, _)) if !on_primary => off_peak,
+            _ => &mut self.primary,
+        };
         // The blocked-state cache describes one pool under an order that
         // only events change: a multi-class machine and a score order
         // (which drifts with the clock) take a full scan per decision,
         // and `self.cache` stays `None` so submissions never accumulate
         // arrivals against a stale state.
-        let classed = machine.class_count() > 1;
-        let caching = self.caching && !classed && !matches!(self.policy, OrderPolicy::Score(_));
-
-        if caching {
-            if let Some(cache) = self.cache {
-                let picks = self.incremental_starts(now, cache);
-                if self.cache.is_some() {
-                    self.dequeue(&picks);
-                    return picks;
-                }
-                // Cache invalidated inside: fall through to a full scan.
-            }
-        }
-
-        if self.reorder_pending {
+        let caching = self.caching
+            && machine.class_count() == 1
+            && !matches!(regime.policy, OrderPolicy::Score(_));
+        if regime.reorder_pending {
             // The §5.4 trigger fired at a submission: this decision scans
             // a freshly computed order.
-            self.reorder_pending = false;
-            self.order
-                .recompute(&self.policy, &self.waiting, machine.total_nodes());
+            regime.reorder_pending = false;
+            regime
+                .order
+                .recompute(&regime.policy, &self.waiting, machine.total_nodes());
             self.recomputations += 1;
         }
-        if let OrderPolicy::Score(score) = self.policy {
-            self.order.rank_at(score, now);
+        if let OrderPolicy::Score(score) = regime.policy {
+            regime.order.rank_at(score, now);
         }
-        let (picks, blocked) = full_decision(
-            &self.policy,
-            self.backfill,
-            &self.order,
-            &self.waiting,
-            &mut self.scratch,
-            machine,
-            now,
-        );
+        let (picks, blocked) =
+            full_decision(regime, &self.waiting, &mut self.scratch, machine, now);
         self.dequeue(&picks);
         if caching {
             // Every full scan is complete: no further job can start until
@@ -764,6 +873,17 @@ impl Scheduler for ListScheduler {
 
     fn queue_len(&self) -> usize {
         self.waiting.len()
+    }
+
+    fn next_wakeup(&self, now: Time) -> Option<Time> {
+        // Wake at the next regime boundary: the backlog is re-ordered by
+        // the other regime's policy there. A single regime, an empty
+        // queue and a forced regime have none.
+        let (_, window) = self.off_peak.as_ref()?;
+        if self.waiting.is_empty() || self.forced.is_some() {
+            return None;
+        }
+        window.next_boundary(now)
     }
 }
 
@@ -1325,7 +1445,7 @@ mod tests {
                         }
                         if decides {
                             let order: Vec<JobId> =
-                                s.order.requests().iter().map(|r| r.id).collect();
+                                s.primary.order.requests().iter().map(|r| r.id).collect();
                             assert_eq!(
                                 order,
                                 rank(score, now, s.waiting.requests(), false),

@@ -2,10 +2,10 @@
 //!
 //! * [`combined_comparison`] — the §7 open item: "she must evaluate the
 //!   effect of combining the selected algorithms". Runs the day/night
-//!   [`SwitchingScheduler`] against the single algorithms and scores each
-//!   schedule under *both* regime objectives: ART over daytime-submitted
-//!   jobs (Rule 5's constituency) and AWRT over night/weekend-submitted
-//!   jobs (Rule 6's).
+//!   [`ListScheduler::paper_combination`] against the single algorithms
+//!   and scores each schedule under *both* regime objectives: ART over
+//!   daytime-submitted jobs (Rule 5's constituency) and AWRT over
+//!   night/weekend-submitted jobs (Rule 6's).
 //! * [`gang_comparison`] — the paper's reference \[15\]: FCFS with gang
 //!   scheduling versus space-shared FCFS, sweeping the time slice. Shows
 //!   what Institution B gives up by buying a machine without time
@@ -14,9 +14,9 @@
 use crate::experiment::Scale;
 use crate::objective_select::ObjectiveKind;
 use jobsched_algos::spec::PolicyKind;
-use jobsched_algos::switching::{DayNightWindow, SwitchingScheduler};
+use jobsched_algos::switching::DailyWindow;
 use jobsched_algos::view::WeightScheme;
-use jobsched_algos::{AlgorithmSpec, BackfillMode};
+use jobsched_algos::{AlgorithmSpec, BackfillMode, ListScheduler};
 use jobsched_metrics::Objective;
 use jobsched_sim::gang::{GangConfig, GangFcfsTs};
 use jobsched_sim::{simulate, simulate_time_shared, ScheduleRecord};
@@ -45,7 +45,7 @@ fn regime_scores(
     name: String,
     workload: &Workload,
     schedule: &ScheduleRecord,
-    window: DayNightWindow,
+    window: DailyWindow,
 ) -> RegimeScores {
     let mut day_total = 0.0;
     let mut day_n = 0usize;
@@ -54,7 +54,7 @@ fn regime_scores(
     for j in workload.jobs() {
         let p = schedule.placement(j.id).expect("complete schedule");
         let resp = p.response_time(j.submit) as f64;
-        if window.is_daytime(j.submit) {
+        if window.contains(j.submit) {
             day_total += resp;
             day_n += 1;
         } else {
@@ -76,10 +76,10 @@ fn regime_scores(
 /// single-algorithm candidate.
 pub fn combined_comparison(scale: Scale, candidates: &[AlgorithmSpec]) -> Vec<RegimeScores> {
     let w = prepared_ctc_workload(scale.ctc_jobs, scale.seed);
-    let window = DayNightWindow::default();
+    let window = DailyWindow::WEEKDAY_DAYTIME;
     let mut rows = Vec::with_capacity(candidates.len() + 1);
 
-    let mut combined = SwitchingScheduler::paper_combination();
+    let mut combined = ListScheduler::paper_combination();
     let name = jobsched_sim::Scheduler::name(&combined);
     let out = simulate(&w, &mut combined);
     rows.push(regime_scores(name, &w, &out.schedule, window));

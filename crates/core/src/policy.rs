@@ -11,50 +11,7 @@
 //! rule kinds modelled here; Example 1 (the chemistry department) and
 //! Example 5 (Institution B) ship as constructors.
 
-use std::fmt;
-
-/// A daily time window, optionally restricted to weekdays
-/// (hours in 0..24, `start < end`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DailyWindow {
-    /// First hour of the window (inclusive).
-    pub start_hour: u8,
-    /// Last hour of the window (exclusive).
-    pub end_hour: u8,
-    /// Whether the window applies on weekdays only.
-    pub weekdays_only: bool,
-}
-
-impl DailyWindow {
-    /// The Rule 5 window: 7am–8pm on weekdays.
-    pub const WEEKDAY_DAYTIME: DailyWindow = DailyWindow {
-        start_hour: 7,
-        end_hour: 20,
-        weekdays_only: true,
-    };
-
-    /// Two windows overlap if their hour ranges intersect and their
-    /// weekday scopes can coincide.
-    pub fn overlaps(&self, other: &DailyWindow) -> bool {
-        self.start_hour < other.end_hour && other.start_hour < self.end_hour
-    }
-}
-
-impl fmt::Display for DailyWindow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:02}:00–{:02}:00{}",
-            self.start_hour,
-            self.end_hour,
-            if self.weekdays_only {
-                " (weekdays)"
-            } else {
-                ""
-            }
-        )
-    }
-}
+pub use jobsched_algos::switching::DailyWindow;
 
 /// Scheduling goal attached to a time window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

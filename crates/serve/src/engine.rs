@@ -53,8 +53,8 @@
 use crate::clock::Clock;
 use crate::log::{check_horizon, check_width, InputLog, InputOp, InputRecord};
 use crate::protocol::{self, PolicyForce, Request};
-use crate::{SchedulerSpec, ServeConfig, ServeSched};
-use jobsched_algos::AlgorithmSpec;
+use crate::{SchedulerSpec, ServeConfig};
+use jobsched_algos::{AlgorithmSpec, ListScheduler};
 use jobsched_json::Json;
 use jobsched_metrics::OnlineMetrics;
 use jobsched_sim::{CancelPhase, JobEvent, LiveSim, Scheduler, SimObserver};
@@ -181,7 +181,7 @@ pub struct Engine {
     config: ServeConfig,
     clock: Clock,
     live: LiveSim,
-    scheduler: ServeSched,
+    scheduler: ListScheduler,
     /// Future-dated submissions, keyed `(submit, id)` so same-instant
     /// jobs inject in id order — the batch engine's order.
     pending: BTreeMap<(Time, JobId), Job>,
@@ -404,13 +404,12 @@ impl Engine {
     /// Apply a regime override (shared by live handling and replay).
     fn apply_policy(&mut self, force: PolicyForce) -> Result<(), String> {
         let now = self.clock.now();
-        let Some(sw) = self.scheduler.as_switch_mut() else {
+        if !self.scheduler.force_regime(force.regime()) {
             return Err(format!(
                 "scheduler '{}' has no day/night regimes to force",
                 self.scheduler.name()
             ));
-        };
-        sw.force_regime(force.regime());
+        }
         self.record(InputRecord {
             at: now,
             op: InputOp::Policy(force),
@@ -659,16 +658,14 @@ impl Engine {
             }
         }
         let now = self.clock.now();
-        let (regime, forced) = match self.scheduler.as_switch() {
-            Some(sw) => (
-                Json::Str(sw.active_regime_name(now).into()),
-                match sw.forced_regime() {
-                    Some(true) => Json::Str("day".into()),
-                    Some(false) => Json::Str("night".into()),
-                    None => Json::Null,
-                },
-            ),
-            None => (Json::Null, Json::Null),
+        let regime = match self.scheduler.active_regime_name(now) {
+            Some(name) => Json::Str(name.into()),
+            None => Json::Null,
+        };
+        let forced = match self.scheduler.forced_regime() {
+            Some(true) => Json::Str("day".into()),
+            Some(false) => Json::Str("night".into()),
+            None => Json::Null,
         };
         let mut fields = vec![
             ("scheduler", Json::Str(self.scheduler.name())),

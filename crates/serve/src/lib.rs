@@ -52,11 +52,8 @@ pub mod server;
 pub mod sys;
 
 use jobsched_algos::spec::PolicyKind;
-use jobsched_algos::switching::SwitchingScheduler;
 use jobsched_algos::view::WeightScheme;
 use jobsched_algos::{AlgorithmSpec, BackfillMode, ListScheduler};
-use jobsched_sim::{JobRequest, Machine, Scheduler};
-use jobsched_workload::{JobId, Time};
 use std::time::Duration;
 
 /// Which scheduler the daemon runs.
@@ -109,90 +106,11 @@ impl SchedulerSpec {
     }
 
     /// Materialise the scheduler (unweighted, as in Tables 3–6).
-    pub fn build(&self) -> ServeSched {
+    pub fn build(&self) -> ListScheduler {
         match self {
-            SchedulerSpec::List(spec) => ServeSched::List(spec.build(WeightScheme::Unweighted)),
-            SchedulerSpec::PaperSwitch => {
-                ServeSched::Switch(SwitchingScheduler::paper_combination())
-            }
+            SchedulerSpec::List(spec) => spec.build(WeightScheme::Unweighted),
+            SchedulerSpec::PaperSwitch => ListScheduler::paper_combination(),
         }
-    }
-}
-
-/// The daemon's scheduler: an atlas cell or the switching combination.
-/// A plain enum (not a trait object) so the engine can reach
-/// switching-specific operations (`policy` forcing) when present.
-#[derive(Debug)]
-pub enum ServeSched {
-    /// A [`ListScheduler`] built from an [`AlgorithmSpec`].
-    List(ListScheduler),
-    /// The day/night [`SwitchingScheduler`].
-    Switch(SwitchingScheduler),
-}
-
-impl ServeSched {
-    /// The switching scheduler, when this is one.
-    pub fn as_switch_mut(&mut self) -> Option<&mut SwitchingScheduler> {
-        match self {
-            ServeSched::Switch(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The switching scheduler, when this is one.
-    pub fn as_switch(&self) -> Option<&SwitchingScheduler> {
-        match self {
-            ServeSched::Switch(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn inner(&self) -> &dyn Scheduler {
-        match self {
-            ServeSched::List(s) => s,
-            ServeSched::Switch(s) => s,
-        }
-    }
-
-    fn inner_mut(&mut self) -> &mut dyn Scheduler {
-        match self {
-            ServeSched::List(s) => s,
-            ServeSched::Switch(s) => s,
-        }
-    }
-}
-
-impl Scheduler for ServeSched {
-    fn name(&self) -> String {
-        self.inner().name()
-    }
-
-    fn submit(&mut self, job: JobRequest, now: Time) {
-        self.inner_mut().submit(job, now);
-    }
-
-    fn job_finished(&mut self, id: JobId, now: Time) {
-        self.inner_mut().job_finished(id, now);
-    }
-
-    fn cancel(&mut self, id: JobId, now: Time) {
-        self.inner_mut().cancel(id, now);
-    }
-
-    fn capacity_changed(&mut self, now: Time) {
-        self.inner_mut().capacity_changed(now);
-    }
-
-    fn select_starts(&mut self, now: Time, machine: &Machine) -> Vec<JobId> {
-        self.inner_mut().select_starts(now, machine)
-    }
-
-    fn queue_len(&self) -> usize {
-        self.inner().queue_len()
-    }
-
-    fn next_wakeup(&self, now: Time) -> Option<Time> {
-        self.inner().next_wakeup(now)
     }
 }
 
@@ -277,12 +195,12 @@ mod tests {
     }
 
     #[test]
-    fn serve_sched_exposes_switching_operations() {
+    fn only_the_paper_switch_builds_forceable_regimes() {
         let mut s = SchedulerSpec::PaperSwitch.build();
-        assert!(s.as_switch().is_some());
-        s.as_switch_mut().unwrap().force_regime(Some(true));
-        assert_eq!(s.as_switch().unwrap().forced_regime(), Some(true));
+        assert!(s.force_regime(Some(true)));
+        assert_eq!(s.forced_regime(), Some(true));
         let mut l = SchedulerSpec::parse("fcfs+easy").unwrap().build();
-        assert!(l.as_switch_mut().is_none());
+        assert!(!l.force_regime(Some(true)));
+        assert_eq!(l.forced_regime(), None);
     }
 }

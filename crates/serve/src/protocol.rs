@@ -35,7 +35,7 @@ impl PolicyForce {
         }
     }
 
-    /// The day-regime flag `SwitchingScheduler::force_regime` takes:
+    /// The day-regime flag `ListScheduler::force_regime` takes:
     /// `None` hands control back to the clock.
     pub fn regime(&self) -> Option<bool> {
         match self {

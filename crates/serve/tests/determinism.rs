@@ -7,9 +7,8 @@
 //! paper's algorithm matrix and for the §7 day/night switching
 //! combination across a regime boundary.
 
-use jobsched_algos::switching::SwitchingScheduler;
 use jobsched_algos::view::WeightScheme;
-use jobsched_algos::AlgorithmSpec;
+use jobsched_algos::{AlgorithmSpec, ListScheduler};
 use jobsched_json::Json;
 use jobsched_serve::client::Client;
 use jobsched_serve::server::Server;
@@ -163,7 +162,7 @@ fn switching_combination_serves_identically_across_a_regime_boundary() {
             && workload.jobs().iter().any(|j| j.submit >= boundary),
         "workload must straddle the regime boundary"
     );
-    let mut scheduler = SwitchingScheduler::paper_combination();
+    let mut scheduler = ListScheduler::paper_combination();
     let batch = batch_placements(&mut scheduler, &workload);
     assert_identical("paper-switch", &workload, &batch);
 }

@@ -54,8 +54,8 @@ fn batch_sharded(spec: &str, workload: &Workload, shards: usize) -> (Vec<(Time, 
             workload.machine_nodes(),
             originals.iter().map(|j| (*j).clone()).collect(),
         );
-        // ServeSched implements Scheduler for every spec the daemon
-        // accepts, priority rows included.
+        // Every spec the daemon accepts, priority rows included, builds
+        // the ListScheduler the engine runs.
         let mut scheduler = SchedulerSpec::parse(spec).expect("spec parses").build();
         let out = simulate(&sub, &mut scheduler);
         makespans.push(out.schedule.makespan());

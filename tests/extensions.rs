@@ -3,8 +3,7 @@
 //! machine (§6.1), replication, and the ablation sweeps.
 
 use jobsched::algos::spec::PolicyKind;
-use jobsched::algos::switching::SwitchingScheduler;
-use jobsched::algos::{AlgorithmSpec, BackfillMode};
+use jobsched::algos::{AlgorithmSpec, BackfillMode, ListScheduler};
 use jobsched::core::ablation;
 use jobsched::core::experiment::Scale;
 use jobsched::core::extensions::{combined_comparison, gang_comparison, heterogeneity_comparison};
@@ -60,7 +59,7 @@ fn combined_scheduler_balances_both_regimes() {
 #[test]
 fn switching_scheduler_schedule_is_valid_at_scale() {
     let w = prepared_ctc_workload(2_000, 3);
-    let mut s = SwitchingScheduler::paper_combination();
+    let mut s = ListScheduler::paper_combination();
     let out = simulate(&w, &mut s);
     assert!(out.schedule.validate(&w).is_empty());
 }

@@ -6,11 +6,14 @@
 //! so these properties run in every plain `cargo test -q`.
 
 use jobsched::algos::spec::PolicyKind;
+use jobsched::algos::switching::DailyWindow;
 use jobsched::algos::view::WeightScheme;
 use jobsched::algos::{AlgorithmSpec, BackfillMode, ListScheduler};
-use jobsched::sim::simulate;
+use jobsched::sim::{simulate, LiveSim, RecordingObserver, ScheduleRecord, SimObserver};
+use jobsched::workload::job::DAY;
 use jobsched::workload::rng::{derive_seed, Rng, SmallRng};
-use jobsched::workload::{Job, JobBuilder, JobId, Workload};
+use jobsched::workload::{Job, JobBuilder, JobId, Time, Workload};
+use std::ops::Range;
 
 const MACHINE: u32 = 64;
 const CASES: u64 = 24;
@@ -18,10 +21,15 @@ const CASES: u64 = 24;
 /// Arbitrary job stream for a 64-node machine (1 to `max_jobs - 1` jobs,
 /// matching the old proptest strategy's range).
 fn arb_jobs(rng: &mut SmallRng, max_jobs: usize) -> Vec<Job> {
-    let len = rng.random_range(1usize..max_jobs);
+    arb_jobs_within(rng, 1..max_jobs, 50_000)
+}
+
+/// Arbitrary job stream of `lens` jobs submitted in `[0, span)`.
+fn arb_jobs_within(rng: &mut SmallRng, lens: Range<usize>, span: Time) -> Vec<Job> {
+    let len = rng.random_range(lens);
     (0..len)
         .map(|_| {
-            let submit = rng.random_range(0u64..50_000);
+            let submit = rng.random_range(0..span);
             let nodes = rng.random_range(1u32..=MACHINE);
             let requested = rng.random_range(1u64..5_000);
             // Runtime may exceed requested: killed at the limit (Rule 2).
@@ -199,7 +207,80 @@ fn cache_is_semantically_transparent() {
                 }
             }
         }
+        // The day/night combination, on submissions spanning two days:
+        // a cache taken under one regime must not outlive the switch to
+        // the other.
+        let w = Workload::new("prop-days", MACHINE, arb_jobs_within(rng, 40..160, 2 * DAY));
+        let a = simulate(&w, &mut ListScheduler::paper_combination()).schedule;
+        let b = simulate(
+            &w,
+            &mut ListScheduler::paper_combination().with_caching(false),
+        )
+        .schedule;
+        // Every start is a decision of the regime owning its instant.
+        let window = DailyWindow::WEEKDAY_DAYTIME;
+        let starts = |day| {
+            w.jobs()
+                .iter()
+                .filter(|j| window.contains(a.placement(j.id).unwrap().start) == day)
+                .count()
+        };
+        assert!(
+            starts(true) > 0 && starts(false) > 0,
+            "case {case}: one regime idle"
+        );
+        for j in w.jobs() {
+            assert_eq!(
+                a.placement(j.id),
+                b.placement(j.id),
+                "case {case}, paper combination: cache changed placement of {}",
+                j.id
+            );
+        }
+        // The same, with the regime forced against the clock a third of
+        // the way through the run and handed back to it at two thirds.
+        assert_eq!(
+            run_with_forced_regime(&w, ListScheduler::paper_combination()),
+            run_with_forced_regime(&w, ListScheduler::paper_combination().with_caching(false)),
+            "case {case}: cache changed a placement under a forced regime"
+        );
     });
+}
+
+/// Step `scheduler` over `w` on a [`LiveSim`], as the daemon does: after
+/// the first third of the event batches force the regime the clock does
+/// not pick, after the second third return control to the clock, each
+/// followed by a decision round at that instant.
+fn run_with_forced_regime(w: &Workload, mut scheduler: ListScheduler) -> ScheduleRecord {
+    let mut live = LiveSim::new(w.machine_nodes());
+    for j in w.jobs() {
+        live.add_job(j.clone());
+    }
+    let mut recorder = RecordingObserver::new();
+    let batches = 2 * w.len();
+    let (mut step, mut flips) = (0, 0);
+    while let Some(now) = live.step(
+        &mut scheduler,
+        None,
+        false,
+        &mut [&mut recorder as &mut dyn SimObserver],
+    ) {
+        step += 1;
+        let force = if step == batches / 3 {
+            Some(Some(!DailyWindow::WEEKDAY_DAYTIME.contains(now)))
+        } else if step == 2 * batches / 3 {
+            Some(None)
+        } else {
+            None
+        };
+        if let Some(forced) = force {
+            assert!(scheduler.force_regime(forced));
+            live.request_decision(now);
+            flips += 1;
+        }
+    }
+    assert_eq!(flips, 2, "the run ended before the regime was handed back");
+    recorder.into_record(w.machine_nodes(), w.len())
 }
 
 /// Schedule-record audit and machine bookkeeping agree: busy area of the
