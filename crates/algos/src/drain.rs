@@ -14,91 +14,47 @@
 //! illustrates — policy rules whose cost explodes with estimate
 //! inaccuracy — is measured by `core::extensions::drain_window_cost`.
 //!
-//! Jobs whose estimate exceeds the longest window-free gap
-//! ([`RecurringWindow::max_gap`]) can never comply; the two policy rules
-//! conflict, and per §2.1 ("a good policy contains rules to resolve
-//! conflicts") we resolve explicitly in favour of progress: such jobs are
-//! exempt from the drain rule and may overlap the class window.
+//! The window is a [`DailyWindow`], the one window type Examples 1 and
+//! 5 use as well ([`EXAMPLE4_WINDOW`]). Jobs whose estimate exceeds the
+//! longest window-free gap (Friday 11:00 → Monday 10:00) can never
+//! comply; the two policy rules conflict, and per §2.1 ("a good policy
+//! contains rules to resolve conflicts") we resolve explicitly in favour
+//! of progress: such jobs are exempt from the drain rule and may overlap
+//! the class window.
 
 use crate::scheduler::Waiting;
+use crate::switching::DailyWindow;
 use jobsched_sim::{JobRequest, Machine, Scheduler};
-use jobsched_workload::job::{DAY, HOUR, WEEK};
+use jobsched_workload::job::WEEK;
 use jobsched_workload::{ClassId, JobId, Time};
 
-/// A recurring exclusive window (weekdays only, as in Example 4).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecurringWindow {
-    /// Hour of day the window opens (0..24).
-    pub start_hour: u8,
-    /// Window length in seconds.
-    pub duration: Time,
-}
+/// Example 4's window: weekdays, 10:00–11:00.
+pub const EXAMPLE4_WINDOW: DailyWindow = DailyWindow {
+    start_hour: 10,
+    end_hour: 11,
+    weekdays_only: true,
+};
 
-impl RecurringWindow {
-    /// Example 4's window: weekdays, 10:00–11:00.
-    pub fn example4() -> Self {
-        RecurringWindow {
-            start_hour: 10,
-            duration: HOUR,
-        }
-    }
-
-    fn start_in_day(&self, day_origin: Time) -> Time {
-        day_origin + self.start_hour as Time * HOUR
-    }
-
-    fn is_weekday(day_index: Time) -> bool {
-        day_index % 7 < 5
-    }
-
-    /// Whether `t` lies inside a window occurrence.
-    pub fn contains(&self, t: Time) -> bool {
-        let day = t / DAY;
-        if !Self::is_weekday(day) {
-            return false;
-        }
-        let start = self.start_in_day(day * DAY);
-        (start..start + self.duration).contains(&t)
-    }
-
-    /// Start of the next window occurrence at or after `t`.
-    pub fn next_start(&self, t: Time) -> Time {
-        let mut day = t / DAY;
-        loop {
-            if Self::is_weekday(day) {
-                let start = self.start_in_day(day * DAY);
-                if start >= t {
-                    return start;
-                }
+/// The longest window-free stretch of `window`'s week: the gap from one
+/// window's end to the next window's start (for Example 4's window,
+/// Friday 11:00 → Monday 10:00, 71 hours). 0 for a window that never
+/// opens or never closes.
+fn longest_gap(window: &DailyWindow) -> Time {
+    let mut longest = 0;
+    let mut closed_at = None;
+    let mut t = 0;
+    // Two weeks of boundaries see every gap of the weekly calendar whole.
+    while let Some(b) = window.next_boundary(t).filter(|&b| b <= 2 * WEEK) {
+        if window.contains(b) {
+            if let Some(end) = closed_at {
+                longest = longest.max(b - end);
             }
-            day += 1;
-            debug_assert!(day * DAY < t + 2 * WEEK, "window search runaway");
+        } else {
+            closed_at = Some(b);
         }
+        t = b;
     }
-
-    /// End of the window occurrence containing `t` (undefined results if
-    /// `t` is outside every window).
-    pub fn end_of(&self, t: Time) -> Time {
-        let day = t / DAY;
-        self.start_in_day(day * DAY) + self.duration
-    }
-
-    /// The longest window-free gap in the weekly calendar (for
-    /// Example 4's weekday 10–11 window: Friday 11:00 → Monday 10:00,
-    /// 71 hours). A job whose estimate exceeds this can never comply with
-    /// the drain rule.
-    pub fn max_gap(&self) -> Time {
-        let mut starts: Vec<Time> = (0..14)
-            .filter(|d| Self::is_weekday(*d))
-            .map(|d| self.start_in_day(d * DAY))
-            .collect();
-        starts.sort_unstable();
-        starts
-            .windows(2)
-            .map(|p| p[1] - (p[0] + self.duration))
-            .max()
-            .expect("at least two weekday windows in two weeks")
-    }
+    longest
 }
 
 /// FCFS that drains the machine ahead of every window occurrence: a job
@@ -108,15 +64,18 @@ impl RecurringWindow {
 /// nodes).
 #[derive(Debug)]
 pub struct DrainingFcfs {
-    window: RecurringWindow,
+    window: DailyWindow,
+    /// [`longest_gap`] of `window`: a longer estimate can never comply.
+    max_gap: Time,
     waiting: Waiting,
 }
 
 impl DrainingFcfs {
     /// New scheduler with the given recurring window.
-    pub fn new(window: RecurringWindow) -> Self {
+    pub fn new(window: DailyWindow) -> Self {
         DrainingFcfs {
             window,
+            max_gap: longest_gap(&window),
             waiting: Waiting::new(),
         }
     }
@@ -124,10 +83,7 @@ impl DrainingFcfs {
 
 impl Scheduler for DrainingFcfs {
     fn name(&self) -> String {
-        format!(
-            "FCFS+drain[{}:00+{}s weekdays]",
-            self.window.start_hour, self.window.duration
-        )
+        format!("FCFS+drain[{}]", self.window)
     }
 
     fn submit(&mut self, job: JobRequest, _now: Time) {
@@ -148,8 +104,8 @@ impl Scheduler for DrainingFcfs {
             // The class owns the machine; nothing starts.
             return Vec::new();
         }
-        let window_start = self.window.next_start(now);
-        let max_gap = self.window.max_gap();
+        // A window that never opens blocks nothing.
+        let window_start = self.window.next_boundary(now).unwrap_or(Time::MAX);
         // One budget per node-class pool: a job can only take nodes of
         // the pool it resolved to.
         let mut free: Vec<u32> = (0..machine.class_count())
@@ -167,8 +123,8 @@ impl Scheduler for DrainingFcfs {
             // never comply: the policy rules conflict (§2.1 demands such
             // conflicts be resolved) and we resolve in favour of progress —
             // the job is exempt from the drain rule.
-            let clears_window =
-                now + job.requested_time.max(1) <= window_start || job.requested_time > max_gap;
+            let clears_window = now + job.requested_time.max(1) <= window_start
+                || job.requested_time > self.max_gap;
             let fits = job.nodes <= *pool;
             if fits && clears_window {
                 *pool -= job.nodes;
@@ -198,12 +154,14 @@ impl Scheduler for DrainingFcfs {
             return None;
         }
         // Jobs blocked by the drain rule become startable when the next
-        // window closes.
-        Some(if self.window.contains(now) {
-            self.window.end_of(now)
+        // window closes: the next boundary inside a window, the one after
+        // the next window opens outside it.
+        let boundary = self.window.next_boundary(now)?;
+        if self.window.contains(now) {
+            Some(boundary)
         } else {
-            self.window.next_start(now) + self.window.duration
-        })
+            self.window.next_boundary(boundary)
+        }
     }
 }
 
@@ -211,46 +169,59 @@ impl Scheduler for DrainingFcfs {
 mod tests {
     use super::*;
     use jobsched_sim::simulate;
+    use jobsched_workload::job::{DAY, HOUR};
     use jobsched_workload::{JobBuilder, Workload};
+
+    fn one_job() -> JobRequest {
+        JobRequest {
+            id: JobId(0),
+            submit: 0,
+            nodes: 1,
+            class: ClassId(0),
+            requested_time: 100,
+            user: 0,
+        }
+    }
 
     #[test]
     fn window_calendar() {
-        let w = RecurringWindow::example4();
-        // Monday 10:30 is inside; Monday 11:00 is not; Saturday 10:30 is not.
+        let w = EXAMPLE4_WINDOW;
+        // 10:00 is inside; 09:59:59 and 11:00 are outside; so is
+        // Saturday 10:30.
+        assert!(w.contains(10 * HOUR));
         assert!(w.contains(10 * HOUR + 1800));
+        assert!(w.contains(11 * HOUR - 1));
+        assert!(!w.contains(10 * HOUR - 1));
         assert!(!w.contains(11 * HOUR));
         assert!(!w.contains(5 * DAY + 10 * HOUR + 1800));
-        // Next start from Monday noon is Tuesday 10am.
-        assert_eq!(w.next_start(12 * HOUR), DAY + 10 * HOUR);
-        // Next start from Friday noon is Monday 10am.
-        assert_eq!(w.next_start(4 * DAY + 12 * HOUR), 7 * DAY + 10 * HOUR);
-        // From Monday 9am it is Monday 10am.
-        assert_eq!(w.next_start(9 * HOUR), 10 * HOUR);
-        assert_eq!(w.end_of(10 * HOUR + 10), 11 * HOUR);
+        // Outside, the next boundary is the next window's start: from
+        // Monday 9:00 it is Monday 10:00, from Monday noon Tuesday 10:00.
+        assert_eq!(w.next_boundary(9 * HOUR), Some(10 * HOUR));
+        assert_eq!(w.next_boundary(12 * HOUR), Some(DAY + 10 * HOUR));
+        // Inside, it is the window's end, from the opening instant on.
+        assert_eq!(w.next_boundary(10 * HOUR), Some(11 * HOUR));
+        assert_eq!(w.next_boundary(11 * HOUR - 1), Some(11 * HOUR));
     }
 
     #[test]
     fn window_boundary_instants() {
-        let w = RecurringWindow::example4();
-        // The opening instant is inside, the closing instant is outside.
-        assert!(w.contains(10 * HOUR));
-        assert!(!w.contains(10 * HOUR - 1));
-        assert!(w.contains(11 * HOUR - 1));
-        assert!(!w.contains(11 * HOUR));
-        // next_start at exactly a window start returns that same start —
-        // the occurrence "at or after t" includes t itself.
-        assert_eq!(w.next_start(10 * HOUR), 10 * HOUR);
-        // One second into the window the current occurrence is behind us.
-        assert_eq!(w.next_start(10 * HOUR + 1), DAY + 10 * HOUR);
-        // contains/end_of agree at both edges of an occurrence.
-        assert_eq!(w.end_of(10 * HOUR), 11 * HOUR);
-        assert_eq!(w.end_of(11 * HOUR - 1), 11 * HOUR);
-        // Weekend rollover: any instant from Friday 10:00:01 onward maps
-        // to Monday 10:00 (day indices 5, 6 are the weekend).
-        assert_eq!(w.next_start(4 * DAY + 10 * HOUR + 1), 7 * DAY + 10 * HOUR);
-        assert_eq!(w.next_start(5 * DAY), 7 * DAY + 10 * HOUR);
-        assert_eq!(w.next_start(6 * DAY + 23 * HOUR), 7 * DAY + 10 * HOUR);
-        assert_eq!(w.next_start(7 * DAY + 10 * HOUR), 7 * DAY + 10 * HOUR);
+        let w = EXAMPLE4_WINDOW;
+        // From Friday 10:00:01 the next boundary is Friday 11:00; from
+        // Friday 11:00 the weekend rolls it over to Monday 10:00 (day
+        // indices 5 and 6 are the weekend).
+        assert_eq!(
+            w.next_boundary(4 * DAY + 10 * HOUR + 1),
+            Some(4 * DAY + 11 * HOUR)
+        );
+        assert_eq!(
+            w.next_boundary(4 * DAY + 11 * HOUR),
+            Some(7 * DAY + 10 * HOUR)
+        );
+        assert_eq!(w.next_boundary(5 * DAY), Some(7 * DAY + 10 * HOUR));
+        assert_eq!(
+            w.next_boundary(6 * DAY + 23 * HOUR),
+            Some(7 * DAY + 10 * HOUR)
+        );
     }
 
     #[test]
@@ -271,7 +242,7 @@ mod tests {
                 .build(),
         ];
         let w = Workload::new("drain", 64, jobs);
-        let mut s = DrainingFcfs::new(RecurringWindow::example4());
+        let mut s = DrainingFcfs::new(EXAMPLE4_WINDOW);
         let out = simulate(&w, &mut s);
         assert_eq!(out.schedule.placement(JobId(0)).unwrap().start, 9 * HOUR);
         assert_eq!(out.schedule.placement(JobId(1)).unwrap().start, 11 * HOUR);
@@ -279,19 +250,9 @@ mod tests {
 
     #[test]
     fn wakeup_at_boundary_instants_points_past_the_window() {
-        let mut s = DrainingFcfs::new(RecurringWindow::example4());
+        let mut s = DrainingFcfs::new(EXAMPLE4_WINDOW);
         assert_eq!(s.next_wakeup(9 * HOUR), None, "empty queue never wakes");
-        s.submit(
-            JobRequest {
-                id: JobId(0),
-                submit: 0,
-                nodes: 1,
-                class: jobsched_workload::ClassId(0),
-                requested_time: 100,
-                user: 0,
-            },
-            0,
-        );
+        s.submit(one_job(), 0);
         // Before, at the opening instant, mid-window and at the closing
         // instant: the wakeup always lands on (or beyond) a window end.
         assert_eq!(s.next_wakeup(9 * HOUR), Some(11 * HOUR));
@@ -321,23 +282,19 @@ mod tests {
             })
             .collect();
         let w = Workload::new("drain", 64, jobs);
-        let mut s = DrainingFcfs::new(RecurringWindow::example4());
+        let mut s = DrainingFcfs::new(EXAMPLE4_WINDOW);
         let out = simulate(&w, &mut s);
         assert!(out.schedule.validate(&w).is_empty());
-        let win = RecurringWindow::example4();
+        let win = EXAMPLE4_WINDOW;
         for j in w.jobs() {
             let p = out.schedule.placement(j.id).unwrap();
             for t in [p.start, p.completion - 1] {
                 assert!(!win.contains(t), "{:?} touches the window: {p:?}", j.id);
             }
-            // Entire execution clear of windows: starts after previous end
-            // or ends before next start.
-            let next = win.next_start(p.start);
-            assert!(
-                p.completion <= next || p.start >= win.end_of(next),
-                "{:?} spans a window: {p:?}",
-                j.id
-            );
+            // Entire execution clear of windows: a job starting outside
+            // one ends before the next one opens.
+            let opens = win.next_boundary(p.start).unwrap();
+            assert!(p.completion <= opens, "{:?} spans a window: {p:?}", j.id);
         }
     }
 
@@ -358,7 +315,7 @@ mod tests {
                 .build(),
         ];
         let w = Workload::new("drain", 64, jobs);
-        let mut s = DrainingFcfs::new(RecurringWindow::example4());
+        let mut s = DrainingFcfs::new(EXAMPLE4_WINDOW);
         let out = simulate(&w, &mut s);
         assert_eq!(
             out.schedule.placement(JobId(1)).unwrap().start,
@@ -395,7 +352,7 @@ mod tests {
                 .build()
         };
         let w = Workload::new("two-class", 10, vec![thin(0, 8), thin(1, 2)]).with_layout(layout);
-        let out = simulate(&w, &mut DrainingFcfs::new(RecurringWindow::example4()));
+        let out = simulate(&w, &mut DrainingFcfs::new(EXAMPLE4_WINDOW));
         assert!(out.schedule.validate(&w).is_empty());
         assert_eq!(out.schedule.placement(JobId(1)).unwrap().start, 100);
     }
@@ -403,7 +360,31 @@ mod tests {
     #[test]
     fn max_gap_is_the_weekend() {
         // Friday 11:00 → Monday 10:00 = 71 h.
-        assert_eq!(RecurringWindow::example4().max_gap(), 71 * HOUR);
+        assert_eq!(longest_gap(&EXAMPLE4_WINDOW), 71 * HOUR);
+    }
+
+    #[test]
+    fn a_window_that_never_opens_blocks_nothing() {
+        let never = DailyWindow {
+            start_hour: 10,
+            end_hour: 10,
+            weekdays_only: true,
+        };
+        assert_eq!(never.next_boundary(0), None);
+        assert_eq!(longest_gap(&never), 0);
+        // A 2 h job submitted at 9:00 starts at once, and a waiting job
+        // arms no wakeup.
+        let jobs = vec![JobBuilder::new(JobId(0))
+            .submit(9 * HOUR)
+            .nodes(64)
+            .exact_runtime(2 * HOUR)
+            .build()];
+        let w = Workload::new("drain", 64, jobs);
+        let out = simulate(&w, &mut DrainingFcfs::new(never));
+        assert_eq!(out.schedule.placement(JobId(0)).unwrap().start, 9 * HOUR);
+        let mut s = DrainingFcfs::new(never);
+        s.submit(one_job(), 0);
+        assert_eq!(s.next_wakeup(9 * HOUR), None);
     }
 
     #[test]
@@ -417,7 +398,7 @@ mod tests {
             .runtime(30 * HOUR)
             .build()];
         let w = Workload::new("drain", 64, jobs);
-        let mut s = DrainingFcfs::new(RecurringWindow::example4());
+        let mut s = DrainingFcfs::new(EXAMPLE4_WINDOW);
         let out = simulate(&w, &mut s);
         assert_eq!(out.schedule.placement(JobId(0)).unwrap().start, 9 * HOUR);
     }
@@ -434,7 +415,7 @@ mod tests {
             .runtime(1800)
             .build()];
         let w = Workload::new("drain", 64, jobs);
-        let mut s = DrainingFcfs::new(RecurringWindow::example4());
+        let mut s = DrainingFcfs::new(EXAMPLE4_WINDOW);
         let out = simulate(&w, &mut s);
         assert_eq!(out.schedule.placement(JobId(0)).unwrap().start, 11 * HOUR);
     }

@@ -42,14 +42,6 @@ pub struct SweepRow {
     pub cost: f64,
 }
 
-fn scheme_for(objective: ObjectiveKind) -> WeightScheme {
-    if objective.weighted() {
-        WeightScheme::ProjectedArea
-    } else {
-        WeightScheme::Unweighted
-    }
-}
-
 fn cost_of(workload: &Workload, scheduler: &mut ListScheduler, objective: ObjectiveKind) -> f64 {
     let out = simulate(workload, scheduler);
     objective.cost(workload, &out.schedule)
@@ -58,7 +50,7 @@ fn cost_of(workload: &Workload, scheduler: &mut ListScheduler, objective: Object
 /// Sweep SMART-FFIA's γ over `gammas` with EASY backfilling.
 pub fn gamma_sweep(scale: Scale, objective: ObjectiveKind, gammas: &[f64]) -> Vec<SweepRow> {
     let w = prepared_ctc_workload(scale.ctc_jobs, scale.seed);
-    let scheme = scheme_for(objective);
+    let scheme = objective.weight_scheme();
     gammas
         .iter()
         .map(|&gamma| {
@@ -87,7 +79,7 @@ pub fn reorder_sweep(
     thresholds: &[f64],
 ) -> Vec<(SweepRow, u64)> {
     let w = prepared_ctc_workload(scale.ctc_jobs, scale.seed);
-    let scheme = scheme_for(objective);
+    let scheme = objective.weight_scheme();
     thresholds
         .iter()
         .map(|&th| {
@@ -108,7 +100,7 @@ pub fn reorder_sweep(
 /// Sweep PSRS's wide-job patience factor with EASY backfilling.
 pub fn wide_wait_sweep(scale: Scale, objective: ObjectiveKind, factors: &[f64]) -> Vec<SweepRow> {
     let w = prepared_ctc_workload(scale.ctc_jobs, scale.seed);
-    let scheme = scheme_for(objective);
+    let scheme = objective.weight_scheme();
     factors
         .iter()
         .map(|&factor| {
@@ -144,7 +136,7 @@ pub fn estimate_quality_sweep(
         .iter()
         .map(|&factor| {
             let w = with_estimate_factor(&base, factor);
-            let mut sched = spec.build(scheme_for(objective));
+            let mut sched = spec.build(objective.weight_scheme());
             SweepRow {
                 value: factor,
                 cost: cost_of(&w, &mut sched, objective),

@@ -4,7 +4,6 @@
 
 use crate::objective_select::ObjectiveKind;
 use jobsched_algos::spec::PolicyKind;
-use jobsched_algos::view::WeightScheme;
 use jobsched_algos::{AlgorithmSpec, OrderPolicy};
 use jobsched_metrics::{Objective, OnlineMakespan, OnlineUtilization, StreamingObserver};
 use jobsched_sim::{simulate_time_shared, SimPipeline};
@@ -211,16 +210,6 @@ pub fn run_cell(
         .expect("one objective, one cell")
 }
 
-/// The weight scheme the ordering algorithms optimise for under
-/// `objective`.
-fn weight_scheme(objective: ObjectiveKind) -> WeightScheme {
-    if objective.weighted() {
-        WeightScheme::ProjectedArea
-    } else {
-        WeightScheme::Unweighted
-    }
-}
-
 /// The ordering policy a rigid `spec` is built with when its schedule
 /// is scored under `objective`; `None` for the time-shared rows, which
 /// take no weight scheme. The objective reaches the scheduler only
@@ -228,7 +217,7 @@ fn weight_scheme(objective: ObjectiveKind) -> WeightScheme {
 /// whose answers compare equal get the same schedule — the condition
 /// under which [`run_cells`] scores them from one simulation.
 pub fn schedule_policy(spec: AlgorithmSpec, objective: ObjectiveKind) -> Option<OrderPolicy> {
-    (!spec.kind.time_shared()).then(|| spec.kind.policy(weight_scheme(objective)))
+    (!spec.kind.time_shared()).then(|| spec.kind.policy(objective.weight_scheme()))
 }
 
 /// Run one full simulation of the workload under the spec and score its
@@ -262,7 +251,7 @@ pub fn run_cells(
     if spec.kind.time_shared() {
         return run_time_shared_cells(workload, objectives, spec);
     }
-    let mut scheduler = spec.build_dyn(weight_scheme(first), caching);
+    let mut scheduler = spec.build_dyn(first.weight_scheme(), caching);
     let mut costs: Vec<_> = objectives.iter().map(|o| o.build_streaming()).collect();
     let mut makespan = OnlineMakespan::new();
     let mut utilization = OnlineUtilization::new(workload.machine_nodes());

@@ -5,7 +5,8 @@
 //!   [`ListScheduler::paper_combination`] against the single algorithms
 //!   and scores each schedule under *both* regime objectives: ART over
 //!   daytime-submitted jobs (Rule 5's constituency) and AWRT over
-//!   night/weekend-submitted jobs (Rule 6's).
+//!   night/weekend-submitted jobs (Rule 6's), each the library's
+//!   accumulator replayed over that subset of jobs.
 //! * [`gang_comparison`] — the paper's reference \[15\]: FCFS with gang
 //!   scheduling versus space-shared FCFS, sweeping the time slice. Shows
 //!   what Institution B gives up by buying a machine without time
@@ -17,7 +18,7 @@ use jobsched_algos::spec::PolicyKind;
 use jobsched_algos::switching::DailyWindow;
 use jobsched_algos::view::WeightScheme;
 use jobsched_algos::{AlgorithmSpec, BackfillMode, ListScheduler};
-use jobsched_metrics::Objective;
+use jobsched_metrics::{replay, Objective, OnlineArt, OnlineAwrt, StreamingObjective};
 use jobsched_sim::gang::{GangConfig, GangFcfsTs};
 use jobsched_sim::{simulate, simulate_time_shared, ScheduleRecord};
 use jobsched_workload::ctc::prepared_ctc_workload;
@@ -47,25 +48,20 @@ fn regime_scores(
     schedule: &ScheduleRecord,
     window: DailyWindow,
 ) -> RegimeScores {
-    let mut day_total = 0.0;
-    let mut day_n = 0usize;
-    let mut night_total = 0.0;
-    let mut night_n = 0usize;
-    for j in workload.jobs() {
-        let p = schedule.placement(j.id).expect("complete schedule");
-        let resp = p.response_time(j.submit) as f64;
-        if window.contains(j.submit) {
-            day_total += resp;
-            day_n += 1;
-        } else {
-            night_total += j.area() * resp;
-            night_n += 1;
-        }
-    }
+    let by_day = |day: bool| {
+        workload
+            .jobs()
+            .iter()
+            .filter(move |j| window.contains(j.submit) == day)
+    };
+    let mut day_art = OnlineArt::new();
+    let mut night_awrt = OnlineAwrt::new();
+    replay(by_day(true), schedule, &mut day_art);
+    replay(by_day(false), schedule, &mut night_awrt);
     RegimeScores {
         name,
-        day_art: day_total / day_n.max(1) as f64,
-        night_awrt: night_total / night_n.max(1) as f64,
+        day_art: day_art.cost(),
+        night_awrt: night_awrt.cost(),
     }
 }
 
@@ -124,7 +120,7 @@ impl DrainRow {
 /// the ART penalty of [`jobsched_algos::drain::DrainingFcfs`] growing
 /// with the estimate padding factor.
 pub fn drain_window_cost(scale: Scale, factors: &[f64]) -> Vec<DrainRow> {
-    use jobsched_algos::drain::{DrainingFcfs, RecurringWindow};
+    use jobsched_algos::drain::{DrainingFcfs, EXAMPLE4_WINDOW};
     use jobsched_workload::exact::with_estimate_factor;
 
     let base = prepared_ctc_workload(scale.ctc_jobs, scale.seed);
@@ -132,7 +128,7 @@ pub fn drain_window_cost(scale: Scale, factors: &[f64]) -> Vec<DrainRow> {
         .iter()
         .map(|&factor| {
             let w = with_estimate_factor(&base, factor);
-            let mut drained = DrainingFcfs::new(RecurringWindow::example4());
+            let mut drained = DrainingFcfs::new(EXAMPLE4_WINDOW);
             let drained_out = simulate(&w, &mut drained);
             DrainRow {
                 estimate_factor: factor,

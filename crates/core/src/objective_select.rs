@@ -22,6 +22,7 @@
 //! one definition whether it is folded live or computed afterwards.
 
 use crate::policy::{DailyWindow, Policy, Rule, SchedulingGoal};
+use jobsched_algos::view::WeightScheme;
 use jobsched_metrics::{
     replay, Objective, OnlineArt, OnlineAwrt, OnlineBoundedSlowdown, OnlineMaxUserSlowdown,
     OnlineP95WidthSlowdown, OnlineSlowdownVariance, StreamingObjective,
@@ -78,12 +79,22 @@ impl ObjectiveKind {
     pub fn weighted(&self) -> bool {
         matches!(self, ObjectiveKind::AvgWeightedResponseTime)
     }
+
+    /// The weight scheme the ordering algorithms optimise for under this
+    /// objective.
+    pub fn weight_scheme(&self) -> WeightScheme {
+        if self.weighted() {
+            WeightScheme::ProjectedArea
+        } else {
+            WeightScheme::Unweighted
+        }
+    }
 }
 
 impl Objective for ObjectiveKind {
     fn cost(&self, workload: &Workload, schedule: &ScheduleRecord) -> f64 {
         let mut acc = self.build_streaming();
-        replay(workload, schedule, &mut *acc);
+        replay(workload.jobs(), schedule, &mut *acc);
         acc.cost()
     }
 }
@@ -216,7 +227,7 @@ mod tests {
     fn assert_one_definition(w: &Workload, s: &ScheduleRecord) {
         for kind in ALL {
             let mut acc = kind.build_streaming();
-            replay(w, s, &mut *acc);
+            replay(w.jobs(), s, &mut *acc);
             let replayed = acc.cost().to_bits();
             assert_eq!(kind.cost(w, s).to_bits(), replayed, "{kind:?}");
             assert_eq!(kind.build().cost(w, s).to_bits(), replayed, "{kind:?}");

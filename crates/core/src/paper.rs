@@ -1,7 +1,9 @@
 //! Figures 1–2 of the paper: one two-criteria scenario (a priority
-//! group sharing the machine with a lab course's daily exclusive
-//! window), scheduled by every matrix algorithm and ranked by Pareto
-//! dominance.
+//! group sharing the machine with a lab course holding Example 1's
+//! weekday exclusive window), scheduled by every matrix algorithm and
+//! ranked by Pareto dominance. The window is read from
+//! [`Policy::example1`] and the group's ART is the library's
+//! [`OnlineArt`] over the group's jobs.
 //!
 //! | item | content | function |
 //! |---|---|---|
@@ -13,21 +15,22 @@
 //! (`Campaign::paper_tables`) run by `run_campaign`.
 
 use crate::objective_select::ObjectiveKind;
+use crate::policy::{DailyWindow, Policy, Rule};
 use jobsched_algos::view::WeightScheme;
 use jobsched_algos::AlgorithmSpec;
-use jobsched_metrics::{pareto_ranks, Objective, Point};
+use jobsched_metrics::{pareto_ranks, replay, Objective, OnlineArt, Point, StreamingObjective};
 use jobsched_sim::{simulate, ScheduleRecord};
 use jobsched_workload::exact::with_exact_estimates;
 use jobsched_workload::job::{DAY, HOUR};
-use jobsched_workload::{JobBuilder, JobId, Workload};
+use jobsched_workload::{JobBuilder, JobId, Time, Workload};
 
 // ---------------------------------------------------------------------
 // Figure 1: Pareto-optimal schedules under two conflicting criteria.
 // ---------------------------------------------------------------------
 
 /// The Figure 1 scenario: a machine shared between a priority group
-/// ("drug design", user 0) and a lab course holding a daily exclusive
-/// window, evaluated under two conflicting criteria:
+/// ("drug design", user 0) and a lab course holding Example 1's weekday
+/// exclusive window, evaluated under two conflicting criteria:
 ///
 /// * x — *unavailability* for the course: fraction of the course window's
 ///   node-seconds occupied by other groups' jobs (0 = fully available);
@@ -42,23 +45,41 @@ pub struct Figure1 {
     pub ranks: Vec<usize>,
 }
 
-/// The course window used by the Figure 1 and 2 scenarios: 10:00–12:00
-/// daily.
-const COURSE_START: u64 = 10 * HOUR;
-const COURSE_END: u64 = 12 * HOUR;
+/// The lab course's window in the Figure 1 and 2 scenarios: Example 1's
+/// exclusive window (weekdays, 10:00–12:00).
+fn course_window() -> DailyWindow {
+    Policy::example1()
+        .rules
+        .into_iter()
+        .find_map(|rule| match rule {
+            Rule::ExclusiveWindow { window, .. } => Some(window),
+            _ => None,
+        })
+        .expect("Example 1 reserves a window for the lab course")
+}
 
-/// Fraction of course-window node-seconds occupied by non-course jobs.
-fn course_unavailability(workload: &Workload, schedule: &ScheduleRecord) -> f64 {
+/// Fraction of course-window node-seconds occupied by non-course jobs,
+/// over the days the window applies to.
+fn course_unavailability(
+    window: DailyWindow,
+    workload: &Workload,
+    schedule: &ScheduleRecord,
+) -> f64 {
     let makespan = schedule.makespan().max(DAY);
-    let days = makespan.div_ceil(DAY);
-    let capacity = (days * (COURSE_END - COURSE_START)) as f64 * schedule.machine_nodes() as f64;
+    let open = window.start_hour as Time * HOUR;
+    let close = window.end_hour as Time * HOUR;
+    let days: Vec<Time> = (0..makespan.div_ceil(DAY))
+        .map(|d| d * DAY)
+        .filter(|&day| window.contains(day + open))
+        .collect();
+    let capacity = (days.len() as Time * (close - open)) as f64 * schedule.machine_nodes() as f64;
     let mut occupied = 0.0;
     for job in workload.jobs() {
         let Some(p) = schedule.placement(job.id) else {
             continue;
         };
-        for d in 0..days {
-            let (lo, hi) = (d * DAY + COURSE_START, d * DAY + COURSE_END);
+        for &day in &days {
+            let (lo, hi) = (day + open, day + close);
             let (s, e) = (p.start.max(lo), p.completion.min(hi));
             if e > s {
                 occupied += (e - s) as f64 * job.nodes as f64;
@@ -70,15 +91,29 @@ fn course_unavailability(workload: &Workload, schedule: &ScheduleRecord) -> f64 
 
 /// Average response time of user 0's ("drug design") jobs, in minutes.
 fn priority_group_art(workload: &Workload, schedule: &ScheduleRecord) -> f64 {
-    let mut total = 0.0;
-    let mut n = 0usize;
-    for job in workload.jobs().iter().filter(|j| j.user == 0) {
-        if let Some(p) = schedule.placement(job.id) {
-            total += p.response_time(job.submit) as f64;
-            n += 1;
+    let mut art = OnlineArt::new();
+    let group = workload.jobs().iter().filter(|j| j.user == 0);
+    replay(group, schedule, &mut art);
+    art.cost() / 60.0
+}
+
+/// Schedule `workload` with every matrix algorithm under both weight
+/// schemes: one point per schedule, costed by `criteria`.
+fn matrix_points(
+    workload: &Workload,
+    criteria: impl Fn(&ScheduleRecord) -> Vec<f64>,
+) -> Vec<Point> {
+    let mut points = Vec::new();
+    for spec in AlgorithmSpec::paper_matrix() {
+        for scheme in [WeightScheme::Unweighted, WeightScheme::ProjectedArea] {
+            let out = simulate(workload, &mut spec.build(scheme));
+            points.push(Point::new(
+                format!("{} [{}]", spec.name(), scheme.label()),
+                criteria(&out.schedule),
+            ));
         }
     }
-    total / (60.0 * n.max(1) as f64)
+    points
 }
 
 /// A small two-group workload for Figures 1–2: user 0 = drug design
@@ -121,22 +156,13 @@ pub fn figure_workload(seed: u64) -> Workload {
 /// and rank the resulting schedules.
 pub fn figure1() -> Figure1 {
     let w = figure_workload(42);
-    let mut points = Vec::new();
-
-    // The 13 matrix algorithms give structurally distinct schedules.
-    for spec in AlgorithmSpec::paper_matrix() {
-        for scheme in [WeightScheme::Unweighted, WeightScheme::ProjectedArea] {
-            let mut sched = spec.build(scheme);
-            let out = simulate(&w, &mut sched);
-            points.push(Point::new(
-                format!("{} [{}]", spec.name(), scheme.label()),
-                vec![
-                    course_unavailability(&w, &out.schedule),
-                    priority_group_art(&w, &out.schedule),
-                ],
-            ));
-        }
-    }
+    let window = course_window();
+    let points = matrix_points(&w, |schedule| {
+        vec![
+            course_unavailability(window, &w, schedule),
+            priority_group_art(&w, schedule),
+        ]
+    });
     let ranks = pareto_ranks(&points);
     Figure1 { points, ranks }
 }
@@ -173,22 +199,14 @@ pub fn ideal(points: &[Point]) -> Vec<f64> {
 pub fn figure2() -> Figure2 {
     let w = figure_workload(42);
     let exact = with_exact_estimates(&w);
+    let window = course_window();
     let run = |workload: &Workload| {
-        let mut pts = Vec::new();
-        for spec in AlgorithmSpec::paper_matrix() {
-            for scheme in [WeightScheme::Unweighted, WeightScheme::ProjectedArea] {
-                let mut sched = spec.build(scheme);
-                let out = simulate(workload, &mut sched);
-                pts.push(Point::new(
-                    format!("{} [{}]", spec.name(), scheme.label()),
-                    vec![
-                        ObjectiveKind::AvgResponseTime.cost(workload, &out.schedule),
-                        course_unavailability(workload, &out.schedule),
-                    ],
-                ));
-            }
-        }
-        pts
+        matrix_points(workload, |schedule| {
+            vec![
+                ObjectiveKind::AvgResponseTime.cost(workload, schedule),
+                course_unavailability(window, workload, schedule),
+            ]
+        })
     };
     Figure2 {
         online: run(&w),
@@ -239,7 +257,7 @@ mod tests {
         let spec = AlgorithmSpec::reference();
         let mut sched = spec.build(WeightScheme::Unweighted);
         let out = simulate(&w, &mut sched);
-        let u = course_unavailability(&w, &out.schedule);
+        let u = course_unavailability(course_window(), &w, &out.schedule);
         assert!((0.0..=1.0).contains(&u), "unavailability {u}");
     }
 }

@@ -69,7 +69,7 @@ fn config_json(
     let art = ObjectiveKind::AvgResponseTime.cost(workload, &out.schedule);
     let awrt = ObjectiveKind::AvgWeightedResponseTime.cost(workload, &out.schedule);
     let mut util = OnlineUtilization::new(out.schedule.machine_nodes());
-    replay(workload, &out.schedule, &mut util);
+    replay(workload.jobs(), &out.schedule, &mut util);
     let utilization = util.utilization();
     let slowdown = ObjectiveKind::AvgBoundedSlowdown.cost(workload, &out.schedule);
     eprintln!(

@@ -469,7 +469,7 @@ mod tests {
         s.place(JobId(0), 0, 100);
         s.place(JobId(1), 900, 1000);
         let replayed = |mut acc: Box<dyn StreamingObjective>| {
-            replay(&w, &s, &mut *acc);
+            replay(w.jobs(), &s, &mut *acc);
             acc.cost()
         };
         assert_eq!(replayed(Box::new(OnlineMaxUserSlowdown::new())), 10.0);

@@ -36,7 +36,7 @@
 //! `streaming_equivalence` suite pins that across all 43 atlas rows.
 
 use jobsched_sim::{JobEvent, JobOutcome, ScheduleRecord, SimObserver};
-use jobsched_workload::{JobId, Time, Workload};
+use jobsched_workload::{Job, JobId, Time, Workload};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A schedule cost computed online, one lifecycle event at a time.
@@ -81,15 +81,16 @@ pub trait Objective {
     fn cost(&self, workload: &Workload, schedule: &ScheduleRecord) -> f64;
 }
 
-/// Feed a finished schedule through a streaming accumulator, job by job.
-/// This is how every [`Objective`] computes its cost. Panics on an
-/// incomplete schedule.
-pub fn replay(
-    workload: &Workload,
+/// Feed `jobs`' executions in a finished schedule through a streaming
+/// accumulator, job by job. This is how every [`Objective`] computes its
+/// cost (over all of a workload's jobs), and how a study scores a subset
+/// of them. Panics if a job has no placement.
+pub fn replay<'a>(
+    jobs: impl IntoIterator<Item = &'a Job>,
     schedule: &ScheduleRecord,
     objective: &mut dyn StreamingObjective,
 ) {
-    for j in workload.jobs() {
+    for j in jobs {
         let p = schedule
             .placement(j.id)
             .unwrap_or_else(|| panic!("job {} has no placement; schedule incomplete", j.id));
@@ -477,7 +478,7 @@ mod tests {
     /// The fixture's cost under `acc`, replayed.
     fn replayed(mut acc: impl StreamingObjective) -> f64 {
         let (w, s) = fixture();
-        replay(&w, &s, &mut acc);
+        replay(w.jobs(), &s, &mut acc);
         acc.cost()
     }
 
@@ -517,8 +518,8 @@ mod tests {
         let s = ScheduleRecord::new(10, 0);
         let mut art = OnlineArt::new();
         let mut awrt = OnlineAwrt::new();
-        replay(&w, &s, &mut art);
-        replay(&w, &s, &mut awrt);
+        replay(w.jobs(), &s, &mut art);
+        replay(w.jobs(), &s, &mut awrt);
         assert_eq!((art.cost(), awrt.cost()), (0.0, 0.0));
     }
 
@@ -527,7 +528,7 @@ mod tests {
     fn incomplete_schedule_panics() {
         let (w, _) = fixture();
         let s = ScheduleRecord::new(10, 2);
-        replay(&w, &s, &mut OnlineArt::new());
+        replay(w.jobs(), &s, &mut OnlineArt::new());
     }
 
     #[test]

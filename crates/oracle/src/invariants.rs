@@ -1006,8 +1006,8 @@ pub fn check_outcome(
         } else {
             let mut art_acc = OnlineArt::new();
             let mut awrt_acc = OnlineAwrt::new();
-            replay(workload, schedule, &mut art_acc);
-            replay(workload, schedule, &mut awrt_acc);
+            replay(workload.jobs(), schedule, &mut art_acc);
+            replay(workload.jobs(), schedule, &mut awrt_acc);
             for (name, naive, metric) in [
                 ("ART", art, art_acc.cost()),
                 ("AWRT", awrt, awrt_acc.cost()),

@@ -18,7 +18,7 @@
 //! rows are the frontier an operator would actually choose from; the
 //! rank column in `ATLAS.md` orders the rest.
 
-use crate::grid::{backfill_tag, objective_tag, policy_tag, Campaign};
+use crate::grid::{objective_tag, policy_tag, Campaign};
 use crate::runner::{run_campaign, CampaignOutcome, SweepOptions};
 use jobsched_algos::AlgorithmSpec;
 use jobsched_core::experiment::Scale;
@@ -132,7 +132,7 @@ fn table_json(campaign: &Campaign, outcome: &CampaignOutcome, t: usize) -> Json 
             let spec = cell.spec();
             Json::obj([
                 ("algorithm", Json::Str(policy_tag(spec.kind).into())),
-                ("backfill", Json::Str(backfill_tag(spec.backfill).into())),
+                ("backfill", Json::Str(spec.backfill.tag().into())),
                 ("name", Json::Str(spec.name())),
                 ("cost", Json::Num(cell.cost)),
                 ("pct_of_reference", Json::Num(100.0 * cell.cost / reference)),
@@ -169,7 +169,7 @@ fn pareto_json(groups: &[ParetoGroup]) -> Json {
                 .map(|(i, ((spec, point), &rank))| {
                     Json::obj([
                         ("algorithm", Json::Str(policy_tag(spec.kind).into())),
-                        ("backfill", Json::Str(backfill_tag(spec.backfill).into())),
+                        ("backfill", Json::Str(spec.backfill.tag().into())),
                         ("name", Json::Str(spec.name())),
                         (
                             "costs",

@@ -172,22 +172,6 @@ pub fn policy_tag(kind: PolicyKind) -> &'static str {
     kind.tag()
 }
 
-/// Parse a [`policy_tag`] back: [`PolicyKind::from_tag`].
-pub fn parse_policy_tag(tag: &str) -> Option<PolicyKind> {
-    PolicyKind::from_tag(tag)
-}
-
-/// Stable tag for a backfill mode (cache keys, JSON):
-/// [`BackfillMode::tag`].
-pub fn backfill_tag(mode: BackfillMode) -> &'static str {
-    mode.tag()
-}
-
-/// Parse a [`backfill_tag`] back: [`BackfillMode::from_tag`].
-pub fn parse_backfill_tag(tag: &str) -> Option<BackfillMode> {
-    BackfillMode::from_tag(tag)
-}
-
 /// Stable tag for an objective (cache keys, JSON).
 pub fn objective_tag(objective: ObjectiveKind) -> &'static str {
     match objective {
@@ -254,7 +238,7 @@ impl CellSpec {
             .write_u64(workload_fingerprint)
             .write_u64(self.workload.seed())
             .write_str(policy_tag(self.algorithm.kind))
-            .write_str(backfill_tag(self.algorithm.backfill))
+            .write_str(self.algorithm.backfill.tag())
             .write_str(objective_tag(self.objective))
             .write_u64(self.caching as u64)
             .write_u64(self.seed);
@@ -705,7 +689,7 @@ mod tests {
                 format!(
                     "{}+{}",
                     policy_tag(cell.algorithm.kind),
-                    backfill_tag(cell.algorithm.backfill)
+                    cell.algorithm.backfill.tag()
                 )
             })
             .collect();
@@ -713,7 +697,7 @@ mod tests {
             let tag = format!(
                 "{}+{}",
                 policy_tag(cell.algorithm.kind),
-                backfill_tag(cell.algorithm.backfill)
+                cell.algorithm.backfill.tag()
             );
             assert!(atlas.contains(&tag), "{tag} must be an atlas combo");
         }
@@ -813,14 +797,7 @@ mod tests {
             .into_iter()
             .chain(PolicyKind::TIME_SHARED)
         {
-            assert_eq!(parse_policy_tag(policy_tag(k)), Some(k));
-        }
-        for m in [
-            BackfillMode::None,
-            BackfillMode::Conservative,
-            BackfillMode::Easy,
-        ] {
-            assert_eq!(parse_backfill_tag(backfill_tag(m)), Some(m));
+            assert_eq!(PolicyKind::from_tag(policy_tag(k)), Some(k));
         }
         for (tag, _, o) in Campaign::ATLAS_OBJECTIVES {
             assert_eq!(objective_tag(o), tag);

@@ -9,7 +9,7 @@
 //! under, plus whether this campaign run served it from cache or
 //! simulated it fresh.
 
-use crate::grid::{backfill_tag, objective_tag, policy_tag, Campaign};
+use crate::grid::{objective_tag, policy_tag, Campaign};
 use crate::record::{RunRecord, SCHEMA_VERSION};
 use jobsched_json::Json;
 
@@ -49,10 +49,7 @@ pub fn build_manifest(
                     "algorithm",
                     Json::Str(policy_tag(cell.algorithm.kind).into()),
                 ),
-                (
-                    "backfill",
-                    Json::Str(backfill_tag(cell.algorithm.backfill).into()),
-                ),
+                ("backfill", Json::Str(cell.algorithm.backfill.tag().into())),
                 ("objective", Json::Str(objective_tag(cell.objective).into())),
                 ("caching", Json::Bool(cell.caching)),
                 ("seed", Json::UInt(cell.seed)),

@@ -21,12 +21,10 @@
 //! number of cells it computed, so Σ `wall_ns` over a campaign's
 //! computed cells is still the workers' simulation time.
 
-use crate::grid::{
-    backfill_tag, objective_tag, parse_backfill_tag, parse_objective_tag, parse_policy_tag,
-    policy_tag, CellSpec,
-};
+use crate::grid::{objective_tag, parse_objective_tag, policy_tag, CellSpec};
 use crate::hash::hex;
-use jobsched_algos::AlgorithmSpec;
+use jobsched_algos::spec::PolicyKind;
+use jobsched_algos::{AlgorithmSpec, BackfillMode};
 use jobsched_core::experiment::{EngineCounts, EvalCell};
 use jobsched_core::objective_select::ObjectiveKind;
 use jobsched_json::{parse, Json};
@@ -153,10 +151,7 @@ impl RunRecord {
                 "algorithm",
                 Json::Str(policy_tag(self.algorithm.kind).into()),
             ),
-            (
-                "backfill",
-                Json::Str(backfill_tag(self.algorithm.backfill).into()),
-            ),
+            ("backfill", Json::Str(self.algorithm.backfill.tag().into())),
             ("caching", Json::Bool(self.caching)),
             ("seed", Json::UInt(self.seed)),
             ("workload_seed", Json::UInt(self.workload_seed)),
@@ -199,8 +194,8 @@ impl RunRecord {
         if v.get("schema")?.as_u64()? != SCHEMA_VERSION as u64 {
             return None;
         }
-        let kind = parse_policy_tag(v.get("algorithm")?.as_str()?)?;
-        let backfill = parse_backfill_tag(v.get("backfill")?.as_str()?)?;
+        let kind = PolicyKind::from_tag(v.get("algorithm")?.as_str()?)?;
+        let backfill = BackfillMode::from_tag(v.get("backfill")?.as_str()?)?;
         Some(RunRecord {
             key: v.get("key")?.as_str()?.to_string(),
             workload_kind: v.get("workload_kind")?.as_str()?.to_string(),

@@ -14,7 +14,7 @@
 
 use jobsched_core::experiment::{EvalTable, Scale};
 use jobsched_metrics::{pareto_front, Point};
-use jobsched_sweep::grid::{backfill_tag, policy_tag};
+use jobsched_sweep::grid::policy_tag;
 use jobsched_sweep::{run_campaign, Campaign, SweepOptions};
 use jobsched_workload::stats::Summary;
 use std::io;
@@ -107,7 +107,7 @@ pub fn aggregate(tables: &[EvalTable], seeds: usize, objectives: &[String]) -> S
                 ci.push(1.96 * samples.std_dev() / ((seeds - 1).max(1) as f64).sqrt());
             }
             RowStats {
-                label: format!("{}+{}", policy_tag(spec.kind), backfill_tag(spec.backfill)),
+                label: format!("{}+{}", policy_tag(spec.kind), spec.backfill.tag()),
                 name: spec.name(),
                 mean,
                 ci,

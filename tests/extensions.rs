@@ -6,8 +6,11 @@ use jobsched::algos::spec::PolicyKind;
 use jobsched::algos::{AlgorithmSpec, BackfillMode, ListScheduler};
 use jobsched::core::ablation;
 use jobsched::core::experiment::Scale;
-use jobsched::core::extensions::{combined_comparison, gang_comparison, heterogeneity_comparison};
+use jobsched::core::extensions::{
+    combined_comparison, drain_window_cost, gang_comparison, heterogeneity_comparison,
+};
 use jobsched::core::objective_select::ObjectiveKind;
+use jobsched::core::paper;
 use jobsched::sim::gang::{GangConfig, GangFcfsTs};
 use jobsched::sim::{simulate, simulate_time_shared};
 use jobsched::workload::ctc::prepared_ctc_workload;
@@ -188,4 +191,90 @@ fn reorder_threshold_trades_cost_for_recomputations() {
     // Never reordering must not be better than the paper's 1/3 setting by
     // a wide margin (the order matters!).
     assert!(rows[2].0.cost > rows[1].0.cost * 0.8);
+}
+
+#[test]
+fn scenario_studies_keep_their_pinned_values() {
+    // Example 4's drain study, the §7 combination and Figures 1–2. The
+    // study costs are pinned as f64 bits. The figures are pinned by
+    // their ranks and their values rounded as `repro` prints them: the
+    // order of one division can move the group ART by an ulp, which no
+    // reader of the figures sees.
+    let drain: Vec<_> = drain_window_cost(scale(2_000), &[1.0, 8.0])
+        .iter()
+        .map(|r| (r.plain_art.to_bits(), r.drained_art.to_bits()))
+        .collect();
+    assert_eq!(
+        drain,
+        [
+            (0x40e60cadc32d0a65, 0x40e40bf1a4e46939),
+            (0x40e60cadc32d0a65, 0x40f119dc3d14a8df),
+        ]
+    );
+
+    let candidates = [
+        AlgorithmSpec::new(PolicyKind::SmartFfia, BackfillMode::Easy),
+        AlgorithmSpec::new(PolicyKind::GareyGraham, BackfillMode::None),
+        AlgorithmSpec::reference(),
+    ];
+    let combined: Vec<_> = combined_comparison(scale(900), &candidates)
+        .iter()
+        .map(|r| (r.day_art.to_bits(), r.night_awrt.to_bits()))
+        .collect();
+    assert_eq!(
+        combined,
+        [
+            (0x40c48afac37dac38, 0x41df584b95849739),
+            (0x40c4fdd523af523b, 0x41de36f673be1c16),
+            (0x40c5f97a91d7a91d, 0x41e009680509fdd7),
+            (0x40c647ab7142b714, 0x41e293366763c7d5),
+        ]
+    );
+
+    // Each point as `unavailability/ART`, the ART in minutes for Figure
+    // 1 and in seconds for Figure 2, whose points list the ART first.
+    let printed = |points: &[jobsched::metrics::Point], unavailability: usize| {
+        let art = 1 - unavailability;
+        let shown: Vec<_> = points
+            .iter()
+            .map(|p| format!("{:.4}/{:.1}", p.costs[unavailability], p.costs[art]))
+            .collect();
+        shown.join(" ")
+    };
+    let f1 = paper::figure1();
+    assert_eq!(
+        f1.ranks,
+        [3, 3, 4, 4, 4, 4, 1, 1, 2, 5, 2, 3, 3, 4, 1, 6, 1, 5, 4, 5, 2, 3, 3, 2, 1, 1]
+    );
+    assert_eq!(
+        printed(&f1.points, 0),
+        "0.5299/1791.6 0.5299/1791.6 0.6184/1072.5 0.6184/1072.5 \
+         0.6410/1026.4 0.6410/1026.4 0.4515/1306.7 0.4396/1870.3 \
+         0.5200/966.8 0.6191/1114.3 0.5474/896.3 0.6141/1049.0 \
+         0.5321/1211.9 0.5373/1630.8 0.5186/931.9 0.6385/1277.7 \
+         0.5126/954.7 0.6395/1096.2 0.5536/1417.7 0.6018/1562.8 \
+         0.5629/820.7 0.5948/1196.7 0.6250/870.9 0.5527/857.2 \
+         0.5363/801.4 0.5363/801.4"
+    );
+    let f2 = paper::figure2();
+    assert_eq!(
+        printed(&f2.online, 1),
+        "0.5299/84937.0 0.5299/84937.0 0.6184/59158.6 0.6184/59158.6 \
+         0.6410/57271.7 0.6410/57271.7 0.4515/61875.7 0.4396/93086.2 \
+         0.5200/49967.2 0.6191/58274.3 0.5474/51281.8 0.6141/57417.6 \
+         0.5321/49852.8 0.5373/77271.0 0.5186/45937.7 0.6385/58092.2 \
+         0.5126/46689.5 0.6395/57342.9 0.5536/59492.9 0.6018/75262.1 \
+         0.5629/45343.0 0.5948/64637.1 0.6250/46412.0 0.5527/54361.3 \
+         0.5363/49133.4 0.5363/49133.4"
+    );
+    assert_eq!(
+        printed(&f2.offline, 1),
+        "0.5299/84937.0 0.5299/84937.0 0.6408/60187.9 0.6408/60187.9 \
+         0.6490/58415.7 0.6490/58415.7 0.5742/57258.1 0.5231/88335.3 \
+         0.5365/48276.1 0.6214/59920.1 0.5865/47401.5 0.6323/57832.6 \
+         0.7094/60305.1 0.5834/75894.0 0.5614/45943.8 0.5484/59746.8 \
+         0.6297/47504.3 0.5190/55963.9 0.6587/60641.5 0.5560/75541.2 \
+         0.5360/46306.5 0.6125/64965.7 0.5531/44397.1 0.6139/58379.7 \
+         0.5363/49133.4 0.5363/49133.4"
+    );
 }

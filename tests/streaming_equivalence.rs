@@ -79,8 +79,8 @@ fn batch_costs(workload: &Workload, spec: AlgorithmSpec) -> (Vec<f64>, u64, u64,
         .collect();
     let mut makespan = OnlineMakespan::new();
     let mut utilization = OnlineUtilization::new(workload.machine_nodes());
-    replay(workload, &out.schedule, &mut makespan);
-    replay(workload, &out.schedule, &mut utilization);
+    replay(workload.jobs(), &out.schedule, &mut makespan);
+    replay(workload.jobs(), &out.schedule, &mut utilization);
     costs.extend([makespan.cost(), utilization.cost()]);
     (costs, out.events, out.decision_rounds, out.peak_queue)
 }
