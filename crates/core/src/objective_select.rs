@@ -89,6 +89,32 @@ impl ObjectiveKind {
             WeightScheme::Unweighted
         }
     }
+
+    /// Stable machine-readable tag: what cache keys, JSON records and
+    /// the atlas spell this objective as.
+    pub fn tag(&self) -> &'static str {
+        match self {
+            ObjectiveKind::AvgResponseTime => "art",
+            ObjectiveKind::AvgWeightedResponseTime => "awrt",
+            ObjectiveKind::AvgBoundedSlowdown => "bsld",
+            ObjectiveKind::MaxUserSlowdown => "fair-max",
+            ObjectiveKind::P95WidthSlowdown => "fair-p95",
+            ObjectiveKind::SlowdownVariance => "fair-var",
+        }
+    }
+
+    /// Parse an [`ObjectiveKind::tag`] back.
+    pub fn from_tag(tag: &str) -> Option<ObjectiveKind> {
+        match tag {
+            "art" => Some(ObjectiveKind::AvgResponseTime),
+            "awrt" => Some(ObjectiveKind::AvgWeightedResponseTime),
+            "bsld" => Some(ObjectiveKind::AvgBoundedSlowdown),
+            "fair-max" => Some(ObjectiveKind::MaxUserSlowdown),
+            "fair-p95" => Some(ObjectiveKind::P95WidthSlowdown),
+            "fair-var" => Some(ObjectiveKind::SlowdownVariance),
+            _ => None,
+        }
+    }
 }
 
 impl Objective for ObjectiveKind {
@@ -221,6 +247,16 @@ mod tests {
         ObjectiveKind::P95WidthSlowdown,
         ObjectiveKind::SlowdownVariance,
     ];
+
+    #[test]
+    fn tags_roundtrip() {
+        for o in ALL {
+            assert_eq!(ObjectiveKind::from_tag(o.tag()), Some(o));
+        }
+        let tags: std::collections::HashSet<_> = ALL.iter().map(|o| o.tag()).collect();
+        assert_eq!(tags.len(), ALL.len());
+        assert_eq!(ObjectiveKind::from_tag("nope"), None);
+    }
 
     /// `build().cost`, `cost` and a replay of `build_streaming()` agree
     /// bit for bit for every kind.

@@ -1,6 +1,7 @@
 //! The scheduler-atlas report: turn a finished atlas campaign into the
 //! committed artifacts — the `bench-atlas/1` JSON document and the
-//! `ATLAS.md` markdown report with its Pareto summary.
+//! `ATLAS.md` markdown report with its Pareto summary — and read the
+//! document back ([`read_atlas`], the schema's only reader).
 //!
 //! The campaign itself is declared in [`crate::grid`]
 //! ([`Campaign::atlas`] / [`Campaign::atlas_smoke`] /
@@ -18,9 +19,10 @@
 //! rows are the frontier an operator would actually choose from; the
 //! rank column in `ATLAS.md` orders the rest.
 
-use crate::grid::{objective_tag, policy_tag, Campaign};
+use crate::grid::{policy_tag, Campaign, WorkloadSpec};
 use crate::runner::{run_campaign, CampaignOutcome, SweepOptions};
-use jobsched_algos::AlgorithmSpec;
+use jobsched_algos::spec::PolicyKind;
+use jobsched_algos::{AlgorithmSpec, BackfillMode};
 use jobsched_core::experiment::Scale;
 use jobsched_core::objective_select::ObjectiveKind;
 use jobsched_json::Json;
@@ -32,7 +34,7 @@ pub const ATLAS_SCHEMA: &str = "bench-atlas/1";
 
 /// One workload's slice of the Pareto analysis: every algorithm as a
 /// point in objective space, plus the non-domination structure.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ParetoGroup {
     /// Workload kind tag ("ctc", "probabilistic", ...).
     pub workload: String,
@@ -48,6 +50,34 @@ pub struct ParetoGroup {
     pub ranks: Vec<usize>,
 }
 
+impl ParetoGroup {
+    /// Lift every algorithm of `specs` into a point of the objective
+    /// space spanned by `objectives` (`costs[row]` parallel to
+    /// `objectives`), labelled by [`AlgorithmSpec::name`], and peel the
+    /// non-domination layers.
+    pub fn new(
+        workload: impl Into<String>,
+        objectives: Vec<ObjectiveKind>,
+        specs: Vec<AlgorithmSpec>,
+        costs: Vec<Vec<f64>>,
+    ) -> ParetoGroup {
+        assert_eq!(specs.len(), costs.len(), "one cost vector per algorithm");
+        let points: Vec<Point> = specs
+            .iter()
+            .zip(costs)
+            .map(|(spec, costs)| Point::new(spec.name(), costs))
+            .collect();
+        ParetoGroup {
+            workload: workload.into(),
+            objectives,
+            specs,
+            front: pareto_front(&points),
+            ranks: pareto_ranks(&points),
+            points,
+        }
+    }
+}
+
 /// The rendered artifacts of one atlas run.
 #[derive(Clone, Debug)]
 pub struct AtlasReport {
@@ -59,23 +89,24 @@ pub struct AtlasReport {
     pub pareto: Vec<ParetoGroup>,
 }
 
-/// Group the campaign's tables by workload kind and lift every
-/// algorithm into a point of the per-workload objective space.
-fn pareto_groups(campaign: &Campaign, outcome: &CampaignOutcome) -> Vec<ParetoGroup> {
-    // Workload kinds in first-appearance order.
-    let mut kinds: Vec<&'static str> = Vec::new();
+/// Group the campaign's tables by workload and lift every algorithm
+/// into a point of the per-workload objective space: one group per
+/// distinct [`WorkloadSpec`], in first-appearance order, named by its
+/// kind. A campaign over several draws of one workload kind (the
+/// significance campaign) gives one group per draw.
+pub fn pareto_groups(campaign: &Campaign, outcome: &CampaignOutcome) -> Vec<ParetoGroup> {
+    let mut workloads: Vec<WorkloadSpec> = Vec::new();
     for t in &campaign.tables {
-        let k = t.workload.kind();
-        if !kinds.contains(&k) {
-            kinds.push(k);
+        if !workloads.contains(&t.workload) {
+            workloads.push(t.workload);
         }
     }
 
-    kinds
+    workloads
         .into_iter()
-        .map(|kind| {
+        .map(|workload| {
             let tables: Vec<usize> = (0..campaign.tables.len())
-                .filter(|&i| campaign.tables[i].workload.kind() == kind)
+                .filter(|&i| campaign.tables[i].workload == workload)
                 .collect();
             let objectives: Vec<ObjectiveKind> = tables
                 .iter()
@@ -88,11 +119,11 @@ fn pareto_groups(campaign: &Campaign, outcome: &CampaignOutcome) -> Vec<ParetoGr
                 .iter()
                 .map(|c| c.spec())
                 .collect();
-            let points: Vec<Point> = specs
+            let costs: Vec<Vec<f64>> = specs
                 .iter()
                 .enumerate()
                 .map(|(row, spec)| {
-                    let costs = tables
+                    tables
                         .iter()
                         .map(|&t| {
                             let cell = &outcome.tables[t].cells[row];
@@ -103,20 +134,10 @@ fn pareto_groups(campaign: &Campaign, outcome: &CampaignOutcome) -> Vec<ParetoGr
                             );
                             cell.cost
                         })
-                        .collect();
-                    Point::new(spec.name(), costs)
+                        .collect()
                 })
                 .collect();
-            let front = pareto_front(&points);
-            let ranks = pareto_ranks(&points);
-            ParetoGroup {
-                workload: kind.to_string(),
-                objectives,
-                specs,
-                points,
-                front,
-                ranks,
-            }
+            ParetoGroup::new(workload.kind(), objectives, specs, costs)
         })
         .collect()
 }
@@ -145,7 +166,7 @@ fn table_json(campaign: &Campaign, outcome: &CampaignOutcome, t: usize) -> Json 
         ("id", Json::Str(def.id.clone())),
         ("title", Json::Str(def.title.clone())),
         ("workload", def.workload.to_json()),
-        ("objective", Json::Str(objective_tag(def.objective).into())),
+        ("objective", Json::Str(def.objective.tag().into())),
         ("reference_cost", Json::Num(reference)),
         ("cells", Json::Arr(cells)),
     ])
@@ -158,7 +179,7 @@ fn pareto_json(groups: &[ParetoGroup]) -> Json {
             let objectives: Vec<Json> = g
                 .objectives
                 .iter()
-                .map(|&o| Json::Str(objective_tag(o).into()))
+                .map(|o| Json::Str(o.tag().into()))
                 .collect();
             let points: Vec<Json> = g
                 .specs
@@ -238,7 +259,7 @@ fn markdown(
          non-dominated frontier (§2.2 recipe, applied to the atlas itself).\n\n",
     );
     for g in groups {
-        let objs: Vec<&str> = g.objectives.iter().map(|&o| objective_tag(o)).collect();
+        let objs: Vec<&str> = g.objectives.iter().map(|o| o.tag()).collect();
         md.push_str(&format!(
             "### {} workload — objectives ({})\n\n",
             g.workload,
@@ -331,6 +352,98 @@ pub fn build_report(campaign: &Campaign, outcome: &CampaignOutcome, scale: Scale
         markdown,
         pareto: groups,
     }
+}
+
+/// `j[key]` through the accessor `get`, or an error naming the field.
+fn field<'a, T>(j: &'a Json, key: &str, get: fn(&'a Json) -> Option<T>) -> Result<T, String> {
+    j.get(key)
+        .and_then(get)
+        .ok_or_else(|| format!("missing or mistyped field '{key}'"))
+}
+
+/// `tag` parsed by `from_tag`, or an error naming it.
+fn parse_tag<T>(tag: &str, what: &str, from_tag: fn(&str) -> Option<T>) -> Result<T, String> {
+    from_tag(tag).ok_or_else(|| format!("unknown {what} tag '{tag}'"))
+}
+
+/// One `pareto` entry of a `bench-atlas/1` document.
+fn read_group(g: &Json) -> Result<ParetoGroup, String> {
+    let workload = field(g, "workload", Json::as_str)?;
+    let objectives = field(g, "objectives", Json::as_arr)?
+        .iter()
+        .map(|o| {
+            let tag = o.as_str().ok_or("objective tags must be strings")?;
+            parse_tag(tag, "objective", ObjectiveKind::from_tag)
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let points = field(g, "points", Json::as_arr)?;
+    if objectives.is_empty() || points.is_empty() {
+        return Err(format!("workload '{workload}': no objectives or no points"));
+    }
+    let mut specs = Vec::with_capacity(points.len());
+    let mut costs = Vec::with_capacity(points.len());
+    for p in points {
+        let spec = AlgorithmSpec::new(
+            parse_tag(
+                field(p, "algorithm", Json::as_str)?,
+                "policy",
+                PolicyKind::from_tag,
+            )?,
+            parse_tag(
+                field(p, "backfill", Json::as_str)?,
+                "backfill",
+                BackfillMode::from_tag,
+            )?,
+        );
+        let row: Vec<f64> = field(p, "costs", Json::as_arr)?
+            .iter()
+            .map(|c| c.as_f64().filter(|c| c.is_finite() && *c >= 0.0))
+            .collect::<Option<_>>()
+            .filter(|row: &Vec<f64>| row.len() == objectives.len())
+            .ok_or_else(|| {
+                format!(
+                    "point '{}': costs must be one finite, non-negative number per objective",
+                    spec.name()
+                )
+            })?;
+        specs.push(spec);
+        costs.push(row);
+    }
+    Ok(ParetoGroup::new(workload, objectives, specs, costs))
+}
+
+/// Read a `bench-atlas/1` document back into the scale it was generated
+/// at and its Pareto groups — the only reader of what [`build_report`]
+/// writes. The document is input from disk, so every field is checked
+/// and an unknown policy, backfill or objective tag is an error naming
+/// it. Ranks and fronts are recomputed from the costs, never read: a
+/// hand-edited or truncated document cannot smuggle an inconsistent
+/// order into what reads it.
+pub fn read_atlas(doc: &Json) -> Result<(Scale, Vec<ParetoGroup>), String> {
+    let schema = field(doc, "schema", Json::as_str)?;
+    if schema != ATLAS_SCHEMA {
+        return Err(format!("unsupported atlas schema '{schema}'"));
+    }
+    let scale = doc.get("scale").ok_or("missing 'scale'")?;
+    let scale = Scale {
+        ctc_jobs: field(scale, "ctc_jobs", Json::as_u64)? as usize,
+        synthetic_jobs: field(scale, "synthetic_jobs", Json::as_u64)? as usize,
+        seed: field(scale, "seed", Json::as_u64)?,
+    };
+    let groups = field(doc, "pareto", Json::as_arr)?
+        .iter()
+        .map(read_group)
+        .collect::<Result<Vec<_>, _>>()?;
+    let first = groups.first().ok_or("atlas has no pareto groups")?;
+    // Every group must span the same objective axes in the same order:
+    // the objective learner fits one weight vector across workloads.
+    if let Some(g) = groups.iter().find(|g| g.objectives != first.objectives) {
+        return Err(format!(
+            "workload '{}' spans other objectives than '{}'",
+            g.workload, first.workload
+        ));
+    }
+    Ok((scale, groups))
 }
 
 /// The structural gate of a finished atlas run.
@@ -516,6 +629,92 @@ mod tests {
         );
         let err = check_clean(&campaign, &outcome, &report).unwrap_err();
         assert!(err.contains("bad cost"), "{err}");
+    }
+
+    #[test]
+    fn read_atlas_returns_what_the_report_was_built_from() {
+        let (campaign, outcome) = smoke_run();
+        let report = build_report(&campaign, &outcome, tiny());
+        let doc = jobsched_json::parse(&report.json.to_string_pretty()).unwrap();
+        assert_eq!(read_atlas(&doc), Ok((tiny(), report.pareto)));
+    }
+
+    fn sample() -> String {
+        r#"{
+          "schema": "bench-atlas/1",
+          "scale": {"ctc_jobs": 100, "synthetic_jobs": 50, "seed": 7},
+          "pareto": [
+            {
+              "workload": "ctc",
+              "objectives": ["art", "bsld"],
+              "points": [
+                {"algorithm":"fcfs","backfill":"easy","name":"FCFS+EASY","costs":[10.0,2.0],"rank":1,"on_front":true},
+                {"algorithm":"sjf","backfill":"easy","name":"SJF+EASY","costs":[8.0,3.0],"rank":1,"on_front":true},
+                {"algorithm":"fcfs","backfill":"none","name":"FCFS","costs":[12.0,4.0],"rank":2,"on_front":false}
+              ]
+            }
+          ]
+        }"#
+        .to_string()
+    }
+
+    fn read(text: &str) -> Result<(Scale, Vec<ParetoGroup>), String> {
+        read_atlas(&jobsched_json::parse(text).unwrap())
+    }
+
+    #[test]
+    fn parses_and_recomputes_ranks() {
+        let (scale, groups) = read(&sample()).unwrap();
+        assert_eq!(
+            scale,
+            Scale {
+                ctc_jobs: 100,
+                synthetic_jobs: 50,
+                seed: 7
+            }
+        );
+        assert_eq!(groups.len(), 1);
+        let g = &groups[0];
+        assert_eq!(
+            g.objectives,
+            vec![
+                ObjectiveKind::AvgResponseTime,
+                ObjectiveKind::AvgBoundedSlowdown
+            ]
+        );
+        assert_eq!(g.specs[0], AlgorithmSpec::reference());
+        let sjf_easy = AlgorithmSpec::new(
+            PolicyKind::Priority(jobsched_algos::ScoreFn::Sjf),
+            BackfillMode::Easy,
+        );
+        assert_eq!(g.specs[1], sjf_easy);
+        assert_eq!(g.points[1].label, sjf_easy.name());
+        assert_eq!(g.ranks, vec![1, 1, 2]);
+        assert_eq!(g.front, vec![0, 1]);
+    }
+
+    #[test]
+    fn stored_ranks_are_ignored() {
+        // Corrupt the stored rank field: recomputation must not care.
+        let (_, groups) = read(&sample().replace("\"rank\":1", "\"rank\":9")).unwrap();
+        assert_eq!(groups[0].ranks, vec![1, 1, 2]);
+    }
+
+    #[test]
+    fn malformed_documents_are_structured_errors() {
+        assert!(read(&sample().replace("bench-atlas/1", "bench-atlas/9")).is_err());
+        let short = read(&sample().replace("[12.0,4.0]", "[12.0]"));
+        assert!(short.unwrap_err().contains("costs"));
+        assert!(read(&sample().replace("[12.0,4.0]", "[-1.0,4.0]")).is_err());
+        // An unknown tag is an error that names it.
+        for (from, to) in [
+            ("\"sjf\"", "\"sjf9\""),
+            ("\"none\"", "\"none9\""),
+            ("\"bsld\"", "\"bsld9\""),
+        ] {
+            let err = read(&sample().replace(from, to)).unwrap_err();
+            assert!(err.contains(to.trim_matches('"')), "{err}");
+        }
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //! * [`progress`] — throttled stderr progress reporting;
 //! * [`atlas`] — the scheduler-atlas report: `bench-atlas/1` JSON and
 //!   the `ATLAS.md` Pareto summary rendered from a finished campaign
-//!   (`repro atlas` / `repro preempt` call [`atlas::run`]).
+//!   (`repro atlas` / `repro preempt` call [`atlas::run`]), and
+//!   [`atlas::read_atlas`], the one reader of that JSON.
 //!
 //! Determinism contract: for a fixed campaign definition the
 //! deterministic payload of every record — and therefore every

@@ -9,7 +9,7 @@
 //! under, plus whether this campaign run served it from cache or
 //! simulated it fresh.
 
-use crate::grid::{objective_tag, policy_tag, Campaign};
+use crate::grid::{policy_tag, Campaign};
 use crate::record::{RunRecord, SCHEMA_VERSION};
 use jobsched_json::Json;
 
@@ -32,7 +32,7 @@ pub fn build_manifest(
                 ("id", Json::Str(t.id.clone())),
                 ("title", Json::Str(t.title.clone())),
                 ("workload", t.workload.to_json()),
-                ("objective", Json::Str(objective_tag(t.objective).into())),
+                ("objective", Json::Str(t.objective.tag().into())),
                 ("cpu_table", Json::Bool(t.cpu_table)),
             ])
         })
@@ -50,7 +50,7 @@ pub fn build_manifest(
                     Json::Str(policy_tag(cell.algorithm.kind).into()),
                 ),
                 ("backfill", Json::Str(cell.algorithm.backfill.tag().into())),
-                ("objective", Json::Str(objective_tag(cell.objective).into())),
+                ("objective", Json::Str(cell.objective.tag().into())),
                 ("caching", Json::Bool(cell.caching)),
                 ("seed", Json::UInt(cell.seed)),
                 ("key", Json::Str(record.key.clone())),

@@ -21,7 +21,7 @@
 //! number of cells it computed, so Σ `wall_ns` over a campaign's
 //! computed cells is still the workers' simulation time.
 
-use crate::grid::{objective_tag, parse_objective_tag, policy_tag, CellSpec};
+use crate::grid::{policy_tag, CellSpec};
 use crate::hash::hex;
 use jobsched_algos::spec::PolicyKind;
 use jobsched_algos::{AlgorithmSpec, BackfillMode};
@@ -146,7 +146,7 @@ impl RunRecord {
             ),
             ("jobs", Json::UInt(self.jobs)),
             ("machine_nodes", Json::UInt(self.machine_nodes as u64)),
-            ("objective", Json::Str(objective_tag(self.objective).into())),
+            ("objective", Json::Str(self.objective.tag().into())),
             (
                 "algorithm",
                 Json::Str(policy_tag(self.algorithm.kind).into()),
@@ -203,7 +203,7 @@ impl RunRecord {
             workload_fingerprint: v.get("workload_fingerprint")?.as_str()?.to_string(),
             jobs: v.get("jobs")?.as_u64()?,
             machine_nodes: v.get("machine_nodes")?.as_u64()? as u32,
-            objective: parse_objective_tag(v.get("objective")?.as_str()?)?,
+            objective: ObjectiveKind::from_tag(v.get("objective")?.as_str()?)?,
             algorithm: AlgorithmSpec::new(kind, backfill),
             caching: v.get("caching")?.as_bool()?,
             seed: v.get("seed")?.as_u64()?,

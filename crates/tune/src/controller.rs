@@ -22,21 +22,34 @@
 //!
 //! with the learned weights `wⱼ` restricted to the objectives the
 //! daemon can stream (ART, AWRT, bounded slowdown — the fairness axes
-//! need per-user state the metrics op does not expose) and `meanⱼ` the
-//! atlas group's per-axis mean, the same normalisation the fit used.
+//! need per-user state the metrics op does not expose; `streamed` is
+//! the one place that says which) and `meanⱼ` the atlas group's
+//! per-axis mean, the same normalisation the fit used.
 //! The controller switches to the argmin row only if it beats the
 //! current row by the hysteresis margin *and* the dwell time since the
 //! last switch has elapsed — both guards exist to stop flapping, which
 //! a backlog-transfer switch makes cheap but never free.
 
-use crate::atlas::AtlasDoc;
-use crate::fit::Fit;
-use jobsched_metrics::MetricsSnapshot;
+use crate::fit::{axis_means, Fit};
+use jobsched_core::objective_select::ObjectiveKind;
+use jobsched_metrics::{MetricsSnapshot, OnlineMetrics};
+use jobsched_sweep::atlas::ParetoGroup;
 use jobsched_workload::Time;
 use std::collections::VecDeque;
 
-/// Objectives the serve daemon streams, in atlas tag form.
-pub const OBSERVABLE: [&str; 3] = ["art", "awrt", "bsld"];
+/// The value of objective `kind` in a daemon's `metrics` reply: ART,
+/// AWRT or bounded slowdown, and `None` for the three fairness axes,
+/// which need per-user state the reply does not carry.
+fn streamed(kind: ObjectiveKind, snap: &MetricsSnapshot) -> Option<f64> {
+    match kind {
+        ObjectiveKind::AvgResponseTime => Some(snap.art),
+        ObjectiveKind::AvgWeightedResponseTime => Some(snap.awrt),
+        ObjectiveKind::AvgBoundedSlowdown => Some(snap.bounded_slowdown),
+        ObjectiveKind::MaxUserSlowdown
+        | ObjectiveKind::P95WidthSlowdown
+        | ObjectiveKind::SlowdownVariance => None,
+    }
+}
 
 /// Control-loop parameters.
 #[derive(Clone, Copy, Debug)]
@@ -85,11 +98,11 @@ pub struct Controller {
     cfg: TunerConfig,
     /// Atlas row labels (serve-protocol form), group row order.
     labels: Vec<String>,
-    /// Observable objective tags actually present in the atlas.
-    obs_tags: Vec<String>,
-    /// Learned weights restricted to `obs_tags`, renormalised to sum 1.
+    /// The streamable objectives of the atlas group, in its order.
+    observed: Vec<ObjectiveKind>,
+    /// Learned weights restricted to `observed`, renormalised to sum 1.
     weights: Vec<f64>,
-    /// Atlas-group per-axis means (the fit's normalisation), `obs_tags`
+    /// Atlas-group per-axis means (the fit's normalisation), `observed`
     /// order.
     means: Vec<f64>,
     /// Atlas costs `[row][obs_axis]`.
@@ -103,30 +116,23 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// Build a controller from a parsed atlas, a learned fit, the
-    /// workload group to steer by, and the label the daemon starts on.
+    /// Build a controller from the atlas workload group to steer by, a
+    /// learned fit over the same axes, and the label the daemon starts
+    /// on.
     pub fn new(
-        atlas: &AtlasDoc,
+        group: &ParetoGroup,
         fit: &Fit,
-        workload: &str,
         initial: &str,
         cfg: TunerConfig,
     ) -> Result<Self, String> {
-        let group = atlas
-            .groups
-            .iter()
-            .find(|g| g.workload == workload)
-            .ok_or_else(|| format!("atlas has no workload group '{workload}'"))?;
         if fit.objectives != group.objectives {
             return Err("fit and atlas span different objective axes".into());
         }
-        // Restrict to the streamable axes, keeping atlas order.
-        let obs_idx: Vec<usize> = group
-            .objectives
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| OBSERVABLE.contains(&t.as_str()))
-            .map(|(i, _)| i)
+        // Restrict to the streamable axes, keeping atlas order; an empty
+        // snapshot tells them apart.
+        let empty = OnlineMetrics::new(1).snapshot();
+        let obs_idx: Vec<usize> = (0..group.objectives.len())
+            .filter(|&i| streamed(group.objectives[i], &empty).is_some())
             .collect();
         if obs_idx.is_empty() {
             return Err("atlas exposes no streamable objectives".into());
@@ -143,24 +149,14 @@ impl Controller {
             let eq = 1.0 / weights.len() as f64;
             weights.iter_mut().for_each(|w| *w = eq);
         }
-        let n = group.points.len() as f64;
-        let means: Vec<f64> = obs_idx
-            .iter()
-            .map(|&j| {
-                let m = group.points.iter().map(|p| p.costs[j]).sum::<f64>() / n;
-                if m > 0.0 {
-                    m
-                } else {
-                    1.0
-                }
-            })
-            .collect();
+        let all_means = axis_means(group);
+        let means: Vec<f64> = obs_idx.iter().map(|&j| all_means[j]).collect();
         let costs: Vec<Vec<f64>> = group
             .points
             .iter()
             .map(|p| obs_idx.iter().map(|&j| p.costs[j]).collect())
             .collect();
-        let labels: Vec<String> = group.points.iter().map(|p| p.label.clone()).collect();
+        let labels: Vec<String> = group.specs.iter().map(crate::row_label).collect();
         let current = labels
             .iter()
             .position(|l| l == initial)
@@ -168,10 +164,7 @@ impl Controller {
         Ok(Controller {
             cfg,
             labels,
-            obs_tags: obs_idx
-                .iter()
-                .map(|&i| group.objectives[i].clone())
-                .collect(),
+            observed: obs_idx.iter().map(|&i| group.objectives[i]).collect(),
             weights,
             means,
             costs,
@@ -182,9 +175,9 @@ impl Controller {
         })
     }
 
-    /// The streamable objective tags the controller steers by.
-    pub fn observed_objectives(&self) -> &[String] {
-        &self.obs_tags
+    /// The streamable objectives the controller steers by.
+    pub fn observed_objectives(&self) -> &[ObjectiveKind] {
+        &self.observed
     }
 
     /// The restricted, renormalised weights.
@@ -197,19 +190,11 @@ impl Controller {
     /// normalisation the predictions use. Lower is better; the tuner
     /// demo compares tuned vs static runs with this.
     pub fn score(&self, snap: &MetricsSnapshot) -> f64 {
-        self.obs_tags
+        self.observed
             .iter()
             .zip(&self.weights)
             .zip(&self.means)
-            .map(|((t, w), m)| {
-                let o = match t.as_str() {
-                    "art" => snap.art,
-                    "awrt" => snap.awrt,
-                    "bsld" => snap.bounded_slowdown,
-                    other => unreachable!("non-streamable tag '{other}'"),
-                };
-                w / m * o
-            })
+            .filter_map(|((&k, w), m)| Some(w / m * streamed(k, snap)?))
             .sum()
     }
 
@@ -228,17 +213,10 @@ impl Controller {
             let nl = last.jobs_finished as f64;
             (now * nl - base * nf) / dn as f64
         };
-        Some(
-            self.obs_tags
-                .iter()
-                .map(|t| match t.as_str() {
-                    "art" => delta(last.art, first.art),
-                    "awrt" => delta(last.awrt, first.awrt),
-                    "bsld" => delta(last.bounded_slowdown, first.bounded_slowdown),
-                    other => unreachable!("non-streamable tag '{other}'"),
-                })
-                .collect(),
-        )
+        self.observed
+            .iter()
+            .map(|&k| Some(delta(streamed(k, last)?, streamed(k, first)?)))
+            .collect()
     }
 
     /// Predicted windowed objective under row `r`, given the observed
@@ -315,35 +293,33 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::atlas::AtlasGroup;
-    use jobsched_metrics::{pareto_front, pareto_ranks, Point};
+    use jobsched_algos::spec::PolicyKind;
+    use jobsched_algos::{AlgorithmSpec, BackfillMode, ScoreFn};
+
+    /// A `ctc` group of two rows, `fcfs+none` and `sjf+easy`.
+    fn group_with(objectives: Vec<ObjectiveKind>, costs: Vec<Vec<f64>>) -> ParetoGroup {
+        let specs = vec![
+            AlgorithmSpec::new(PolicyKind::Fcfs, BackfillMode::None),
+            AlgorithmSpec::new(PolicyKind::Priority(ScoreFn::Sjf), BackfillMode::Easy),
+        ];
+        ParetoGroup::new("ctc", objectives, specs, costs)
+    }
 
     /// Two-row atlas: `fcfs+none` (poor ART) vs `sjf+easy` (good ART),
     /// equal on bsld.
-    fn atlas() -> AtlasDoc {
-        let points = vec![
-            Point::new("fcfs+none".to_string(), vec![100.0, 10.0]),
-            Point::new("sjf+easy".to_string(), vec![40.0, 10.0]),
-        ];
-        let ranks = pareto_ranks(&points);
-        let front = pareto_front(&points);
-        AtlasDoc {
-            schema: "bench-atlas/1".into(),
-            scale: (0, 0, 0),
-            groups: vec![AtlasGroup {
-                workload: "ctc".into(),
-                objectives: vec!["art".into(), "bsld".into()],
-                names: vec!["FCFS".into(), "SJF+EASY".into()],
-                points,
-                ranks,
-                front,
-            }],
-        }
+    fn atlas() -> ParetoGroup {
+        group_with(
+            vec![
+                ObjectiveKind::AvgResponseTime,
+                ObjectiveKind::AvgBoundedSlowdown,
+            ],
+            vec![vec![100.0, 10.0], vec![40.0, 10.0]],
+        )
     }
 
-    fn fit_for(atlas: &AtlasDoc) -> Fit {
+    fn fit_for(group: &ParetoGroup) -> Fit {
         Fit {
-            objectives: atlas.groups[0].objectives.clone(),
+            objectives: group.objectives.clone(),
             weights: vec![0.8, 0.2],
             violations: 0,
             evaluations: 0,
@@ -378,7 +354,7 @@ mod tests {
     fn switches_off_a_poor_row_once_the_window_fills() {
         let a = atlas();
         let f = fit_for(&a);
-        let mut c = Controller::new(&a, &f, "ctc", "fcfs+none", cfg()).unwrap();
+        let mut c = Controller::new(&a, &f, "fcfs+none", cfg()).unwrap();
         assert_eq!(c.labels[c.current], "fcfs+none");
         // First observation: baseline only, never a decision.
         assert_eq!(c.observe(0, &snap(0, 0.0)), None);
@@ -397,12 +373,14 @@ mod tests {
 
     #[test]
     fn hysteresis_blocks_marginal_switches() {
-        let mut a = atlas();
         // Challenger only 2% better on the heavy axis: inside the 5%
         // hysteresis band once diluted by the equal bsld axis.
-        a.groups[0].points[1] = Point::new("sjf+easy".to_string(), vec![98.0, 10.0]);
+        let a = group_with(
+            atlas().objectives,
+            vec![vec![100.0, 10.0], vec![98.0, 10.0]],
+        );
         let f = fit_for(&a);
-        let mut c = Controller::new(&a, &f, "ctc", "fcfs+none", cfg()).unwrap();
+        let mut c = Controller::new(&a, &f, "fcfs+none", cfg()).unwrap();
         assert_eq!(c.observe(0, &snap(0, 0.0)), None);
         assert_eq!(c.observe(200, &snap(10, 95.0)), None);
         assert!(c.switches.is_empty());
@@ -412,7 +390,7 @@ mod tests {
     fn dwell_throttles_flapping() {
         let a = atlas();
         let f = fit_for(&a);
-        let mut c = Controller::new(&a, &f, "ctc", "fcfs+none", cfg()).unwrap();
+        let mut c = Controller::new(&a, &f, "fcfs+none", cfg()).unwrap();
         c.observe(0, &snap(0, 0.0));
         assert!(c.observe(200, &snap(10, 95.0)).is_some());
         // Now on sjf+easy; suppose observed ART *worsens* so fcfs+none
@@ -430,7 +408,7 @@ mod tests {
         let a = atlas();
         let f = fit_for(&a);
         let run = || {
-            let mut c = Controller::new(&a, &f, "ctc", "fcfs+none", cfg()).unwrap();
+            let mut c = Controller::new(&a, &f, "fcfs+none", cfg()).unwrap();
             let mut out = Vec::new();
             for (t, n, art) in [
                 (0, 0, 0.0),
@@ -447,34 +425,23 @@ mod tests {
 
     #[test]
     fn fairness_only_weights_fall_back_to_equal_observable_weights() {
-        let points = vec![
-            Point::new("fcfs+none".to_string(), vec![100.0, 5.0]),
-            Point::new("sjf+easy".to_string(), vec![40.0, 9.0]),
-        ];
-        let ranks = pareto_ranks(&points);
-        let front = pareto_front(&points);
-        let a = AtlasDoc {
-            schema: "bench-atlas/1".into(),
-            scale: (0, 0, 0),
-            groups: vec![AtlasGroup {
-                workload: "ctc".into(),
-                objectives: vec!["art".into(), "fair-max".into()],
-                names: vec!["FCFS".into(), "SJF+EASY".into()],
-                points,
-                ranks,
-                front,
-            }],
-        };
+        let a = group_with(
+            vec![
+                ObjectiveKind::AvgResponseTime,
+                ObjectiveKind::MaxUserSlowdown,
+            ],
+            vec![vec![100.0, 5.0], vec![40.0, 9.0]],
+        );
         let f = Fit {
-            objectives: a.groups[0].objectives.clone(),
+            objectives: a.objectives.clone(),
             // All mass on the unstreamable fairness axis.
             weights: vec![0.0, 1.0],
             violations: 0,
             evaluations: 0,
             groups: Vec::new(),
         };
-        let c = Controller::new(&a, &f, "ctc", "fcfs+none", cfg()).unwrap();
-        assert_eq!(c.observed_objectives(), ["art".to_string()]);
+        let c = Controller::new(&a, &f, "fcfs+none", cfg()).unwrap();
+        assert_eq!(c.observed_objectives(), [ObjectiveKind::AvgResponseTime]);
         assert_eq!(c.observed_weights(), [1.0]);
     }
 
@@ -482,7 +449,12 @@ mod tests {
     fn construction_rejects_unknown_rows_and_workloads() {
         let a = atlas();
         let f = fit_for(&a);
-        assert!(Controller::new(&a, &f, "prob", "fcfs+none", cfg()).is_err());
-        assert!(Controller::new(&a, &f, "ctc", "lifo+none", cfg()).is_err());
+        // The demo steers by the `ctc` group and has none to pick here.
+        let prob = ParetoGroup {
+            workload: "probabilistic".into(),
+            ..atlas()
+        };
+        assert!(crate::demo::run_demo(&[prob], &f, 10).is_err());
+        assert!(Controller::new(&a, &f, "lifo+none", cfg()).is_err());
     }
 }

@@ -10,14 +10,15 @@
 //! tuner process would. Under the virtual clock the pair of runs is
 //! bit-reproducible.
 
-use crate::atlas::AtlasDoc;
 use crate::controller::{Controller, Switch, TunerConfig};
 use crate::fit::Fit;
+use jobsched_core::objective_select::ObjectiveKind;
 use jobsched_json::Json;
 use jobsched_metrics::MetricsSnapshot;
 use jobsched_serve::engine::Engine;
 use jobsched_serve::protocol::Request;
 use jobsched_serve::{SchedulerSpec, ServeConfig};
+use jobsched_sweep::atlas::ParetoGroup;
 use jobsched_sweep::WorkloadSpec;
 use jobsched_workload::Time;
 
@@ -54,8 +55,8 @@ pub struct DemoOutcome {
     pub tuned: DemoRun,
     /// The identical trace under the static initial scheduler.
     pub baseline: DemoRun,
-    /// Observable objective tags the controller steered by.
-    pub objectives: Vec<String>,
+    /// Streamable objectives the controller steered by.
+    pub objectives: Vec<ObjectiveKind>,
     /// Restricted, renormalised weights over `objectives`.
     pub weights: Vec<f64>,
     /// Relative improvement of the learned objective,
@@ -102,13 +103,9 @@ fn snapshot_of(reply: &Json) -> Result<MetricsSnapshot, String> {
     })
 }
 
-fn controller(atlas: &AtlasDoc, fit: &Fit) -> Result<Controller, String> {
-    Controller::new(atlas, fit, WORKLOAD, INITIAL, TunerConfig::default())
-}
-
-fn run_one(atlas: &AtlasDoc, fit: &Fit, jobs: usize, adaptive: bool) -> Result<DemoRun, String> {
+fn run_one(group: &ParetoGroup, fit: &Fit, jobs: usize, adaptive: bool) -> Result<DemoRun, String> {
     let workload = WorkloadSpec::Ctc { jobs, seed: SEED }.generate();
-    let mut controller = controller(atlas, fit)?;
+    let mut controller = Controller::new(group, fit, INITIAL, TunerConfig::default())?;
 
     let mut engine = Engine::new(ServeConfig {
         machine_nodes: 430, // the full CTC machine: every trace job fits
@@ -194,14 +191,19 @@ fn run_one(atlas: &AtlasDoc, fit: &Fit, jobs: usize, adaptive: bool) -> Result<D
     })
 }
 
-/// Run the tuned and static daemons over the same `jobs`-job CTC trace
-/// and compare.
-pub fn run_demo(atlas: &AtlasDoc, fit: &Fit, jobs: usize) -> Result<DemoOutcome, String> {
-    let probe = controller(atlas, fit)?;
+/// Run the tuned and static daemons over the same `jobs`-job CTC trace,
+/// steered by the `ctc` group of the atlas's Pareto `groups`, and
+/// compare.
+pub fn run_demo(groups: &[ParetoGroup], fit: &Fit, jobs: usize) -> Result<DemoOutcome, String> {
+    let group = groups
+        .iter()
+        .find(|g| g.workload == WORKLOAD)
+        .ok_or_else(|| format!("atlas has no workload group '{WORKLOAD}'"))?;
+    let probe = Controller::new(group, fit, INITIAL, TunerConfig::default())?;
     let objectives = probe.observed_objectives().to_vec();
     let weights = probe.observed_weights().to_vec();
-    let tuned = run_one(atlas, fit, jobs, true)?;
-    let baseline = run_one(atlas, fit, jobs, false)?;
+    let tuned = run_one(group, fit, jobs, true)?;
+    let baseline = run_one(group, fit, jobs, false)?;
     let improvement = if baseline.objective > 0.0 {
         (baseline.objective - tuned.objective) / baseline.objective
     } else {

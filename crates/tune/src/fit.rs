@@ -25,9 +25,10 @@
 //! are reported per group as [`GroupFit::inseparable`], never silently
 //! dropped.
 
-use crate::atlas::AtlasDoc;
+use jobsched_core::objective_select::ObjectiveKind;
 use jobsched_metrics::pareto::{order_violations, rank_violations, scalarize};
 use jobsched_metrics::Point;
+use jobsched_sweep::atlas::ParetoGroup;
 
 /// Per-coordinate grid levels seeding the search (the all-zero
 /// combination is skipped).
@@ -55,8 +56,8 @@ pub struct GroupFit {
 /// The learned scalarization.
 #[derive(Clone, Debug)]
 pub struct Fit {
-    /// Objective tags, parallel to `weights`.
-    pub objectives: Vec<String>,
+    /// The objective axes, parallel to `weights`.
+    pub objectives: Vec<ObjectiveKind>,
     /// Learned weights, normalised to sum 1.
     pub weights: Vec<f64>,
     /// Total rank violations across groups at the optimum.
@@ -67,26 +68,29 @@ pub struct Fit {
     pub groups: Vec<GroupFit>,
 }
 
+/// The mean cost of every axis of `group`, the one normalisation of
+/// the fit and the controller. A degenerate all-zero axis (e.g. zero
+/// variance everywhere) normalises to itself.
+pub(crate) fn axis_means(group: &ParetoGroup) -> Vec<f64> {
+    let n = group.points.len() as f64;
+    (0..group.objectives.len())
+        .map(|j| {
+            let m = group.points.iter().map(|p| p.costs[j]).sum::<f64>() / n;
+            if m > 0.0 {
+                m
+            } else {
+                1.0
+            }
+        })
+        .collect()
+}
+
 /// Per-(group, objective)-mean normalised copies of the atlas points.
-fn normalised_groups(atlas: &AtlasDoc) -> Vec<Vec<Point>> {
-    atlas
-        .groups
+fn normalised_groups(groups: &[ParetoGroup]) -> Vec<Vec<Point>> {
+    groups
         .iter()
         .map(|g| {
-            let d = g.objectives.len();
-            let n = g.points.len() as f64;
-            let means: Vec<f64> = (0..d)
-                .map(|j| {
-                    let m = g.points.iter().map(|p| p.costs[j]).sum::<f64>() / n;
-                    // A degenerate all-zero axis (e.g. zero variance
-                    // everywhere) normalises to itself.
-                    if m > 0.0 {
-                        m
-                    } else {
-                        1.0
-                    }
-                })
-                .collect();
+            let means = axis_means(g);
             g.points
                 .iter()
                 .map(|p| {
@@ -137,11 +141,12 @@ fn grid_starts(levels: &[f64], dims: usize) -> Vec<Vec<f64>> {
     }
 }
 
-/// Learn the scalarization weights for `atlas`.
-pub fn fit(atlas: &AtlasDoc) -> Fit {
-    let dims = atlas.groups[0].objectives.len();
+/// Learn the scalarization weights for the atlas's Pareto `groups`,
+/// which all span the same objective axes.
+pub fn fit(atlas: &[ParetoGroup]) -> Fit {
+    let dims = atlas[0].objectives.len();
     let groups = normalised_groups(atlas);
-    let ranks: Vec<Vec<usize>> = atlas.groups.iter().map(|g| g.ranks.clone()).collect();
+    let ranks: Vec<Vec<usize>> = atlas.iter().map(|g| g.ranks.clone()).collect();
     let mut evaluations = 0usize;
     let mut eval = |w: &[f64]| {
         evaluations += 1;
@@ -202,7 +207,6 @@ pub fn fit(atlas: &AtlasDoc) -> Fit {
     let weights: Vec<f64> = best.iter().map(|w| w / total).collect();
 
     let group_fits: Vec<GroupFit> = atlas
-        .groups
         .iter()
         .zip(&groups)
         .map(|(g, points)| {
@@ -226,7 +230,7 @@ pub fn fit(atlas: &AtlasDoc) -> Fit {
     assert_eq!(violations, best_loss, "report must match the optimum");
 
     Fit {
-        objectives: atlas.groups[0].objectives.clone(),
+        objectives: atlas[0].objectives.clone(),
         weights,
         violations,
         evaluations,
@@ -237,43 +241,30 @@ pub fn fit(atlas: &AtlasDoc) -> Fit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::atlas::{parse_atlas, AtlasGroup};
-    use jobsched_metrics::{pareto_front, pareto_ranks};
+    use jobsched_algos::AlgorithmSpec;
+    use jobsched_sweep::atlas::read_atlas;
 
     type GroupSpec<'a> = (&'a str, Vec<&'a str>, Vec<Vec<f64>>);
 
-    fn doc_from(groups: Vec<GroupSpec<'_>>) -> AtlasDoc {
-        AtlasDoc {
-            schema: "bench-atlas/1".into(),
-            scale: (0, 0, 0),
-            groups: groups
-                .into_iter()
-                .map(|(workload, objs, costs)| {
-                    let points: Vec<Point> = costs
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, c)| Point::new(format!("p{i}"), c))
-                        .collect();
-                    let ranks = pareto_ranks(&points);
-                    let front = pareto_front(&points);
-                    AtlasGroup {
-                        workload: workload.into(),
-                        objectives: objs.into_iter().map(str::to_string).collect(),
-                        names: (0..points.len()).map(|i| format!("P{i}")).collect(),
-                        points,
-                        ranks,
-                        front,
-                    }
-                })
-                .collect(),
-        }
+    fn groups_from(groups: Vec<GroupSpec<'_>>) -> Vec<ParetoGroup> {
+        groups
+            .into_iter()
+            .map(|(workload, objs, costs)| {
+                let specs = AlgorithmSpec::atlas_matrix()[..costs.len()].to_vec();
+                let objs = objs
+                    .into_iter()
+                    .map(|t| ObjectiveKind::from_tag(t).unwrap())
+                    .collect();
+                ParetoGroup::new(workload, objs, specs, costs)
+            })
+            .collect()
     }
 
     #[test]
     fn separable_ranks_fit_to_zero_violations() {
         // Second axis decides the layering; any positive weight pair
         // with enough mass on axis 1 separates it.
-        let atlas = doc_from(vec![(
+        let atlas = groups_from(vec![(
             "ctc",
             vec!["art", "bsld"],
             vec![
@@ -295,7 +286,7 @@ mod tests {
     fn axis_weighting_is_learned() {
         // Rank layers follow axis 0; axis 1 is anti-correlated noise.
         // Separating the layers requires concentrating weight on axis 0.
-        let atlas = doc_from(vec![(
+        let atlas = groups_from(vec![(
             "ctc",
             vec!["art", "bsld"],
             vec![
@@ -324,7 +315,7 @@ mod tests {
         // p0 < p2 always holds; but then p3 = (1.5, 5.9) (rank 2,
         // dominated by p0) must also beat p1... construct a genuine
         // crossing instead: two rank-2 points on opposite sides.
-        let atlas = doc_from(vec![(
+        let atlas = groups_from(vec![(
             "ctc",
             vec!["art", "bsld"],
             vec![
@@ -346,7 +337,7 @@ mod tests {
         // rank-1 point on *both* axes can never score worse — wait,
         // that would dominate it. True inseparability needs ≥2 groups
         // with contradictory orderings of the same cost pattern.
-        let atlas = doc_from(vec![
+        let atlas = groups_from(vec![
             (
                 "ctc",
                 vec!["art", "bsld"],
@@ -376,7 +367,7 @@ mod tests {
 
     #[test]
     fn fit_is_deterministic() {
-        let atlas = doc_from(vec![(
+        let atlas = groups_from(vec![(
             "ctc",
             vec!["art", "awrt", "bsld"],
             vec![
@@ -405,9 +396,9 @@ mod tests {
             return;
         };
         let doc = jobsched_json::parse(&text).expect("committed atlas parses");
-        let atlas = parse_atlas(&doc).expect("committed atlas is well-formed");
+        let (_, atlas) = read_atlas(&doc).expect("committed atlas is well-formed");
         let f = fit(&atlas);
-        assert_eq!(f.objectives.len(), atlas.groups[0].objectives.len());
+        assert_eq!(f.objectives.len(), atlas[0].objectives.len());
         assert!(f.weights.iter().all(|&w| (0.0..=1.0).contains(&w)));
         // Every group's induced order is a permutation.
         for g in &f.groups {

@@ -21,8 +21,12 @@
 //!   `policy set` op when the learned objective predicts another atlas
 //!   row would do better (hysteresis + dwell against flapping).
 //!
-//! [`atlas`] parses the committed `bench-atlas/1` artifact back into
-//! fit input (recomputing ranks — stored ranks are never trusted), and
+//! All three work on the atlas's own typed model: the
+//! [`ParetoGroup`](jobsched_sweep::atlas::ParetoGroup)s that
+//! [`read_atlas`] reads back from the committed `bench-atlas/1`
+//! artifact (recomputing ranks — stored ranks are never trusted), so
+//! every row is an [`AlgorithmSpec`] and every axis an
+//! [`ObjectiveKind`](jobsched_core::objective_select::ObjectiveKind).
 //! [`report`] renders everything into the committed `BENCH_tune.json`
 //! (`bench-tune/1`) and `TUNE.md`. [`run`] drives all of it for
 //! `repro tune`.
@@ -32,24 +36,30 @@
 //! bit-reproducibility, and the tuner under the serve daemon's virtual
 //! clock replays exactly.
 
-pub mod atlas;
 pub mod controller;
 pub mod demo;
 pub mod fit;
 pub mod report;
 pub mod significance;
 
-pub use atlas::{parse_atlas, AtlasDoc, AtlasGroup};
-pub use controller::{Controller, Switch, TunerConfig, OBSERVABLE};
+pub use controller::{Controller, Switch, TunerConfig};
 pub use demo::{run_demo, DemoOutcome, DemoRun};
 pub use fit::{fit, Fit, GroupFit};
 pub use report::{build_json, build_markdown, check_clean, TUNE_SCHEMA};
 pub use significance::{run_significance, RowStats, Significance};
 
+use jobsched_algos::AlgorithmSpec;
 use jobsched_core::experiment::Scale;
 use jobsched_json::Json;
+use jobsched_sweep::atlas::read_atlas;
 use jobsched_sweep::SweepOptions;
 use std::path::Path;
+
+/// An atlas row's serve-protocol scheduler label (`sjf+conservative`,
+/// `ljf+none`): what the `policy set` op and `TUNE.md` spell it as.
+fn row_label(spec: &AlgorithmSpec) -> String {
+    format!("{}+{}", spec.kind.tag(), spec.backfill.tag())
+}
 
 /// The tune artifacts end to end: fit the scalarization against the
 /// `bench-atlas/1` document at `atlas_path`, replay the atlas grid over
@@ -70,11 +80,13 @@ pub fn run(
     let text =
         std::fs::read_to_string(atlas_path).map_err(|e| format!("cannot read {shown}: {e}"))?;
     let doc = jobsched_json::parse(&text).map_err(|e| format!("{shown} is not JSON: {e:?}"))?;
-    let atlas = parse_atlas(&doc).map_err(|e| format!("{shown} is not a usable atlas: {e}"))?;
-    let fitted = fit(&atlas);
+    let (atlas_scale, groups) =
+        read_atlas(&doc).map_err(|e| format!("{shown} is not a usable atlas: {e}"))?;
+    let fitted = fit(&groups);
+    let tags: Vec<&str> = fitted.objectives.iter().map(|o| o.tag()).collect();
     eprintln!(
-        "tune: learned weights {:.3?} over {:?} — {} rank violation(s), {} evaluations",
-        fitted.weights, fitted.objectives, fitted.violations, fitted.evaluations
+        "tune: learned weights {:.3?} over {tags:?} — {} rank violation(s), {} evaluations",
+        fitted.weights, fitted.violations, fitted.evaluations
     );
 
     let sig = run_significance(scale, seeds, sweep)
@@ -84,7 +96,7 @@ pub fn run(
         sig.unstable().len()
     );
 
-    let demo = run_demo(&atlas, &fitted, demo_jobs)?;
+    let demo = run_demo(&groups, &fitted, demo_jobs)?;
     eprintln!(
         "tune: tuner {} → {} in {} switch(es); learned objective {:.4} vs static {:.4} ({:+.1}%)",
         demo::INITIAL,
@@ -97,7 +109,7 @@ pub fn run(
 
     check_clean(&fitted, Some(&sig), Some(&demo))?;
     Ok((
-        build_json(atlas.scale, &fitted, Some(&sig), Some(&demo)),
-        build_markdown(atlas.scale, &fitted, Some(&sig), Some(&demo)),
+        build_json(atlas_scale, &fitted, Some(&sig), Some(&demo)),
+        build_markdown(atlas_scale, &fitted, Some(&sig), Some(&demo)),
     ))
 }

@@ -9,10 +9,21 @@ use crate::controller::Switch;
 use crate::demo::DemoOutcome;
 use crate::fit::Fit;
 use crate::significance::Significance;
+use jobsched_core::experiment::Scale;
+use jobsched_core::objective_select::ObjectiveKind;
 use jobsched_json::Json;
 
 /// Schema tag of the JSON artifact (documented in `EXPERIMENTS.md`).
 pub const TUNE_SCHEMA: &str = "bench-tune/1";
+
+fn tags_json(objectives: &[ObjectiveKind]) -> Json {
+    Json::Arr(
+        objectives
+            .iter()
+            .map(|o| Json::Str(o.tag().into()))
+            .collect(),
+    )
+}
 
 fn fit_json(fit: &Fit) -> Json {
     let groups: Vec<Json> = fit
@@ -40,10 +51,7 @@ fn fit_json(fit: &Fit) -> Json {
         })
         .collect();
     Json::obj([
-        (
-            "objectives",
-            Json::Arr(fit.objectives.iter().cloned().map(Json::Str).collect()),
-        ),
+        ("objectives", tags_json(&fit.objectives)),
         (
             "weights",
             Json::Arr(fit.weights.iter().map(|&w| Json::Num(w)).collect()),
@@ -77,10 +85,7 @@ fn significance_json(sig: &Significance) -> Json {
         .collect();
     Json::obj([
         ("seeds", Json::UInt(sig.seeds as u64)),
-        (
-            "objectives",
-            Json::Arr(sig.objectives.iter().cloned().map(Json::Str).collect()),
-        ),
+        ("objectives", tags_json(&sig.objectives)),
         ("rows", Json::Arr(rows)),
     ])
 }
@@ -113,10 +118,7 @@ fn demo_json(demo: &DemoOutcome) -> Json {
         ])
     };
     Json::obj([
-        (
-            "objectives",
-            Json::Arr(demo.objectives.iter().cloned().map(Json::Str).collect()),
-        ),
+        ("objectives", tags_json(&demo.objectives)),
         (
             "weights",
             Json::Arr(demo.weights.iter().map(|&w| Json::Num(w)).collect()),
@@ -130,7 +132,7 @@ fn demo_json(demo: &DemoOutcome) -> Json {
 /// Assemble the `bench-tune/1` document. `sig` and `demo` sections are
 /// optional — the fit alone still renders a valid document.
 pub fn build_json(
-    scale: (u64, u64, u64),
+    scale: Scale,
     fit: &Fit,
     sig: Option<&Significance>,
     demo: Option<&DemoOutcome>,
@@ -140,9 +142,9 @@ pub fn build_json(
         (
             "scale",
             Json::obj([
-                ("ctc_jobs", Json::UInt(scale.0)),
-                ("synthetic_jobs", Json::UInt(scale.1)),
-                ("seed", Json::UInt(scale.2)),
+                ("ctc_jobs", Json::UInt(scale.ctc_jobs as u64)),
+                ("synthetic_jobs", Json::UInt(scale.synthetic_jobs as u64)),
+                ("seed", Json::UInt(scale.seed)),
             ]),
         ),
         ("fit", fit_json(fit)),
@@ -168,7 +170,7 @@ fn fmt_g(x: f64) -> String {
 
 /// Render `TUNE.md`.
 pub fn build_markdown(
-    scale: (u64, u64, u64),
+    scale: Scale,
     fit: &Fit,
     sig: Option<&Significance>,
     demo: Option<&DemoOutcome>,
@@ -177,7 +179,7 @@ pub fn build_markdown(
     md.push_str("# TUNE — learning the objective from the scheduler atlas\n\n");
     md.push_str(&format!(
         "Source atlas scale: {} CTC jobs, {} synthetic jobs, seed {}.\n\n",
-        scale.0, scale.1, scale.2
+        scale.ctc_jobs, scale.synthetic_jobs, scale.seed
     ));
 
     md.push_str("## Learned scalarization\n\n");
@@ -186,8 +188,8 @@ pub fn build_markdown(
          groups (costs mean-normalised per axis, weights sum to 1):\n\n",
     );
     md.push_str("| objective | weight |\n|---|---:|\n");
-    for (t, w) in fit.objectives.iter().zip(&fit.weights) {
-        md.push_str(&format!("| {t} | {} |\n", fmt_g(*w)));
+    for (o, w) in fit.objectives.iter().zip(&fit.weights) {
+        md.push_str(&format!("| {} | {} |\n", o.tag(), fmt_g(*w)));
     }
     md.push_str(&format!(
         "\nRank violations at the optimum: **{}** ({} candidate evaluations).\n",
@@ -226,7 +228,7 @@ pub fn build_markdown(
         ));
         md.push_str("| row | ");
         for o in &sig.objectives {
-            md.push_str(&format!("{o} | "));
+            md.push_str(&format!("{} | ", o.tag()));
         }
         md.push_str("front |\n|---|");
         for _ in &sig.objectives {
@@ -264,7 +266,11 @@ pub fn build_markdown(
              the tuned daemon lets the controller switch schedulers via \
              the `policy set` op, the baseline stays on the initial row. \
              Learned objective (streamable axes {}, weights {}):\n\n",
-            d.objectives.join("/"),
+            d.objectives
+                .iter()
+                .map(|o| o.tag())
+                .collect::<Vec<_>>()
+                .join("/"),
             d.weights
                 .iter()
                 .map(|w| fmt_g(*w))
@@ -363,9 +369,20 @@ mod tests {
     use super::*;
     use crate::fit::{Fit, GroupFit};
 
+    fn scale() -> Scale {
+        Scale {
+            ctc_jobs: 100,
+            synthetic_jobs: 50,
+            seed: 7,
+        }
+    }
+
     fn fit_fixture() -> Fit {
         Fit {
-            objectives: vec!["art".into(), "bsld".into()],
+            objectives: vec![
+                ObjectiveKind::AvgResponseTime,
+                ObjectiveKind::AvgBoundedSlowdown,
+            ],
             weights: vec![0.75, 0.25],
             violations: 1,
             evaluations: 99,
@@ -380,7 +397,7 @@ mod tests {
 
     #[test]
     fn json_document_has_the_schema_and_fit_sections() {
-        let doc = build_json((100, 50, 7), &fit_fixture(), None, None);
+        let doc = build_json(scale(), &fit_fixture(), None, None);
         assert_eq!(
             doc.get("schema").and_then(|s| s.as_str()),
             Some("bench-tune/1")
@@ -400,7 +417,7 @@ mod tests {
 
     #[test]
     fn markdown_mentions_weights_and_inseparable_pairs() {
-        let md = build_markdown((100, 50, 7), &fit_fixture(), None, None);
+        let md = build_markdown(scale(), &fit_fixture(), None, None);
         assert!(md.contains("| art | 0.7500 |"));
         assert!(md.contains("row 1 outranks row 2"));
     }

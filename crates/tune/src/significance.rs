@@ -12,9 +12,9 @@
 //! not others is flagged unstable: its atlas front membership is a
 //! draw-level accident, not a policy-level fact.
 
-use jobsched_core::experiment::{EvalTable, Scale};
-use jobsched_metrics::{pareto_front, Point};
-use jobsched_sweep::grid::policy_tag;
+use jobsched_core::experiment::Scale;
+use jobsched_core::objective_select::ObjectiveKind;
+use jobsched_sweep::atlas::{pareto_groups, ParetoGroup};
 use jobsched_sweep::{run_campaign, Campaign, SweepOptions};
 use jobsched_workload::stats::Summary;
 use std::io;
@@ -48,8 +48,8 @@ impl RowStats {
 pub struct Significance {
     /// Number of independent workload resamplings.
     pub seeds: usize,
-    /// Objective tags spanning the cost axes (atlas order).
-    pub objectives: Vec<String>,
+    /// The objectives spanning the cost axes (atlas order).
+    pub objectives: Vec<ObjectiveKind>,
     /// One entry per atlas matrix row, matrix order.
     pub rows: Vec<RowStats>,
 }
@@ -61,64 +61,49 @@ impl Significance {
     }
 }
 
-/// Aggregate the per-seed tables of a finished significance campaign.
-///
-/// `tables` must be the [`Campaign::significance`] output: seed-major,
-/// objective-minor (`seeds × objectives` tables of identical row order).
-pub fn aggregate(tables: &[EvalTable], seeds: usize, objectives: &[String]) -> Significance {
-    let dims = objectives.len();
-    assert_eq!(tables.len(), seeds * dims, "seed-major table layout");
-    let rows_n = tables[0].cells.len();
-    for t in tables {
-        assert_eq!(t.cells.len(), rows_n, "ragged significance tables");
+/// Aggregate the Pareto groups of a finished significance campaign,
+/// one per resampled draw ([`pareto_groups`] of
+/// [`Campaign::significance`]): per row, the across-draw mean and 95%
+/// CI of every objective and the number of draws whose front holds it.
+pub fn aggregate(groups: &[ParetoGroup]) -> Significance {
+    let seeds = groups.len();
+    let first = &groups[0];
+    // The same matrix row must sit at the same index in every draw, or
+    // the per-draw samples would mix policies.
+    for g in groups {
+        assert!(
+            g.specs == first.specs && g.objectives == first.objectives,
+            "significance draws must share rows and objectives"
+        );
     }
 
-    // Per-seed Pareto fronts over the full cost space.
-    let mut front_count = vec![0usize; rows_n];
-    for k in 0..seeds {
-        let points: Vec<Point> = (0..rows_n)
-            .map(|r| {
-                let costs = (0..dims)
-                    .map(|j| tables[k * dims + j].cells[r].cost)
-                    .collect();
-                Point::new(format!("row{r}"), costs)
-            })
-            .collect();
-        for idx in pareto_front(&points) {
-            front_count[idx] += 1;
-        }
-    }
-
-    let rows = (0..rows_n)
-        .map(|r| {
-            let spec = tables[0].cells[r].spec();
-            // The same matrix row must sit at the same index in every
-            // table, or the per-seed samples would mix policies.
-            for t in tables {
-                assert_eq!(t.cells[r].spec(), spec, "row order drift across tables");
-            }
+    let rows = first
+        .specs
+        .iter()
+        .enumerate()
+        .map(|(r, spec)| {
+            let dims = first.objectives.len();
             let mut mean = Vec::with_capacity(dims);
             let mut ci = Vec::with_capacity(dims);
             for j in 0..dims {
-                let samples =
-                    Summary::from_iter((0..seeds).map(|k| tables[k * dims + j].cells[r].cost));
+                let samples = Summary::from_iter(groups.iter().map(|g| g.points[r].costs[j]));
                 mean.push(samples.mean());
                 // 1.96·s/√N with the sample deviation s = σ·√(N/(N−1)).
                 ci.push(1.96 * samples.std_dev() / ((seeds - 1).max(1) as f64).sqrt());
             }
             RowStats {
-                label: format!("{}+{}", policy_tag(spec.kind), spec.backfill.tag()),
+                label: crate::row_label(spec),
                 name: spec.name(),
                 mean,
                 ci,
-                front_count: front_count[r],
+                front_count: groups.iter().filter(|g| g.front.contains(&r)).count(),
             }
         })
         .collect();
 
     Significance {
         seeds,
-        objectives: objectives.to_vec(),
+        objectives: first.objectives.clone(),
         rows,
     }
 }
@@ -134,11 +119,7 @@ pub fn run_significance(
 ) -> io::Result<Significance> {
     let campaign = Campaign::significance(scale, seeds);
     let outcome = run_campaign(&campaign, sweep)?;
-    let objectives: Vec<String> = Campaign::ATLAS_OBJECTIVES
-        .iter()
-        .map(|(tag, _, _)| tag.to_string())
-        .collect();
-    Ok(aggregate(&outcome.tables, seeds, &objectives))
+    Ok(aggregate(&pareto_groups(&campaign, &outcome)))
 }
 
 #[cfg(test)]
@@ -186,24 +167,18 @@ mod tests {
     #[test]
     fn mean_ci_basics() {
         use jobsched_algos::AlgorithmSpec;
-        use jobsched_core::experiment::{assemble_table, EngineCounts, EvalCell};
-        use jobsched_core::objective_select::ObjectiveKind;
 
         let one_row = |cost: f64| {
-            let cell = EvalCell::from_parts(
-                AlgorithmSpec::reference(),
-                cost,
-                std::time::Duration::ZERO,
-                0,
-                0.0,
-                EngineCounts::default(),
-            );
-            assemble_table("t", "w", ObjectiveKind::AvgResponseTime, vec![cell])
+            ParetoGroup::new(
+                "w",
+                vec![ObjectiveKind::AvgResponseTime],
+                vec![AlgorithmSpec::reference()],
+                vec![vec![cost]],
+            )
         };
-        let objectives = ["art".to_string()];
-        let sig = aggregate(&[one_row(4.0)], 1, &objectives);
+        let sig = aggregate(&[one_row(4.0)]);
         assert_eq!((sig.rows[0].mean[0], sig.rows[0].ci[0]), (4.0, 0.0));
-        let sig = aggregate(&[one_row(1.0), one_row(3.0)], 2, &objectives);
+        let sig = aggregate(&[one_row(1.0), one_row(3.0)]);
         assert!((sig.rows[0].mean[0] - 2.0).abs() < 1e-12);
         // s = sqrt(2), ci = 1.96·sqrt(2)/sqrt(2) = 1.96.
         assert!((sig.rows[0].ci[0] - 1.96).abs() < 1e-9);

@@ -8,13 +8,15 @@
 //! over the identical job stream, and (c) do both bit-reproducibly
 //! under the daemon's virtual clock.
 
-use jobsched_tune::{build_json, fit, parse_atlas, run_demo};
+use jobsched_core::experiment::Scale;
+use jobsched_sweep::atlas::{read_atlas, ParetoGroup};
+use jobsched_tune::{build_json, fit, run_demo};
 
-fn committed_atlas() -> jobsched_tune::AtlasDoc {
+fn committed_atlas() -> (Scale, Vec<ParetoGroup>) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_atlas.json");
     let text = std::fs::read_to_string(path).expect("committed BENCH_atlas.json present");
     let doc = jobsched_json::parse(&text).expect("atlas parses as JSON");
-    parse_atlas(&doc).expect("atlas is a well-formed bench-atlas document")
+    read_atlas(&doc).expect("atlas is a well-formed bench-atlas document")
 }
 
 /// Demo trace length: the `--smoke` slice's.
@@ -22,7 +24,7 @@ const JOBS: usize = 300;
 
 #[test]
 fn controller_switches_mid_trace_and_improves_the_learned_objective() {
-    let atlas = committed_atlas();
+    let (_, atlas) = committed_atlas();
     let fitted = fit(&atlas);
     let outcome = run_demo(&atlas, &fitted, JOBS).expect("demo runs");
 
@@ -74,14 +76,14 @@ fn controller_switches_mid_trace_and_improves_the_learned_objective() {
 
 #[test]
 fn tuner_demo_is_bit_reproducible() {
-    let atlas = committed_atlas();
+    let (scale, atlas) = committed_atlas();
     let fitted = fit(&atlas);
     let a = run_demo(&atlas, &fitted, JOBS).expect("first run");
     let b = run_demo(&atlas, &fitted, JOBS).expect("second run");
     // Rendering to the artifact JSON compares every field — switches,
     // final metrics, objectives — with exact float formatting.
     let render = |o: &jobsched_tune::DemoOutcome| {
-        build_json(atlas.scale, &fitted, None, Some(o)).to_string_pretty()
+        build_json(scale, &fitted, None, Some(o)).to_string_pretty()
     };
     assert_eq!(render(&a), render(&b));
     assert_eq!(a.tuned.switches, b.tuned.switches);
@@ -89,7 +91,7 @@ fn tuner_demo_is_bit_reproducible() {
 
 #[test]
 fn static_run_stays_on_the_initial_row() {
-    let atlas = committed_atlas();
+    let (_, atlas) = committed_atlas();
     let fitted = fit(&atlas);
     let outcome = run_demo(&atlas, &fitted, JOBS).expect("demo runs");
     assert!(outcome.baseline.switches.is_empty());
