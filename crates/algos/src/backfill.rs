@@ -25,13 +25,40 @@
 //! machine is the whole machine); the list scheduler runs one per pool
 //! over the jobs resolved to it.
 //!
+//! Both backfilling scans honour an optional [`ExclusiveWindow`]: a job
+//! it does not admit now cannot start now, and a projected start is the
+//! earliest *admissible* one.
+//!
 //! All reasoning uses user estimates; §5.2's caveat — a running job "may
 //! terminate within the next 5 minutes" instead of its projected 2 hours,
 //! so backfilled jobs can still delay skipped ones relative to FCFS —
 //! plays out naturally in the simulator through early finish events.
 
+use crate::switching::ExclusiveWindow;
+use jobsched_sim::profile::HORIZON;
 use jobsched_sim::{JobRequest, Machine, Profile};
 use jobsched_workload::{ClassId, JobId, Time};
+
+/// The earliest start ≥ `from` that both `earliest` (a profile's
+/// earliest fitting start) and the window admit: alternate the two until
+/// they agree.
+fn earliest_admissible(
+    window: Option<&ExclusiveWindow>,
+    estimate: Time,
+    mut from: Time,
+    mut earliest: impl FnMut(Time) -> Time,
+) -> Time {
+    loop {
+        let start = earliest(from);
+        match window {
+            Some(w) if start < HORIZON => from = w.admissible_from(start, estimate),
+            _ => return start,
+        }
+        if from == start {
+            return start;
+        }
+    }
+}
 
 /// Backfilling flavour applied on top of a priority order (§5.2).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -111,21 +138,26 @@ pub struct EasyScan {
 /// allocation) and the just-started picks are overlaid as reservations.
 /// The requests of the phase-1 picks and of the blocked head are kept
 /// from the walk, never looked up again.
+///
+/// Under an exclusive `window`, a job it does not admit now blocks like
+/// one that does not fit, and a backfill candidate must be admissible.
 pub fn scan_easy_live_in<'a>(
     class: ClassId,
     order: impl IntoIterator<Item = &'a JobRequest>,
+    window: Option<&ExclusiveWindow>,
     machine: &Machine,
     now: Time,
     scratch: &mut Profile,
 ) -> EasyScan {
     let mut order = order.into_iter();
     let mut free = machine.free_in(class);
+    let admitted = |job: &JobRequest| window.is_none_or(|w| w.admits(now, job.requested_time));
 
     // Phase 1: start head jobs greedily until one blocks.
     let mut started: Vec<&JobRequest> = Vec::new();
     let mut blocked_head = None;
     for job in &mut order {
-        if job.nodes <= free {
+        if job.nodes <= free && admitted(job) {
             free -= job.nodes;
             started.push(job);
         } else {
@@ -137,7 +169,7 @@ pub fn scan_easy_live_in<'a>(
     let Some(head) = blocked_head else {
         return EasyScan {
             picks: out,
-            shadow: jobsched_sim::profile::HORIZON,
+            shadow: HORIZON,
             extra: free,
             free,
         };
@@ -149,16 +181,21 @@ pub fn scan_easy_live_in<'a>(
     // at the shadow time once the head job has taken its share.
     let head_duration = head.requested_time.max(1);
     let live = machine.class_profile(class);
+    let estimate = head.requested_time;
     let (shadow, mut extra) = if out.is_empty() {
         // Nothing started: the live calendar *is* the profile.
-        let shadow = live.earliest_start(now, head.nodes, head_duration, now);
+        let shadow = earliest_admissible(window, estimate, now, |from| {
+            live.earliest_start(now, head.nodes, head_duration, from)
+        });
         (shadow, live.free_at(now, shadow).saturating_sub(head.nodes))
     } else {
         live.snapshot_into(now, scratch);
         for j in &started {
             scratch.reserve(j.nodes, now, j.requested_time.max(1));
         }
-        let shadow = scratch.earliest_start(head.nodes, head_duration, now);
+        let shadow = earliest_admissible(window, estimate, now, |from| {
+            scratch.earliest_start(head.nodes, head_duration, from)
+        });
         (shadow, scratch.free_at(shadow).saturating_sub(head.nodes))
     };
 
@@ -168,7 +205,7 @@ pub fn scan_easy_live_in<'a>(
         if free == 0 {
             break;
         }
-        if job.nodes > free {
+        if job.nodes > free || !admitted(job) {
             continue;
         }
         let ends_by_shadow = now + job.requested_time.max(1) <= shadow;
@@ -228,6 +265,10 @@ pub const CONSERVATIVE_TRUNCATION_DEPTH: usize = 512;
 /// [`Profile::earliest_slot`] keeps the step its start falls in and
 /// [`Profile::reserve_slot`] books from there.
 ///
+/// Under an exclusive `window`, a job it does not admit now cannot start
+/// now; admissibility at `now` is fixed within the decision, so the early
+/// stop still holds.
+///
 /// For queues deeper than [`CONSERVATIVE_TRUNCATION_DEPTH`] the scan
 /// truncates the calendar at a horizon of `now + 4 × longest estimate`:
 /// reservations landing beyond it are not booked. A "start now" window
@@ -236,11 +277,13 @@ pub const CONSERVATIVE_TRUNCATION_DEPTH: usize = 512;
 /// the scan *less* eager in contrived window-crossing cases (a job that a
 /// full calendar would admit may wait one more event), never break the
 /// conservative no-delay guarantee.
+#[allow(clippy::too_many_arguments)]
 pub fn scan_conservative_live_in<'a, I>(
     class: ClassId,
     order: I,
     queue_len: usize,
     longest_estimate: Time,
+    window: Option<&ExclusiveWindow>,
     machine: &Machine,
     now: Time,
     profile: &mut Profile,
@@ -258,11 +301,13 @@ where
         let span = longest_estimate.max(1).saturating_mul(4);
         (2 * CONSERVATIVE_TRUNCATION_DEPTH, now.saturating_add(span))
     } else {
-        (usize::MAX, jobsched_sim::profile::HORIZON)
+        (usize::MAX, HORIZON)
     };
     let jobs = order.into_iter().take(scan_limit);
-    let can_start_now =
-        |p: &Profile, job: &JobRequest| p.fits_from_start(job.nodes, job.requested_time);
+    let can_start_now = |p: &Profile, job: &JobRequest| {
+        window.is_none_or(|w| w.admits(now, job.requested_time))
+            && p.fits_from_start(job.nodes, job.requested_time)
+    };
 
     let mut picks = Vec::new();
     let mut ahead = jobs.clone().enumerate();
@@ -280,7 +325,13 @@ where
         }
         booked = false;
         let duration = job.requested_time.max(1);
-        match profile.earliest_slot(job.nodes, duration, now) {
+        let from = match window {
+            None => now,
+            Some(_) => earliest_admissible(window, job.requested_time, now, |from| {
+                profile.earliest_start(job.nodes, duration, from)
+            }),
+        };
+        match profile.earliest_slot(job.nodes, duration, from) {
             Some(slot) if slot.start < horizon => {
                 profile.reserve_slot(job.nodes, slot, duration);
                 booked = true;
@@ -315,13 +366,23 @@ mod tests {
     const POOL: ClassId = ClassId(0);
 
     fn select_easy(order: &[JobRequest], m: &Machine, now: Time) -> Vec<JobId> {
-        scan_easy_live_in(POOL, order, m, now, &mut Profile::empty(1, 0)).picks
+        scan_easy_live_in(POOL, order, None, m, now, &mut Profile::empty(1, 0)).picks
     }
 
     fn select_conservative(order: &[JobRequest], m: &Machine, now: Time) -> Vec<JobId> {
         let longest = order.iter().map(|r| r.requested_time).max().unwrap_or(0);
         let mut scratch = Profile::empty(1, 0);
-        scan_conservative_live_in(POOL, order, order.len(), longest, m, now, &mut scratch).picks
+        scan_conservative_live_in(
+            POOL,
+            order,
+            order.len(),
+            longest,
+            None,
+            m,
+            now,
+            &mut scratch,
+        )
+        .picks
     }
 
     #[test]

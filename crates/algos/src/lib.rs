@@ -25,7 +25,10 @@
 //! decisions and composing with the same three selection strategies. The §7
 //! day/night combination ([`switching`]) is a list scheduler with a
 //! second, off-peak regime: each regime orders the one queue as its own
-//! row does, and the regime owning the instant selects.
+//! row does, and the regime owning the instant selects. Example 4's
+//! exclusive window ([`switching::ExclusiveWindow`]) is a rule of the same
+//! scheduler that every selection strategy honours, so
+//! [`scheduler::ListScheduler`] is the one rigid scheduler.
 //!
 //! The offline algorithms are adapted to the online setting exactly as
 //! §5.4/§5.5 describe: they only *order* the wait queue; user estimates
@@ -35,7 +38,6 @@
 
 pub mod backfill;
 pub mod dfrs;
-pub mod drain;
 pub mod garey_graham;
 pub mod order;
 pub mod priority;

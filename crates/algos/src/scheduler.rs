@@ -24,6 +24,8 @@
 //! off-peak regime ([`ListScheduler::with_off_peak`]): each regime keeps
 //! its own order and §5.4 trigger over the one wait queue, and the regime
 //! owning the decision instant selects, exactly as its own row would.
+//! Example 4's exclusive window ([`ListScheduler::with_exclusive_window`])
+//! binds every selection strategy in both regimes.
 
 use crate::backfill::{
     scan_conservative_live_in, scan_easy_live_in, select_head_blocking_in, BackfillMode,
@@ -31,7 +33,7 @@ use crate::backfill::{
 use crate::garey_graham::select_greedy_any_in;
 use crate::order::{OrderPolicy, ReorderTrigger};
 use crate::priority::{by_score_then_id, score_at, ScoreFn};
-use crate::switching::DailyWindow;
+use crate::switching::{DailyWindow, ExclusiveWindow};
 use crate::view::JobView;
 use jobsched_sim::{JobRequest, Machine, Profile, Scheduler};
 use jobsched_workload::{ClassId, JobId, Time};
@@ -44,7 +46,7 @@ use std::cell::Cell;
 /// multi-million-job source the queue must stay O(backlog)) — lookups
 /// are O(log q) in the queue length, which the backlog bounds.
 #[derive(Clone, Debug, Default)]
-pub struct Waiting {
+struct Waiting {
     queue: std::collections::BTreeMap<JobId, JobRequest>,
     /// Longest requested time in the queue; `None` once a job holding it
     /// left, until [`Waiting::longest_estimate`] recomputes it.
@@ -52,13 +54,8 @@ pub struct Waiting {
 }
 
 impl Waiting {
-    /// Empty queue.
-    pub fn new() -> Self {
-        Waiting::default()
-    }
-
     /// Add a request.
-    pub fn insert(&mut self, job: JobRequest) {
+    fn insert(&mut self, job: JobRequest) {
         let id = job.id;
         assert!(
             self.queue.insert(id, job).is_none(),
@@ -70,7 +67,7 @@ impl Waiting {
     }
 
     /// Remove a request (when it starts).
-    pub fn remove(&mut self, id: JobId) -> JobRequest {
+    fn remove(&mut self, id: JobId) -> JobRequest {
         let job = self.queue.remove(&id).expect("removing unknown job");
         if self.longest.get() == Some(job.requested_time) {
             self.longest.set(None);
@@ -81,7 +78,7 @@ impl Waiting {
     /// Longest requested time of any waiting job (0 when none wait).
     /// Kept as jobs arrive; recomputed over the queue only after the job
     /// that held it left.
-    pub fn longest_estimate(&self) -> Time {
+    fn longest_estimate(&self) -> Time {
         self.longest.get().unwrap_or_else(|| {
             let longest = self.requests().map(|r| r.requested_time).max().unwrap_or(0);
             self.longest.set(Some(longest));
@@ -91,38 +88,33 @@ impl Waiting {
 
     /// Look up a waiting request. Panics on unknown ids (scheduler bug).
     #[inline]
-    pub fn get(&self, id: JobId) -> &JobRequest {
+    fn get(&self, id: JobId) -> &JobRequest {
         self.queue.get(&id).expect("unknown waiting job")
     }
 
     /// Whether the job is waiting.
     #[inline]
-    pub fn contains(&self, id: JobId) -> bool {
+    fn contains(&self, id: JobId) -> bool {
         self.queue.contains_key(&id)
     }
 
     /// Number of waiting jobs.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.queue.len()
     }
 
     /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
 
-    /// Waiting ids in submission order.
-    pub fn ids(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.queue.keys().copied()
-    }
-
     /// Highest waiting id — the current queue tail.
-    pub fn max_id(&self) -> Option<JobId> {
+    fn max_id(&self) -> Option<JobId> {
         self.queue.keys().next_back().copied()
     }
 
     /// Waiting requests in submission order.
-    pub fn requests(&self) -> impl ExactSizeIterator<Item = &JobRequest> + Clone + '_ {
+    fn requests(&self) -> impl ExactSizeIterator<Item = &JobRequest> + Clone + '_ {
         self.queue.values()
     }
 }
@@ -378,6 +370,8 @@ pub struct ListScheduler {
     primary: Regime,
     /// The regime that governs outside the window, if any.
     off_peak: Option<(Regime, DailyWindow)>,
+    /// The exclusive window every decision honours, if any.
+    window: Option<ExclusiveWindow>,
     /// Operator override of a combination: `Some(true)` pins the primary
     /// regime, `Some(false)` the off-peak one, `None` follows the clock.
     forced: Option<bool>,
@@ -406,10 +400,11 @@ impl ListScheduler {
         ListScheduler {
             primary: Regime::new(policy, backfill),
             off_peak: None,
+            window: None,
             forced: None,
             on_primary: true,
             trigger: ReorderTrigger::default(),
-            waiting: Waiting::new(),
+            waiting: Waiting::default(),
             recomputations: 0,
             caching: true,
             scratch: Profile::empty(1, 0),
@@ -430,6 +425,14 @@ impl ListScheduler {
     ) -> Self {
         self.off_peak = Some((Regime::new(policy, backfill), window));
         self
+    }
+
+    /// Give the machine away during `window` (Example 4) in both regimes,
+    /// under [`ExclusiveWindow`]'s rule. A window that never closes is
+    /// rejected.
+    pub fn with_exclusive_window(mut self, window: DailyWindow) -> Result<Self, String> {
+        self.window = Some(ExclusiveWindow::new(window)?);
+        Ok(self)
     }
 
     /// Override the re-computation trigger (ablation benches).
@@ -607,9 +610,10 @@ impl ListScheduler {
 
 /// Selection strategy of one full decision scan.
 #[derive(Clone, Copy)]
-struct ScanConfig {
+struct ScanConfig<'w> {
     greedy_any: bool,
     backfill: BackfillMode,
+    window: Option<&'w ExclusiveWindow>,
 }
 
 /// One full decision of `regime` over the wait queue: hand the policy's
@@ -619,6 +623,7 @@ struct ScanConfig {
 /// machine, the blocked state the scan leaves behind.
 fn full_decision(
     regime: &Regime,
+    window: Option<&ExclusiveWindow>,
     waiting: &Waiting,
     scratch: &mut Profile,
     machine: &Machine,
@@ -627,6 +632,7 @@ fn full_decision(
     let config = ScanConfig {
         greedy_any: matches!(regime.policy, OrderPolicy::GareyGraham),
         backfill: regime.backfill,
+        window,
     };
     match regime.policy {
         OrderPolicy::Fcfs | OrderPolicy::GareyGraham => {
@@ -650,7 +656,7 @@ fn full_decision(
 /// can never consume thin capacity or vice versa; nothing is cached then
 /// (that would need one cache per pool).
 fn scan_pools<'a, I>(
-    config: ScanConfig,
+    config: ScanConfig<'_>,
     scratch: &mut Profile,
     order: I,
     waiting: &Waiting,
@@ -685,15 +691,20 @@ where
 /// scans; on a single-class machine `ClassId(0)` is the whole machine.
 fn full_scan<'a>(
     class: ClassId,
-    config: ScanConfig,
+    config: ScanConfig<'_>,
     scratch: &mut Profile,
     order: impl Iterator<Item = &'a JobRequest> + Clone,
     waiting: &Waiting,
     machine: &Machine,
     now: Time,
 ) -> (Vec<JobId>, BlockedCache) {
+    let window = config.window;
+    // A job the exclusive window does not admit now is treated as one
+    // that does not fit: it blocks a head-blocking list and is skipped by
+    // Garey & Graham.
+    let admitted = |r: &&JobRequest| window.is_none_or(|w| w.admits(now, r.requested_time));
     if config.greedy_any {
-        let picks = select_greedy_any_in(class, order, machine);
+        let picks = select_greedy_any_in(class, order.filter(admitted), machine);
         let used: u32 = picks.iter().map(|&id| waiting.get(id).nodes).sum();
         return (
             picks,
@@ -704,7 +715,7 @@ fn full_scan<'a>(
     }
     match config.backfill {
         BackfillMode::None => {
-            let picks = select_head_blocking_in(class, order, machine);
+            let picks = select_head_blocking_in(class, order.take_while(admitted), machine);
             let blocked = if picks.len() < waiting.len() {
                 BlockedCache::HeadBlocked
             } else {
@@ -716,7 +727,7 @@ fn full_scan<'a>(
             (picks, blocked)
         }
         BackfillMode::Easy => {
-            let scan = scan_easy_live_in(class, order, machine, now, scratch);
+            let scan = scan_easy_live_in(class, order, window, machine, now, scratch);
             (
                 scan.picks,
                 BlockedCache::Easy {
@@ -732,6 +743,7 @@ fn full_scan<'a>(
                 order,
                 waiting.len(),
                 waiting.longest_estimate(),
+                window,
                 machine,
                 now,
                 scratch,
@@ -748,13 +760,17 @@ fn full_scan<'a>(
 
 impl Scheduler for ListScheduler {
     fn name(&self) -> String {
-        match &self.off_peak {
+        let name = match &self.off_peak {
             None => self.primary.label(),
             Some((off_peak, _)) => format!(
                 "switch[day: {} | night: {}]",
                 self.primary.label(),
                 off_peak.label()
             ),
+        };
+        match &self.window {
+            None => name,
+            Some(w) => format!("{name} exclusive[{}]", w.window),
         }
     }
 
@@ -837,14 +853,15 @@ impl Scheduler for ListScheduler {
             Some((off_peak, _)) if !on_primary => off_peak,
             _ => &mut self.primary,
         };
-        // The blocked-state cache describes one pool under an order that
-        // only events change: a multi-class machine and a score order
-        // (which drifts with the clock) take a full scan per decision,
-        // and `self.cache` stays `None` so submissions never accumulate
-        // arrivals against a stale state.
+        // The blocked-state cache describes one pool under an order and
+        // admissibility that only events change: a multi-class machine, a
+        // score order and an exclusive window (both drift with the clock)
+        // take a full scan per decision, and `self.cache` stays `None` so
+        // submissions never accumulate arrivals against a stale state.
         let caching = self.caching
             && machine.class_count() == 1
-            && !matches!(regime.policy, OrderPolicy::Score(_));
+            && !matches!(regime.policy, OrderPolicy::Score(_))
+            && self.window.is_none();
         if regime.reorder_pending {
             // The §5.4 trigger fired at a submission: this decision scans
             // a freshly computed order.
@@ -857,8 +874,14 @@ impl Scheduler for ListScheduler {
         if let OrderPolicy::Score(score) = regime.policy {
             regime.order.rank_at(score, now);
         }
-        let (picks, blocked) =
-            full_decision(regime, &self.waiting, &mut self.scratch, machine, now);
+        let (picks, blocked) = full_decision(
+            regime,
+            self.window.as_ref(),
+            &self.waiting,
+            &mut self.scratch,
+            machine,
+            now,
+        );
         self.dequeue(&picks);
         if caching {
             // Every full scan is complete: no further job can start until
@@ -876,14 +899,20 @@ impl Scheduler for ListScheduler {
     }
 
     fn next_wakeup(&self, now: Time) -> Option<Time> {
-        // Wake at the next regime boundary: the backlog is re-ordered by
-        // the other regime's policy there. A single regime, an empty
-        // queue and a forced regime have none.
-        let (_, window) = self.off_peak.as_ref()?;
-        if self.waiting.is_empty() || self.forced.is_some() {
+        // Wake at the next regime boundary, where the other regime's
+        // policy takes over the backlog (a single or forced regime has
+        // none), and at the next end of the exclusive window, where the
+        // jobs it held back become admissible.
+        if self.waiting.is_empty() {
             return None;
         }
-        window.next_boundary(now)
+        let regime = self
+            .off_peak
+            .as_ref()
+            .filter(|_| self.forced.is_none())
+            .and_then(|(_, window)| window.next_boundary(now));
+        let window = self.window.as_ref().and_then(|w| w.next_end(now));
+        regime.into_iter().chain(window).min()
     }
 }
 
@@ -893,6 +922,7 @@ mod tests {
     use crate::smart::SmartVariant;
     use crate::view::WeightScheme;
     use jobsched_sim::simulate;
+    use jobsched_workload::job::{DAY, HOUR};
     use jobsched_workload::{JobBuilder, Workload};
 
     fn workload_convoy() -> Workload {
@@ -1202,7 +1232,7 @@ mod tests {
 
     #[test]
     fn waiting_queue_bookkeeping() {
-        let mut w = Waiting::new();
+        let mut w = Waiting::default();
         let r = JobRequest {
             id: JobId(3),
             submit: 0,
@@ -1227,7 +1257,7 @@ mod tests {
             // `every` is asked after each step; `sparse` sees the same
             // steps but is asked only now and then, so insertions and
             // removals also meet a value that is not known.
-            let (mut every, mut sparse) = (Waiting::new(), Waiting::new());
+            let (mut every, mut sparse) = (Waiting::default(), Waiting::default());
             let mut started: Vec<JobRequest> = Vec::new();
             let mut next_id = 0;
             for step in 0..300 {
@@ -1249,7 +1279,7 @@ mod tests {
                     5..=8 if !every.is_empty() => {
                         // A start (kept: it may be preempted) or a cancel.
                         let at = rng.random_range(0..every.len());
-                        let id = every.ids().nth(at).expect("in range");
+                        let id = every.requests().nth(at).expect("in range").id;
                         let job = every.remove(id);
                         assert_eq!(sparse.remove(id), job);
                         if rng.random_range(0u32..2) == 0 {
@@ -1330,7 +1360,7 @@ mod tests {
         };
         let ids = |o: &MaintainedOrder| o.requests().iter().map(|r| r.id).collect::<Vec<_>>();
         let policy = OrderPolicy::smart(SmartVariant::Ffia, WeightScheme::Unweighted);
-        let (mut waiting, mut order) = (Waiting::new(), MaintainedOrder::default());
+        let (mut waiting, mut order) = (Waiting::default(), MaintainedOrder::default());
         let enqueue = |w: &mut Waiting, o: &mut MaintainedOrder, r: JobRequest| {
             w.insert(r);
             o.insert(&policy, r);
@@ -1407,7 +1437,7 @@ mod tests {
                             }
                             4 if !s.waiting.is_empty() => {
                                 let at = rng.random_range(0..s.waiting.len());
-                                let id = s.waiting.ids().nth(at).expect("in range");
+                                let id = s.waiting.requests().nth(at).expect("in range").id;
                                 s.cancel(id, now);
                             }
                             5 if !running.is_empty() => {
@@ -1459,10 +1489,212 @@ mod tests {
         }
     }
 
+    /// Example 4's window: weekdays, 10:00–11:00.
+    const CLASS: DailyWindow = DailyWindow {
+        start_hour: 10,
+        end_hour: 11,
+        weekdays_only: true,
+    };
+
+    fn windowed(policy: OrderPolicy, backfill: BackfillMode) -> ListScheduler {
+        ListScheduler::new(policy, backfill)
+            .with_exclusive_window(CLASS)
+            .expect("the class window closes")
+    }
+
+    /// A job on Example 4's 64-node machine.
+    fn class_job(
+        submit: Time,
+        nodes: u32,
+        requested: Time,
+        runtime: Time,
+    ) -> jobsched_workload::Job {
+        JobBuilder::new(JobId(0))
+            .submit(submit)
+            .nodes(nodes)
+            .requested(requested)
+            .runtime(runtime)
+            .build()
+    }
+
+    fn start_of(out: &jobsched_sim::SimOutcome, id: u32) -> Time {
+        out.schedule.placement(JobId(id)).unwrap().start
+    }
+
+    #[test]
+    fn fcfs_list_admits_a_job_finishing_exactly_at_the_window_start() {
+        // Estimated completion landing exactly on 10:00 clears the window
+        // (it is half-open); one second longer must wait out the class.
+        let w = Workload::new(
+            "class",
+            64,
+            vec![
+                class_job(9 * HOUR, 8, HOUR, HOUR),
+                class_job(9 * HOUR, 8, HOUR + 1, HOUR + 1),
+            ],
+        );
+        let out = simulate(&w, &mut windowed(OrderPolicy::Fcfs, BackfillMode::None));
+        assert_eq!(start_of(&out, 0), 9 * HOUR);
+        assert_eq!(start_of(&out, 1), 11 * HOUR);
+    }
+
+    #[test]
+    fn fcfs_list_holds_short_jobs_behind_a_head_the_window_blocks() {
+        // At 9:00 a 2 h head cannot clear the 10:00 window: a plain list
+        // blocks behind it, although a 30 min job would fit before class.
+        let w = Workload::new(
+            "class",
+            64,
+            vec![
+                class_job(9 * HOUR, 32, 2 * HOUR, 2 * HOUR),
+                class_job(9 * HOUR + 60, 32, 1800, 1800),
+            ],
+        );
+        let out = simulate(&w, &mut windowed(OrderPolicy::Fcfs, BackfillMode::None));
+        assert_eq!(start_of(&out, 0), 11 * HOUR);
+        assert_eq!(start_of(&out, 1), 11 * HOUR);
+    }
+
+    #[test]
+    fn fcfs_easy_backfills_short_jobs_into_the_windows_shadow() {
+        // The same queue under EASY: the head's shadow is its earliest
+        // admissible start, 11:00, and the 30 min job ends before it.
+        let w = Workload::new(
+            "class",
+            64,
+            vec![
+                class_job(9 * HOUR, 32, 2 * HOUR, 2 * HOUR),
+                class_job(9 * HOUR + 60, 32, 1800, 1800),
+            ],
+        );
+        let out = simulate(&w, &mut windowed(OrderPolicy::Fcfs, BackfillMode::Easy));
+        assert_eq!(start_of(&out, 1), 9 * HOUR + 60);
+        assert_eq!(start_of(&out, 0), 11 * HOUR);
+    }
+
+    #[test]
+    fn fcfs_conservative_books_an_overestimate_after_the_window() {
+        // The Example 4 phenomenon: a job that actually runs 30 min but is
+        // estimated at 4 h cannot start at 9:30 although it would finish
+        // in time; its reservation is the window's end. A 20 min job
+        // behind it fits before class without touching that reservation.
+        let w = Workload::new(
+            "class",
+            64,
+            vec![
+                class_job(9 * HOUR + 1800, 64, 4 * HOUR, 1800),
+                class_job(9 * HOUR + 1800, 64, 1200, 1200),
+            ],
+        );
+        let out = simulate(
+            &w,
+            &mut windowed(OrderPolicy::Fcfs, BackfillMode::Conservative),
+        );
+        assert_eq!(start_of(&out, 0), 11 * HOUR);
+        assert_eq!(start_of(&out, 1), 9 * HOUR + 1800);
+    }
+
+    #[test]
+    fn fcfs_list_exempts_estimates_longer_than_the_longest_gap() {
+        // A 100 h estimate can never clear the 71 h weekend gap: the job is
+        // exempt and starts at once; the run terminates.
+        let w = Workload::new(
+            "class",
+            64,
+            vec![class_job(9 * HOUR, 8, 100 * HOUR, 30 * HOUR)],
+        );
+        let out = simulate(&w, &mut windowed(OrderPolicy::Fcfs, BackfillMode::None));
+        assert_eq!(start_of(&out, 0), 9 * HOUR);
+    }
+
+    #[test]
+    fn garey_graham_skips_what_the_window_blocks_in_each_node_class_pool() {
+        use jobsched_workload::{MachineLayout, NodeClassSpec, NodeType};
+        // 8 thin + 2 wide nodes, Monday 9:00. Job 0 (2 h) cannot clear the
+        // window and is skipped; job 1 fills the thin pool; job 2 (thin, 2
+        // nodes) must wait for it although 2 *wide* nodes sit free.
+        let pool = |node_type, memory_mb, count| NodeClassSpec {
+            node_type,
+            memory_mb,
+            count,
+        };
+        let layout = MachineLayout::new(vec![
+            pool(NodeType::Thin, 512, 8),
+            pool(NodeType::Wide, 2048, 2),
+        ]);
+        let thin = |submit, nodes, requested| {
+            JobBuilder::new(JobId(0))
+                .submit(submit)
+                .nodes(nodes)
+                .requested(requested)
+                .runtime(requested)
+                .node_type(NodeType::Thin)
+                .memory_mb(256)
+                .build()
+        };
+        let jobs = vec![
+            thin(9 * HOUR, 4, 2 * HOUR),
+            thin(9 * HOUR, 8, 100),
+            thin(9 * HOUR + 1, 2, 100),
+        ];
+        let w = Workload::new("two-class", 10, jobs).with_layout(layout);
+        let out = simulate(
+            &w,
+            &mut windowed(OrderPolicy::GareyGraham, BackfillMode::None),
+        );
+        assert!(out.schedule.validate(&w).is_empty());
+        assert_eq!(start_of(&out, 1), 9 * HOUR);
+        assert_eq!(start_of(&out, 2), 9 * HOUR + 100);
+        assert_eq!(start_of(&out, 0), 11 * HOUR);
+    }
+
+    #[test]
+    fn windowed_wakeups_land_on_window_ends() {
+        let one_job = JobRequest {
+            id: JobId(0),
+            submit: 0,
+            nodes: 1,
+            class: ClassId(0),
+            requested_time: 100,
+            user: 0,
+        };
+        let mut s = windowed(OrderPolicy::Fcfs, BackfillMode::None);
+        assert_eq!(s.next_wakeup(9 * HOUR), None, "empty queue never wakes");
+        s.submit(one_job, 0);
+        // Before, at the opening instant, mid-window and at the closing
+        // instant: the wakeup always lands on (or beyond) a window end.
+        assert_eq!(s.next_wakeup(9 * HOUR), Some(11 * HOUR));
+        assert_eq!(s.next_wakeup(10 * HOUR), Some(11 * HOUR));
+        assert_eq!(s.next_wakeup(10 * HOUR + 1800), Some(11 * HOUR));
+        // 11:00 sharp is outside the window again: next relevant close is
+        // tomorrow's.
+        assert_eq!(s.next_wakeup(11 * HOUR), Some(DAY + 11 * HOUR));
+        // Friday after class: the weekend gap defers to Monday 11:00.
+        assert_eq!(
+            s.next_wakeup(4 * DAY + 11 * HOUR),
+            Some(7 * DAY + 11 * HOUR)
+        );
+        // A combination wakes at whichever comes first, its regime
+        // boundary (20:00) or the window's end, and names both rules.
+        let mut combined = ListScheduler::paper_combination()
+            .with_exclusive_window(CLASS)
+            .unwrap();
+        combined.submit(one_job, 0);
+        assert_eq!(combined.next_wakeup(9 * HOUR), Some(11 * HOUR));
+        assert_eq!(combined.next_wakeup(12 * HOUR), Some(20 * HOUR));
+        assert_eq!(combined.next_wakeup(21 * HOUR), Some(DAY + 7 * HOUR));
+        assert!(combined.force_regime(Some(true)));
+        assert_eq!(combined.next_wakeup(12 * HOUR), Some(DAY + 11 * HOUR));
+        assert_eq!(
+            s.name(),
+            "FCFS+Listscheduler exclusive[10:00–11:00 (weekdays)]"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "submitted twice")]
     fn duplicate_submission_panics() {
-        let mut w = Waiting::new();
+        let mut w = Waiting::default();
         let r = JobRequest {
             id: JobId(3),
             submit: 0,

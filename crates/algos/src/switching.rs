@@ -1,4 +1,4 @@
-//! Time-regime switching: combining the selected algorithms.
+//! Daily windows: the §7 regime split and Example 4's exclusive window.
 //!
 //! The paper's §7 conclusion leaves one step open: "In addition she must
 //! evaluate the effect of combining the selected algorithms." Institution
@@ -14,8 +14,12 @@
 //! through the same scans as its own row. Already-running jobs are never
 //! disturbed (no time sharing), so a switch only changes how the
 //! *backlog* is drained — which is exactly what the policy rules govern.
-//! This module holds the [`DailyWindow`] that splits the week and the
-//! paper's combination.
+//!
+//! Example 4 gives "the entire machine" to a class every weekday at
+//! 10am; without time sharing, a job may start only if its *estimate*
+//! completes before the class. [`ExclusiveWindow`] states that rule once
+//! ([`ListScheduler::with_exclusive_window`]), and every selection
+//! strategy treats a job it does not admit now as one that does not fit.
 
 use crate::backfill::BackfillMode;
 use crate::order::OrderPolicy;
@@ -86,6 +90,72 @@ impl fmt::Display for DailyWindow {
     }
 }
 
+/// A [`DailyWindow`] during which the whole machine belongs to someone
+/// else (Example 4). A job may start at `t` only outside the window, and
+/// only if its estimate completes by the next opening — unless the
+/// estimate exceeds the longest window-free gap, so it could never
+/// comply: the rules conflict, and per §2.1 the job is exempt.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ExclusiveWindow {
+    pub(crate) window: DailyWindow,
+    /// The longest window-free stretch of the week (Example 4: Friday
+    /// 11:00 → Monday 10:00, 71 h); 0 for a window that never opens.
+    max_gap: Time,
+}
+
+impl ExclusiveWindow {
+    /// The rule for `window`. A window that never closes is rejected: it
+    /// would admit nothing and arm no wakeup, starving every job.
+    pub(crate) fn new(window: DailyWindow) -> Result<Self, String> {
+        if window.next_boundary(0).is_none() && window.contains(0) {
+            return Err(format!(
+                "exclusive window {window} never closes: no job could ever start"
+            ));
+        }
+        // Every gap runs from a window's end to the next opening; two
+        // weeks of ends see every gap of the weekly calendar whole.
+        let mut rule = ExclusiveWindow { window, max_gap: 0 };
+        rule.max_gap = std::iter::successors(rule.next_end(0), |&end| rule.next_end(end))
+            .take_while(|&end| end <= 2 * WEEK)
+            .filter_map(|end| Some(window.next_boundary(end)? - end))
+            .max()
+            .unwrap_or(0);
+        Ok(rule)
+    }
+
+    /// Whether a job with this estimate may start at `t`. A window that
+    /// never opens admits everything.
+    pub(crate) fn admits(&self, t: Time, estimate: Time) -> bool {
+        !self.window.contains(t)
+            && (estimate > self.max_gap
+                || self
+                    .window
+                    .next_boundary(t)
+                    .is_none_or(|opens| t.saturating_add(estimate.max(1)) <= opens))
+    }
+
+    /// The earliest instant ≥ `t` that admits the job, whatever the
+    /// nodes. Admissibility only turns true at a window end, and a
+    /// non-exempt estimate fits the gap after one of them.
+    pub(crate) fn admissible_from(&self, mut t: Time, estimate: Time) -> Time {
+        while !self.admits(t, estimate) {
+            t = self.next_end(t).expect("a window that opens also closes");
+        }
+        t
+    }
+
+    /// The next instant after `t` at which the window closes: the next
+    /// boundary inside it, the one after the next opening outside it.
+    pub(crate) fn next_end(&self, t: Time) -> Option<Time> {
+        let boundary = self.window.next_boundary(t)?;
+        if self.window.contains(t) {
+            Some(boundary)
+        } else {
+            self.window.next_boundary(boundary)
+        }
+    }
+}
+
 impl ListScheduler {
     /// The paper's §7 outcome: SMART-FFIA with EASY backfilling for the
     /// daytime response-time goal (Rule 5's window), Garey & Graham for
@@ -114,6 +184,13 @@ mod tests {
     use jobsched_workload::ctc::prepared_ctc_workload;
     use jobsched_workload::JobId;
 
+    /// Example 4's window: weekdays, 10:00–11:00.
+    const CLASS: DailyWindow = DailyWindow {
+        start_hour: 10,
+        end_hour: 11,
+        weekdays_only: true,
+    };
+
     fn one_job() -> JobRequest {
         JobRequest {
             id: JobId(0),
@@ -123,6 +200,123 @@ mod tests {
             requested_time: 100,
             user: 0,
         }
+    }
+
+    #[test]
+    fn window_calendar() {
+        let w = CLASS;
+        // 10:00 is inside; 09:59:59 and 11:00 are outside; so is
+        // Saturday 10:30.
+        assert!(w.contains(10 * HOUR));
+        assert!(w.contains(10 * HOUR + 1800));
+        assert!(w.contains(11 * HOUR - 1));
+        assert!(!w.contains(10 * HOUR - 1));
+        assert!(!w.contains(11 * HOUR));
+        assert!(!w.contains(5 * DAY + 10 * HOUR + 1800));
+        // Outside, the next boundary is the next window's start: from
+        // Monday 9:00 it is Monday 10:00, from Monday noon Tuesday 10:00.
+        assert_eq!(w.next_boundary(9 * HOUR), Some(10 * HOUR));
+        assert_eq!(w.next_boundary(12 * HOUR), Some(DAY + 10 * HOUR));
+        // Inside, it is the window's end, from the opening instant on.
+        assert_eq!(w.next_boundary(10 * HOUR), Some(11 * HOUR));
+        assert_eq!(w.next_boundary(11 * HOUR - 1), Some(11 * HOUR));
+    }
+
+    #[test]
+    fn window_boundary_instants() {
+        let w = CLASS;
+        // From Friday 10:00:01 the next boundary is Friday 11:00; from
+        // Friday 11:00 the weekend rolls it over to Monday 10:00 (day
+        // indices 5 and 6 are the weekend).
+        assert_eq!(
+            w.next_boundary(4 * DAY + 10 * HOUR + 1),
+            Some(4 * DAY + 11 * HOUR)
+        );
+        assert_eq!(
+            w.next_boundary(4 * DAY + 11 * HOUR),
+            Some(7 * DAY + 10 * HOUR)
+        );
+        assert_eq!(w.next_boundary(5 * DAY), Some(7 * DAY + 10 * HOUR));
+        assert_eq!(
+            w.next_boundary(6 * DAY + 23 * HOUR),
+            Some(7 * DAY + 10 * HOUR)
+        );
+    }
+
+    #[test]
+    fn max_gap_is_the_weekend() {
+        // Friday 11:00 → Monday 10:00 = 71 h.
+        assert_eq!(ExclusiveWindow::new(CLASS).unwrap().max_gap, 71 * HOUR);
+    }
+
+    #[test]
+    fn admissibility_clears_the_next_opening_or_is_exempt() {
+        let rule = ExclusiveWindow::new(CLASS).unwrap();
+        // Monday 9:00: an estimate ending exactly at 10:00 is admitted
+        // (the window is half-open), one second more is not, and nothing
+        // is admitted inside the window — not even an exempt estimate.
+        assert!(rule.admits(9 * HOUR, HOUR));
+        assert!(!rule.admits(9 * HOUR, HOUR + 1));
+        assert!(!rule.admits(10 * HOUR, 1));
+        assert!(!rule.admits(10 * HOUR + 1800, 100 * HOUR));
+        // An estimate longer than the 71 h weekend gap can never comply
+        // and is exempt outside the window; 71 h exactly is not.
+        assert!(rule.admits(9 * HOUR, 71 * HOUR + 1));
+        assert!(!rule.admits(9 * HOUR, 71 * HOUR));
+        // The earliest admissible start: now, the window's end, or the
+        // end of the window after a gap too short for the estimate.
+        assert_eq!(rule.admissible_from(9 * HOUR, HOUR), 9 * HOUR);
+        assert_eq!(rule.admissible_from(10 * HOUR + 5, 1), 11 * HOUR);
+        assert_eq!(rule.admissible_from(9 * HOUR, 2 * HOUR), 11 * HOUR);
+        // A 30 h estimate fits no weekday gap (23 h): it waits for
+        // Friday's class to end and runs over the weekend.
+        assert_eq!(rule.admissible_from(0, 30 * HOUR), 4 * DAY + 11 * HOUR);
+        assert_eq!(rule.admissible_from(0, 71 * HOUR + 1), 0);
+    }
+
+    #[test]
+    fn a_window_that_never_closes_is_rejected() {
+        let always = DailyWindow {
+            start_hour: 0,
+            end_hour: 24,
+            weekdays_only: false,
+        };
+        let err = ListScheduler::new(OrderPolicy::Fcfs, BackfillMode::Easy)
+            .with_exclusive_window(always)
+            .unwrap_err();
+        assert!(err.contains(&always.to_string()), "{err}");
+        // The same hours on weekdays only close for the weekend.
+        let weekdays = DailyWindow {
+            weekdays_only: true,
+            ..always
+        };
+        assert!(ListScheduler::new(OrderPolicy::Fcfs, BackfillMode::Easy)
+            .with_exclusive_window(weekdays)
+            .is_ok());
+        assert_eq!(ExclusiveWindow::new(weekdays).unwrap().max_gap, 2 * DAY);
+    }
+
+    #[test]
+    fn a_window_that_never_opens_admits_everything() {
+        let never = DailyWindow {
+            start_hour: 10,
+            end_hour: 10,
+            weekdays_only: true,
+        };
+        assert_eq!(never.next_boundary(0), None);
+        let rule = ExclusiveWindow::new(never).unwrap();
+        assert_eq!(rule.max_gap, 0);
+        for t in [0, 10 * HOUR, 4 * DAY + 23 * HOUR] {
+            assert!(rule.admits(t, WEEK));
+            assert_eq!(rule.admissible_from(t, 2 * HOUR), t);
+        }
+        assert_eq!(rule.next_end(9 * HOUR), None);
+        // A waiting job arms no wakeup.
+        let mut s = ListScheduler::new(OrderPolicy::Fcfs, BackfillMode::None)
+            .with_exclusive_window(never)
+            .unwrap();
+        s.submit(one_job(), 0);
+        assert_eq!(s.next_wakeup(9 * HOUR), None);
     }
 
     #[test]
@@ -252,7 +446,9 @@ mod tests {
         // that regime's own row does: each regime keeps its order and
         // evaluates the §5.4 trigger at every submission, whichever
         // regime is active — the rows of Tables 3–8 are what the
-        // combination combines. The other regime is the paper's.
+        // combination combines. The other regime is the paper's. A row
+        // under a window that never opens takes a full scan at every
+        // decision, and must place as the row does too.
         let w = prepared_ctc_workload(800, 1999);
         let day = (
             OrderPolicy::smart(crate::smart::SmartVariant::Ffia, WeightScheme::Unweighted),
@@ -273,15 +469,25 @@ mod tests {
                 ] {
                     let policy = kind.policy(scheme);
                     let row = simulate(&w, &mut ListScheduler::new(policy, backfill));
-                    for daytime in [true, false] {
+                    // The third variant is the row itself under an
+                    // exclusive window that never opens: it admits every
+                    // job and must place it where the row does.
+                    for daytime in [Some(true), Some(false), None] {
                         let window = DailyWindow::WEEKDAY_DAYTIME;
-                        let mut forced = if daytime {
-                            ListScheduler::new(policy, backfill)
-                                .with_off_peak(night.0, night.1, window)
-                        } else {
-                            ListScheduler::new(day.0, day.1).with_off_peak(policy, backfill, window)
+                        let mut forced = match daytime {
+                            Some(true) => ListScheduler::new(policy, backfill)
+                                .with_off_peak(night.0, night.1, window),
+                            Some(false) => ListScheduler::new(day.0, day.1)
+                                .with_off_peak(policy, backfill, window),
+                            None => ListScheduler::new(policy, backfill)
+                                .with_exclusive_window(DailyWindow {
+                                    start_hour: 12,
+                                    end_hour: 12,
+                                    weekdays_only: false,
+                                })
+                                .unwrap(),
                         };
-                        assert!(forced.force_regime(Some(daytime)));
+                        assert_eq!(forced.force_regime(daytime), daytime.is_some());
                         let out = simulate(&w, &mut forced);
                         for j in w.jobs() {
                             assert_eq!(

@@ -115,8 +115,16 @@ fn compare(seed: u64, cases: u64, len: impl Fn(&mut SmallRng) -> usize) -> usize
                 + rng.random_range(0u64..2) * rng.random_range(0u64..30_000);
 
             let expected = book_every_conservative(class, &jobs, queue_len, longest, &m, NOW);
-            let scan =
-                scan_conservative_live_in(class, &jobs, queue_len, longest, &m, NOW, &mut scratch);
+            let scan = scan_conservative_live_in(
+                class,
+                &jobs,
+                queue_len,
+                longest,
+                None,
+                &m,
+                NOW,
+                &mut scratch,
+            );
             assert_eq!(scan, expected, "seed {seed:#x} case {case} class {c}");
 
             // Ids are order positions: a pick off the prefix 0, 1, …

@@ -7,6 +7,10 @@
 //!   daytime-submitted jobs (Rule 5's constituency) and AWRT over
 //!   night/weekend-submitted jobs (Rule 6's), each the library's
 //!   accumulator replayed over that subset of jobs.
+//! * [`drain_window_cost`] — Example 4's exclusive window under degrading
+//!   user estimates: every row of the evaluation matrix runs as a
+//!   `ListScheduler` with the window and without it, and the difference
+//!   is that row's own cost of the rule.
 //! * [`gang_comparison`] — the paper's reference \[15\]: FCFS with gang
 //!   scheduling versus space-shared FCFS, sweeping the time slice. Shows
 //!   what Institution B gives up by buying a machine without time
@@ -90,24 +94,24 @@ pub fn combined_comparison(scale: Scale, candidates: &[AlgorithmSpec]) -> Vec<Re
     rows
 }
 
-/// One row of the Example 4 study: estimate padding factor vs the cost
-/// of the drain rule.
+/// One row of the Example 4 study: one algorithm at one estimate
+/// padding factor, with and without the exclusive window.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DrainRow {
+    /// The algorithm.
+    pub spec: AlgorithmSpec,
     /// Uniform over-estimation factor applied to exact runtimes
     /// (1 = perfect estimates).
     pub estimate_factor: f64,
-    /// FCFS ART without any window rule.
+    /// The algorithm's ART without the window.
     pub plain_art: f64,
-    /// FCFS ART under the Example 4 drain rule.
+    /// The algorithm's ART under Example 4's exclusive window.
     pub drained_art: f64,
 }
 
 impl DrainRow {
-    /// Relative ART cost of the exclusive window versus plain FCFS. Can
-    /// be *negative* with good estimates: the drain scheduler backfills
-    /// under the window shadow, which plain FCFS cannot — Example 4's
-    /// point is that this value deteriorates as estimates degrade.
+    /// Relative ART cost of the exclusive window to this algorithm —
+    /// Example 4's point is that it deteriorates as estimates degrade.
     pub fn penalty(&self) -> f64 {
         self.drained_art / self.plain_art.max(f64::MIN_POSITIVE) - 1.0
     }
@@ -116,27 +120,43 @@ impl DrainRow {
 /// The Example 4 dependence: the cost of a recurring exclusive window
 /// under increasingly bad user estimates. The paper: "as users are not
 /// able to provide accurate execution time estimates for their jobs no
-/// scheduling algorithm can generate good schedules" — measured here as
-/// the ART penalty of [`jobsched_algos::drain::DrainingFcfs`] growing
-/// with the estimate padding factor.
-pub fn drain_window_cost(scale: Scale, factors: &[f64]) -> Vec<DrainRow> {
-    use jobsched_algos::drain::{DrainingFcfs, EXAMPLE4_WINDOW};
+/// scheduling algorithm can generate good schedules" — measured here for
+/// each of `specs` as its ART under [`Policy::example4`]'s window against
+/// its own ART without it, per estimate padding factor. Rows come per
+/// spec, then per factor.
+///
+/// [`Policy::example4`]: crate::policy::Policy::example4
+pub fn drain_window_cost(scale: Scale, specs: &[AlgorithmSpec], factors: &[f64]) -> Vec<DrainRow> {
     use jobsched_workload::exact::with_estimate_factor;
 
+    let window = crate::policy::Policy::example4()
+        .exclusive_window()
+        .expect("Example 4 reserves the machine for a class");
     let base = prepared_ctc_workload(scale.ctc_jobs, scale.seed);
-    factors
+    let padded: Vec<Workload> = factors
         .iter()
-        .map(|&factor| {
-            let w = with_estimate_factor(&base, factor);
-            let mut drained = DrainingFcfs::new(EXAMPLE4_WINDOW);
-            let drained_out = simulate(&w, &mut drained);
-            DrainRow {
+        .map(|&factor| with_estimate_factor(&base, factor))
+        .collect();
+    let art = |w: &Workload, sched: &mut ListScheduler| {
+        ObjectiveKind::AvgResponseTime.cost(w, &simulate(w, sched).schedule)
+    };
+    let mut rows = Vec::with_capacity(specs.len() * factors.len());
+    for &spec in specs {
+        for (&factor, w) in factors.iter().zip(&padded) {
+            let mut plain = spec.build(WeightScheme::Unweighted);
+            let mut drained = spec
+                .build(WeightScheme::Unweighted)
+                .with_exclusive_window(window)
+                .expect("Example 4's window closes every day");
+            rows.push(DrainRow {
+                spec,
                 estimate_factor: factor,
-                plain_art: ObjectiveKind::AvgResponseTime.cost(&w, &plain_fcfs(&w)),
-                drained_art: ObjectiveKind::AvgResponseTime.cost(&w, &drained_out.schedule),
-            }
-        })
-        .collect()
+                plain_art: art(w, &mut plain),
+                drained_art: art(w, &mut drained),
+            });
+        }
+    }
+    rows
 }
 
 /// Result of the §6.1 heterogeneity study.
@@ -255,18 +275,28 @@ mod tests {
     #[test]
     fn drain_cost_grows_with_estimate_padding() {
         // Example 4's point: the window is cheap with exact estimates and
-        // increasingly expensive as estimates degrade.
-        let rows = drain_window_cost(tiny(), &[1.0, 8.0]);
-        assert_eq!(rows.len(), 2);
-        // Plain FCFS ignores estimates entirely: its ART must be constant
-        // across the sweep.
-        assert!((rows[0].plain_art - rows[1].plain_art).abs() < 1e-6);
-        assert!(
-            rows[1].penalty() > rows[0].penalty(),
-            "padding must amplify the drain cost: {:?} vs {:?}",
-            rows[0],
-            rows[1]
-        );
+        // increasingly expensive as estimates degrade — for a plain list,
+        // for EASY and for Garey & Graham alike.
+        let specs = [
+            AlgorithmSpec::new(PolicyKind::Fcfs, BackfillMode::None),
+            AlgorithmSpec::reference(),
+            AlgorithmSpec::new(PolicyKind::GareyGraham, BackfillMode::None),
+        ];
+        let rows = drain_window_cost(tiny(), &specs, &[1.0, 8.0]);
+        assert_eq!(rows.len(), 6);
+        for (spec, pair) in specs.iter().zip(rows.chunks(2)) {
+            let (exact, padded) = (&pair[0], &pair[1]);
+            assert!(exact.spec == *spec && padded.spec == *spec);
+            // Without the window, FCFS and Garey & Graham ignore estimates
+            // entirely: their ART is constant across the sweep.
+            if spec.backfill == BackfillMode::None {
+                assert_eq!(exact.plain_art, padded.plain_art, "{}", spec.name());
+            }
+            assert!(
+                padded.penalty() > exact.penalty(),
+                "padding must amplify the window's cost: {exact:?} vs {padded:?}"
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! (`Campaign::paper_tables`) run by `run_campaign`.
 
 use crate::objective_select::ObjectiveKind;
-use crate::policy::{DailyWindow, Policy, Rule};
+use crate::policy::{DailyWindow, Policy};
 use jobsched_algos::view::WeightScheme;
 use jobsched_algos::AlgorithmSpec;
 use jobsched_metrics::{pareto_ranks, replay, Objective, OnlineArt, Point, StreamingObjective};
@@ -49,12 +49,7 @@ pub struct Figure1 {
 /// exclusive window (weekdays, 10:00–12:00).
 fn course_window() -> DailyWindow {
     Policy::example1()
-        .rules
-        .into_iter()
-        .find_map(|rule| match rule {
-            Rule::ExclusiveWindow { window, .. } => Some(window),
-            _ => None,
-        })
+        .exclusive_window()
         .expect("Example 1 reserves a window for the lab course")
 }
 

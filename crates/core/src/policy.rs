@@ -8,8 +8,9 @@
 //! A good policy (§2.1) "contains rules to resolve conflicts between other
 //! rules if those conflicts may occur" and "can be implemented".
 //! [`Policy::conflicts`] performs the first check mechanically for the
-//! rule kinds modelled here; Example 1 (the chemistry department) and
-//! Example 5 (Institution B) ship as constructors.
+//! rule kinds modelled here; Example 1 (the chemistry department),
+//! Example 4 (the class that owns the machine for an hour) and Example 5
+//! (Institution B) ship as constructors.
 
 pub use jobsched_algos::switching::DailyWindow;
 
@@ -148,6 +149,23 @@ impl Policy {
         }
     }
 
+    /// Example 4: a machine without time sharing whose policy includes
+    /// "Every weekday at 10am the entire machine must be available to a
+    /// theoretical chemistry class for 1 hour."
+    pub fn example4() -> Policy {
+        Policy {
+            name: "Example 4 / theoretical chemistry class".into(),
+            rules: vec![Rule::ExclusiveWindow {
+                group: "theoretical chemistry class".into(),
+                window: DailyWindow {
+                    start_hour: 10,
+                    end_hour: 11,
+                    weekdays_only: true,
+                },
+            }],
+        }
+    }
+
     /// Example 5: Institution B and its 256-node batch partition.
     pub fn example5() -> Policy {
         Policy {
@@ -177,6 +195,19 @@ impl Policy {
             .enumerate()
             .filter(|(_, r)| r.affects_schedule())
             .collect()
+    }
+
+    /// The window of the policy's first exclusive reservation, if any —
+    /// the one a `ListScheduler` honours
+    /// (`ListScheduler::with_exclusive_window`). Overlapping windows are
+    /// a conflict [`Policy::conflicts`] reports.
+    pub fn exclusive_window(&self) -> Option<DailyWindow> {
+        self.schedule_rules()
+            .into_iter()
+            .find_map(|(_, rule)| match rule {
+                Rule::ExclusiveWindow { window, .. } => Some(*window),
+                _ => None,
+            })
     }
 
     /// Mechanical conflict scan (§2.1 property 1). Detected patterns:
@@ -257,6 +288,25 @@ mod tests {
     #[test]
     fn example1_has_five_rules() {
         assert_eq!(Policy::example1().rules.len(), 5);
+    }
+
+    #[test]
+    fn exclusive_windows_are_read_from_the_schedule_rules() {
+        let weekdays = |start_hour, end_hour| DailyWindow {
+            start_hour,
+            end_hour,
+            weekdays_only: true,
+        };
+        assert_eq!(
+            Policy::example1().exclusive_window(),
+            Some(weekdays(10, 12))
+        );
+        assert_eq!(
+            Policy::example4().exclusive_window(),
+            Some(weekdays(10, 11))
+        );
+        assert_eq!(Policy::example5().exclusive_window(), None);
+        assert!(Policy::example4().conflicts().is_empty());
     }
 
     #[test]

@@ -11,12 +11,18 @@
 
 use crate::scenario::{CancelSpec, DrainSpec, PreemptSpec, Scenario, ScenarioJob};
 use jobsched_algos::spec::{AlgorithmSpec, PolicyKind};
+use jobsched_algos::switching::DailyWindow;
+use jobsched_workload::job::{DAY, HOUR};
 use jobsched_workload::rng::{derive_seed, Rng, SmallRng};
 use jobsched_workload::{ClassId, MachineLayout, NodeClassSpec, NodeType, Time};
 
 /// Seed-stream tag for scenario generation (arbitrary constant, fixed
 /// forever so corpus regeneration stays possible).
 const STREAM_SCENARIO: u64 = 0x0AC1_E5EE;
+
+/// Seed-stream tag for the exclusive windows drawn beside scenarios: a
+/// stream of its own, so the scenario stream stays bit-identical.
+const STREAM_WINDOW: u64 = 0x0E8C_1051;
 
 /// Generate the `index`-th scenario of the stream rooted at `base_seed`.
 pub fn random_scenario(base_seed: u64, index: u64) -> Scenario {
@@ -156,6 +162,24 @@ pub fn random_scenario(base_seed: u64, index: u64) -> Scenario {
         cancels,
         drains,
         preempts,
+    }
+}
+
+/// An exclusive window for the `index`-th scenario of the stream rooted
+/// at `base_seed`, opening at an hour inside the scenario's span (from 0
+/// to its last submission, plus the 30 000 s the longest estimate may
+/// run) and lasting 1 to 20 hours. The long windows leave gaps shorter
+/// than many estimates, so the exemption is drawn too.
+pub fn random_window(base_seed: u64, index: u64, scenario: &Scenario) -> DailyWindow {
+    let mut rng = SmallRng::seed_from_u64(derive_seed(base_seed ^ STREAM_WINDOW, index));
+    let span = scenario.jobs.last().map_or(0, |j| j.submit) + 30_000;
+    let opens = rng.random_range(0..=span) % DAY / HOUR;
+    let hours = *pick(&mut rng, &[1u8, 1, 2, 4, 8, 20]);
+    let start_hour = (opens as u8).min(24 - hours);
+    DailyWindow {
+        start_hour,
+        end_hour: start_hour + hours,
+        weekdays_only: rng.random_range(0u32..2) == 0,
     }
 }
 

@@ -41,18 +41,24 @@
 //! start-after-submit, Rule 2 truncation against the fault log's
 //! cancellation phases, FCFS start monotonicity, and an independent
 //! recomputation of ART/AWRT against `jobsched-metrics`.
+//! [`check_exclusive_window`] audits a schedule against Example 4's
+//! exclusive window, with the window's next opening and longest gap
+//! recomputed hour by hour.
 
 use crate::batch::simulate_batch_with_faults;
 use crate::profile::from_machine;
 use crate::scenario::Scenario;
 use jobsched_algos::backfill::{ConservativeScan, CONSERVATIVE_TRUNCATION_DEPTH};
 use jobsched_algos::spec::PolicyKind;
+use jobsched_algos::switching::DailyWindow;
 use jobsched_algos::{BackfillMode, JobView, OrderPolicy, ScoreFn};
 use jobsched_metrics::{replay, OnlineArt, OnlineAwrt, StreamingObjective};
 use jobsched_sim::profile::HORIZON;
 use jobsched_sim::{
-    simulate_with_faults, CancelPhase, FaultOutcome, JobRequest, Machine, Scheduler, SimOutcome,
+    simulate_with_faults, CancelPhase, FaultOutcome, JobRequest, Machine, ScheduleRecord,
+    Scheduler, SimOutcome,
 };
+use jobsched_workload::job::{HOUR, WEEK};
 use jobsched_workload::{ClassId, JobId, MachineLayout, Time, Workload};
 
 /// Which exact pick-equality differential applies to a configuration.
@@ -1025,12 +1031,68 @@ pub fn check_outcome(
     violations
 }
 
+/// Audit `schedule` against an exclusive `window` (Example 4): no job
+/// starts inside it, and every start (a preempted job's resumes
+/// included) whose estimate is not exempt completes, by that estimate,
+/// no later than the window's next opening. A resume's estimate is what
+/// is left of the job's after the spans already run; an estimate longer
+/// than the longest window-free gap of the week is exempt (§2.1's
+/// conflict resolution). The opening and the gap are found by stepping
+/// whole hours, independently of the scheduler's calendar arithmetic.
+pub fn check_exclusive_window(
+    workload: &Workload,
+    schedule: &ScheduleRecord,
+    window: DailyWindow,
+) -> Vec<String> {
+    let hours = |from: Time| {
+        (from / HOUR + 1..)
+            .map(|h| h * HOUR)
+            .take((WEEK / HOUR) as usize)
+    };
+    let next_opening = |t: Time| hours(t).find(|&h| window.contains(h));
+    // Each gap runs from an hour at which the window closes to the next
+    // opening; two weeks of closings see every gap of the week whole.
+    let longest_gap = (1..2 * WEEK / HOUR)
+        .map(|k| k * HOUR)
+        .filter(|&h| !window.contains(h) && window.contains(h - HOUR))
+        .filter_map(|h| Some(next_opening(h - 1)? - h))
+        .max()
+        .unwrap_or(0);
+
+    let mut violations = Vec::new();
+    for job in workload.jobs() {
+        let Some(spans) = schedule.charged_spans(job.id, job.nodes) else {
+            continue;
+        };
+        let mut estimate = job.requested_time;
+        for span in spans {
+            if window.contains(span.start) {
+                violations.push(format!(
+                    "job {} starts at {} inside the exclusive window {window}",
+                    job.id, span.start
+                ));
+            } else if estimate <= longest_gap {
+                if let Some(opens) = next_opening(span.start) {
+                    if span.start + estimate.max(1) > opens {
+                        violations.push(format!(
+                            "job {} starts at {} with estimate {estimate}, past the window {window} \
+                             opening at {opens}",
+                            job.id, span.start
+                        ));
+                    }
+                }
+            }
+            estimate = estimate.saturating_sub(span.end - span.start);
+        }
+    }
+    violations
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::{broken_scenario, random_scenario};
     use crate::scenario::{CancelSpec, DrainSpec, Mutation, PreemptSpec, ScenarioJob};
-    use jobsched_sim::ScheduleRecord;
 
     fn job(submit: Time, nodes: u32, requested: Time, runtime: Time) -> ScenarioJob {
         ScenarioJob {
@@ -1448,6 +1510,45 @@ mod tests {
                 s.to_text()
             );
         }
+    }
+
+    #[test]
+    fn exclusive_window_audit_names_each_breach_and_spares_the_exempt() {
+        use jobsched_workload::{JobBuilder, Workload};
+        const H: Time = HOUR;
+        // Example 4's window under plain FCFS on an idle machine: a 2 h
+        // job at 9:00 crosses the 10:00 opening, a 30 min one at 9:00
+        // does not, a 100 h one is exempt (longer than the 71 h weekend
+        // gap), and one submitted at 10:30 starts inside the window.
+        let job = |submit, requested| {
+            JobBuilder::new(JobId(0))
+                .submit(submit)
+                .nodes(1)
+                .requested(requested)
+                .runtime(requested)
+                .build()
+        };
+        let w = Workload::new(
+            "class",
+            8,
+            vec![
+                job(9 * H, 2 * H),
+                job(9 * H, H / 2),
+                job(9 * H, 100 * H),
+                job(10 * H + H / 2, 60),
+            ],
+        );
+        let mut fcfs = jobsched_algos::ListScheduler::new(OrderPolicy::Fcfs, BackfillMode::None);
+        let out = simulate_with_faults(&w, &mut fcfs, &Default::default());
+        let class = DailyWindow {
+            start_hour: 10,
+            end_hour: 11,
+            weekdays_only: true,
+        };
+        let violations = check_exclusive_window(&w, &out.schedule, class);
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        assert!(violations[0].starts_with("job 0 starts at 32400 with estimate 7200,"));
+        assert!(violations[1].starts_with("job 3 starts at 37800 inside"));
     }
 
     #[test]

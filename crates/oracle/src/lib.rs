@@ -22,7 +22,8 @@
 //!   first-principles ART/AWRT recomputation, and the batch-vs-stream
 //!   engine differential ([`invariants::stream_differential`]: the
 //!   reference loop and the event loop must produce identical outcomes
-//!   on every scenario);
+//!   on every scenario), and [`check_exclusive_window`], Example 4's
+//!   rule audited over a finished schedule;
 //! * [`mod@shrink`] — delta-debugging reduction of violating scenarios to
 //!   minimal reproducers.
 //!
@@ -60,8 +61,11 @@ pub mod shrink;
 
 pub use adapter::RigidAdapter;
 pub use batch::{simulate_batch, simulate_batch_with_faults};
-pub use gen::{broken_priority_scenario, broken_scenario, random_scenario};
-pub use invariants::{book_every_conservative, check_outcome, check_scenario, stream_differential};
+pub use gen::{broken_priority_scenario, broken_scenario, random_scenario, random_window};
+pub use invariants::{
+    book_every_conservative, check_exclusive_window, check_outcome, check_scenario,
+    stream_differential,
+};
 pub use scenario::{CancelSpec, DrainSpec, Mutation, Scenario, ScenarioJob};
 pub use segment::{check_segments, SegmentViolation};
 pub use shrink::{shrink, shrink_with_budget};

@@ -428,12 +428,18 @@ fn main() {
         let mut scale = opts.scale;
         scale.ctc_jobs = scale.ctc_jobs.min(8_000);
         println!(
-            "{:>16} {:>14} {:>14} {:>10}",
-            "estimate ×", "plain ART [s]", "drained ART", "penalty"
+            "{:<32} {:>10} {:>14} {:>14} {:>10}",
+            "algorithm", "estimate ×", "plain ART [s]", "window ART", "penalty"
         );
-        for r in jobsched_core::extensions::drain_window_cost(scale, &[1.0, 2.0, 4.0, 8.0, 16.0]) {
+        let rows = jobsched_core::extensions::drain_window_cost(
+            scale,
+            &jobsched_algos::AlgorithmSpec::paper_matrix(),
+            &[1.0, 2.0, 4.0, 8.0, 16.0],
+        );
+        for r in rows {
             println!(
-                "{:>16.1} {:>14.0} {:>14.0} {:>9.1}%",
+                "{:<32} {:>10.1} {:>14.0} {:>14.0} {:>9.1}%",
+                r.spec.name(),
                 r.estimate_factor,
                 r.plain_art,
                 r.drained_art,

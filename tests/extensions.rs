@@ -195,20 +195,31 @@ fn reorder_threshold_trades_cost_for_recomputations() {
 
 #[test]
 fn scenario_studies_keep_their_pinned_values() {
-    // Example 4's drain study, the §7 combination and Figures 1–2. The
-    // study costs are pinned as f64 bits. The figures are pinned by
+    // Example 4's window study (the FCFS rows, exact and 8× padded
+    // estimates), the §7 combination and Figures 1–2. The study costs
+    // are pinned as f64 bits. The figures are pinned by
     // their ranks and their values rounded as `repro` prints them: the
     // order of one division can move the group ART by an ulp, which no
     // reader of the figures sees.
-    let drain: Vec<_> = drain_window_cost(scale(2_000), &[1.0, 8.0])
+    let fcfs = [
+        BackfillMode::None,
+        BackfillMode::Easy,
+        BackfillMode::Conservative,
+    ]
+    .map(|backfill| AlgorithmSpec::new(PolicyKind::Fcfs, backfill));
+    let drain: Vec<_> = drain_window_cost(scale(2_000), &fcfs, &[1.0, 8.0])
         .iter()
         .map(|r| (r.plain_art.to_bits(), r.drained_art.to_bits()))
         .collect();
     assert_eq!(
         drain,
         [
-            (0x40e60cadc32d0a65, 0x40e40bf1a4e46939),
-            (0x40e60cadc32d0a65, 0x40f119dc3d14a8df),
+            (0x40e60cadc32d0a65, 0x4108e3e62ffdf266),
+            (0x40e60cadc32d0a65, 0x415232ef654f2c87),
+            (0x40c927870ec1c3b0, 0x40d2a8314ea92077),
+            (0x40c51d7213c2eb57, 0x40ed0737f6c2ca7d),
+            (0x40ce577acd91e698, 0x40d6f7270aa68f76),
+            (0x40c71df569dd5a77, 0x40f5443179c6c4d8),
         ]
     );
 
